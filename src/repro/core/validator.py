@@ -40,7 +40,8 @@ class RequestValidator:
     ) -> ValidationReport:
         """Classify *request* given the current concurrency usage.
 
-        Hard violations (memory, timeout, job size) → REJECT.
+        Hard violations (memory, timeout, job size, a job larger than the
+        concurrent-invocation cap itself) → REJECT.
         Soft violations (would exceed the concurrent-invocation cap) → QUEUE,
         matching §IV-C-2: "the Request Validator Module notifies the Core
         Module which queues the job until there is enough limit available".
@@ -63,6 +64,14 @@ class RequestValidator:
                 ValidationResult.REJECT,
                 f"{request.num_functions} functions exceeds per-job cap "
                 f"{self.limits.max_job_functions}",
+            )
+        if request.num_functions > self.limits.max_concurrent_invocations:
+            # Even an idle account could never admit it: queueing would
+            # hold the job forever.
+            return ValidationReport(
+                ValidationResult.REJECT,
+                f"{request.num_functions} functions exceeds the concurrency "
+                f"limit {self.limits.max_concurrent_invocations}",
             )
         if (
             active_invocations + request.num_functions

@@ -29,14 +29,24 @@ is exact, not approximate — water-filling never moves capacity across a
 component boundary, so the scoped pass performs bit-for-bit the same
 float operations the global pass would perform on those flows (the
 per-link member order and the link scan order are both preserved), and
-the resulting rates are identical.  ``incremental=False`` forces the
-legacy global recompute on every churn event (used by the equivalence
-property test and the before/after scaling benchmark).
+the resulting rates are identical.  The global recompute survives only
+in the tests, as the oracle the scoped passes are checked against.
+
+The inner loops are tuned for the interpreter without changing a single
+float operation or its order (``tests/test_fabric_exact.py`` pins that
+against the plain loops): water-filling tracks assigned flows with a
+per-pass stamp and stops at the last share level without updating the
+per-link scratch; a component spanning the whole fabric takes its link
+order from a key cached on each link instead of walking every path; each
+flow builds its finish callback, label and shard hint once; and
+``_settle`` adds each flow's progress to a link's byte counter per link,
+in the link's activation-ordered member order.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.network.config import NetworkModelConfig
@@ -51,6 +61,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: A flow is complete once its residual drops below this many bytes.
 _EPS_BYTES = 1e-6
+
+_order_key = attrgetter("order_key")
 
 
 class _Flow:
@@ -72,6 +84,12 @@ class _Flow:
         "finished",
         "span",
         "seq",
+        "done_below",
+        "end_label",
+        "shard",
+        "on_end",
+        "moved",
+        "wf_stamp",
     )
 
     def __init__(
@@ -84,6 +102,7 @@ class _Flow:
         endpoints: tuple[str, ...],
         started_at: float,
         min_duration_s: float,
+        end_label: str,
     ) -> None:
         self.flow_id = flow_id
         self.label = label
@@ -102,6 +121,18 @@ class _Flow:
         #: Activation sequence number; orders component flows exactly the
         #: way the activation-ordered ``_active`` dict would.
         self.seq = 0
+        #: Residual at or below which the finish event completes the flow.
+        self.done_below = max(_EPS_BYTES, 1e-9 * size_bytes)
+        #: Label and shard hint of every finish event this flow arms.
+        self.end_label = end_label
+        self.shard = endpoints[0] if endpoints else None
+        #: The finish-event callback, built once the flow goes active and
+        #: dropped when it leaves the fabric.
+        self.on_end: Optional[Callable[[], None]] = None
+        #: Bytes moved by the latest ``_settle`` (scratch).
+        self.moved = 0.0
+        #: Latest water-filling pass that assigned this flow a rate.
+        self.wf_stamp = 0
 
 
 class FlowHandle:
@@ -142,15 +173,10 @@ class FlowNetwork:
         tiers: "TierRegistry",
         config: NetworkModelConfig,
         tracer: Optional[NullTracer] = None,
-        incremental: bool = True,
     ) -> None:
         self.sim = sim
         self.config = config
         self.tiers = tiers
-        #: Scoped (per-component) recompute; False forces the legacy
-        #: global water-filling pass on every churn event.  Rates are
-        #: identical either way — this only trades compute.
-        self.incremental = incremental
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._node_rack: dict[str, str] = {
             node.node_id: node.rack for node in cluster.nodes
@@ -206,6 +232,7 @@ class FlowNetwork:
         self._active_links: dict[Link, None] = {}
         self._flow_counter = 0
         self._activation_seq = 0
+        self._wf_stamp = 0
         self._last_settle = 0.0
         # aggregate statistics
         self.flows_started = 0
@@ -494,6 +521,7 @@ class FlowNetwork:
             endpoints=endpoints,
             started_at=self.sim.now,
             min_duration_s=min_duration,
+            end_label=f"flow-end:{label}",
         )
         if self.tracer.enabled:
             attrs = {"bytes": size_bytes, "hops": len(links)}
@@ -532,16 +560,14 @@ class FlowNetwork:
         self._active[flow.flow_id] = flow
         if len(self._active) > self.peak_active_flows:
             self.peak_active_flows = len(self._active)
+        flow.on_end = lambda: self._complete_event(flow)
         for link in flow.links:
             if not link.members:
                 self._active_links[link] = None
             link.attach(flow)
-        if self.incremental:
-            # The join may have merged components; BFS from the new flow
-            # finds exactly the merged component.
-            self._recompute_for(self._component(flow))
-        else:
-            self._recompute_all()
+        # The join may have merged components; BFS from the new flow
+        # finds exactly the merged component.
+        self._recompute_for(self._component(flow))
 
     def _finish(self, flow: _Flow) -> None:
         """Completion of a fabric-bypass (latency-only) flow."""
@@ -563,15 +589,18 @@ class FlowNetwork:
         if flow.finished or flow.flow_id not in self._active:
             return
         self._settle()
-        if flow.remaining > max(_EPS_BYTES, 1e-9 * flow.size_bytes):
+        if flow.remaining > flow.done_below:
             # Fired early: the flow's share shrank since this event was
             # scheduled (new sharers joined).  Re-arm from live state.
-            if flow.rate > 0:
+            rate = flow.rate
+            if rate > 0:
+                now = self.sim.now
+                eta = now + flow.remaining / rate
                 flow.handle = self.sim.call_at(
-                    max(self.sim.now, self.sim.now + flow.remaining / flow.rate),
-                    lambda: self._complete_event(flow),
-                    label=f"flow-end:{flow.label}",
-                    shard=flow.endpoints[0] if flow.endpoints else None,
+                    eta if eta > now else now,
+                    flow.on_end,
+                    label=flow.end_label,
+                    shard=flow.shard,
                 )
             return
         residual = flow.remaining
@@ -620,18 +649,17 @@ class FlowNetwork:
         """Remove *flow* from the fabric; return the flows whose rates
         its departure can touch (its former component, in activation
         order — the departed flow excluded)."""
-        if self.incremental and len(self._active) > 1:
+        if len(self._active) > 1:
             peers = self._component(flow)
             peers.remove(flow)
         else:
-            peers = None
+            peers = []
         del self._active[flow.flow_id]
+        flow.on_end = None
         for link in flow.links:
             link.detach(flow)
             if not link.members:
                 del self._active_links[link]
-        if peers is None:
-            peers = list(self._active.values())
         return peers
 
     def set_link_capacity(self, name: str, bandwidth: float) -> float:
@@ -704,15 +732,23 @@ class FlowNetwork:
         for flow in self._active.values():
             rate = flow.rate
             if rate <= 0:
+                flow.moved = 0.0
                 continue
             moved = rate * elapsed
-            if moved > flow.remaining:
-                moved = flow.remaining
-            flow.remaining -= moved
-            for link in flow.links:
-                link.bytes_total += moved
+            remaining = flow.remaining
+            if moved > remaining:
+                moved = remaining
+            flow.remaining = remaining - moved
+            flow.moved = moved
+        # Members are in activation order, so each link receives the same
+        # adds in the same order as walking every flow's path would give
+        # it (a stalled flow's 0.0 leaves a non-negative total unchanged).
         for link in self._active_links:
             link.busy_s += elapsed
+            total = link.bytes_total
+            for flow in link.members.values():
+                total += flow.moved
+            link.bytes_total = total
 
     def _component(self, flow: _Flow) -> list[_Flow]:
         """*flow*'s contention component, in activation order.
@@ -749,10 +785,8 @@ class FlowNetwork:
             return [flow]
         return sorted(found.values(), key=lambda f: f.seq)
 
-    def _waterfill(
-        self, flows: list[_Flow], links: list[Link]
-    ) -> dict[int, float]:
-        """Water-filling over *flows*/*links*: flow_id -> max-min rate.
+    def _waterfill(self, flows: list[_Flow], links: list[Link]) -> None:
+        """Water-filling over *flows*/*links*: set each flow's max-min rate.
 
         *flows* must be in activation order and *links* in
         first-encounter order over those flows — exactly the orders a
@@ -762,38 +796,51 @@ class FlowNetwork:
         flow order comes from the maintained ``Link.members`` dicts, so
         no members/counts scratch dicts are rebuilt per call.
         """
-        for link in links:
-            link.wf_cap = link.bandwidth
-            link.wf_count = len(link.members)
-        unassigned = dict.fromkeys(flow.flow_id for flow in flows)
-        rates: dict[int, float] = {}
         self.waterfill_passes += 1
         self.waterfill_flows += len(flows)
         self.waterfill_flows_full += len(self._active)
-        while unassigned:
+        for link in links:
+            link.wf_cap = link.bandwidth
+            link.wf_count = len(link.members)
+        # A flow is assigned in this pass once it carries this pass's
+        # stamp; older stamps mean unassigned, so no per-pass reset.
+        self._wf_stamp = stamp = self._wf_stamp + 1
+        left = len(flows)
+        while True:
             bottleneck: Optional[Link] = None
             share = math.inf
             for link in links:
-                if link.wf_count <= 0:
+                count = link.wf_count
+                if count <= 0:
                     continue
-                candidate = max(link.wf_cap, 0.0) / link.wf_count
+                cap = link.wf_cap
+                candidate = (0.0 if 0.0 > cap else cap) / count
                 if candidate < share:
                     share = candidate
                     bottleneck = link
             if bottleneck is None:  # pragma: no cover - defensive
-                for flow_id in unassigned:
-                    rates[flow_id] = math.inf
-                break
+                for flow in flows:
+                    if flow.wf_stamp != stamp:
+                        flow.rate = math.inf
+                return
+            if bottleneck.wf_count == left:
+                # Last level: the unassigned flows all cross the
+                # bottleneck; their shares end the pass, so the per-link
+                # scratch needs no more updates.
+                for flow in bottleneck.members.values():
+                    if flow.wf_stamp != stamp:
+                        flow.rate = share
+                return
             for flow in bottleneck.members.values():
-                if flow.flow_id not in unassigned:
+                if flow.wf_stamp == stamp:
                     continue
-                rates[flow.flow_id] = share
-                del unassigned[flow.flow_id]
+                flow.wf_stamp = stamp
+                flow.rate = share
+                left -= 1
                 for link in flow.links:
                     link.wf_cap -= share
                     link.wf_count -= 1
             bottleneck.wf_cap = 0.0
-        return rates
 
     @staticmethod
     def _ordered_links(flows: list[_Flow]) -> list[Link]:
@@ -803,10 +850,6 @@ class FlowNetwork:
             for link in flow.links:
                 seen[link] = None
         return list(seen)
-
-    def _recompute_all(self) -> None:
-        """Legacy global pass: water-fill every active flow."""
-        self._recompute_for(list(self._active.values()))
 
     def _recompute_for(self, flows: list[_Flow]) -> None:
         """Re-apply fair-share rates to *flows*; move events that improved.
@@ -820,24 +863,34 @@ class FlowNetwork:
         """
         if not flows:
             return
-        rates = self._waterfill(flows, self._ordered_links(flows))
+        if len(flows) == len(self._active):
+            # The whole fabric: first-encounter order is the order of
+            # (first member's activation, position on its path), which
+            # each link caches as it gains or loses its first member.
+            links = sorted(self._active_links, key=_order_key)
+        else:
+            links = self._ordered_links(flows)
+        self._waterfill(flows, links)
         now = self.sim.now
         tolerance = self.config.reschedule_tolerance
+        call_at = self.sim.call_at
         for flow in flows:
-            rate = rates[flow.flow_id]
-            flow.rate = rate
+            rate = flow.rate
             if rate <= 0:  # pragma: no cover - defensive
                 continue
             eta = now + flow.remaining / rate
             handle = flow.handle
-            if handle is not None and handle.active:
-                slack = tolerance * (handle.time - now)
-                if eta >= handle.time - max(slack, 1e-12):
+            # ``handle.active``: fired and cancelled events drop their
+            # callback.
+            if handle is not None and handle.callback is not None:
+                due = handle.time
+                slack = tolerance * (due - now)
+                if eta >= due - (1e-12 if 1e-12 > slack else slack):
                     continue
                 handle.cancel()
-            flow.handle = self.sim.call_at(
-                max(now, eta),
-                lambda f=flow: self._complete_event(f),
-                label=f"flow-end:{flow.label}",
-                shard=flow.endpoints[0] if flow.endpoints else None,
+            flow.handle = call_at(
+                eta if eta > now else now,
+                flow.on_end,
+                label=flow.end_label,
+                shard=flow.shard,
             )

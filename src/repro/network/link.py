@@ -20,6 +20,12 @@ class Link:
     ``wf_cap`` / ``wf_count`` are water-filling scratch slots: the fabric
     resets them at the start of each fair-share pass over the links it is
     recomputing, so no per-call ``members``/``counts`` dicts are built.
+
+    ``order_key`` is ``(seq of the first member, index of this link on that
+    member's path)``: sorting the active links by it gives their
+    first-encounter order over the activation-ordered flows, which is the
+    link order of a whole-fabric water-filling pass.  It is refreshed only
+    when the first member attaches or departs.
     """
 
     __slots__ = (
@@ -32,6 +38,7 @@ class Link:
         "busy_s",
         "wf_cap",
         "wf_count",
+        "order_key",
     )
 
     def __init__(self, name: str, bandwidth: float) -> None:
@@ -44,6 +51,7 @@ class Link:
         # water-filling scratch (owned by FlowNetwork._waterfill)
         self.wf_cap = 0.0
         self.wf_count = 0
+        self.order_key = (0, 0)
         # usage statistics
         self.bytes_total = 0.0
         self.flows_total = 0
@@ -55,13 +63,23 @@ class Link:
         return len(self.members)
 
     def attach(self, flow: "_Flow") -> None:
-        self.members[flow.flow_id] = flow
+        members = self.members
+        if not members:
+            self.order_key = (flow.seq, flow.links.index(self))
+        members[flow.flow_id] = flow
         self.flows_total += 1
-        if len(self.members) > self.peak_concurrent:
-            self.peak_concurrent = len(self.members)
+        if len(members) > self.peak_concurrent:
+            self.peak_concurrent = len(members)
 
     def detach(self, flow: "_Flow") -> None:
-        self.members.pop(flow.flow_id, None)
+        members = self.members
+        if (
+            members.pop(flow.flow_id, None) is not None
+            and members
+            and self.order_key[0] == flow.seq
+        ):
+            first = next(iter(members.values()))
+            self.order_key = (first.seq, first.links.index(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -60,6 +60,19 @@ class TestRequestValidator:
         assert report.result is ValidationResult.QUEUE
         assert "concurrency" in report.reason
 
+    def test_rejects_job_larger_than_concurrency_cap(self):
+        report = self.validator.validate(
+            make_request(num_functions=101), active_invocations=0
+        )
+        assert report.result is ValidationResult.REJECT
+        assert "101" in report.reason and "100" in report.reason
+
+    def test_cap_sized_job_queues_behind_active_work(self):
+        report = self.validator.validate(
+            make_request(num_functions=100), active_invocations=1
+        )
+        assert report.result is ValidationResult.QUEUE
+
     def test_exact_fit_admits(self):
         report = self.validator.validate(
             make_request(num_functions=40), active_invocations=60

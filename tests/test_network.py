@@ -1,5 +1,8 @@
 """Tests for the contention-aware flow-level network model."""
 
+import random
+from operator import attrgetter
+
 import pytest
 
 from repro.cluster.cluster import Cluster
@@ -368,3 +371,49 @@ class TestScenarioIntegration:
         summary = run_scenario(scenario, seed=0)
         assert summary.all_completed
         assert summary.failures > 0
+
+
+def test_cached_link_order_under_churn():
+    """Randomized churn on a live fabric: after every step the cached
+    link order key sorts the active links into first-encounter order."""
+    sim = Simulator(seed=0)
+    cluster = Cluster(12, topology=Topology(num_racks=3))
+    net = FlowNetwork(
+        sim,
+        cluster=cluster,
+        tiers=TierRegistry(),
+        config=get_network_preset("10gbe"),
+    )
+    nodes = [node.node_id for node in cluster.nodes]
+    rng = random.Random(5)
+    handles = []
+    busiest = 0
+    for _ in range(400):
+        op = rng.random()
+        if op < 0.35:
+            src, dst = rng.sample(nodes, 2)
+            handles.append(net.transfer(
+                src, dst, rng.uniform(1e6, 5e8), on_complete=lambda: None
+            ))
+        elif op < 0.5:
+            handles.append(net.write_checkpoint(
+                tier_name="kv", node_id=rng.choice(nodes),
+                size_bytes=rng.uniform(1e6, 5e8), on_complete=lambda: None,
+            ))
+        elif op < 0.6:
+            handles.append(net.image_pull(
+                dest_node=rng.choice(nodes),
+                size_bytes=rng.uniform(1e6, 5e8), on_complete=lambda: None,
+            ))
+        elif op < 0.75 and handles:
+            handles.pop(rng.randrange(len(handles))).cancel()
+        else:
+            sim.run(until=sim.now + rng.uniform(0.0, 0.3))
+        active = list(net._active.values())
+        assert sorted(net._active_links, key=attrgetter("order_key")) == (
+            FlowNetwork._ordered_links(active)
+        )
+        busiest = max(busiest, len(active))
+    assert busiest > 10
+    sim.run()
+    assert net.active_flow_count == 0

@@ -8,8 +8,8 @@ hold it to that claim three ways:
   advances, a mix of rack-local / cross-rack / service traffic) and
   checks every live flow's cached rate against an independently written
   textbook global water-filling oracle with exact float equality;
-* a dual-run test replays one scripted churn trace against an
-  incremental fabric and a forced-global fabric and demands identical
+* a dual-run test replays one scripted churn trace against the scoped
+  fabric and a test-local global-recompute fabric and demands identical
   completion traces and link statistics;
 * chaos tests fail a node mid-transfer while multiple contention
   components are active and assert the teardown never touches rates or
@@ -32,11 +32,19 @@ from repro.sim.engine import Simulator
 from repro.storage.tiers import TierRegistry
 
 
+class GlobalRecomputeFlowNetwork(FlowNetwork):
+    """Water-fills every active flow on every churn event: the component
+    of any flow is taken to be the whole fabric."""
+
+    def _component(self, flow):
+        return list(self._active.values())
+
+
 def make_fabric(
     num_nodes=12,
     num_racks=3,
     *,
-    incremental=True,
+    fabric=FlowNetwork,
     reschedule_tolerance=0.0,
     **overrides,
 ):
@@ -51,12 +59,11 @@ def make_fabric(
     defaults.update(overrides)
     sim = Simulator(seed=0)
     cluster = Cluster(num_nodes, topology=Topology(num_racks=num_racks))
-    network = FlowNetwork(
+    network = fabric(
         sim,
         cluster=cluster,
         tiers=TierRegistry(),
         config=NetworkModelConfig(**defaults),
-        incremental=incremental,
     )
     nodes = [node.node_id for node in cluster.nodes]
     return sim, network, nodes
@@ -175,7 +182,7 @@ class TestEquivalenceProperty:
         self._churn(reschedule_tolerance=0.01, seed=0xBEEF)
 
     def test_incremental_and_global_runs_are_identical(self):
-        """One scripted churn trace, two fabrics (scoped vs forced-global
+        """One scripted churn trace, two fabrics (scoped vs global
         recompute): completion traces and link statistics must match
         exactly — not approximately."""
         rng = random.Random(7)
@@ -189,9 +196,9 @@ class TestEquivalenceProperty:
                     ("cancel", t + rng.uniform(0.0, 3.0), rng.randrange(150))
                 )
 
-        def drive(incremental):
+        def drive(fabric):
             sim, net, nodes = make_fabric(
-                num_nodes=12, num_racks=3, incremental=incremental
+                num_nodes=12, num_racks=3, fabric=fabric
             )
             pick = random.Random(99)
             pairs = [tuple(pick.sample(nodes, 2)) for _ in range(150)]
@@ -247,8 +254,10 @@ class TestEquivalenceProperty:
             )
             return completions, link_stats, counters, fabric_compute_stats(net)
 
-        inc_done, inc_links, inc_counters, inc_stats = drive(True)
-        full_done, full_links, full_counters, full_stats = drive(False)
+        inc_done, inc_links, inc_counters, inc_stats = drive(FlowNetwork)
+        full_done, full_links, full_counters, full_stats = drive(
+            GlobalRecomputeFlowNetwork
+        )
         assert inc_done == full_done
         assert inc_links == full_links
         assert inc_counters == full_counters

@@ -6,6 +6,8 @@ from repro.common.errors import RequestValidationError
 from repro.common.units import gb
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.runner import run_scenario
 from repro.faas.limits import PlatformLimits
 
 from tests.conftest import TINY, build_platform, run_tiny_job
@@ -20,6 +22,38 @@ class TestAdmission:
                     workload=TINY, num_functions=1, memory_bytes=gb(100)
                 )
             )
+
+    def test_job_larger_than_concurrency_cap_rejected(self):
+        # Queueing it would wait forever: no amount of headroom admits it.
+        platform = CanaryPlatform(
+            seed=0,
+            num_nodes=4,
+            strategy="ideal",
+            limits=PlatformLimits(max_concurrent_invocations=15),
+        )
+        with pytest.raises(RequestValidationError, match="16.*15"):
+            platform.submit_job(JobRequest(workload=TINY, num_functions=16))
+        assert platform.jobs == {}
+
+    def test_oversized_single_job_scenario_raises(self):
+        scenario = ScenarioConfig(
+            workload="micro-python", strategy="ideal", error_rate=0.0,
+            num_functions=1001,
+        )
+        with pytest.raises(RequestValidationError, match="1001.*1000"):
+            run_scenario(scenario, seed=0)
+
+    @pytest.mark.parametrize("num_functions,jobs", [(1000, 1), (2000, 2)])
+    def test_cap_sized_and_split_jobs_still_run(self, num_functions, jobs):
+        summary = run_scenario(
+            ScenarioConfig(
+                workload="micro-python", strategy="ideal", error_rate=0.0,
+                num_functions=num_functions, jobs=jobs,
+            ),
+            seed=0,
+        )
+        assert summary.num_functions == num_functions
+        assert summary.completed == num_functions
 
     def test_concurrency_pressure_queues_jobs(self):
         platform = CanaryPlatform(
