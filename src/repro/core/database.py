@@ -19,6 +19,7 @@ class Table:
         self.name = name
         self.key_field = key_field
         self.fields = fields
+        self._field_set = frozenset(fields)
         if key_field not in fields:
             raise ValueError(f"key {key_field!r} missing from fields of {name}")
         self._rows: dict[Any, dict[str, Any]] = {}
@@ -30,9 +31,8 @@ class Table:
         return key in self._rows
 
     def insert(self, row: dict[str, Any]) -> None:
-        unknown = set(row) - set(self.fields)
-        if unknown:
-            raise KeyError(f"unknown fields for {self.name}: {sorted(unknown)}")
+        if not self._field_set.issuperset(row):
+            self._raise_unknown(row)
         if self.key_field not in row:
             raise KeyError(f"row for {self.name} missing key {self.key_field!r}")
         key = row[self.key_field]
@@ -45,10 +45,13 @@ class Table:
         row = self._rows.get(key)
         if row is None:
             raise KeyError(f"no row {key!r} in {self.name}")
-        unknown = set(changes) - set(self.fields)
-        if unknown:
-            raise KeyError(f"unknown fields for {self.name}: {sorted(unknown)}")
+        if not self._field_set.issuperset(changes):
+            self._raise_unknown(changes)
         row.update(changes)
+
+    def _raise_unknown(self, names: Iterable[str]) -> None:
+        unknown = set(names) - self._field_set
+        raise KeyError(f"unknown fields for {self.name}: {sorted(unknown)}")
 
     def upsert(self, row: dict[str, Any]) -> None:
         key = row.get(self.key_field)

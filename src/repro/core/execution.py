@@ -609,6 +609,7 @@ class FunctionExecution:
         if self.completed:
             return
         self.completed = True
+        self.job.completed_count += 1
         now = self.ctx.sim.now
         self.completed_at = now
         self.status = FunctionState.COMPLETED

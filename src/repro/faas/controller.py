@@ -33,12 +33,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.fabric import FlowNetwork
 
 
-@dataclass
+@dataclass(eq=False)
 class ContainerRequest:
     """A pending request for a container.
 
     ``on_ready`` fires once the container finishes its cold start.  The
     request may wait in the controller queue while the cluster is full.
+    Requests compare by identity: each carries its own ``on_ready``
+    closure, so two distinct requests were never value-equal anyway.
     """
 
     kind: RuntimeKind
@@ -56,6 +58,10 @@ class ContainerRequest:
     on_placed: Optional[Callable[[Container], None]] = None
     #: open "queue" span while the request waits in the controller queue
     queue_span: Optional[Span] = None
+    #: True exactly while the request sits in the controller queue; set
+    #: only where ``submit`` appends it and cleared only where
+    #: ``_drain_queue`` pops it, so membership tests are O(1).
+    queued: bool = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -264,14 +270,11 @@ class FaaSController:
             node = self.cluster.node(request.preferred_node)
             if node.can_host(memory) and node.node_id not in request.avoid_nodes:
                 return node
-        candidates = [
-            n
-            for n in self.cluster.hosting_candidates(memory)
-            if n.node_id not in request.avoid_nodes
-        ]
+        hosting = self.cluster.hosting_candidates(memory)
+        candidates = [n for n in hosting if n.node_id not in request.avoid_nodes]
         if not candidates:
             # Fall back to ignoring anti-affinity rather than starving.
-            candidates = self.cluster.hosting_candidates(memory)
+            candidates = hosting
         if not candidates:
             return None
         # Filtering (preferred node, anti-affinity, capacity, fallback)
@@ -291,6 +294,7 @@ class FaaSController:
                 purpose=request.purpose.value,
             )
             self._queue.append(request)
+            request.queued = True
             self.queued_requests_total += 1
             if self.backoff is not None:
                 self._arm_place_backoff(request, 0)
@@ -319,17 +323,13 @@ class FaaSController:
         )
 
         def _retry() -> None:
-            if request.cancelled or request.container is not None:
-                return
-            if request not in self._queue:
+            # A placed request has left the queue, so ``queued`` also
+            # rules out one that already holds a container.
+            if request.cancelled or not request.queued:
                 return
             self.backoff_retries += 1
             self._drain_queue()
-            if (
-                request.container is None
-                and not request.cancelled
-                and request in self._queue
-            ):
+            if request.queued and not request.cancelled:
                 self._arm_place_backoff(request, retries + 1)
 
         self.sim.call_in(wait, _retry, label="place-backoff")
@@ -490,11 +490,11 @@ class FaaSController:
             request = self._queue[0]
             if request.cancelled:
                 self._end_queue_span(request, "cancelled")
-                self._queue.popleft()
+                self._queue.popleft().queued = False
                 continue
             if not self._try_place(request):
                 return
-            self._queue.popleft()
+            self._queue.popleft().queued = False
 
     # ------------------------------------------------------------------
     # Termination & failure

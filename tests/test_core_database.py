@@ -35,6 +35,16 @@ class TestTable:
         with pytest.raises(KeyError):
             t.update(1, zzz=2)
 
+    def test_unknown_field_message_names_sorted_unknowns(self):
+        t = self.make()
+        with pytest.raises(KeyError, match=r"unknown fields for t: \['y', 'z'\]"):
+            t.insert({"id": 1, "z": 2, "a": 0, "y": 3})
+        t.insert({"id": 1, "a": "x"})
+        with pytest.raises(KeyError, match=r"unknown fields for t: \['zzz'\]"):
+            t.update(1, a="changed", zzz=2)
+        # A rejected update changes nothing.
+        assert t.get(1) == {"id": 1, "a": "x", "b": None}
+
     def test_missing_key_rejected(self):
         with pytest.raises(KeyError):
             self.make().insert({"a": 1})
