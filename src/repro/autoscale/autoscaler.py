@@ -1,7 +1,7 @@
 """The node autoscaler: EWMA-driven scale-out/scale-in with drains.
 
-The cluster is built at ``max_nodes`` up front — the fabric topology, the
-shard plan, and the detection module all see a fixed node universe — and
+The cluster is built at ``max_nodes`` up front — the fabric topology and
+the detection module both see a fixed node universe — and
 nodes beyond the initial count start *deprovisioned* (``Node.provisioned``
 False, invisible to placement).  Scaling out provisions one of them after a
 boot delay plus a registry image pull (a real contended flow when the S33
@@ -188,7 +188,6 @@ class NodeAutoscaler:
             self.config.boot_delay_s,
             _pull_then_join,
             label=f"autoscale-boot:{node.node_id}",
-            shard=node.node_id,
         )
 
     def _join(self, node: "Node") -> None:
@@ -241,7 +240,6 @@ class NodeAutoscaler:
             self.config.drain_poll_s,
             lambda: self._poll_drain(node),
             label=f"autoscale-drain:{node.node_id}",
-            shard=node.node_id,
         )
 
     def _retire(self, node: "Node") -> None:

@@ -97,21 +97,6 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_shards(value: str) -> int | str:
-    """``--shards`` argument: a positive int or the literal ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shards must be an integer or 'auto', got {value!r}"
-        ) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError("shards must be >= 1")
-    return count
-
-
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     chaos = detection = backoff = None
     if getattr(args, "chaos", False):
@@ -145,7 +130,6 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         chaos=chaos,
         detection=detection,
         backoff=backoff,
-        shards=getattr(args, "shards", 1),
         placement=getattr(args, "placement", "locality"),
         adaptive=adaptive,
         cloning=cloning,
@@ -153,8 +137,7 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
-    summary = run_scenario(scenario, seed=args.seed)
+    summary = run_scenario(args.scenario, seed=args.seed)
     if args.json:
         print(json.dumps(asdict(summary), indent=2))
         return 0
@@ -261,9 +244,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         autoscale = AutoscaleConfig(
             min_nodes=args.min_nodes, max_nodes=args.max_nodes
         )
-    scenario = _scenario_from_args(args).with_(
-        traffic=traffic, autoscale=autoscale
-    )
+    scenario = args.scenario.with_(traffic=traffic, autoscale=autoscale)
     result = run_traffic(scenario, seed=args.seed)
     summary = result.summary
     if args.json:
@@ -311,8 +292,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_jsonl,
     )
 
-    scenario = _scenario_from_args(args)
-    traced = run_traced(scenario, seed=args.seed)
+    traced = run_traced(args.scenario, seed=args.seed)
     write_chrome_trace(traced.spans, args.out)
     n_events = validate_chrome_trace(args.out)
     if args.jsonl:
@@ -356,8 +336,6 @@ def _figure_command(args: argparse.Namespace) -> int:
         kwargs["seeds"] = range(3)
     if args.jobs is not None:
         kwargs["jobs"] = args.jobs
-    if args.shards is not None:
-        kwargs["shards"] = args.shards
     if args.placement is not None:
         kwargs["placement"] = args.placement
     result = module.run(**kwargs)
@@ -412,10 +390,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clones", type=int, default=None, metavar="K",
                         help="clone count for --strategy cloning "
                         "(first finisher wins; default 2)")
-    parser.add_argument("--shards", type=_parse_shards, default=1,
-                        metavar="N|auto",
-                        help="event shards (1 = serial engine, 'auto' = one "
-                        "per rack); any value is byte-identical to 1")
     from repro.policies import PLACEMENT_POLICIES
 
     parser.add_argument("--placement", default="locality",
@@ -504,10 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the sweep (default: one "
                         "per core; 1 forces serial in-process execution)")
-    figure.add_argument("--shards", type=_parse_shards, default=None,
-                        metavar="N|auto",
-                        help="event shards per cell (byte-identical to the "
-                        "default serial engine)")
     from repro.policies import PLACEMENT_POLICIES
 
     figure.add_argument("--placement", default=None,
@@ -523,7 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.func in (_cmd_run, _cmd_traffic, _cmd_trace):
+        # Invalid flag combinations are usage errors, not tracebacks.
+        try:
+            args.scenario = _scenario_from_args(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

@@ -27,8 +27,8 @@ class Node:
         self.rack = rack
         self.alive = True
         #: deprovisioned nodes exist in the cluster (fixed topology for
-        #: the fabric, detection, and shard plans) but host nothing; the
-        #: autoscaler flips this as capacity scales out and in
+        #: the fabric and detection) but host nothing; the autoscaler
+        #: flips this as capacity scales out and in
         self.provisioned = True
         #: cordoned nodes accept no new containers (proactive mitigation
         #: drains suspect hardware before a predicted failure; the

@@ -135,7 +135,6 @@ class CanaryPlatform:
         detection: Optional[DetectionConfig] = None,
         backoff: Optional[BackoffPolicy] = None,
         tracer: Optional[NullTracer] = None,
-        shards: int | str = 1,
         traffic: Optional["TrafficConfig"] = None,
         autoscale: Optional["AutoscaleConfig"] = None,
         placement: str | PlacementPolicy = "locality",
@@ -146,10 +145,10 @@ class CanaryPlatform:
         self.config = config or PlatformConfig()
         self.pricing = pricing
         # Autoscaling works against a *fixed* node universe: the cluster
-        # is built at max_nodes so the fabric topology, detection, and
-        # shard plans never see membership churn; spare nodes start
-        # deprovisioned (invisible to placement) and the autoscaler flips
-        # Node.provisioned as capacity scales.
+        # is built at max_nodes so the fabric topology and detection never
+        # see membership churn; spare nodes start deprovisioned (invisible
+        # to placement) and the autoscaler flips Node.provisioned as
+        # capacity scales.
         self.autoscale_config = autoscale
         cluster_nodes = num_nodes
         initial_provisioned = num_nodes
@@ -158,34 +157,7 @@ class CanaryPlatform:
             initial_provisioned = min(
                 max(num_nodes, autoscale.min_nodes), autoscale.max_nodes
             )
-        # shards=1 is the plain serial engine.  Anything else swaps in the
-        # lane-tagged ShardedSimulator: the platform's zero-latency global
-        # services weld every lane into one execution group, so the drain
-        # order — and every golden pin — is byte-identical to shards=1;
-        # what it adds is per-rack lane accounting (shard-balance
-        # observability) fed by the ``shard=`` hints at scheduling sites.
-        self.shard_plan = None
-        if shards != 1:
-            from repro.cluster.topology import Topology
-            from repro.sim.sharded import rack_plan, derive_lookahead
-
-            num_racks = Topology().num_racks
-            self.shard_plan = rack_plan(
-                cluster_nodes,
-                num_racks,
-                shards,
-                lookahead_s=derive_lookahead(
-                    network=network,
-                    detection=detection,
-                    tiers=TierRegistry().tiers,
-                ),
-                weld_all=True,
-            )
-            from repro.sim.sharded.engine import ShardedSimulator
-
-            self.sim = ShardedSimulator(seed=seed, plan=self.shard_plan)
-        else:
-            self.sim = Simulator(seed=seed)
+        self.sim = Simulator(seed=seed)
         # Span recorder threaded through every instrumented subsystem; the
         # null default records nothing and reads no clock.  A real Tracer
         # built without a clock gets bound to the virtual clock here.

@@ -314,7 +314,6 @@ class FunctionExecution:
                 delay,
                 lambda: self._begin_states(attempt),
                 label=f"setup:{attempt.attempt_id}",
-                shard=attempt.container.node.node_id,
             )
         else:
             self._begin_states(attempt)
@@ -360,7 +359,6 @@ class FunctionExecution:
                         attempt, record, extra_delay, retries + 1
                     ),
                     label=f"backoff:{attempt.attempt_id}",
-                    shard=attempt.container.node.node_id,
                 )
                 return
             ctx.metrics.restore_fallbacks += 1
@@ -424,7 +422,6 @@ class FunctionExecution:
 
         attempt.timeout_handle = self.ctx.sim.call_in(
             timeout, _timeout, label=f"timeout:{attempt.attempt_id}",
-            shard=attempt.container.node.node_id,
         )
 
     # ------------------------------------------------------------------
@@ -469,7 +466,6 @@ class FunctionExecution:
 
         attempt.kill_handle = self.ctx.sim.call_in(
             delay, _kill, label=f"kill:{attempt.attempt_id}",
-            shard=attempt.container.node.node_id,
         )
 
     def planned_remaining_duration(self, attempt: Attempt) -> float:
@@ -506,7 +502,6 @@ class FunctionExecution:
                 finish,
                 lambda: self._complete(attempt),
                 label=f"finish:{attempt.attempt_id}",
-                shard=attempt.container.node.node_id,
             )
             return
         duration = attempt.container.node.scale_duration(
@@ -518,7 +513,6 @@ class FunctionExecution:
             duration,
             lambda: self._state_done(attempt),
             label=f"state:{attempt.attempt_id}:{index}",
-            shard=attempt.container.node.node_id,
         )
         self._arm_recovery_checks()
 
@@ -576,7 +570,6 @@ class FunctionExecution:
                 duration,
                 lambda: self._schedule_next_state(attempt),
                 label=f"ckpt:{attempt.attempt_id}:{index}",
-                shard=attempt.container.node.node_id,
             )
         else:
             self._schedule_next_state(attempt)

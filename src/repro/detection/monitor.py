@@ -302,7 +302,6 @@ class DetectionModule:
             self._period(node),
             lambda: self._beat(node),
             label=f"hb:{node.node_id}",
-            shard=node.node_id,
         )
 
     def _beat(self, node: "Node") -> None:
@@ -371,7 +370,6 @@ class DetectionModule:
             now + threshold,
             lambda: self._suspect(node),
             label=f"suspect:{node_id}",
-            shard=node_id,
         )
 
     def _suspect(self, node: "Node") -> None:
@@ -405,7 +403,6 @@ class DetectionModule:
                         fire_at,
                         lambda: self._suspect(node),
                         label=f"suspect:{node_id}",
-                        shard=node_id,
                     )
                     return
         self.suspicions += 1
@@ -427,7 +424,6 @@ class DetectionModule:
             confirm_after,
             lambda: self._confirm(node),
             label=f"confirm:{node_id}",
-            shard=node_id,
         )
 
     def _reinstate(self, node: "Node", now: float) -> None:

@@ -66,11 +66,6 @@ class ScenarioConfig:
     traffic: Optional[TrafficConfig] = None
     #: Node autoscaler; None (default) keeps the fixed node set.
     autoscale: Optional[AutoscaleConfig] = None
-    #: Event-shard count: 1 (default) is the plain serial engine, an int
-    #: or ``"auto"`` (one shard per rack) enables the lane-tagged sharded
-    #: engine.  Byte-identity invariant: any value produces the same
-    #: RunSummary/trace as ``shards=1`` at the same seed.
-    shards: int | str = 1
     #: S39 placement policy name (``repro.policies.PLACEMENT_POLICIES``).
     #: The default ``"locality"`` keeps placement byte-identical to the
     #: pre-policy platform.
@@ -79,7 +74,7 @@ class ScenarioConfig:
     #: every knob static and all golden pins byte-identical.
     adaptive: Optional[AdaptiveConfig] = None
     #: Cloning degree for ``strategy="cloning"``; None uses the strategy
-    #: default (2 copies) and is inert for every other strategy.
+    #: default (2 copies).  Setting it with any other strategy is rejected.
     cloning: Optional[CloningConfig] = None
 
     def __post_init__(self) -> None:
@@ -89,8 +84,13 @@ class ScenarioConfig:
             raise ValueError("jobs must be positive")
         if self.num_functions % self.jobs != 0:
             raise ValueError("num_functions must divide evenly into jobs")
-        if self.shards != "auto" and int(self.shards) < 1:
-            raise ValueError("shards must be >= 1 or 'auto'")
+        if self.cloning is not None:
+            strategy = RecoveryStrategyName(self.strategy)
+            if strategy is not RecoveryStrategyName.CLONING:
+                raise ValueError(
+                    f"cloning applies only to strategy 'cloning', "
+                    f"not {strategy.value!r}"
+                )
         if self.placement not in PLACEMENT_POLICIES:
             known = ", ".join(sorted(PLACEMENT_POLICIES))
             raise ValueError(

@@ -26,7 +26,6 @@ def run(
     workloads: Optional[Sequence[str]] = None,
     num_functions: int = 100,
     jobs: Optional[int] = None,
-    shards: Optional[int | str] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
     workloads = list(workloads or (w.name for w in ALL_WORKLOADS))
@@ -46,7 +45,7 @@ def run(
     rows: list[dict] = []
     for scenario, summaries in zip(
         scenarios, run_sweep(
-            scenarios, seeds, jobs=jobs, shards=shards, placement=placement
+            scenarios, seeds, jobs=jobs, placement=placement
         )
     ):
         row = mean_of(summaries)

@@ -26,7 +26,6 @@ def run(
     error_rate: float = ERROR_RATE,
     num_functions: int = 100,
     jobs: Optional[int] = None,
-    shards: Optional[int | str] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
     grid = [
@@ -46,7 +45,7 @@ def run(
     rows: list[dict] = []
     for (profile, strategy), summaries in zip(
         grid, run_sweep(
-            scenarios, seeds, jobs=jobs, shards=shards, placement=placement
+            scenarios, seeds, jobs=jobs, placement=placement
         )
     ):
         row = mean_of(summaries)

@@ -26,7 +26,6 @@ def run(
     workloads: Optional[Sequence[str]] = None,
     error_rate: float = ERROR_RATE,
     jobs: Optional[int] = None,
-    shards: Optional[int | str] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
     workloads = list(workloads or (w.name for w in ALL_WORKLOADS))
@@ -48,7 +47,7 @@ def run(
     rows: list[dict] = []
     for (workload, strategy, n), summaries in zip(
         grid, run_sweep(
-            scenarios, seeds, jobs=jobs, shards=shards, placement=placement
+            scenarios, seeds, jobs=jobs, placement=placement
         )
     ):
         row = mean_of(summaries)

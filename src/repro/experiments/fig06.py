@@ -29,7 +29,6 @@ def run(
     workloads: Optional[Sequence[str]] = None,
     num_functions: int = 100,
     jobs: Optional[int] = None,
-    shards: Optional[int | str] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
     workloads = list(workloads or (w.name for w in ALL_WORKLOADS))
@@ -47,7 +46,7 @@ def run(
     rows: list[dict] = []
     for scenario, summaries in zip(
         scenarios, run_sweep(
-            scenarios, seeds, jobs=jobs, shards=shards, placement=placement
+            scenarios, seeds, jobs=jobs, placement=placement
         )
     ):
         row = mean_of(summaries)

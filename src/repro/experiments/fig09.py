@@ -26,7 +26,6 @@ def run(
     num_functions: int = 100,
     workload: str = WORKLOAD,
     jobs: Optional[int] = None,
-    shards: Optional[int | str] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
     scenarios = [
@@ -43,7 +42,7 @@ def run(
     rows: list[dict] = []
     for scenario, summaries in zip(
         scenarios, run_sweep(
-            scenarios, seeds, jobs=jobs, shards=shards, placement=placement
+            scenarios, seeds, jobs=jobs, placement=placement
         )
     ):
         row = mean_of(summaries)

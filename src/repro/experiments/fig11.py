@@ -35,7 +35,6 @@ def run(
     error_rate: float = ERROR_RATE,
     workload: str = WORKLOAD,
     jobs: Optional[int] = None,
-    shards: Optional[int | str] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
     grid = [(strategy, n) for strategy in STRATEGIES for n in invocations]
@@ -54,7 +53,7 @@ def run(
     rows: list[dict] = []
     for (strategy, n), summaries in zip(
         grid, run_sweep(
-            scenarios, seeds, jobs=jobs, shards=shards, placement=placement
+            scenarios, seeds, jobs=jobs, placement=placement
         )
     ):
         row = mean_of(summaries)

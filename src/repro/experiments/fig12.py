@@ -32,7 +32,6 @@ def run(
     batch_jobs: int = BATCH_JOBS,
     workload: str = WORKLOAD,
     jobs: Optional[int] = None,
-    shards: Optional[int | str] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
     grid = [(strategy, nodes) for strategy in STRATEGIES for nodes in node_counts]
@@ -50,7 +49,7 @@ def run(
     rows: list[dict] = []
     for (strategy, nodes), summaries in zip(
         grid, run_sweep(
-            scenarios, seeds, jobs=jobs, shards=shards, placement=placement
+            scenarios, seeds, jobs=jobs, placement=placement
         )
     ):
         row = mean_of(summaries)

@@ -202,7 +202,6 @@ def run_sweep(
     seeds: Sequence[int],
     *,
     jobs: Optional[int] = None,
-    shards: Optional[int | str] = None,
     placement: Optional[str] = None,
     adaptive: Optional["AdaptiveConfig"] = None,
 ) -> list[list[RunSummary]]:
@@ -213,21 +212,15 @@ def run_sweep(
     (scenario × seed) grid is flattened into one cell list so the pool sees
     every cell at once, then regrouped in scenario order.
 
-    ``shards`` (an int or ``"auto"``) overrides every scenario's event-shard
-    count; results are byte-identical regardless (the sharded engine's
-    invariant), so sweeps can flip it without perturbing any figure.
-
-    ``placement`` overrides every scenario's S39 placement policy — unlike
-    ``shards`` this *does* change results (that is the point): it re-runs a
-    whole figure under a different scheduling objective.
+    ``placement`` overrides every scenario's S39 placement policy — a
+    deliberate behaviour change: it re-runs a whole figure under a
+    different scheduling objective.
 
     ``adaptive`` attaches the S40 feedback controller to every scenario —
     like ``placement``, a deliberate behaviour change for whole-figure
     what-if sweeps.
     """
     seeds = list(seeds)
-    if shards is not None:
-        scenarios = [s.with_(shards=shards) for s in scenarios]
     if placement is not None:
         scenarios = [s.with_(placement=placement) for s in scenarios]
     if adaptive is not None:

@@ -56,7 +56,6 @@ def _run_platform(
         detection=scenario.detection,
         backoff=scenario.backoff,
         tracer=tracer,
-        shards=scenario.shards,
         traffic=scenario.traffic,
         autoscale=scenario.autoscale,
         placement=scenario.placement,
@@ -98,9 +97,8 @@ class TracedRun:
 
     summary: RunSummary
     spans: tuple[Span, ...]
-    #: Event-queue health (and shard-lane balance when the sharded engine
-    #: ran).  Diagnostics only — deliberately NOT part of the summary, so
-    #: the serial-vs-sharded byte-identity bar stays on summary + spans.
+    #: Event-queue health.  Diagnostics only — deliberately NOT part of
+    #: the summary, so the byte-identity bar stays on summary + spans.
     engine: Optional[EngineStats] = None
 
 

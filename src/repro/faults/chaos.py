@@ -275,7 +275,6 @@ class ChaosInjector:
                 max(at, self.sim.now),
                 lambda node=node: self._start_straggle(node),
                 label="chaos-straggler",
-                shard=node.node_id,
             )
 
     def _schedule_zombies(self) -> None:
@@ -288,7 +287,6 @@ class ChaosInjector:
                 max(at, self.sim.now),
                 lambda node=node: self._start_zombie(node),
                 label="chaos-zombie",
-                shard=node.node_id,
             )
 
     def _schedule_partitions(self) -> None:
@@ -303,7 +301,6 @@ class ChaosInjector:
                 max(at, self.sim.now),
                 lambda node=node: self._start_partition(node),
                 label="chaos-partition",
-                shard=node.node_id,
             )
 
     def _schedule_link_brownouts(self) -> None:

@@ -234,8 +234,7 @@ class FailureInjector:
                 self.scheduled_node_failures.append((at, node.node_id))
                 cluster.fail_node(node.node_id, at)
 
-            self.sim.call_at(max(at, self.sim.now), _fail, label="node-failure",
-                             shard=target["node"].node_id)
+            self.sim.call_at(max(at, self.sim.now), _fail, label="node-failure")
             if controller is not None and self.node_failure_precursors > 0:
                 self._schedule_precursors(controller, target, at)
         return times

@@ -1,16 +1,14 @@
-"""Engine metrics: event-queue health and shard-lane balance.
+"""Engine metrics: event-queue health.
 
 Companion to :mod:`repro.sim` — turns the engine's internal counters into
 flat, regression-friendly numbers.  The queue counters (live/cancelled
 entries, compactions, peak heap size) make cancellation-garbage pressure
-visible; the lane counters (populated when the lane-tagged sharded engine
-is active) make shard imbalance observable, which is the measurement that
-decides whether a scenario would decompose profitably.
+visible.
 
 These live in a *separate* diagnostics channel rather than in
-:class:`~repro.metrics.summary.RunSummary` on purpose: the summary is
-byte-compared across ``shards`` settings (the determinism invariant), so
-it must not grow fields that depend on how the run was executed.
+:class:`~repro.metrics.summary.RunSummary` on purpose: the summary is the
+byte-compared results contract (golden pins, repeat-run identity), so it
+must not grow fields that describe how the engine executed the run.
 """
 
 from __future__ import annotations
@@ -32,33 +30,16 @@ class EngineStats:
     peak_heap_size: int
     compactions: int
     compaction_threshold: int
-    #: Events scheduled per shard lane; empty for the plain engine.
-    lane_events: tuple[int, ...] = ()
-    #: Events scheduled without a lane hint (global services).
-    untagged_events: int = 0
 
     @property
     def cancelled_total(self) -> int:
         """Events scheduled but never fired (cancelled before firing)."""
         return self.pushes - self.events_processed - self.pending
 
-    @property
-    def lane_balance(self) -> float:
-        """1 - (largest lane / tagged events); higher = better balanced."""
-        tagged = sum(self.lane_events)
-        if tagged <= 0:
-            return 0.0
-        return 1.0 - max(self.lane_events) / tagged
-
 
 def collect_engine_stats(sim: Simulator) -> EngineStats:
-    """Snapshot queue-health (and, when present, lane) counters of *sim*."""
+    """Snapshot the queue-health counters of *sim*."""
     queue = sim._queue
-    lane_events: tuple[int, ...] = ()
-    untagged = 0
-    if hasattr(sim, "lane_events"):  # the lane-tagged sharded engine
-        lane_events = sim.lane_events
-        untagged = sim.untagged_events
     return EngineStats(
         events_processed=sim.events_processed,
         pending=len(queue),
@@ -68,24 +49,15 @@ def collect_engine_stats(sim: Simulator) -> EngineStats:
         peak_heap_size=queue.peak_heap_size,
         compactions=queue.compactions,
         compaction_threshold=queue.compaction_threshold,
-        lane_events=lane_events,
-        untagged_events=untagged,
     )
 
 
 def format_engine_stats(stats: EngineStats) -> str:
     """Fixed-width queue-health block (printed next to the trace stats)."""
-    lines = [
+    return (
         f"{'event queue':18s} {'fired':>9s} {'sched':>9s} {'cancel':>7s} "
-        f"{'peak':>7s} {'compact':>7s}",
+        f"{'peak':>7s} {'compact':>7s}\n"
         f"{'':18s} {stats.events_processed:9d} {stats.pushes:9d} "
         f"{stats.cancelled_total:7d} {stats.peak_heap_size:7d} "
-        f"{stats.compactions:7d}",
-    ]
-    if stats.lane_events:
-        lanes = " ".join(f"{count:d}" for count in stats.lane_events)
-        lines.append(
-            f"{'shard lanes':18s} balance={stats.lane_balance:.3f} "
-            f"untagged={stats.untagged_events} events=[{lanes}]"
-        )
-    return "\n".join(lines)
+        f"{stats.compactions:7d}"
+    )

@@ -38,7 +38,7 @@ against the plain loops): water-filling tracks assigned flows with a
 per-pass stamp and stops at the last share level without updating the
 per-link scratch; a component spanning the whole fabric takes its link
 order from a key cached on each link instead of walking every path; each
-flow builds its finish callback, label and shard hint once; and
+flow builds its finish callback and label once; and
 ``_settle`` adds each flow's progress to a link's byte counter per link,
 in the link's activation-ordered member order.
 """
@@ -86,7 +86,6 @@ class _Flow:
         "seq",
         "done_below",
         "end_label",
-        "shard",
         "on_end",
         "moved",
         "wf_stamp",
@@ -123,9 +122,8 @@ class _Flow:
         self.seq = 0
         #: Residual at or below which the finish event completes the flow.
         self.done_below = max(_EPS_BYTES, 1e-9 * size_bytes)
-        #: Label and shard hint of every finish event this flow arms.
+        #: Label of every finish event this flow arms.
         self.end_label = end_label
-        self.shard = endpoints[0] if endpoints else None
         #: The finish-event callback, built once the flow goes active and
         #: dropped when it leaves the fabric.
         self.on_end: Optional[Callable[[], None]] = None
@@ -537,14 +535,12 @@ class FlowNetwork:
             # Fabric bypass: same-node / local-tier, pure duration charge.
             flow.latency_handle = self.sim.call_in(
                 latency, lambda: self._finish(flow), label=f"xfer:{label}",
-                shard=endpoints[0] if endpoints else None,
             )
         elif latency > 0:
             # The fixed path/tier latency is charged before the flow
             # occupies bandwidth (it models handshakes, not streaming).
             flow.latency_handle = self.sim.call_in(
                 latency, lambda: self._activate(flow), label=f"xfer:{label}",
-                shard=endpoints[0] if endpoints else None,
             )
         else:
             self._activate(flow)
@@ -600,7 +596,6 @@ class FlowNetwork:
                     eta if eta > now else now,
                     flow.on_end,
                     label=flow.end_label,
-                    shard=flow.shard,
                 )
             return
         residual = flow.remaining
@@ -892,5 +887,4 @@ class FlowNetwork:
                 eta if eta > now else now,
                 flow.on_end,
                 label=flow.end_label,
-                shard=flow.shard,
             )

@@ -66,14 +66,8 @@ class Simulator:
         *,
         priority: int = 0,
         label: str = "",
-        shard: Optional[str] = None,
     ) -> EventHandle:
-        """Schedule *callback* at absolute virtual *time*.
-
-        ``shard`` is an optional partition hint (e.g. a rack name).  The
-        plain engine ignores it; the sharded engine uses it to route the
-        event to its partition's queue and to account lane balance.
-        """
+        """Schedule *callback* at absolute virtual *time*."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event {label!r} at t={time} "
@@ -88,7 +82,6 @@ class Simulator:
         *,
         priority: int = 0,
         label: str = "",
-        shard: Optional[str] = None,
     ) -> EventHandle:
         """Schedule *callback* after *delay* seconds of virtual time."""
         if delay < 0:
@@ -115,41 +108,6 @@ class Simulator:
         if callback is not None:
             callback()
         return True
-
-    def step_batch(self) -> int:
-        """Fire the whole same-``(time, priority)`` run at the queue head.
-
-        One ``pop_batch`` call replaces N pops, so same-instant bursts
-        (barrier epochs, simultaneous flow finishes, mass kills) cost one
-        method dispatch total.  Firing stays byte-identical to repeated
-        :meth:`step`: after every callback the heap top is compared against
-        the next batch member, and the remainder is pushed back the moment
-        a freshly scheduled event sorts earlier.  Returns the number of
-        callbacks fired (0 when the queue is empty).
-        """
-        queue = self._queue
-        batch = queue.pop_batch()
-        if not batch:
-            return 0
-        fired = 0
-        n = len(batch)
-        for i, event in enumerate(batch):
-            if event.cancelled:
-                # Cancelled by an earlier callback in this same batch.
-                continue
-            self._now = event.time
-            callback = event.callback
-            event.callback = None
-            self._event_count += 1
-            if callback is not None:
-                callback()
-                fired += 1
-            if i + 1 < n:
-                top = queue.peek_key()
-                if top is not None and top < batch[i + 1].key:
-                    queue.push_back(batch[i + 1:])
-                    break
-        return fired
 
     def run(
         self,

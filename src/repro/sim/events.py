@@ -25,16 +25,14 @@ also public so callers can force a rebuild at a known point.
 heap top is never a cancelled event (dead tops are pruned inside ``cancel``
 and ``pop``), so peeking no longer mutates the heap as a side effect.
 
-Batched drains
---------------
-:meth:`EventQueue.pop_batch` pops every live event strictly below a time
-horizon (or the whole same-timestamp run when no horizon is given) in one
-call, with ``heappop`` bound to a local — one method dispatch per *batch*
-instead of per event.  The engine's run loop and the sharded engine's
-window drains are built on it; callers that fire the returned events must
-re-check :meth:`peek_key` between callbacks (a callback may schedule a new
-event that sorts before the rest of the batch — the engine pushes the
-remainder back when that happens, preserving the serial total order).
+Drain loop
+----------
+:meth:`Simulator.run <repro.sim.engine.Simulator.run>` drains the queue
+with its own inlined loop rather than calling :meth:`EventQueue.pop` per
+event: it pops the heap directly with ``heappop`` bound to a local and
+keeps the live/cancelled counters and the top-is-live invariant itself.
+:meth:`EventQueue.pop` is the one-event path behind
+:meth:`Simulator.step <repro.sim.engine.Simulator.step>`.
 
 The heap list's *identity* is stable for the queue's lifetime: compaction
 rebuilds it in place (``self._heap[:] = ...``), so hot loops may safely
@@ -58,11 +56,10 @@ class Event:
         key: Precomputed heap key ``(time, priority, seq)``.
         callback: Zero-argument callable invoked when the event fires.
         cancelled: Cancelled events stay in the heap but are skipped.
-        in_heap: True while the event occupies a heap slot.  Batched drains
-            pop events *before* firing them, so a callback early in the
-            batch can cancel a later batch member — ``EventQueue.cancel``
-            must then skip the heap-counter bookkeeping for the
-            already-popped event.
+        in_heap: True while the event occupies a heap slot.  A caller of
+            :meth:`EventQueue.pop` holds a popped event whose callback is
+            still set and may cancel it — ``EventQueue.cancel`` must then
+            skip the heap-counter bookkeeping for the already-popped event.
         queue: The owning queue.  The event doubles as its own cancellable
             handle (:meth:`cancel` / :attr:`active`), so scheduling does
             not allocate a separate wrapper object per event — the
@@ -200,8 +197,7 @@ class EventQueue:
         event.cancelled = True
         event.callback = None  # break reference cycles early
         if not event.in_heap:
-            # Already popped into an in-flight batch: the firing loop skips
-            # it; there is no heap slot to account for.
+            # Already popped: there is no heap slot to account for.
             return
         self._live -= 1
         self._cancelled += 1
@@ -271,73 +267,3 @@ class EventQueue:
         """
         heap = self._heap
         return heap[0][1].time if heap else None
-
-    def peek_key(self) -> Optional[tuple]:
-        """Sort key ``(time, priority, seq)`` of the next live event."""
-        heap = self._heap
-        return heap[0][0] if heap else None
-
-    def pop_batch(
-        self,
-        horizon: Optional[float] = None,
-        limit: Optional[int] = None,
-    ) -> list[Event]:
-        """Pop a run of live events in one call.
-
-        With *horizon*, pops every live event with ``time < horizon`` (the
-        sharded engine's conservative window drain).  Without one, pops the
-        run of events sharing the next event's ``(time, priority)`` — the
-        same-timestamp batch fired together by :meth:`Simulator.step_batch`.
-        ``limit`` caps the batch size either way.
-
-        ``heappop`` is bound to a local so the per-event cost is one heap
-        operation, not a method dispatch; cancelled entries are collected
-        for free along the way.  Callers that interleave callbacks with the
-        returned events must compare :meth:`peek_key` against the next
-        event's ``key`` and :meth:`push_back` the remainder if a fresher
-        event sorts earlier — that re-check is what keeps batch firing
-        byte-identical to one-at-a-time popping.
-        """
-        heap = self._heap
-        if not heap:
-            return []
-        out: list[Event] = []
-        heappop = heapq.heappop
-        if horizon is None:
-            first = heap[0][0]
-            time, priority = first[0], first[1]
-        cancelled = 0
-        while heap:
-            key, event = heap[0]
-            if horizon is not None:
-                if key[0] >= horizon:
-                    break
-            elif key[0] != time or key[1] != priority:
-                break
-            if limit is not None and len(out) >= limit:
-                break
-            heappop(heap)
-            if event.cancelled:
-                cancelled += 1
-                continue
-            event.in_heap = False
-            out.append(event)
-        self._cancelled -= cancelled
-        self._live -= len(out)
-        if heap and heap[0][1].cancelled:
-            self._prune_top()
-        return out
-
-    def push_back(self, events: list[Event]) -> None:
-        """Return un-fired (still live) events from a batch to the heap.
-
-        Events keep their original keys, so ordering is exactly as if they
-        had never been popped.
-        """
-        heap = self._heap
-        heappush = heapq.heappush
-        for event in events:
-            if not event.cancelled:
-                event.in_heap = True
-                heappush(heap, (event.key, event))
-                self._live += 1

@@ -40,12 +40,6 @@ class RngRegistry:
         #: the dict on every call, which metrics/trace exporters hit per
         #: event row.
         self._sorted_names: list[str] = []
-        #: Names in first-use order.  Stream *values* are order-independent
-        #: (each seed derives from the root + name hash), so this exists to
-        #: make creation order an observable, testable invariant: sharded
-        #: and serial runs must touch streams in the same sequence, which
-        #: pins that they draw identical values for identical decisions.
-        self._creation_order: list[str] = []
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the generator for *name*."""
@@ -54,7 +48,6 @@ class RngRegistry:
             gen = np.random.default_rng(derive_seed(self.root_seed, name))
             self._streams[name] = gen
             bisect.insort(self._sorted_names, name)
-            self._creation_order.append(name)
         return gen
 
     def reset(self, name: str) -> None:
@@ -62,14 +55,7 @@ class RngRegistry:
         if self._streams.pop(name, None) is not None:
             index = bisect.bisect_left(self._sorted_names, name)
             del self._sorted_names[index]
-            # Creation order keeps the historical entry: a reset stream
-            # re-registers (appending again), preserving the full record
-            # of first-use sequencing.
 
     def names(self) -> list[str]:
         """Registered stream names, ascending (no per-call sort)."""
         return list(self._sorted_names)
-
-    def creation_order(self) -> tuple[str, ...]:
-        """Stream names in first-use order (the determinism pin)."""
-        return tuple(self._creation_order)

@@ -3,9 +3,7 @@
 The source walks the merged ``(at_s, tenant_index, seq)``-ordered stream as
 a *chain* of virtual-clock events — each arrival schedules the next — so a
 10^5-invocation run keeps one pending event instead of heaping the whole
-trace up front.  Each event is tagged with the submitting tenant's home
-shard (its hash-assigned node), so the sharded engine's lane accounting
-attributes arrival work to the right rack.
+trace up front.
 
 Per arrival: admission control decides (token bucket + global shedding),
 admitted invocations become :class:`~repro.core.jobs.JobRequest` s through
@@ -71,13 +69,6 @@ class TrafficSource:
         self._tenants: dict[str, Tenant] = {
             t.name: t for t in config.tenants
         }
-        #: tenant -> home node id; arrival events carry it as their shard
-        #: hint so lane accounting matches where the work lands.
-        num_nodes = len(platform.cluster.nodes)
-        self._home_shard: dict[str, str] = {
-            t.name: platform.cluster.nodes[i % num_nodes].node_id
-            for i, t in enumerate(config.tenants)
-        }
         self.invocations: list[Invocation] = generate_invocations(
             platform.sim.rng, config
         )
@@ -111,7 +102,6 @@ class TrafficSource:
             max(invocation.at_s, self.platform.sim.now),
             self._fire,
             label=f"traffic:{invocation.tenant}",
-            shard=self._home_shard[invocation.tenant],
         )
 
     def _fire(self) -> None:

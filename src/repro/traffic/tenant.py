@@ -9,7 +9,7 @@ contract the rest of the platform builds on.
 :func:`generate_invocations` materializes every tenant's stream and merges
 them under the total order ``(at_s, tenant_index, seq)``: equal-time
 arrivals from different tenants (or from one bursty tenant) replay in one
-deterministic sequence whether the run is serial or sharded.
+deterministic sequence.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ def generate_invocations(
 
     One bulk draw per tenant from its own ``traffic:<name>`` stream, then a
     single merge sort under ``(at_s, tenant_index, seq)`` — the total order
-    that keeps equal-time ties deterministic across serial and sharded
-    replay.
+    that keeps equal-time ties deterministic.
     """
     invocations: list[Invocation] = []
     for tenant_index, tenant in enumerate(config.tenants):

@@ -29,7 +29,7 @@ class JobArrival:
     ``seq`` is the emission index within the generating process; together
     with ``at_s`` it forms the total order ``(at_s, seq)`` used to break
     equal-time ties deterministically (list order is not a stable contract
-    once traces are merged or replayed shard-by-shard).
+    once traces are merged or re-sorted).
     """
 
     at_s: float
@@ -136,9 +136,8 @@ def bursty_trace(
     """Bursts of near-simultaneous job submissions (failure-storm shaped).
 
     Equal ``at_s`` ties (jitter_s=0 makes every burst member collide) are
-    broken by the emission index, so serial and sharded replays see one
-    deterministic submission order rather than whatever the sort left in
-    place.
+    broken by the emission index, so every replay sees one deterministic
+    submission order rather than whatever the sort left in place.
     """
     if bursts <= 0 or jobs_per_burst <= 0:
         raise ValueError("bursts and jobs_per_burst must be positive")

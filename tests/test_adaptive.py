@@ -7,9 +7,9 @@ Three concerns live here:
   calm run (hysteresis means no thrash).
 * The load-aware detection thresholds kill the false-suspicion storm a
   mass launch ramp otherwise triggers.
-* Everything stays a pure function of the seed: repeat runs and the
-  sharded engine are byte-identical, and ``adaptive=None`` keeps the
-  summary's adaptive counters at zero.
+* Everything stays a pure function of the seed: repeat runs are
+  byte-identical, and ``adaptive=None`` keeps the summary's adaptive
+  counters at zero.
 """
 
 from dataclasses import asdict
@@ -205,10 +205,3 @@ def test_adaptive_repeat_run_byte_identical():
     first = run_scenario(scenario, seed=7)
     second = run_scenario(scenario, seed=7)
     assert asdict(first) == asdict(second)
-
-
-def test_adaptive_serial_vs_sharded_byte_identical():
-    scenario = _chaotic_scenario()
-    serial = run_scenario(scenario, seed=5)
-    sharded = run_scenario(scenario.with_(shards=4), seed=5)
-    assert asdict(serial) == asdict(sharded)

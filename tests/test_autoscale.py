@@ -126,12 +126,6 @@ def test_autoscale_repeat_run_deterministic(ramp):
     assert again.tenants == ramp.tenants
 
 
-def test_autoscale_serial_vs_sharded_identical(ramp):
-    sharded = run_traffic(_ramp_scenario().with_(shards=4), seed=0)
-    assert asdict(sharded.summary) == asdict(ramp.summary)
-    assert sharded.scale_events == ramp.scale_events
-
-
 def test_steady_light_load_never_scales():
     """A trickle on an amply provisioned cluster triggers no events."""
     tenants = (

@@ -77,6 +77,24 @@ class TestCommands:
         assert "20/20 completed" in out
         assert "$" in out
 
+    def test_clones_with_non_cloning_strategy_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "run",
+                    "--workload", "graph-bfs",
+                    "--strategy", "canary",
+                    "--functions", "20",
+                    "--clones", "3",
+                    "--json",
+                ]
+            )
+        assert exit_info.value.code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert "'canary'" in captured.err
+
     def test_run_json(self, capsys):
         code = main(
             [

@@ -27,6 +27,16 @@ def test_cloning_config_validation():
     assert CloningConfig().clones == 2
 
 
+@pytest.mark.parametrize("strategy", ["canary", "retry", "active-standby"])
+def test_cloning_config_rejected_with_other_strategy(strategy):
+    with pytest.raises(ValueError, match=repr(strategy)):
+        ScenarioConfig(
+            workload="graph-bfs",
+            strategy=strategy,
+            cloning=CloningConfig(clones=3),
+        )
+
+
 def test_cloning_completes_without_checkpoints_or_replicas():
     platform, job = run_tiny_job(strategy="cloning", num_functions=8)
     assert job.done
@@ -123,10 +133,3 @@ def test_cloning_repeat_run_byte_identical():
     first = run_scenario(scenario, seed=5)
     second = run_scenario(scenario, seed=5)
     assert asdict(first) == asdict(second)
-
-
-def test_cloning_serial_vs_sharded_byte_identical():
-    scenario = _hammer_scenario("cloning")
-    serial = run_scenario(scenario, seed=5)
-    sharded = run_scenario(scenario.with_(shards=4), seed=5)
-    assert asdict(serial) == asdict(sharded)

@@ -123,7 +123,6 @@ class ReferenceFlowNetwork(FlowNetwork):
                 max(now, eta),
                 lambda f=flow: self._complete_event(f),
                 label=f"flow-end:{flow.label}",
-                shard=flow.endpoints[0] if flow.endpoints else None,
             )
 
 

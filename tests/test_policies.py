@@ -452,14 +452,6 @@ def test_policy_repeat_run_byte_identical(placement):
     assert asdict(first) == asdict(second)
 
 
-@pytest.mark.parametrize("placement", ("round-robin", "contention"))
-def test_policy_serial_vs_sharded_byte_identical(placement):
-    scenario = _policy_scenario(placement)
-    serial = run_scenario(scenario, seed=5)
-    sharded = run_scenario(scenario.with_(shards=4), seed=5)
-    assert asdict(serial) == asdict(sharded)
-
-
 def test_policies_actually_differ():
     """The zoo is not six spellings of the same ranking."""
     makespans = {

@@ -58,6 +58,17 @@ class TestEventQueue:
     def test_peek_time_empty(self):
         assert EventQueue().peek_time() is None
 
+    def test_cancel_of_popped_event_skips_heap_bookkeeping(self):
+        queue = EventQueue()
+        queue.push(1.0, lambda: None, label="a")
+        popped = queue.pop()
+        assert not popped.in_heap
+        live_before = len(queue)
+        popped.cancel()  # already out of the heap
+        assert popped.cancelled and not popped.active
+        assert len(queue) == live_before  # counters untouched
+        assert queue.cancelled_pending == 0
+
 
 class TestEventQueueCompaction:
     def test_peek_time_does_not_mutate_the_heap(self):
@@ -139,6 +150,35 @@ class TestEventQueueCompaction:
         assert event.key == (2.5, 3, event.seq)
         assert event.sort_key() == event.key
         assert not hasattr(event, "__dict__")
+
+    def test_adaptive_threshold_grows_and_decays(self):
+        queue = EventQueue(compaction_threshold=8)
+        events = [queue.push(float(i), lambda: None) for i in range(64)]
+        # Cancel from the back: cancelling the heap top would be pruned
+        # eagerly and never build up compaction pressure.
+        for event in events[24:]:
+            queue.cancel(event)
+        assert queue.compactions >= 1
+        grown = queue.compaction_threshold
+        assert grown >= 8
+        # Drain almost everything; cancelling in a now-small heap decays
+        # the threshold back toward the floor.
+        while queue:
+            queue.pop()
+        survivor = queue.push(100.0, lambda: None)
+        queue.push(101.0, lambda: None)
+        queue.cancel(survivor)
+        assert queue.compaction_threshold <= grown
+
+    def test_queue_health_counters(self):
+        queue = EventQueue()
+        queue.push(1.0, lambda: None)
+        later = queue.push(2.0, lambda: None)
+        queue.cancel(later)  # not the top: stays as heap garbage
+        assert queue.pushes == 2
+        assert queue.peak_heap_size == 2
+        assert queue.cancelled_pending == 1
+        assert len(queue) == 1
 
 
 class TestSimulator:
@@ -257,77 +297,11 @@ class TestSimulator:
         assert trace(42) != trace(43)
 
 
-class TestBatchedDrain:
-    """pop_batch / push_back / step_batch: the batched hot path."""
+class TestDrainLoop:
+    """run() and step() drain same-instant bursts in the serial total order."""
 
-    def test_pop_batch_same_timestamp_run(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, label="a")
-        queue.push(1.0, lambda: None, label="b")
-        queue.push(2.0, lambda: None, label="c")
-        batch = queue.pop_batch()
-        assert [e.label for e in batch] == ["a", "b"]
-        assert len(queue) == 1
-        assert all(not e.in_heap for e in batch)
-
-    def test_pop_batch_respects_priority_boundary(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, priority=1, label="low")
-        queue.push(1.0, lambda: None, priority=0, label="high")
-        batch = queue.pop_batch()
-        assert [e.label for e in batch] == ["high"]
-
-    def test_pop_batch_horizon_is_strict(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, label="in")
-        queue.push(2.0, lambda: None, label="on-barrier")
-        batch = queue.pop_batch(horizon=2.0)
-        assert [e.label for e in batch] == ["in"]
-        assert queue.peek_time() == 2.0
-
-    def test_pop_batch_collects_cancelled_for_free(self):
-        queue = EventQueue()
-        keep = queue.push(1.0, lambda: None, label="keep")
-        kill = queue.push(1.0, lambda: None, label="kill")
-        queue.cancel(kill)
-        batch = queue.pop_batch(horizon=10.0)
-        assert [e.label for e in batch] == ["keep"]
-        assert queue.cancelled_pending == 0
-        assert keep is batch[0]
-
-    def test_push_back_restores_order_and_counters(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, label="a")
-        queue.push(1.0, lambda: None, label="b")
-        batch = queue.pop_batch()
-        queue.push_back(batch[1:])
-        assert len(queue) == 1
-        assert queue.peek_key() == batch[1].key
-        assert batch[1].in_heap
-
-    def test_cancel_of_popped_batch_member_skips_heap_bookkeeping(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, label="a")
-        later = queue.push(1.0, lambda: None, label="b")
-        batch = queue.pop_batch()
-        assert later in batch
-        live_before = len(queue)
-        later.cancel()  # already out of the heap
-        assert later.cancelled and not later.active
-        assert len(queue) == live_before  # counters untouched
-
-    def test_step_batch_fires_same_instant_events_together(self):
-        sim = Simulator()
-        seen = []
-        sim.call_at(1.0, lambda: seen.append("a"))
-        sim.call_at(1.0, lambda: seen.append("b"))
-        sim.call_at(2.0, lambda: seen.append("c"))
-        assert sim.step_batch() == 2
-        assert seen == ["a", "b"]
-        assert sim.now == 1.0
-
-    def test_step_batch_matches_step_when_callback_cancels_sibling(self):
-        def run(batched):
+    def test_run_matches_step_when_callback_cancels_sibling(self):
+        def run(use_run):
             sim = Simulator()
             seen = []
             handles = {}
@@ -339,23 +313,22 @@ class TestBatchedDrain:
 
             sim.call_at(1.0, kill_b)
             handles["b"] = sim.call_at(1.0, lambda: seen.append("b"))
-            if batched:
-                while sim.step_batch():
-                    pass
+            if use_run:
+                sim.run()
             else:
                 while sim.step():
                     pass
             return seen
 
-        assert run(batched=True) == run(batched=False) == ["a"]
+        assert run(use_run=True) == run(use_run=False) == ["a"]
 
-    def test_step_batch_pushes_back_when_fresher_event_sorts_earlier(self):
+    def test_run_fires_fresher_same_instant_event_first(self):
         sim = Simulator()
         seen = []
 
         def first():
             seen.append("first")
-            # Same time, lower priority than the rest of the batch: must
+            # Same time, lower priority than the rest of the instant: must
             # fire before them, exactly as one-at-a-time stepping would.
             sim.call_at(1.0, lambda: seen.append("injected"), priority=-1)
 
@@ -364,7 +337,7 @@ class TestBatchedDrain:
         sim.run()
         assert seen == ["first", "injected", "second"]
 
-    def test_batched_run_equals_stepped_run_on_random_workload(self):
+    def test_run_equals_stepped_run_on_random_workload(self):
         def simulate(use_run):
             sim = Simulator(seed=9)
             rng = sim.rng.stream("load")
@@ -380,37 +353,43 @@ class TestBatchedDrain:
             if use_run:
                 sim.run()
             else:
-                while sim.step_batch():
+                while sim.step():
                     pass
             return out
 
         assert simulate(True) == simulate(False)
 
-    def test_adaptive_threshold_grows_and_decays(self):
-        queue = EventQueue(compaction_threshold=8)
-        events = [queue.push(float(i), lambda: None) for i in range(64)]
-        # Cancel from the back: cancelling the heap top would be pruned
-        # eagerly and never build up compaction pressure.
-        for event in events[24:]:
-            queue.cancel(event)
-        assert queue.compactions >= 1
-        grown = queue.compaction_threshold
-        assert grown >= 8
-        # Drain almost everything; cancelling in a now-small heap decays
-        # the threshold back toward the floor.
-        while queue:
-            queue.pop()
-        survivor = queue.push(100.0, lambda: None)
-        queue.push(101.0, lambda: None)
-        queue.cancel(survivor)
-        assert queue.compaction_threshold <= grown
 
-    def test_queue_health_counters(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        later = queue.push(2.0, lambda: None)
-        queue.cancel(later)  # not the top: stays as heap garbage
-        assert queue.pushes == 2
-        assert queue.peak_heap_size == 2
-        assert queue.cancelled_pending == 1
-        assert len(queue) == 1
+class TestEngineStats:
+    def test_collect_engine_stats_plain(self):
+        from repro.metrics.engine import collect_engine_stats
+
+        sim = Simulator()
+        fired = []
+        sim.call_in(1.0, lambda: fired.append(1))
+        handle = sim.call_in(2.0, lambda: fired.append(2))
+        handle.cancel()
+        sim.run()
+        stats = collect_engine_stats(sim)
+        assert stats.events_processed == 1
+        assert stats.pushes == 2
+        assert stats.cancelled_total == 1
+        assert stats.pending == 0
+        assert stats.peak_heap_size == 2
+
+    def test_traced_run_carries_engine_stats(self):
+        from repro.experiments.config import ScenarioConfig
+        from repro.experiments.runner import run_traced
+        from repro.metrics.engine import format_engine_stats
+
+        scenario = ScenarioConfig(
+            workload="dl-training",
+            error_rate=0.15,
+            num_functions=20,
+            node_failure_count=1,
+        )
+        traced = run_traced(scenario, seed=0)
+        assert traced.engine is not None
+        assert traced.engine.events_processed > 0
+        assert traced.engine.pushes >= traced.engine.events_processed
+        assert "event queue" in format_engine_stats(traced.engine)

@@ -76,17 +76,3 @@ class TestNamesCaching:
         assert reg.names() == ["b"]
         reg.stream("a")
         assert reg.names() == ["a", "b"]
-
-    def test_creation_order_records_first_use_sequence(self):
-        reg = RngRegistry(0)
-        reg.stream("zeta")
-        reg.stream("alpha")
-        reg.stream("zeta")  # already created: no new entry
-        assert reg.creation_order() == ("zeta", "alpha")
-
-    def test_creation_order_keeps_history_across_reset(self):
-        reg = RngRegistry(0)
-        reg.stream("s")
-        reg.reset("s")
-        reg.stream("s")
-        assert reg.creation_order() == ("s", "s")

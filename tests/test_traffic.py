@@ -328,14 +328,6 @@ def test_traffic_serial_vs_run_cells_byte_identical():
         assert a.tenants == b.tenants
 
 
-def test_traffic_serial_vs_sharded_byte_identical():
-    scenario = _traffic_scenario()
-    serial = run_traffic(scenario, seed=2)
-    sharded = run_traffic(scenario.with_(shards=4), seed=2)
-    assert asdict(serial.summary) == asdict(sharded.summary)
-    assert serial.tenants == sharded.tenants
-
-
 def test_traffic_records_latency_and_slo():
     result = run_traffic(_traffic_scenario(), seed=0)
     summary = result.summary
