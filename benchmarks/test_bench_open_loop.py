@@ -5,10 +5,11 @@ arrive Poisson-distributed while earlier ones still run, so recoveries
 compete with fresh cold starts for capacity.  Canary must keep its
 recovery advantage under that interference.
 
+Arrivals come from the platform's own traffic path (``repro.traffic``):
+one Poisson tenant whose invocations each fan out to 10 functions.
+
 Writes ``BENCH_open_loop.json`` (machine-readable, like every other
-bench).  NOTE: ``poisson_trace`` was vectorized (bulk gap/choice draws);
-the emitted trace differs from the scalar-loop implementation at the same
-seed, so rows are not comparable to tables produced before that change.
+bench).
 
 ``BENCH_SMOKE=1`` (CI) shrinks the horizon and seed count.
 """
@@ -22,7 +23,7 @@ from conftest import FAST_SEEDS, show
 from repro.core.canary import CanaryPlatform
 from repro.experiments.report import FigureResult
 from repro.metrics.availability import availability
-from repro.workloads.generators import poisson_trace, replay_trace
+from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_open_loop.json"
 SMOKE = os.environ.get("BENCH_SMOKE", "").lower() in ("1", "true", "yes")
@@ -34,23 +35,22 @@ WORKLOADS = ("graph-bfs", "web-service")
 
 
 def run_open_loop(strategy: str, seed: int):
+    tenant = Tenant(
+        name="open-loop",
+        arrivals=PoissonArrivals(rate_per_s=RATE_PER_S),
+        workloads=WORKLOADS,
+        functions_per_invocation=10,
+    )
     platform = CanaryPlatform(
         seed=seed,
         num_nodes=8,
         strategy=strategy,
         error_rate=0.0 if strategy == "ideal" else 0.15,
+        traffic=TrafficConfig(tenants=(tenant,), duration_s=DURATION_S),
     )
-    arrivals = poisson_trace(
-        rate_per_s=RATE_PER_S,
-        duration_s=DURATION_S,
-        workloads=WORKLOADS,
-        functions_per_job=10,
-        seed=seed,
-    )
-    replay_trace(platform, arrivals)
     platform.run()
     summary = platform.summary()
-    return summary, availability(platform.metrics), len(arrivals)
+    return summary, availability(platform.metrics)
 
 
 def run_bench():
@@ -58,11 +58,11 @@ def run_bench():
     for strategy in ("ideal", "retry", "canary"):
         makespans, recoveries, avails, jobs = [], [], [], []
         for seed in SEEDS:
-            summary, avail, n_jobs = run_open_loop(strategy, seed)
+            summary, avail = run_open_loop(strategy, seed)
             makespans.append(summary.makespan_s)
             recoveries.append(summary.mean_recovery_s)
             avails.append(avail)
-            jobs.append(n_jobs)
+            jobs.append(summary.invocations_offered)
         n = len(SEEDS)
         rows.append(
             {

@@ -14,22 +14,8 @@ import argparse
 import sys
 import time
 
-from repro.experiments import (
-    fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12,
-)
+from repro.experiments import FIGURES
 from repro.experiments.report import format_table
-
-FIGURES = {
-    "fig4": fig04,
-    "fig5": fig05,
-    "fig6": fig06,
-    "fig7": fig07,
-    "fig8": fig08,
-    "fig9": fig09,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig12": fig12,
-}
 
 FAST_KWARGS = {
     "fig4": dict(seeds=range(3), error_rates=(0.05, 0.15, 0.5)),

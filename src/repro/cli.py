@@ -25,6 +25,7 @@ from dataclasses import asdict
 from typing import Optional, Sequence
 
 from repro.common.types import RecoveryStrategyName, ReplicationStrategyName
+from repro.experiments import FIGURES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_scenario, run_traced
@@ -222,6 +223,23 @@ def _traffic_tenants(args: argparse.Namespace):
     return tuple(tenants)
 
 
+def _resolve_traffic_flags(args: argparse.Namespace) -> None:
+    """Reject feature-gated traffic flags whose feature is off, then default
+    the unset ones (autoscaler 4..16 nodes, admission burst 10)."""
+    if not args.autoscale and (
+        args.min_nodes is not None or args.max_nodes is not None
+    ):
+        raise ValueError("--min-nodes/--max-nodes need --autoscale")
+    if args.admit_rate is None and args.admit_burst is not None:
+        raise ValueError("--admit-burst needs --admit-rate")
+    if args.min_nodes is None:
+        args.min_nodes = 4
+    if args.max_nodes is None:
+        args.max_nodes = 16
+    if args.admit_burst is None:
+        args.admit_burst = 10.0
+
+
 def _cmd_traffic(args: argparse.Namespace) -> int:
     from repro.autoscale import AdmissionConfig, AutoscaleConfig
     from repro.experiments.runner import run_traffic
@@ -321,16 +339,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _figure_command(args: argparse.Namespace) -> int:
     """Regenerate one paper figure (same engine as examples/paper_figures)."""
-    from repro.experiments import (
-        fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12,
-    )
-
-    figures = {
-        "fig4": fig04, "fig5": fig05, "fig6": fig06, "fig7": fig07,
-        "fig8": fig08, "fig9": fig09, "fig10": fig10, "fig11": fig11,
-        "fig12": fig12,
-    }
-    module = figures[args.name]
+    module = FIGURES[args.name]
     kwargs = {}
     if args.fast:
         kwargs["seeds"] = range(3)
@@ -448,14 +457,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-invocation SLO deadline (s)")
     traffic.add_argument("--admit-rate", type=float, default=None,
                          help="per-tenant admitted rate (token bucket, 1/s)")
-    traffic.add_argument("--admit-burst", type=float, default=10.0,
-                         help="per-tenant burst allowance")
+    traffic.add_argument("--admit-burst", type=float, default=None,
+                         help="per-tenant burst allowance (needs "
+                         "--admit-rate; default 10)")
     traffic.add_argument("--shed-depth", type=int, default=None,
                          help="global backlog beyond which arrivals shed")
     traffic.add_argument("--autoscale", action="store_true",
                          help="enable the node autoscaler")
-    traffic.add_argument("--min-nodes", type=int, default=4)
-    traffic.add_argument("--max-nodes", type=int, default=16)
+    traffic.add_argument("--min-nodes", type=int, default=None,
+                         help="autoscaler floor (needs --autoscale; "
+                         "default 4)")
+    traffic.add_argument("--max-nodes", type=int, default=None,
+                         help="autoscaler ceiling (needs --autoscale; "
+                         "default 16)")
     traffic.add_argument("--json", action="store_true",
                          help="emit summary + per-tenant rows as JSON")
     traffic.set_defaults(func=_cmd_traffic)
@@ -473,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=_cmd_trace)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
-    figure.add_argument("name", choices=[f"fig{i}" for i in range(4, 13)])
+    figure.add_argument("name", choices=list(FIGURES))
     figure.add_argument("--fast", action="store_true")
     figure.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the sweep (default: one "
@@ -499,6 +513,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Invalid flag combinations are usage errors, not tracebacks.
         try:
             args.scenario = _scenario_from_args(args)
+            if args.func is _cmd_traffic:
+                _resolve_traffic_flags(args)
         except ValueError as exc:
             parser.error(str(exc))
     return args.func(args)

@@ -5,9 +5,12 @@ the series of the corresponding paper figure, and the benchmarks under
 ``benchmarks/`` print them.  ``EXPERIMENTS.md`` records paper-vs-measured.
 """
 
+from repro.experiments import (
+    fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12,
+)
+
 from repro.experiments.charts import bar_chart, comparison_chart, series_chart
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.io import read_csv, read_json, write_csv, write_json
 from repro.experiments.parallel import (
     CellExecutionError,
     run_cells,
@@ -21,8 +24,22 @@ from repro.experiments.runner import (
 )
 from repro.experiments.validation import scorecard, validate_all
 
+#: Figure name (as typed on the command line) -> module exposing ``run``.
+FIGURES = {
+    "fig4": fig04,
+    "fig5": fig05,
+    "fig6": fig06,
+    "fig7": fig07,
+    "fig8": fig08,
+    "fig9": fig09,
+    "fig10": fig10,
+    "fig11": fig11,
+    "fig12": fig12,
+}
+
 __all__ = [
     "CellExecutionError",
+    "FIGURES",
     "FigureResult",
     "ScenarioConfig",
     "bar_chart",
@@ -30,8 +47,6 @@ __all__ = [
     "format_table",
     "mean_of",
     "pct_change",
-    "read_csv",
-    "read_json",
     "run_cells",
     "run_repeated",
     "run_scenario",
@@ -39,6 +54,4 @@ __all__ = [
     "scorecard",
     "series_chart",
     "validate_all",
-    "write_csv",
-    "write_json",
 ]

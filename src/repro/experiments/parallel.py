@@ -33,14 +33,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.metrics.summary import RunSummary
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.adaptive.config import AdaptiveConfig
 
 #: One experiment cell: a fully specified scenario plus the seed to run it at.
 Cell = tuple[ScenarioConfig, int]
@@ -203,7 +200,6 @@ def run_sweep(
     *,
     jobs: Optional[int] = None,
     placement: Optional[str] = None,
-    adaptive: Optional["AdaptiveConfig"] = None,
 ) -> list[list[RunSummary]]:
     """Run every scenario at every seed; one summary list per scenario.
 
@@ -215,16 +211,10 @@ def run_sweep(
     ``placement`` overrides every scenario's S39 placement policy — a
     deliberate behaviour change: it re-runs a whole figure under a
     different scheduling objective.
-
-    ``adaptive`` attaches the S40 feedback controller to every scenario —
-    like ``placement``, a deliberate behaviour change for whole-figure
-    what-if sweeps.
     """
     seeds = list(seeds)
     if placement is not None:
         scenarios = [s.with_(placement=placement) for s in scenarios]
-    if adaptive is not None:
-        scenarios = [s.with_(adaptive=adaptive) for s in scenarios]
     cells: list[Cell] = [
         (scenario, seed) for scenario in scenarios for seed in seeds
     ]

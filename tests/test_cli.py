@@ -95,6 +95,38 @@ class TestCommands:
         assert "error:" in captured.err
         assert "'canary'" in captured.err
 
+    def test_node_bounds_without_autoscale_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "traffic",
+                    "--workload", "micro-python",
+                    "--min-nodes", "1",
+                    "--max-nodes", "2",
+                    "--json",
+                ]
+            )
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--autoscale" in captured.err
+
+    def test_admit_burst_without_admit_rate_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "traffic",
+                    "--workload", "micro-python",
+                    "--shed-depth", "8",
+                    "--admit-burst", "3",
+                    "--json",
+                ]
+            )
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--admit-rate" in captured.err
+
     def test_run_json(self, capsys):
         code = main(
             [
