@@ -9,6 +9,7 @@ from conftest import FAST_SEEDS, show
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.experiments.report import FigureResult
 from repro.workloads.profiles import get_workload
 
@@ -18,14 +19,16 @@ WORKLOAD = get_workload("graph-bfs")
 
 def run_one(enable_prediction: bool, seed: int):
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=8,
+            strategy="canary",
+            error_rate=0.05,
+            node_failure_count=2,
+            node_failure_window=(8.0, 30.0),
+            node_failure_precursors=3,
+            prediction=enable_prediction,
+        ),
         seed=seed,
-        num_nodes=8,
-        strategy="canary",
-        error_rate=0.05,
-        node_failure_count=2,
-        node_failure_window=(8.0, 30.0),
-        node_failure_precursors=3,
-        enable_prediction=enable_prediction,
     )
     platform.submit_job(
         JobRequest(workload=WORKLOAD, num_functions=NUM_FUNCTIONS)

@@ -14,6 +14,7 @@ from conftest import FAST_SEEDS, show
 from repro.cluster.heterogeneity import CHAMELEON_PROFILES
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.experiments.report import FigureResult
 from repro.workloads.profiles import get_workload
 
@@ -25,12 +26,14 @@ HOMOGENEOUS = (CHAMELEON_PROFILES[1],)
 
 def run_one(profiles, strategy: str, seed: int):
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=8,
+            strategy=strategy,
+            error_rate=ERROR_RATE,
+            refailure_rate=0.0,
+            heterogeneity_profiles=profiles,
+        ),
         seed=seed,
-        num_nodes=8,
-        strategy=strategy,
-        error_rate=ERROR_RATE,
-        refailure_rate=0.0,
-        heterogeneity_profiles=profiles,
     )
     platform.submit_job(JobRequest(workload=WORKLOAD, num_functions=100))
     platform.run()
@@ -45,7 +48,7 @@ def run_one(profiles, strategy: str, seed: int):
 def run_ablation():
     rows = []
     for label, profiles in (
-        ("heterogeneous", None),
+        ("heterogeneous", CHAMELEON_PROFILES),
         ("homogeneous", HOMOGENEOUS),
     ):
         for strategy in ("retry", "canary"):

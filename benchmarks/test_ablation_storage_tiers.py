@@ -9,6 +9,7 @@ from conftest import FAST_SEEDS, show
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.experiments.report import FigureResult
 from repro.workloads.profiles import get_workload
 
@@ -18,11 +19,13 @@ TIERS = ("pmem", "ramdisk", "nfs", "s3")
 
 def run_tier(tier: str, seed: int):
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=8,
+            strategy="canary",
+            error_rate=ERROR_RATE,
+            refailure_rate=0.0,
+        ),
         seed=seed,
-        num_nodes=8,
-        strategy="canary",
-        error_rate=ERROR_RATE,
-        refailure_rate=0.0,
     )
     platform.router.custom_endpoint = tier
     platform.submit_job(

@@ -11,6 +11,7 @@ from conftest import FAST_SEEDS, show
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.experiments.report import FigureResult
 from repro.faas.limits import PlatformLimits
 from repro.workloads.profiles import get_workload
@@ -22,13 +23,17 @@ FUNCTIONS_PER_JOB = 50
 
 def run_one(reuse: bool, seed: int):
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=4,
+            strategy="ideal",
+            reuse_containers=reuse,
+            # A tight concurrency limit forces the batch through in waves,
+            # so later waves can warm-start on earlier waves' containers.
+            limits=PlatformLimits(
+                max_concurrent_invocations=FUNCTIONS_PER_JOB
+            ),
+        ),
         seed=seed,
-        num_nodes=4,
-        strategy="ideal",
-        reuse_containers=reuse,
-        # A tight concurrency limit forces the batch through in waves, so
-        # later waves can warm-start on earlier waves' containers.
-        limits=PlatformLimits(max_concurrent_invocations=FUNCTIONS_PER_JOB),
     )
     for _ in range(JOBS):
         platform.submit_job(

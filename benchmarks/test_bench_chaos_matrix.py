@@ -27,6 +27,7 @@ from pathlib import Path
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.detection import BackoffPolicy, DetectionConfig
 from repro.faults.chaos import ChaosConfig, TierBrownout
 from repro.workloads.profiles import get_workload
@@ -76,11 +77,10 @@ def run_cell(strategy: str, chaos: ChaosConfig | None, seed: int):
             backoff=BackoffPolicy(),
         )
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=16, strategy=strategy, error_rate=0.15, **kwargs
+        ),
         seed=seed,
-        num_nodes=16,
-        strategy=strategy,
-        error_rate=0.15,
-        **kwargs,
     )
     platform.submit_job(
         JobRequest(
@@ -132,7 +132,8 @@ def test_chaos_matrix():
     # with no chaos/detection/backoff objects constructed at all.
     baseline = run_cell(STRATEGIES[0], None, SEEDS[0]).summary()
     plain = CanaryPlatform(
-        seed=SEEDS[0], num_nodes=16, strategy=STRATEGIES[0], error_rate=0.15
+        ScenarioConfig(num_nodes=16, strategy=STRATEGIES[0], error_rate=0.15),
+        seed=SEEDS[0],
     )
     plain.submit_job(
         JobRequest(

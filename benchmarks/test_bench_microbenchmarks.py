@@ -9,6 +9,7 @@ from repro.common.types import RuntimeKind
 from repro.common.units import KiB, mb
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.sim.engine import Simulator
 from repro.storage.kvstore import KeyValueStore
 from repro.workloads.profiles import WorkloadProfile
@@ -52,7 +53,8 @@ def kv_churn(n_ops: int = 5_000) -> int:
 
 def full_platform_run() -> float:
     platform = CanaryPlatform(
-        seed=1, num_nodes=4, strategy="canary", error_rate=0.2
+        ScenarioConfig(num_nodes=4, strategy="canary", error_rate=0.2),
+        seed=1,
     )
     platform.submit_job(JobRequest(workload=BENCH_WORKLOAD, num_functions=50))
     platform.run()

@@ -21,6 +21,7 @@ from pathlib import Path
 from conftest import FAST_SEEDS, show
 
 from repro.core.canary import CanaryPlatform
+from repro.core.scenario import ScenarioConfig
 from repro.experiments.report import FigureResult
 from repro.metrics.availability import availability
 from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
@@ -42,11 +43,13 @@ def run_open_loop(strategy: str, seed: int):
         functions_per_invocation=10,
     )
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=8,
+            strategy=strategy,
+            error_rate=0.0 if strategy == "ideal" else 0.15,
+            traffic=TrafficConfig(tenants=(tenant,), duration_s=DURATION_S),
+        ),
         seed=seed,
-        num_nodes=8,
-        strategy=strategy,
-        error_rate=0.0 if strategy == "ideal" else 0.15,
-        traffic=TrafficConfig(tenants=(tenant,), duration_s=DURATION_S),
     )
     platform.run()
     summary = platform.summary()

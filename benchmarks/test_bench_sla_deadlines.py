@@ -8,6 +8,7 @@ from conftest import FAST_SEEDS, show
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.experiments.report import FigureResult
 from repro.sla.policy import SLAPolicy
 from repro.workloads.profiles import get_workload
@@ -28,11 +29,13 @@ def hit_rate(platform) -> float:
 
 def run_one(strategy: str, seed: int):
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=8,
+            strategy=strategy,
+            error_rate=ERROR_RATE,
+            refailure_rate=0.0,
+        ),
         seed=seed,
-        num_nodes=8,
-        strategy=strategy,
-        error_rate=ERROR_RATE,
-        refailure_rate=0.0,
     )
     platform.submit_job(
         JobRequest(

@@ -13,7 +13,7 @@ Run:
     python examples/failure_drill.py
 """
 
-from repro import CanaryPlatform, JobRequest, get_workload
+from repro import CanaryPlatform, JobRequest, ScenarioConfig, get_workload
 
 WORKLOAD = get_workload("dl-training")
 
@@ -21,12 +21,14 @@ WORKLOAD = get_workload("dl-training")
 def drill_node_failure() -> None:
     print("=== 1. node failure during a DL job (Canary) ===")
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=16,
+            strategy="canary",
+            error_rate=0.05,
+            node_failure_count=1,
+            node_failure_window=(20.0, 80.0),
+        ),
         seed=3,
-        num_nodes=16,
-        strategy="canary",
-        error_rate=0.05,
-        node_failure_count=1,
-        node_failure_window=(20.0, 80.0),
     )
     platform.submit_job(JobRequest(workload=WORKLOAD, num_functions=100))
     platform.run()
@@ -47,11 +49,13 @@ def drill_replication_strategies() -> None:
     print(f"{'policy':12s} {'makespan':>9s} {'replica $':>10s} {'total $':>9s}")
     for policy in ("dynamic", "aggressive", "lenient"):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=16,
+                strategy="canary",
+                replication_strategy=policy,
+                error_rate=0.25,
+            ),
             seed=3,
-            num_nodes=16,
-            strategy="canary",
-            replication_strategy=policy,
-            error_rate=0.25,
         )
         platform.submit_job(JobRequest(workload=WORKLOAD, num_functions=100))
         platform.run()
@@ -67,7 +71,8 @@ def drill_cost_breakdown() -> None:
     print("=== 3. bill breakdown, Canary vs active-standby (15% errors) ===")
     for strategy in ("canary", "active-standby"):
         platform = CanaryPlatform(
-            seed=3, num_nodes=16, strategy=strategy, error_rate=0.15
+            ScenarioConfig(num_nodes=16, strategy=strategy, error_rate=0.15),
+            seed=3,
         )
         platform.submit_job(JobRequest(workload=WORKLOAD, num_functions=100))
         platform.run()

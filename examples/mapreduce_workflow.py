@@ -17,6 +17,7 @@ Run:
 from repro import (
     CanaryPlatform,
     JobRequest,
+    ScenarioConfig,
     WorkflowCoordinator,
     WorkflowRequest,
     WorkflowStage,
@@ -33,8 +34,13 @@ from repro.workloads.mapreduce import (
 def simulated_workflow() -> None:
     print("=== simulated MapReduce workflow (25% error rate) ===")
     platform = CanaryPlatform(
-        seed=5, num_nodes=8, strategy="canary", error_rate=0.25,
-        refailure_rate=0.0,
+        ScenarioConfig(
+            num_nodes=8,
+            strategy="canary",
+            error_rate=0.25,
+            refailure_rate=0.0,
+        ),
+        seed=5,
     )
     coordinator = WorkflowCoordinator(platform)
     run = coordinator.submit(

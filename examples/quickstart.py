@@ -10,7 +10,7 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import CanaryPlatform, JobRequest, get_workload
+from repro import CanaryPlatform, JobRequest, ScenarioConfig, get_workload
 
 ERROR_RATE = 0.15
 WORKLOAD = get_workload("graph-bfs")
@@ -18,10 +18,8 @@ WORKLOAD = get_workload("graph-bfs")
 
 def run(strategy: str, error_rate: float):
     platform = CanaryPlatform(
+        ScenarioConfig(num_nodes=16, strategy=strategy, error_rate=error_rate),
         seed=42,
-        num_nodes=16,
-        strategy=strategy,
-        error_rate=error_rate,
     )
     platform.submit_job(JobRequest(workload=WORKLOAD, num_functions=100))
     platform.run()

@@ -14,7 +14,7 @@ Run:
     python examples/sla_and_prediction.py
 """
 
-from repro import CanaryPlatform, JobRequest, get_workload
+from repro import CanaryPlatform, JobRequest, ScenarioConfig, get_workload
 from repro.sla.policy import SLAPolicy
 from repro.workloads.profiles import WorkloadProfile
 from repro.common.types import RuntimeKind
@@ -40,8 +40,13 @@ def sla_part() -> None:
           f"{'replica $':>10s}")
     for label, deadline in (("tight", 28.0), ("loose", 300.0)):
         platform = CanaryPlatform(
-            seed=11, num_nodes=8, strategy="canary-sla",
-            error_rate=0.4, refailure_rate=0.0,
+            ScenarioConfig(
+                num_nodes=8,
+                strategy="canary-sla",
+                error_rate=0.4,
+                refailure_rate=0.0,
+            ),
+            seed=11,
         )
         platform.submit_job(
             JobRequest(
@@ -67,12 +72,16 @@ def prediction_part() -> None:
           f"{'migrations':>11s} {'total recovery':>15s}")
     for enabled in (False, True):
         platform = CanaryPlatform(
-            seed=11, num_nodes=8, strategy="canary",
-            error_rate=0.05,
-            node_failure_count=2,
-            node_failure_window=(8.0, 25.0),
-            node_failure_precursors=3,
-            enable_prediction=enabled,
+            ScenarioConfig(
+                num_nodes=8,
+                strategy="canary",
+                error_rate=0.05,
+                node_failure_count=2,
+                node_failure_window=(8.0, 25.0),
+                node_failure_precursors=3,
+                prediction=enabled,
+            ),
+            seed=11,
         )
         platform.submit_job(
             JobRequest(workload=get_workload("graph-bfs"), num_functions=100)

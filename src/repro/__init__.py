@@ -3,10 +3,12 @@ Time-Sensitive Applications* (SC 2022).
 
 Public entry points:
 
-* :class:`repro.core.CanaryPlatform` — a fully wired simulated FaaS platform
-  (the substrate for every benchmark);
+* :class:`repro.ScenarioConfig` — one run's every setting;
+  ``CanaryPlatform(scenario, seed=...)`` builds a fully wired simulated FaaS
+  platform from it (the substrate for every benchmark);
 * :class:`repro.core.JobRequest` + :func:`repro.workloads.get_workload` —
-  describe what to run;
+  describe what to run, or ``platform.submit_batch()`` for the scenario's
+  own batch;
 * :mod:`repro.experiments` — one runner per paper figure;
 * :mod:`repro.executor` — the real (thread-based) executor with the Canary
   checkpoint API, for running actual Python stateful functions.
@@ -20,6 +22,7 @@ from repro.common.types import (
 from repro.core.canary import CanaryPlatform
 from repro.core.config import PlatformConfig
 from repro.core.jobs import Job, JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.core.workflow import (
     WorkflowCoordinator,
     WorkflowRequest,
@@ -44,6 +47,7 @@ __all__ = [
     "RecoveryStrategyName",
     "ReplicationStrategyName",
     "RuntimeKind",
+    "ScenarioConfig",
     "WorkflowCoordinator",
     "WorkflowRequest",
     "WorkflowStage",

@@ -11,6 +11,7 @@ from repro.core.database import CanaryDatabase
 from repro.core.execution import Attempt, FunctionExecution
 from repro.core.ids import IdGenerator
 from repro.core.jobs import Job, JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.core.validator import RequestValidator, ValidationResult
 from repro.core.workflow import (
     WorkflowCoordinator,
@@ -29,6 +30,7 @@ __all__ = [
     "JobRequest",
     "PlatformConfig",
     "RequestValidator",
+    "ScenarioConfig",
     "ValidationResult",
     "WorkflowCoordinator",
     "WorkflowRequest",

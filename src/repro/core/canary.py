@@ -12,40 +12,29 @@ from collections import deque
 from typing import Optional
 
 from repro.checkpoint.module import CheckpointingModule
-from repro.checkpoint.policy import CheckpointPolicy
 from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import HeterogeneityModel
 from repro.common.errors import RequestValidationError
-from repro.common.types import (
-    JobState,
-    RecoveryStrategyName,
-    ReplicationStrategyName,
-)
+from repro.common.types import JobState, ReplicationStrategyName
 from repro.core.config import PlatformConfig
 from repro.core.context import PlatformContext
 from repro.core.database import CanaryDatabase
 from repro.core.execution import FunctionExecution
 from repro.core.ids import IdGenerator
 from repro.core.jobs import Job, JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.core.validator import RequestValidator, ValidationResult
-from repro.cost.pricing import (
-    IBM_CLOUD_FUNCTIONS_PRICING,
-    PricingModel,
-    compute_cost,
-)
-from repro.detection import BackoffPolicy, DetectionConfig, DetectionModule
+from repro.cost.pricing import compute_cost
+from repro.detection import DetectionModule
 from repro.faas.controller import FaaSController
-from repro.faas.limits import PlatformLimits
 from repro.faas.runtimes import RuntimeRegistry
-from repro.faults.chaos import ChaosConfig, ChaosInjector
+from repro.faults.chaos import ChaosInjector
 from repro.faults.injector import FailureInjector
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.network import collect_network_stats
 from repro.metrics.summary import RunSummary, summarize
-from repro.network.config import NetworkModelConfig
 from repro.network.fabric import FlowNetwork
-from repro.policies.base import PlacementPolicy
-from repro.policies.factory import make_placement_policy
+from repro.policies.factory import PLACEMENT_POLICIES
 from repro.replication.estimator import FailureRateEstimator
 from repro.replication.module import ReplicationModule
 from repro.replication.placement import ReplicaPlacer
@@ -57,105 +46,61 @@ from repro.storage.router import CheckpointStorageRouter
 from repro.storage.tiers import TierRegistry
 from repro.strategies.factory import make_strategy
 from repro.trace.tracer import NULL_TRACER, NullTracer
+from repro.workloads.profiles import get_workload
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.adaptive.config import AdaptiveConfig
     from repro.adaptive.controller import AdaptiveController
     from repro.autoscale.autoscaler import NodeAutoscaler
-    from repro.autoscale.config import AutoscaleConfig
-    from repro.strategies.cloning import CloningConfig
     from repro.traffic.replay import TrafficSource
-    from repro.traffic.tenant import TrafficConfig
+
+
+def _node_failure_window(scenario: ScenarioConfig) -> tuple[float, float]:
+    """The scenario's node-failure window; ``(0, 0)`` means the batch
+    workload's expected busy period."""
+    if (
+        scenario.node_failure_count == 0
+        or scenario.node_failure_window != (0.0, 0.0)
+    ):
+        return scenario.node_failure_window
+    # Rough makespan estimate: cold start + execution (+ retry slack).
+    horizon = 20.0 + get_workload(scenario.workload).mean_exec_s * 1.5
+    return (5.0, max(horizon, 30.0))
 
 
 class CanaryPlatform:
     """A fully wired simulated FaaS platform with a recovery strategy.
 
-    Args:
-        seed: Experiment seed (pins failures, jitter, placement ties).
-        num_nodes: Cluster size.
-        strategy: Recovery strategy name (see §V scenarios).
-        replication_strategy: DR/AR/LR replica-count policy.
-        error_rate: Fraction of each job's functions that fail.
-        node_failure_count / node_failure_window: Node-level failures.
-        checkpoint_policy: Override the default checkpoint policy.
-        config: Platform constants.
-        limits: Account/platform quotas.
-        pricing: Billing model for cost summaries.
-        chaos: Gray-failure chaos archetypes (stragglers, zombies,
-            partitions, brownouts).  None (default) injects nothing.
-        detection: Heartbeat/phi-accrual failure detection config.  None
-            (default) keeps the constant-delay detection oracle.
-        backoff: Retry/backoff policy for placement and restore reads
-            against degraded endpoints.  None disables backoff.
-        traffic: Open-loop multi-tenant traffic (``repro.traffic``); None
-            (default) keeps the batch-submission interface untouched.
-        autoscale: Node autoscaler config (``repro.autoscale``); None
-            (default) keeps the node set fixed.
-        adaptive: S40 feedback controller (``repro.adaptive``) retuning
-            checkpoint cadence, replication boost, and placement hints
-            per epoch; None (default) keeps every knob static.
-        cloning: Cloning degree for the S40 ``cloning`` strategy; None
-            uses the strategy default and is inert otherwise.
-        placement: S39 placement policy — a registry name
-            (``repro.policies.PLACEMENT_POLICIES``) or a pre-built
-            :class:`~repro.policies.PlacementPolicy` instance.  One
-            policy object serves both container cold starts and replica
-            placement.  The default ``"locality"`` is byte-identical to
-            the pre-policy platform.
+    Every setting comes from *scenario*; *seed* pins failures, jitter and
+    placement ties, and *tracer* records spans (None records nothing).
     """
 
     def __init__(
         self,
+        scenario: ScenarioConfig,
         *,
         seed: int = 0,
-        num_nodes: int = 16,
-        strategy: RecoveryStrategyName | str = RecoveryStrategyName.CANARY,
-        replication_strategy: ReplicationStrategyName | str = (
-            ReplicationStrategyName.DYNAMIC
-        ),
-        error_rate: float = 0.0,
-        refailure_rate: Optional[float] = None,
-        node_failure_count: int = 0,
-        node_failure_window: tuple[float, float] = (0.0, 0.0),
-        node_failure_precursors: int = 0,
-        enable_prediction: bool = False,
-        checkpoint_policy: Optional[CheckpointPolicy] = None,
-        checkpoint_flush_lag_s: float = 0.0,
-        config: Optional[PlatformConfig] = None,
-        limits: Optional[PlatformLimits] = None,
-        pricing: PricingModel = IBM_CLOUD_FUNCTIONS_PRICING,
-        start_rate_limit: Optional[float] = None,
-        reuse_containers: bool = False,
-        heterogeneity_profiles: Optional[tuple] = None,
-        network: Optional[NetworkModelConfig] = None,
-        chaos: Optional[ChaosConfig] = None,
-        detection: Optional[DetectionConfig] = None,
-        backoff: Optional[BackoffPolicy] = None,
         tracer: Optional[NullTracer] = None,
-        traffic: Optional["TrafficConfig"] = None,
-        autoscale: Optional["AutoscaleConfig"] = None,
-        placement: str | PlacementPolicy = "locality",
-        adaptive: Optional["AdaptiveConfig"] = None,
-        cloning: Optional["CloningConfig"] = None,
     ) -> None:
+        self.scenario = scenario
         self.seed = seed
-        self.config = config or PlatformConfig()
-        self.pricing = pricing
+        self.config = scenario.platform_config or PlatformConfig(
+            require_shared_spill=scenario.node_failure_count > 0
+        )
+        self.pricing = scenario.pricing
         # Autoscaling works against a *fixed* node universe: the cluster
         # is built at max_nodes so the fabric topology and detection never
         # see membership churn; spare nodes start deprovisioned (invisible
         # to placement) and the autoscaler flips Node.provisioned as
         # capacity scales.
-        self.autoscale_config = autoscale
-        cluster_nodes = num_nodes
-        initial_provisioned = num_nodes
+        autoscale = scenario.autoscale
+        cluster_nodes = initial_provisioned = scenario.num_nodes
         if autoscale is not None:
             cluster_nodes = max(autoscale.max_nodes, 1)
             initial_provisioned = min(
-                max(num_nodes, autoscale.min_nodes), autoscale.max_nodes
+                max(scenario.num_nodes, autoscale.min_nodes),
+                autoscale.max_nodes,
             )
         self.sim = Simulator(seed=seed)
         # Span recorder threaded through every instrumented subsystem; the
@@ -163,16 +108,11 @@ class CanaryPlatform:
         # built without a clock gets bound to the virtual clock here.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.set_clock(lambda: self.sim.now)
-        heterogeneity_kwargs = (
-            {"profiles": heterogeneity_profiles}
-            if heterogeneity_profiles is not None
-            else {}
-        )
         self.cluster = Cluster(
             cluster_nodes,
             heterogeneity=HeterogeneityModel(
+                scenario.heterogeneity_profiles,
                 rng=self.sim.rng.stream("heterogeneity"),
-                **heterogeneity_kwargs,
             ),
         )
         for node in self.cluster.nodes[initial_provisioned:]:
@@ -185,6 +125,7 @@ class CanaryPlatform:
         # The flow-level fabric (None = legacy uncontended transfers).
         # Its failure listener registers before the controller's, so a
         # dying node's flows are torn down before loss recovery starts.
+        network = scenario.network
         self.network: Optional[FlowNetwork] = None
         if network is not None and network.enabled:
             self.network = FlowNetwork(
@@ -201,15 +142,16 @@ class CanaryPlatform:
         # the controller binds cluster/invokers/network at construction,
         # and the detection/pricing handles are bound below once those
         # subsystems exist.
-        self.placement = make_placement_policy(placement)
+        self.placement = PLACEMENT_POLICIES[scenario.placement]()
+        backoff = scenario.backoff
         self.controller = FaaSController(
             self.sim,
             self.cluster,
             RuntimeRegistry(),
-            limits or PlatformLimits(),
+            scenario.limits,
             contention_gamma=self.config.contention_gamma,
-            start_rate_limit=start_rate_limit,
-            reuse_containers=reuse_containers,
+            start_rate_limit=scenario.start_rate_limit,
+            reuse_containers=scenario.reuse_containers,
             network=self.network,
             backoff=backoff,
             tracer=self.tracer,
@@ -218,17 +160,16 @@ class CanaryPlatform:
         # Emergent failure detection (heartbeats feeding a phi-accrual
         # suspicion detector).  None keeps the constant-delay oracle used
         # by ``RecoveryStrategy.after_detection``.
-        self.backoff = backoff
         self.detection: Optional[DetectionModule] = None
-        if detection is not None:
+        if scenario.detection is not None:
             self.detection = DetectionModule(
                 self.sim,
                 self.cluster,
-                detection,
+                scenario.detection,
                 tracer=self.tracer,
                 on_reinstate=lambda node: self.controller.kick(),
             )
-        self.placement.bind(detection=self.detection, pricing=pricing)
+        self.placement.bind(detection=self.detection, pricing=self.pricing)
         # Node autoscaler: scales Node.provisioned between the configured
         # bounds; detection coverage follows via watch/retire.
         self.autoscaler: Optional["NodeAutoscaler"] = None
@@ -254,8 +195,8 @@ class CanaryPlatform:
             self.router,
             self.database,
             self.ids,
-            policy=checkpoint_policy or CheckpointPolicy(),
-            flush_lag_s=checkpoint_flush_lag_s,
+            policy=scenario.checkpoint_policy,
+            flush_lag_s=scenario.checkpoint_flush_lag_s,
             tracer=self.tracer,
         )
         self.runtime_manager = RuntimeManagerModule(self.database)
@@ -263,15 +204,17 @@ class CanaryPlatform:
         # Recovery attempts re-fail at the error rate by default: the error
         # process does not pause just because a function is on its second
         # try (this is what makes retry diverge at high error rates, Fig. 7).
+        error_rate = scenario.error_rate
+        refailure_rate = scenario.refailure_rate
         self.injector = FailureInjector(
             self.sim,
             error_rate=error_rate,
             refailure_rate=(
                 refailure_rate if refailure_rate is not None else error_rate
             ),
-            node_failure_count=node_failure_count,
-            node_failure_window=node_failure_window,
-            node_failure_precursors=node_failure_precursors,
+            node_failure_count=scenario.node_failure_count,
+            node_failure_window=_node_failure_window(scenario),
+            node_failure_precursors=scenario.node_failure_precursors,
         )
         self.validator = RequestValidator(self.controller.limits)
         self.ctx = PlatformContext(
@@ -293,6 +236,7 @@ class CanaryPlatform:
         # Chaos archetypes (stragglers / zombies / partitions / brownouts);
         # created only when at least one archetype is enabled so disabled
         # runs stay byte-identical to the pre-chaos platform.
+        chaos = scenario.chaos
         self.chaos: Optional[ChaosInjector] = None
         if chaos is not None and chaos.enabled:
             self.chaos = ChaosInjector(
@@ -312,8 +256,8 @@ class CanaryPlatform:
             # Ramp-state handle for the load-aware thresholds (inert
             # unless DetectionConfig.load_aware is set).
             self.detection.autoscaler = self.autoscaler
-        self.ctx.cloning = cloning
-        self.strategy = make_strategy(strategy, self.ctx)
+        self.ctx.cloning = scenario.cloning
+        self.strategy = make_strategy(scenario.strategy, self.ctx)
         self.ctx.strategy = self.strategy
         if self.strategy.replication_enabled:
             self.ctx.replication = ReplicationModule(
@@ -321,7 +265,7 @@ class CanaryPlatform:
                 self.controller,
                 self.runtime_manager,
                 ReplicaPlacer(self.cluster, policy=self.placement),
-                make_replication_strategy(replication_strategy),
+                make_replication_strategy(scenario.replication_strategy),
                 self.ids,
                 estimator=FailureRateEstimator(
                     prior_rate=self.config.failure_rate_prior
@@ -351,14 +295,14 @@ class CanaryPlatform:
         # creation order is part of the determinism contract) and replayed
         # from run().
         self.traffic: Optional["TrafficSource"] = None
-        if traffic is not None:
+        if scenario.traffic is not None:
             from repro.traffic.replay import TrafficSource
 
-            self.traffic = TrafficSource(self, traffic)
+            self.traffic = TrafficSource(self, scenario.traffic)
         # Failure prediction & proactive mitigation (§VII future work).
         self.predictor = None
         self.mitigator = None
-        if enable_prediction:
+        if scenario.prediction:
             from repro.prediction.mitigator import ProactiveMitigator
             from repro.prediction.predictor import NodeHealthPredictor
 
@@ -369,13 +313,13 @@ class CanaryPlatform:
         # (default) constructs nothing — not even the RNG stream — so
         # non-adaptive runs stay byte-identical.
         self.adaptive: Optional["AdaptiveController"] = None
-        if adaptive is not None:
+        if scenario.adaptive is not None:
             from repro.adaptive.controller import AdaptiveController
 
             self.adaptive = AdaptiveController(
                 self.sim,
                 self.cluster,
-                adaptive,
+                scenario.adaptive,
                 checkpointer=self.checkpointer,
                 replication=self.replication,
                 placement=self.placement,
@@ -407,6 +351,23 @@ class CanaryPlatform:
     # ------------------------------------------------------------------
     # Job lifecycle
     # ------------------------------------------------------------------
+    def submit_batch(self) -> None:
+        """Submit the scenario's closed-loop batch: ``jobs`` equal jobs of
+        ``num_functions`` functions of ``workload`` in total."""
+        scenario = self.scenario
+        workload = get_workload(scenario.workload)
+        for _ in range(scenario.jobs):
+            self.submit_job(
+                JobRequest(
+                    workload=workload,
+                    num_functions=scenario.functions_per_job,
+                    checkpoint_interval=scenario.checkpoint_interval,
+                    replication_strategy=ReplicationStrategyName(
+                        scenario.replication_strategy
+                    ),
+                )
+            )
+
     def submit_job(self, request: JobRequest, *, on_complete=None) -> Optional[Job]:
         """Validate and (if possible) admit a job.
 

@@ -7,25 +7,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.core.canary import CanaryPlatform
-from repro.core.config import PlatformConfig
-from repro.core.jobs import JobRequest
-from repro.common.types import ReplicationStrategyName
 from repro.experiments.config import DEFAULT_SEEDS, ScenarioConfig
 from repro.metrics.engine import EngineStats, collect_engine_stats
 from repro.metrics.summary import RunSummary
 from repro.trace.tracer import NullTracer, Span, Tracer
-from repro.workloads.profiles import get_workload
-
-
-def _node_failure_window(
-    scenario: ScenarioConfig, workload_mean_exec: float
-) -> tuple[float, float]:
-    """Default the node-failure window to the job's expected busy period."""
-    if scenario.node_failure_window != (0.0, 0.0):
-        return scenario.node_failure_window
-    # Rough makespan estimate: cold start + execution (+ retry slack).
-    horizon = 20.0 + workload_mean_exec * 1.5
-    return (5.0, max(horizon, 30.0))
 
 
 def _run_platform(
@@ -34,48 +19,11 @@ def _run_platform(
     tracer: Optional[NullTracer] = None,
 ) -> CanaryPlatform:
     """Build, load, and run the platform for one scenario/seed cell."""
-    workload = get_workload(scenario.workload)
-    config = scenario.platform_config or PlatformConfig(
-        require_shared_spill=scenario.node_failure_count > 0
-    )
-    platform = CanaryPlatform(
-        seed=seed,
-        num_nodes=scenario.num_nodes,
-        strategy=scenario.strategy,
-        replication_strategy=scenario.replication_strategy,
-        error_rate=scenario.error_rate,
-        refailure_rate=scenario.refailure_rate,
-        node_failure_count=scenario.node_failure_count,
-        node_failure_window=_node_failure_window(
-            scenario, workload.mean_exec_s
-        ),
-        checkpoint_policy=scenario.checkpoint_policy,
-        config=config,
-        network=scenario.network,
-        chaos=scenario.chaos,
-        detection=scenario.detection,
-        backoff=scenario.backoff,
-        tracer=tracer,
-        traffic=scenario.traffic,
-        autoscale=scenario.autoscale,
-        placement=scenario.placement,
-        adaptive=scenario.adaptive,
-        cloning=scenario.cloning,
-    )
+    platform = CanaryPlatform(scenario, seed=seed, tracer=tracer)
     if scenario.traffic is None:
         # Classic closed-loop batch; with traffic enabled the arrival
         # stream is the only submission source.
-        for _ in range(scenario.jobs):
-            platform.submit_job(
-                JobRequest(
-                    workload=workload,
-                    num_functions=scenario.functions_per_job,
-                    checkpoint_interval=scenario.checkpoint_interval,
-                    replication_strategy=ReplicationStrategyName(
-                        scenario.replication_strategy
-                    ),
-                )
-            )
+        platform.submit_batch()
     platform.run()
     return platform
 

@@ -15,11 +15,7 @@ from repro.policies.builtin import (
     RoundRobinPolicy,
     SuspicionAwarePolicy,
 )
-from repro.policies.factory import (
-    DEFAULT_PLACEMENT,
-    PLACEMENT_POLICIES,
-    make_placement_policy,
-)
+from repro.policies.factory import DEFAULT_PLACEMENT, PLACEMENT_POLICIES
 
 __all__ = [
     "PlacementPolicy",
@@ -32,5 +28,4 @@ __all__ = [
     "SuspicionAwarePolicy",
     "PLACEMENT_POLICIES",
     "DEFAULT_PLACEMENT",
-    "make_placement_policy",
 ]

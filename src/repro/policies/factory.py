@@ -1,13 +1,14 @@
-"""Policy registry: name → class, plus the construction helper.
+"""Policy registry: name → class.
 
 The registry is the single source of the CLI's ``--placement`` choices,
-``ScenarioConfig.placement`` validation, and the tournament bench's policy
-axis — adding a policy here surfaces it everywhere at once.
+``ScenarioConfig.placement`` validation, the platform's policy
+construction, and the tournament bench's policy axis — adding a policy
+here surfaces it everywhere at once.
 """
 
 from __future__ import annotations
 
-from typing import Type, Union
+from typing import Type
 
 from repro.policies.base import PlacementPolicy
 from repro.policies.builtin import (
@@ -30,25 +31,3 @@ PLACEMENT_POLICIES: dict[str, Type[PlacementPolicy]] = {
 }
 
 DEFAULT_PLACEMENT = LocalityPolicy.name
-
-
-def make_placement_policy(
-    placement: Union[str, PlacementPolicy, None],
-) -> PlacementPolicy:
-    """Resolve *placement* (name, instance, or None) to a policy object.
-
-    Instances pass through untouched so tests and embedders can supply a
-    pre-configured (or custom) policy; ``None`` means the default.
-    """
-    if placement is None:
-        placement = DEFAULT_PLACEMENT
-    if isinstance(placement, PlacementPolicy):
-        return placement
-    try:
-        cls = PLACEMENT_POLICIES[placement]
-    except KeyError:
-        known = ", ".join(sorted(PLACEMENT_POLICIES))
-        raise ValueError(
-            f"unknown placement policy {placement!r} (known: {known})"
-        ) from None
-    return cls()

@@ -8,6 +8,7 @@ from repro.common.types import RuntimeKind
 from repro.common.units import KiB, mb
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.workloads.profiles import WorkloadProfile
 
 #: A tiny deterministic workload: 4 states x 2 s, no jitter, small ckpts.
@@ -47,11 +48,11 @@ def tiny_big_ckpt_workload() -> WorkloadProfile:
     return TINY_BIG_CKPT
 
 
-def build_platform(**kwargs) -> CanaryPlatform:
-    """Platform with small defaults suitable for unit tests."""
-    kwargs.setdefault("seed", 0)
+def build_platform(*, seed: int = 0, **kwargs) -> CanaryPlatform:
+    """Platform with small defaults suitable for unit tests; *kwargs* are
+    :class:`ScenarioConfig` fields."""
     kwargs.setdefault("num_nodes", 4)
-    return CanaryPlatform(**kwargs)
+    return CanaryPlatform(ScenarioConfig(**kwargs), seed=seed)
 
 
 def run_tiny_job(

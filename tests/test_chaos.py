@@ -10,6 +10,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.detection import BackoffPolicy, DetectionConfig
 from repro.faults.chaos import (
     ChaosConfig,
@@ -24,8 +25,10 @@ from repro.workloads.profiles import get_workload
 def run_platform(seed=42, n=40, strategy="canary", error_rate=0.0,
                  interval=1, **kwargs):
     platform = CanaryPlatform(
-        seed=seed, num_nodes=16, strategy=strategy, error_rate=error_rate,
-        **kwargs,
+        ScenarioConfig(
+            num_nodes=16, strategy=strategy, error_rate=error_rate, **kwargs
+        ),
+        seed=seed,
     )
     platform.submit_job(
         JobRequest(
@@ -71,7 +74,7 @@ class TestChaosConfig:
             )
         )
         with pytest.raises(Exception):
-            CanaryPlatform(seed=0, num_nodes=4, chaos=chaos)
+            CanaryPlatform(ScenarioConfig(num_nodes=4, chaos=chaos), seed=0)
 
 
 class TestDisabledByteIdentity:
@@ -134,7 +137,10 @@ class TestStragglers:
 
     def test_dead_node_straggle_is_skipped(self):
         chaos = ChaosConfig(stragglers=1, straggler_window=(5.0, 6.0))
-        platform = CanaryPlatform(seed=0, num_nodes=2, chaos=chaos)
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=2, chaos=chaos),
+            seed=0,
+        )
         for node in platform.cluster.nodes:
             platform.cluster.fail_node(node.node_id, 0.0)
         platform.run()
@@ -323,7 +329,12 @@ class TestRestoreBackoff:
 class TestPlacementBackoff:
     def test_saturated_node_polls_on_schedule(self):
         platform = CanaryPlatform(
-            seed=0, num_nodes=1, strategy="retry", backoff=BackoffPolicy()
+            ScenarioConfig(
+                num_nodes=1,
+                strategy="retry",
+                backoff=BackoffPolicy(),
+            ),
+            seed=0,
         )
         platform.submit_job(
             JobRequest(
@@ -339,7 +350,10 @@ class TestPlacementBackoff:
         assert platform.summary().completed == 60
 
     def test_no_timers_without_backoff(self):
-        platform = CanaryPlatform(seed=0, num_nodes=1, strategy="retry")
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=1, strategy="retry"),
+            seed=0,
+        )
         platform.submit_job(
             JobRequest(
                 workload=get_workload("micro-python"), num_functions=60

@@ -127,6 +127,14 @@ class TestCommands:
         assert captured.out == ""
         assert "--admit-rate" in captured.err
 
+    def test_node_failures_on_every_node_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--nodes", "4", "--node-failures", "4", "--json"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "none of the 4 nodes" in captured.err
+
     def test_run_json(self, capsys):
         code = main(
             [

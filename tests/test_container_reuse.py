@@ -6,6 +6,7 @@ from repro.cluster.cluster import Cluster
 from repro.common.types import ContainerState, RuntimeKind
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.faas.container import ContainerPurpose
 from repro.faas.controller import ContainerRequest, FaaSController
 from repro.faas.limits import PlatformLimits
@@ -101,11 +102,13 @@ class TestPlatformReuse:
         """Two sequential jobs: the second can warm-start on the first's
         containers when reuse is on."""
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=2,
+                strategy="ideal",
+                reuse_containers=reuse,
+                limits=PlatformLimits(max_concurrent_invocations=20),
+            ),
             seed=0,
-            num_nodes=2,
-            strategy="ideal",
-            reuse_containers=reuse,
-            limits=PlatformLimits(max_concurrent_invocations=20),
         )
         platform.submit_job(JobRequest(workload=TINY, num_functions=20))
         platform.submit_job(JobRequest(workload=TINY, num_functions=20))

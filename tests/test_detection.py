@@ -11,6 +11,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.detection import BackoffPolicy, DetectionConfig, DetectionModule
 from repro.faults.chaos import ChaosConfig
 from repro.sim.engine import Simulator
@@ -19,7 +20,7 @@ from repro.workloads.profiles import get_workload
 
 def run_platform(seed=42, n=40, **kwargs):
     platform = CanaryPlatform(
-        seed=seed, num_nodes=16, strategy="canary", **kwargs
+        ScenarioConfig(num_nodes=16, strategy="canary", **kwargs), seed=seed
     )
     platform.submit_job(
         JobRequest(workload=get_workload("graph-bfs"), num_functions=n)

@@ -1,7 +1,11 @@
 """Tests for the experiment harness: config, runner, report, figure modules."""
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.autoscale import AutoscaleConfig
+from repro.core.canary import CanaryPlatform
 from repro.experiments import fig04, fig07, fig09, fig12
 from repro.experiments.config import ERROR_RATE_SWEEP, ScenarioConfig
 from repro.experiments.report import (
@@ -29,12 +33,57 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(workload="graph-bfs", num_functions=10, jobs=3)
 
+    @pytest.mark.parametrize("count, nodes", [(4, 4), (5, 4), (1, 1)])
+    def test_node_failures_may_not_kill_every_node(self, count, nodes):
+        with pytest.raises(ValueError, match="none of the"):
+            ScenarioConfig(node_failure_count=count, num_nodes=nodes)
+
+    def test_node_failures_that_leave_a_node_are_accepted(self):
+        ScenarioConfig(node_failure_count=3, num_nodes=4)
+        # An autoscaled cluster grows past its initial nodes.
+        ScenarioConfig(
+            node_failure_count=4,
+            num_nodes=4,
+            autoscale=AutoscaleConfig(min_nodes=4, max_nodes=8),
+        )
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"node_failure_window": (5.0, 10.0)},
+            {"node_failure_precursors": 2},
+        ],
+        ids=["window", "precursors"],
+    )
+    def test_node_failure_settings_need_node_failures(self, setting):
+        with pytest.raises(ValueError, match="only with node failures"):
+            ScenarioConfig(**setting)
+        ScenarioConfig(node_failure_count=1, **setting)
+
     def test_error_rate_sweep_matches_paper(self):
         assert ERROR_RATE_SWEEP[0] == 0.01
         assert ERROR_RATE_SWEEP[-1] == 0.50
 
 
 class TestRunner:
+    def test_direct_construction_matches_run_scenario(self):
+        # The examples/failure_drill.py scenario: a platform built directly
+        # resolves the same defaults (shared spill under node failures) as
+        # the runner does.
+        scenario = ScenarioConfig(
+            workload="dl-training",
+            strategy="canary",
+            error_rate=0.05,
+            node_failure_count=1,
+            node_failure_window=(20.0, 80.0),
+        )
+        platform = CanaryPlatform(scenario, seed=3)
+        platform.submit_batch()
+        platform.run()
+        direct = platform.summary()
+        assert asdict(direct) == asdict(run_scenario(scenario, 3))
+        assert direct.mean_recovery_s == pytest.approx(15.27, abs=0.01)
+
     def test_run_scenario_summary(self):
         summary = run_scenario(
             ScenarioConfig(

@@ -8,6 +8,7 @@ from repro.core.canary import CanaryPlatform
 from repro.core.database import CanaryDatabase
 from repro.core.ids import IdGenerator
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.router import CheckpointStorageRouter
 from repro.storage.tiers import TierRegistry
@@ -83,13 +84,15 @@ class TestFlushLagUnit:
 class TestFlushLagEndToEnd:
     def run_platform(self, flush_lag_s):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy="canary",
+                error_rate=0.0,
+                node_failure_count=1,
+                node_failure_window=(6.0, 9.0),
+                checkpoint_flush_lag_s=flush_lag_s,
+            ),
             seed=6,
-            num_nodes=4,
-            strategy="canary",
-            error_rate=0.0,
-            node_failure_count=1,
-            node_failure_window=(6.0, 9.0),
-            checkpoint_flush_lag_s=flush_lag_s,
         )
         job = platform.submit_job(JobRequest(workload=TINY, num_functions=30))
         platform.run()

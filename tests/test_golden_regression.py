@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.cost.pricing import AWS_LAMBDA_PRICING
 from repro.workloads.profiles import get_workload
 
@@ -18,8 +19,10 @@ from repro.workloads.profiles import get_workload
 
 def run(strategy, error_rate=0.15, seed=42, **kwargs):
     platform = CanaryPlatform(
-        seed=seed, num_nodes=16, strategy=strategy, error_rate=error_rate,
-        **kwargs,
+        ScenarioConfig(
+            num_nodes=16, strategy=strategy, error_rate=error_rate, **kwargs
+        ),
+        seed=seed,
     )
     platform.submit_job(
         JobRequest(workload=get_workload("graph-bfs"), num_functions=100)

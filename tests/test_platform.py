@@ -26,10 +26,12 @@ class TestAdmission:
     def test_job_larger_than_concurrency_cap_rejected(self):
         # Queueing it would wait forever: no amount of headroom admits it.
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy="ideal",
+                limits=PlatformLimits(max_concurrent_invocations=15),
+            ),
             seed=0,
-            num_nodes=4,
-            strategy="ideal",
-            limits=PlatformLimits(max_concurrent_invocations=15),
         )
         with pytest.raises(RequestValidationError, match="16.*15"):
             platform.submit_job(JobRequest(workload=TINY, num_functions=16))
@@ -57,10 +59,12 @@ class TestAdmission:
 
     def test_concurrency_pressure_queues_jobs(self):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy="ideal",
+                limits=PlatformLimits(max_concurrent_invocations=15),
+            ),
             seed=0,
-            num_nodes=4,
-            strategy="ideal",
-            limits=PlatformLimits(max_concurrent_invocations=15),
         )
         first = platform.submit_job(JobRequest(workload=TINY, num_functions=10))
         second = platform.submit_job(JobRequest(workload=TINY, num_functions=10))
@@ -73,10 +77,12 @@ class TestAdmission:
 
     def test_queued_jobs_complete_in_fifo_order(self):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy="ideal",
+                limits=PlatformLimits(max_concurrent_invocations=10),
+            ),
             seed=0,
-            num_nodes=4,
-            strategy="ideal",
-            limits=PlatformLimits(max_concurrent_invocations=10),
         )
         for _ in range(4):
             platform.submit_job(JobRequest(workload=TINY, num_functions=10))
@@ -93,12 +99,14 @@ class TestAdmission:
 class TestNodeFailures:
     def test_node_failure_recovers_via_shared_checkpoints(self):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy="canary",
+                error_rate=0.0,
+                node_failure_count=1,
+                node_failure_window=(3.0, 6.0),
+            ),
             seed=1,
-            num_nodes=4,
-            strategy="canary",
-            error_rate=0.0,
-            node_failure_count=1,
-            node_failure_window=(3.0, 6.0),
         )
         job = platform.submit_job(JobRequest(workload=TINY, num_functions=30))
         platform.run()
@@ -114,11 +122,13 @@ class TestNodeFailures:
 
     def test_node_failure_under_retry_restarts_everything(self):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy="retry",
+                node_failure_count=1,
+                node_failure_window=(3.0, 6.0),
+            ),
             seed=1,
-            num_nodes=4,
-            strategy="retry",
-            node_failure_count=1,
-            node_failure_window=(3.0, 6.0),
         )
         job = platform.submit_job(JobRequest(workload=TINY, num_functions=30))
         platform.run()
@@ -134,11 +144,13 @@ class TestNodeFailures:
     def test_correlated_failures_retry_slower_than_canary(self):
         def total_recovery(strategy):
             platform = CanaryPlatform(
+                ScenarioConfig(
+                    num_nodes=4,
+                    strategy=strategy,
+                    node_failure_count=1,
+                    node_failure_window=(4.0, 8.0),
+                ),
                 seed=5,
-                num_nodes=4,
-                strategy=strategy,
-                node_failure_count=1,
-                node_failure_window=(4.0, 8.0),
             )
             platform.submit_job(JobRequest(workload=TINY, num_functions=40))
             platform.run()

@@ -23,7 +23,6 @@ from repro.policies import (
     PlacementPolicy,
     RoundRobinPolicy,
     SuspicionAwarePolicy,
-    make_placement_policy,
 )
 from repro.replication.placement import ReplicaPlacer
 from repro.sim.engine import Simulator
@@ -104,17 +103,6 @@ class TestFactory:
             "suspicion",
         }
         assert DEFAULT_PLACEMENT == "locality"
-
-    def test_make_by_name_and_passthrough(self):
-        policy = make_placement_policy("round-robin")
-        assert isinstance(policy, RoundRobinPolicy)
-        same = make_placement_policy(policy)
-        assert same is policy
-        assert isinstance(make_placement_policy(None), LocalityPolicy)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown placement policy"):
-            make_placement_policy("warlock")
 
     def test_scenario_config_validates_placement(self):
         with pytest.raises(ValueError, match="unknown placement policy"):

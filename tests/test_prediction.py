@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.prediction.predictor import NodeHealthPredictor
 
 from tests.conftest import TINY
@@ -73,14 +74,16 @@ class TestNodeHealthPredictor:
 
 def run_node_failure_job(*, enable_prediction, seed=7, num_functions=40):
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=4,
+            strategy="canary",
+            error_rate=0.0,
+            node_failure_count=1,
+            node_failure_window=(12.0, 20.0),
+            node_failure_precursors=3,
+            prediction=enable_prediction,
+        ),
         seed=seed,
-        num_nodes=4,
-        strategy="canary",
-        error_rate=0.0,
-        node_failure_count=1,
-        node_failure_window=(12.0, 20.0),
-        node_failure_precursors=3,
-        enable_prediction=enable_prediction,
     )
     job = platform.submit_job(
         JobRequest(workload=TINY, num_functions=num_functions)

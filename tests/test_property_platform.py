@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 
 from tests.conftest import TINY
 
@@ -32,11 +33,13 @@ def test_every_run_terminates_consistently(
     if strategy == "ideal":
         error_rate = 0.0
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=4,
+            strategy=strategy,
+            error_rate=error_rate,
+            refailure_rate=0.0,
+        ),
         seed=seed,
-        num_nodes=4,
-        strategy=strategy,
-        error_rate=error_rate,
-        refailure_rate=0.0,
     )
     job = platform.submit_job(
         JobRequest(workload=TINY, num_functions=num_functions)
@@ -84,11 +87,13 @@ def test_canary_never_slower_to_recover_than_retry(error_rate, seed):
 
     def mean_recovery(strategy):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy=strategy,
+                error_rate=error_rate,
+                refailure_rate=0.0,
+            ),
             seed=seed,
-            num_nodes=4,
-            strategy=strategy,
-            error_rate=error_rate,
-            refailure_rate=0.0,
         )
         platform.submit_job(JobRequest(workload=TINY, num_functions=20))
         platform.run()
@@ -102,11 +107,13 @@ def test_canary_never_slower_to_recover_than_retry(error_rate, seed):
 def test_ideal_is_a_lower_bound_on_makespan(seed):
     def makespan(strategy, error_rate):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy=strategy,
+                error_rate=error_rate,
+                refailure_rate=0.0,
+            ),
             seed=seed,
-            num_nodes=4,
-            strategy=strategy,
-            error_rate=error_rate,
-            refailure_rate=0.0,
         )
         platform.submit_job(JobRequest(workload=TINY, num_functions=15))
         platform.run()

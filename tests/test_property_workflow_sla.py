@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.core.workflow import (
     WorkflowCoordinator,
     WorkflowRequest,
@@ -26,11 +27,13 @@ from tests.conftest import TINY
 def test_workflow_stage_ordering_invariant(stage_sizes, error_rate, seed):
     """Stages always complete strictly in order, whatever the failures."""
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=4,
+            strategy="canary",
+            error_rate=error_rate,
+            refailure_rate=0.0,
+        ),
         seed=seed,
-        num_nodes=4,
-        strategy="canary",
-        error_rate=error_rate,
-        refailure_rate=0.0,
     )
     coordinator = WorkflowCoordinator(platform)
     request = WorkflowRequest(

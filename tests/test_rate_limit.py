@@ -6,6 +6,7 @@ from repro.cluster.cluster import Cluster
 from repro.common.types import RuntimeKind
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.faas.container import ContainerPurpose
 from repro.faas.controller import ContainerRequest, FaaSController
 from repro.sim.engine import Simulator
@@ -68,10 +69,12 @@ class TestControllerRateLimit:
 class TestPlatformRateLimit:
     def test_rate_limited_platform_completes(self):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy="ideal",
+                start_rate_limit=10.0,
+            ),
             seed=0,
-            num_nodes=4,
-            strategy="ideal",
-            start_rate_limit=10.0,
         )
         job = platform.submit_job(JobRequest(workload=TINY, num_functions=30))
         platform.run()
@@ -83,10 +86,12 @@ class TestPlatformRateLimit:
 
         def makespan(nodes, rate):
             platform = CanaryPlatform(
+                ScenarioConfig(
+                    num_nodes=nodes,
+                    strategy="ideal",
+                    start_rate_limit=rate,
+                ),
                 seed=0,
-                num_nodes=nodes,
-                strategy="ideal",
-                start_rate_limit=rate,
             )
             platform.submit_job(
                 JobRequest(workload=TINY, num_functions=200)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.sla.policy import SLAPolicy, SlackClass, classify_slack
 from repro.sla.strategy import SlaAwareCanaryStrategy
 
@@ -64,11 +65,13 @@ class TestClassifySlack:
 def run_sla_job(*, deadline, error_rate=0.4, num_functions=20, seed=4,
                 strategy="canary-sla"):
     platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=4,
+            strategy=strategy,
+            error_rate=error_rate,
+            refailure_rate=0.0,
+        ),
         seed=seed,
-        num_nodes=4,
-        strategy=strategy,
-        error_rate=error_rate,
-        refailure_rate=0.0,
     )
     sla = SLAPolicy(deadline_s=deadline) if deadline is not None else None
     job = platform.submit_job(

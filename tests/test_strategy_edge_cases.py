@@ -5,6 +5,7 @@ import pytest
 from repro.core.canary import CanaryPlatform
 from repro.core.config import PlatformConfig
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.faas.container import ContainerPurpose
 
 from tests.conftest import TINY, run_tiny_job
@@ -50,7 +51,12 @@ class TestRequestReplicationDegrees:
     def test_two_siblings_config(self):
         config = PlatformConfig(rr_replicas=2)
         platform = CanaryPlatform(
-            seed=0, num_nodes=4, strategy="request-replication", config=config
+            ScenarioConfig(
+                num_nodes=4,
+                strategy="request-replication",
+                platform_config=config,
+            ),
+            seed=0,
         )
         platform.submit_job(JobRequest(workload=TINY, num_functions=5))
         platform.run()
@@ -62,10 +68,12 @@ class TestRequestReplicationDegrees:
         def cost(degree):
             config = PlatformConfig(rr_replicas=degree)
             platform = CanaryPlatform(
+                ScenarioConfig(
+                    num_nodes=4,
+                    strategy="request-replication",
+                    platform_config=config,
+                ),
                 seed=0,
-                num_nodes=4,
-                strategy="request-replication",
-                config=config,
             )
             platform.submit_job(JobRequest(workload=TINY, num_functions=10))
             platform.run()
@@ -82,12 +90,14 @@ class TestDetectionDelay:
     def test_zero_detection_delay_supported(self):
         config = PlatformConfig(detection_delay_s=0.0)
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy="canary",
+                error_rate=0.3,
+                refailure_rate=0.0,
+                platform_config=config,
+            ),
             seed=0,
-            num_nodes=4,
-            strategy="canary",
-            error_rate=0.3,
-            refailure_rate=0.0,
-            config=config,
         )
         platform.submit_job(JobRequest(workload=TINY, num_functions=10))
         platform.run()
@@ -97,12 +107,14 @@ class TestDetectionDelay:
         def mean_recovery(delay):
             config = PlatformConfig(detection_delay_s=delay)
             platform = CanaryPlatform(
+                ScenarioConfig(
+                    num_nodes=4,
+                    strategy="canary",
+                    error_rate=0.3,
+                    refailure_rate=0.0,
+                    platform_config=config,
+                ),
                 seed=2,
-                num_nodes=4,
-                strategy="canary",
-                error_rate=0.3,
-                refailure_rate=0.0,
-                config=config,
             )
             platform.submit_job(JobRequest(workload=TINY, num_functions=20))
             platform.run()
@@ -113,7 +125,10 @@ class TestDetectionDelay:
 
 class TestCheckpointIntervalIntegration:
     def test_job_level_interval_respected(self):
-        platform = CanaryPlatform(seed=0, num_nodes=4, strategy="canary")
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=4, strategy="canary"),
+            seed=0,
+        )
         platform.submit_job(
             JobRequest(workload=TINY, num_functions=5, checkpoint_interval=2)
         )
@@ -124,11 +139,13 @@ class TestCheckpointIntervalIntegration:
     def test_wider_interval_increases_redo(self):
         def mean_recovery(interval):
             platform = CanaryPlatform(
+                ScenarioConfig(
+                    num_nodes=4,
+                    strategy="canary",
+                    error_rate=0.4,
+                    refailure_rate=0.0,
+                ),
                 seed=4,
-                num_nodes=4,
-                strategy="canary",
-                error_rate=0.4,
-                refailure_rate=0.0,
             )
             platform.submit_job(
                 JobRequest(

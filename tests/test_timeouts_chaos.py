@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.sla.policy import SLAPolicy
 
 from tests.conftest import TINY
@@ -12,7 +13,8 @@ from tests.conftest import TINY
 
 def run_with_timeout(strategy, timeout_s, num_functions=5, seed=0):
     platform = CanaryPlatform(
-        seed=seed, num_nodes=4, strategy=strategy, error_rate=0.0
+        ScenarioConfig(num_nodes=4, strategy=strategy, error_rate=0.0),
+        seed=seed,
     )
     job = platform.submit_job(
         JobRequest(
@@ -72,17 +74,19 @@ class TestChaos:
     @settings(max_examples=10, deadline=None)
     def test_kitchen_sink_run_converges_consistently(self, seed):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=6,
+                strategy="canary-sla",
+                error_rate=0.3,
+                refailure_rate=0.1,
+                node_failure_count=1,
+                node_failure_window=(5.0, 20.0),
+                node_failure_precursors=2,
+                prediction=True,
+                reuse_containers=True,
+                checkpoint_flush_lag_s=1.0,
+            ),
             seed=seed,
-            num_nodes=6,
-            strategy="canary-sla",
-            error_rate=0.3,
-            refailure_rate=0.1,
-            node_failure_count=1,
-            node_failure_window=(5.0, 20.0),
-            node_failure_precursors=2,
-            enable_prediction=True,
-            reuse_containers=True,
-            checkpoint_flush_lag_s=1.0,
         )
         job = platform.submit_job(
             JobRequest(

@@ -6,6 +6,7 @@ from repro.common.types import RuntimeKind
 from repro.common.units import KiB, mb
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.core.workflow import (
     WorkflowCoordinator,
     WorkflowRequest,
@@ -54,14 +55,15 @@ class TestWorkflowRequest:
 
 class TestWorkflowExecution:
     def run_workflow(self, *, strategy="ideal", error_rate=0.0, seed=0,
-                     limits=None, request=None):
+                     request=None):
         platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4,
+                strategy=strategy,
+                error_rate=error_rate,
+                refailure_rate=0.0,
+            ),
             seed=seed,
-            num_nodes=4,
-            strategy=strategy,
-            error_rate=error_rate,
-            refailure_rate=0.0,
-            limits=limits,
         )
         coordinator = WorkflowCoordinator(platform)
         run = coordinator.submit(request or mapreduce_request())
@@ -83,7 +85,10 @@ class TestWorkflowExecution:
         assert sum(durations.values()) == pytest.approx(run.makespan())
 
     def test_stage_durations_raise_while_running(self):
-        platform = CanaryPlatform(seed=0, num_nodes=4, strategy="ideal")
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=4, strategy="ideal"),
+            seed=0,
+        )
         coordinator = WorkflowCoordinator(platform)
         run = coordinator.submit(mapreduce_request())
         with pytest.raises(RuntimeError):
@@ -111,7 +116,10 @@ class TestWorkflowExecution:
             )
 
     def test_concurrent_workflows(self):
-        platform = CanaryPlatform(seed=0, num_nodes=4, strategy="ideal")
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=4, strategy="ideal"),
+            seed=0,
+        )
         coordinator = WorkflowCoordinator(platform)
         runs = [coordinator.submit(mapreduce_request()) for _ in range(3)]
         platform.run()
@@ -122,7 +130,8 @@ class TestWorkflowExecution:
         # the second workflow's stages through the pending-job queue.
         limits = PlatformLimits(max_concurrent_invocations=10)
         platform = CanaryPlatform(
-            seed=0, num_nodes=4, strategy="ideal", limits=limits
+            ScenarioConfig(num_nodes=4, strategy="ideal", limits=limits),
+            seed=0,
         )
         coordinator = WorkflowCoordinator(platform)
         first = coordinator.submit(mapreduce_request(mappers=8))
