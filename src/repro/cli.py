@@ -24,12 +24,14 @@ import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
 
+from repro.autoscale import AdmissionConfig, AutoscaleConfig
 from repro.common.types import RecoveryStrategyName, ReplicationStrategyName
 from repro.experiments import FIGURES
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_scenario, run_traced
 from repro.network.config import NETWORK_PRESETS
+from repro.policies import PLACEMENT_POLICIES
 from repro.workloads.profiles import WORKLOADS_BY_NAME
 
 
@@ -98,9 +100,21 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
+def _set_only(**kwargs) -> dict:
+    """The keyword arguments the user actually set (drops the ``None``s), so
+    a config class's own defaults fill in the rest."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
+    """Build the full scenario for ``run``, ``trace`` and ``traffic``.
+
+    Everything, traffic, admission and autoscaler included, goes into one
+    :class:`ScenarioConfig`, so its validation sees the final combination.
+    Raises ``ValueError`` on an invalid flag combination.
+    """
     chaos = detection = backoff = None
-    if getattr(args, "chaos", False):
+    if args.chaos:
         from repro.detection import BackoffPolicy, DetectionConfig
         from repro.faults.chaos import default_chaos_preset
 
@@ -108,15 +122,18 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         detection = DetectionConfig()
         backoff = BackoffPolicy()
     adaptive = None
-    if getattr(args, "adaptive", False):
+    if args.adaptive:
         from repro.adaptive import AdaptiveConfig
 
         adaptive = AdaptiveConfig()
     cloning = None
-    if getattr(args, "clones", None) is not None:
+    if args.clones is not None:
         from repro.strategies.cloning import CloningConfig
 
         cloning = CloningConfig(clones=args.clones)
+    traffic = autoscale = None
+    if args.command == "traffic":
+        traffic, autoscale = _traffic_from_args(args)
     return ScenarioConfig(
         workload=args.workload,
         strategy=args.strategy,
@@ -131,7 +148,9 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         chaos=chaos,
         detection=detection,
         backoff=backoff,
-        placement=getattr(args, "placement", "locality"),
+        traffic=traffic,
+        autoscale=autoscale,
+        placement=args.placement,
         adaptive=adaptive,
         cloning=cloning,
     )
@@ -223,35 +242,24 @@ def _traffic_tenants(args: argparse.Namespace):
     return tuple(tenants)
 
 
-def _resolve_traffic_flags(args: argparse.Namespace) -> None:
-    """Reject feature-gated traffic flags whose feature is off, then default
-    the unset ones (autoscaler 4..16 nodes, admission burst 10)."""
+def _traffic_from_args(args: argparse.Namespace):
+    """The ``TrafficConfig`` and ``AutoscaleConfig`` of ``canary-sim
+    traffic``; flags left unset take the config classes' defaults."""
+    from repro.traffic import TrafficConfig
+
     if not args.autoscale and (
         args.min_nodes is not None or args.max_nodes is not None
     ):
         raise ValueError("--min-nodes/--max-nodes need --autoscale")
     if args.admit_rate is None and args.admit_burst is not None:
         raise ValueError("--admit-burst needs --admit-rate")
-    if args.min_nodes is None:
-        args.min_nodes = 4
-    if args.max_nodes is None:
-        args.max_nodes = 16
-    if args.admit_burst is None:
-        args.admit_burst = 10.0
-
-
-def _cmd_traffic(args: argparse.Namespace) -> int:
-    from repro.autoscale import AdmissionConfig, AutoscaleConfig
-    from repro.experiments.runner import run_traffic
-    from repro.traffic import TrafficConfig
-
     admission = None
     if args.admit_rate is not None or args.shed_depth is not None:
-        admission = AdmissionConfig(
+        admission = AdmissionConfig(**_set_only(
             tenant_rate_per_s=args.admit_rate,
             tenant_burst=args.admit_burst,
             queue_shed_depth=args.shed_depth,
-        )
+        ))
     traffic = TrafficConfig(
         tenants=_traffic_tenants(args),
         duration_s=args.duration,
@@ -259,11 +267,16 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     )
     autoscale = None
     if args.autoscale:
-        autoscale = AutoscaleConfig(
+        autoscale = AutoscaleConfig(**_set_only(
             min_nodes=args.min_nodes, max_nodes=args.max_nodes
-        )
-    scenario = args.scenario.with_(traffic=traffic, autoscale=autoscale)
-    result = run_traffic(scenario, seed=args.seed)
+        ))
+    return traffic, autoscale
+
+
+def _cmd_traffic(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_traffic
+
+    result = run_traffic(args.scenario, seed=args.seed)
     summary = result.summary
     if args.json:
         record = {
@@ -371,20 +384,32 @@ def _figure_command(args: argparse.Namespace) -> int:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Scenario flags shared by the ``run`` and ``trace`` subcommands."""
-    parser.add_argument("--workload", default="dl-training",
+    """Scenario flags shared by ``run``, ``traffic`` and ``trace``; the
+    defaults are :class:`ScenarioConfig`'s own."""
+    defaults = ScenarioConfig()
+    parser.add_argument("--workload", default=defaults.workload,
                         choices=sorted(WORKLOADS_BY_NAME))
-    parser.add_argument("--strategy", default="canary",
+    parser.add_argument("--strategy",
+                        default=RecoveryStrategyName(defaults.strategy).value,
                         choices=[s.value for s in RecoveryStrategyName])
-    parser.add_argument("--replication", default="dynamic",
-                        choices=[s.value for s in ReplicationStrategyName])
-    parser.add_argument("--error-rate", type=float, default=0.15)
-    parser.add_argument("--functions", type=int, default=100)
-    parser.add_argument("--nodes", type=int, default=16)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument(
+        "--replication",
+        default=ReplicationStrategyName(defaults.replication_strategy).value,
+        choices=[s.value for s in ReplicationStrategyName],
+    )
+    parser.add_argument("--error-rate", type=float, default=0.15,
+                        help="per-attempt failure rate (default 0.15, the "
+                        "paper's fixed rate, rather than the failure-free "
+                        "scenario default)")
+    parser.add_argument("--functions", type=int,
+                        default=defaults.num_functions)
+    parser.add_argument("--nodes", type=int, default=defaults.num_nodes)
+    parser.add_argument("--jobs", type=int, default=defaults.jobs)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--checkpoint-interval", type=int, default=1)
-    parser.add_argument("--node-failures", type=int, default=0)
+    parser.add_argument("--checkpoint-interval", type=int,
+                        default=defaults.checkpoint_interval)
+    parser.add_argument("--node-failures", type=int,
+                        default=defaults.node_failure_count)
     parser.add_argument("--network", default="off",
                         choices=sorted(NETWORK_PRESETS),
                         help="fabric model preset (off = legacy uncontended)")
@@ -399,9 +424,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clones", type=int, default=None, metavar="K",
                         help="clone count for --strategy cloning "
                         "(first finisher wins; default 2)")
-    from repro.policies import PLACEMENT_POLICIES
-
-    parser.add_argument("--placement", default="locality",
+    parser.add_argument("--placement", default=defaults.placement,
                         choices=sorted(PLACEMENT_POLICIES),
                         help="S39 placement policy for cold starts and "
                         "replicas (locality = the paper's rules, "
@@ -443,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate open-loop multi-tenant traffic (repro.traffic)",
     )
     _add_run_flags(traffic)
+    admission, autoscale = AdmissionConfig(), AutoscaleConfig()
     traffic.add_argument("--tenants", type=int, default=3,
                          help="number of traffic tenants")
     traffic.add_argument("--rate", type=float, default=1.0,
@@ -459,17 +483,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-tenant admitted rate (token bucket, 1/s)")
     traffic.add_argument("--admit-burst", type=float, default=None,
                          help="per-tenant burst allowance (needs "
-                         "--admit-rate; default 10)")
+                         f"--admit-rate; default {admission.tenant_burst:g})")
     traffic.add_argument("--shed-depth", type=int, default=None,
                          help="global backlog beyond which arrivals shed")
     traffic.add_argument("--autoscale", action="store_true",
                          help="enable the node autoscaler")
     traffic.add_argument("--min-nodes", type=int, default=None,
                          help="autoscaler floor (needs --autoscale; "
-                         "default 4)")
+                         f"default {autoscale.min_nodes})")
     traffic.add_argument("--max-nodes", type=int, default=None,
                          help="autoscaler ceiling (needs --autoscale; "
-                         "default 16)")
+                         f"default {autoscale.max_nodes})")
     traffic.add_argument("--json", action="store_true",
                          help="emit summary + per-tenant rows as JSON")
     traffic.set_defaults(func=_cmd_traffic)
@@ -492,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the sweep (default: one "
                         "per core; 1 forces serial in-process execution)")
-    from repro.policies import PLACEMENT_POLICIES
-
     figure.add_argument("--placement", default=None,
                         choices=sorted(PLACEMENT_POLICIES),
                         help="override every cell's S39 placement policy "
@@ -513,8 +535,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Invalid flag combinations are usage errors, not tracebacks.
         try:
             args.scenario = _scenario_from_args(args)
-            if args.func is _cmd_traffic:
-                _resolve_traffic_flags(args)
         except ValueError as exc:
             parser.error(str(exc))
     return args.func(args)

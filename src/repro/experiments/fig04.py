@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ERROR_RATE_SWEEP, ScenarioConfig
-from repro.experiments.parallel import run_sweep
-from repro.experiments.report import FigureResult, pct_reduction
-from repro.experiments.runner import mean_of
+from repro.experiments.parallel import sweep_table
+from repro.experiments.report import FigureResult, reductions_vs_retry
 from repro.workloads.profiles import ALL_WORKLOADS
 
 STRATEGIES = ("ideal", "retry", "canary-replication-only", "canary")
@@ -29,68 +28,27 @@ def run(
     placement: Optional[str] = None,
 ) -> FigureResult:
     workloads = list(workloads or (w.name for w in ALL_WORKLOADS))
-    scenarios: list[ScenarioConfig] = []
-    for workload in workloads:
-        for strategy in STRATEGIES:
-            rates = (0.0,) if strategy == "ideal" else error_rates
-            for error_rate in rates:
-                scenarios.append(
-                    ScenarioConfig(
-                        workload=workload,
-                        strategy=strategy,
-                        error_rate=error_rate,
-                        num_functions=num_functions,
-                    )
-                )
-    rows: list[dict] = []
-    for scenario, summaries in zip(
-        scenarios, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "workload": scenario.workload,
-                "strategy": scenario.strategy,
-                "error_rate": scenario.error_rate,
-                "mean_recovery_s": row["mean_recovery_s"],
-                "total_recovery_s": row["total_recovery_s"],
-                "makespan_s": row["makespan_s"],
-                "failures": row["failures"],
-            }
-        )
-    result = FigureResult(
-        figure="fig4",
-        title="Impact of replicated runtimes on recovery time "
+    keys = [
+        {"workload": workload, "strategy": strategy, "error_rate": error_rate}
+        for workload in workloads
+        for strategy in STRATEGIES
+        for error_rate in ((0.0,) if strategy == "ideal" else error_rates)
+    ]
+    result = sweep_table(
+        "fig4",
+        "Impact of replicated runtimes on recovery time "
         "(100 invocations, error rate sweep)",
-        columns=(
-            "workload",
-            "strategy",
-            "error_rate",
-            "mean_recovery_s",
-            "total_recovery_s",
-            "failures",
-        ),
-        rows=rows,
+        [(key, ScenarioConfig(**key, num_functions=num_functions))
+         for key in keys],
+        {"mean_recovery_s": "mean_recovery_s",
+         "total_recovery_s": "total_recovery_s", "failures": "failures"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
     for workload in workloads:
-        reductions = []
-        for error_rate in error_rates:
-            retry = result.value(
-                "mean_recovery_s",
-                workload=workload,
-                strategy="retry",
-                error_rate=error_rate,
-            )
-            canary = result.value(
-                "mean_recovery_s",
-                workload=workload,
-                strategy="canary",
-                error_rate=error_rate,
-            )
-            if retry > 0:
-                reductions.append(pct_reduction(canary, retry))
+        reductions = reductions_vs_retry(
+            result, "mean_recovery_s", "error_rate", error_rates,
+            workload=workload,
+        )
         if reductions:
             result.notes.append(
                 f"{workload}: Canary cuts mean recovery by "

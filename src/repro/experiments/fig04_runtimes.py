@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ScenarioConfig
-from repro.experiments.parallel import run_sweep
+from repro.experiments.parallel import sweep_table
 from repro.experiments.report import FigureResult, pct_reduction
-from repro.experiments.runner import mean_of
 from repro.workloads.profiles import MICRO_WORKLOADS
 
 STRATEGIES = ("retry", "canary")
@@ -28,42 +27,26 @@ def run(
     jobs: Optional[int] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
-    grid = [
-        (profile, strategy)
+    cells = [
+        (
+            {"runtime": profile.runtime.value, "strategy": strategy},
+            ScenarioConfig(
+                workload=profile.name,
+                strategy=strategy,
+                error_rate=error_rate,
+                num_functions=num_functions,
+            ),
+        )
         for profile in MICRO_WORKLOADS
         for strategy in STRATEGIES
     ]
-    scenarios = [
-        ScenarioConfig(
-            workload=profile.name,
-            strategy=strategy,
-            error_rate=error_rate,
-            num_functions=num_functions,
-        )
-        for profile, strategy in grid
-    ]
-    rows: list[dict] = []
-    for (profile, strategy), summaries in zip(
-        grid, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "runtime": profile.runtime.value,
-                "strategy": strategy,
-                "mean_recovery_s": row["mean_recovery_s"],
-                "total_recovery_s": row["total_recovery_s"],
-            }
-        )
-    result = FigureResult(
-        figure="fig4-runtimes",
-        title=f"Per-runtime recovery (100 invocations, "
-        f"{error_rate:.0%} errors)",
-        columns=("runtime", "strategy", "mean_recovery_s",
-                 "total_recovery_s"),
-        rows=rows,
+    result = sweep_table(
+        "fig4-runtimes",
+        f"Per-runtime recovery (100 invocations, {error_rate:.0%} errors)",
+        cells,
+        {"mean_recovery_s": "mean_recovery_s",
+         "total_recovery_s": "total_recovery_s"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
     for profile in MICRO_WORKLOADS:
         retry = result.value(

@@ -9,9 +9,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ScenarioConfig
-from repro.experiments.parallel import run_sweep
-from repro.experiments.report import FigureResult, pct_reduction
-from repro.experiments.runner import mean_of
+from repro.experiments.parallel import sweep_table
+from repro.experiments.report import FigureResult, reductions_vs_retry
 from repro.workloads.profiles import ALL_WORKLOADS
 
 STRATEGIES = ("ideal", "retry", "canary")
@@ -29,68 +28,33 @@ def run(
     placement: Optional[str] = None,
 ) -> FigureResult:
     workloads = list(workloads or (w.name for w in ALL_WORKLOADS))
-    grid = [
-        (workload, strategy, n)
+    cells = [
+        (
+            {"workload": workload, "strategy": strategy, "invocations": n},
+            ScenarioConfig(
+                workload=workload,
+                strategy=strategy,
+                error_rate=0.0 if strategy == "ideal" else error_rate,
+                num_functions=n,
+            ),
+        )
         for workload in workloads
         for strategy in STRATEGIES
         for n in invocations
     ]
-    scenarios = [
-        ScenarioConfig(
-            workload=workload,
-            strategy=strategy,
-            error_rate=0.0 if strategy == "ideal" else error_rate,
-            num_functions=n,
-        )
-        for workload, strategy, n in grid
-    ]
-    rows: list[dict] = []
-    for (workload, strategy, n), summaries in zip(
-        grid, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "workload": workload,
-                "strategy": strategy,
-                "invocations": n,
-                "mean_recovery_s": row["mean_recovery_s"],
-                "total_recovery_s": row["total_recovery_s"],
-                "makespan_s": row["makespan_s"],
-            }
-        )
-    result = FigureResult(
-        figure="fig5",
-        title=f"Recovery time vs invocations (failure rate {error_rate:.0%})",
-        columns=(
-            "workload",
-            "strategy",
-            "invocations",
-            "mean_recovery_s",
-            "total_recovery_s",
-            "makespan_s",
-        ),
-        rows=rows,
+    result = sweep_table(
+        "fig5",
+        f"Recovery time vs invocations (failure rate {error_rate:.0%})",
+        cells,
+        {"mean_recovery_s": "mean_recovery_s",
+         "total_recovery_s": "total_recovery_s", "makespan_s": "makespan_s"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
     for workload in workloads:
-        reductions = []
-        for n in invocations:
-            retry = result.value(
-                "mean_recovery_s",
-                workload=workload,
-                strategy="retry",
-                invocations=n,
-            )
-            canary = result.value(
-                "mean_recovery_s",
-                workload=workload,
-                strategy="canary",
-                invocations=n,
-            )
-            if retry > 0:
-                reductions.append(pct_reduction(canary, retry))
+        reductions = reductions_vs_retry(
+            result, "mean_recovery_s", "invocations", invocations,
+            workload=workload,
+        )
         if reductions:
             result.notes.append(
                 f"{workload}: Canary cuts mean recovery by "

@@ -14,9 +14,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ERROR_RATE_SWEEP, ScenarioConfig
-from repro.experiments.parallel import run_sweep
-from repro.experiments.report import FigureResult, pct_reduction
-from repro.experiments.runner import mean_of
+from repro.experiments.parallel import sweep_table
+from repro.experiments.report import FigureResult, reductions_vs_retry
 from repro.workloads.profiles import ALL_WORKLOADS
 
 STRATEGIES = ("retry", "canary-checkpoint-only", "canary")
@@ -32,67 +31,33 @@ def run(
     placement: Optional[str] = None,
 ) -> FigureResult:
     workloads = list(workloads or (w.name for w in ALL_WORKLOADS))
-    scenarios = [
-        ScenarioConfig(
-            workload=workload,
-            strategy=strategy,
-            error_rate=error_rate,
-            num_functions=num_functions,
-        )
+    keys = [
+        {"workload": workload, "strategy": strategy, "error_rate": error_rate}
         for workload in workloads
         for strategy in STRATEGIES
         for error_rate in error_rates
     ]
-    rows: list[dict] = []
-    for scenario, summaries in zip(
-        scenarios, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "workload": scenario.workload,
-                "strategy": scenario.strategy,
-                "error_rate": scenario.error_rate,
-                "mean_recovery_s": row["mean_recovery_s"],
-                "total_recovery_s": row["total_recovery_s"],
-                "checkpoints": row["checkpoints_taken"],
-            }
-        )
-    result = FigureResult(
-        figure="fig6",
-        title="Impact of checkpoints on recovery time "
+    result = sweep_table(
+        "fig6",
+        "Impact of checkpoints on recovery time "
         "(100 invocations, error rate sweep)",
-        columns=(
-            "workload",
-            "strategy",
-            "error_rate",
-            "mean_recovery_s",
-            "total_recovery_s",
-            "checkpoints",
-        ),
-        rows=rows,
+        [(key, ScenarioConfig(**key, num_functions=num_functions))
+         for key in keys],
+        {"mean_recovery_s": "mean_recovery_s",
+         "total_recovery_s": "total_recovery_s",
+         "checkpoints": "checkpoints_taken"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
     for workload in workloads:
-        reductions = []
-        canary_recoveries = []
-        for error_rate in error_rates:
-            retry = result.value(
-                "mean_recovery_s",
-                workload=workload,
-                strategy="retry",
-                error_rate=error_rate,
-            )
-            canary = result.value(
-                "mean_recovery_s",
-                workload=workload,
-                strategy="canary",
-                error_rate=error_rate,
-            )
-            canary_recoveries.append(canary)
-            if retry > 0:
-                reductions.append(pct_reduction(canary, retry))
+        reductions = reductions_vs_retry(
+            result, "mean_recovery_s", "error_rate", error_rates,
+            workload=workload,
+        )
+        canary_recoveries = [
+            result.value("mean_recovery_s", workload=workload,
+                         strategy="canary", error_rate=error_rate)
+            for error_rate in error_rates
+        ]
         if reductions:
             result.notes.append(
                 f"{workload}: Canary cuts mean recovery by "

@@ -10,9 +10,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ERROR_RATE_SWEEP, ScenarioConfig
-from repro.experiments.parallel import run_sweep
+from repro.experiments.parallel import sweep_table
 from repro.experiments.report import FigureResult, pct_change, pct_reduction
-from repro.experiments.runner import mean_of
 
 STRATEGIES = ("ideal", "retry", "canary")
 WORKLOAD = "dl-training"
@@ -27,38 +26,20 @@ def run(
     jobs: Optional[int] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
-    scenarios = [
-        ScenarioConfig(
-            workload=workload,
-            strategy=strategy,
-            error_rate=error_rate,
-            num_functions=num_functions,
-        )
+    keys = [
+        {"strategy": strategy, "error_rate": error_rate}
         for strategy in STRATEGIES
         for error_rate in ((0.0,) if strategy == "ideal" else error_rates)
     ]
-    rows: list[dict] = []
-    for scenario, summaries in zip(
-        scenarios, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "strategy": scenario.strategy,
-                "error_rate": scenario.error_rate,
-                "makespan_s": row["makespan_s"],
-                "total_recovery_s": row["total_recovery_s"],
-                "rel_spread": row["makespan_rel_spread"],
-            }
-        )
-    result = FigureResult(
-        figure="fig7",
-        title=f"Execution makespan, {workload} (100 invocations)",
-        columns=("strategy", "error_rate", "makespan_s", "total_recovery_s",
-                 "rel_spread"),
-        rows=rows,
+    result = sweep_table(
+        "fig7",
+        f"Execution makespan, {workload} (100 invocations)",
+        [(key, ScenarioConfig(**key, workload=workload,
+                              num_functions=num_functions))
+         for key in keys],
+        {"makespan_s": "makespan_s", "total_recovery_s": "total_recovery_s",
+         "rel_spread": "makespan_rel_spread"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
     ideal = result.value("makespan_s", strategy="ideal", error_rate=0.0)
     overheads = []

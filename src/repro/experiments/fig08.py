@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ERROR_RATE_SWEEP, ScenarioConfig
-from repro.experiments.parallel import run_sweep
+from repro.experiments.parallel import sweep_table
 from repro.experiments.report import FigureResult, pct_change, pct_reduction
-from repro.experiments.runner import mean_of
 
 STRATEGIES = ("ideal", "retry", "canary")
 WORKLOAD = "dl-training"
@@ -28,38 +27,20 @@ def run(
     jobs: Optional[int] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
-    scenarios = [
-        ScenarioConfig(
-            workload=workload,
-            strategy=strategy,
-            error_rate=error_rate,
-            num_functions=num_functions,
-        )
+    keys = [
+        {"strategy": strategy, "error_rate": error_rate}
         for strategy in STRATEGIES
         for error_rate in ((0.0,) if strategy == "ideal" else error_rates)
     ]
-    rows: list[dict] = []
-    for scenario, summaries in zip(
-        scenarios, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "strategy": scenario.strategy,
-                "error_rate": scenario.error_rate,
-                "cost_usd": row["cost_total"],
-                "cost_replica_usd": row["cost_replica"],
-                "makespan_s": row["makespan_s"],
-            }
-        )
-    result = FigureResult(
-        figure="fig8",
-        title=f"Cost and execution time, {workload}",
-        columns=("strategy", "error_rate", "cost_usd", "cost_replica_usd",
-                 "makespan_s"),
-        rows=rows,
+    result = sweep_table(
+        "fig8",
+        f"Cost and execution time, {workload}",
+        [(key, ScenarioConfig(**key, workload=workload,
+                              num_functions=num_functions))
+         for key in keys],
+        {"cost_usd": "cost_total", "cost_replica_usd": "cost_replica",
+         "makespan_s": "makespan_s"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
     ideal_cost = result.value("cost_usd", strategy="ideal", error_rate=0.0)
     cost_savings, time_savings, ideal_overheads = [], [], []

@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ERROR_RATE_SWEEP, ScenarioConfig
-from repro.experiments.parallel import run_sweep
+from repro.experiments.parallel import sweep_table
 from repro.experiments.report import FigureResult, pct_reduction
-from repro.experiments.runner import mean_of
 
 REPLICATION_STRATEGIES = ("dynamic", "aggressive", "lenient")
 WORKLOAD = "dl-training"
@@ -28,40 +27,27 @@ def run(
     jobs: Optional[int] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
-    scenarios = [
-        ScenarioConfig(
-            workload=workload,
-            strategy="canary",
-            replication_strategy=replication,
-            error_rate=error_rate,
-            num_functions=num_functions,
+    cells = [
+        (
+            {"replication": replication, "error_rate": error_rate},
+            ScenarioConfig(
+                workload=workload,
+                strategy="canary",
+                replication_strategy=replication,
+                error_rate=error_rate,
+                num_functions=num_functions,
+            ),
         )
         for replication in REPLICATION_STRATEGIES
         for error_rate in error_rates
     ]
-    rows: list[dict] = []
-    for scenario, summaries in zip(
-        scenarios, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "replication": scenario.replication_strategy,
-                "error_rate": scenario.error_rate,
-                "cost_usd": row["cost_total"],
-                "cost_replica_usd": row["cost_replica"],
-                "makespan_s": row["makespan_s"],
-                "replicas": row["replicas_launched"],
-            }
-        )
-    result = FigureResult(
-        figure="fig9",
-        title=f"Replication strategies (AR/LR/DR), {workload}",
-        columns=("replication", "error_rate", "cost_usd", "cost_replica_usd",
-                 "makespan_s", "replicas"),
-        rows=rows,
+    result = sweep_table(
+        "fig9",
+        f"Replication strategies (AR/LR/DR), {workload}",
+        cells,
+        {"cost_usd": "cost_total", "cost_replica_usd": "cost_replica",
+         "makespan_s": "makespan_s", "replicas": "replicas_launched"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
 
     def mean_cost(replication: str) -> float:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ERROR_RATE_SWEEP, ScenarioConfig
-from repro.experiments.parallel import run_sweep
+from repro.experiments.parallel import sweep_table
 from repro.experiments.report import FigureResult, pct_change
-from repro.experiments.runner import mean_of
 
 STRATEGIES = ("canary", "request-replication", "active-standby")
 WORKLOAD = "dl-training"
@@ -29,36 +28,19 @@ def run(
     jobs: Optional[int] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
-    scenarios = [
-        ScenarioConfig(
-            workload=workload,
-            strategy=strategy,
-            error_rate=error_rate,
-            num_functions=num_functions,
-        )
+    keys = [
+        {"strategy": strategy, "error_rate": error_rate}
         for strategy in STRATEGIES
         for error_rate in error_rates
     ]
-    rows: list[dict] = []
-    for scenario, summaries in zip(
-        scenarios, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "strategy": scenario.strategy,
-                "error_rate": scenario.error_rate,
-                "cost_usd": row["cost_total"],
-                "makespan_s": row["makespan_s"],
-            }
-        )
-    result = FigureResult(
-        figure="fig10",
-        title=f"Canary vs RR and AS, {workload}",
-        columns=("strategy", "error_rate", "cost_usd", "makespan_s"),
-        rows=rows,
+    result = sweep_table(
+        "fig10",
+        f"Canary vs RR and AS, {workload}",
+        [(key, ScenarioConfig(**key, workload=workload,
+                              num_functions=num_functions))
+         for key in keys],
+        {"cost_usd": "cost_total", "makespan_s": "makespan_s"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
     rr_ratio, as_ratio, as_time = [], [], []
     for error_rate in error_rates:

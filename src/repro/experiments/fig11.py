@@ -13,9 +13,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ScenarioConfig
-from repro.experiments.parallel import run_sweep
-from repro.experiments.report import FigureResult, pct_reduction
-from repro.experiments.runner import mean_of
+from repro.experiments.parallel import sweep_table
+from repro.experiments.report import FigureResult, reductions_vs_retry
 
 STRATEGIES = ("ideal", "retry", "canary")
 INVOCATIONS = (200, 400, 800, 1000)
@@ -37,50 +36,35 @@ def run(
     jobs: Optional[int] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
-    grid = [(strategy, n) for strategy in STRATEGIES for n in invocations]
-    scenarios = [
-        ScenarioConfig(
-            workload=workload,
-            strategy=strategy,
-            error_rate=0.0 if strategy == "ideal" else error_rate,
-            num_functions=n,
-            node_failure_count=(
-                0 if strategy == "ideal" else node_failures_for(n)
+    cells = [
+        (
+            {"strategy": strategy, "invocations": n},
+            ScenarioConfig(
+                workload=workload,
+                strategy=strategy,
+                error_rate=0.0 if strategy == "ideal" else error_rate,
+                num_functions=n,
+                node_failure_count=(
+                    0 if strategy == "ideal" else node_failures_for(n)
+                ),
             ),
         )
-        for strategy, n in grid
+        for strategy in STRATEGIES
+        for n in invocations
     ]
-    rows: list[dict] = []
-    for (strategy, n), summaries in zip(
-        grid, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "strategy": strategy,
-                "invocations": n,
-                "total_recovery_s": row["total_recovery_s"],
-                "mean_recovery_s": row["mean_recovery_s"],
-                "makespan_s": row["makespan_s"],
-                "failures": row["failures"],
-            }
-        )
-    result = FigureResult(
-        figure="fig11",
-        title="Recovery time vs concurrent functions "
+    result = sweep_table(
+        "fig11",
+        "Recovery time vs concurrent functions "
         "(16 nodes, node-level failures included)",
-        columns=("strategy", "invocations", "total_recovery_s",
-                 "mean_recovery_s", "makespan_s", "failures"),
-        rows=rows,
+        cells,
+        {"total_recovery_s": "total_recovery_s",
+         "mean_recovery_s": "mean_recovery_s", "makespan_s": "makespan_s",
+         "failures": "failures"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
-    reductions = []
-    for n in invocations:
-        retry = result.value("mean_recovery_s", strategy="retry", invocations=n)
-        canary = result.value("mean_recovery_s", strategy="canary", invocations=n)
-        if retry > 0:
-            reductions.append(pct_reduction(canary, retry))
+    reductions = reductions_vs_retry(
+        result, "mean_recovery_s", "invocations", invocations
+    )
     if reductions:
         result.notes.append(
             f"Canary cuts mean recovery by up to {max(reductions):.0f}% "

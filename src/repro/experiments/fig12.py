@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.config import DEFAULT_SEEDS, ScenarioConfig
-from repro.experiments.parallel import run_sweep
-from repro.experiments.report import FigureResult, pct_reduction
-from repro.experiments.runner import mean_of
+from repro.experiments.parallel import sweep_table
+from repro.experiments.report import FigureResult, reductions_vs_retry
 
 STRATEGIES = ("ideal", "retry", "canary")
 NODE_COUNTS = (1, 2, 4, 8, 16)
@@ -34,39 +33,28 @@ def run(
     jobs: Optional[int] = None,
     placement: Optional[str] = None,
 ) -> FigureResult:
-    grid = [(strategy, nodes) for strategy in STRATEGIES for nodes in node_counts]
-    scenarios = [
-        ScenarioConfig(
-            workload=workload,
-            strategy=strategy,
-            error_rate=0.0 if strategy == "ideal" else error_rate,
-            num_functions=num_functions,
-            jobs=batch_jobs,
-            num_nodes=nodes,
+    cells = [
+        (
+            {"strategy": strategy, "nodes": nodes},
+            ScenarioConfig(
+                workload=workload,
+                strategy=strategy,
+                error_rate=0.0 if strategy == "ideal" else error_rate,
+                num_functions=num_functions,
+                jobs=batch_jobs,
+                num_nodes=nodes,
+            ),
         )
-        for strategy, nodes in grid
+        for strategy in STRATEGIES
+        for nodes in node_counts
     ]
-    rows: list[dict] = []
-    for (strategy, nodes), summaries in zip(
-        grid, run_sweep(
-            scenarios, seeds, jobs=jobs, placement=placement
-        )
-    ):
-        row = mean_of(summaries)
-        rows.append(
-            {
-                "strategy": strategy,
-                "nodes": nodes,
-                "makespan_s": row["makespan_s"],
-                "total_recovery_s": row["total_recovery_s"],
-            }
-        )
-    result = FigureResult(
-        figure="fig12",
-        title=f"Cluster scaling, {num_functions} invocations, "
+    result = sweep_table(
+        "fig12",
+        f"Cluster scaling, {num_functions} invocations, "
         f"{error_rate:.0%} failure rate",
-        columns=("strategy", "nodes", "makespan_s", "total_recovery_s"),
-        rows=rows,
+        cells,
+        {"makespan_s": "makespan_s", "total_recovery_s": "total_recovery_s"},
+        seeds=seeds, jobs=jobs, placement=placement,
     )
     smallest, largest = min(node_counts), max(node_counts)
     for strategy in STRATEGIES:
@@ -78,12 +66,7 @@ def run(
                 f"{smallest}->{largest} nodes "
                 f"(paper: 1.2x ideal / 1.18x Canary / 1.10x retry)"
             )
-    gaps = []
-    for nodes in node_counts:
-        retry = result.value("makespan_s", strategy="retry", nodes=nodes)
-        canary = result.value("makespan_s", strategy="canary", nodes=nodes)
-        if retry > 0:
-            gaps.append(pct_reduction(canary, retry))
+    gaps = reductions_vs_retry(result, "makespan_s", "nodes", node_counts)
     if gaps:
         result.notes.append(
             f"Canary is up to {max(gaps):.0f}% faster than retry "

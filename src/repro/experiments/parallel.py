@@ -33,10 +33,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import run_scenario
+from repro.experiments.report import FigureResult
+from repro.experiments.runner import mean_of, run_scenario
 from repro.metrics.summary import RunSummary
 
 #: One experiment cell: a fully specified scenario plus the seed to run it at.
@@ -199,7 +200,6 @@ def run_sweep(
     seeds: Sequence[int],
     *,
     jobs: Optional[int] = None,
-    placement: Optional[str] = None,
 ) -> list[list[RunSummary]]:
     """Run every scenario at every seed; one summary list per scenario.
 
@@ -207,17 +207,48 @@ def run_sweep(
     :func:`repro.experiments.runner.run_repeated` per scenario: the full
     (scenario × seed) grid is flattened into one cell list so the pool sees
     every cell at once, then regrouped in scenario order.
-
-    ``placement`` overrides every scenario's S39 placement policy — a
-    deliberate behaviour change: it re-runs a whole figure under a
-    different scheduling objective.
     """
     seeds = list(seeds)
-    if placement is not None:
-        scenarios = [s.with_(placement=placement) for s in scenarios]
     cells: list[Cell] = [
         (scenario, seed) for scenario in scenarios for seed in seeds
     ]
     flat = run_cells(cells, jobs=jobs)
     n = len(seeds)
     return [flat[i * n:(i + 1) * n] for i in range(len(scenarios))]
+
+
+def sweep_table(
+    figure: str,
+    title: str,
+    cells: Sequence[tuple[dict, ScenarioConfig]],
+    metrics: Mapping[str, str],
+    *,
+    seeds: Sequence[int],
+    jobs: Optional[int] = None,
+    placement: Optional[str] = None,
+) -> FigureResult:
+    """Run a figure's sweep and tabulate the per-seed means.
+
+    Each cell pairs a key row (the plotted coordinates, e.g. ``{"strategy":
+    "retry", "error_rate": 0.1}``) with the scenario that produces it.
+    ``metrics`` maps an output column to a :func:`mean_of` field.  Each row
+    is the key row plus the mapped means; the columns are the key columns,
+    then the metric columns.
+
+    ``placement`` overrides every scenario's S39 placement policy — a
+    deliberate behaviour change: it re-runs a whole figure under a
+    different scheduling objective.
+    """
+    scenarios = [scenario for _, scenario in cells]
+    if placement is not None:
+        scenarios = [s.with_(placement=placement) for s in scenarios]
+    rows = []
+    for (key, _), summaries in zip(
+        cells, run_sweep(scenarios, seeds, jobs=jobs)
+    ):
+        means = mean_of(summaries)
+        rows.append(
+            {**key, **{column: means[name] for column, name in metrics.items()}}
+        )
+    key_columns = list(cells[0][0]) if cells else []
+    return FigureResult(figure, title, (*key_columns, *metrics), rows)

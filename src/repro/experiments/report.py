@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 
 @dataclass
@@ -82,3 +82,25 @@ def pct_change(new: float, baseline: float) -> float:
 def pct_reduction(new: float, baseline: float) -> float:
     """Percent reduction of *new* vs *baseline* (positive = improvement)."""
     return -pct_change(new, baseline)
+
+
+def reductions_vs_retry(
+    result: FigureResult,
+    column: str,
+    axis: str,
+    values: Iterable[Any],
+    **match: Any,
+) -> list[float]:
+    """Canary's percent reduction of *column* vs retry at each *axis* value.
+
+    ``match`` narrows both rows further (e.g. ``workload="graph-bfs"``);
+    points where retry's value is zero are skipped.
+    """
+    reductions = []
+    for value in values:
+        point = {axis: value, **match}
+        retry = result.value(column, strategy="retry", **point)
+        canary = result.value(column, strategy="canary", **point)
+        if retry > 0:
+            reductions.append(pct_reduction(canary, retry))
+    return reductions

@@ -12,7 +12,7 @@ threshold, then:
 
 If the prediction was right, the subsequent node death kills an empty (or
 nearly empty) node; if it was wrong, the cost is a few early migrations
-and some unused capacity.
+and some unused capacity.  The last schedulable node is never cordoned.
 """
 
 from __future__ import annotations
@@ -95,6 +95,16 @@ class ProactiveMitigator:
     # ------------------------------------------------------------------
     def _drain(self, node: Node) -> None:
         if node.cordoned or not node.alive:
+            return
+        if not any(
+            other is not node
+            and other.alive
+            and other.provisioned
+            and not other.cordoned
+            for other in self.platform.cluster.nodes
+        ):
+            # Cordons are never lifted: cordoning the last schedulable
+            # node would strand every queued container request.
             return
         node.cordoned = True
         self.cordons += 1

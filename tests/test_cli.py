@@ -135,6 +135,37 @@ class TestCommands:
         assert captured.out == ""
         assert "none of the 4 nodes" in captured.err
 
+    def test_autoscale_accepts_failures_on_every_initial_node(self, capsys):
+        code = main(
+            [
+                "traffic",
+                "--workload", "micro-python",
+                "--nodes", "4",
+                "--node-failures", "4",
+                "--autoscale",
+                "--tenants", "1",
+                "--duration", "5",
+                "--json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["invocations_offered"] > 0
+
+    def test_autoscale_bounds_default_to_autoscale_config(self, capsys):
+        argv = [
+            "traffic",
+            "--workload", "micro-python",
+            "--tenants", "1",
+            "--duration", "5",
+            "--autoscale",
+            "--json",
+        ]
+        assert main(argv) == 0
+        defaulted = capsys.readouterr().out
+        assert main(argv + ["--min-nodes", "4", "--max-nodes", "16"]) == 0
+        assert capsys.readouterr().out == defaulted
+
     def test_run_json(self, capsys):
         code = main(
             [

@@ -1,6 +1,7 @@
 """Function-timeout enforcement + combined-feature chaos tests."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.canary import CanaryPlatform
@@ -67,44 +68,57 @@ class TestFunctionTimeouts:
         assert job.done
 
 
+def run_kitchen_sink(seed):
+    platform = CanaryPlatform(
+        ScenarioConfig(
+            num_nodes=6,
+            strategy="canary-sla",
+            error_rate=0.3,
+            refailure_rate=0.1,
+            node_failure_count=1,
+            node_failure_window=(5.0, 20.0),
+            node_failure_precursors=2,
+            prediction=True,
+            reuse_containers=True,
+            checkpoint_flush_lag_s=1.0,
+        ),
+        seed=seed,
+    )
+    job = platform.submit_job(
+        JobRequest(
+            workload=TINY,
+            num_functions=25,
+            sla=SLAPolicy(deadline_s=120.0),
+        )
+    )
+    platform.run(until=2000.0)
+    return platform, job
+
+
+def assert_converged(platform, job):
+    assert job.done
+    summary = platform.summary()
+    assert summary.completed == 25
+    assert summary.unrecovered == 0
+    assert platform.database.check_referential_integrity() == []
+    # Deadline bookkeeping covered every function.
+    strategy = platform.strategy
+    assert strategy.deadline_hits + strategy.deadline_misses == 25
+    # No leaked non-terminal containers except parked warm ones.
+    for container in platform.controller.all_containers():
+        assert container.terminal or container.is_warm_idle
+
+
 class TestChaos:
     """Everything at once: errors, node failures, prediction, SLA, reuse."""
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=10, deadline=None)
     def test_kitchen_sink_run_converges_consistently(self, seed):
-        platform = CanaryPlatform(
-            ScenarioConfig(
-                num_nodes=6,
-                strategy="canary-sla",
-                error_rate=0.3,
-                refailure_rate=0.1,
-                node_failure_count=1,
-                node_failure_window=(5.0, 20.0),
-                node_failure_precursors=2,
-                prediction=True,
-                reuse_containers=True,
-                checkpoint_flush_lag_s=1.0,
-            ),
-            seed=seed,
-        )
-        job = platform.submit_job(
-            JobRequest(
-                workload=TINY,
-                num_functions=25,
-                sla=SLAPolicy(deadline_s=120.0),
-            )
-        )
-        platform.run(until=2000.0)
+        assert_converged(*run_kitchen_sink(seed))
 
-        assert job.done
-        summary = platform.summary()
-        assert summary.completed == 25
-        assert summary.unrecovered == 0
-        assert platform.database.check_referential_integrity() == []
-        # Deadline bookkeeping covered every function.
-        strategy = platform.strategy
-        assert strategy.deadline_hits + strategy.deadline_misses == 25
-        # No leaked non-terminal containers except parked warm ones.
-        for container in platform.controller.all_containers():
-            assert container.terminal or container.is_warm_idle
+    # Under 30% errors on 6 nodes, false-positive fault bursts used to get
+    # every live node cordoned, stranding queued requests forever.
+    @pytest.mark.parametrize("seed", [559, 959])
+    def test_kitchen_sink_keeps_a_node_schedulable(self, seed):
+        assert_converged(*run_kitchen_sink(seed))
