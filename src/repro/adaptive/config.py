@@ -7,84 +7,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Feedback-controller knobs (see :mod:`repro.adaptive.controller`).
+    """On-switch for the feedback controller: a scenario with
+    ``adaptive=AdaptiveConfig()`` runs it, ``adaptive=None`` does not.
 
-    Attributes:
-        epoch_s: Base epoch length on the virtual clock; each epoch the
-            controller samples its signals and (maybe) retunes.
-        epoch_jitter: Fractional jitter applied to each epoch period from
-            the ``adaptive:jitter`` stream, so the controller never
-            phase-locks with heartbeats or chaos windows.
-        hysteresis_epochs: Consecutive identical proposals required before
-            a checkpoint/replication retune (or a pressure-based placement
-            hint) is applied — the damping that keeps the controller from
-            thrashing on a single noisy epoch.
-        checkpoint_min_interval: Interval pushed when protecting (more
-            frequent checkpoints).
-        checkpoint_max_interval: Interval pushed when relaxing (cheaper
-            checkpoints); clamped by the run's ``CheckpointPolicy`` bounds.
-        replication_max_boost: Extra warm replicas requested on top of the
-            base replication target while protecting.
-        risk_protect: Risk score at/above which the stance turns
-            protective.  Risk per epoch = new failures + 2x live-suspected
-            nodes + 2x predicted-failing nodes.
-        slo_guard: Minimum per-tenant SLO slack fraction
-            ``(deadline - p99) / deadline``; below it the stance turns
-            protective even with zero observed risk.
-        relax_slack: Slack fraction above which (with zero risk) the
-            stance relaxes to the cheap end of the knobs.
-        pressure_threshold: ``FlowNetwork.node_pressure`` level a node must
-            sustain for ``hysteresis_epochs`` epochs before placement
-            starts steering new containers away from it.
-        suspicion_hint_score: Detector suspicion score at/above which a
-            node is hinted immediately (the detector already applies its
-            own confirmation delay, so no extra hysteresis here).  The
-            default of 1.0 distrusts any node the detector ever flagged —
-            one suspicion incident scores 1.0 — matching the S39
-            ``suspicion`` policy's treatment of flappy nodes; raise it to
-            ~100 to hint only live-suspected nodes.
-        max_hinted_fraction: Cap on the fraction of provisioned nodes that
-            may be hinted away at once — placement must always keep a
-            majority of the fleet eligible.
+    The controller's tuning constants live beside their only reader in
+    :mod:`repro.adaptive.controller`.
     """
-
-    epoch_s: float = 2.0
-    epoch_jitter: float = 0.05
-    hysteresis_epochs: int = 2
-    checkpoint_min_interval: int = 1
-    checkpoint_max_interval: int = 8
-    replication_max_boost: int = 2
-    risk_protect: float = 2.0
-    slo_guard: float = 0.25
-    relax_slack: float = 0.75
-    pressure_threshold: int = 6
-    suspicion_hint_score: float = 1.0
-    max_hinted_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
-        if not 0.0 <= self.epoch_jitter < 1.0:
-            raise ValueError("epoch_jitter must be in [0, 1)")
-        if self.hysteresis_epochs < 1:
-            raise ValueError("hysteresis_epochs must be >= 1")
-        if self.checkpoint_min_interval < 1:
-            raise ValueError("checkpoint_min_interval must be >= 1")
-        if self.checkpoint_max_interval < self.checkpoint_min_interval:
-            raise ValueError(
-                "checkpoint_max_interval must be >= checkpoint_min_interval"
-            )
-        if self.replication_max_boost < 0:
-            raise ValueError("replication_max_boost must be >= 0")
-        if self.risk_protect <= 0:
-            raise ValueError("risk_protect must be positive")
-        if not 0.0 <= self.slo_guard <= 1.0:
-            raise ValueError("slo_guard must be in [0, 1]")
-        if not self.slo_guard <= self.relax_slack <= 1.0:
-            raise ValueError("relax_slack must be in [slo_guard, 1]")
-        if self.pressure_threshold < 1:
-            raise ValueError("pressure_threshold must be >= 1")
-        if self.suspicion_hint_score <= 0:
-            raise ValueError("suspicion_hint_score must be positive")
-        if not 0.0 <= self.max_hinted_fraction <= 1.0:
-            raise ValueError("max_hinted_fraction must be in [0, 1]")

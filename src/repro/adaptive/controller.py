@@ -6,15 +6,13 @@ live suspicions, the S37 predictor's failure forecast, and per-tenant SLO
 slack from the S38 traffic layer — folds them into a *stance* (protect /
 neutral / relax), and retunes three platform knobs:
 
-* the global checkpoint interval (``CheckpointModule.global_interval``,
-  clamped by the run's :class:`~repro.checkpoint.policy.CheckpointPolicy`
-  bounds),
+* the global checkpoint interval (``CheckpointModule.global_interval``),
 * a replication boost (``ReplicationModule.target_boost`` — extra warm
   replicas on top of each job's base target while the platform is at risk),
 * placement-avoidance hints (``PlacementPolicy.set_hints`` — steer new
   containers away from suspected or fabric-saturated nodes).
 
-Every knob is damped with hysteresis (``hysteresis_epochs`` consecutive
+Every knob is damped with hysteresis (``HYSTERESIS_EPOCHS`` consecutive
 identical proposals before a retune lands) so one noisy epoch never
 thrashes checkpoint cadence or replica churn.  The only randomness is the
 epoch-period jitter, drawn from the dedicated ``adaptive:jitter`` stream —
@@ -26,15 +24,55 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.adaptive.config import AdaptiveConfig
 from repro.trace.tracer import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
     from repro.sim.engine import Simulator
 
+#: Base epoch length on the virtual clock; each epoch the controller
+#: samples its signals and (maybe) retunes.
+EPOCH_S = 2.0
+#: Fractional jitter applied to each epoch period from the
+#: ``adaptive:jitter`` stream, so the controller never phase-locks with
+#: heartbeats or chaos windows.
+EPOCH_JITTER = 0.05
+#: Consecutive identical proposals required before a checkpoint/replication
+#: retune (or a pressure-based placement hint) is applied — the damping
+#: that keeps the controller from thrashing on a single noisy epoch.
+HYSTERESIS_EPOCHS = 2
+#: Interval pushed when protecting (more frequent checkpoints).
+CHECKPOINT_MIN_INTERVAL = 1
+#: Interval pushed when relaxing (cheaper checkpoints).
+CHECKPOINT_MAX_INTERVAL = 8
+#: Extra warm replicas requested on top of the base replication target
+#: while protecting.
+REPLICATION_MAX_BOOST = 2
+#: Risk score at/above which the stance turns protective.  Risk per epoch
+#: = new failures + 2x live-suspected nodes + 2x predicted-failing nodes.
+RISK_PROTECT = 2.0
+#: Minimum per-tenant SLO slack fraction ``(deadline - p99) / deadline``;
+#: below it the stance turns protective even with zero observed risk.
+SLO_GUARD = 0.25
+#: Slack fraction above which (with zero risk) the stance relaxes to the
+#: cheap end of the knobs.
+RELAX_SLACK = 0.75
+#: ``FlowNetwork.node_pressure`` level a node must sustain for
+#: ``HYSTERESIS_EPOCHS`` epochs before placement starts steering new
+#: containers away from it.
+PRESSURE_THRESHOLD = 6
+#: Detector suspicion score at/above which a node is hinted immediately
+#: (the detector already applies its own confirmation delay, so no extra
+#: hysteresis here).  1.0 distrusts any node the detector ever flagged —
+#: one suspicion incident scores 1.0 — matching the S39 ``suspicion``
+#: policy's treatment of flappy nodes.
+SUSPICION_HINT_SCORE = 1.0
+#: Cap on the fraction of provisioned nodes that may be hinted away at
+#: once — placement must always keep a majority of the fleet eligible.
+MAX_HINTED_FRACTION = 0.5
+
 #: (checkpoint interval override or None, replication boost) — one knob
-#: proposal; applied only after ``hysteresis_epochs`` identical epochs.
+#: proposal; applied only after ``HYSTERESIS_EPOCHS`` identical epochs.
 Proposal = tuple[Optional[int], int]
 
 
@@ -45,7 +83,6 @@ class AdaptiveController:
         self,
         sim: "Simulator",
         cluster: "Cluster",
-        config: AdaptiveConfig,
         *,
         checkpointer: Any = None,
         replication: Any = None,
@@ -59,7 +96,6 @@ class AdaptiveController:
     ) -> None:
         self.sim = sim
         self.cluster = cluster
-        self.config = config
         self.checkpointer = checkpointer
         self.replication = replication
         self.placement = placement
@@ -99,8 +135,8 @@ class AdaptiveController:
         self._schedule_tick()
 
     def _schedule_tick(self) -> None:
-        jitter = self.config.epoch_jitter * float(self._rng.random())
-        period = self.config.epoch_s * (1.0 + jitter)
+        jitter = EPOCH_JITTER * float(self._rng.random())
+        period = EPOCH_S * (1.0 + jitter)
         self.sim.call_in(period, self._tick, label="adaptive-epoch")
 
     def _tick(self) -> None:
@@ -153,11 +189,11 @@ class AdaptiveController:
         return slack
 
     def _stance(self, risk: float, slack: Optional[float]) -> str:
-        if risk >= self.config.risk_protect:
+        if risk >= RISK_PROTECT:
             return "protect"
-        if slack is not None and slack < self.config.slo_guard:
+        if slack is not None and slack < SLO_GUARD:
             return "protect"
-        if risk == 0.0 and (slack is None or slack > self.config.relax_slack):
+        if risk == 0.0 and (slack is None or slack > RELAX_SLACK):
             return "relax"
         return "neutral"
 
@@ -166,12 +202,9 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     def _propose_knobs(self, stance: str) -> None:
         if stance == "protect":
-            proposal: Proposal = (
-                self.config.checkpoint_min_interval,
-                self.config.replication_max_boost,
-            )
+            proposal: Proposal = (CHECKPOINT_MIN_INTERVAL, REPLICATION_MAX_BOOST)
         elif stance == "relax":
-            proposal = (self.config.checkpoint_max_interval, 0)
+            proposal = (CHECKPOINT_MAX_INTERVAL, 0)
         else:
             proposal = (None, 0)
         if proposal == self._pending:
@@ -180,7 +213,7 @@ class AdaptiveController:
             self._pending = proposal
             self._pending_streak = 1
         if (
-            self._pending_streak >= self.config.hysteresis_epochs
+            self._pending_streak >= HYSTERESIS_EPOCHS
             and proposal != self._applied
         ):
             self._apply_knobs(proposal)
@@ -188,13 +221,10 @@ class AdaptiveController:
     def _apply_knobs(self, proposal: Proposal) -> None:
         interval, boost = proposal
         if self.checkpointer is not None and interval != self._applied[0]:
-            override = interval
-            if override is not None:
-                override = self.checkpointer.policy.clamp_interval(override)
-            self.checkpointer.global_interval = override
+            self.checkpointer.global_interval = interval
             self.interval_changes += 1
             self.tracer.instant(
-                "adaptive", f"interval:{override}", interval=override
+                "adaptive", f"interval:{interval}", interval=interval
             )
         if self.replication is not None and boost != self._applied[1]:
             self.replication.set_target_boost(boost)
@@ -218,7 +248,7 @@ class AdaptiveController:
                 if self.network is not None
                 else 0
             )
-            if pressure >= self.config.pressure_threshold:
+            if pressure >= PRESSURE_THRESHOLD:
                 streak = self._pressure_streak.get(node.node_id, 0) + 1
             else:
                 streak = 0
@@ -229,11 +259,11 @@ class AdaptiveController:
                 else 0.0
             )
             if (
-                streak >= self.config.hysteresis_epochs
-                or suspicion >= self.config.suspicion_hint_score
+                streak >= HYSTERESIS_EPOCHS
+                or suspicion >= SUSPICION_HINT_SCORE
             ):
                 hinted.append(node.node_id)
-        cap = int(self.config.max_hinted_fraction * len(eligible))
+        cap = int(MAX_HINTED_FRACTION * len(eligible))
         if len(hinted) > cap:
             # Keep the most-suspect nodes hinted; deterministic order.
             def badness(node_id: str) -> tuple:

@@ -25,6 +25,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.fabric import FlowNetwork
     from repro.sim.engine import Simulator
 
+#: Decision-loop period on the virtual clock.
+CHECK_INTERVAL_S = 1.0
+#: Smoothing factor of the utilization EWMA.
+EWMA_ALPHA = 0.3
+#: Hysteresis band: scale out above ``SCALE_OUT_UTIL``, in below
+#: ``SCALE_IN_UTIL``.
+SCALE_OUT_UTIL = 0.80
+SCALE_IN_UTIL = 0.30
+#: Controller queue depth that forces a scale-out signal regardless of
+#: utilization.
+QUEUE_DEPTH_HIGH = 8
+#: Image prefetched onto a booting node; with the S33 fabric enabled the
+#: pull is a real registry flow competing for bandwidth.
+IMAGE_SIZE_BYTES = 450.0 * 2**20
+#: Cadence at which a cordoned node is checked for emptiness before
+#: retiring.
+DRAIN_POLL_S = 0.5
+
 
 class NodeAutoscaler:
     """Scales the provisioned node set between ``min_nodes`` and
@@ -108,9 +126,7 @@ class NodeAutoscaler:
         self._schedule_tick()
 
     def _schedule_tick(self) -> None:
-        self.sim.call_in(
-            self.config.check_interval_s, self._tick, label="autoscale-tick"
-        )
+        self.sim.call_in(CHECK_INTERVAL_S, self._tick, label="autoscale-tick")
 
     def _tick(self) -> None:
         if self._should_continue is not None and not self._should_continue():
@@ -125,8 +141,7 @@ class NodeAutoscaler:
             self.util_ewma = sample
             self._ewma_primed = True
         else:
-            alpha = self.config.ewma_alpha
-            self.util_ewma += alpha * (sample - self.util_ewma)
+            self.util_ewma += EWMA_ALPHA * (sample - self.util_ewma)
         self._decide()
         self._schedule_tick()
 
@@ -134,8 +149,8 @@ class NodeAutoscaler:
         now = self.sim.now
         provisioned = self.provisioned_count()
         pressure = (
-            self.util_ewma > self.config.scale_out_util
-            or self.backlog() >= self.config.queue_depth_high
+            self.util_ewma > SCALE_OUT_UTIL
+            or self.backlog() >= QUEUE_DEPTH_HIGH
         )
         if (
             pressure
@@ -145,7 +160,7 @@ class NodeAutoscaler:
             self._scale_out()
             return
         idle = (
-            self.util_ewma < self.config.scale_in_util
+            self.util_ewma < SCALE_IN_UTIL
             and self.backlog() == 0
         )
         if (
@@ -174,10 +189,10 @@ class NodeAutoscaler:
         )
 
         def _pull_then_join() -> None:
-            if self.network is not None and self.network.models_image_pulls:
+            if self.network is not None:
                 self.network.image_pull(
                     dest_node=node.node_id,
-                    size_bytes=self.config.image_size_bytes,
+                    size_bytes=IMAGE_SIZE_BYTES,
                     on_complete=lambda: self._join(node),
                     label=f"autoscale-pull:{node.node_id}",
                 )
@@ -237,7 +252,7 @@ class NodeAutoscaler:
             self._retire(node)
             return
         self.sim.call_in(
-            self.config.drain_poll_s,
+            DRAIN_POLL_S,
             lambda: self._poll_drain(node),
             label=f"autoscale-drain:{node.node_id}",
         )

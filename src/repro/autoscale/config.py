@@ -7,70 +7,38 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
-    """Tuning knobs for the invoker/node autoscaler.
+    """Bounds, cooldowns and boot time of the invoker/node autoscaler.
 
     The decision loop samples utilization (busy container slots over
-    provisioned capacity) into an EWMA every ``check_interval_s`` and
-    compares it against a hysteresis band: scale out above
-    ``scale_out_util`` (or whenever the controller queue backs up beyond
-    ``queue_depth_high``), scale in below ``scale_in_util``.  Separate
-    per-direction cooldowns stop flapping; scale-out pays a boot delay
-    plus (with the fabric enabled) a real registry image pull; scale-in
-    cordons first and retires only once the node has drained.
+    provisioned capacity) into an EWMA and compares it against a
+    hysteresis band (the tuning constants in
+    :mod:`repro.autoscale.autoscaler`).  Separate per-direction cooldowns
+    stop flapping; scale-out pays a boot delay plus (with the fabric
+    enabled) a real registry image pull; scale-in cordons first and
+    retires only once the node has drained.
 
     Attributes:
         min_nodes: Floor on provisioned nodes (never scales below).
         max_nodes: Ceiling on provisioned nodes; the cluster is built this
             big up front so the fabric topology and detection see a fixed
             node universe — deprovisioned nodes just cannot host work.
-        check_interval_s: Decision-loop period on the virtual clock.
-        ewma_alpha: Smoothing factor of the utilization EWMA.
-        scale_out_util / scale_in_util: Hysteresis band (out > in).
-        queue_depth_high: Controller queue depth that forces a scale-out
-            signal regardless of utilization.
         cooldown_out_s / cooldown_in_s: Minimum spacing between successive
             scale-outs / scale-ins.
         boot_delay_s: Node provisioning time before the image pull starts.
-        image_size_bytes: Image prefetched onto a booting node; with the
-            S33 fabric enabled the pull is a real registry flow competing
-            for bandwidth, otherwise it is charged at link speed.
-        drain_poll_s: Cadence at which a cordoned node is checked for
-            emptiness before retiring.
     """
 
     min_nodes: int = 4
     max_nodes: int = 16
-    check_interval_s: float = 1.0
-    ewma_alpha: float = 0.3
-    scale_out_util: float = 0.80
-    scale_in_util: float = 0.30
-    queue_depth_high: int = 8
     cooldown_out_s: float = 5.0
     cooldown_in_s: float = 20.0
     boot_delay_s: float = 2.0
-    image_size_bytes: float = 450.0 * 2**20
-    drain_poll_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.min_nodes < 1:
             raise ValueError("min_nodes must be >= 1")
         if self.max_nodes < self.min_nodes:
             raise ValueError("max_nodes must be >= min_nodes")
-        if self.check_interval_s <= 0:
-            raise ValueError("check_interval_s must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 0.0 <= self.scale_in_util < self.scale_out_util <= 1.0:
-            raise ValueError(
-                "need 0 <= scale_in_util < scale_out_util <= 1"
-            )
-        if self.queue_depth_high < 1:
-            raise ValueError("queue_depth_high must be >= 1")
         if self.cooldown_out_s < 0 or self.cooldown_in_s < 0:
             raise ValueError("cooldowns must be non-negative")
         if self.boot_delay_s < 0:
             raise ValueError("boot_delay_s must be non-negative")
-        if self.image_size_bytes < 0:
-            raise ValueError("image_size_bytes must be non-negative")
-        if self.drain_poll_s <= 0:
-            raise ValueError("drain_poll_s must be positive")

@@ -30,6 +30,10 @@ from repro.trace.tracer import NULL_TRACER, NullTracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.fabric import FlowHandle, FlowNetwork
 
+#: Checkpoint after every state (implicit per-state checkpointing) unless
+#: the job or the S40 adaptive controller sets an interval.
+DEFAULT_INTERVAL = 1
+
 
 class CheckpointingModule:
     """Stores, retains, and restores function checkpoints."""
@@ -63,7 +67,7 @@ class CheckpointingModule:
         self._per_function: dict[str, collections.deque[CheckpointRecord]] = {}
         self._effective_interval: dict[str, int] = {}
         #: Fleet-wide interval override (S40 adaptive controller); None
-        #: defers to the policy.  Per-function pins always win.
+        #: defers to ``DEFAULT_INTERVAL``.  Per-function pins always win.
         self.global_interval: Optional[int] = None
         # checkpoint_id -> (home node, time it becomes durable)
         self._pending_flush: dict[str, tuple[str, float]] = {}
@@ -84,7 +88,7 @@ class CheckpointingModule:
             return pinned
         if self.global_interval is not None:
             return self.global_interval
-        return self.policy.interval
+        return DEFAULT_INTERVAL
 
     def set_interval(self, function_id: str, interval: int) -> None:
         """Pin a function's checkpoint interval (job-level override)."""
@@ -96,16 +100,6 @@ class CheckpointingModule:
         return self.policy.should_checkpoint(
             state_index, self.effective_interval(function_id)
         )
-
-    def _maybe_adapt_interval(
-        self, function_id: str, write_time_s: float, state_duration_s: float
-    ) -> None:
-        if not self.policy.adaptive_interval or state_duration_s <= 0:
-            return
-        ratio = write_time_s / state_duration_s
-        if ratio > self.policy.max_overhead_ratio:
-            current = self.effective_interval(function_id)
-            self._effective_interval[function_id] = min(current * 2, 64)
 
     # ------------------------------------------------------------------
     # Algorithm 1: record a state
@@ -153,9 +147,6 @@ class CheckpointingModule:
                 checkpoint=record.checkpoint_id,
                 bytes=size_bytes,
             )
-        self._maybe_adapt_interval(
-            function_id, serialize_overhead_s + write_time, state_duration_s
-        )
         charge = serialize_overhead_s + write_time
         self.tracer.instant(
             "checkpoint_write",
@@ -206,7 +197,6 @@ class CheckpointingModule:
 
         def _written() -> None:
             elapsed = network.sim.now - now
-            self._maybe_adapt_interval(function_id, elapsed, state_duration_s)
             # Cancelled writes (attempt death) leave no checkpoint_write
             # span; the fabric's cancelled network_flow span records them.
             self.tracer.instant(

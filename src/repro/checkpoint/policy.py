@@ -5,8 +5,7 @@ Two knobs from the paper:
 * **cadence** — implicit checkpointing records every registered state;
   explicit checkpointing lets the application checkpoint every k-th state
   ("reducing the checkpoint size and the associated overhead while
-  increasing the programming complexity", §IV-C-4-b).  An adaptive mode
-  widens the interval when checkpoint cost dominates state duration.
+  increasing the programming complexity", §IV-C-4-b).
 * **retention** — keep the latest *n* checkpoints in the store; the initial
   value of n is 3 and is "dynamically adjusted throughout the execution
   based on the application data to be checkpointed and the frequency of
@@ -70,46 +69,16 @@ class RetentionPolicy:
 class CheckpointPolicy:
     """Full checkpointing configuration for a job.
 
+    Whether a strategy checkpoints at all is
+    ``RecoveryStrategy.checkpoints_enabled``; the cadence is the job's
+    ``checkpoint_interval`` (or the S40 adaptive controller's override).
+
     Attributes:
-        enabled: Master switch (off for retry/RR/AS baselines).
-        interval: Checkpoint after every ``interval``-th state (1 = implicit
-            per-state checkpointing).
-        explicit: Explicit user-registered states (affects bookkeeping only;
-            the cadence is what matters for timing).
-        adaptive_interval: Widen the interval when the measured checkpoint
-            cost exceeds ``max_overhead_ratio`` of the state duration.
-        max_overhead_ratio: Threshold for the adaptive widening.
         retention: Latest-n retention policy.
-        min_interval / max_interval: Clamp bounds for any runtime interval
-            override (the S40 adaptive controller tunes within them).
     """
 
-    enabled: bool = True
-    interval: int = 1
-    explicit: bool = False
-    adaptive_interval: bool = False
-    max_overhead_ratio: float = 0.5
     retention: RetentionPolicy = RetentionPolicy()
-    min_interval: int = 1
-    max_interval: int = 64
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if self.max_overhead_ratio <= 0:
-            raise ValueError("max_overhead_ratio must be positive")
-        if not 1 <= self.min_interval <= self.max_interval:
-            raise ValueError(
-                f"need 1 <= min_interval <= max_interval, got "
-                f"{self.min_interval}/{self.max_interval}"
-            )
-
-    def clamp_interval(self, interval: int) -> int:
-        """Clamp a runtime interval override to the policy's bounds."""
-        return max(self.min_interval, min(self.max_interval, interval))
 
     def should_checkpoint(self, state_index: int, effective_interval: int) -> bool:
         """Checkpoint after state *state_index* (0-based)?"""
-        if not self.enabled:
-            return False
         return (state_index + 1) % max(1, effective_interval) == 0

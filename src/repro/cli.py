@@ -72,12 +72,9 @@ def _cmd_tiers(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    from repro.cluster.topology import Topology
-
-    topology = Topology(num_racks=args.racks)
     racks: dict[str, list[str]] = {}
     for index in range(args.nodes):
-        racks.setdefault(topology.rack_for(index), []).append(
+        racks.setdefault(args.topology.rack_for(index), []).append(
             f"node-{index:02d}"
         )
     for rack in sorted(racks):
@@ -531,12 +528,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func in (_cmd_run, _cmd_traffic, _cmd_trace):
-        # Invalid flag combinations are usage errors, not tracebacks.
-        try:
+    # Invalid flag values and combinations are usage errors, not
+    # tracebacks.
+    try:
+        if args.func in (_cmd_run, _cmd_traffic, _cmd_trace):
             args.scenario = _scenario_from_args(args)
-        except ValueError as exc:
-            parser.error(str(exc))
+        elif args.func is _cmd_topology:
+            from repro.cluster.topology import Topology
+
+            args.topology = Topology(num_racks=args.racks)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

@@ -127,7 +127,7 @@ class CanaryPlatform:
         # dying node's flows are torn down before loss recovery starts.
         network = scenario.network
         self.network: Optional[FlowNetwork] = None
-        if network is not None and network.enabled:
+        if network is not None:
             self.network = FlowNetwork(
                 self.sim,
                 cluster=self.cluster,
@@ -149,7 +149,6 @@ class CanaryPlatform:
             self.cluster,
             RuntimeRegistry(),
             scenario.limits,
-            contention_gamma=self.config.contention_gamma,
             start_rate_limit=scenario.start_rate_limit,
             reuse_containers=scenario.reuse_containers,
             network=self.network,
@@ -267,9 +266,7 @@ class CanaryPlatform:
                 ReplicaPlacer(self.cluster, policy=self.placement),
                 make_replication_strategy(scenario.replication_strategy),
                 self.ids,
-                estimator=FailureRateEstimator(
-                    prior_rate=self.config.failure_rate_prior
-                ),
+                estimator=FailureRateEstimator(),
             )
         self.replication = self.ctx.replication
         self.jobs: dict[str, Job] = {}
@@ -319,7 +316,6 @@ class CanaryPlatform:
             self.adaptive = AdaptiveController(
                 self.sim,
                 self.cluster,
-                scenario.adaptive,
                 checkpointer=self.checkpointer,
                 replication=self.replication,
                 placement=self.placement,

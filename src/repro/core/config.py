@@ -13,30 +13,18 @@ class PlatformConfig:
         detection_delay_s: Time between a container dying and the Core
             Module noticing (health-poll interval).  Charged to *every*
             recovery strategy.
-        adoption_overhead_s: Migrating a failed function onto a warm
-            replica: context re-establishment, trigger rewiring.
         rr_replicas: Request-replication siblings per function ("we launch
             one replica per request", §V-D-5).
-        contention_gamma: Cold-start contention factor (see
-            :class:`repro.faas.invoker.Invoker`).
         require_shared_spill: Force checkpoint spills onto shared tiers so
             they survive node failures (on for the fig. 11 experiments).
-        failure_rate_prior: Prior failure rate seeding dynamic replication.
     """
 
     detection_delay_s: float = 1.0
-    adoption_overhead_s: float = 0.5
     rr_replicas: int = 1
-    contention_gamma: float = 0.12
     require_shared_spill: bool = False
-    failure_rate_prior: float = 0.05
 
     def __post_init__(self) -> None:
         if self.detection_delay_s < 0:
             raise ValueError("detection_delay_s must be non-negative")
-        if self.adoption_overhead_s < 0:
-            raise ValueError("adoption_overhead_s must be non-negative")
         if self.rr_replicas < 1:
             raise ValueError("rr_replicas must be at least 1")
-        if not 0.0 <= self.failure_rate_prior <= 1.0:
-            raise ValueError("failure_rate_prior must be within [0, 1]")

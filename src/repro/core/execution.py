@@ -31,6 +31,10 @@ from repro.trace.tracer import Span
 if TYPE_CHECKING:  # pragma: no cover
     pass
 
+#: Migrating a failed function onto a warm replica: context
+#: re-establishment, trigger rewiring.
+ADOPTION_OVERHEAD_S = 0.5
+
 
 class Attempt:
     """One container-bound try at executing the function's states."""
@@ -289,7 +293,7 @@ class FunctionExecution:
         self._arm_timeout(attempt)
         delay = 0.0
         if adoption:
-            delay += ctx.config.adoption_overhead_s
+            delay += ADOPTION_OVERHEAD_S
         if restore_record is not None:
             attempt.restore_span = ctx.tracer.begin(
                 "restore",

@@ -108,6 +108,18 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.num_functions <= 0:
             raise ValueError("num_functions must be positive")
+        if self.num_nodes <= 0:
+            raise ValueError("num_nodes must be positive")
+        if not 0.0 <= self.error_rate <= 1.0:
+            raise ValueError("error_rate must be within [0, 1]")
+        if self.refailure_rate is not None and not (
+            0.0 <= self.refailure_rate <= 1.0
+        ):
+            raise ValueError("refailure_rate must be within [0, 1]")
+        if self.checkpoint_interval <= 0:
+            raise ValueError("checkpoint_interval must be positive")
+        if self.node_failure_count < 0:
+            raise ValueError("node_failure_count must be non-negative")
         if self.jobs <= 0:
             raise ValueError("jobs must be positive")
         if self.num_functions % self.jobs != 0:

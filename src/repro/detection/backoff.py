@@ -12,37 +12,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: Delay before the first retry.
+BASE_S = 0.2
+#: Multiplier applied per attempt.
+FACTOR = 2.0
+#: Cap on the un-jittered delay.
+MAX_S = 5.0
+#: Jitter fraction; the jittered delay lands in
+#: ``[delay, delay * (1 + JITTER))`` for a uniform draw ``u``.
+JITTER = 0.5
+
+
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Capped exponential backoff: ``min(base * factor^n, max) * (1 + j*u)``.
 
+    A scenario with ``backoff=BackoffPolicy()`` turns backoff on; the
+    schedule's constants are the module-level ``UPPER_CASE`` values above.
+
     Args:
-        base_s: Delay before the first retry.
-        factor: Multiplier applied per attempt (>= 1).
-        max_s: Cap on the un-jittered delay.
         max_attempts: Retries before the caller degrades (falls back to an
             older checkpoint, restarts from scratch, gives up re-draining).
-        jitter: Jitter fraction in [0, 1]; the jittered delay lands in
-            ``[delay, delay * (1 + jitter))`` for a uniform draw ``u``.
     """
 
-    base_s: float = 0.2
-    factor: float = 2.0
-    max_s: float = 5.0
     max_attempts: int = 6
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.base_s <= 0:
-            raise ValueError("base_s must be positive")
-        if self.factor < 1.0:
-            raise ValueError("factor must be >= 1")
-        if self.max_s < self.base_s:
-            raise ValueError("max_s must be >= base_s")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
 
     def delay(self, attempt_index: int, u: float = 0.0) -> float:
         """Wait before retry *attempt_index* (0-based), jittered by *u*.
@@ -54,5 +51,5 @@ class BackoffPolicy:
             raise ValueError("attempt_index must be non-negative")
         if not 0.0 <= u <= 1.0:
             raise ValueError("u must be within [0, 1]")
-        base = min(self.base_s * self.factor**attempt_index, self.max_s)
-        return base * (1.0 + self.jitter * u)
+        base = min(BASE_S * FACTOR**attempt_index, MAX_S)
+        return base * (1.0 + JITTER * u)

@@ -1,7 +1,7 @@
 """Per-node heartbeats and phi-accrual-style suspicion detection.
 
 Every node's invoker daemon emits a heartbeat on the virtual clock every
-``heartbeat_interval_s`` (plus deterministic jitter).  The Core Module keeps
+``HEARTBEAT_INTERVAL_S`` (plus deterministic jitter).  The Core Module keeps
 a sliding window of inter-arrival gaps per node and, after each arrival,
 arms a *suspect* timer at ``mu + z * sigma`` past the arrival, where ``z``
 is the normal quantile matching the configured phi threshold — the same
@@ -11,7 +11,7 @@ Cassandra ship.
 A node whose gap crosses the threshold is *suspected*: it is cordoned for
 placement (not killed) and a confirm timer starts.  A heartbeat arriving
 while suspected is a false positive — the node is reinstated and the
-incident counted.  Silence through ``confirm_timeout_s`` *declares* the node
+incident counted.  Silence through ``CONFIRM_TIMEOUT_S`` *declares* the node
 failed: an alive-but-gray node (zombie, long partition) is fenced via
 ``cluster.fail_node``, and any recovery callbacks waiting on the verdict
 fire after a small processing delay.
@@ -39,23 +39,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import EventHandle, Simulator
 
 
+#: Base heartbeat emission period per node.
+HEARTBEAT_INTERVAL_S = 0.5
+#: Per-beat jitter fraction; each period is scaled by ``1 + jitter * u``
+#: with ``u`` drawn from the node's RNG stream.
+HEARTBEAT_JITTER = 0.1
+#: Sliding-window length (inter-arrival gaps) per node.
+WINDOW = 20
+#: Suspicion level; the gap threshold sits at the ``1 - 10^-phi`` quantile
+#: of the observed gap distribution.
+PHI_THRESHOLD = 8.0
+#: Floor on the gap standard deviation, so a perfectly regular history
+#: does not hair-trigger the detector.
+MIN_STD_S = 0.02
+#: Silence beyond the suspect point before the node is declared failed
+#: (cordon-then-confirm split).
+CONFIRM_TIMEOUT_S = 4.0
+#: Control-plane handling delay between a verdict and the recovery
+#: callback firing.
+PROCESSING_DELAY_S = 0.05
+#: Cold-start count that adds one full period of slack to the thresholds
+#: when ``load_aware`` is on.
+LOAD_COLD_START_REF = 4
+#: Cap on the load-aware threshold multiplier.
+LOAD_MAX_FACTOR = 3.0
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Tuning knobs for the heartbeat detector.
+    """Settings for the heartbeat detector; its tuning constants are the
+    module-level ``UPPER_CASE`` values above.
 
     Args:
-        heartbeat_interval_s: Base emission period per node.
-        heartbeat_jitter: Per-beat jitter fraction; each period is scaled by
-            ``1 + jitter * u`` with ``u`` drawn from the node's RNG stream.
-        window: Sliding-window length (inter-arrival gaps) per node.
-        phi_threshold: Suspicion level; the gap threshold sits at the
-            ``1 - 10^-phi`` quantile of the observed gap distribution.
-        min_std_s: Floor on the gap standard deviation, so a perfectly
-            regular history does not hair-trigger the detector.
-        confirm_timeout_s: Silence beyond the suspect point before the node
-            is declared failed (cordon-then-confirm split).
-        processing_delay_s: Control-plane handling delay between a verdict
-            and the recovery callback firing.
         load_aware: Scale the suspect/confirm thresholds with the node's
             cold-start backlog and the autoscaler's ramp state, so a mass
             scale-out (daemons starved by image pulls and container boots)
@@ -64,44 +79,14 @@ class DetectionConfig:
             cold start on the node — the *physical* load effect on the
             daemon (0 disables; independent of ``load_aware``, which is
             the detector-side compensation).
-        load_cold_start_ref: Cold-start count that adds one full period of
-            slack to the thresholds when ``load_aware`` is on.
-        load_max_factor: Cap on the load-aware threshold multiplier.
     """
 
-    heartbeat_interval_s: float = 0.5
-    heartbeat_jitter: float = 0.1
-    window: int = 20
-    phi_threshold: float = 8.0
-    min_std_s: float = 0.02
-    confirm_timeout_s: float = 4.0
-    processing_delay_s: float = 0.05
     load_aware: bool = False
     load_hb_stretch: float = 0.0
-    load_cold_start_ref: int = 4
-    load_max_factor: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
-        if not 0.0 <= self.heartbeat_jitter <= 1.0:
-            raise ValueError("heartbeat_jitter must be within [0, 1]")
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.phi_threshold <= 0:
-            raise ValueError("phi_threshold must be positive")
-        if self.min_std_s <= 0:
-            raise ValueError("min_std_s must be positive")
-        if self.confirm_timeout_s <= 0:
-            raise ValueError("confirm_timeout_s must be positive")
-        if self.processing_delay_s < 0:
-            raise ValueError("processing_delay_s must be non-negative")
         if self.load_hb_stretch < 0:
             raise ValueError("load_hb_stretch must be non-negative")
-        if self.load_cold_start_ref < 1:
-            raise ValueError("load_cold_start_ref must be >= 1")
-        if self.load_max_factor < 1.0:
-            raise ValueError("load_max_factor must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,7 +128,7 @@ class DetectionModule:
         # Normal quantile matching the phi threshold: a gap is suspicious
         # once its probability under the fitted gap distribution drops below
         # 10^-phi.
-        self._z = NormalDist().inv_cdf(1.0 - 10.0 ** (-config.phi_threshold))
+        self._z = NormalDist().inv_cdf(1.0 - 10.0 ** (-PHI_THRESHOLD))
         self._history: dict[str, deque[float]] = {}
         self._last_beat: dict[str, float] = {}
         self._beat_handles: dict[str, "EventHandle"] = {}
@@ -264,9 +249,7 @@ class DetectionModule:
     def _period(self, node: "Node") -> float:
         rng = self.sim.rng.stream(f"detection:hb:{node.node_id}")
         u = float(rng.uniform())
-        period = self.config.heartbeat_interval_s * (
-            1.0 + self.config.heartbeat_jitter * u
-        )
+        period = HEARTBEAT_INTERVAL_S * (1.0 + HEARTBEAT_JITTER * u)
         # A straggling node's daemon is starved of CPU along with everything
         # else, so its beats stretch — that stretch *is* the gray-failure
         # signal the detector picks up.
@@ -289,13 +272,12 @@ class DetectionModule:
         cold-start backlog and adds a full period while the autoscaler has
         nodes booting (a fleet-wide ramp starves every daemon at once).
         """
-        cfg = self.config
-        if not cfg.load_aware:
+        if not self.config.load_aware:
             return 1.0
-        factor = 1.0 + node.cold_starts_in_flight / cfg.load_cold_start_ref
+        factor = 1.0 + node.cold_starts_in_flight / LOAD_COLD_START_REF
         if self.autoscaler is not None and self.autoscaler.booting_count:
             factor += 1.0
-        return min(factor, cfg.load_max_factor)
+        return min(factor, LOAD_MAX_FACTOR)
 
     def _schedule_beat(self, node: "Node") -> None:
         self._beat_handles[node.node_id] = self.sim.call_in(
@@ -330,7 +312,7 @@ class DetectionModule:
         last = self._last_beat.get(node_id)
         if last is not None:
             history = self._history.setdefault(
-                node_id, deque(maxlen=self.config.window)
+                node_id, deque(maxlen=WINDOW)
             )
             history.append(now - last)
         self._last_beat[node_id] = now
@@ -348,14 +330,12 @@ class DetectionModule:
         if not history:
             # No gaps observed yet: assume the configured period at its
             # mean jitter and the floor deviation.
-            mu = self.config.heartbeat_interval_s * (
-                1.0 + 0.5 * self.config.heartbeat_jitter
-            )
-            sigma = self.config.min_std_s
+            mu = HEARTBEAT_INTERVAL_S * (1.0 + 0.5 * HEARTBEAT_JITTER)
+            sigma = MIN_STD_S
         else:
             mu = sum(history) / len(history)
             var = sum((g - mu) ** 2 for g in history) / len(history)
-            sigma = max(math.sqrt(var), self.config.min_std_s)
+            sigma = max(math.sqrt(var), MIN_STD_S)
         return mu + self._z * sigma
 
     def _arm_suspect(self, node: "Node", now: float) -> None:
@@ -417,7 +397,7 @@ class DetectionModule:
         self._suspicion_spans[node_id] = self.tracer.begin(
             "suspicion", f"suspicion:{node_id}", node=node_id
         )
-        confirm_after = self.config.confirm_timeout_s
+        confirm_after = CONFIRM_TIMEOUT_S
         if self.config.load_aware:
             confirm_after *= self._load_factor(node)
         self._confirm_handles[node_id] = self.sim.call_in(
@@ -491,9 +471,7 @@ class DetectionModule:
         """
         label = label or f"detect-notify:{node_id}"
         if self._stopped or node_id in self._declared:
-            self.sim.call_in(
-                self.config.processing_delay_s, callback, label=label
-            )
+            self.sim.call_in(PROCESSING_DELAY_S, callback, label=label)
             return
         self._waiters.setdefault(node_id, []).append((callback, label))
 
@@ -502,9 +480,7 @@ class DetectionModule:
         if not waiters:
             return
         for callback, label in waiters:
-            self.sim.call_in(
-                self.config.processing_delay_s, callback, label=label
-            )
+            self.sim.call_in(PROCESSING_DELAY_S, callback, label=label)
 
     # ------------------------------------------------------------------
     # Introspection

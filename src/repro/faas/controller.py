@@ -77,7 +77,6 @@ class FaaSController:
         runtimes: Optional[RuntimeRegistry] = None,
         limits: Optional[PlatformLimits] = None,
         *,
-        contention_gamma: float = 0.12,
         start_rate_limit: Optional[float] = None,
         reuse_containers: bool = False,
         reuse_idle_timeout_s: float = 60.0,
@@ -125,7 +124,6 @@ class FaaSController:
             node.node_id: Invoker(
                 sim,
                 node,
-                contention_gamma=contention_gamma,
                 network=network,
                 tracer=self.tracer,
             )

@@ -118,7 +118,7 @@ class Invoker:
             self._pending_ready[container.container_id] = _WEDGED_HANDLE
             return self.node.scale_duration(container.runtime.cold_start_s)
         network = self.network
-        if network is not None and network.models_image_pulls:
+        if network is not None:
             # Pull the image over the fabric first; the launch/init phases
             # (and their contention multiplier) start once it lands.
             def _pulled() -> None:

@@ -21,7 +21,7 @@ Archetypes:
   per-invocation timeout backstop recovers the work; a hard-kill at
   ``zombie_kill_after_s`` bounds the damage when detection is off.
 * **Partition** — a node's NIC links drop to a trickle
-  (``partition_capacity_factor``) and its heartbeats are dropped for the
+  (``PARTITION_CAPACITY_FACTOR``) and its heartbeats are dropped for the
   window; short partitions cause cordon-then-reinstate cycles rather than
   kills.
 * **Link brownout** — an aggregation uplink or the core link loses most of
@@ -44,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
     from repro.sim.engine import EventHandle, Simulator
+
+#: Fraction of its NIC capacity a partitioned node keeps (a trickle).
+PARTITION_CAPACITY_FACTOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,6 @@ class ChaosConfig:
     partitions: int = 0
     partition_window: tuple[float, float] = (5.0, 25.0)
     partition_duration_s: float = 2.0
-    partition_capacity_factor: float = 0.05
 
     link_brownouts: int = 0
     link_brownout_window: tuple[float, float] = (5.0, 25.0)
@@ -140,8 +142,6 @@ class ChaosConfig:
             raise ValueError("zombie_kill_after_s must be positive")
         if self.partition_duration_s <= 0:
             raise ValueError("partition_duration_s must be positive")
-        if not 0.0 < self.partition_capacity_factor <= 1.0:
-            raise ValueError("partition_capacity_factor must be in (0, 1]")
         if self.link_brownout_duration_s <= 0:
             raise ValueError("link_brownout_duration_s must be positive")
         if not 0.0 < self.link_brownout_factor <= 1.0:
@@ -456,7 +456,7 @@ class ChaosInjector:
                 link = self.network.links.get(name)
                 if link is not None:
                     restore[name] = self.network.set_link_capacity(
-                        name, link.bandwidth * cfg.partition_capacity_factor
+                        name, link.bandwidth * PARTITION_CAPACITY_FACTOR
                     )
         self.sim.call_in(
             cfg.partition_duration_s,

@@ -12,12 +12,6 @@ from repro.metrics.engine import (
     format_engine_stats,
 )
 from repro.metrics.summary import RunSummary, summarize
-from repro.metrics.timeline import (
-    TimelineEvent,
-    build_timeline,
-    iter_function_timeline,
-    render_timeline,
-)
 
 __all__ = [
     "EngineStats",
@@ -25,13 +19,9 @@ __all__ = [
     "FunctionTrace",
     "MetricsCollector",
     "RunSummary",
-    "TimelineEvent",
     "availability",
-    "build_timeline",
     "collect_engine_stats",
     "format_engine_stats",
-    "iter_function_timeline",
-    "render_timeline",
     "summarize",
     "total_function_time",
 ]

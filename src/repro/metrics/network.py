@@ -1,16 +1,14 @@
 """Network metrics: per-link utilization and flow-level summaries.
 
 Companion to :mod:`repro.network` — turns a finished run's fabric into
-flat, regression-friendly numbers: a per-link usage table (timeline
-export) and the scalar aggregates folded into :class:`RunSummary`.
+flat, regression-friendly numbers: a per-link usage table and the
+scalar aggregates folded into :class:`RunSummary`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
-
-from repro.metrics.timeline import TimelineEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.fabric import FlowNetwork
@@ -124,34 +122,3 @@ def collect_network_stats(
         peak_link_utilization=peak,
         busiest_link=busiest,
     )
-
-
-def network_timeline(
-    network: "FlowNetwork", horizon_s: float
-) -> list[TimelineEvent]:
-    """Per-link usage as timeline events (sorted by utilization, desc).
-
-    Reuses :class:`TimelineEvent` so the existing rendering helpers work;
-    the ``function_id`` slot carries the link name.
-    """
-    events = []
-    for usage in sorted(
-        collect_link_usage(network, horizon_s),
-        key=lambda u: (-u.utilization, u.name),
-    ):
-        if usage.flows_total == 0:
-            continue
-        events.append(
-            TimelineEvent(
-                time=usage.busy_s,
-                function_id=usage.name,
-                event="link-usage",
-                detail=(
-                    f"util={usage.utilization:.1%} "
-                    f"bytes={usage.bytes_total:.3g} "
-                    f"flows={usage.flows_total} "
-                    f"peak={usage.peak_concurrent_flows}"
-                ),
-            )
-        )
-    return events

@@ -33,15 +33,11 @@ class NetworkModelConfig:
         hop_latency_s: Fixed latency added per traversed link.
         registry_bandwidth: Egress capacity of the container image
             registry service (cold-start image pulls).
-        model_image_pulls: Route cold-start image pulls through the
-            fabric (the dominant cold-start network cost at scale).
         reschedule_tolerance: Relative completion-time improvement below
             which an in-flight flow keeps its already-scheduled finish
             event.  Bounds event churn under heavy sharing to
             ``O(log)`` reschedules per flow; 0 gives exact max-min
             finish times.  Deterministic either way.
-        enabled: Escape hatch — a config with ``enabled=False`` behaves
-            exactly like passing no config at all.
         edge_racks: Racks sitting behind a WAN instead of the datacenter
             ToR uplink (cloud-core + edge split).  Empty (default) keeps
             the single-site fabric byte-identical.
@@ -59,9 +55,7 @@ class NetworkModelConfig:
     core_bandwidth: float = 8.0 * _10GBE
     hop_latency_s: float = 50e-6
     registry_bandwidth: float = 2.0 * _10GBE
-    model_image_pulls: bool = True
     reschedule_tolerance: float = 0.01
-    enabled: bool = True
     edge_racks: tuple[str, ...] = ()
     wan_uplink_bandwidth: Optional[float] = None
     wan_latency_s: float = 0.0

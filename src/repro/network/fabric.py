@@ -261,10 +261,6 @@ class FlowNetwork:
     def active_flow_count(self) -> int:
         return len(self._active)
 
-    @property
-    def models_image_pulls(self) -> bool:
-        return self.config.model_image_pulls
-
     def serves_tier(self, tier_name: str) -> bool:
         return tier_name in self._service_rx
 

@@ -16,6 +16,14 @@ class SlackClass(str, enum.Enum):
     NONE = "none"              # no deadline attached
 
 
+#: Slack below ``CRITICAL_MARGIN × cold_start`` is CRITICAL (recovery must
+#: avoid any cold start).
+CRITICAL_MARGIN = 1.0
+#: Slack above ``COMFORTABLE_MARGIN × cold_start`` is COMFORTABLE (a cold,
+#: pool-preserving recovery is fine).
+COMFORTABLE_MARGIN = 3.0
+
+
 @dataclass(frozen=True)
 class SLAPolicy:
     """User requirements attached to a job.
@@ -23,25 +31,13 @@ class SLAPolicy:
     Attributes:
         deadline_s: Target completion latency per function, measured from
             its submission.  ``None`` disables deadline logic.
-        critical_margin: Slack below ``critical_margin × cold_start`` is
-            CRITICAL (recovery must avoid any cold start).
-        comfortable_margin: Slack above ``comfortable_margin × cold_start``
-            is COMFORTABLE (a cold, pool-preserving recovery is fine).
     """
 
     deadline_s: Optional[float] = None
-    critical_margin: float = 1.0
-    comfortable_margin: float = 3.0
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
-        if self.critical_margin < 0:
-            raise ValueError("critical_margin must be non-negative")
-        if self.comfortable_margin < self.critical_margin:
-            raise ValueError(
-                "comfortable_margin must be >= critical_margin"
-            )
 
 
 def classify_slack(
@@ -61,8 +57,8 @@ def classify_slack(
         return SlackClass.NONE
     elapsed = now - submitted_at
     slack = policy.deadline_s - elapsed - estimated_remaining_s
-    if slack < policy.critical_margin * cold_start_s:
+    if slack < CRITICAL_MARGIN * cold_start_s:
         return SlackClass.CRITICAL
-    if slack < policy.comfortable_margin * cold_start_s:
+    if slack < COMFORTABLE_MARGIN * cold_start_s:
         return SlackClass.TIGHT
     return SlackClass.COMFORTABLE

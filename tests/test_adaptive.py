@@ -24,21 +24,6 @@ from repro.faults.chaos import ChaosConfig, default_chaos_preset
 from repro.network.config import NETWORK_PRESETS
 
 
-def test_adaptive_config_validation():
-    with pytest.raises(ValueError):
-        AdaptiveConfig(epoch_s=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(hysteresis_epochs=0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(checkpoint_min_interval=5, checkpoint_max_interval=2)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(replication_max_boost=-1)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(max_hinted_fraction=1.5)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(epoch_jitter=-0.1)
-
-
 def _chaotic_scenario(**overrides):
     base = dict(
         workload="dl-training",

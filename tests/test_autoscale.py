@@ -153,9 +153,3 @@ def test_autoscale_config_validation():
         AutoscaleConfig(min_nodes=0)
     with pytest.raises(ValueError):
         AutoscaleConfig(min_nodes=8, max_nodes=4)
-    with pytest.raises(ValueError):
-        AutoscaleConfig(scale_out_util=0.2, scale_in_util=0.5)
-    with pytest.raises(ValueError):
-        AutoscaleConfig(ewma_alpha=0.0)
-    with pytest.raises(ValueError):
-        AutoscaleConfig(check_interval_s=0.0)

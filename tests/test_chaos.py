@@ -61,8 +61,6 @@ class TestChaosConfig:
         with pytest.raises(ValueError):
             ChaosConfig(stragglers=1, straggler_slowdown=1.5)
         with pytest.raises(ValueError):
-            ChaosConfig(partitions=1, partition_capacity_factor=0.0)
-        with pytest.raises(ValueError):
             TierBrownout(tier="kv", start_s=1.0, duration_s=1.0, mode="flaky")
         with pytest.raises(ValueError):
             TierBrownout(tier="kv", start_s=1.0, duration_s=0.0)

@@ -84,17 +84,9 @@ class TestRetentionPolicy:
 
 class TestCheckpointPolicy:
     def test_interval_cadence(self):
-        policy = CheckpointPolicy(interval=3)
+        policy = CheckpointPolicy()
         hits = [i for i in range(9) if policy.should_checkpoint(i, 3)]
         assert hits == [2, 5, 8]
-
-    def test_disabled_never_checkpoints(self):
-        policy = CheckpointPolicy(enabled=False)
-        assert not any(policy.should_checkpoint(i, 1) for i in range(10))
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            CheckpointPolicy(interval=0)
 
 
 class TestCheckpointingModule:
@@ -195,20 +187,6 @@ class TestCheckpointingModule:
         assert hits == [3, 7]
         with pytest.raises(ValueError):
             module.set_interval("f1", 0)
-
-    def test_adaptive_interval_widens_under_heavy_overhead(self):
-        policy = CheckpointPolicy(adaptive_interval=True, max_overhead_ratio=0.1)
-        module, _ = make_module(policy=policy)
-        module.record_state(
-            job_id="j1",
-            function_id="f1",
-            state_index=0,
-            size_bytes=mb(1),
-            serialize_overhead_s=5.0,  # huge vs 5 s states
-            now=0.0,
-            state_duration_s=5.0,
-        )
-        assert module.effective_interval("f1") == 2
 
     def test_bytes_written_accumulates(self):
         module, _ = make_module()

@@ -127,6 +127,26 @@ class TestCommands:
         assert captured.out == ""
         assert "--admit-rate" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--nodes", "0"], "num_nodes"),
+            (["run", "--error-rate", "1.5"], "error_rate"),
+            (["run", "--checkpoint-interval", "0"], "checkpoint_interval"),
+            (["run", "--node-failures", "-1"], "node_failure_count"),
+            (["topology", "--racks", "0"], "num_racks"),
+        ],
+        ids=["nodes", "error-rate", "checkpoint-interval", "node-failures",
+             "racks"],
+    )
+    def test_out_of_range_values_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_node_failures_on_every_node_are_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "--nodes", "4", "--node-failures", "4", "--json"])

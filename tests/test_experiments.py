@@ -60,6 +60,23 @@ class TestScenarioConfig:
             ScenarioConfig(**setting)
         ScenarioConfig(node_failure_count=1, **setting)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"num_nodes": 0},
+            {"error_rate": 1.5},
+            {"error_rate": -0.1},
+            {"refailure_rate": 1.5},
+            {"checkpoint_interval": 0},
+            {"node_failure_count": -1},
+        ],
+        ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
+    )
+    def test_out_of_range_settings_rejected(self, setting):
+        (name,) = setting
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**setting)
+
     def test_error_rate_sweep_matches_paper(self):
         assert ERROR_RATE_SWEEP[0] == 0.01
         assert ERROR_RATE_SWEEP[-1] == 0.50

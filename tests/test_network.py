@@ -21,7 +21,6 @@ from repro.network.link import Link
 from repro.metrics.network import (
     collect_link_usage,
     collect_network_stats,
-    network_timeline,
 )
 from repro.sim.engine import Simulator
 from repro.storage.router import StoredObjectRef
@@ -307,8 +306,6 @@ class TestMetrics:
         assert stats.bytes_total == pytest.approx(100.0)
         assert stats.peak_link_utilization == pytest.approx(1.0)
         assert collect_network_stats(None, sim.now) is None
-        events = network_timeline(net, sim.now)
-        assert events and events[0].event == "link-usage"
 
     def test_reschedule_tolerance_bounds_error(self):
         # With the default 1% tolerance the completion time may lag the

@@ -16,12 +16,6 @@ class TestSLAPolicy:
         with pytest.raises(ValueError):
             SLAPolicy(deadline_s=0)
 
-    def test_invalid_margins(self):
-        with pytest.raises(ValueError):
-            SLAPolicy(critical_margin=-1)
-        with pytest.raises(ValueError):
-            SLAPolicy(critical_margin=3.0, comfortable_margin=1.0)
-
 
 class TestClassifySlack:
     COLD = 4.0
