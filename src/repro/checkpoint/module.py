@@ -69,9 +69,13 @@ class CheckpointingModule:
         #: Fleet-wide interval override (S40 adaptive controller); None
         #: defers to ``DEFAULT_INTERVAL``.  Per-function pins always win.
         self.global_interval: Optional[int] = None
-        # checkpoint_id -> (home node, time it becomes durable)
+        # checkpoint_id -> (home node, time it becomes durable), and the
+        # ids lost with a node.  Both hold only checkpoints still in some
+        # function's chain: eviction and ``drop_function`` discard ids.
         self._pending_flush: dict[str, tuple[str, float]] = {}
         self._lost: set[str] = set()
+        # (size, state period, db_limit) -> retention.target_n
+        self._target_n: dict[tuple[float, float, float], int] = {}
         # statistics
         self.checkpoints_taken = 0
         self.checkpoints_evicted = 0
@@ -124,41 +128,44 @@ class CheckpointingModule:
         critical path and not charged).
         """
         record, write_time = self._commit(
-            job_id=job_id,
-            function_id=function_id,
-            state_index=state_index,
-            size_bytes=size_bytes,
-            now=now,
-            node_id=node_id,
-            payload=payload,
-            state_duration_s=state_duration_s,
+            job_id,
+            function_id,
+            state_index,
+            size_bytes,
+            now,
+            node_id,
+            payload,
+            state_duration_s,
         )
+        tracer = self.tracer
         if self.flush_lag_s > 0 and node_id is not None:
             self._pending_flush[record.checkpoint_id] = (
                 node_id,
                 now + self.flush_lag_s,
             )
-            self.tracer.instant(
-                "flush",
-                f"flush:{record.checkpoint_id}",
-                t=now,
-                duration=self.flush_lag_s,
-                node=node_id,
-                checkpoint=record.checkpoint_id,
-                bytes=size_bytes,
-            )
+            if tracer.enabled:
+                tracer.instant(
+                    "flush",
+                    f"flush:{record.checkpoint_id}",
+                    t=now,
+                    duration=self.flush_lag_s,
+                    node=node_id,
+                    checkpoint=record.checkpoint_id,
+                    bytes=size_bytes,
+                )
         charge = serialize_overhead_s + write_time
-        self.tracer.instant(
-            "checkpoint_write",
-            f"ckpt:{function_id}:{state_index}",
-            t=now,
-            duration=charge,
-            function=function_id,
-            state_index=state_index,
-            tier=record.ref.tier_name,
-            bytes=size_bytes,
-            **({"node": node_id} if node_id is not None else {}),
-        )
+        if tracer.enabled:
+            tracer.instant(
+                "checkpoint_write",
+                f"ckpt:{function_id}:{state_index}",
+                t=now,
+                duration=charge,
+                function=function_id,
+                state_index=state_index,
+                tier=record.ref.tier_name,
+                bytes=size_bytes,
+                **({"node": node_id} if node_id is not None else {}),
+            )
         return record, charge
 
     def record_state_async(
@@ -185,31 +192,32 @@ class CheckpointingModule:
         handle (attempt death) abandons the charge, not the record.
         """
         record, _ = self._commit(
-            job_id=job_id,
-            function_id=function_id,
-            state_index=state_index,
-            size_bytes=size_bytes,
-            now=now,
-            node_id=node_id,
-            payload=payload,
-            state_duration_s=state_duration_s,
+            job_id,
+            function_id,
+            state_index,
+            size_bytes,
+            now,
+            node_id,
+            payload,
+            state_duration_s,
         )
 
         def _written() -> None:
             elapsed = network.sim.now - now
             # Cancelled writes (attempt death) leave no checkpoint_write
             # span; the fabric's cancelled network_flow span records them.
-            self.tracer.instant(
-                "checkpoint_write",
-                f"ckpt:{function_id}:{state_index}",
-                t=now,
-                duration=elapsed,
-                function=function_id,
-                state_index=state_index,
-                tier=record.ref.tier_name,
-                bytes=size_bytes,
-                **({"node": node_id} if node_id is not None else {}),
-            )
+            if self.tracer.enabled:
+                self.tracer.instant(
+                    "checkpoint_write",
+                    f"ckpt:{function_id}:{state_index}",
+                    t=now,
+                    duration=elapsed,
+                    function=function_id,
+                    state_index=state_index,
+                    tier=record.ref.tier_name,
+                    bytes=size_bytes,
+                    **({"node": node_id} if node_id is not None else {}),
+                )
             on_done(record, elapsed)
 
         handle = network.write_checkpoint(
@@ -228,7 +236,6 @@ class CheckpointingModule:
 
     def _commit(
         self,
-        *,
         job_id: str,
         function_id: str,
         state_index: int,
@@ -237,8 +244,12 @@ class CheckpointingModule:
         node_id: Optional[str],
         payload: Any,
         state_duration_s: float,
+        /,
     ) -> tuple[CheckpointRecord, float]:
-        """Shared bookkeeping of Algorithm 1 (route, retain, persist)."""
+        """Shared bookkeeping of Algorithm 1 (route, retain, persist).
+
+        Positional-only: it runs once per checkpointed state.
+        """
         checkpoint_id = self.ids.checkpoint_id(function_id)
         key = f"ckpt/{function_id}/{checkpoint_id}"
         ref, write_time = self.router.write(
@@ -254,8 +265,11 @@ class CheckpointingModule:
             created_at=now,
             payload=payload,
         )
-        chain = self._per_function.setdefault(function_id, collections.deque())
+        chain = self._per_function.get(function_id)
+        if chain is None:
+            chain = self._per_function[function_id] = collections.deque()
         chain.append(record)
+        # Keys in ``checkpoint_info.fields`` order: the insert fast path.
         self.database.checkpoint_info.insert(
             {
                 "checkpoint_id": checkpoint_id,
@@ -268,7 +282,7 @@ class CheckpointingModule:
                 "available": True,
             }
         )
-        self._evict(function_id, chain, state_duration_s)
+        self._evict(chain, state_duration_s)
         self.checkpoints_taken += 1
         self.bytes_written += size_bytes
         return record, write_time
@@ -312,26 +326,40 @@ class CheckpointingModule:
             label=f"flush:{checkpoint_id}",
         )
 
-    def _evict(
-        self,
-        function_id: str,
-        chain: collections.deque,
-        state_duration_s: float,
-    ) -> None:
+    def _retention_depth(
+        self, size_bytes: float, state_period_s: float
+    ) -> int:
+        """``retention.target_n`` for this profile, memoised per input."""
+        db_limit = self.router.kv.db_limit_bytes
+        key = (size_bytes, state_period_s, db_limit)
+        depth = self._target_n.get(key)
+        if depth is None:
+            depth = self._target_n[key] = self.policy.retention.target_n(
+                checkpoint_size_bytes=size_bytes,
+                state_period_s=state_period_s,
+                db_limit_bytes=db_limit,
+            )
+        return depth
+
+    def _evict(self, chain: collections.deque, state_duration_s: float) -> None:
         """Drop oldest checkpoints beyond the (dynamic) retention depth."""
-        latest = chain[-1]
-        threshold = self.policy.retention.target_n(
-            checkpoint_size_bytes=latest.size_bytes,
-            state_period_s=state_duration_s or 1.0,
-            db_limit_bytes=self.router.kv.db_limit_bytes,
+        threshold = self._retention_depth(
+            chain[-1].size_bytes, state_duration_s or 1.0
         )
         while len(chain) > threshold:
             oldest = chain.popleft()
             self.router.delete(oldest.ref)
-            self.database.checkpoint_info.update(
-                oldest.checkpoint_id, available=False
-            )
+            self._retire(oldest.checkpoint_id)
             self.checkpoints_evicted += 1
+
+    def _retire(self, checkpoint_id: str) -> None:
+        """Mark a released checkpoint unavailable and stop tracking it."""
+        self.database.checkpoint_info.set_field(
+            checkpoint_id, "available", False
+        )
+        if self.flush_lag_s > 0:
+            self._pending_flush.pop(checkpoint_id, None)
+            self._lost.discard(checkpoint_id)
 
     # ------------------------------------------------------------------
     # Restore path
@@ -412,9 +440,7 @@ class CheckpointingModule:
             return
         for record in chain:
             self.router.delete(record.ref)
-            self.database.checkpoint_info.update(
-                record.checkpoint_id, available=False
-            )
+            self._retire(record.checkpoint_id)
 
     def chain_length(self, function_id: str) -> int:
         return len(self._per_function.get(function_id, ()))

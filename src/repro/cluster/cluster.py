@@ -43,6 +43,12 @@ class Cluster:
             for i in range(num_nodes)
         ]
         self._by_id = {node.node_id: node for node in self.nodes}
+        #: Free container slots summed over alive nodes.  Nodes keep it
+        #: current on attach, detach and failure; at zero no node can host
+        #: anything, so placement scans stop before touching a node.
+        self.free_slot_bound = sum(node.slots_free for node in self.nodes)
+        for node in self.nodes:
+            node.cluster = self
         self._failure_listeners: list[Callable[[Node, list], None]] = []
 
     def __len__(self) -> int:
@@ -65,6 +71,8 @@ class Cluster:
 
     def hosting_candidates(self, memory_bytes: float) -> list[Node]:
         """Alive nodes able to host a container of the given memory size."""
+        if not self.free_slot_bound:
+            return []
         return [n for n in self.nodes if n.can_host(memory_bytes)]
 
     def least_loaded(self, memory_bytes: float) -> Optional[Node]:

@@ -8,6 +8,7 @@ from repro.cluster.heterogeneity import NodeProfile
 from repro.common.errors import PlacementError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.cluster.cluster import Cluster
     from repro.faas.container import Container
 
 
@@ -43,6 +44,9 @@ class Node:
         self.memory_used = 0.0
         self.cold_starts_in_flight = 0
         self.failed_at: Optional[float] = None
+        #: owning cluster, whose ``free_slot_bound`` attach/detach/fail
+        #: keep current; None for a standalone node
+        self.cluster: Optional["Cluster"] = None
 
     # ------------------------------------------------------------------
     # Capacity
@@ -76,6 +80,8 @@ class Node:
             )
         self.containers[container.container_id] = container
         self.memory_used += container.memory_bytes
+        if self.cluster is not None:
+            self.cluster.free_slot_bound -= 1
 
     def detach(self, container: "Container") -> None:
         """Release the capacity held by *container* (idempotent)."""
@@ -83,12 +89,16 @@ class Node:
             self.memory_used -= container.memory_bytes
             if self.memory_used < 1e-9:
                 self.memory_used = 0.0
+            if self.cluster is not None:
+                self.cluster.free_slot_bound += 1
 
     # ------------------------------------------------------------------
     # Liveness
     # ------------------------------------------------------------------
     def fail(self, at_time: float) -> list["Container"]:
         """Mark the node dead; return the containers that were lost."""
+        if self.alive and self.cluster is not None:
+            self.cluster.free_slot_bound -= self.slots_free
         self.alive = False
         self.failed_at = at_time
         lost = list(self.containers.values())

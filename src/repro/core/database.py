@@ -31,6 +31,13 @@ class Table:
         return key in self._rows
 
     def insert(self, row: dict[str, Any]) -> None:
+        if tuple(row) == self.fields:
+            # Fast path: the row already carries every field, in order.
+            key = row[self.key_field]
+            if key in self._rows:
+                raise KeyError(f"duplicate key {key!r} in {self.name}")
+            self._rows[key] = dict(row)
+            return
         if not self._field_set.issuperset(row):
             self._raise_unknown(row)
         if self.key_field not in row:
@@ -48,6 +55,15 @@ class Table:
         if not self._field_set.issuperset(changes):
             self._raise_unknown(changes)
         row.update(changes)
+
+    def set_field(self, key: Any, field: str, value: Any) -> None:
+        """``update(key, **{field: value})`` without building a kwargs dict."""
+        row = self._rows.get(key)
+        if row is None:
+            raise KeyError(f"no row {key!r} in {self.name}")
+        if field not in self._field_set:
+            self._raise_unknown((field,))
+        row[field] = value
 
     def _raise_unknown(self, names: Iterable[str]) -> None:
         unknown = set(names) - self._field_set

@@ -526,8 +526,8 @@ class FunctionExecution:
         attempt.state_started_at = None
         index = attempt.completed_states
         attempt.completed_states = index + 1
-        self.ctx.database.function_info.update(
-            self.function_id, current_state_index=index
+        self.ctx.database.function_info.set_field(
+            self.function_id, "current_state_index", index
         )
         self._arm_recovery_checks()
         strategy = self.ctx.strategy

@@ -16,6 +16,10 @@ class IdGenerator:
 
     def __init__(self) -> None:
         self._counters: dict[str, itertools.count] = {}
+        # Per-function counters with a cached "ckpt-<suffix>-" or
+        # "att-<suffix>-" prefix: one lookup per id on the per-state path.
+        self._checkpoints: dict[str, _Sequence] = {}
+        self._attempts: dict[str, _Sequence] = {}
 
     def _next(self, namespace: str) -> int:
         counter = self._counters.get(namespace)
@@ -31,12 +35,30 @@ class IdGenerator:
         return f"fn-{job_id.removeprefix('job-')}-{index:04d}"
 
     def checkpoint_id(self, function_id: str) -> str:
-        n = self._next(f"ckpt:{function_id}")
-        return f"ckpt-{function_id.removeprefix('fn-')}-{n:04d}"
+        seq = self._checkpoints.get(function_id)
+        if seq is None:
+            seq = self._checkpoints[function_id] = _Sequence("ckpt", function_id)
+        n = seq.next
+        seq.next = n + 1
+        return f"{seq.prefix}{n:04d}"
 
     def replica_id(self) -> str:
         return f"rep-{self._next('replica'):05d}"
 
     def attempt_id(self, function_id: str) -> str:
-        n = self._next(f"att:{function_id}")
-        return f"att-{function_id.removeprefix('fn-')}-{n:02d}"
+        seq = self._attempts.get(function_id)
+        if seq is None:
+            seq = self._attempts[function_id] = _Sequence("att", function_id)
+        n = seq.next
+        seq.next = n + 1
+        return f"{seq.prefix}{n:02d}"
+
+
+class _Sequence:
+    """One function's id counter and its cached prefix."""
+
+    __slots__ = ("prefix", "next")
+
+    def __init__(self, kind: str, function_id: str) -> None:
+        self.prefix = f"{kind}-{function_id.removeprefix('fn-')}-"
+        self.next = 0

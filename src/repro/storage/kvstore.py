@@ -17,7 +17,6 @@ never materializes 98 MB of ResNet weights).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -64,12 +63,10 @@ class KeyValueStore:
         self.capacity_bytes = capacity_bytes
         self.replicated = replicated
         self.persistent = persistent
+        #: Insertion-ordered, and a put re-inserts its key, so iteration
+        #: runs in strictly increasing ``version``: prefix queries walk it
+        #: in order without a separate index.
         self._entries: dict[str, KVEntry] = {}
-        #: ``(version, key)`` pairs kept sorted at insert time.  Versions
-        #: strictly increase, so a put appends; overwrites and deletes
-        #: drop the stale pair by bisection.  Prefix queries walk this
-        #: index in order instead of sorting per lookup.
-        self._versions: list[tuple[int, str]] = []
         self._used = 0.0
         self._version_counter = 0
         self.puts = 0
@@ -138,24 +135,12 @@ class KeyValueStore:
             written_at=now,
             home_node=home_node,
         )
-        self._entries[key] = entry
         if previous is not None:
-            self._drop_version(previous)
-        self._versions.append((entry.version, key))
+            del self._entries[key]
+        self._entries[key] = entry
         self._used += delta
         self.puts += 1
         return entry
-
-    def _drop_version(self, entry: KVEntry) -> None:
-        """Remove *entry*'s pair from the sorted version index."""
-        index = bisect.bisect_left(
-            self._versions, (entry.version, entry.key)
-        )
-        if (
-            index < len(self._versions)
-            and self._versions[index] == (entry.version, entry.key)
-        ):
-            del self._versions[index]
 
     def get(self, key: str) -> Optional[KVEntry]:
         self.gets += 1
@@ -165,7 +150,6 @@ class KeyValueStore:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
-        self._drop_version(entry)
         self._used -= entry.size_bytes
         # An empty store reads exactly zero (clamps float residue).
         if not self._entries or self._used < 0.0:
@@ -175,14 +159,12 @@ class KeyValueStore:
 
     def keys_with_prefix(self, prefix: str) -> list[str]:
         """All keys starting with *prefix*, sorted by version (oldest first)."""
-        return [
-            key for _, key in self._versions if key.startswith(prefix)
-        ]
+        return [key for key in self._entries if key.startswith(prefix)]
 
     def entries_with_prefix(self, prefix: str) -> list[KVEntry]:
         return [
-            self._entries[key]
-            for _, key in self._versions
+            entry
+            for key, entry in self._entries.items()
             if key.startswith(prefix)
         ]
 
@@ -209,5 +191,4 @@ class KeyValueStore:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._versions.clear()
         self._used = 0.0

@@ -92,31 +92,27 @@ class CheckpointStorageRouter:
     ) -> tuple[StoredObjectRef, float]:
         """Store a checkpoint payload; return its ref and the write time."""
         tier = self.choose_tier(size_bytes)
-        if (
-            tier.name != "kv"
-            and self.custom_endpoint is None
-            and self.kv.fits(size_bytes)
-        ):
-            # Graceful degradation: the KV store would have taken this
-            # payload but is browned out, so it spilled to the next tier.
-            self.brownout_spills += 1
         if tier.name == "kv":
             self.kv.put(
                 key, payload, size_bytes=size_bytes, now=now, home_node=node_id
             )
             ref = StoredObjectRef(key, "kv", size_bytes, node_id)
-        else:
-            self.tiers.allocate(tier.name, size_bytes)
-            ref = StoredObjectRef(key, tier.name, size_bytes, node_id)
-            self._spilled[key] = ref
-            # Only the (name, location) pair goes to the KV store/database.
-            self.kv.put(
-                key,
-                {"ckpt_name": key, "ckpt_loc": tier.name},
-                size_bytes=256.0,
-                now=now,
-                home_node=node_id,
-            )
+            return ref, self.tiers.write_seconds(tier, size_bytes)
+        if self.custom_endpoint is None and self.kv.fits(size_bytes):
+            # Graceful degradation: the KV store would have taken this
+            # payload but is browned out, so it spilled to the next tier.
+            self.brownout_spills += 1
+        self.tiers.allocate(tier.name, size_bytes)
+        ref = StoredObjectRef(key, tier.name, size_bytes, node_id)
+        self._spilled[key] = ref
+        # Only the (name, location) pair goes to the KV store/database.
+        self.kv.put(
+            key,
+            {"ckpt_name": key, "ckpt_loc": tier.name},
+            size_bytes=256.0,
+            now=now,
+            home_node=node_id,
+        )
         return ref, self.tiers.write_seconds(tier, size_bytes)
 
     # ------------------------------------------------------------------

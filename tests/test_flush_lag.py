@@ -80,6 +80,17 @@ class TestFlushLagUnit:
         row = module.database.checkpoint_info.get(rec.checkpoint_id)
         assert row["available"] is False
 
+    def test_evicted_checkpoint_is_not_swept_by_a_node_failure(self):
+        module = make_module(flush_lag_s=5.0)
+        first = record(module, 0, now=0.0)
+        for index in range(1, 12):
+            record(module, index, now=0.1 * index)
+        assert module.chain_length("f1") < 12
+        assert first.checkpoint_id not in module._pending_flush
+        lost = module.on_node_failure("node-00", now=1.5)
+        assert first.checkpoint_id not in lost
+        assert len(lost) == module.chain_length("f1")
+
 
 class TestFlushLagEndToEnd:
     def run_platform(self, flush_lag_s):
@@ -102,6 +113,18 @@ class TestFlushLagEndToEnd:
         platform, job = self.run_platform(flush_lag_s=4.0)
         assert job.done
         assert platform.metrics.unrecovered_failures() == []
+
+    def test_flush_tracking_holds_only_live_checkpoints(self):
+        platform, job = self.run_platform(flush_lag_s=4.0)
+        module = platform.checkpointer
+        assert job.done and module.checkpoints_evicted > 0
+        live = {
+            record.checkpoint_id
+            for chain in module._per_function.values()
+            for record in chain
+        }
+        assert set(module._pending_flush) <= live
+        assert module._lost <= live
 
     def test_lag_costs_extra_redo_after_node_death(self):
         fast_platform, _ = self.run_platform(flush_lag_s=0.0)

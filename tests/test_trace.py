@@ -1,5 +1,6 @@
 """Tests for the span tracing layer: determinism, exports, stats, CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -161,6 +162,33 @@ class TestExport:
             (s.span_id, s.parent_id, s.kind, s.name, s.start, s.end, s.attrs)
             for s in sorted(spans, key=lambda s: (s.start, s.span_id))
         ]
+
+
+class TestTracedOutputPins:
+    """sha256 of the span JSONL, pinned so no span is dropped or reordered.
+
+    The first scenario is the CI trace-smoke run (fabric checkpoint
+    writes); the second checkpoints through the synchronous path with an
+    asynchronous flush lag, so both ``checkpoint_write`` and ``flush``
+    instants are covered.
+    """
+
+    PINS = {
+        "trace-smoke": (
+            small_scenario(),
+            "123aecc2f4fe71479e8ab35d78c8344819042bb8001cb3f0730fa51add4fea33",
+        ),
+        "flush-lag": (
+            small_scenario(network=None, checkpoint_flush_lag_s=2.0),
+            "b7f2d8267a58b5797dd2531589fd021edb49573271bffc561cb2fd15e2c41039",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_span_jsonl_digest(self, name):
+        scenario, expected = self.PINS[name]
+        spans = run_traced(scenario, seed=42).spans
+        assert hashlib.sha256(jsonl_bytes(spans)).hexdigest() == expected
 
 
 class TestStats:
