@@ -25,7 +25,7 @@ from repro.faults.chaos import ChaosConfig, default_chaos_preset
 from repro.network.config import NETWORK_PRESETS
 from repro.sla.policy import SLAPolicy
 from repro.strategies.cloning import CloningConfig
-from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
+from repro.traffic import OnOffArrivals, PoissonArrivals, Tenant, TrafficConfig
 from tests.test_adaptive import _chaotic_scenario as adaptive_chaos
 from tests.test_adaptive import _ramp_scenario as load_ramp
 from tests.test_autoscale import _ramp_scenario as autoscale_ramp
@@ -132,6 +132,72 @@ CASES = {
         ),
         adaptive=AdaptiveConfig(),
     ),
+    # The next five each reach one path or constant the cases above never
+    # move: the wedged invoker's cold-start backlog under least-loaded
+    # placement, the SLA CRITICAL margin with the replica pool exhausted,
+    # the autoscaler's drain poll with scale-out blocked at max_nodes, the
+    # partition's NIC capacity factor, and the load-aware cold-start
+    # reference.
+    "least-loaded-zombie": BASE.with_(
+        num_functions=60,
+        num_nodes=4,
+        placement="least-loaded",
+        chaos=ChaosConfig(
+            zombies=1, zombie_window=(2.0, 6.0), zombie_kill_after_s=30.0
+        ),
+    ),
+    "sla-pool-exhausted": BASE.with_(
+        workload="micro-python",
+        strategy="canary-sla",
+        error_rate=0.5,
+        num_nodes=4,
+        traffic=TrafficConfig(
+            tenants=(
+                Tenant(
+                    name="tenant-00",
+                    arrivals=PoissonArrivals(rate_per_s=3.0),
+                    workloads=("micro-python",),
+                    sla=SLAPolicy(deadline_s=30.0),
+                ),
+            ),
+            duration_s=20.0,
+        ),
+    ),
+    "autoscale-drain-at-max": BASE.with_(
+        workload="micro-python",
+        error_rate=0.0,
+        num_nodes=3,
+        traffic=TrafficConfig(
+            tenants=(
+                Tenant(
+                    name="burst",
+                    arrivals=OnOffArrivals(
+                        on_rate_per_s=12.0, mean_on_s=3.0, mean_off_s=6.0
+                    ),
+                    workloads=("micro-python",),
+                ),
+            ),
+            duration_s=60.0,
+        ),
+        autoscale=AutoscaleConfig(
+            min_nodes=2, max_nodes=3, cooldown_in_s=5.0, cooldown_out_s=2.0
+        ),
+    ),
+    "partition-10gbe": BASE.with_(
+        num_functions=20,
+        network=NETWORK_PRESETS["10gbe"],
+        chaos=ChaosConfig(
+            partitions=3, partition_window=(3.0, 15.0), partition_duration_s=4.0
+        ),
+    ),
+    "load-aware-storm": ScenarioConfig(
+        workload="micro-python",
+        strategy="canary",
+        error_rate=0.0,
+        num_functions=24,
+        num_nodes=3,
+        detection=DetectionConfig(load_hb_stretch=0.3, load_aware=True),
+    ),
 }
 
 PINS = {
@@ -182,6 +248,26 @@ PINS = {
     "adaptive-sla-edge": (
         "ce2ad1b53e23f8bcfd7d005fbc339781"
         "38d730f1f42dd57d411ae6a8a82e8406"
+    ),
+    "least-loaded-zombie": (
+        "cc66f87ae16e5ade5388bcb85de66095"
+        "c77e207de5c48bcea3e492eccc5e0708"
+    ),
+    "sla-pool-exhausted": (
+        "e692e05b126e050b20d764fda7b2ada2"
+        "5550c78c7dfdc845866f69a993609e8f"
+    ),
+    "autoscale-drain-at-max": (
+        "343a36ba89db67ecbec5bfca7994df40"
+        "ce627ad32e6ca92086c0f6b5e2a51fbd"
+    ),
+    "partition-10gbe": (
+        "8f9c10a9cbecfffcf10baff0f8b2f3d6"
+        "e27bb41b2f51bb191f31f51cf01db447"
+    ),
+    "load-aware-storm": (
+        "6d99136ff09647bf7bd05f02c7a699e3"
+        "86a782f70f6271471c6724effdbce1b6"
     ),
 }
 
