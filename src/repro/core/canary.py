@@ -17,7 +17,6 @@ from repro.cluster.heterogeneity import HeterogeneityModel
 from repro.common.errors import RequestValidationError
 from repro.common.types import JobState, ReplicationStrategyName
 from repro.core.config import PlatformConfig
-from repro.core.context import PlatformContext
 from repro.core.database import CanaryDatabase
 from repro.core.execution import FunctionExecution
 from repro.core.ids import IdGenerator
@@ -138,27 +137,12 @@ class CanaryPlatform:
             self.cluster.on_node_failure(
                 lambda node, lost: self.network.fail_endpoint(node.node_id)
             )
-        # One S39 policy object serves both placement decision points;
-        # the controller binds cluster/invokers/network at construction,
-        # and the detection/pricing handles are bound below once those
-        # subsystems exist.
-        self.placement = PLACEMENT_POLICIES[scenario.placement]()
-        backoff = scenario.backoff
-        self.controller = FaaSController(
-            self.sim,
-            self.cluster,
-            RuntimeRegistry(),
-            scenario.limits,
-            start_rate_limit=scenario.start_rate_limit,
-            reuse_containers=scenario.reuse_containers,
-            network=self.network,
-            backoff=backoff,
-            tracer=self.tracer,
-            policy=self.placement,
-        )
         # Emergent failure detection (heartbeats feeding a phi-accrual
         # suspicion detector).  None keeps the constant-delay oracle used
-        # by ``RecoveryStrategy.after_detection``.
+        # by ``RecoveryStrategy.after_detection``.  Its constructor
+        # schedules nothing and registers no listener, and it reaches the
+        # controller only through the late-bound ``on_reinstate`` lambda,
+        # so it is built first and handed to the placement policy.
         self.detection: Optional[DetectionModule] = None
         if scenario.detection is not None:
             self.detection = DetectionModule(
@@ -168,7 +152,23 @@ class CanaryPlatform:
                 tracer=self.tracer,
                 on_reinstate=lambda node: self.controller.kick(),
             )
-        self.placement.bind(detection=self.detection, pricing=self.pricing)
+        # One S39 policy object serves both placement decision points
+        # (cold starts at the controller, replicas at the placer).
+        self.placement = PLACEMENT_POLICIES[scenario.placement](
+            network=self.network, detection=self.detection
+        )
+        self.controller = FaaSController(
+            self.sim,
+            self.cluster,
+            RuntimeRegistry(),
+            scenario.limits,
+            start_rate_limit=scenario.start_rate_limit,
+            reuse_containers=scenario.reuse_containers,
+            network=self.network,
+            backoff=scenario.backoff,
+            tracer=self.tracer,
+            policy=self.placement,
+        )
         # Node autoscaler: scales Node.provisioned between the configured
         # bounds; detection coverage follows via watch/retire.
         self.autoscaler: Optional["NodeAutoscaler"] = None
@@ -216,50 +216,27 @@ class CanaryPlatform:
             node_failure_precursors=scenario.node_failure_precursors,
         )
         self.validator = RequestValidator(self.controller.limits)
-        self.ctx = PlatformContext(
-            sim=self.sim,
-            cluster=self.cluster,
-            controller=self.controller,
-            database=self.database,
-            ids=self.ids,
-            checkpointer=self.checkpointer,
-            runtime_manager=self.runtime_manager,
-            metrics=self.metrics,
-            injector=self.injector,
-            config=self.config,
-            network=self.network,
-            tracer=self.tracer,
-        )
-        self.ctx.detection = self.detection
-        self.ctx.backoff = backoff
+        #: container_id -> owning execution, for dispatching loss events of
+        #: function-purpose containers (replicas are handled by the
+        #: Replication Module, standbys by the active-standby strategy).
+        self.container_owners: dict[str, FunctionExecution] = {}
         # Chaos archetypes (stragglers / zombies / partitions / brownouts);
         # created only when at least one archetype is enabled so disabled
         # runs stay byte-identical to the pre-chaos platform.
         chaos = scenario.chaos
         self.chaos: Optional[ChaosInjector] = None
         if chaos is not None and chaos.enabled:
-            self.chaos = ChaosInjector(
-                self.sim,
-                self.cluster,
-                config=chaos,
-                ctx=self.ctx,
-                tiers=self.tiers,
-                network=self.network,
-                controller=self.controller,
-                tracer=self.tracer,
-            )
-            self.ctx.chaos = self.chaos
+            self.chaos = ChaosInjector(self, chaos)
             if self.detection is not None:
                 self.detection.chaos = self.chaos
         if self.detection is not None and self.autoscaler is not None:
             # Ramp-state handle for the load-aware thresholds (inert
             # unless DetectionConfig.load_aware is set).
             self.detection.autoscaler = self.autoscaler
-        self.ctx.cloning = scenario.cloning
-        self.strategy = make_strategy(scenario.strategy, self.ctx)
-        self.ctx.strategy = self.strategy
+        self.strategy = make_strategy(scenario.strategy, self)
+        self.replication: Optional[ReplicationModule] = None
         if self.strategy.replication_enabled:
-            self.ctx.replication = ReplicationModule(
+            self.replication = ReplicationModule(
                 self.sim,
                 self.controller,
                 self.runtime_manager,
@@ -268,7 +245,6 @@ class CanaryPlatform:
                 self.ids,
                 estimator=FailureRateEstimator(),
             )
-        self.replication = self.ctx.replication
         self.jobs: dict[str, Job] = {}
         #: Incomplete-job count maintained incrementally: the detection
         #: and autoscaler keep-alives poll for pending work on every beat,
@@ -409,9 +385,7 @@ class CanaryPlatform:
             }
         )
         for index in range(request.num_functions):
-            execution = FunctionExecution(self.ctx, job, index)
-            execution.on_complete(self._function_completed)
-            job.executions.append(execution)
+            job.executions.append(FunctionExecution(self, job, index))
         self.injector.register_job(job)
         if self.replication is not None:
             self.replication.register_job(job)
@@ -426,7 +400,8 @@ class CanaryPlatform:
             self.mitigator.start()
         return job
 
-    def _function_completed(self, execution: FunctionExecution) -> None:
+    def function_completed(self, execution: FunctionExecution) -> None:
+        """Called by each execution once it completes."""
         job = execution.job
         if job.done and job.completed_at is None:
             job.completed_at = self.sim.now
@@ -457,14 +432,22 @@ class CanaryPlatform:
             self._admit(request, on_complete)
 
     # ------------------------------------------------------------------
-    # Loss dispatch
+    # Container ownership and loss dispatch
     # ------------------------------------------------------------------
+    def register_owner(
+        self, container_id: str, execution: FunctionExecution
+    ) -> None:
+        self.container_owners[container_id] = execution
+
+    def release_owner(self, container_id: str) -> None:
+        self.container_owners.pop(container_id, None)
+
     def _dispatch_function_loss(self, container, reason: str) -> None:
         # Dispatch by ownership, not container purpose: an adopted replica
         # keeps ContainerPurpose.REPLICA but is owned by an execution, and
         # its loss needs recovery just like a launched function container.
         # Unclaimed replicas are not in container_owners and fall through.
-        execution = self.ctx.container_owners.get(container.container_id)
+        execution = self.container_owners.get(container.container_id)
         if execution is not None:
             execution.handle_container_loss(container, reason)
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.checkpoint.records import CheckpointRecord
 from repro.common.types import ContainerState, FunctionState
-from repro.core.context import PlatformContext
 from repro.core.jobs import Job
 from repro.faas.container import Container, ContainerPurpose
 from repro.faas.controller import ContainerRequest
@@ -29,7 +28,7 @@ from repro.sim.engine import EventHandle
 from repro.trace.tracer import Span
 
 if TYPE_CHECKING:  # pragma: no cover
-    pass
+    from repro.core.canary import CanaryPlatform
 
 #: Migrating a failed function onto a warm replica: context
 #: re-establishment, trigger rewiring.
@@ -104,12 +103,12 @@ class Attempt:
 class FunctionExecution:
     """One logical function invocation of a job."""
 
-    def __init__(self, ctx: PlatformContext, job: Job, index: int) -> None:
-        self.ctx = ctx
+    def __init__(self, platform: CanaryPlatform, job: Job, index: int) -> None:
+        self.platform = platform
         self.job = job
         self.index = index
         self.profile = job.workload
-        self.function_id = ctx.ids.function_id(job.job_id, index)
+        self.function_id = platform.ids.function_id(job.job_id, index)
         self.status = FunctionState.QUEUED
         self.completed = False
         self.completed_at: Optional[float] = None
@@ -118,7 +117,6 @@ class FunctionExecution:
         self._pending_requests: list[ContainerRequest] = []
         self._pending_events: list[FailureEvent] = []
         self._base_durations = self._draw_state_durations()
-        self._on_complete_cb = None  # set by the platform
         self._invoke_span: Optional[Span] = None
         self._recovery_spans: dict[int, Span] = {}  # id(event) -> span
 
@@ -133,7 +131,7 @@ class FunctionExecution:
         on.
         """
         profile = self.profile
-        rng = self.ctx.sim.rng.stream(f"statedur:{self.function_id}")
+        rng = self.platform.sim.rng.stream(f"statedur:{self.function_id}")
         if profile.state_jitter <= 0:
             return np.full(profile.n_states, profile.state_duration_s)
         draws = rng.normal(
@@ -156,7 +154,7 @@ class FunctionExecution:
         if not self.attempts:
             return 0.0
         if now is None:
-            now = self.ctx.sim.now
+            now = self.platform.sim.now
         return max(a.continuous_progress(now) for a in self.attempts)
 
     def live_attempts(self) -> list[Attempt]:
@@ -172,17 +170,17 @@ class FunctionExecution:
     # ------------------------------------------------------------------
     def submit(self) -> None:
         """Called once by the platform after admission."""
-        self.ctx.metrics.start_function(
-            self.function_id, self.job.job_id, self.profile.name, self.ctx.sim.now
+        self.platform.metrics.start_function(
+            self.function_id, self.job.job_id, self.profile.name, self.platform.sim.now
         )
-        self._invoke_span = self.ctx.tracer.begin(
+        self._invoke_span = self.platform.tracer.begin(
             "invoke",
             self.function_id,
             function=self.function_id,
             job=self.job.job_id,
             workload=self.profile.name,
         )
-        self.ctx.database.function_info.insert(
+        self.platform.database.function_info.insert(
             {
                 "function_id": self.function_id,
                 "job_id": self.job.job_id,
@@ -193,9 +191,8 @@ class FunctionExecution:
                 "current_state_index": -1,
             }
         )
-        assert self.ctx.strategy is not None, "platform must set a strategy"
         self.status = FunctionState.SCHEDULED
-        self.ctx.strategy.launch_function(self)
+        self.platform.strategy.launch_function(self)
 
     def request_cold_attempt(
         self,
@@ -209,7 +206,7 @@ class FunctionExecution:
         """Ask the controller for a fresh (cold) container for this function."""
 
         def _placed(container: Container) -> None:
-            self.ctx.register_owner(container.container_id, self)
+            self.platform.register_owner(container.container_id, self)
 
         def _ready(container: Container) -> None:
             if request in self._pending_requests:
@@ -231,7 +228,7 @@ class FunctionExecution:
             on_placed=_placed,
         )
         self._pending_requests.append(request)
-        self.ctx.controller.submit(request)
+        self.platform.controller.submit(request)
         return request
 
     def begin_attempt(
@@ -249,15 +246,15 @@ class FunctionExecution:
         ``adoption=True`` marks takeover of a warm replica/standby: the
         attempt pays the adoption overhead instead of a cold start.
         """
-        ctx = self.ctx
+        platform = self.platform
         if self.completed:
             # A cold start or adoption raced with completion (e.g. an RR
             # sibling finished first): release the now-useless container.
-            ctx.controller.terminate(container, ContainerState.KILLED)
-            ctx.release_owner(container.container_id)
+            platform.controller.terminate(container, ContainerState.KILLED)
+            platform.release_owner(container.container_id)
             return None
         attempt = Attempt(
-            attempt_id=ctx.ids.attempt_id(self.function_id),
+            attempt_id=platform.ids.attempt_id(self.function_id),
             index=len(self.attempts),
             container=container,
             from_state=from_state,
@@ -267,19 +264,19 @@ class FunctionExecution:
         self.attempts.append(attempt)
         self._live[container.container_id] = attempt
         container.current_function = self.function_id
-        ctx.register_owner(container.container_id, self)
-        ctx.runtime_manager.track_function_container(container)
-        ctx.metrics.note_attempt(self.function_id)
-        ctx.metrics.note_ready(self.function_id, ctx.sim.now)
+        platform.register_owner(container.container_id, self)
+        platform.runtime_manager.track_function_container(container)
+        platform.metrics.note_attempt(self.function_id)
+        platform.metrics.note_ready(self.function_id, platform.sim.now)
         self.status = FunctionState.RUNNING
-        self.ctx.database.function_info.update(
+        self.platform.database.function_info.update(
             self.function_id,
             worker_id=container.node.node_id,
             state=self.status.value,
             attempts=len(self.attempts),
         )
 
-        attempt.span = ctx.tracer.begin(
+        attempt.span = platform.tracer.begin(
             "exec",
             f"exec:{attempt.attempt_id}",
             parent=self._invoke_span,
@@ -295,7 +292,7 @@ class FunctionExecution:
         if adoption:
             delay += ADOPTION_OVERHEAD_S
         if restore_record is not None:
-            attempt.restore_span = ctx.tracer.begin(
+            attempt.restore_span = platform.tracer.begin(
                 "restore",
                 f"restore:{attempt.attempt_id}",
                 parent=attempt.span,
@@ -314,7 +311,7 @@ class FunctionExecution:
 
     def _schedule_setup(self, attempt: Attempt, delay: float) -> None:
         if delay > 0:
-            attempt.state_handle = self.ctx.sim.call_in(
+            attempt.state_handle = self.platform.sim.call_in(
                 delay,
                 lambda: self._begin_states(attempt),
                 label=f"setup:{attempt.attempt_id}",
@@ -338,18 +335,18 @@ class FunctionExecution:
         degrades gracefully — first to the newest checkpoint on a healthy
         tier, then to a from-scratch restart.
         """
-        ctx = self.ctx
+        platform = self.platform
         if attempt.done or self.completed:
             return
-        policy = ctx.backoff
-        if policy is not None and ctx.checkpointer.tier_refusing(
+        policy = platform.scenario.backoff
+        if policy is not None and platform.checkpointer.tier_refusing(
             record.ref.tier_name
         ):
             if retries < policy.max_attempts:
-                u = float(ctx.sim.rng.stream("chaos:backoff").uniform())
+                u = float(platform.sim.rng.stream("chaos:backoff").uniform())
                 wait = policy.delay(retries, u)
-                ctx.metrics.note_backoff(wait)
-                ctx.tracer.instant(
+                platform.metrics.note_backoff(wait)
+                platform.tracer.instant(
                     "backoff",
                     f"backoff:restore:{attempt.attempt_id}",
                     duration=wait,
@@ -357,7 +354,7 @@ class FunctionExecution:
                     tier=record.ref.tier_name,
                     retry=retries,
                 )
-                attempt.state_handle = ctx.sim.call_in(
+                attempt.state_handle = platform.sim.call_in(
                     wait,
                     lambda: self._begin_restore(
                         attempt, record, extra_delay, retries + 1
@@ -365,15 +362,15 @@ class FunctionExecution:
                     label=f"backoff:{attempt.attempt_id}",
                 )
                 return
-            ctx.metrics.restore_fallbacks += 1
-            fallback = ctx.checkpointer.latest(
+            platform.metrics.restore_fallbacks += 1
+            fallback = platform.checkpointer.latest(
                 self.function_id, healthy_only=True
             )
             if fallback is None:
                 # No healthy copy anywhere: restart from scratch rather
                 # than wait out the brownout.
                 if attempt.restore_span is not None:
-                    ctx.tracer.finish(
+                    platform.tracer.finish(
                         attempt.restore_span, outcome="abandoned"
                     )
                     attempt.restore_span = None
@@ -390,11 +387,11 @@ class FunctionExecution:
             record = fallback
             attempt.from_state = record.state_index + 1
             attempt.completed_states = attempt.from_state
-        if ctx.network is not None:
+        if platform.network is not None:
             # The checkpoint fetch (part of t_res, Eq. 2) is a flow on
             # the fabric: it competes with every other transfer, which
             # is what makes mass recovery contend (fig. 11 at scale).
-            attempt.state_handle = ctx.network.fetch_checkpoint(
+            attempt.state_handle = platform.network.fetch_checkpoint(
                 record.ref,
                 dest_node=attempt.container.node.node_id,
                 on_complete=lambda: self._begin_states(attempt),
@@ -403,7 +400,7 @@ class FunctionExecution:
             )
             return
         self._schedule_setup(
-            attempt, extra_delay + ctx.checkpointer.restore_time(record)
+            attempt, extra_delay + platform.checkpointer.restore_time(record)
         )
 
     def _arm_timeout(self, attempt: Attempt) -> None:
@@ -417,14 +414,14 @@ class FunctionExecution:
         """
         timeout = self.job.request.timeout_s
         if timeout is None:
-            timeout = self.ctx.controller.limits.max_function_timeout_s
+            timeout = self.platform.controller.limits.max_function_timeout_s
 
         def _timeout() -> None:
             if attempt.done or self.completed:
                 return
-            self.ctx.controller.kill_container(attempt.container, "timeout")
+            self.platform.controller.kill_container(attempt.container, "timeout")
 
-        attempt.timeout_handle = self.ctx.sim.call_in(
+        attempt.timeout_handle = self.platform.sim.call_in(
             timeout, _timeout, label=f"timeout:{attempt.attempt_id}",
         )
 
@@ -435,10 +432,10 @@ class FunctionExecution:
         if attempt.done or self.completed:
             return
         if attempt.restore_span is not None:
-            self.ctx.tracer.finish(attempt.restore_span, outcome="restored")
+            self.platform.tracer.finish(attempt.restore_span, outcome="restored")
             attempt.restore_span = None
         attempt.running_states = True
-        now = self.ctx.sim.now
+        now = self.platform.sim.now
         # Resuming marks the recovery "setup complete" point for any failure
         # events still waiting for a resume.
         for event in self._pending_events:
@@ -451,7 +448,7 @@ class FunctionExecution:
         self._schedule_next_state(attempt)
 
     def _plan_injected_kill(self, attempt: Attempt) -> None:
-        fraction = self.ctx.injector.attempt_kill_fraction(
+        fraction = self.platform.injector.attempt_kill_fraction(
             job_id=self.job.job_id,
             function_id=self.function_id,
             attempt_index=attempt.index,
@@ -465,10 +462,10 @@ class FunctionExecution:
         def _kill() -> None:
             if attempt.done or self.completed:
                 return
-            self.ctx.injector.note_kill()
-            self.ctx.controller.kill_container(attempt.container, "injected")
+            self.platform.injector.note_kill()
+            self.platform.controller.kill_container(attempt.container, "injected")
 
-        attempt.kill_handle = self.ctx.sim.call_in(
+        attempt.kill_handle = self.platform.sim.call_in(
             delay, _kill, label=f"kill:{attempt.attempt_id}",
         )
 
@@ -479,13 +476,15 @@ class FunctionExecution:
             np.sum(self._base_durations[attempt.completed_states :])
         )
         total = node.scale_duration(remaining + self.profile.finish_s)
-        if self.ctx.strategy is not None and self.ctx.strategy.checkpoints_enabled:
+        if self.platform.strategy.checkpoints_enabled:
             n_ckpts = max(0, self.n_states - attempt.completed_states)
-            interval = self.ctx.checkpointer.effective_interval(self.function_id)
+            interval = self.platform.checkpointer.effective_interval(
+                self.function_id
+            )
             n_ckpts = n_ckpts // max(1, interval)
             size = self.profile.checkpoint_size_bytes
             per_ckpt = self.profile.serialize_overhead_s + (
-                self.ctx.checkpointer.router.choose_tier(size).write_time(size)
+                self.platform.checkpointer.router.choose_tier(size).write_time(size)
             )
             total += n_ckpts * per_ckpt
         return total
@@ -502,7 +501,7 @@ class FunctionExecution:
         if index >= self.n_states:
             attempt.state_started_at = None
             finish = attempt.container.node.scale_duration(self.profile.finish_s)
-            attempt.state_handle = self.ctx.sim.call_in(
+            attempt.state_handle = self.platform.sim.call_in(
                 finish,
                 lambda: self._complete(attempt),
                 label=f"finish:{attempt.attempt_id}",
@@ -511,9 +510,9 @@ class FunctionExecution:
         duration = attempt.container.node.scale_duration(
             float(self._base_durations[index])
         )
-        attempt.state_started_at = self.ctx.sim.now
+        attempt.state_started_at = self.platform.sim.now
         attempt.state_duration = duration
-        attempt.state_handle = self.ctx.sim.call_in(
+        attempt.state_handle = self.platform.sim.call_in(
             duration,
             lambda: self._state_done(attempt),
             label=f"state:{attempt.attempt_id}:{index}",
@@ -526,51 +525,50 @@ class FunctionExecution:
         attempt.state_started_at = None
         index = attempt.completed_states
         attempt.completed_states = index + 1
-        self.ctx.database.function_info.set_field(
+        self.platform.database.function_info.set_field(
             self.function_id, "current_state_index", index
         )
         self._arm_recovery_checks()
-        strategy = self.ctx.strategy
+        strategy = self.platform.strategy
         take_ckpt = (
-            strategy is not None
-            and strategy.checkpoints_enabled
+            strategy.checkpoints_enabled
             and not attempt.secondary
-            and self.ctx.checkpointer.should_checkpoint(self.function_id, index)
+            and self.platform.checkpointer.should_checkpoint(self.function_id, index)
         )
-        if take_ckpt and self.ctx.network is not None:
+        if take_ckpt and self.platform.network is not None:
             # Network-modeled checkpoint: the write is a flow competing
             # for fabric bandwidth; the next state starts when it lands.
             def _ckpt_done(record, elapsed: float) -> None:
                 if attempt.done or self.completed:
                     return
-                self.ctx.metrics.note_checkpoint(self.function_id, elapsed)
+                self.platform.metrics.note_checkpoint(self.function_id, elapsed)
                 self._schedule_next_state(attempt)
 
-            _, attempt.state_handle = self.ctx.checkpointer.record_state_async(
-                network=self.ctx.network,
+            _, attempt.state_handle = self.platform.checkpointer.record_state_async(
+                network=self.platform.network,
                 job_id=self.job.job_id,
                 function_id=self.function_id,
                 state_index=index,
                 size_bytes=self.profile.checkpoint_size_bytes,
                 serialize_overhead_s=self.profile.serialize_overhead_s,
-                now=self.ctx.sim.now,
+                now=self.platform.sim.now,
                 node_id=attempt.container.node.node_id,
                 state_duration_s=self.profile.state_duration_s,
                 on_done=_ckpt_done,
             )
         elif take_ckpt:
-            _, duration = self.ctx.checkpointer.record_state(
+            _, duration = self.platform.checkpointer.record_state(
                 job_id=self.job.job_id,
                 function_id=self.function_id,
                 state_index=index,
                 size_bytes=self.profile.checkpoint_size_bytes,
                 serialize_overhead_s=self.profile.serialize_overhead_s,
-                now=self.ctx.sim.now,
+                now=self.platform.sim.now,
                 node_id=attempt.container.node.node_id,
                 state_duration_s=self.profile.state_duration_s,
             )
-            self.ctx.metrics.note_checkpoint(self.function_id, duration)
-            attempt.state_handle = self.ctx.sim.call_in(
+            self.platform.metrics.note_checkpoint(self.function_id, duration)
+            attempt.state_handle = self.platform.sim.call_in(
                 duration,
                 lambda: self._schedule_next_state(attempt),
                 label=f"ckpt:{attempt.attempt_id}:{index}",
@@ -582,7 +580,7 @@ class FunctionExecution:
     # Tracing helpers
     # ------------------------------------------------------------------
     def _finish_attempt_spans(self, attempt: Attempt, outcome: str) -> None:
-        tracer = self.ctx.tracer
+        tracer = self.platform.tracer
         if attempt.restore_span is not None:
             tracer.finish(attempt.restore_span, outcome=outcome)
             attempt.restore_span = None
@@ -595,7 +593,7 @@ class FunctionExecution:
     def _finish_recovery_span(self, event: FailureEvent) -> None:
         span = self._recovery_spans.pop(id(event), None)
         if span is not None:
-            self.ctx.tracer.finish(
+            self.platform.tracer.finish(
                 span, t=event.recovered_at, via=event.recovered_via
             )
 
@@ -607,7 +605,7 @@ class FunctionExecution:
             return
         self.completed = True
         self.job.completed_count += 1
-        now = self.ctx.sim.now
+        now = self.platform.sim.now
         self.completed_at = now
         self.status = FunctionState.COMPLETED
         winning.done = True
@@ -621,18 +619,18 @@ class FunctionExecution:
             self._finish_recovery_span(event)
         self._pending_events.clear()
         if self._invoke_span is not None:
-            self.ctx.tracer.finish(
+            self.platform.tracer.finish(
                 self._invoke_span, attempts=len(self.attempts)
             )
             self._invoke_span = None
-        ctx = self.ctx
-        ctx.metrics.note_completed(self.function_id, now)
-        ctx.database.function_info.update(
+        platform = self.platform
+        platform.metrics.note_completed(self.function_id, now)
+        platform.database.function_info.update(
             self.function_id, state=self.status.value
         )
-        ctx.runtime_manager.untrack_function_container(winning.container)
-        ctx.controller.terminate(winning.container, ContainerState.COMPLETED)
-        ctx.release_owner(winning.container.container_id)
+        platform.runtime_manager.untrack_function_container(winning.container)
+        platform.controller.terminate(winning.container, ContainerState.COMPLETED)
+        platform.release_owner(winning.container.container_id)
         # Cancel losing siblings (request replication).
         for attempt in list(self._live.values()):
             if attempt is winning or attempt.done:
@@ -640,26 +638,21 @@ class FunctionExecution:
             attempt.done = True
             attempt.cancel_timers()
             self._finish_attempt_spans(attempt, "cancelled")
-            ctx.runtime_manager.untrack_function_container(attempt.container)
-            ctx.controller.terminate(attempt.container, ContainerState.KILLED)
-            ctx.release_owner(attempt.container.container_id)
+            platform.runtime_manager.untrack_function_container(attempt.container)
+            platform.controller.terminate(attempt.container, ContainerState.KILLED)
+            platform.release_owner(attempt.container.container_id)
         self._live.clear()
         # Cancel in-flight container requests (e.g. an RR replacement whose
         # cold start raced with completion).
         for request in self._pending_requests:
             request.cancel()
             if request.container is not None and not request.container.terminal:
-                ctx.controller.terminate(request.container, ContainerState.KILLED)
-                ctx.release_owner(request.container.container_id)
+                platform.controller.terminate(request.container, ContainerState.KILLED)
+                platform.release_owner(request.container.container_id)
         self._pending_requests.clear()
-        ctx.checkpointer.drop_function(self.function_id)
-        if ctx.strategy is not None:
-            ctx.strategy.on_function_complete(self)
-        if self._on_complete_cb is not None:
-            self._on_complete_cb(self)
-
-    def on_complete(self, callback) -> None:
-        self._on_complete_cb = callback
+        platform.checkpointer.drop_function(self.function_id)
+        platform.strategy.on_function_complete(self)
+        platform.function_completed(self)
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -672,10 +665,10 @@ class FunctionExecution:
         work on it, but it still needs recovery.
         """
         attempt = self._live.pop(container.container_id, None)
-        self.ctx.release_owner(container.container_id)
+        self.platform.release_owner(container.container_id)
         if self.completed:
             return
-        now = self.ctx.sim.now
+        now = self.platform.sim.now
         if attempt is not None:
             if attempt.done:
                 return
@@ -683,7 +676,7 @@ class FunctionExecution:
             attempt.done = True
             attempt.cancel_timers()
             self._finish_attempt_spans(attempt, reason)
-            self.ctx.runtime_manager.untrack_function_container(container)
+            self.platform.runtime_manager.untrack_function_container(container)
         event = FailureEvent(
             function_id=self.function_id,
             job_id=self.job.job_id,
@@ -692,10 +685,10 @@ class FunctionExecution:
             reason=reason,
             node_id=container.node.node_id,
         )
-        self.ctx.metrics.record_failure(event)
+        self.platform.metrics.record_failure(event)
         self._pending_events.append(event)
-        if self.ctx.tracer.enabled:
-            self._recovery_spans[id(event)] = self.ctx.tracer.begin(
+        if self.platform.tracer.enabled:
+            self._recovery_spans[id(event)] = self.platform.tracer.begin(
                 "recovery",
                 f"recovery:{self.function_id}",
                 parent=self._invoke_span,
@@ -714,15 +707,13 @@ class FunctionExecution:
             )
             event.recovered_via = "sibling"
             self._arm_recovery_checks()
-            assert self.ctx.strategy is not None
-            self.ctx.strategy.on_sibling_loss(self, attempt, event)
+            self.platform.strategy.on_sibling_loss(self, attempt, event)
             return
         self.status = FunctionState.RECOVERING
-        self.ctx.database.function_info.update(
+        self.platform.database.function_info.update(
             self.function_id, state=self.status.value
         )
-        assert self.ctx.strategy is not None
-        self.ctx.strategy.on_failure(self, attempt, event)
+        self.platform.strategy.on_failure(self, attempt, event)
 
     # ------------------------------------------------------------------
     # Gray-failure support (chaos layer)
@@ -739,7 +730,7 @@ class FunctionExecution:
         attempt = self._live.get(container_id)
         if attempt is None or attempt.done:
             return False
-        attempt.final_progress = attempt.continuous_progress(self.ctx.sim.now)
+        attempt.final_progress = attempt.continuous_progress(self.platform.sim.now)
         if attempt.state_handle is not None:
             attempt.state_handle.cancel()
             attempt.state_handle = None
@@ -757,27 +748,27 @@ class FunctionExecution:
         checkpoint (losing only the in-flight state).  Returns False when
         the attempt is not in a migratable phase.
         """
-        ctx = self.ctx
+        platform = self.platform
         if attempt.done or self.completed or not attempt.running_states:
             return False
         source_node = attempt.container.node
-        attempt.final_progress = attempt.continuous_progress(ctx.sim.now)
+        attempt.final_progress = attempt.continuous_progress(platform.sim.now)
         attempt.done = True
         attempt.cancel_timers()
         self._finish_attempt_spans(attempt, "migrated")
         self._live.pop(attempt.container.container_id, None)
-        ctx.release_owner(attempt.container.container_id)
-        ctx.runtime_manager.untrack_function_container(attempt.container)
-        ctx.controller.terminate(attempt.container, ContainerState.KILLED)
+        platform.release_owner(attempt.container.container_id)
+        platform.runtime_manager.untrack_function_container(attempt.container)
+        platform.controller.terminate(attempt.container, ContainerState.KILLED)
 
-        strategy = ctx.strategy
+        strategy = platform.strategy
         record = None
-        if strategy is not None and strategy.checkpoints_enabled:
-            record = ctx.checkpointer.latest(self.function_id)
+        if strategy.checkpoints_enabled:
+            record = platform.checkpointer.latest(self.function_id)
         from_state = 0 if record is None else record.state_index + 1
 
-        if strategy is not None and strategy.replication_enabled:
-            replica = ctx.runtime_manager.claim_replica(
+        if strategy.replication_enabled:
+            replica = platform.runtime_manager.claim_replica(
                 self.profile.runtime,
                 self.function_id,
                 failed_node=source_node,
@@ -810,7 +801,7 @@ class FunctionExecution:
         """
         if not self._pending_events:
             return
-        now = self.ctx.sim.now
+        now = self.platform.sim.now
         live = self.live_attempts()
         if not live:
             return
@@ -833,7 +824,7 @@ class FunctionExecution:
                         * attempt.state_duration
                     )
                     if crossing >= now:
-                        self.ctx.sim.call_at(
+                        self.platform.sim.call_at(
                             crossing,
                             self._make_resolver(event),
                             label=f"recovered:{event.function_id}",
@@ -846,7 +837,7 @@ class FunctionExecution:
         def _resolve() -> None:
             if event.recovered_at is not None:
                 return
-            now = self.ctx.sim.now
+            now = self.platform.sim.now
             # Re-verify: the attempt that was crossing the target may itself
             # have died in the meantime.
             regained = any(

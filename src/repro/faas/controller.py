@@ -131,12 +131,7 @@ class FaaSController:
         }
         # S39 placement policy: ranks the filtered candidates at both
         # decision points (cold starts here, replicas at the placer).
-        # Bound to the handles that exist at controller-construction
-        # time; the platform binds detection/pricing later.
         self.policy = policy if policy is not None else LocalityPolicy()
-        self.policy.bind(
-            cluster=cluster, invokers=self.invokers, network=network
-        )
         self.containers: dict[str, Container] = {}
         #: Non-terminal containers only.  ``containers`` keeps every
         #: container ever created (cost accounting reads it once at the

@@ -72,16 +72,6 @@ class Invoker:
         self._cold_spans: dict[str, Span] = {}
 
     # ------------------------------------------------------------------
-    def cold_start_load(self) -> int:
-        """In-flight cold starts on this node (placement load signal).
-
-        A wedged (zombie) invoker never completes its launches, so its
-        backlog only grows — load-aware placement policies steer away
-        from gray nodes through this counter without any oracle.
-        """
-        return len(self._pending_ready)
-
-    # ------------------------------------------------------------------
     def _contention_multiplier(self) -> float:
         k = max(1, self.node.cold_starts_in_flight)
         return 1.0 + self.contention_gamma * (k - 1)

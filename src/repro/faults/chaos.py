@@ -36,14 +36,12 @@ Archetypes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
-
-from repro.trace.tracer import NULL_TRACER
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.core.canary import CanaryPlatform
+    from repro.sim.engine import EventHandle
 
 #: Fraction of its NIC capacity a partitioned node keeps (a trickle).
 PARTITION_CAPACITY_FACTOR = 0.05
@@ -189,36 +187,23 @@ def default_chaos_preset() -> ChaosConfig:
 class ChaosInjector:
     """Schedules the configured gray-failure archetypes on the sim clock."""
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        cluster: "Cluster",
-        *,
-        config: ChaosConfig,
-        ctx: Any = None,
-        tiers: Any = None,
-        network: Any = None,
-        controller: Any = None,
-        tracer: Any = NULL_TRACER,
-    ) -> None:
-        self.sim = sim
-        self.cluster = cluster
+    def __init__(self, platform: "CanaryPlatform", config: ChaosConfig) -> None:
+        self.platform = platform
+        self.sim = platform.sim
+        self.cluster = platform.cluster
         self.config = config
-        self.ctx = ctx
-        self.tiers = tiers
-        self.network = network
-        self.controller = controller
-        self.tracer = tracer
-        if tiers is not None:
-            for spec in config.tier_brownouts:
-                tiers.get(spec.tier)  # validate names eagerly
+        self.tiers = platform.tiers
+        self.network = platform.network
+        self.tracer = platform.tracer
+        for spec in config.tier_brownouts:
+            self.tiers.get(spec.tier)  # validate names eagerly
         #: node_id -> onset time of a gray fault (zombie), consumed by the
         #: detection module for latency accounting.
         self.gray_onset: dict[str, float] = {}
         self._partitioned: dict[str, float] = {}
         self._zombie_kill_handles: dict[str, "EventHandle"] = {}
         self._scheduled = False
-        cluster.on_node_failure(self._on_node_death)
+        self.cluster.on_node_failure(self._on_node_death)
         # Statistics.
         self.stragglers_applied = 0
         self.straggler_skips = 0
@@ -354,8 +339,6 @@ class ChaosInjector:
             )
 
     def _schedule_tier_brownouts(self) -> None:
-        if not self.config.tier_brownouts or self.tiers is None:
-            return
         for spec in self.config.tier_brownouts:
             self.sim.call_at(
                 max(spec.start_s, self.sim.now),
@@ -407,13 +390,12 @@ class ChaosInjector:
         # Freeze in-flight work: attempts stop transitioning states but the
         # containers stay registered — only the invocation timeout or the
         # node's eventual death recovers them.
-        if self.ctx is not None:
-            for container_id in list(node.containers):
-                owner = self.ctx.container_owners.get(container_id)
-                if owner is not None:
-                    owner.freeze_container(container_id)
-        if self.controller is not None:
-            self.controller.invokers[node.node_id].wedge()
+        owners = self.platform.container_owners
+        for container_id in list(node.containers):
+            owner = owners.get(container_id)
+            if owner is not None:
+                owner.freeze_container(container_id)
+        self.platform.controller.invokers[node.node_id].wedge()
         self._zombie_kill_handles[node.node_id] = self.sim.call_in(
             self.config.zombie_kill_after_s,
             lambda: self._zombie_hard_kill(node),

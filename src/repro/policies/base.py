@@ -18,21 +18,23 @@ keeps a run a pure function of the seed, and the default
 :class:`~repro.policies.builtin.LocalityPolicy` reproduces the pre-policy
 placement byte-identically.
 
-Richer policies read live platform signals through handles attached with
-:meth:`PlacementPolicy.bind`: the S33 flow fabric (link utilization), the
-S36 suspicion detector (phi history), the per-node invokers (cold-start
-backlog), and the billing model.  Handles are optional — every policy must
-degrade to a deterministic static ranking when a signal is absent, so the
-same policy name works in scenarios with and without those subsystems.
+Richer policies read live platform signals from the nodes themselves
+(containers, cold-start backlog, chaos speed) and from the two handles
+passed at construction: the S33 flow fabric (link utilization) and the S36
+suspicion detector (phi history).  Both handles are optional — every
+policy must degrade to a deterministic static ranking when a signal is
+absent, so the same policy name works in scenarios with and without those
+subsystems.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
+    from repro.detection.monitor import DetectionModule
+    from repro.network.fabric import FlowNetwork
 
 
 class PlacementPolicy:
@@ -47,49 +49,24 @@ class PlacementPolicy:
     #: Registry key; subclasses set their own.
     name = "base"
 
-    def __init__(self) -> None:
-        self.cluster: Optional["Cluster"] = None
-        #: node_id -> Invoker; cold-start backlog signal (load policies).
-        self.invokers: Optional[dict] = None
+    def __init__(
+        self,
+        *,
+        network: Optional["FlowNetwork"] = None,
+        detection: Optional["DetectionModule"] = None,
+    ) -> None:
         #: S33 FlowNetwork; live link utilization (contention policy).
-        self.network: Any = None
+        self.network = network
         #: S36 DetectionModule; suspicion history (suspicion policy).
-        self.detection: Any = None
-        #: PricingModel; dollar scoring (cost policy).
-        self.pricing: Any = None
+        self.detection = detection
         #: S40 adaptive avoidance hints: node_ids new containers should
         #: steer away from while alternatives exist.  Empty (default)
         #: keeps every decision byte-identical to the un-hinted policy.
         self._avoid_hints: frozenset[str] = frozenset()
 
-    def bind(self, **handles: Any) -> "PlacementPolicy":
-        """Attach platform handles (only the ones provided are updated).
-
-        Called incrementally during platform assembly: the cluster and
-        fabric exist before the controller, the detector after it, so the
-        platform binds in two steps.  Unknown handle names are rejected to
-        catch wiring typos.
-        """
-        for key, value in handles.items():
-            if key not in (
-                "cluster",
-                "invokers",
-                "network",
-                "detection",
-                "pricing",
-            ):
-                raise TypeError(f"unknown policy handle {key!r}")
-            if value is not None:
-                setattr(self, key, value)
-        return self
-
     # ------------------------------------------------------------------
     # Adaptive avoidance hints (S40)
     # ------------------------------------------------------------------
-    @property
-    def avoid_hints(self) -> frozenset[str]:
-        return self._avoid_hints
-
     def set_hints(self, node_ids: frozenset[str]) -> None:
         """Replace the avoidance-hint set (the adaptive controller's knob)."""
         self._avoid_hints = frozenset(node_ids)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.cluster.topology import Topology
 from repro.policies.base import PlacementPolicy, static_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,17 +59,15 @@ class LocalityPolicy(PlacementPolicy):
         # The topology's distance is coarse (same node < same rack <
         # cross rack), so the minimum over the replica set collapses to
         # two membership tests; O(candidates + replicas).
-        assert self.cluster is not None, "locality replica rule needs a cluster"
-        topo = self.cluster.topology
         replica_ids = {other.node_id for other in existing_replica_nodes}
         replica_racks = {other.rack for other in existing_replica_nodes}
 
         def min_distance(candidate: "Node") -> int:
             if candidate.node_id in replica_ids:
-                return topo.SAME_NODE
+                return Topology.SAME_NODE
             if candidate.rack in replica_racks:
-                return topo.SAME_RACK
-            return topo.CROSS_RACK
+                return Topology.SAME_RACK
+            return Topology.CROSS_RACK
 
         return max(
             candidates,
@@ -91,8 +90,8 @@ class RoundRobinPolicy(PlacementPolicy):
 
     name = "round-robin"
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, **handles) -> None:
+        super().__init__(**handles)
         self._cursor = 0
 
     def select_node(self, candidates: Sequence["Node"]) -> Optional["Node"]:
@@ -109,21 +108,17 @@ class RoundRobinPolicy(PlacementPolicy):
 class LeastLoadedPolicy(PlacementPolicy):
     """Minimize live load: resident containers plus cold-start backlog.
 
-    The backlog comes from the invokers' in-flight launch sets when the
-    platform bound them (a wedged zombie invoker keeps accumulating
-    launches, so this signal naturally steers new work away from gray
-    nodes); otherwise the node's own in-flight counter is used.
+    The backlog is the node's in-flight cold-start counter, which the
+    invoker keeps equal to its pending launches.  A wedged zombie invoker
+    never completes its launches, so its backlog only grows and this
+    signal steers new work away from gray nodes without any oracle.
     """
 
     name = "least-loaded"
 
-    def _load(self, node: "Node") -> int:
-        backlog = node.cold_starts_in_flight
-        if self.invokers is not None:
-            invoker = self.invokers.get(node.node_id)
-            if invoker is not None:
-                backlog = invoker.cold_start_load()
-        return len(node.containers) + backlog
+    @staticmethod
+    def _load(node: "Node") -> int:
+        return len(node.containers) + node.cold_starts_in_flight
 
     def select_node(self, candidates: Sequence["Node"]) -> Optional["Node"]:
         if not candidates:

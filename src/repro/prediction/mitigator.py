@@ -108,12 +108,13 @@ class ProactiveMitigator:
             return
         node.cordoned = True
         self.cordons += 1
-        ctx = self.platform.ctx
         for container in list(node.containers.values()):
             if container.terminal:
                 continue
             if container.purpose == ContainerPurpose.FUNCTION:
-                execution = ctx.container_owners.get(container.container_id)
+                execution = self.platform.container_owners.get(
+                    container.container_id
+                )
                 if execution is None:
                     continue
                 attempt = execution._live.get(container.container_id)
@@ -122,7 +123,7 @@ class ProactiveMitigator:
             elif container.purpose == ContainerPurpose.REPLICA:
                 # Retire doomed replicas; the Replication Module will
                 # re-provision the pool on healthy nodes.
-                ctx.runtime_manager.unregister_replica(container)
+                self.platform.runtime_manager.unregister_replica(container)
                 self.platform.controller.terminate(
                     container, ContainerState.KILLED
                 )

@@ -30,7 +30,6 @@ class ReplicaPlacer:
     ) -> None:
         self.cluster = cluster
         self.policy = policy if policy is not None else LocalityPolicy()
-        self.policy.bind(cluster=cluster)
 
     def choose_node(
         self,

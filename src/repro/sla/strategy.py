@@ -21,11 +21,11 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.checkpoint.records import CheckpointRecord
 from repro.common.types import RecoveryStrategyName
-from repro.core.context import PlatformContext
 from repro.sla.policy import SLAPolicy, SlackClass, classify_slack
 from repro.strategies.canary import CanaryStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.canary import CanaryPlatform
     from repro.core.execution import FunctionExecution
 
 
@@ -34,8 +34,8 @@ class SlaAwareCanaryStrategy(CanaryStrategy):
 
     name = RecoveryStrategyName.CANARY_SLA
 
-    def __init__(self, ctx: PlatformContext) -> None:
-        super().__init__(ctx)
+    def __init__(self, platform: CanaryPlatform) -> None:
+        super().__init__(platform)
         self.deadline_hits = 0
         self.deadline_misses = 0
         self.pool_preserved = 0   # comfortable recoveries routed cold
@@ -54,11 +54,11 @@ class SlaAwareCanaryStrategy(CanaryStrategy):
         if policy is None:
             return SlackClass.NONE
         resume_state = self._resume_state(record)
-        runtime = self.ctx.controller.runtimes.get(execution.profile.runtime)
-        trace = self.ctx.metrics.trace(execution.function_id)
+        runtime = self.platform.controller.runtimes.get(execution.profile.runtime)
+        trace = self.platform.metrics.trace(execution.function_id)
         return classify_slack(
             policy,
-            now=self.ctx.sim.now,
+            now=self.platform.sim.now,
             submitted_at=trace.submitted_at,
             estimated_remaining_s=execution.estimated_remaining_work_s(
                 resume_state
@@ -82,7 +82,7 @@ class SlaAwareCanaryStrategy(CanaryStrategy):
             return
         if slack is SlackClass.CRITICAL and self.replication_enabled:
             kind = execution.profile.runtime
-            replica = self.ctx.runtime_manager.claim_replica(
+            replica = self.platform.runtime_manager.claim_replica(
                 kind, execution.function_id, failed_node=failed_node
             )
             if replica is not None:
@@ -97,9 +97,9 @@ class SlaAwareCanaryStrategy(CanaryStrategy):
                 return
             # No warm replica: escalate the pool and wait for the new one
             # instead of falling back to a cold start.
-            if self.ctx.replication is not None:
+            if self.platform.replication is not None:
                 self.escalations += 1
-                self.ctx.replication._launch_replica(kind)
+                self.platform.replication._launch_replica(kind)
             self._enqueue_waiter(execution, record)
             return
         # TIGHT / NONE: standard Canary path.
@@ -111,7 +111,7 @@ class SlaAwareCanaryStrategy(CanaryStrategy):
         policy = self._policy_for(execution)
         if policy is None or policy.deadline_s is None:
             return
-        latency = self.ctx.metrics.trace(execution.function_id).latency
+        latency = self.platform.metrics.trace(execution.function_id).latency
         if latency is not None and latency <= policy.deadline_s:
             self.deadline_hits += 1
         else:

@@ -13,12 +13,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.types import ContainerState, RecoveryStrategyName
-from repro.core.context import PlatformContext
 from repro.faas.container import Container, ContainerPurpose
 from repro.faas.controller import ContainerRequest
 from repro.strategies.base import RecoveryStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.canary import CanaryPlatform
     from repro.core.execution import Attempt, FunctionExecution
     from repro.metrics.collector import FailureEvent
 
@@ -30,14 +30,14 @@ class ActiveStandbyStrategy(RecoveryStrategy):
     checkpoints_enabled = False
     replication_enabled = False
 
-    def __init__(self, ctx: PlatformContext) -> None:
-        super().__init__(ctx)
+    def __init__(self, platform: CanaryPlatform) -> None:
+        super().__init__(platform)
         # function_id -> warm standby container (or None while launching)
         self._standby: dict[str, Optional[Container]] = {}
         self._standby_requests: dict[str, ContainerRequest] = {}
         self._standby_owner: dict[str, str] = {}  # container_id -> function_id
         self._executions: dict[str, "FunctionExecution"] = {}
-        ctx.controller.on_container_loss(self._handle_standby_loss)
+        platform.controller.on_container_loss(self._handle_standby_loss)
         self.standby_activations = 0
         self.standby_misses = 0
 
@@ -58,7 +58,7 @@ class ActiveStandbyStrategy(RecoveryStrategy):
         def _ready(container: Container) -> None:
             # The function may have completed while the standby launched.
             if execution.completed:
-                self.ctx.controller.terminate(container, ContainerState.KILLED)
+                self.platform.controller.terminate(container, ContainerState.KILLED)
                 return
             self._standby[function_id] = container
             self._standby_owner[container.container_id] = function_id
@@ -71,14 +71,14 @@ class ActiveStandbyStrategy(RecoveryStrategy):
             memory_bytes=execution.job.request.function_memory_bytes,
             warm=True,
         )
-        self.ctx.controller.submit(request)
+        self.platform.controller.submit(request)
         self._standby_requests[function_id] = request
 
     def _maybe_kill_standby(
         self, execution: "FunctionExecution", container: Container
     ) -> None:
         """Standbys of victim functions die too, at the secondary kill rate."""
-        fraction = self.ctx.injector.attempt_kill_fraction(
+        fraction = self.platform.injector.attempt_kill_fraction(
             job_id=execution.job.job_id,
             function_id=execution.function_id,
             attempt_index=0,
@@ -91,10 +91,10 @@ class ActiveStandbyStrategy(RecoveryStrategy):
         def _kill() -> None:
             if container.terminal or execution.completed:
                 return
-            self.ctx.injector.note_kill()
-            self.ctx.controller.kill_container(container, "injected-standby")
+            self.platform.injector.note_kill()
+            self.platform.controller.kill_container(container, "injected-standby")
 
-        self.ctx.sim.call_in(
+        self.platform.sim.call_in(
             fraction * window,
             _kill,
             label=f"kill-standby:{execution.function_id}",
@@ -158,11 +158,11 @@ class ActiveStandbyStrategy(RecoveryStrategy):
         if request is not None:
             request.cancel()
             if request.container is not None and not request.container.terminal:
-                self.ctx.controller.terminate(
+                self.platform.controller.terminate(
                     request.container, ContainerState.KILLED
                 )
         standby = self._standby.pop(function_id, None)
         if standby is not None and not standby.terminal:
             self._standby_owner.pop(standby.container_id, None)
-            self.ctx.controller.terminate(standby, ContainerState.KILLED)
+            self.platform.controller.terminate(standby, ContainerState.KILLED)
         self._executions.pop(function_id, None)

@@ -6,9 +6,9 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.types import RecoveryStrategyName
-from repro.core.context import PlatformContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.canary import CanaryPlatform
     from repro.core.execution import Attempt, FunctionExecution
     from repro.core.jobs import Job
     from repro.metrics.collector import FailureEvent
@@ -28,8 +28,8 @@ class RecoveryStrategy(ABC):
     checkpoints_enabled: bool = False
     replication_enabled: bool = False
 
-    def __init__(self, ctx: PlatformContext) -> None:
-        self.ctx = ctx
+    def __init__(self, platform: CanaryPlatform) -> None:
+        self.platform = platform
 
     # ------------------------------------------------------------------
     # Hooks
@@ -67,8 +67,8 @@ class RecoveryStrategy(ABC):
 
     def on_function_complete(self, execution: "FunctionExecution") -> None:
         """Called once per function at successful completion."""
-        if self.ctx.replication is not None:
-            self.ctx.replication.observe_function_success(
+        if self.platform.replication is not None:
+            self.platform.replication.observe_function_success(
                 execution.profile.runtime, job=execution.job
             )
 
@@ -85,10 +85,10 @@ class RecoveryStrategy(ABC):
         next status heartbeat arrives or when the detector declares the
         node dead.  Otherwise the paper's constant-delay oracle applies.
         """
-        detection = self.ctx.detection
+        detection = self.platform.detection
         if detection is not None and node_id is not None:
             detection.notify_after_detection(node_id, callback, label=label)
             return
-        self.ctx.sim.call_in(
-            self.ctx.config.detection_delay_s, callback, label=label
+        self.platform.sim.call_in(
+            self.platform.config.detection_delay_s, callback, label=label
         )

@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.checkpoint.records import CheckpointRecord
 from repro.common.types import RecoveryStrategyName, RuntimeKind
-from repro.core.context import PlatformContext
 from repro.strategies.base import RecoveryStrategy
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.canary import CanaryPlatform
     from repro.core.execution import Attempt, FunctionExecution
     from repro.metrics.collector import FailureEvent
 
@@ -43,10 +43,10 @@ class CanaryStrategy(RecoveryStrategy):
     #: timer: waiting longer than a cold start would never pay off.
     WAIT_FALLBACK_FACTOR = 1.5
 
-    def __init__(self, ctx: PlatformContext) -> None:
-        super().__init__(ctx)
+    def __init__(self, platform: CanaryPlatform) -> None:
+        super().__init__(platform)
         self._waiters: dict[RuntimeKind, collections.deque] = {}
-        ctx.runtime_manager.on_replica_available(self._replica_available)
+        platform.runtime_manager.on_replica_available(self._replica_available)
         self.recoveries_via_replica = 0
         self.recoveries_via_cold = 0
         self.recoveries_waited = 0
@@ -61,8 +61,8 @@ class CanaryStrategy(RecoveryStrategy):
         event: "FailureEvent",
     ) -> None:
         failed_node = attempt.container.node if attempt is not None else None
-        if self.ctx.replication is not None:
-            self.ctx.replication.observe_function_failure(
+        if self.platform.replication is not None:
+            self.platform.replication.observe_function_failure(
                 execution.profile.runtime
             )
 
@@ -83,7 +83,7 @@ class CanaryStrategy(RecoveryStrategy):
     ) -> Optional[CheckpointRecord]:
         if not self.checkpoints_enabled:
             return None
-        return self.ctx.checkpointer.latest(execution.function_id)
+        return self.platform.checkpointer.latest(execution.function_id)
 
     def _resume_state(self, record: Optional[CheckpointRecord]) -> int:
         return 0 if record is None else record.state_index + 1
@@ -94,10 +94,10 @@ class CanaryStrategy(RecoveryStrategy):
         record: Optional[CheckpointRecord],
         failed_node,
     ) -> None:
-        ctx = self.ctx
+        platform = self.platform
         kind = execution.profile.runtime
         if self.replication_enabled:
-            replica = ctx.runtime_manager.claim_replica(
+            replica = platform.runtime_manager.claim_replica(
                 kind, execution.function_id, failed_node=failed_node
             )
             if replica is not None:
@@ -131,11 +131,11 @@ class CanaryStrategy(RecoveryStrategy):
     # Waiting for an in-flight replica
     # ------------------------------------------------------------------
     def _replicas_inflight(self, kind: RuntimeKind) -> int:
-        if self.ctx.replication is None:
+        if self.platform.replication is None:
             return 0
-        return self.ctx.replication.current_for_kind(
+        return self.platform.replication.current_for_kind(
             kind
-        ) - self.ctx.runtime_manager.replica_count(kind)
+        ) - self.platform.runtime_manager.replica_count(kind)
 
     def _enqueue_waiter(
         self,
@@ -147,7 +147,7 @@ class CanaryStrategy(RecoveryStrategy):
         entry = {"execution": execution, "record": record, "served": False}
         queue.append(entry)
         self.recoveries_waited += 1
-        runtime = self.ctx.controller.runtimes.get(kind)
+        runtime = self.platform.controller.runtimes.get(kind)
         fallback_after = runtime.cold_start_s * self.WAIT_FALLBACK_FACTOR
 
         def _fallback() -> None:
@@ -156,7 +156,7 @@ class CanaryStrategy(RecoveryStrategy):
             entry["served"] = True
             self._cold_recover(execution, record)
 
-        self.ctx.sim.call_in(
+        self.platform.sim.call_in(
             fallback_after,
             _fallback,
             label=f"wait-fallback:{execution.function_id}",
@@ -171,7 +171,7 @@ class CanaryStrategy(RecoveryStrategy):
             if entry["served"] or entry["execution"].completed:
                 continue
             execution = entry["execution"]
-            replica = self.ctx.runtime_manager.claim_replica(
+            replica = self.platform.runtime_manager.claim_replica(
                 kind, execution.function_id
             )
             if replica is None:

@@ -48,11 +48,9 @@ class CloningStrategy(RecoveryStrategy):
     checkpoints_enabled = False
     replication_enabled = False
 
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
-        self.config: CloningConfig = (
-            getattr(ctx, "cloning", None) or CloningConfig()
-        )
+    def __init__(self, platform) -> None:
+        super().__init__(platform)
+        self.config: CloningConfig = platform.scenario.cloning or CloningConfig()
 
     def launch_function(self, execution: "FunctionExecution") -> None:
         self._launch_complement(execution)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.common.types import RecoveryStrategyName
-from repro.core.context import PlatformContext
 from repro.strategies.active_standby import ActiveStandbyStrategy
 from repro.strategies.base import RecoveryStrategy
 from repro.strategies.canary import (
@@ -16,12 +17,15 @@ from repro.strategies.ideal import IdealStrategy
 from repro.strategies.request_replication import RequestReplicationStrategy
 from repro.strategies.retry import RetryStrategy
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.canary import CanaryPlatform
 
-def _sla_strategy(ctx: PlatformContext) -> RecoveryStrategy:
+
+def _sla_strategy(platform: CanaryPlatform) -> RecoveryStrategy:
     # Imported lazily: repro.sla depends on the canary strategy.
     from repro.sla.strategy import SlaAwareCanaryStrategy
 
-    return SlaAwareCanaryStrategy(ctx)
+    return SlaAwareCanaryStrategy(platform)
 
 
 _REGISTRY = {
@@ -38,8 +42,8 @@ _REGISTRY = {
 
 
 def make_strategy(
-    name: RecoveryStrategyName | str, ctx: PlatformContext
+    name: RecoveryStrategyName | str, platform: CanaryPlatform
 ) -> RecoveryStrategy:
     """Instantiate a recovery strategy by name."""
     name = RecoveryStrategyName(name)
-    return _REGISTRY[name](ctx)
+    return _REGISTRY[name](platform)

@@ -32,7 +32,7 @@ class RequestReplicationStrategy(RecoveryStrategy):
 
     def _launch_complement(self, execution: "FunctionExecution") -> None:
         execution.request_cold_attempt(via="launch")
-        for _ in range(self.ctx.config.rr_replicas):
+        for _ in range(self.platform.config.rr_replicas):
             execution.request_cold_attempt(secondary=True, via="launch")
 
     def on_failure(

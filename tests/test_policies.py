@@ -10,6 +10,7 @@ from repro.common.types import RuntimeKind
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.faas.container import Container, ContainerPurpose
+from repro.faas.controller import FaaSController
 from repro.faas.runtimes import RuntimeRegistry
 from repro.network.config import NetworkModelConfig, get_network_preset
 from repro.network.fabric import FlowNetwork
@@ -44,6 +45,18 @@ def _attach(node, memory=GB, count=1):
             memory_bytes=memory,
         )
         node.attach(container)
+
+
+def _container(node, index):
+    """A function container bound to *node* but not attached to it."""
+    runtime = RuntimeRegistry().get(RuntimeKind.PYTHON)
+    return Container(
+        f"launch-{node.node_id}-{index}",
+        runtime,
+        node,
+        purpose=ContainerPurpose.FUNCTION,
+        memory_bytes=GB,
+    )
 
 
 def _legacy_controller_rank(candidates):
@@ -110,10 +123,6 @@ class TestFactory:
         config = ScenarioConfig(workload="graph-bfs", placement="cost")
         assert config.with_(placement="contention").placement == "contention"
 
-    def test_bind_rejects_unknown_handles(self):
-        with pytest.raises(TypeError, match="unknown policy handle"):
-            LocalityPolicy().bind(flux_capacitor=object())
-
     def test_base_select_node_is_abstract(self):
         with pytest.raises(NotImplementedError):
             PlacementPolicy().select_node([])
@@ -130,7 +139,7 @@ class TestLocalityEquivalence:
         _attach(cluster.nodes[0], count=3)
         _attach(cluster.nodes[5], count=1)
         _attach(cluster.nodes[7], count=7)
-        policy = LocalityPolicy().bind(cluster=cluster)
+        policy = LocalityPolicy()
         for memory in (GB, 4 * GB):
             candidates = cluster.hosting_candidates(memory)
             assert policy.select_node(candidates) is _legacy_controller_rank(
@@ -204,7 +213,7 @@ class TestLocalityEquivalence:
 class TestRoundRobin:
     def test_fairness_visits_every_node_before_repeating(self):
         cluster = Cluster(8)
-        policy = RoundRobinPolicy().bind(cluster=cluster)
+        policy = RoundRobinPolicy()
         picks = [
             policy.select_node(cluster.hosting_candidates(GB)).node_id
             for _ in range(8)
@@ -232,7 +241,7 @@ class TestRoundRobin:
 class TestLeastLoaded:
     def test_monotonicity_load_repels_placement(self):
         cluster = Cluster(4)
-        policy = LeastLoadedPolicy().bind(cluster=cluster)
+        policy = LeastLoadedPolicy()
         first = policy.select_node(cluster.hosting_candidates(GB))
         _attach(first, count=2)
         second = policy.select_node(cluster.hosting_candidates(GB))
@@ -243,23 +252,51 @@ class TestLeastLoaded:
                 _attach(node, count=4)
         assert policy.select_node(cluster.hosting_candidates(GB)) is first
 
-    def test_counts_invoker_cold_start_backlog(self):
+    def test_steers_away_from_wedged_invoker_backlog(self):
         sim = Simulator(seed=0)
-        from repro.faas.controller import FaaSController
-
         controller = FaaSController(
             sim, Cluster(4), policy=LeastLoadedPolicy()
         )
         cluster = controller.cluster
-        # Fake a wedged backlog on the otherwise-best node by registering
-        # pending cold starts at its invoker.
-        target = cluster.nodes[0]
+        policy = controller.policy
+        # Wedge the invoker of the otherwise-best node and start real
+        # cold starts on it: a zombie accepts launches, never readies them.
+        target = policy.select_node(cluster.hosting_candidates(GB))
         invoker = controller.invokers[target.node_id]
-        invoker._pending_ready["phantom-1"] = object()
-        invoker._pending_ready["phantom-2"] = object()
-        assert invoker.cold_start_load() == 2
-        pick = controller.policy.select_node(cluster.hosting_candidates(GB))
-        assert pick is not target
+        invoker.wedge()
+        for index in range(2):
+            invoker.cold_start(_container(target, index), lambda c: None)
+        sim.run(until=600.0)
+        assert target.cold_starts_in_flight == 2
+        assert policy.select_node(cluster.hosting_candidates(GB)) is not target
+
+    def test_node_counter_matches_invoker_launches(self):
+        sim = Simulator(seed=0)
+        controller = FaaSController(sim, Cluster(2))
+        node = controller.cluster.nodes[0]
+        invoker = controller.invokers[node.node_id]
+
+        def in_flight():
+            assert node.cold_starts_in_flight == len(invoker._pending_ready)
+            return node.cold_starts_in_flight
+
+        launches = [_container(node, index) for index in range(5)]
+        for container in launches[:3]:
+            invoker.cold_start(container, lambda c: None)
+        assert in_flight() == 3
+        invoker.abort_cold_start(launches[0])
+        assert in_flight() == 2
+        sim.run()  # the two survivors become ready
+        assert in_flight() == 0
+        invoker.cold_start(launches[3], lambda c: None)
+        invoker.wedge()
+        invoker.cold_start(launches[4], lambda c: None)
+        sim.run()  # a wedged invoker readies nothing
+        assert in_flight() == 2
+        invoker.abort_cold_start(launches[3])
+        assert in_flight() == 1
+        controller.cluster.fail_node(node.node_id, sim.now)
+        assert in_flight() == 0
 
 
 class TestContentionAware:
@@ -284,9 +321,7 @@ class TestContentionAware:
 
     def test_avoids_saturated_rack(self):
         sim, cluster, network = self._fabric()
-        policy = ContentionAwarePolicy().bind(
-            cluster=cluster, network=network
-        )
+        policy = ContentionAwarePolicy(network=network)
         # Saturate rack 0: long transfers between its two nodes plus a
         # cross-rack push keep nic+uplink members busy.
         rack0 = [n for n in cluster.nodes if n.rack == cluster.nodes[0].rack]
@@ -304,7 +339,7 @@ class TestContentionAware:
 
     def test_degrades_to_static_rank_without_fabric(self):
         cluster = Cluster(6)
-        policy = ContentionAwarePolicy().bind(cluster=cluster)
+        policy = ContentionAwarePolicy()
         candidates = cluster.hosting_candidates(GB)
         expected = max(
             candidates,
@@ -316,7 +351,7 @@ class TestContentionAware:
 class TestCostMinimizing:
     def test_prefers_fastest_effective_node(self):
         cluster = Cluster(6)
-        policy = CostMinimizingPolicy().bind(cluster=cluster)
+        policy = CostMinimizingPolicy()
         pick = policy.select_node(cluster.hosting_candidates(GB))
         best = max(
             cluster.nodes, key=lambda n: n.profile.speed_factor
@@ -325,14 +360,14 @@ class TestCostMinimizing:
 
     def test_avoids_chaos_degraded_node(self):
         cluster = Cluster(6)
-        policy = CostMinimizingPolicy().bind(cluster=cluster)
+        policy = CostMinimizingPolicy()
         first = policy.select_node(cluster.hosting_candidates(GB))
         first.chaos_speed_factor = 0.05  # straggler: 20x slower, 20x bill
         assert policy.select_node(cluster.hosting_candidates(GB)) is not first
 
     def test_bin_packs_on_speed_ties(self):
         cluster = Cluster(6)
-        policy = CostMinimizingPolicy().bind(cluster=cluster)
+        policy = CostMinimizingPolicy()
         fastest = [
             n
             for n in cluster.nodes
@@ -357,7 +392,7 @@ class TestSuspicionAware:
     def test_avoids_cordoned_nodes_in_raw_candidate_lists(self):
         cluster = Cluster(4)
         cluster.nodes[0].cordoned = True
-        policy = SuspicionAwarePolicy().bind(cluster=cluster)
+        policy = SuspicionAwarePolicy()
         # Hand the policy the raw node list (bypassing can_host filtering)
         # — it must still shun the cordoned node.
         pick = policy.select_node(list(cluster.nodes))
@@ -367,9 +402,7 @@ class TestSuspicionAware:
         cluster = Cluster(4)
         flappy = cluster.nodes[2]
         detection = _StubDetection({flappy.node_id: 3.0})
-        policy = SuspicionAwarePolicy().bind(
-            cluster=cluster, detection=detection
-        )
+        policy = SuspicionAwarePolicy(detection=detection)
         pick = policy.select_node(cluster.hosting_candidates(GB))
         assert pick is not flappy
 
@@ -394,7 +427,7 @@ class TestSuspicionAware:
 class TestDefaultReplicaRule:
     def test_spread_before_reuse(self):
         cluster = Cluster(4)
-        policy = RoundRobinPolicy().bind(cluster=cluster)
+        policy = RoundRobinPolicy()
         existing = [cluster.nodes[0], cluster.nodes[1]]
         pick = policy.select_replica_node(
             cluster.hosting_candidates(GB),
@@ -405,7 +438,7 @@ class TestDefaultReplicaRule:
 
     def test_falls_back_to_taken_nodes_when_all_hold_replicas(self):
         cluster = Cluster(2)
-        policy = LeastLoadedPolicy().bind(cluster=cluster)
+        policy = LeastLoadedPolicy()
         pick = policy.select_replica_node(
             cluster.hosting_candidates(GB),
             function_nodes=[],

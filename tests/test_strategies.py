@@ -16,13 +16,13 @@ class TestFactory:
     @pytest.mark.parametrize("name", list(RecoveryStrategyName))
     def test_all_strategies_constructible(self, name):
         platform = build_platform(strategy="retry")
-        strategy = make_strategy(name, platform.ctx)
+        strategy = make_strategy(name, platform)
         assert strategy.name is name
 
     def test_string_names_accepted(self):
         platform = build_platform(strategy="retry")
         assert (
-            make_strategy("canary", platform.ctx).name
+            make_strategy("canary", platform).name
             is RecoveryStrategyName.CANARY
         )
 
