@@ -536,6 +536,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.func is _cmd_topology:
             from repro.cluster.topology import Topology
 
+            if args.nodes <= 0:
+                raise ValueError("num_nodes must be positive")
             args.topology = Topology(num_racks=args.racks)
     except ValueError as exc:
         parser.error(str(exc))

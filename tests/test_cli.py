@@ -135,9 +135,10 @@ class TestCommands:
             (["run", "--checkpoint-interval", "0"], "checkpoint_interval"),
             (["run", "--node-failures", "-1"], "node_failure_count"),
             (["topology", "--racks", "0"], "num_racks"),
+            (["topology", "--nodes", "0"], "num_nodes"),
         ],
         ids=["nodes", "error-rate", "checkpoint-interval", "node-failures",
-             "racks"],
+             "racks", "topology-nodes"],
     )
     def test_out_of_range_values_are_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
