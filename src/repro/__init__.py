@@ -20,7 +20,6 @@ from repro.common.types import (
     RuntimeKind,
 )
 from repro.core.canary import CanaryPlatform
-from repro.core.config import PlatformConfig
 from repro.core.jobs import Job, JobRequest
 from repro.core.scenario import ScenarioConfig
 from repro.core.workflow import (
@@ -43,7 +42,6 @@ __all__ = [
     "Job",
     "JobRequest",
     "MICRO_WORKLOADS",
-    "PlatformConfig",
     "RecoveryStrategyName",
     "ReplicationStrategyName",
     "RuntimeKind",

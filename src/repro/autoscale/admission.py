@@ -92,7 +92,6 @@ class AdmissionController:
                 )
                 for name in tenants
             }
-        self.shed_overload = 0
         self.shed_throttled = 0
 
     def admit(self, tenant: str, now: float, backlog: int) -> bool:
@@ -101,7 +100,6 @@ class AdmissionController:
             self.config.queue_shed_depth is not None
             and backlog > self.config.queue_shed_depth
         ):
-            self.shed_overload += 1
             return False
         if self.config.tenant_rate_per_s is not None:
             bucket = self._buckets.get(tenant)

@@ -79,7 +79,6 @@ class CheckpointingModule:
         # statistics
         self.checkpoints_taken = 0
         self.checkpoints_evicted = 0
-        self.restores_served = 0
         self.restores_fallback = 0  # restored from an older generation
         self.bytes_written = 0.0
 
@@ -382,7 +381,6 @@ class CheckpointingModule:
             if healthy_only and self.tier_refusing(record.ref.tier_name):
                 continue
             if self.router.is_available(record.ref):
-                self.restores_served += 1
                 if offset > 0:
                     self.restores_fallback += 1
                 return record

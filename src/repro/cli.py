@@ -539,6 +539,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.nodes <= 0:
                 raise ValueError("num_nodes must be positive")
             args.topology = Topology(num_racks=args.racks)
+        elif args.func is _figure_command:
+            if args.jobs is not None and args.jobs < 1:
+                raise ValueError("--jobs must be at least 1")
     except ValueError as exc:
         parser.error(str(exc))
     return args.func(args)

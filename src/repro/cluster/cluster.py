@@ -75,20 +75,6 @@ class Cluster:
             return []
         return [n for n in self.nodes if n.can_host(memory_bytes)]
 
-    def least_loaded(self, memory_bytes: float) -> Optional[Node]:
-        """Candidate with the most free slots; speed breaks ties, then index.
-
-        Preferring faster nodes on ties mirrors the paper's observation that
-        heterogeneity-aware placement reduces recovery-time variance.
-        """
-        candidates = self.hosting_candidates(memory_bytes)
-        if not candidates:
-            return None
-        return max(
-            candidates,
-            key=lambda n: (n.slots_free, n.profile.speed_factor, -n.index),
-        )
-
     def total_slots(self) -> int:
         return sum(n.profile.container_slots for n in self.alive_nodes())
 

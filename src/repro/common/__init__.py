@@ -2,16 +2,13 @@
 
 from repro.common.errors import (
     CanaryError,
-    ConcurrencyLimitError,
     PlacementError,
     ReproError,
     RequestValidationError,
-    ResourceLimitError,
     StorageCapacityError,
 )
 from repro.common.types import (
     ContainerState,
-    FailureKind,
     FunctionState,
     JobState,
     RecoveryStrategyName,
@@ -22,9 +19,7 @@ from repro.common.units import GiB, KiB, MiB, gb, mb
 
 __all__ = [
     "CanaryError",
-    "ConcurrencyLimitError",
     "ContainerState",
-    "FailureKind",
     "FunctionState",
     "GiB",
     "JobState",
@@ -35,7 +30,6 @@ __all__ = [
     "ReplicationStrategyName",
     "ReproError",
     "RequestValidationError",
-    "ResourceLimitError",
     "RuntimeKind",
     "StorageCapacityError",
     "gb",

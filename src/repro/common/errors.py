@@ -20,14 +20,6 @@ class RequestValidationError(CanaryError):
     """Job request rejected by the Request Validator Module (§IV-C-2)."""
 
 
-class ResourceLimitError(RequestValidationError):
-    """Requested resources exceed the platform/account limits."""
-
-
-class ConcurrencyLimitError(RequestValidationError):
-    """Invocation would exceed the maximum concurrent function limit."""
-
-
 class PlacementError(ReproError):
     """No node satisfies a container/replica placement request."""
 

@@ -49,16 +49,6 @@ class JobState(str, enum.Enum):
     REJECTED = "rejected"
 
 
-class FailureKind(str, enum.Enum):
-    """Failure taxonomy of §II-A."""
-
-    REQUEST = "request"          # resources exceed account limits
-    CONCURRENCY = "concurrency"  # too many concurrent invocations
-    FUNCTION = "function"        # application-level failure / container kill
-    RUNTIME = "runtime"          # runtime preparation/setup failure
-    NODE = "node"                # whole-node loss (fig. 11 experiments)
-
-
 class RecoveryStrategyName(str, enum.Enum):
     """Execution scenarios compared in §V."""
 

@@ -6,7 +6,7 @@ bookkeeping tables, the Request Validator Module, and the per-function
 execution state machine that ties checkpointing and replication together.
 """
 
-from repro.core.canary import CanaryPlatform, PlatformConfig
+from repro.core.canary import CanaryPlatform
 from repro.core.database import CanaryDatabase
 from repro.core.execution import Attempt, FunctionExecution
 from repro.core.ids import IdGenerator
@@ -28,7 +28,6 @@ __all__ = [
     "IdGenerator",
     "Job",
     "JobRequest",
-    "PlatformConfig",
     "RequestValidator",
     "ScenarioConfig",
     "ValidationResult",

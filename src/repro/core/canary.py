@@ -16,7 +16,6 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import HeterogeneityModel
 from repro.common.errors import RequestValidationError
 from repro.common.types import JobState, ReplicationStrategyName
-from repro.core.config import PlatformConfig
 from repro.core.database import CanaryDatabase
 from repro.core.execution import FunctionExecution
 from repro.core.ids import IdGenerator
@@ -31,7 +30,7 @@ from repro.faults.chaos import ChaosInjector
 from repro.faults.injector import FailureInjector
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.network import collect_network_stats
-from repro.metrics.summary import RunSummary, summarize
+from repro.metrics.summary import RunSummary
 from repro.network.fabric import FlowNetwork
 from repro.policies.factory import PLACEMENT_POLICIES
 from repro.replication.estimator import FailureRateEstimator
@@ -84,9 +83,6 @@ class CanaryPlatform:
     ) -> None:
         self.scenario = scenario
         self.seed = seed
-        self.config = scenario.platform_config or PlatformConfig(
-            require_shared_spill=scenario.node_failure_count > 0
-        )
         self.pricing = scenario.pricing
         # Autoscaling works against a *fixed* node universe: the cluster
         # is built at max_nodes so the fabric topology and detection never
@@ -185,10 +181,12 @@ class CanaryPlatform:
                 extra_backlog=lambda: len(self._pending_jobs),
                 tracer=self.tracer,
             )
+        # Under node failures, checkpoint spills must land on shared tiers
+        # to survive their node.
         self.router = CheckpointStorageRouter(
             self.kv,
             self.tiers,
-            require_shared_spill=self.config.require_shared_spill,
+            require_shared_spill=scenario.node_failure_count > 0,
         )
         self.checkpointer = CheckpointingModule(
             self.router,
@@ -259,11 +257,7 @@ class CanaryPlatform:
         self._job_callbacks: dict[str, object] = {}
         self._node_failures_scheduled = False
         self.controller.on_container_loss(self._dispatch_function_loss)
-        self.cluster.on_node_failure(
-            lambda node, lost: self.checkpointer.on_node_failure(
-                node.node_id, now=self.sim.now
-            )
-        )
+        self.cluster.on_node_failure(self._on_node_failure)
         # Open-loop traffic: tenant streams are materialized now (stream
         # creation order is part of the determinism contract) and replayed
         # from run().
@@ -319,6 +313,10 @@ class CanaryPlatform:
                     "alive": True,
                 }
             )
+
+    def _on_node_failure(self, node, lost) -> None:
+        self.database.worker_info.update(node.node_id, alive=False)
+        self.checkpointer.on_node_failure(node.node_id, now=self.sim.now)
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -509,51 +507,71 @@ class CanaryPlatform:
         return max(ends) - start
 
     def summary(self) -> RunSummary:
-        """Aggregate the run into one :class:`RunSummary`."""
+        """Aggregate the run into one :class:`RunSummary`.
+
+        Layers that are off leave their fields at the zero defaults.
+        """
         jobs = list(self.jobs.values())
-        workload = jobs[0].workload.name if jobs else ""
-        num_functions = sum(j.num_functions for j in jobs)
+        metrics = self.metrics
         cost = compute_cost(
             self.controller.all_containers(), self.sim.now, self.pricing
         )
-        det = self.detection.stats() if self.detection is not None else None
-        degraded_s = self.metrics.backoff_wait_s
+        layers: dict = {}
+        net = collect_network_stats(self.network, self.sim.now)
+        if net is not None:
+            layers.update(
+                network_flows=net.flows_completed,
+                network_bytes=net.bytes_total,
+                network_contention_s=net.contention_delay_s,
+                network_peak_utilization=net.peak_link_utilization,
+            )
+        degraded_s = metrics.backoff_wait_s
         if self.chaos is not None:
             degraded_s += self.chaos.degraded_seconds()
-        if det is not None:
+        if self.detection is not None:
+            det = self.detection.stats()
             degraded_s += det.cordoned_s
-        return summarize(
+            layers.update(
+                detections=det.detections,
+                detection_latency_mean_s=det.detection_latency_mean_s,
+                false_suspicions=det.false_suspicions,
+            )
+        if self.traffic is not None:
+            layers.update(self.traffic.totals())
+        if self.autoscaler is not None:
+            layers.update(
+                scale_outs=self.autoscaler.scale_outs,
+                scale_ins=self.autoscaler.scale_ins,
+                nodes_peak=self.autoscaler.nodes_peak,
+            )
+        if self.adaptive is not None:
+            layers.update(self.adaptive.stats())
+        return RunSummary(
             strategy=self.strategy.name.value,
-            workload=workload,
+            workload=jobs[0].workload.name if jobs else "",
             error_rate=self.injector.error_rate,
-            num_functions=num_functions,
+            num_functions=sum(j.num_functions for j in jobs),
             num_nodes=len(self.cluster),
             makespan_s=self.makespan(),
-            metrics=self.metrics,
-            cost=cost,
+            total_recovery_s=metrics.total_recovery_time(),
+            mean_recovery_s=metrics.mean_recovery_time(),
+            failures=len(metrics.failures),
+            unrecovered=len(metrics.unrecovered_failures()),
+            completed=metrics.completed_count(),
+            cost_total=cost.total,
+            cost_function=cost.function_cost,
+            cost_replica=cost.replica_cost,
+            cost_standby=cost.standby_cost,
             checkpoints_taken=self.checkpointer.checkpoints_taken,
+            checkpoint_time_s=sum(
+                t.checkpoint_time_s for t in metrics.traces.values()
+            ),
             replicas_launched=(
                 self.replication.replicas_launched
                 if self.replication is not None
                 else 0
             ),
             seed=self.seed,
-            network=collect_network_stats(self.network, self.sim.now),
-            detection=det,
             degraded_s=degraded_s,
-            traffic=(
-                self.traffic.totals() if self.traffic is not None else None
-            ),
-            autoscale=(
-                {
-                    "scale_outs": self.autoscaler.scale_outs,
-                    "scale_ins": self.autoscaler.scale_ins,
-                    "nodes_peak": self.autoscaler.nodes_peak,
-                }
-                if self.autoscaler is not None
-                else None
-            ),
-            adaptive=(
-                self.adaptive.stats() if self.adaptive is not None else None
-            ),
+            **layers,
         )

@@ -265,7 +265,6 @@ class FunctionExecution:
         self._live[container.container_id] = attempt
         container.current_function = self.function_id
         platform.register_owner(container.container_id, self)
-        platform.runtime_manager.track_function_container(container)
         platform.metrics.note_attempt(self.function_id)
         platform.metrics.note_ready(self.function_id, platform.sim.now)
         self.status = FunctionState.RUNNING
@@ -462,7 +461,6 @@ class FunctionExecution:
         def _kill() -> None:
             if attempt.done or self.completed:
                 return
-            self.platform.injector.note_kill()
             self.platform.controller.kill_container(attempt.container, "injected")
 
         attempt.kill_handle = self.platform.sim.call_in(
@@ -628,7 +626,6 @@ class FunctionExecution:
         platform.database.function_info.update(
             self.function_id, state=self.status.value
         )
-        platform.runtime_manager.untrack_function_container(winning.container)
         platform.controller.terminate(winning.container, ContainerState.COMPLETED)
         platform.release_owner(winning.container.container_id)
         # Cancel losing siblings (request replication).
@@ -638,7 +635,6 @@ class FunctionExecution:
             attempt.done = True
             attempt.cancel_timers()
             self._finish_attempt_spans(attempt, "cancelled")
-            platform.runtime_manager.untrack_function_container(attempt.container)
             platform.controller.terminate(attempt.container, ContainerState.KILLED)
             platform.release_owner(attempt.container.container_id)
         self._live.clear()
@@ -676,7 +672,6 @@ class FunctionExecution:
             attempt.done = True
             attempt.cancel_timers()
             self._finish_attempt_spans(attempt, reason)
-            self.platform.runtime_manager.untrack_function_container(container)
         event = FailureEvent(
             function_id=self.function_id,
             job_id=self.job.job_id,
@@ -758,7 +753,6 @@ class FunctionExecution:
         self._finish_attempt_spans(attempt, "migrated")
         self._live.pop(attempt.container.container_id, None)
         platform.release_owner(attempt.container.container_id)
-        platform.runtime_manager.untrack_function_container(attempt.container)
         platform.controller.terminate(attempt.container, ContainerState.KILLED)
 
         strategy = platform.strategy

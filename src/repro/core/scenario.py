@@ -16,7 +16,6 @@ from repro.autoscale.config import AutoscaleConfig
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.cluster.heterogeneity import CHAMELEON_PROFILES, NodeProfile
 from repro.common.types import RecoveryStrategyName, ReplicationStrategyName
-from repro.core.config import PlatformConfig
 from repro.cost.pricing import IBM_CLOUD_FUNCTIONS_PRICING, PricingModel
 from repro.detection import BackoffPolicy, DetectionConfig
 from repro.faas.limits import PlatformLimits
@@ -55,9 +54,6 @@ class ScenarioConfig:
     node_failure_window: tuple[float, float] = (0.0, 0.0)
     #: Recovery attempts re-fail at this rate; None means ``error_rate``.
     refailure_rate: Optional[float] = None
-    #: Platform constants; None means the defaults, with checkpoint
-    #: spills forced onto shared tiers when node failures are configured.
-    platform_config: Optional[PlatformConfig] = None
     #: Flow-level fabric model; None keeps the legacy uncontended charges
     #: (byte-identical to pre-network results).
     network: Optional[NetworkModelConfig] = None

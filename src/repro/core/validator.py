@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.common.errors import ResourceLimitError
 from repro.core.jobs import JobRequest
 from repro.faas.limits import PlatformLimits
 
@@ -84,9 +83,3 @@ class RequestValidator:
                 f"{self.limits.max_concurrent_invocations}",
             )
         return ValidationReport(ValidationResult.ADMIT)
-
-    def require_valid(self, request: JobRequest) -> None:
-        """Raise on hard violations (used by the local executor front door)."""
-        report = self.validate(request, active_invocations=0)
-        if report.result is ValidationResult.REJECT:
-            raise ResourceLimitError(report.reason)

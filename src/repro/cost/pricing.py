@@ -49,10 +49,6 @@ class CostBreakdown:
     def total(self) -> float:
         return self.function_cost + self.replica_cost + self.standby_cost
 
-    @property
-    def total_gb_s(self) -> float:
-        return self.function_gb_s + self.replica_gb_s + self.standby_gb_s
-
 
 def compute_cost(
     containers: Iterable[Container],

@@ -18,7 +18,7 @@ fire after a small processing delay.
 
 Strategies route their ``after_detection`` continuations through
 :meth:`DetectionModule.notify_after_detection`, replacing the constant
-``detection_delay_s`` oracle: a container kill on a healthy node is noticed
+``DETECTION_DELAY_S`` oracle: a container kill on a healthy node is noticed
 at the next status heartbeat; a node death is noticed when the detector
 declares it.
 """
@@ -103,7 +103,7 @@ class DetectionStats:
 
 
 class DetectionModule:
-    """Heartbeat monitor replacing the fixed ``detection_delay_s`` oracle."""
+    """Heartbeat monitor replacing the fixed ``DETECTION_DELAY_S`` oracle."""
 
     def __init__(
         self,

@@ -50,7 +50,6 @@ class CheckpointContext:
         self._kill_hook = kill_hook
         self.checkpoints_enabled = checkpoints_enabled
         self.saves = 0
-        self.bytes_saved = 0
         self.restored_from: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -72,9 +71,7 @@ class CheckpointContext:
         """
         self.guard(state_index)
         if self.checkpoints_enabled:
-            self.bytes_saved += self._store.save(
-                self.function_id, state_index, payload
-            )
+            self._store.save(self.function_id, state_index, payload)
             self.saves += 1
 
     def guard(self, state_index: int) -> None:

@@ -9,7 +9,7 @@ from repro.experiments import (
     fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12,
 )
 
-from repro.experiments.charts import bar_chart, comparison_chart, series_chart
+from repro.experiments.charts import series_chart
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
     CellExecutionError,
@@ -42,8 +42,6 @@ __all__ = [
     "FIGURES",
     "FigureResult",
     "ScenarioConfig",
-    "bar_chart",
-    "comparison_chart",
     "format_table",
     "mean_of",
     "pct_change",

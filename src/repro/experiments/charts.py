@@ -8,7 +8,7 @@ or CI log.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any
 
 from repro.experiments.report import FigureResult
 
@@ -27,31 +27,6 @@ def _bar(value: float, max_value: float, width: int) -> str:
     if partial_index > 0 and full < width:
         bar += _BLOCKS[partial_index]
     return bar
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    *,
-    title: str = "",
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Render labeled values as a horizontal bar chart."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    if not labels:
-        return title
-    max_value = max(values) if values else 0.0
-    label_width = max(len(str(label)) for label in labels)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        bar = _bar(value, max_value, width)
-        lines.append(
-            f"{str(label):>{label_width}s} │{bar:<{width}s}│ "
-            f"{value:.2f}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def series_chart(
@@ -89,25 +64,3 @@ def series_chart(
                 f"{str(x_value):>8s} │{bar:<{width}s}│ {value:.2f}{unit}"
             )
     return "\n".join(chunks)
-
-
-def comparison_chart(
-    result: FigureResult,
-    *,
-    metric: str,
-    key: str,
-    match: Optional[dict] = None,
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """One bar per distinct *key* value of the (filtered) rows."""
-    rows = result.series(**(match or {}))
-    labels = [str(row[key]) for row in rows]
-    values = [float(row[metric]) for row in rows]
-    return bar_chart(
-        labels,
-        values,
-        title=f"== {result.figure}: {metric} ==",
-        width=width,
-        unit=unit,
-    )

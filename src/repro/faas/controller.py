@@ -52,7 +52,6 @@ class ContainerRequest:
     warm: bool = False
     cancelled: bool = False
     container: Optional[Container] = None
-    queued_at: Optional[float] = None
     #: invoked as soon as the container object exists (cold start still
     #: pending) so owners can subscribe to loss events during launch
     on_placed: Optional[Callable[[Container], None]] = None
@@ -173,7 +172,6 @@ class FaaSController:
         self._backoff_rng = None  # created lazily; default runs draw nothing
         # statistics
         self.queued_requests_total = 0
-        self.queue_wait_total_s = 0.0
         self.backoff_retries = 0
 
     # ------------------------------------------------------------------
@@ -279,7 +277,6 @@ class FaaSController:
     def submit(self, request: ContainerRequest) -> ContainerRequest:
         """Place *request* now if possible, else queue it FIFO."""
         if not self._try_place(request):
-            request.queued_at = self.sim.now
             request.queue_span = self.tracer.begin(
                 "queue",
                 f"queue:{request.kind.value}",
@@ -382,8 +379,6 @@ class FaaSController:
             ):
                 continue
             request.container = container
-            if request.queued_at is not None:
-                self.queue_wait_total_s += self.sim.now - request.queued_at
             self._end_queue_span(request, "warm-reuse")
             self.warm_starts += 1
             self._active_fn_count += 1
@@ -453,8 +448,6 @@ class FaaSController:
             self._active_fn_count += 1
             self._fn_node_count[container.kind][node.node_id] += 1
         request.container = container
-        if request.queued_at is not None:
-            self.queue_wait_total_s += self.sim.now - request.queued_at
         self._end_queue_span(request, "placed")
         if request.on_placed is not None:
             request.on_placed(container)

@@ -209,9 +209,6 @@ class ChaosInjector:
         self.straggler_skips = 0
         self.zombies_started = 0
         self.zombie_hard_kills = 0
-        self.partitions_applied = 0
-        self.link_brownouts_applied = 0
-        self.link_brownout_skips = 0
         self.wan_flaps_applied = 0
         self.wan_flap_skips = 0
         self.tier_brownouts_applied = 0
@@ -289,10 +286,7 @@ class ChaosInjector:
             )
 
     def _schedule_link_brownouts(self) -> None:
-        if self.config.link_brownouts <= 0:
-            return
-        if self.network is None:
-            self.link_brownout_skips += self.config.link_brownouts
+        if self.config.link_brownouts <= 0 or self.network is None:
             return
         # Aggregation uplinks and the core carry the cross-rack checkpoint
         # and restore traffic — browning one out is felt cluster-wide.
@@ -424,7 +418,6 @@ class ChaosInjector:
         cfg = self.config
         node_id = node.node_id
         self._partitioned[node_id] = self.sim.now + cfg.partition_duration_s
-        self.partitions_applied += 1
         self.degraded_window_s += cfg.partition_duration_s
         self.tracer.instant(
             "chaos",
@@ -467,7 +460,6 @@ class ChaosInjector:
         previous = self.network.set_link_capacity(
             name, link.bandwidth * cfg.link_brownout_factor
         )
-        self.link_brownouts_applied += 1
         self.degraded_window_s += cfg.link_brownout_duration_s
         self.tracer.instant(
             "chaos",

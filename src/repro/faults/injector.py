@@ -99,7 +99,6 @@ class FailureInjector:
         self.kill_fraction_bounds = kill_fraction_bounds
         self._plans: dict[str, FailurePlan] = {}
         self._rng = sim.rng.stream("faults")
-        self.kills_injected = 0
         self.node_kills_injected = 0
         #: Times a node failure had to re-pick its victim because the one
         #: drawn up front was already dead when the failure fired.
@@ -178,9 +177,6 @@ class FailureInjector:
             return float(self._rng.uniform(lo, hi))
         return None
 
-    def note_kill(self) -> None:
-        self.kills_injected += 1
-
     # ------------------------------------------------------------------
     # Node-level failures
     # ------------------------------------------------------------------
@@ -258,7 +254,6 @@ class FailureInjector:
                 if not live:
                     return
                 container = live[int(self._rng.integers(len(live)))]
-                self.kills_injected += 1
                 controller.kill_container(container, "precursor")
 
             self.sim.call_at(at, _precursor, label="precursor")

@@ -11,7 +11,7 @@ from repro.metrics.engine import (
     collect_engine_stats,
     format_engine_stats,
 )
-from repro.metrics.summary import RunSummary, summarize
+from repro.metrics.summary import RunSummary
 
 __all__ = [
     "EngineStats",
@@ -22,6 +22,5 @@ __all__ = [
     "availability",
     "collect_engine_stats",
     "format_engine_stats",
-    "summarize",
     "total_function_time",
 ]

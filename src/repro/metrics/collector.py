@@ -39,13 +39,6 @@ class FailureEvent:
             return None
         return self.recovered_at - self.kill_time
 
-    @property
-    def setup_time(self) -> Optional[float]:
-        """Kill → state work resumes (detection + relaunch/adopt + restore)."""
-        if self.resume_time is None:
-            return None
-        return self.resume_time - self.kill_time
-
 
 @dataclass
 class FunctionTrace:

@@ -3,14 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-from repro.cost.pricing import CostBreakdown
-from repro.metrics.collector import MetricsCollector
-from repro.metrics.network import NetworkStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.detection.monitor import DetectionStats
 
 
 @dataclass(frozen=True)
@@ -69,69 +61,3 @@ class RunSummary:
     @property
     def all_completed(self) -> bool:
         return self.completed == self.num_functions
-
-
-def summarize(
-    *,
-    strategy: str,
-    workload: str,
-    error_rate: float,
-    num_functions: int,
-    num_nodes: int,
-    makespan_s: float,
-    metrics: MetricsCollector,
-    cost: CostBreakdown,
-    checkpoints_taken: int,
-    replicas_launched: int,
-    seed: int,
-    network: Optional[NetworkStats] = None,
-    detection: Optional["DetectionStats"] = None,
-    degraded_s: float = 0.0,
-    traffic: Optional[dict] = None,
-    autoscale: Optional[dict] = None,
-    adaptive: Optional[dict] = None,
-) -> RunSummary:
-    """Build a :class:`RunSummary` from a finished run's collectors."""
-    checkpoint_time = sum(t.checkpoint_time_s for t in metrics.traces.values())
-    return RunSummary(
-        strategy=strategy,
-        workload=workload,
-        error_rate=error_rate,
-        num_functions=num_functions,
-        num_nodes=num_nodes,
-        makespan_s=makespan_s,
-        total_recovery_s=metrics.total_recovery_time(),
-        mean_recovery_s=metrics.mean_recovery_time(),
-        failures=len(metrics.failures),
-        unrecovered=len(metrics.unrecovered_failures()),
-        completed=metrics.completed_count(),
-        cost_total=cost.total,
-        cost_function=cost.function_cost,
-        cost_replica=cost.replica_cost,
-        cost_standby=cost.standby_cost,
-        checkpoints_taken=checkpoints_taken,
-        checkpoint_time_s=checkpoint_time,
-        replicas_launched=replicas_launched,
-        seed=seed,
-        network_flows=network.flows_completed if network is not None else 0,
-        network_bytes=network.bytes_total if network is not None else 0.0,
-        network_contention_s=(
-            network.contention_delay_s if network is not None else 0.0
-        ),
-        network_peak_utilization=(
-            network.peak_link_utilization if network is not None else 0.0
-        ),
-        detections=detection.detections if detection is not None else 0,
-        detection_latency_mean_s=(
-            detection.detection_latency_mean_s
-            if detection is not None
-            else 0.0
-        ),
-        false_suspicions=(
-            detection.false_suspicions if detection is not None else 0
-        ),
-        degraded_s=degraded_s,
-        **(traffic or {}),
-        **(autoscale or {}),
-        **(adaptive or {}),
-    )

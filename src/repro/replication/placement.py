@@ -14,7 +14,7 @@ ranking to whichever policy the platform selected.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
@@ -56,17 +56,3 @@ class ReplicaPlacer:
             function_nodes=function_nodes,
             existing_replica_nodes=existing_replica_nodes,
         )
-
-    def spread_score(self, nodes: Iterable[Node]) -> float:
-        """Diagnostic: mean pairwise topology distance of a replica set."""
-        nodes = list(nodes)
-        if len(nodes) < 2:
-            return 0.0
-        topo = self.cluster.topology
-        total = 0
-        pairs = 0
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                total += topo.distance(a.rack, a.node_id, b.rack, b.node_id)
-                pairs += 1
-        return total / pairs

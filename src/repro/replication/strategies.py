@@ -43,18 +43,6 @@ class ReplicationStrategy(ABC):
         them.
         """
 
-    @staticmethod
-    def replication_factor(functions: int, replicas: int) -> float:
-        """Replicas per running function (§IV-C-5-a).
-
-        The paper defines the factor as the ratio of functions to replicas;
-        we express it replicas-per-function so "higher factor = more
-        redundancy" reads naturally.  Zero functions → factor 0.
-        """
-        if functions <= 0:
-            return 0.0
-        return replicas / functions
-
 
 class DynamicReplication(ReplicationStrategy):
     """DR: pool sized to the failure *arrival rate*.

@@ -1,11 +1,12 @@
-"""Runtime Manager Module: tracks runtimes and maps failures to replicas.
+"""Runtime Manager Module: the replica registry and the claim path.
 
-The module "keeps track of all runtimes used by the running functions in the
-cluster … maintains information about the used runtimes and their
+The module "maintains information about the used runtimes and their
 corresponding replicated runtimes and enables the Core Module to map the
 failed functions to the replicated runtimes in the event of a function
-failure" (§IV-C-3).  It also remembers *where* replicas live, which the
-claim path uses to pick the best (fastest, closest) replica.
+failure" (§IV-C-3).  It remembers *where* replicas live, which the claim
+path uses to pick the best (fastest, closest) replica.  The runtimes in use
+by function containers are indexed once, by the FaaS controller
+(``FaaSController.function_hosting_nodes``).
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from repro.faas.container import Container, ContainerPurpose
 
 
 class RuntimeManagerModule:
-    """Registry of in-use runtimes and their warm replicas."""
+    """Registry of warm runtime replicas, per runtime kind."""
 
     def __init__(self, database: Optional[CanaryDatabase] = None) -> None:
         self.database = database
-        # kind -> set of active function container ids
-        self._active_functions: dict[RuntimeKind, set[str]] = {}
         # kind -> {container_id: (Container, job_id, replica_id)}
         self._replicas: dict[RuntimeKind, dict[str, tuple[Container, str, str]]] = {}
         # Incremental warm-idle tally mirroring the registry scan.  A
@@ -41,36 +40,6 @@ class RuntimeManagerModule:
         self._availability_listeners: list[Callable[[RuntimeKind], None]] = []
         self.claims_served = 0
         self.claims_missed = 0
-
-    # ------------------------------------------------------------------
-    # Active runtime tracking
-    # ------------------------------------------------------------------
-    def track_function_container(self, container: Container) -> None:
-        self._active_functions.setdefault(container.kind, set()).add(
-            container.container_id
-        )
-
-    def untrack_function_container(self, container: Container) -> None:
-        self._active_functions.get(container.kind, set()).discard(
-            container.container_id
-        )
-
-    def active_function_count(self, kind: RuntimeKind) -> int:
-        return len(self._active_functions.get(kind, ()))
-
-    def kinds_in_use(self) -> list[RuntimeKind]:
-        return sorted(
-            (k for k, ids in self._active_functions.items() if ids),
-            key=lambda k: k.value,
-        )
-
-    def is_runtime_replicated(self, kind: RuntimeKind) -> bool:
-        """Does an active replica exist for *kind*? (§IV-C-5: replication is
-        triggered only for runtimes not already replicated.)"""
-        return any(
-            c.is_warm_idle or c.state == ContainerState.LAUNCHING
-            for c, _, _ in self._replicas.get(kind, {}).values()
-        )
 
     # ------------------------------------------------------------------
     # Replica registry

@@ -64,7 +64,6 @@ class Simulator:
         time: float,
         callback: Callable[[], Any],
         *,
-        priority: int = 0,
         label: str = "",
     ) -> EventHandle:
         """Schedule *callback* at absolute virtual *time*."""
@@ -73,14 +72,13 @@ class Simulator:
                 f"cannot schedule event {label!r} at t={time} "
                 f"(current time is {self._now})"
             )
-        return self._queue.push(time, callback, priority=priority, label=label)
+        return self._queue.push(time, callback, label=label)
 
     def call_in(
         self,
         delay: float,
         callback: Callable[[], Any],
         *,
-        priority: int = 0,
         label: str = "",
     ) -> EventHandle:
         """Schedule *callback* after *delay* seconds of virtual time."""
@@ -88,9 +86,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
         # Push directly (delay >= 0 implies the time is not in the past);
         # the extra hop through call_at was measurable at engine rates.
-        return self._queue.push(
-            self._now + delay, callback, priority=priority, label=label
-        )
+        return self._queue.push(self._now + delay, callback, label=label)
 
     # ------------------------------------------------------------------
     # Running

@@ -1,8 +1,8 @@
 """Event primitives for the discrete-event engine.
 
-Events are ordered by (time, priority, sequence).  The sequence number makes
-ordering total and deterministic: two events scheduled for the same instant
-fire in scheduling order, independent of heap internals.
+Events are ordered by (time, sequence).  The sequence number makes ordering
+total and deterministic: two events scheduled for the same instant fire in
+scheduling order, independent of heap internals.
 
 Hot-path notes
 --------------
@@ -51,9 +51,8 @@ class Event:
 
     Attributes:
         time: Absolute virtual time at which the event fires.
-        priority: Lower fires first among same-time events (before sequence).
         seq: Monotonic tie-breaker assigned by the queue.
-        key: Precomputed heap key ``(time, priority, seq)``.
+        key: Precomputed heap key ``(time, seq)``.
         callback: Zero-argument callable invoked when the event fires.
         cancelled: Cancelled events stay in the heap but are skipped.
         in_heap: True while the event occupies a heap slot.  A caller of
@@ -67,30 +66,25 @@ class Event:
         label: Optional human-readable tag used in traces and error messages.
     """
 
-    __slots__ = ("time", "priority", "seq", "key", "callback", "cancelled",
-                 "in_heap", "queue", "label")
+    __slots__ = ("time", "seq", "key", "callback", "cancelled", "in_heap",
+                 "queue", "label")
 
     def __init__(
         self,
         time: float,
-        priority: int,
         seq: int,
         callback: Optional[Callable[[], Any]],
         label: str = "",
         queue: Optional["EventQueue"] = None,
     ) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
-        self.key = (time, priority, seq)
+        self.key = (time, seq)
         self.callback = callback
         self.cancelled = False
         self.in_heap = True
         self.queue = queue
         self.label = label
-
-    def sort_key(self) -> tuple:
-        return self.key
 
     @property
     def active(self) -> bool:
@@ -109,8 +103,8 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "live"
-        return (f"Event(t={self.time}, prio={self.priority}, "
-                f"seq={self.seq}, {state}, label={self.label!r})")
+        return (f"Event(t={self.time}, seq={self.seq}, {state}, "
+                f"label={self.label!r})")
 
 
 class EventQueue:
@@ -177,11 +171,9 @@ class EventQueue:
         time: float,
         callback: Callable[[], Any],
         *,
-        priority: int = 0,
         label: str = "",
     ) -> Event:
-        event = Event(time, priority, next(self._counter), callback, label,
-                      self)
+        event = Event(time, next(self._counter), callback, label, self)
         heap = self._heap
         heapq.heappush(heap, (event.key, event))
         self._live += 1

@@ -8,7 +8,7 @@ Implements the subset of Ignite semantics the paper relies on (§IV-C-4,
   single node failure does not lose replicated data;
 * optional *native persistence* — entries additionally survive even when
   replication is disabled;
-* versioned puts and prefix queries (used for "latest n checkpoints").
+* versioned puts.
 
 Values may be arbitrary Python payloads (real checkpoint bytes in the local
 executor) or pure metadata with a declared ``size_bytes`` (the simulator
@@ -63,15 +63,9 @@ class KeyValueStore:
         self.capacity_bytes = capacity_bytes
         self.replicated = replicated
         self.persistent = persistent
-        #: Insertion-ordered, and a put re-inserts its key, so iteration
-        #: runs in strictly increasing ``version``: prefix queries walk it
-        #: in order without a separate index.
         self._entries: dict[str, KVEntry] = {}
         self._used = 0.0
         self._version_counter = 0
-        self.puts = 0
-        self.gets = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -135,15 +129,11 @@ class KeyValueStore:
             written_at=now,
             home_node=home_node,
         )
-        if previous is not None:
-            del self._entries[key]
         self._entries[key] = entry
         self._used += delta
-        self.puts += 1
         return entry
 
     def get(self, key: str) -> Optional[KVEntry]:
-        self.gets += 1
         return self._entries.get(key)
 
     def delete(self, key: str) -> bool:
@@ -154,19 +144,7 @@ class KeyValueStore:
         # An empty store reads exactly zero (clamps float residue).
         if not self._entries or self._used < 0.0:
             self._used = 0.0
-        self.evictions += 1
         return True
-
-    def keys_with_prefix(self, prefix: str) -> list[str]:
-        """All keys starting with *prefix*, sorted by version (oldest first)."""
-        return [key for key in self._entries if key.startswith(prefix)]
-
-    def entries_with_prefix(self, prefix: str) -> list[KVEntry]:
-        return [
-            entry
-            for key, entry in self._entries.items()
-            if key.startswith(prefix)
-        ]
 
     # ------------------------------------------------------------------
     # Failure semantics

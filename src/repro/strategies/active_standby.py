@@ -39,7 +39,6 @@ class ActiveStandbyStrategy(RecoveryStrategy):
         self._executions: dict[str, "FunctionExecution"] = {}
         platform.controller.on_container_loss(self._handle_standby_loss)
         self.standby_activations = 0
-        self.standby_misses = 0
 
     # ------------------------------------------------------------------
     # Launch
@@ -91,7 +90,6 @@ class ActiveStandbyStrategy(RecoveryStrategy):
         def _kill() -> None:
             if container.terminal or execution.completed:
                 return
-            self.platform.injector.note_kill()
             self.platform.controller.kill_container(container, "injected-standby")
 
         self.platform.sim.call_in(
@@ -127,7 +125,6 @@ class ActiveStandbyStrategy(RecoveryStrategy):
                 self._spawn_standby(execution)
             else:
                 # Standby dead or still launching: behave like retry.
-                self.standby_misses += 1
                 execution.request_cold_attempt(from_state=0, via="cold")
 
         self.after_detection(

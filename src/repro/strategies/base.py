@@ -7,6 +7,11 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.common.types import RecoveryStrategyName
 
+#: Seconds between a container dying and the Core Module noticing (the
+#: health-poll interval) when the heartbeat detector is off.  Charged to
+#: every recovery strategy.
+DETECTION_DELAY_S = 1.0
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.canary import CanaryPlatform
     from repro.core.execution import Attempt, FunctionExecution
@@ -89,6 +94,4 @@ class RecoveryStrategy(ABC):
         if detection is not None and node_id is not None:
             detection.notify_after_detection(node_id, callback, label=label)
             return
-        self.platform.sim.call_in(
-            self.platform.config.detection_delay_s, callback, label=label
-        )
+        self.platform.sim.call_in(DETECTION_DELAY_S, callback, label=label)

@@ -1,6 +1,6 @@
 """Request replication (RR) baseline [65], compared in Fig. 10.
 
-Every function request is executed by 1 + ``rr_replicas`` concurrent
+Every function request is executed by 1 + ``RR_REPLICAS`` concurrent
 containers; "the first successful response is accepted and the rest are
 discarded".  Losing a sibling costs nothing as long as one survives; when
 *all* siblings of a function die, the whole complement restarts from
@@ -14,6 +14,10 @@ from typing import TYPE_CHECKING
 
 from repro.common.types import RecoveryStrategyName
 from repro.strategies.base import RecoveryStrategy
+
+#: Sibling containers per function: "we launch one replica per request"
+#: (§V-D-5).
+RR_REPLICAS = 1
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.execution import Attempt, FunctionExecution
@@ -32,7 +36,7 @@ class RequestReplicationStrategy(RecoveryStrategy):
 
     def _launch_complement(self, execution: "FunctionExecution") -> None:
         execution.request_cold_attempt(via="launch")
-        for _ in range(self.platform.config.rr_replicas):
+        for _ in range(RR_REPLICAS):
             execution.request_cold_attempt(secondary=True, via="launch")
 
     def on_failure(

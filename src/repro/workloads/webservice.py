@@ -23,7 +23,6 @@ class QueryEngine:
 
     def __init__(self) -> None:
         self._tables: dict[str, list[dict[str, Any]]] = {}
-        self.queries_served = 0
 
     def create_table(self, name: str, rows: list[dict[str, Any]]) -> None:
         if name in self._tables:
@@ -43,7 +42,6 @@ class QueryEngine:
         rows = self._tables.get(table)
         if rows is None:
             raise KeyError(f"no table {table!r}")
-        self.queries_served += 1
         out = [dict(r) for r in rows if where is None or where(r)]
         return out[:limit] if limit is not None else out
 

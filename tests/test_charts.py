@@ -2,32 +2,8 @@
 
 import pytest
 
-from repro.experiments.charts import bar_chart, comparison_chart, series_chart
+from repro.experiments.charts import series_chart
 from repro.experiments.report import FigureResult
-
-
-class TestBarChart:
-    def test_renders_all_labels_and_values(self):
-        text = bar_chart(["a", "bb"], [1.0, 2.0], title="t", unit="s")
-        lines = text.splitlines()
-        assert lines[0] == "t"
-        assert " a " in lines[1] or lines[1].startswith(" a")
-        assert "2.00s" in lines[2]
-
-    def test_largest_value_fills_width(self):
-        text = bar_chart(["x", "y"], [1.0, 4.0], width=8)
-        assert "████████" in text
-
-    def test_zero_values(self):
-        text = bar_chart(["x"], [0.0])
-        assert "0.00" in text
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_empty(self):
-        assert bar_chart([], [], title="empty") == "empty"
 
 
 def demo_result():
@@ -59,13 +35,21 @@ class TestSeriesChart:
                 demo_result(), x="nope", y="nope", series="nope"
             )
 
-    def test_comparison_chart_filters(self):
-        text = comparison_chart(
-            demo_result(),
-            metric="makespan_s",
-            key="strategy",
-            match={"error_rate": 0.5},
+    def test_largest_value_fills_width(self):
+        text = series_chart(
+            demo_result(), x="error_rate", y="makespan_s", series="strategy",
+            width=8,
         )
-        assert "retry" in text and "canary" in text
-        assert "40.00" in text and "12.00" in text
+        assert "████████" in text
 
+    def test_zero_values(self):
+        result = FigureResult(
+            figure="zero",
+            title="zero",
+            columns=("strategy", "error_rate", "makespan_s"),
+            rows=[{"strategy": "ideal", "error_rate": 0.1, "makespan_s": 0.0}],
+        )
+        text = series_chart(
+            result, x="error_rate", y="makespan_s", series="strategy"
+        )
+        assert "0.00" in text

@@ -136,9 +136,10 @@ class TestCommands:
             (["run", "--node-failures", "-1"], "node_failure_count"),
             (["topology", "--racks", "0"], "num_racks"),
             (["topology", "--nodes", "0"], "num_nodes"),
+            (["figure", "fig7", "--fast", "--jobs", "0"], "--jobs"),
         ],
         ids=["nodes", "error-rate", "checkpoint-interval", "node-failures",
-             "racks", "topology-nodes"],
+             "racks", "topology-nodes", "figure-jobs"],
     )
     def test_out_of_range_values_are_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:

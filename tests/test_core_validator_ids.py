@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.errors import ResourceLimitError
 from repro.common.units import gb, mb
 from repro.core.ids import IdGenerator
 from repro.core.jobs import JobRequest
@@ -78,14 +77,6 @@ class TestRequestValidator:
             make_request(num_functions=40), active_invocations=60
         )
         assert report.result is ValidationResult.ADMIT
-
-    def test_require_valid_raises_on_hard_violation(self):
-        with pytest.raises(ResourceLimitError):
-            self.validator.require_valid(make_request(memory_bytes=gb(4)))
-
-    def test_require_valid_passes_queueable_requests(self):
-        # require_valid only guards hard limits, not concurrency.
-        self.validator.require_valid(make_request())
 
 
 class TestJobRequest:

@@ -5,6 +5,8 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.common.types import ContainerState, RuntimeKind
 from repro.common.units import GiB
+from repro.core.canary import CanaryPlatform
+from repro.core.scenario import ScenarioConfig
 from repro.faas.container import Container, ContainerPurpose
 from repro.faas.controller import ContainerRequest, FaaSController
 from repro.faas.invoker import Invoker
@@ -275,3 +277,48 @@ class TestController:
         sim.run()
         assert controller.warm_replicas() == [request.container]
         assert controller.warm_replicas(RuntimeKind.JAVA) == []
+
+
+def test_function_hosting_nodes_matches_scan_after_every_event():
+    """The per-kind node index equals a scan of the live FUNCTION
+    containers after every event, through injected errors, a node
+    failure and warm container reuse."""
+    platform = CanaryPlatform(
+        ScenarioConfig(
+            workload="graph-bfs",
+            num_functions=30,
+            num_nodes=4,
+            error_rate=0.3,
+            node_failure_count=1,
+            reuse_containers=True,
+        ),
+        seed=0,
+    )
+    controller = platform.controller
+    kinds = set(RuntimeKind)
+    seen_nonempty = 0
+
+    def check():
+        nonlocal seen_nonempty
+        scan: dict[RuntimeKind, set[str]] = {kind: set() for kind in kinds}
+        for container in controller.active_containers(
+            ContainerPurpose.FUNCTION
+        ):
+            scan[container.kind].add(container.node.node_id)
+        for kind in kinds:
+            nodes = controller.function_hosting_nodes(kind)
+            ids = [node.node_id for node in nodes]
+            assert len(ids) == len(set(ids))
+            assert set(ids) == scan[kind], (platform.sim.now, kind)
+            seen_nonempty += bool(ids)
+
+    platform.submit_batch()
+    platform.run(until=0.0)  # schedules the node failure
+    check()
+    while platform.sim.step():
+        check()
+    assert platform.metrics.completed_count() == 30
+    assert platform.injector.scheduled_node_failures
+    assert platform.metrics.failures
+    assert controller.warm_starts > 0
+    assert seen_nonempty > 0

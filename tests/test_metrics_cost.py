@@ -60,7 +60,6 @@ class TestComputeCost:
         assert breakdown.standby_cost == pytest.approx(expected)
         assert breakdown.total == pytest.approx(3 * expected)
         assert breakdown.containers == 3
-        assert breakdown.total_gb_s == pytest.approx(30.0)
 
     def test_live_container_billed_to_now(self):
         cluster = Cluster(1)
@@ -110,7 +109,6 @@ class TestMetricsCollector:
         assert collector.unrecovered_failures() == [event]
         event.resume_time = 7.0
         event.recovered_at = 9.0
-        assert event.setup_time == 2.0
         assert event.recovery_time == 4.0
         assert collector.total_recovery_time() == 4.0
         assert collector.mean_recovery_time() == 4.0

@@ -159,6 +159,27 @@ class TestNodeFailures:
 
         assert total_recovery("canary") < total_recovery("retry")
 
+    def test_worker_info_marks_failed_node_dead(self):
+        platform = CanaryPlatform(
+            ScenarioConfig(
+                workload="graph-bfs",
+                num_functions=20,
+                num_nodes=4,
+                node_failure_count=1,
+            ),
+            seed=0,
+        )
+        platform.submit_batch()
+        platform.run()
+        [(_, dead)] = platform.injector.scheduled_node_failures
+        alive = {
+            row["worker_id"]: row["alive"]
+            for row in platform.database.worker_info.select()
+        }
+        assert alive == {
+            node.node_id: node.node_id != dead for node in platform.cluster
+        }
+
 
 class TestSummary:
     def test_summary_fields_consistent(self):

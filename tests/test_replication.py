@@ -15,7 +15,6 @@ from repro.replication.strategies import (
     AggressiveReplication,
     DynamicReplication,
     LenientReplication,
-    ReplicationStrategy,
     make_replication_strategy,
 )
 from repro.runtime_manager.manager import RuntimeManagerModule
@@ -103,10 +102,6 @@ class TestStrategies:
         )
         assert isinstance(make_replication_strategy("lenient"), LenientReplication)
 
-    def test_replication_factor_helper(self):
-        assert ReplicationStrategy.replication_factor(10, 5) == 0.5
-        assert ReplicationStrategy.replication_factor(0, 5) == 0.0
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             DynamicReplication(headroom=0.5)
@@ -151,15 +146,6 @@ class TestReplicaPlacer:
             )
             is None
         )
-
-    def test_spread_score(self):
-        cluster = Cluster(8)
-        placer = ReplicaPlacer(cluster)
-        same = [cluster.nodes[0], cluster.nodes[0]]
-        spread = [cluster.nodes[0], cluster.nodes[1]]
-        assert placer.spread_score(same) == 0.0
-        assert placer.spread_score(spread) > 0.0
-        assert placer.spread_score([cluster.nodes[0]]) == 0.0
 
 
 def make_replication_stack(num_nodes=4, strategy=None):

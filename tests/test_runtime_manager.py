@@ -40,27 +40,6 @@ def make_db_with_worker_rows(cluster):
     return db
 
 
-class TestActiveTracking:
-    def test_track_untrack(self, cluster):
-        manager = RuntimeManagerModule()
-        container = make_container(
-            cluster, "c0", purpose=ContainerPurpose.FUNCTION, warm=False
-        )
-        manager.track_function_container(container)
-        assert manager.active_function_count(RuntimeKind.PYTHON) == 1
-        assert manager.kinds_in_use() == [RuntimeKind.PYTHON]
-        manager.untrack_function_container(container)
-        assert manager.active_function_count(RuntimeKind.PYTHON) == 0
-        assert manager.kinds_in_use() == []
-
-    def test_untrack_unknown_is_noop(self, cluster):
-        manager = RuntimeManagerModule()
-        container = make_container(
-            cluster, "c0", purpose=ContainerPurpose.FUNCTION, warm=False
-        )
-        manager.untrack_function_container(container)  # never tracked
-
-
 class TestReplicaRegistry:
     def test_register_requires_replica_purpose(self, cluster):
         manager = RuntimeManagerModule()
@@ -76,7 +55,6 @@ class TestReplicaRegistry:
         manager.register_replica(make_container(cluster, "c1"), "j1", "rep-1")
         assert manager.replica_count(RuntimeKind.PYTHON) == 2
         assert manager.replica_count(RuntimeKind.JAVA) == 0
-        assert manager.is_runtime_replicated(RuntimeKind.PYTHON)
 
     def test_database_rows_written(self, cluster):
         db = make_db_with_worker_rows(cluster)

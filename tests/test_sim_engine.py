@@ -23,12 +23,6 @@ class TestEventQueue:
         popped = [q.pop().label for _ in range(10)]
         assert popped == [str(i) for i in range(10)]
 
-    def test_priority_beats_sequence(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None, priority=1, label="late")
-        q.push(1.0, lambda: None, priority=0, label="early")
-        assert q.pop().label == "early"
-
     def test_cancelled_events_are_skipped(self):
         q = EventQueue()
         q.push(1.0, lambda: None, label="keep")
@@ -131,11 +125,11 @@ class TestEventQueueCompaction:
         assert remaining == sorted(remaining)
         assert len(remaining) == 20
 
-    def test_compaction_preserves_priority_and_fifo_order(self):
+    def test_compaction_preserves_time_and_fifo_order(self):
         q = EventQueue(compaction_threshold=10_000)
-        q.push(1.0, lambda: None, priority=1, label="late")
-        q.push(1.0, lambda: None, priority=0, label="early-a")
-        q.push(1.0, lambda: None, priority=0, label="early-b")
+        q.push(2.0, lambda: None, label="late")
+        q.push(1.0, lambda: None, label="early-a")
+        q.push(1.0, lambda: None, label="early-b")
         doomed = [q.push(0.5, lambda: None) for _ in range(5)]
         for event in doomed:
             q.cancel(event)
@@ -146,9 +140,8 @@ class TestEventQueueCompaction:
 
     def test_event_key_precomputed_and_slots(self):
         q = EventQueue()
-        event = q.push(2.5, lambda: None, priority=3)
-        assert event.key == (2.5, 3, event.seq)
-        assert event.sort_key() == event.key
+        event = q.push(2.5, lambda: None)
+        assert event.key == (2.5, event.seq)
         assert not hasattr(event, "__dict__")
 
     def test_adaptive_threshold_grows_and_decays(self):
@@ -321,21 +314,6 @@ class TestDrainLoop:
             return seen
 
         assert run(use_run=True) == run(use_run=False) == ["a"]
-
-    def test_run_fires_fresher_same_instant_event_first(self):
-        sim = Simulator()
-        seen = []
-
-        def first():
-            seen.append("first")
-            # Same time, lower priority than the rest of the instant: must
-            # fire before them, exactly as one-at-a-time stepping would.
-            sim.call_at(1.0, lambda: seen.append("injected"), priority=-1)
-
-        sim.call_at(1.0, first, priority=0)
-        sim.call_at(1.0, lambda: seen.append("second"), priority=0)
-        sim.run()
-        assert seen == ["first", "injected", "second"]
 
     def test_run_equals_stepped_run_on_random_workload(self):
         def simulate(use_run):

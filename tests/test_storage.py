@@ -164,14 +164,6 @@ class TestKeyValueStore:
         assert not kv.delete("k")
         assert kv.used_bytes == 0.0
 
-    def test_prefix_query_sorted_by_version(self):
-        kv = KeyValueStore()
-        kv.put("ckpt/f1/2", None, size_bytes=1)
-        kv.put("ckpt/f1/1", None, size_bytes=1)
-        kv.put("ckpt/f2/1", None, size_bytes=1)
-        keys = kv.keys_with_prefix("ckpt/f1/")
-        assert keys == ["ckpt/f1/2", "ckpt/f1/1"]  # insertion (version) order
-
     def test_replicated_store_survives_node_failure(self):
         kv = KeyValueStore(replicated=True, persistent=False)
         kv.put("k", None, size_bytes=10, home_node="node-00")
@@ -189,42 +181,6 @@ class TestKeyValueStore:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             KeyValueStore().put("k", None, size_bytes=-1)
-
-    def test_version_index_matches_sort_oracle_under_churn(self):
-        """Prefix queries walk the insertion-ordered entries and must
-        return exactly what a per-lookup sort over the live entries
-        would, through interleaved puts, overwrites, deletes, and
-        clears."""
-        import random
-
-        rng = random.Random(0x5EED)
-        kv = KeyValueStore()
-
-        def oracle(prefix):
-            live = [
-                e for k, e in kv._entries.items() if k.startswith(prefix)
-            ]
-            live.sort(key=lambda e: e.version)
-            return [e.key for e in live]
-
-        keys = [f"ckpt/f{i % 7}/{i % 5}" for i in range(35)]
-        for step in range(400):
-            op = rng.random()
-            key = rng.choice(keys)
-            if op < 0.6:
-                kv.put(key, None, size_bytes=rng.uniform(1, 100))
-            elif op < 0.85:
-                kv.delete(key)
-            elif op < 0.95 and step % 50 == 7:
-                kv.clear()
-            for prefix in ("ckpt/f1/", "ckpt/f3", "ckpt/", "nope/"):
-                assert kv.keys_with_prefix(prefix) == oracle(prefix)
-                assert [
-                    e.key for e in kv.entries_with_prefix(prefix)
-                ] == oracle(prefix)
-        # The entries still iterate in strictly increasing version.
-        versions = [e.version for e in kv._entries.values()]
-        assert all(a < b for a, b in zip(versions, versions[1:]))
 
 
 class TestCheckpointStorageRouter:

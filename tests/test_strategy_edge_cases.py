@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.canary import CanaryPlatform
-from repro.core.config import PlatformConfig
 from repro.core.jobs import JobRequest
 from repro.core.scenario import ScenarioConfig
 from repro.faas.container import ContainerPurpose
+from repro.strategies import base as strategies_base
+from repro.strategies import request_replication
 
 from tests.conftest import TINY, run_tiny_job
 
@@ -48,14 +49,10 @@ class TestCanaryWaiterPath:
 
 
 class TestRequestReplicationDegrees:
-    def test_two_siblings_config(self):
-        config = PlatformConfig(rr_replicas=2)
+    def test_two_siblings_config(self, monkeypatch):
+        monkeypatch.setattr(request_replication, "RR_REPLICAS", 2)
         platform = CanaryPlatform(
-            ScenarioConfig(
-                num_nodes=4,
-                strategy="request-replication",
-                platform_config=config,
-            ),
+            ScenarioConfig(num_nodes=4, strategy="request-replication"),
             seed=0,
         )
         platform.submit_job(JobRequest(workload=TINY, num_functions=5))
@@ -64,15 +61,11 @@ class TestRequestReplicationDegrees:
         assert len(platform.controller.containers) == 15
         assert platform.metrics.completed_count() == 5
 
-    def test_higher_degree_costs_more(self):
+    def test_higher_degree_costs_more(self, monkeypatch):
         def cost(degree):
-            config = PlatformConfig(rr_replicas=degree)
+            monkeypatch.setattr(request_replication, "RR_REPLICAS", degree)
             platform = CanaryPlatform(
-                ScenarioConfig(
-                    num_nodes=4,
-                    strategy="request-replication",
-                    platform_config=config,
-                ),
+                ScenarioConfig(num_nodes=4, strategy="request-replication"),
                 seed=0,
             )
             platform.submit_job(JobRequest(workload=TINY, num_functions=10))
@@ -81,21 +74,16 @@ class TestRequestReplicationDegrees:
 
         assert cost(2) > cost(1)
 
-    def test_invalid_degree(self):
-        with pytest.raises(ValueError):
-            PlatformConfig(rr_replicas=0)
-
 
 class TestDetectionDelay:
-    def test_zero_detection_delay_supported(self):
-        config = PlatformConfig(detection_delay_s=0.0)
+    def test_zero_detection_delay_supported(self, monkeypatch):
+        monkeypatch.setattr(strategies_base, "DETECTION_DELAY_S", 0.0)
         platform = CanaryPlatform(
             ScenarioConfig(
                 num_nodes=4,
                 strategy="canary",
                 error_rate=0.3,
                 refailure_rate=0.0,
-                platform_config=config,
             ),
             seed=0,
         )
@@ -103,16 +91,15 @@ class TestDetectionDelay:
         platform.run()
         assert platform.metrics.unrecovered_failures() == []
 
-    def test_larger_detection_delay_slows_recovery(self):
+    def test_larger_detection_delay_slows_recovery(self, monkeypatch):
         def mean_recovery(delay):
-            config = PlatformConfig(detection_delay_s=delay)
+            monkeypatch.setattr(strategies_base, "DETECTION_DELAY_S", delay)
             platform = CanaryPlatform(
                 ScenarioConfig(
                     num_nodes=4,
                     strategy="canary",
                     error_rate=0.3,
                     refailure_rate=0.0,
-                    platform_config=config,
                 ),
                 seed=2,
             )
