@@ -66,9 +66,13 @@ class CheckpointingModule:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._per_function: dict[str, collections.deque[CheckpointRecord]] = {}
         self._effective_interval: dict[str, int] = {}
-        #: Fleet-wide interval override (S40 adaptive controller); None
-        #: defers to ``DEFAULT_INTERVAL``.  Per-function pins always win.
-        self.global_interval: Optional[int] = None
+        self._global_interval: Optional[int] = None
+        #: Called with a function id (``set_interval``) or None
+        #: (``global_interval``) just before a cadence changes; the
+        #: platform puts folded attempts back on per-state events there.
+        self.on_cadence_change: Callable[[Optional[str]], None] = (
+            lambda function_id: None
+        )
         # checkpoint_id -> (home node, time it becomes durable), and the
         # ids lost with a node.  Both hold only checkpoints still in some
         # function's chain: eviction and ``drop_function`` discard ids.
@@ -78,25 +82,35 @@ class CheckpointingModule:
         self._target_n: dict[tuple[float, float, float], int] = {}
         # statistics
         self.checkpoints_taken = 0
-        self.checkpoints_evicted = 0
         self.restores_fallback = 0  # restored from an older generation
-        self.bytes_written = 0.0
 
     # ------------------------------------------------------------------
     # Cadence
     # ------------------------------------------------------------------
+    @property
+    def global_interval(self) -> Optional[int]:
+        """Fleet-wide interval override (S40 adaptive controller); None
+        defers to ``DEFAULT_INTERVAL``.  Per-function pins always win."""
+        return self._global_interval
+
+    @global_interval.setter
+    def global_interval(self, interval: Optional[int]) -> None:
+        self.on_cadence_change(None)
+        self._global_interval = interval
+
     def effective_interval(self, function_id: str) -> int:
         pinned = self._effective_interval.get(function_id)
         if pinned is not None:
             return pinned
-        if self.global_interval is not None:
-            return self.global_interval
+        if self._global_interval is not None:
+            return self._global_interval
         return DEFAULT_INTERVAL
 
     def set_interval(self, function_id: str, interval: int) -> None:
         """Pin a function's checkpoint interval (job-level override)."""
         if interval <= 0:
             raise ValueError("interval must be positive")
+        self.on_cadence_change(function_id)
         self._effective_interval[function_id] = interval
 
     def should_checkpoint(self, function_id: str, state_index: int) -> bool:
@@ -124,7 +138,9 @@ class CheckpointingModule:
 
         The returned duration is ``ckp_i`` of Eq. 2: serialization plus the
         storage write (the asynchronous flush to shared storage is off the
-        critical path and not charged).
+        critical path and not charged).  *now* is the state's end, which
+        is earlier than the clock when a folded state boundary is
+        materialised; the spans count as recorded at *now*.
         """
         record, write_time = self._commit(
             job_id,
@@ -148,6 +164,7 @@ class CheckpointingModule:
                     f"flush:{record.checkpoint_id}",
                     t=now,
                     duration=self.flush_lag_s,
+                    recorded_at=now,
                     node=node_id,
                     checkpoint=record.checkpoint_id,
                     bytes=size_bytes,
@@ -159,6 +176,7 @@ class CheckpointingModule:
                 f"ckpt:{function_id}:{state_index}",
                 t=now,
                 duration=charge,
+                recorded_at=now,
                 function=function_id,
                 state_index=state_index,
                 tier=record.ref.tier_name,
@@ -283,7 +301,6 @@ class CheckpointingModule:
         )
         self._evict(chain, state_duration_s)
         self.checkpoints_taken += 1
-        self.bytes_written += size_bytes
         return record, write_time
 
     def _start_flush(
@@ -349,7 +366,6 @@ class CheckpointingModule:
             oldest = chain.popleft()
             self.router.delete(oldest.ref)
             self._retire(oldest.checkpoint_id)
-            self.checkpoints_evicted += 1
 
     def _retire(self, checkpoint_id: str) -> None:
         """Mark a released checkpoint unavailable and stop tracking it."""

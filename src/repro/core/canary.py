@@ -17,7 +17,7 @@ from repro.cluster.heterogeneity import HeterogeneityModel
 from repro.common.errors import RequestValidationError
 from repro.common.types import JobState, ReplicationStrategyName
 from repro.core.database import CanaryDatabase
-from repro.core.execution import FunctionExecution
+from repro.core.execution import Attempt, FunctionExecution
 from repro.core.ids import IdGenerator
 from repro.core.jobs import Job, JobRequest
 from repro.core.scenario import ScenarioConfig
@@ -196,6 +196,12 @@ class CanaryPlatform:
             flush_lag_s=scenario.checkpoint_flush_lag_s,
             tracer=self.tracer,
         )
+        #: Attempts running a folded segment, with their executions
+        #: (see ``FunctionExecution._fold``), in fold order.
+        self.folded: dict[Attempt, FunctionExecution] = {}
+        self.checkpointer.on_cadence_change = (
+            lambda function_id: self.unfold(function_id=function_id)
+        )
         self.runtime_manager = RuntimeManagerModule(self.database)
         self.metrics = MetricsCollector()
         # Recovery attempts re-fail at the error rate by default: the error
@@ -316,7 +322,29 @@ class CanaryPlatform:
 
     def _on_node_failure(self, node, lost) -> None:
         self.database.worker_info.update(node.node_id, alive=False)
+        # The node's checkpoints must exist before they can be lost.  (The
+        # controller's loss fanout has already settled the node's folded
+        # attempts; this keeps the order independent of listener order.)
+        for attempt, execution in self.folded.items():
+            if attempt.container.node is node:
+                execution.materialise(attempt, self.sim.now)
         self.checkpointer.on_node_failure(node.node_id, now=self.sim.now)
+
+    def unfold(
+        self, *, node=None, function_id: Optional[str] = None
+    ) -> None:
+        """Put folded attempts back on one event per window: all of them,
+        or those on *node* or of *function_id*.
+
+        Called just before something a fold plan read changes: a node's
+        speed, a tier's brownout state, a checkpoint cadence.
+        """
+        for attempt, execution in list(self.folded.items()):
+            if node is not None and attempt.container.node is not node:
+                continue
+            if function_id is not None and execution.function_id != function_id:
+                continue
+            execution.unfold(attempt)
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -473,6 +501,9 @@ class CanaryPlatform:
         if self.adaptive is not None:
             self.adaptive.ensure_running(self._has_pending_work)
         stopped_at = self.sim.run(until=until)
+        # Events at the stop time have fired, so boundaries at it count.
+        for attempt, execution in self.folded.items():
+            execution.materialise(attempt, stopped_at, inclusive=True)
         if self.sim.pending == 0:
             # Run fully drained: bound any spans that never closed (e.g.
             # unrecovered failures) so exports see finite intervals.

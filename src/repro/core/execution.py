@@ -10,10 +10,19 @@ Progress is counted in *completed states*.  A failure event is considered
 recovered the moment any live attempt of the function has again completed
 as many states as the function had completed when the kill happened — that
 difference in timestamps is the paper's per-failure recovery time.
+
+Without a fabric, an attempt that is the function's only live one and has
+no failure to recover *folds* its states: one engine event at the end of
+the segment instead of one per state and per checkpoint.  The states in
+between are materialised, in order and with their own timestamps, when
+that event fires or when something needs to see them (DESIGN.md,
+"State-boundary fold addendum").
 """
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -33,6 +42,29 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Migrating a failed function onto a warm replica: context
 #: re-establishment, trigger rewiring.
 ADOPTION_OVERHEAD_S = 0.5
+
+
+@dataclass(slots=True, eq=False)
+class FoldPlan:
+    """Boundary times of a folded attempt segment.
+
+    Entry ``j`` is state ``first + j``: it starts at ``starts[j]``, runs
+    ``durations[j]`` and ends at ``ends[j]``; ``charges[j]`` is the charge
+    of the checkpoint after it, or None when it takes none.  With
+    ``finish_at`` set the segment runs to completion, the finish window
+    starting at ``finish_start``; with it None the last entry's boundary is
+    an observable checkpoint, taken stepwise when the segment event fires.
+    ``done`` counts the entries materialised so far.
+    """
+
+    first: int
+    starts: list[float] = field(default_factory=list)
+    durations: list[float] = field(default_factory=list)
+    ends: list[float] = field(default_factory=list)
+    charges: list[Optional[float]] = field(default_factory=list)
+    finish_start: Optional[float] = None
+    finish_at: Optional[float] = None
+    done: int = 0
 
 
 class Attempt:
@@ -66,6 +98,8 @@ class Attempt:
         self.state_started_at: Optional[float] = None
         self.state_duration: float = 0.0
         self.final_progress: Optional[float] = None
+        # Folded segment ahead of the attempt (None while stepwise).
+        self.plan: Optional[FoldPlan] = None
         # Open tracing spans (None while untraced / after they close).
         self.span: Optional[Span] = None
         self.restore_span: Optional[Span] = None
@@ -253,6 +287,10 @@ class FunctionExecution:
             platform.controller.terminate(container, ContainerState.KILLED)
             platform.release_owner(container.container_id)
             return None
+        # A folded attempt must be the function's only live one.
+        for live in list(self._live.values()):
+            if live.plan is not None:
+                self.unfold(live)
         attempt = Attempt(
             attempt_id=platform.ids.attempt_id(self.function_id),
             index=len(self.attempts),
@@ -505,6 +543,9 @@ class FunctionExecution:
                 label=f"finish:{attempt.attempt_id}",
             )
             return
+        if self._can_fold(attempt):
+            self._fold(attempt)
+            return
         duration = attempt.container.node.scale_duration(
             float(self._base_durations[index])
         )
@@ -573,6 +614,182 @@ class FunctionExecution:
             )
         else:
             self._schedule_next_state(attempt)
+
+    # ------------------------------------------------------------------
+    # Folded segments
+    # ------------------------------------------------------------------
+    def _can_fold(self, attempt: Attempt) -> bool:
+        """Whether the states ahead of *attempt* may run as one segment.
+
+        Recovery checks read an attempt's progress at arbitrary times, so
+        a function folds only while it has exactly one live attempt and no
+        failure waiting to be recovered.  A container request in flight
+        would start a second attempt and unfold this one, so that waits
+        too.  The fabric path already costs one flow per checkpoint write
+        and stays stepwise.
+        """
+        return (
+            self.platform.network is None
+            and len(self._live) == 1
+            and not self._pending_events
+            and not self._pending_requests
+        )
+
+    def _fold(self, attempt: Attempt) -> None:
+        """Plan the states ahead and schedule one event at the segment end.
+
+        The boundary times chain the same float additions as the stepwise
+        path's ``call_in`` calls: ``t + d_k``, then ``+ charge_k``.  The
+        segment stops at the first checkpoint whose tier or charge could
+        depend on other functions (``CheckpointStorageRouter.private_tier``).
+        Nothing else the plan reads can change without :meth:`unfold`
+        running first: node speed (stragglers), the tier brownout state,
+        the checkpoint cadence and the function's attempt count.
+        """
+        platform = self.platform
+        profile = self.profile
+        node = attempt.container.node
+        interval = 0  # 0: the attempt takes no checkpoints
+        charge: Optional[float] = None
+        if platform.strategy.checkpoints_enabled and not attempt.secondary:
+            checkpointer = platform.checkpointer
+            should_checkpoint = checkpointer.policy.should_checkpoint
+            interval = checkpointer.effective_interval(self.function_id)
+            size = profile.checkpoint_size_bytes
+            tier = platform.router.private_tier(size)
+            if tier is not None:
+                charge = profile.serialize_overhead_s + (
+                    platform.tiers.write_seconds(tier, size)
+                )
+        plan = FoldPlan(attempt.completed_states)
+        t = platform.sim.now
+        for index, base in enumerate(
+            self._base_durations[plan.first:].tolist(), plan.first
+        ):
+            duration = node.scale_duration(base)
+            plan.starts.append(t)
+            plan.durations.append(duration)
+            t = t + duration
+            plan.ends.append(t)
+            if interval and should_checkpoint(index, interval):
+                plan.charges.append(charge)
+                if charge is None:
+                    break
+                t = t + charge
+            else:
+                plan.charges.append(None)
+        else:
+            plan.finish_start = t
+            plan.finish_at = t + node.scale_duration(profile.finish_s)
+        attempt.plan = plan
+        platform.folded[attempt] = self
+        attempt.state_started_at = plan.starts[0]
+        attempt.state_duration = plan.durations[0]
+        if plan.finish_at is None:
+            at = plan.ends[-1]
+            label = f"state:{attempt.attempt_id}:{index}"
+        else:
+            at = plan.finish_at
+            label = f"finish:{attempt.attempt_id}"
+        attempt.state_handle = platform.sim.call_at(
+            at, lambda: self._segment_done(attempt), label=label
+        )
+
+    def _segment_done(self, attempt: Attempt) -> None:
+        plan = attempt.plan
+        self.materialise(attempt, self.platform.sim.now, inclusive=True)
+        self._drop_plan(attempt)
+        if plan.finish_at is not None:
+            self._complete(attempt)
+        else:
+            # The last state ends now; its checkpoint is observable.
+            self._state_done(attempt)
+
+    def materialise(
+        self, attempt: Attempt, until: float, *, inclusive: bool = False
+    ) -> None:
+        """Apply the folded state boundaries before *until* (or at it, with
+        *inclusive*) in order, each at its own time, and set the attempt's
+        in-flight window as the stepwise path would have it at *until*.
+
+        An event at exactly *until* counts as not yet fired for observers
+        (``inclusive=False``): they were scheduled before the boundary, so
+        the engine would have run them first.  ``run(until=T)`` fires
+        events at T, hence ``inclusive=True`` there.
+        """
+        fired = operator.le if inclusive else operator.lt
+        plan = attempt.plan
+        ends = plan.ends
+        # A segment that stops short of the finish leaves its last
+        # boundary to ``_state_done``.
+        limit = len(ends) if plan.finish_at is not None else len(ends) - 1
+        j = plan.done
+        while j < limit and fired(ends[j], until):
+            if plan.charges[j] is not None:
+                profile = self.profile
+                _, charge = self.platform.checkpointer.record_state(
+                    job_id=self.job.job_id,
+                    function_id=self.function_id,
+                    state_index=plan.first + j,
+                    size_bytes=profile.checkpoint_size_bytes,
+                    serialize_overhead_s=profile.serialize_overhead_s,
+                    now=ends[j],
+                    node_id=attempt.container.node.node_id,
+                    state_duration_s=profile.state_duration_s,
+                )
+                self.platform.metrics.note_checkpoint(self.function_id, charge)
+            j += 1
+        if j > plan.done:
+            plan.done = j
+            attempt.completed_states = plan.first + j
+            self.platform.database.function_info.set_field(
+                self.function_id, "current_state_index", plan.first + j - 1
+            )
+        if j == 0:
+            return  # the first state, started by the fold, is in flight
+        if j < len(ends) and fired(plan.starts[j], until):
+            attempt.state_started_at = plan.starts[j]
+            attempt.state_duration = plan.durations[j]
+        else:  # a checkpoint or the finish is in flight
+            attempt.state_started_at = None
+            attempt.state_duration = plan.durations[j - 1]
+
+    def unfold(self, attempt: Attempt) -> None:
+        """Materialise the folded boundaries before now and put the attempt
+        back on one event per window, from the window in flight."""
+        now = self.platform.sim.now
+        self.materialise(attempt, now)
+        plan = attempt.plan
+        self._drop_plan(attempt)
+        attempt.state_handle.cancel()
+        j = plan.done
+        name = attempt.attempt_id
+        if j < len(plan.ends) and attempt.state_started_at is not None:
+            at, resume = plan.ends[j], self._state_done
+            label = f"state:{name}:{plan.first + j}"
+        elif j < len(plan.ends) or plan.finish_start >= now:
+            # A checkpoint is in flight; the next window (the finish after
+            # the last state) starts, and is scaled, when it lands.
+            at = plan.starts[j] if j < len(plan.ends) else plan.finish_start
+            resume = self._schedule_next_state
+            label = f"ckpt:{name}:{plan.first + j - 1}"
+        else:
+            at, resume = plan.finish_at, self._complete
+            label = f"finish:{name}"
+        attempt.state_handle = self.platform.sim.call_at(
+            at, lambda: resume(attempt), label=label
+        )
+
+    def _settle(self, attempt: Attempt) -> None:
+        """Materialise a folded attempt that stops now (its timers are
+        cancelled by the caller)."""
+        if attempt.plan is not None:
+            self.materialise(attempt, self.platform.sim.now)
+            self._drop_plan(attempt)
+
+    def _drop_plan(self, attempt: Attempt) -> None:
+        attempt.plan = None
+        del self.platform.folded[attempt]
 
     # ------------------------------------------------------------------
     # Tracing helpers
@@ -668,6 +885,7 @@ class FunctionExecution:
         if attempt is not None:
             if attempt.done:
                 return
+            self._settle(attempt)
             attempt.final_progress = attempt.continuous_progress(now)
             attempt.done = True
             attempt.cancel_timers()
@@ -725,6 +943,7 @@ class FunctionExecution:
         attempt = self._live.get(container_id)
         if attempt is None or attempt.done:
             return False
+        self._settle(attempt)
         attempt.final_progress = attempt.continuous_progress(self.platform.sim.now)
         if attempt.state_handle is not None:
             attempt.state_handle.cancel()
@@ -747,6 +966,7 @@ class FunctionExecution:
         if attempt.done or self.completed or not attempt.running_states:
             return False
         source_node = attempt.container.node
+        self._settle(attempt)
         attempt.final_progress = attempt.continuous_progress(platform.sim.now)
         attempt.done = True
         attempt.cancel_timers()

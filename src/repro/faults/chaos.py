@@ -348,6 +348,7 @@ class ChaosInjector:
             self.straggler_skips += 1
             return
         cfg = self.config
+        self.platform.unfold(node=node)
         node.chaos_speed_factor *= cfg.straggler_slowdown
         self.stragglers_applied += 1
         self.degraded_window_s += cfg.straggler_duration_s
@@ -365,6 +366,7 @@ class ChaosInjector:
         )
 
     def _end_straggle(self, node: "Node") -> None:
+        self.platform.unfold(node=node)
         node.chaos_speed_factor /= self.config.straggler_slowdown
         # Overlapping windows compose multiplicatively; snap the residue so
         # a fully-recovered node scales durations exactly as before.
@@ -494,6 +496,7 @@ class ChaosInjector:
         )
 
     def _start_tier_brownout(self, spec: TierBrownout) -> None:
+        self.platform.unfold()
         self.tiers.set_brownout(
             spec.tier,
             refuse=(spec.mode == "refuse"),
@@ -510,9 +513,13 @@ class ChaosInjector:
         )
         self.sim.call_in(
             spec.duration_s,
-            lambda: self.tiers.clear_brownout(spec.tier),
+            lambda: self._end_tier_brownout(spec),
             label="chaos-tier-end",
         )
+
+    def _end_tier_brownout(self, spec: TierBrownout) -> None:
+        self.platform.unfold()
+        self.tiers.clear_brownout(spec.tier)
 
     # ------------------------------------------------------------------
     # Accounting

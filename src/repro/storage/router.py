@@ -81,6 +81,17 @@ class CheckpointStorageRouter:
             size_bytes, require_shared=self.require_shared_spill
         )
 
+    def private_tier(self, size_bytes: float) -> Optional[StorageTier]:
+        """Tier a write of *size_bytes* lands on, when no other write can
+        change that choice or make the write fail; else None.
+
+        That holds while neither the KV store nor any tier can fill up:
+        the choice then depends only on the size and the brownout state.
+        """
+        if self.kv.capacity_bytes != float("inf") or not self.tiers.unbounded:
+            return None
+        return self.choose_tier(size_bytes)
+
     def write(
         self,
         key: str,

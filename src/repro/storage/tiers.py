@@ -144,6 +144,8 @@ class TierRegistry:
             raise ValueError(f"duplicate tier names: {names}")
         self.tiers = tuple(tiers)
         self._by_name = {t.name: t for t in tiers}
+        #: No tier can fill up, so no write can change where another lands.
+        self.unbounded = all(t.capacity_bytes == float("inf") for t in tiers)
         self.used_bytes: dict[str, float] = {t.name: 0.0 for t in tiers}
         self._allocations: dict[str, int] = {t.name: 0 for t in tiers}
         # Brownout state (gray-failure chaos layer): a tier can temporarily

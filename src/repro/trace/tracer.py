@@ -3,10 +3,12 @@
 Design constraints (they shape everything here):
 
 * **Determinism.**  A traced simulated run must be a pure function of the
-  seed.  Span ids are allocated in recording order — which, on the
-  single-threaded virtual clock, is event-execution order — and recording
-  never schedules events or draws randomness, so tracing cannot perturb
-  the run it observes.
+  seed.  Span ids follow recording order — which, on the single-threaded
+  virtual clock, is event-execution order — and recording never schedules
+  events or draws randomness, so tracing cannot perturb the run it
+  observes.  A span recorded after the fact with ``recorded_at`` (a folded
+  state boundary materialised later) takes the id it would have had if
+  recorded at that time; :meth:`Tracer.spans` renumbers to restore it.
 * **Zero-cost default.**  Every instrumented module takes a tracer that
   defaults to the shared :data:`NULL_TRACER`; the null methods return a
   single preallocated dummy span, so untraced hot paths pay one attribute
@@ -114,6 +116,7 @@ class NullTracer:
         parent: Optional[Span] = None,
         t: Optional[float] = None,
         duration: float = 0.0,
+        recorded_at: Optional[float] = None,
         **attrs: Any,
     ) -> Span:
         return _NULL_SPAN
@@ -148,6 +151,12 @@ class Tracer(NullTracer):
         self._lock = threading.Lock()
         self._spans: list[Span] = []
         self._next_id = 1
+        # Clock reading at which each span counts as recorded (parallel to
+        # ``_spans``), the latest one, and whether a span was recorded with
+        # an explicit ``recorded_at`` earlier than a span before it.
+        self._recorded: list[float] = []
+        self._latest = float("-inf")
+        self._backdated = False
 
     # ------------------------------------------------------------------
     def set_clock(self, clock: Callable[[], float]) -> None:
@@ -176,7 +185,23 @@ class Tracer(NullTracer):
         **attrs: Any,
     ) -> Span:
         """Open a span; finish it later with :meth:`finish`."""
-        start = self._now(t)
+        return self._record(kind, name, parent, self._now(t), t, None, attrs)
+
+    def _record(
+        self,
+        kind: str,
+        name: str,
+        parent: Optional[Span],
+        start: float,
+        t: Optional[float],
+        recorded_at: Optional[float],
+        attrs: dict[str, Any],
+    ) -> Span:
+        backdated = recorded_at is not None
+        if not backdated:
+            recorded_at = (
+                start if t is None or self._clock is None else self._clock()
+            )
         parent_id = parent.span_id if parent is not None and parent.span_id else None
         with self._lock:
             span = Span(
@@ -185,10 +210,15 @@ class Tracer(NullTracer):
                 kind=kind,
                 name=name or kind,
                 start=start,
-                attrs=dict(attrs),
+                attrs=attrs,
             )
             self._next_id += 1
             self._spans.append(span)
+            self._recorded.append(recorded_at)
+            if recorded_at >= self._latest:
+                self._latest = recorded_at
+            elif backdated:
+                self._backdated = True
         return span
 
     def finish(
@@ -209,10 +239,17 @@ class Tracer(NullTracer):
         parent: Optional[Span] = None,
         t: Optional[float] = None,
         duration: float = 0.0,
+        recorded_at: Optional[float] = None,
         **attrs: Any,
     ) -> Span:
-        """Record an already-bounded span (known duration, e.g. a charge)."""
-        span = self.begin(kind, name, parent=parent, t=t, **attrs)
+        """Record an already-bounded span (known duration, e.g. a charge).
+
+        ``recorded_at`` is the clock time the span counts as recorded at
+        when that is earlier than now.
+        """
+        span = self._record(
+            kind, name, parent, self._now(t), t, recorded_at, attrs
+        )
         span.end = span.start + duration
         return span
 
@@ -240,7 +277,29 @@ class Tracer(NullTracer):
     def spans(self) -> tuple[Span, ...]:
         """All recorded spans, in recording order."""
         with self._lock:
+            if self._backdated:
+                self._renumber()
             return tuple(self._spans)
+
+    def _renumber(self) -> None:
+        """Put backdated spans in recording order and renumber every span.
+
+        The sort is stable, so spans recorded at the same time keep their
+        order.  Span ids are list positions + 1 before and after, and
+        parent ids are remapped with them.
+        """
+        order = sorted(range(len(self._spans)), key=self._recorded.__getitem__)
+        new_id = [0] * len(order)
+        for position, old in enumerate(order):
+            new_id[old] = position + 1
+        spans = [self._spans[old] for old in order]
+        for span in spans:
+            span.span_id = new_id[span.span_id - 1]
+            if span.parent_id is not None:
+                span.parent_id = new_id[span.parent_id - 1]
+        self._spans = spans
+        self._recorded = [self._recorded[old] for old in order]
+        self._backdated = False
 
 
 def wallclock_tracer() -> Tracer:

@@ -115,10 +115,13 @@ class TestCheckpointingModule:
         module, db = make_module()
         record_n(module, 6)
         assert module.chain_length("f1") == 3  # default retention
-        assert module.checkpoints_evicted == 3
-        # Evicted rows flip to unavailable rather than vanishing.
+        # Evicted rows flip to unavailable rather than vanishing: the
+        # three oldest states.
         rows = db.checkpoint_info.select()
-        assert sum(1 for r in rows if not r["available"]) == 3
+        assert len(rows) == 6
+        assert {r["state_index"] for r in rows if not r["available"]} == {
+            0, 1, 2,
+        }
 
     def test_db_rows_match_records(self):
         module, db = make_module()
@@ -187,8 +190,3 @@ class TestCheckpointingModule:
         assert hits == [3, 7]
         with pytest.raises(ValueError):
             module.set_interval("f1", 0)
-
-    def test_bytes_written_accumulates(self):
-        module, _ = make_module()
-        record_n(module, 4, size=mb(2))
-        assert module.bytes_written == pytest.approx(4 * mb(2))

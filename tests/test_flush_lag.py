@@ -93,7 +93,9 @@ class TestFlushLagUnit:
 
 
 class TestFlushLagEndToEnd:
-    def run_platform(self, flush_lag_s):
+    def run_platform(self, flush_lag_s, *, step_s=None):
+        """Run 30 TINY functions; with *step_s*, in steps of that many
+        seconds, returning the check results of :meth:`check_tracking`."""
         platform = CanaryPlatform(
             ScenarioConfig(
                 num_nodes=4,
@@ -106,18 +108,22 @@ class TestFlushLagEndToEnd:
             seed=6,
         )
         job = platform.submit_job(JobRequest(workload=TINY, num_functions=30))
-        platform.run()
-        return platform, job
+        if step_s is None:
+            platform.run()
+            return platform, job
+        evictions = 0
+        until = 0.0
+        while not job.done:
+            until += step_s
+            platform.run(until=until)
+            evictions += self.check_tracking(platform)
+        return platform, job, evictions
 
-    def test_everything_still_completes(self):
-        platform, job = self.run_platform(flush_lag_s=4.0)
-        assert job.done
-        assert platform.metrics.unrecovered_failures() == []
-
-    def test_flush_tracking_holds_only_live_checkpoints(self):
-        platform, job = self.run_platform(flush_lag_s=4.0)
+    @staticmethod
+    def check_tracking(platform):
+        """Assert flush tracking holds only live checkpoints; return how
+        many rows are evicted from a function that still has a chain."""
         module = platform.checkpointer
-        assert job.done and module.checkpoints_evicted > 0
         live = {
             record.checkpoint_id
             for chain in module._per_function.values()
@@ -125,6 +131,25 @@ class TestFlushLagEndToEnd:
         }
         assert set(module._pending_flush) <= live
         assert module._lost <= live
+        return sum(
+            1
+            for row in platform.database.checkpoint_info.select()
+            if not row["available"]
+            and row["checkpoint_id"] not in live
+            and module.chain_length(row["function_id"]) > 0
+        )
+
+    def test_everything_still_completes(self):
+        platform, job = self.run_platform(flush_lag_s=4.0)
+        assert job.done
+        assert platform.metrics.unrecovered_failures() == []
+
+    def test_flush_tracking_holds_only_live_checkpoints(self):
+        platform, job, evictions = self.run_platform(
+            flush_lag_s=4.0, step_s=0.25
+        )
+        assert job.done and evictions > 0
+        self.check_tracking(platform)
 
     def test_lag_costs_extra_redo_after_node_death(self):
         fast_platform, _ = self.run_platform(flush_lag_s=0.0)

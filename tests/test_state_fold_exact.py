@@ -1,0 +1,353 @@
+"""Exactness guard for folded state boundaries.
+
+Without a fabric an attempt runs its states as one folded segment: one
+engine event at the segment end, the states in between materialised
+later with their own timestamps (DESIGN.md, "State-boundary fold
+addendum").  The reference is the stepwise path, one event per state and
+per checkpoint, which runs when the fold predicate is patched to refuse.
+Every scenario below runs both ways and must agree exactly: the summary,
+every function's trace, the failure events, the database rows (as sets,
+since rows land in materialisation order) and, for the traced run, the
+spans (as a multiset, parents named rather than numbered).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import asdict
+from typing import Callable, Optional
+
+import pytest
+
+from repro.adaptive import AdaptiveConfig
+from repro.autoscale import AdmissionConfig, AutoscaleConfig
+from repro.core.canary import CanaryPlatform
+from repro.core.execution import FunctionExecution
+from repro.core.jobs import JobRequest
+from repro.detection import BackoffPolicy, DetectionConfig
+from repro.experiments.config import ScenarioConfig
+from repro.faults.chaos import ChaosConfig, TierBrownout, default_chaos_preset
+from repro.metrics.engine import collect_engine_stats
+from repro.strategies.cloning import CloningConfig
+from repro.trace.tracer import Tracer
+from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
+
+from tests.conftest import TINY, TINY_BIG_CKPT
+
+BASE = ScenarioConfig(
+    workload="graph-bfs",
+    strategy="canary",
+    error_rate=0.2,
+    num_functions=40,
+    num_nodes=6,
+)
+
+
+def _local_spill_crash(platform: CanaryPlatform) -> None:
+    """Spills land on node-local pmem (no node failures are configured),
+    then a node dies mid-run and takes its spills with it."""
+    platform.submit_job(JobRequest(workload=TINY_BIG_CKPT, num_functions=24))
+    victim = platform.cluster.nodes[1].node_id
+    platform.sim.call_at(
+        10.7, lambda: platform.cluster.fail_node(victim, platform.sim.now)
+    )
+
+
+def _tenant(name: str, workload: str, rate: float) -> Tenant:
+    return Tenant(
+        name=name,
+        arrivals=PoissonArrivals(rate_per_s=rate),
+        workloads=(workload,),
+    )
+
+
+#: name -> (scenario, optional set-up replacing ``submit_batch``)
+SCENARIOS: dict[str, tuple[ScenarioConfig, Optional[Callable]]] = {
+    "errors": (BASE, None),
+    "interval-2": (BASE.with_(checkpoint_interval=2), None),
+    "node-failures-flush-lag": (
+        BASE.with_(node_failure_count=2, checkpoint_flush_lag_s=2.0), None,
+    ),
+    "local-spill-node-failure": (
+        BASE.with_(error_rate=0.1, num_nodes=4), _local_spill_crash,
+    ),
+    "stragglers-zombie-partition": (
+        BASE.with_(
+            node_failure_count=1,
+            chaos=ChaosConfig(
+                stragglers=3, straggler_window=(3.0, 20.0),
+                straggler_duration_s=6.0, zombies=1,
+                zombie_window=(6.0, 12.0), zombie_kill_after_s=15.0,
+                partitions=1, partition_window=(8.0, 14.0),
+            ),
+            detection=DetectionConfig(),
+            backoff=BackoffPolicy(),
+        ),
+        None,
+    ),
+    "tier-brownouts": (
+        BASE.with_(
+            node_failure_count=1,
+            chaos=ChaosConfig(
+                tier_brownouts=(
+                    TierBrownout(tier="kv", start_s=4.0, duration_s=5.0,
+                                 mode="refuse"),
+                    TierBrownout(tier="nfs", start_s=6.0, duration_s=8.0,
+                                 mode="slow", latency_multiplier=8.0),
+                ),
+            ),
+            backoff=BackoffPolicy(),
+        ),
+        None,
+    ),
+    "adaptive-no-fabric": (
+        BASE.with_(
+            workload="dl-training",
+            error_rate=0.25,
+            num_nodes=8,
+            chaos=default_chaos_preset(),
+            detection=DetectionConfig(),
+            backoff=BackoffPolicy(),
+            adaptive=AdaptiveConfig(),
+        ),
+        None,
+    ),
+    "traffic-autoscale": (
+        BASE.with_(
+            workload="micro-python",
+            error_rate=0.05,
+            num_nodes=4,
+            traffic=TrafficConfig(
+                tenants=(
+                    _tenant("py", "micro-python", 3.0),
+                    _tenant("web", "web-service", 2.0),
+                ),
+                duration_s=60.0,
+                admission=AdmissionConfig(queue_shed_depth=16),
+            ),
+            autoscale=AutoscaleConfig(min_nodes=4, max_nodes=8),
+        ),
+        None,
+    ),
+    "prediction-migration": (
+        BASE.with_(
+            node_failure_count=2, node_failure_precursors=3,
+            prediction=True,
+        ),
+        None,
+    ),
+    "retry": (BASE.with_(strategy="retry"), None),
+    "active-standby": (BASE.with_(strategy="active-standby"), None),
+    "request-replication": (BASE.with_(strategy="request-replication"), None),
+    "cloning": (
+        BASE.with_(strategy="cloning", cloning=CloningConfig(clones=2)), None,
+    ),
+}
+
+
+def _refuse_fold(patch) -> None:
+    """Run the stepwise reference path: no attempt ever folds."""
+    patch.setattr(FunctionExecution, "_can_fold", lambda self, attempt: False)
+
+
+def _rows(platform: CanaryPlatform) -> dict[str, frozenset]:
+    return {
+        name: frozenset(tuple(sorted(row.items())) for row in table.select())
+        for name, table in vars(platform.database).items()
+    }
+
+
+def _spans(tracer: Tracer) -> Counter:
+    spans = tracer.spans()
+    names = {span.span_id: (span.kind, span.name) for span in spans}
+    return Counter(
+        (
+            span.kind, span.name, span.start, span.end,
+            names.get(span.parent_id),
+            tuple(sorted(span.attrs.items())),
+        )
+        for span in spans
+    )
+
+
+def _outcome(
+    name: str,
+    *,
+    fold: bool,
+    monkeypatch,
+    step_s: Optional[float] = None,
+    traced: bool = False,
+) -> dict:
+    scenario, setup = SCENARIOS[name]
+    tracer = Tracer() if traced else None
+    with monkeypatch.context() as patch:
+        if not fold:
+            _refuse_fold(patch)
+        platform = CanaryPlatform(scenario, seed=3, tracer=tracer)
+        if setup is not None:
+            setup(platform)
+        elif scenario.traffic is None:
+            platform.submit_batch()
+        if step_s is None:
+            platform.run()
+        else:
+            until = 0.0
+            while platform.sim.pending:
+                until += step_s
+                platform.run(until=until)
+    assert not platform.folded
+    return {
+        "summary": asdict(platform.summary()),
+        "traces": {
+            fid: asdict(trace) for fid, trace in platform.metrics.traces.items()
+        },
+        "failures": [asdict(event) for event in platform.metrics.failures],
+        "rows": _rows(platform),
+        "spans": _spans(tracer) if traced else None,
+        "pushes": collect_engine_stats(platform.sim).pushes,
+    }
+
+
+def _assert_same(folded: dict, stepwise: dict) -> None:
+    for key in ("summary", "traces", "failures", "rows", "spans"):
+        assert folded[key] == stepwise[key], key
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_fold_matches_stepwise_exactly(name, monkeypatch):
+    folded = _outcome(name, fold=True, monkeypatch=monkeypatch)
+    stepwise = _outcome(name, fold=False, monkeypatch=monkeypatch)
+    assert folded["summary"]["completed"] > 0
+    _assert_same(folded, stepwise)
+    # The fold really ran: it saves engine events wherever a function
+    # runs one attempt at a time (cloning and replication run two).
+    if name in ("cloning", "request-replication"):
+        assert folded["pushes"] <= stepwise["pushes"]
+    else:
+        assert folded["pushes"] < stepwise["pushes"]
+
+
+@pytest.mark.parametrize("name", ["errors", "stragglers-zombie-partition"])
+def test_stepped_run_until_matches_stepwise(name, monkeypatch):
+    folded = _outcome(name, fold=True, monkeypatch=monkeypatch, step_s=0.7)
+    stepwise = _outcome(name, fold=False, monkeypatch=monkeypatch)
+    _assert_same(folded, stepwise)
+
+
+def test_run_until_materialises_in_flight_window(monkeypatch):
+    """After ``run(until=T)`` an attempt's progress reads as stepwise."""
+    seen = []
+    for fold in (True, False):
+        with monkeypatch.context() as patch:
+            if not fold:
+                _refuse_fold(patch)
+            platform = CanaryPlatform(BASE, seed=3)
+            platform.submit_batch()
+            views = []
+            for until in (4.0, 6.5, 9.25, 13.0):
+                platform.run(until=until)
+                views.append([
+                    (
+                        attempt.completed_states,
+                        attempt.state_started_at,
+                        attempt.state_duration,
+                        attempt.continuous_progress(until),
+                    )
+                    for job in platform.jobs.values()
+                    for execution in job.executions
+                    for attempt in execution.live_attempts()
+                ])
+                views.append(platform.checkpointer.checkpoints_taken)
+            seen.append(views)
+    assert seen[0] == seen[1]
+
+
+def test_traced_run_matches_stepwise(monkeypatch):
+    folded = _outcome(
+        "node-failures-flush-lag", fold=True, monkeypatch=monkeypatch,
+        traced=True,
+    )
+    stepwise = _outcome(
+        "node-failures-flush-lag", fold=False, monkeypatch=monkeypatch,
+        traced=True,
+    )
+    assert sum(folded["spans"].values()) > 100
+    _assert_same(folded, stepwise)
+
+
+class TestAnalyticOracle:
+    """One failure-free TINY function alone on one node, both paths.
+
+    Completion is ``ready + fetch + sum(d_k + c_k) + finish``, summed in
+    the engine's order: each ``call_in`` adds its delay to the time of
+    the event that scheduled it.  ``d_k`` is the node-scaled state
+    duration and ``c_k`` the charge of a KV checkpoint (serialisation
+    plus the tier write), taken after every ``interval``-th state.
+    """
+
+    def _run(self, monkeypatch, *, fold: bool, interval=None, until=None):
+        with monkeypatch.context() as patch:
+            if not fold:
+                _refuse_fold(patch)
+            platform = CanaryPlatform(
+                ScenarioConfig(num_nodes=1, strategy="canary"), seed=0
+            )
+            if interval is not None:
+                platform.checkpointer.global_interval = interval
+            job = platform.submit_job(
+                JobRequest(workload=TINY, num_functions=1)
+            )
+            platform.run(until=until)
+        return platform, job.executions[0]
+
+    def _expected(self, platform, execution, interval: int):
+        node = platform.cluster.nodes[0]
+        size = TINY.checkpoint_size_bytes
+        charge = TINY.serialize_overhead_s + platform.tiers.write_seconds(
+            platform.tiers.get("kv"), size
+        )
+        trace = platform.metrics.trace(execution.function_id)
+        t = trace.first_ready_at + node.scale_duration(TINY.input_fetch_s)
+        ends, checkpoint_time = [], 0.0
+        for k in range(TINY.n_states):
+            t += node.scale_duration(float(execution._base_durations[k]))
+            ends.append(t)
+            if (k + 1) % interval == 0:
+                t += charge
+                checkpoint_time += charge
+        t += node.scale_duration(TINY.finish_s)
+        return t, TINY.n_states // interval, checkpoint_time, ends, charge
+
+    @pytest.mark.parametrize("fold", [True, False])
+    @pytest.mark.parametrize("interval", [None, 2])
+    def test_completion_and_checkpoint_charges(
+        self, monkeypatch, fold, interval
+    ):
+        platform, execution = self._run(
+            monkeypatch, fold=fold, interval=interval
+        )
+        done_at, count, checkpoint_time, _, _ = self._expected(
+            platform, execution, interval or 1
+        )
+        trace = platform.metrics.trace(execution.function_id)
+        assert execution.completed_at == done_at
+        assert platform.summary().makespan_s == done_at
+        assert trace.checkpoints == count
+        assert platform.checkpointer.checkpoints_taken == count
+        assert trace.checkpoint_time_s == checkpoint_time
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_run_until_a_boundary_counts_it(self, monkeypatch, fold):
+        """``run(until=T)`` fires events at T, so a state ending exactly
+        at T is complete and its checkpoint is in flight."""
+        platform, execution = self._run(monkeypatch, fold=True)
+        _, _, _, ends, charge = self._expected(platform, execution, 1)
+        platform, execution = self._run(monkeypatch, fold=fold, until=ends[1])
+        (attempt,) = execution.live_attempts()
+        assert attempt.completed_states == 2
+        assert attempt.state_started_at is None
+        assert platform.checkpointer.checkpoints_taken == 2
+        platform.run(until=ends[1] + charge)
+        assert attempt.state_started_at == ends[1] + charge
+        platform.run()
+        assert execution.completed

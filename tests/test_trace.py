@@ -52,6 +52,23 @@ class TestTracerCore:
         assert child.attrs["outcome"] == "completed"
         assert parent.start == 5.0 and parent.end == 9.0
 
+    def test_backdated_span_takes_the_id_of_its_recording_time(self):
+        now = [0.0]
+        tracer = Tracer(clock=lambda: now[0])
+        first = tracer.begin("exec", "a")
+        now[0] = 2.0
+        later = tracer.begin("exec", "b", parent=first)
+        tracer.instant("checkpoint_write", "c", parent=first, t=1.0,
+                       duration=0.5, recorded_at=1.0)
+        child = tracer.begin("restore", "d", parent=later)
+        spans = tracer.spans()
+        assert [(s.name, s.span_id) for s in spans] == [
+            ("a", 1), ("c", 2), ("b", 3), ("d", 4),
+        ]
+        assert later.parent_id == first.span_id == 1
+        assert child.parent_id == later.span_id == 3
+        assert tracer.spans() == spans
+
     def test_finish_is_idempotent(self):
         tracer = Tracer(clock=lambda: 1.0)
         span = tracer.begin("exec")
