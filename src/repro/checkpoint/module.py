@@ -270,7 +270,7 @@ class CheckpointingModule:
         checkpoint_id = self.ids.checkpoint_id(function_id)
         key = f"ckpt/{function_id}/{checkpoint_id}"
         ref, write_time = self.router.write(
-            key, payload, size_bytes=size_bytes, now=now, node_id=node_id
+            key, payload, size_bytes=size_bytes, node_id=node_id
         )
         record = CheckpointRecord(
             checkpoint_id=checkpoint_id,

@@ -25,4 +25,4 @@ class PlacementError(ReproError):
 
 
 class StorageCapacityError(ReproError):
-    """A storage tier or KV store ran out of capacity."""
+    """A payload exceeds the KV per-key limit, or no spill tier qualifies."""

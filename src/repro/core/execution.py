@@ -50,11 +50,9 @@ class FoldPlan:
 
     Entry ``j`` is state ``first + j``: it starts at ``starts[j]``, runs
     ``durations[j]`` and ends at ``ends[j]``; ``charges[j]`` is the charge
-    of the checkpoint after it, or None when it takes none.  With
-    ``finish_at`` set the segment runs to completion, the finish window
-    starting at ``finish_start``; with it None the last entry's boundary is
-    an observable checkpoint, taken stepwise when the segment event fires.
-    ``done`` counts the entries materialised so far.
+    of the checkpoint after it, or None when it takes none.  The segment
+    runs to completion: the finish window starts at ``finish_start`` and
+    ends at ``finish_at``.  ``done`` counts the entries materialised so far.
     """
 
     first: int
@@ -62,8 +60,8 @@ class FoldPlan:
     durations: list[float] = field(default_factory=list)
     ends: list[float] = field(default_factory=list)
     charges: list[Optional[float]] = field(default_factory=list)
-    finish_start: Optional[float] = None
-    finish_at: Optional[float] = None
+    finish_start: float = 0.0
+    finish_at: float = 0.0
     done: int = 0
 
 
@@ -639,28 +637,25 @@ class FunctionExecution:
         """Plan the states ahead and schedule one event at the segment end.
 
         The boundary times chain the same float additions as the stepwise
-        path's ``call_in`` calls: ``t + d_k``, then ``+ charge_k``.  The
-        segment stops at the first checkpoint whose tier or charge could
-        depend on other functions (``CheckpointStorageRouter.private_tier``).
-        Nothing else the plan reads can change without :meth:`unfold`
-        running first: node speed (stragglers), the tier brownout state,
-        the checkpoint cadence and the function's attempt count.
+        path's ``call_in`` calls: ``t + d_k``, then ``+ charge_k``.  No
+        store or tier fills up, so a checkpoint's tier and charge depend
+        only on its size and the tier brownout state.  Nothing the plan
+        reads can change without :meth:`unfold` running first: node speed
+        (stragglers), the tier brownout state, the checkpoint cadence and
+        the function's attempt count.
         """
         platform = self.platform
         profile = self.profile
         node = attempt.container.node
         interval = 0  # 0: the attempt takes no checkpoints
-        charge: Optional[float] = None
         if platform.strategy.checkpoints_enabled and not attempt.secondary:
             checkpointer = platform.checkpointer
             should_checkpoint = checkpointer.policy.should_checkpoint
             interval = checkpointer.effective_interval(self.function_id)
             size = profile.checkpoint_size_bytes
-            tier = platform.router.private_tier(size)
-            if tier is not None:
-                charge = profile.serialize_overhead_s + (
-                    platform.tiers.write_seconds(tier, size)
-                )
+            charge = profile.serialize_overhead_s + platform.tiers.write_seconds(
+                platform.router.choose_tier(size), size
+            )
         plan = FoldPlan(attempt.completed_states)
         t = platform.sim.now
         for index, base in enumerate(
@@ -673,37 +668,25 @@ class FunctionExecution:
             plan.ends.append(t)
             if interval and should_checkpoint(index, interval):
                 plan.charges.append(charge)
-                if charge is None:
-                    break
                 t = t + charge
             else:
                 plan.charges.append(None)
-        else:
-            plan.finish_start = t
-            plan.finish_at = t + node.scale_duration(profile.finish_s)
+        plan.finish_start = t
+        plan.finish_at = t + node.scale_duration(profile.finish_s)
         attempt.plan = plan
         platform.folded[attempt] = self
         attempt.state_started_at = plan.starts[0]
         attempt.state_duration = plan.durations[0]
-        if plan.finish_at is None:
-            at = plan.ends[-1]
-            label = f"state:{attempt.attempt_id}:{index}"
-        else:
-            at = plan.finish_at
-            label = f"finish:{attempt.attempt_id}"
         attempt.state_handle = platform.sim.call_at(
-            at, lambda: self._segment_done(attempt), label=label
+            plan.finish_at,
+            lambda: self._segment_done(attempt),
+            label=f"finish:{attempt.attempt_id}",
         )
 
     def _segment_done(self, attempt: Attempt) -> None:
-        plan = attempt.plan
         self.materialise(attempt, self.platform.sim.now, inclusive=True)
         self._drop_plan(attempt)
-        if plan.finish_at is not None:
-            self._complete(attempt)
-        else:
-            # The last state ends now; its checkpoint is observable.
-            self._state_done(attempt)
+        self._complete(attempt)
 
     def materialise(
         self, attempt: Attempt, until: float, *, inclusive: bool = False
@@ -720,11 +703,8 @@ class FunctionExecution:
         fired = operator.le if inclusive else operator.lt
         plan = attempt.plan
         ends = plan.ends
-        # A segment that stops short of the finish leaves its last
-        # boundary to ``_state_done``.
-        limit = len(ends) if plan.finish_at is not None else len(ends) - 1
         j = plan.done
-        while j < limit and fired(ends[j], until):
+        while j < len(ends) and fired(ends[j], until):
             if plan.charges[j] is not None:
                 profile = self.profile
                 _, charge = self.platform.checkpointer.record_state(

@@ -32,6 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.detection.backoff import BackoffPolicy
     from repro.network.fabric import FlowNetwork
 
+#: Parked warm containers (``reuse_containers``) are reclaimed after idling
+#: this long; they hold node slots and bill while parked.
+REUSE_IDLE_TIMEOUT_S = 60.0
+
 
 @dataclass(eq=False)
 class ContainerRequest:
@@ -78,7 +82,6 @@ class FaaSController:
         *,
         start_rate_limit: Optional[float] = None,
         reuse_containers: bool = False,
-        reuse_idle_timeout_s: float = 60.0,
         network: Optional["FlowNetwork"] = None,
         tracer: Optional[NullTracer] = None,
         backoff: Optional["BackoffPolicy"] = None,
@@ -107,13 +110,10 @@ class FaaSController:
                 hand them to subsequent invocations of the same runtime,
                 skipping the cold start (OpenWhisk's warm-start behaviour;
                 the cold-start amortization the paper defers in §V-A).
-            reuse_idle_timeout_s: Idle warm containers are reclaimed after
-                this long (they hold node slots and bill while parked).
+                Parked containers are reclaimed after ``REUSE_IDLE_TIMEOUT_S``.
         """
         if start_rate_limit is not None and start_rate_limit <= 0:
             raise ValueError("start_rate_limit must be positive or None")
-        if reuse_idle_timeout_s <= 0:
-            raise ValueError("reuse_idle_timeout_s must be positive")
         self.sim = sim
         self.cluster = cluster
         self.runtimes = runtimes or RuntimeRegistry()
@@ -146,7 +146,6 @@ class FaaSController:
         self._next_start_at = 0.0
         self._throttle_pending = False
         self.reuse_containers = reuse_containers
-        self.reuse_idle_timeout_s = reuse_idle_timeout_s
         self._reuse_pool: dict[RuntimeKind, collections.deque[Container]] = (
             collections.defaultdict(collections.deque)
         )
@@ -171,7 +170,6 @@ class FaaSController:
         self.backoff = backoff
         self._backoff_rng = None  # created lazily; default runs draw nothing
         # statistics
-        self.queued_requests_total = 0
         self.backoff_retries = 0
 
     # ------------------------------------------------------------------
@@ -285,7 +283,6 @@ class FaaSController:
             )
             self._queue.append(request)
             request.queued = True
-            self.queued_requests_total += 1
             if self.backoff is not None:
                 self._arm_place_backoff(request, 0)
         return request
@@ -409,9 +406,7 @@ class FaaSController:
                     container.terminate(self.sim.now, ContainerState.KILLED)
                     self._drain_queue()
 
-        self.sim.call_in(
-            self.reuse_idle_timeout_s, _reclaim, label="reuse-reclaim"
-        )
+        self.sim.call_in(REUSE_IDLE_TIMEOUT_S, _reclaim, label="reuse-reclaim")
 
     def _try_place(self, request: ContainerRequest) -> bool:
         if request.cancelled:

@@ -20,6 +20,10 @@ from repro.trace.tracer import NULL_TRACER, NullTracer, Span
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.fabric import FlowNetwork
 
+#: Per extra concurrent cold start on a node, phases stretch by this
+#: fraction: launch time × (1 + γ·(k−1)) for k in flight.
+CONTENTION_GAMMA = 0.12
+
 
 class _WedgedHandle:
     """Placeholder pending-ready handle for a wedged (zombie) launch."""
@@ -37,8 +41,6 @@ class Invoker:
     Args:
         sim: The discrete-event engine.
         node: The node this invoker manages.
-        contention_gamma: Per extra concurrent cold start, phases stretch by
-            this fraction (launch time × (1 + γ·(k−1)) for k in-flight).
         network: Flow-level fabric; when set (and it models image pulls),
             the container image is pulled from the registry service over
             the fabric before the launch/init phases run.
@@ -49,15 +51,11 @@ class Invoker:
         sim: Simulator,
         node: Node,
         *,
-        contention_gamma: float = 0.12,
         network: Optional["FlowNetwork"] = None,
         tracer: Optional[NullTracer] = None,
     ) -> None:
-        if contention_gamma < 0:
-            raise ValueError("contention_gamma must be non-negative")
         self.sim = sim
         self.node = node
-        self.contention_gamma = contention_gamma
         self.network = network
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cold_starts_total = 0
@@ -74,7 +72,7 @@ class Invoker:
     # ------------------------------------------------------------------
     def _contention_multiplier(self) -> float:
         k = max(1, self.node.cold_starts_in_flight)
-        return 1.0 + self.contention_gamma * (k - 1)
+        return 1.0 + CONTENTION_GAMMA * (k - 1)
 
     def cold_start(
         self,

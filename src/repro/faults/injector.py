@@ -24,6 +24,12 @@ from repro.sim.engine import Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.jobs import Job
 
+#: Killed attempts die at a uniform fraction of their window within these
+#: bounds (never at the very start or end).
+KILL_FRACTION_BOUNDS = (0.02, 0.98)
+#: Gap between consecutive precursor faults before a node failure.
+PRECURSOR_SPACING_S = 2.0
+
 
 @dataclass
 class FailurePlan:
@@ -43,16 +49,12 @@ class FailureInjector:
         error_rate: Fraction of each job's functions that fail.
         refailure_rate: Probability that a *recovery* attempt fails again
             (0 reproduces the paper's one-failure-per-victim setup).
-        secondary_kill_rate: Probability that a secondary container (RR
-            sibling / AS standby) of a victim function is also killed;
-            ``None`` defaults to ``error_rate``.
         node_failure_count: Node-level failures to schedule.
         node_failure_window: (start, end) virtual-time window for them.
         node_failure_precursors: Transient container faults emitted on the
             doomed node shortly *before* it dies — the monitoring signal
             failure predictors key on (real node deaths are typically
             preceded by correctable-error storms and process crashes).
-        precursor_spacing_s: Gap between consecutive precursor faults.
     """
 
     def __init__(
@@ -61,30 +63,19 @@ class FailureInjector:
         *,
         error_rate: float = 0.0,
         refailure_rate: float = 0.0,
-        secondary_kill_rate: Optional[float] = None,
         node_failure_count: int = 0,
         node_failure_window: tuple[float, float] = (0.0, 0.0),
         node_failure_precursors: int = 0,
-        precursor_spacing_s: float = 2.0,
-        kill_fraction_bounds: tuple[float, float] = (0.02, 0.98),
     ) -> None:
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError("error_rate must be within [0, 1]")
         if not 0.0 <= refailure_rate <= 1.0:
             raise ValueError("refailure_rate must be within [0, 1]")
-        lo, hi = kill_fraction_bounds
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError("kill_fraction_bounds must satisfy 0 <= lo < hi <= 1")
         self.sim = sim
         self.error_rate = error_rate
         self.refailure_rate = refailure_rate
-        self.secondary_kill_rate = (
-            secondary_kill_rate if secondary_kill_rate is not None else error_rate
-        )
         if node_failure_precursors < 0:
             raise ValueError("node_failure_precursors must be non-negative")
-        if precursor_spacing_s <= 0:
-            raise ValueError("precursor_spacing_s must be positive")
         if node_failure_count > 0:
             start, end = node_failure_window
             if end <= start:
@@ -95,8 +86,6 @@ class FailureInjector:
         self.node_failure_count = node_failure_count
         self.node_failure_window = node_failure_window
         self.node_failure_precursors = node_failure_precursors
-        self.precursor_spacing_s = precursor_spacing_s
-        self.kill_fraction_bounds = kill_fraction_bounds
         self._plans: dict[str, FailurePlan] = {}
         self._rng = sim.rng.stream("faults")
         self.node_kills_injected = 0
@@ -129,7 +118,7 @@ class FailureInjector:
             victims = frozenset(function_ids[int(i)] for i in picks)
         else:
             victims = frozenset()
-        lo, hi = self.kill_fraction_bounds
+        lo, hi = KILL_FRACTION_BOUNDS
         fractions = {
             fid: float(self._rng.uniform(lo, hi)) for fid in sorted(victims)
         }
@@ -159,16 +148,15 @@ class FailureInjector:
         """Fraction of the attempt's window at which to kill it, or None.
 
         * primary first attempt of a victim → the pre-drawn fraction;
-        * secondary containers of a victim → killed with
-          ``secondary_kill_rate``;
+        * secondary containers of a victim → killed with the error rate;
         * recovery attempts → killed with ``refailure_rate``.
         """
         plan = self._plans.get(job_id)
         if plan is None or function_id not in plan.victims:
             return None
-        lo, hi = self.kill_fraction_bounds
+        lo, hi = KILL_FRACTION_BOUNDS
         if secondary:
-            if self._rng.uniform() < self.secondary_kill_rate:
+            if self._rng.uniform() < self.error_rate:
                 return float(self._rng.uniform(lo, hi))
             return None
         if attempt_index == 0:
@@ -240,7 +228,7 @@ class FailureInjector:
     ) -> None:
         """Emit transient container faults on the doomed node before death."""
         for k in range(self.node_failure_precursors):
-            at = failure_at - (k + 1) * self.precursor_spacing_s
+            at = failure_at - (k + 1) * PRECURSOR_SPACING_S
             if at <= self.sim.now:
                 continue
 

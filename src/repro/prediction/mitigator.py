@@ -27,6 +27,9 @@ from repro.prediction.predictor import NodeHealthPredictor
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.canary import CanaryPlatform
 
+#: Virtual seconds between mitigator ticks.
+TICK_INTERVAL_S = 1.0
+
 
 class ProactiveMitigator:
     """Drives prediction-based node cordoning and draining."""
@@ -35,14 +38,9 @@ class ProactiveMitigator:
         self,
         platform: "CanaryPlatform",
         predictor: NodeHealthPredictor,
-        *,
-        tick_interval_s: float = 1.0,
     ) -> None:
-        if tick_interval_s <= 0:
-            raise ValueError("tick_interval_s must be positive")
         self.platform = platform
         self.predictor = predictor
-        self.tick_interval_s = tick_interval_s
         self.migrations = 0
         self.cordons = 0
         self._running = False
@@ -73,7 +71,7 @@ class ProactiveMitigator:
 
     def _schedule_tick(self) -> None:
         self.platform.sim.call_in(
-            self.tick_interval_s, self._tick, label="mitigator-tick"
+            TICK_INTERVAL_S, self._tick, label="mitigator-tick"
         )
 
     def _has_active_work(self) -> bool:

@@ -16,31 +16,21 @@ from typing import Deque
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 
+#: Faults older than this no longer count.
+WINDOW_S = 10.0
+#: Nodes whose score reaches this are predicted to fail imminently.
+RISK_THRESHOLD = 2.0
+
 
 class NodeHealthPredictor:
     """Sliding-window fault-burst detector per node.
 
     Args:
         cluster: The cluster whose nodes are scored.
-        window_s: Faults older than this no longer count.
-        risk_threshold: Nodes whose score reaches this are predicted to
-            fail imminently.
     """
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        *,
-        window_s: float = 10.0,
-        risk_threshold: float = 2.0,
-    ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if risk_threshold <= 0:
-            raise ValueError("risk_threshold must be positive")
+    def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self.window_s = window_s
-        self.risk_threshold = risk_threshold
         self._events: dict[str, Deque[float]] = collections.defaultdict(
             collections.deque
         )
@@ -54,7 +44,7 @@ class NodeHealthPredictor:
 
     def _trim(self, node_id: str, now: float) -> None:
         events = self._events[node_id]
-        while events and events[0] < now - self.window_s:
+        while events and events[0] < now - WINDOW_S:
             events.popleft()
 
     def risk(self, node: Node, now: float) -> float:
@@ -70,7 +60,7 @@ class NodeHealthPredictor:
         return [
             node
             for node in self.cluster.alive_nodes()
-            if self.risk(node, now) >= self.risk_threshold
+            if self.risk(node, now) >= RISK_THRESHOLD
         ]
 
     def clear(self, node_id: str) -> None:

@@ -8,25 +8,17 @@ seen and converges to the empirical rate as evidence accumulates.
 
 from __future__ import annotations
 
+#: Assumed failure rate before observations.
+PRIOR_RATE = 0.05
+#: Pseudo-observation count behind the prior; larger values make the
+#: estimate slower to move.
+PRIOR_STRENGTH = 10.0
+
 
 class FailureRateEstimator:
-    """Beta-prior estimate of the per-function failure probability.
+    """Beta-prior estimate of the per-function failure probability."""
 
-    Args:
-        prior_rate: Assumed failure rate before observations.
-        prior_strength: Pseudo-observation count behind the prior; larger
-            values make the estimate slower to move.
-    """
-
-    def __init__(
-        self, *, prior_rate: float = 0.05, prior_strength: float = 10.0
-    ) -> None:
-        if not 0.0 <= prior_rate <= 1.0:
-            raise ValueError("prior_rate must be within [0, 1]")
-        if prior_strength <= 0:
-            raise ValueError("prior_strength must be positive")
-        self.prior_rate = prior_rate
-        self.prior_strength = prior_strength
+    def __init__(self) -> None:
         self.failures = 0
         self.successes = 0
 
@@ -47,8 +39,8 @@ class FailureRateEstimator:
     @property
     def rate(self) -> float:
         """Posterior-mean failure rate in [0, 1]."""
-        pseudo_failures = self.prior_rate * self.prior_strength
-        total = self.observations + self.prior_strength
+        pseudo_failures = PRIOR_RATE * PRIOR_STRENGTH
+        total = self.observations + PRIOR_STRENGTH
         return (self.failures + pseudo_failures) / total
 
     def reset(self) -> None:

@@ -20,6 +20,17 @@ from abc import ABC, abstractmethod
 from repro.common.types import ReplicationStrategyName
 from repro.replication.estimator import FailureRateEstimator
 
+#: DR: margin on the failures expected inside one replacement window.
+DR_HEADROOM = 1.5
+#: DR: pool size floor.
+DR_MIN_REPLICAS = 1
+#: DR: pool size cap, as a fraction of the runtime's functions.
+DR_MAX_FRACTION = 0.5
+#: AR: fraction of the runtime's functions kept replicated.
+AR_FACTOR = 0.5
+#: AR: pool size floor.
+AR_MIN_REPLICAS = 2
+
 
 class ReplicationStrategy(ABC):
     """Computes the target replica count for one (job, runtime) pair."""
@@ -52,8 +63,8 @@ class DynamicReplication(ReplicationStrategy):
     window, not every failure the job will ever see:
 
     ``λ = rate × functions / mean_duration`` (failures per second), and
-    ``target = ceil(λ × window × headroom)``, clamped to
-    ``[min_replicas, max_fraction × functions]``.
+    ``target = ceil(λ × window × DR_HEADROOM)``, clamped to
+    ``[DR_MIN_REPLICAS, DR_MAX_FRACTION × functions]``.
 
     This is what puts DR's cost just above LR's single replica at low error
     rates yet lets the pool grow under failure bursts — the optimal operating
@@ -61,23 +72,6 @@ class DynamicReplication(ReplicationStrategy):
     """
 
     name = ReplicationStrategyName.DYNAMIC
-
-    def __init__(
-        self,
-        *,
-        headroom: float = 1.5,
-        min_replicas: int = 1,
-        max_fraction: float = 0.5,
-    ) -> None:
-        if headroom < 1.0:
-            raise ValueError("headroom must be >= 1")
-        if min_replicas < 0:
-            raise ValueError("min_replicas must be non-negative")
-        if not 0.0 < max_fraction <= 1.0:
-            raise ValueError("max_fraction must be in (0, 1]")
-        self.headroom = headroom
-        self.min_replicas = min_replicas
-        self.max_fraction = max_fraction
 
     def target_replicas(
         self,
@@ -93,25 +87,15 @@ class DynamicReplication(ReplicationStrategy):
         duration = max(mean_function_duration_s, 1e-6)
         arrival_rate = estimator.rate * total_functions / duration
         in_flight = arrival_rate * replacement_window_s
-        want = math.ceil(in_flight * self.headroom)
-        cap = max(
-            self.min_replicas, math.ceil(self.max_fraction * total_functions)
-        )
-        return max(self.min_replicas, min(want, cap))
+        want = math.ceil(in_flight * DR_HEADROOM)
+        cap = max(DR_MIN_REPLICAS, math.ceil(DR_MAX_FRACTION * total_functions))
+        return max(DR_MIN_REPLICAS, min(want, cap))
 
 
 class AggressiveReplication(ReplicationStrategy):
     """AR: replicate a high fixed fraction of running functions."""
 
     name = ReplicationStrategyName.AGGRESSIVE
-
-    def __init__(self, *, factor: float = 0.5, min_replicas: int = 2) -> None:
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("factor must be in (0, 1]")
-        if min_replicas < 0:
-            raise ValueError("min_replicas must be non-negative")
-        self.factor = factor
-        self.min_replicas = min_replicas
 
     def target_replicas(
         self,
@@ -124,7 +108,7 @@ class AggressiveReplication(ReplicationStrategy):
     ) -> int:
         if total_functions <= 0:
             return 0
-        return max(self.min_replicas, math.ceil(self.factor * total_functions))
+        return max(AR_MIN_REPLICAS, math.ceil(AR_FACTOR * total_functions))
 
 
 class LenientReplication(ReplicationStrategy):

@@ -38,8 +38,6 @@ class RuntimeManagerModule:
         self._counted: set[str] = set()
         self._claim_listeners: list[Callable[[RuntimeKind, str], None]] = []
         self._availability_listeners: list[Callable[[RuntimeKind], None]] = []
-        self.claims_served = 0
-        self.claims_missed = 0
 
     # ------------------------------------------------------------------
     # Replica registry
@@ -161,7 +159,6 @@ class RuntimeManagerModule:
         if exclude_failed_node and failed_id is not None:
             candidates = [c for c in candidates if c.node.node_id != failed_id]
         if not candidates:
-            self.claims_missed += 1
             return None
 
         def rank(c: Container) -> tuple:
@@ -174,7 +171,6 @@ class RuntimeManagerModule:
         chosen = min(candidates, key=rank)
         entry = self._replicas[kind][chosen.container_id]
         chosen.adopt(function_id)
-        self.claims_served += 1
         if self.database is not None:
             self.database.replication_info.update(
                 entry[2], state=ContainerState.RUNNING.value

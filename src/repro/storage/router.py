@@ -1,8 +1,10 @@
 """Checkpoint placement: KV store first, spill to tiers when too large.
 
 Implements the storage side of Algorithm 1: checkpoint payloads that fit the
-KV per-key limit go to the KV store; larger payloads go to the fastest tier
-with room (``ckpt_data -> disk``) and only a *reference* is recorded.  The
+KV per-key limit go to the KV store; larger payloads go to the fastest spill
+tier that is not browned out (``ckpt_data -> disk``) and only a *reference*
+is recorded.  No store or tier fills up, so where a payload lands depends
+only on its size, the brownout state and the router's settings.  The
 router also answers "how long does writing/reading this checkpoint take",
 which the simulator charges as ``ckp_i`` and part of ``t_res``.
 """
@@ -64,9 +66,6 @@ class CheckpointStorageRouter:
         if custom_endpoint is not None:
             tiers.get(custom_endpoint)  # validate eagerly
         self._spilled: dict[str, StoredObjectRef] = {}
-        #: writes that would have landed in the KV store but spilled to the
-        #: next healthy tier because the KV store was refusing (brownout)
-        self.brownout_spills = 0
 
     # ------------------------------------------------------------------
     # Write path
@@ -78,19 +77,8 @@ class CheckpointStorageRouter:
         if self.kv.fits(size_bytes) and not self.tiers.is_refusing("kv"):
             return self.tiers.get("kv")
         return self.tiers.fastest_spill_tier(
-            size_bytes, require_shared=self.require_shared_spill
+            require_shared=self.require_shared_spill
         )
-
-    def private_tier(self, size_bytes: float) -> Optional[StorageTier]:
-        """Tier a write of *size_bytes* lands on, when no other write can
-        change that choice or make the write fail; else None.
-
-        That holds while neither the KV store nor any tier can fill up:
-        the choice then depends only on the size and the brownout state.
-        """
-        if self.kv.capacity_bytes != float("inf") or not self.tiers.unbounded:
-            return None
-        return self.choose_tier(size_bytes)
 
     def write(
         self,
@@ -98,22 +86,14 @@ class CheckpointStorageRouter:
         payload: Any,
         *,
         size_bytes: float,
-        now: float = 0.0,
         node_id: Optional[str] = None,
     ) -> tuple[StoredObjectRef, float]:
         """Store a checkpoint payload; return its ref and the write time."""
         tier = self.choose_tier(size_bytes)
         if tier.name == "kv":
-            self.kv.put(
-                key, payload, size_bytes=size_bytes, now=now, home_node=node_id
-            )
+            self.kv.put(key, payload, size_bytes=size_bytes)
             ref = StoredObjectRef(key, "kv", size_bytes, node_id)
             return ref, self.tiers.write_seconds(tier, size_bytes)
-        if self.custom_endpoint is None and self.kv.fits(size_bytes):
-            # Graceful degradation: the KV store would have taken this
-            # payload but is browned out, so it spilled to the next tier.
-            self.brownout_spills += 1
-        self.tiers.allocate(tier.name, size_bytes)
         ref = StoredObjectRef(key, tier.name, size_bytes, node_id)
         self._spilled[key] = ref
         # Only the (name, location) pair goes to the KV store/database.
@@ -121,8 +101,6 @@ class CheckpointStorageRouter:
             key,
             {"ckpt_name": key, "ckpt_loc": tier.name},
             size_bytes=256.0,
-            now=now,
-            home_node=node_id,
         )
         return ref, self.tiers.write_seconds(tier, size_bytes)
 
@@ -138,24 +116,23 @@ class CheckpointStorageRouter:
     def delete(self, ref: StoredObjectRef) -> None:
         """Drop a stored payload (checkpoint retention eviction)."""
         self.kv.delete(ref.key)
-        if not ref.inline and ref.key in self._spilled:
-            self.tiers.release(ref.tier_name, ref.size_bytes)
-            del self._spilled[ref.key]
+        if not ref.inline:
+            self._spilled.pop(ref.key, None)
 
     # ------------------------------------------------------------------
     # Failure semantics
     # ------------------------------------------------------------------
     def on_node_failure(self, node_id: str) -> list[str]:
-        """Drop payloads that lived only on the failed node.
+        """Drop spilled payloads that lived only on the failed node (the
+        KV store is replicated and loses nothing).
 
         Returns the keys of lost checkpoints (the recovery path must fall
         back to an older surviving checkpoint or a full restart).
         """
-        lost = list(self.kv.on_node_failure(node_id))
+        lost: list[str] = []
         for key, ref in list(self._spilled.items()):
             tier = self.tiers.get(ref.tier_name)
             if not tier.survives_node_failure and ref.node_id == node_id:
-                self.tiers.release(ref.tier_name, ref.size_bytes)
                 del self._spilled[key]
                 self.kv.delete(key)
                 lost.append(key)

@@ -11,6 +11,7 @@ writing/restoring checkpoints of different sizes to different tiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.common.errors import StorageCapacityError
 from repro.common.units import GiB, MiB
@@ -27,7 +28,8 @@ class StorageTier:
         shared: Visible from every node (NFS, S3, replicated KV).  Checkpoints
             on non-shared tiers are lost with their node.
         survives_node_failure: Data outlives the writing node's crash.
-        capacity_bytes: Total capacity (``float('inf')`` for unbounded).
+
+    No tier fills up: capacity never decides where a checkpoint lands.
     """
 
     name: str
@@ -37,7 +39,6 @@ class StorageTier:
     write_bandwidth: float
     shared: bool
     survives_node_failure: bool
-    capacity_bytes: float = float("inf")
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -53,11 +54,6 @@ class StorageTier:
                 f"tier {self.name!r}: latencies must be non-negative "
                 f"(got read={self.read_latency_s}, "
                 f"write={self.write_latency_s})"
-            )
-        if self.capacity_bytes < 0:
-            raise ValueError(
-                f"tier {self.name!r}: capacity_bytes must be non-negative "
-                f"(got {self.capacity_bytes})"
             )
 
     def read_time(self, size_bytes: float) -> float:
@@ -130,7 +126,7 @@ DEFAULT_TIERS: tuple[StorageTier, ...] = _default_tiers()
 
 
 class TierRegistry:
-    """Orders tiers and tracks per-tier usage.
+    """Orders tiers and tracks their brownout state.
 
     The registry is the "storage hierarchy determined at the deployment
     phase" (§IV-C-4); a custom endpoint can be appended or substituted.
@@ -144,10 +140,6 @@ class TierRegistry:
             raise ValueError(f"duplicate tier names: {names}")
         self.tiers = tuple(tiers)
         self._by_name = {t.name: t for t in tiers}
-        #: No tier can fill up, so no write can change where another lands.
-        self.unbounded = all(t.capacity_bytes == float("inf") for t in tiers)
-        self.used_bytes: dict[str, float] = {t.name: 0.0 for t in tiers}
-        self._allocations: dict[str, int] = {t.name: 0 for t in tiers}
         # Brownout state (gray-failure chaos layer): a tier can temporarily
         # refuse new I/O or inflate its latency by a multiplier.
         self._refusing: set[str] = set()
@@ -161,33 +153,6 @@ class TierRegistry:
                 f"unknown storage tier {name!r}; "
                 f"known: {sorted(self._by_name)}"
             ) from None
-
-    def free_bytes(self, name: str) -> float:
-        tier = self.get(name)
-        return tier.capacity_bytes - self.used_bytes[name]
-
-    def allocate(self, name: str, size_bytes: float) -> None:
-        if size_bytes < 0:
-            raise ValueError("size_bytes must be non-negative")
-        if self.free_bytes(name) < size_bytes:
-            raise StorageCapacityError(
-                f"tier {name!r} full: need {size_bytes:.0f}B, "
-                f"free {self.free_bytes(name):.0f}B"
-            )
-        self.used_bytes[name] += size_bytes
-        self._allocations[name] += 1
-
-    def release(self, name: str, size_bytes: float) -> None:
-        self.get(name)  # validate tier name
-        if self._allocations[name] > 0:
-            self._allocations[name] -= 1
-        remaining = self.used_bytes[name] - size_bytes
-        # An empty tier reads exactly zero; float residue from repeated
-        # add/subtract cycles must not accumulate.
-        if self._allocations[name] == 0 or remaining < 0.0:
-            self.used_bytes[name] = 0.0
-        else:
-            self.used_bytes[name] = remaining
 
     # ------------------------------------------------------------------
     # Brownouts (gray-failure chaos layer)
@@ -232,37 +197,26 @@ class TierRegistry:
         multiplier = self._latency_multiplier.get(tier.name)
         return base if multiplier is None else base * multiplier
 
-    def fastest_spill_tier(
-        self,
-        size_bytes: float,
-        *,
-        require_shared: bool = False,
-        skip_refusing: bool = True,
-    ) -> StorageTier:
-        """First tier after the KV store able to take *size_bytes*.
+    def fastest_spill_tier(self, *, require_shared: bool = False) -> StorageTier:
+        """First tier after the KV store that takes spills now.
 
         Tiers are tried in declaration order (fastest first).  With
         ``require_shared`` only cluster-visible tiers qualify — used when a
         checkpoint must survive node failures (fig. 11 experiments).
         Browned-out (refusing) tiers are skipped; if *every* candidate is
-        refusing, the search degrades to include them rather than fail —
-        a slow write beats a lost checkpoint.
+        refusing, the first of them is used rather than fail — a slow
+        write beats a lost checkpoint.
         """
-        refusing = self._refusing if skip_refusing else ()
+        fallback: Optional[StorageTier] = None
         for tier in self.tiers[1:]:
-            if tier.name in refusing:
-                continue
             if require_shared and not tier.shared:
                 continue
-            if self.free_bytes(tier.name) >= size_bytes:
+            if tier.name not in self._refusing:
                 return tier
-        if refusing:
-            return self.fastest_spill_tier(
-                size_bytes,
-                require_shared=require_shared,
-                skip_refusing=False,
+            if fallback is None:
+                fallback = tier
+        if fallback is None:
+            raise StorageCapacityError(
+                f"no spill tier (require_shared={require_shared})"
             )
-        raise StorageCapacityError(
-            f"no spill tier can take {size_bytes:.0f}B "
-            f"(require_shared={require_shared})"
-        )
+        return fallback

@@ -1,12 +1,11 @@
 """Tests for warm-start container reuse."""
 
-import pytest
-
 from repro.cluster.cluster import Cluster
 from repro.common.types import ContainerState, RuntimeKind
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
 from repro.core.scenario import ScenarioConfig
+from repro.faas import controller as controller_module
 from repro.faas.container import ContainerPurpose
 from repro.faas.controller import ContainerRequest, FaaSController
 from repro.faas.limits import PlatformLimits
@@ -63,10 +62,9 @@ class TestControllerReuse:
         assert first.container.terminal
         assert controller.warm_starts == 0
 
-    def test_idle_timeout_reclaims(self):
-        sim, controller = make_controller(
-            reuse_containers=True, reuse_idle_timeout_s=10.0
-        )
+    def test_idle_timeout_reclaims(self, monkeypatch):
+        monkeypatch.setattr(controller_module, "REUSE_IDLE_TIMEOUT_S", 10.0)
+        sim, controller = make_controller(reuse_containers=True)
         first = request_one(controller)
         sim.run()
         controller.terminate(first.container, ContainerState.COMPLETED)
@@ -91,10 +89,6 @@ class TestControllerReuse:
         sim.run()
         controller.terminate(first.container, ContainerState.COMPLETED)
         assert controller.active_function_count() == 0
-
-    def test_invalid_timeout(self):
-        with pytest.raises(ValueError):
-            make_controller(reuse_containers=True, reuse_idle_timeout_s=0)
 
 
 class TestPlatformReuse:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.faas.invoker
 from repro.cluster.cluster import Cluster
 from repro.common.types import ContainerState, RuntimeKind
 from repro.common.units import GiB
@@ -143,9 +144,10 @@ class TestInvoker:
         sim.run()
         assert container.state == ContainerState.WARM
 
-    def test_concurrent_cold_starts_contend(self, sim, cluster):
+    def test_concurrent_cold_starts_contend(self, sim, cluster, monkeypatch):
+        monkeypatch.setattr(repro.faas.invoker, "CONTENTION_GAMMA", 0.5)
         node = cluster.nodes[0]
-        invoker = Invoker(sim, node, contention_gamma=0.5)
+        invoker = Invoker(sim, node)
         runtime = RuntimeRegistry().get(RuntimeKind.PYTHON)
         ready = []
         for i in range(4):
@@ -168,10 +170,6 @@ class TestInvoker:
         sim.run()
         assert ready == []
         assert node.cold_starts_in_flight == 0
-
-    def test_negative_gamma_rejected(self, sim, cluster):
-        with pytest.raises(ValueError):
-            Invoker(sim, cluster.nodes[0], contention_gamma=-0.1)
 
 
 class TestController:

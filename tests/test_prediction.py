@@ -1,22 +1,19 @@
 """Tests for failure prediction and proactive mitigation."""
 
-import pytest
-
 from repro.cluster.cluster import Cluster
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
 from repro.core.scenario import ScenarioConfig
+from repro.prediction import predictor as predictor_module
 from repro.prediction.predictor import NodeHealthPredictor
 
 from tests.conftest import TINY
 
 
 class TestNodeHealthPredictor:
-    def make(self, **kwargs):
+    def make(self):
         cluster = Cluster(4)
-        kwargs.setdefault("window_s", 10.0)
-        kwargs.setdefault("risk_threshold", 2.0)
-        return cluster, NodeHealthPredictor(cluster, **kwargs)
+        return cluster, NodeHealthPredictor(cluster)
 
     def test_quiet_nodes_have_zero_risk(self):
         cluster, predictor = self.make()
@@ -31,16 +28,18 @@ class TestNodeHealthPredictor:
         assert predictor.risk(node, now=4.0) >= 3.0
         assert node in predictor.predict_failing(4.0)
 
-    def test_old_faults_age_out_of_the_window(self):
-        cluster, predictor = self.make(window_s=5.0)
+    def test_old_faults_age_out_of_the_window(self, monkeypatch):
+        monkeypatch.setattr(predictor_module, "WINDOW_S", 5.0)
+        cluster, predictor = self.make()
         node = cluster.nodes[0]
         predictor.observe_fault(node.node_id, 1.0)
         predictor.observe_fault(node.node_id, 2.0)
         assert predictor.risk(node, now=3.0) > 0
         assert predictor.risk(node, now=20.0) == 0.0
 
-    def test_hardware_age_weights_risk(self):
-        cluster, predictor = self.make(risk_threshold=1e9)
+    def test_hardware_age_weights_risk(self, monkeypatch):
+        monkeypatch.setattr(predictor_module, "RISK_THRESHOLD", 1e9)
+        cluster, predictor = self.make()
         by_weight = sorted(
             cluster.nodes, key=lambda n: n.profile.failure_weight
         )
@@ -63,13 +62,6 @@ class TestNodeHealthPredictor:
         predictor.observe_fault(node.node_id, 1.0)
         predictor.clear(node.node_id)
         assert predictor.risk(node, 2.0) == 0.0
-
-    def test_invalid_params(self):
-        cluster = Cluster(2)
-        with pytest.raises(ValueError):
-            NodeHealthPredictor(cluster, window_s=0)
-        with pytest.raises(ValueError):
-            NodeHealthPredictor(cluster, risk_threshold=0)
 
 
 def run_node_failure_job(*, enable_prediction, seed=7, num_functions=40):

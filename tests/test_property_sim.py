@@ -1,8 +1,11 @@
 """Property-based tests for the event engine and estimator."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.replication import estimator as estimator_module
 from repro.replication.estimator import FailureRateEstimator
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
@@ -81,17 +84,18 @@ class TestEstimatorProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_rate_always_within_unit_interval(self, failures, successes, prior):
-        est = FailureRateEstimator(prior_rate=prior)
-        est.record_failure(failures)
-        est.record_success(successes)
-        assert 0.0 <= est.rate <= 1.0
+        with mock.patch.object(estimator_module, "PRIOR_RATE", prior):
+            est = FailureRateEstimator()
+            est.record_failure(failures)
+            est.record_success(successes)
+            assert 0.0 <= est.rate <= 1.0
 
     @given(
         observations=st.lists(st.booleans(), min_size=1, max_size=500),
     )
     @settings(max_examples=60, deadline=None)
     def test_rate_between_prior_and_empirical(self, observations):
-        est = FailureRateEstimator(prior_rate=0.05, prior_strength=10)
+        est = FailureRateEstimator()
         for failed in observations:
             if failed:
                 est.record_failure()

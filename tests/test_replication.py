@@ -8,10 +8,13 @@ from repro.common.units import mb
 from repro.core.ids import IdGenerator
 from repro.core.jobs import Job, JobRequest
 from repro.faas.controller import FaaSController
-from repro.replication.estimator import FailureRateEstimator
+from repro.replication import estimator as estimator_module
+from repro.replication import strategies as strategies_module
+from repro.replication.estimator import PRIOR_RATE, FailureRateEstimator
 from repro.replication.module import ReplicationModule
 from repro.replication.placement import ReplicaPlacer
 from repro.replication.strategies import (
+    DR_MIN_REPLICAS,
     AggressiveReplication,
     DynamicReplication,
     LenientReplication,
@@ -24,12 +27,13 @@ from tests.conftest import TINY
 
 
 class TestFailureRateEstimator:
-    def test_prior_before_observations(self):
-        est = FailureRateEstimator(prior_rate=0.1)
+    def test_prior_before_observations(self, monkeypatch):
+        monkeypatch.setattr(estimator_module, "PRIOR_RATE", 0.1)
+        est = FailureRateEstimator()
         assert est.rate == pytest.approx(0.1)
 
     def test_converges_to_empirical_rate(self):
-        est = FailureRateEstimator(prior_rate=0.05, prior_strength=10)
+        est = FailureRateEstimator()
         est.record_failure(30)
         est.record_success(70)
         assert est.rate == pytest.approx(0.3, abs=0.03)
@@ -44,25 +48,27 @@ class TestFailureRateEstimator:
         est = FailureRateEstimator()
         est.record_failure(5)
         est.reset()
-        assert est.rate == pytest.approx(est.prior_rate)
+        assert est.rate == pytest.approx(PRIOR_RATE)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            FailureRateEstimator(prior_rate=1.5)
-        with pytest.raises(ValueError):
-            FailureRateEstimator(prior_strength=0)
-        with pytest.raises(ValueError):
             FailureRateEstimator().record_failure(-1)
+
+
+class _FixedRate:
+    """Estimator stand-in whose failure rate never moves."""
+
+    def __init__(self, rate):
+        self.rate = rate
 
 
 class TestStrategies:
     def target(self, strategy, functions=100, rate=0.15, duration=100.0,
                window=5.0):
-        est = FailureRateEstimator(prior_rate=rate, prior_strength=1e9)
         return strategy.target_replicas(
             total_functions=functions,
             active_replicas=0,
-            estimator=est,
+            estimator=_FixedRate(rate),
             mean_function_duration_s=duration,
             replacement_window_s=window,
         )
@@ -71,7 +77,7 @@ class TestStrategies:
         dr = DynamicReplication()
         low = self.target(dr, rate=0.01)
         high = self.target(dr, rate=0.50)
-        assert high > low >= dr.min_replicas
+        assert high > low >= DR_MIN_REPLICAS
 
     def test_dynamic_much_smaller_than_aggressive(self):
         dr, ar = DynamicReplication(), AggressiveReplication()
@@ -80,13 +86,14 @@ class TestStrategies:
     def test_dynamic_zero_functions(self):
         assert self.target(DynamicReplication(), functions=0) == 0
 
-    def test_dynamic_cap(self):
-        dr = DynamicReplication(max_fraction=0.1)
+    def test_dynamic_cap(self, monkeypatch):
+        monkeypatch.setattr(strategies_module, "DR_MAX_FRACTION", 0.1)
+        dr = DynamicReplication()
         # Absurd arrival rate: must clamp to 10% of functions.
         assert self.target(dr, rate=1.0, duration=1.0, window=50.0) == 10
 
     def test_aggressive_fraction(self):
-        ar = AggressiveReplication(factor=0.5)
+        ar = AggressiveReplication()
         assert self.target(ar, functions=100) == 50
 
     def test_lenient_always_one(self):
@@ -104,9 +111,7 @@ class TestStrategies:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            DynamicReplication(headroom=0.5)
-        with pytest.raises(ValueError):
-            AggressiveReplication(factor=0.0)
+            make_replication_strategy("bogus")
 
 
 class TestReplicaPlacer:

@@ -85,14 +85,12 @@ class TestClaim:
         )
         assert claimed is elsewhere
         assert claimed.current_function == "fn-1"
-        assert manager.claims_served == 1
         # The claimed container left the registry.
         assert manager.replica_count(RuntimeKind.PYTHON) == 1
 
     def test_claim_empty_pool_returns_none(self, cluster):
         manager = RuntimeManagerModule()
         assert manager.claim_replica(RuntimeKind.PYTHON, "fn-1") is None
-        assert manager.claims_missed == 1
 
     def test_claim_notifies_listeners(self, cluster):
         manager = RuntimeManagerModule()

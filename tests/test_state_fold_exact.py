@@ -26,6 +26,7 @@ from repro.core.execution import FunctionExecution
 from repro.core.jobs import JobRequest
 from repro.detection import BackoffPolicy, DetectionConfig
 from repro.experiments.config import ScenarioConfig
+from repro.faas.limits import PlatformLimits
 from repro.faults.chaos import ChaosConfig, TierBrownout, default_chaos_preset
 from repro.metrics.engine import collect_engine_stats
 from repro.strategies.cloning import CloningConfig
@@ -51,6 +52,12 @@ def _local_spill_crash(platform: CanaryPlatform) -> None:
     platform.sim.call_at(
         10.7, lambda: platform.cluster.fail_node(victim, platform.sim.now)
     )
+
+
+def _s3_endpoint(platform: CanaryPlatform) -> None:
+    """Every checkpoint goes to the S3 custom endpoint (§IV-C-4)."""
+    platform.router.custom_endpoint = "s3"
+    platform.submit_batch()
 
 
 def _tenant(name: str, workload: str, rate: float) -> Tenant:
@@ -141,6 +148,17 @@ SCENARIOS: dict[str, tuple[ScenarioConfig, Optional[Callable]]] = {
     "request-replication": (BASE.with_(strategy="request-replication"), None),
     "cloning": (
         BASE.with_(strategy="cloning", cloning=CloningConfig(clones=2)), None,
+    ),
+    "custom-endpoint-s3": (BASE, _s3_endpoint),
+    # A concurrency limit of one job runs the four jobs in waves, so
+    # later waves start on the parked containers of earlier ones.
+    "warm-reuse": (
+        BASE.with_(
+            jobs=4,
+            reuse_containers=True,
+            limits=PlatformLimits(max_concurrent_invocations=10),
+        ),
+        None,
     ),
 }
 

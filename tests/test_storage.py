@@ -30,7 +30,6 @@ class TestStorageTier:
             {"write_bandwidth": -2.0 * GiB},
             {"read_latency_s": -0.001},
             {"write_latency_s": -0.001},
-            {"capacity_bytes": -1.0},
         ],
     )
     def test_invalid_tiers_rejected(self, kwargs):
@@ -46,20 +45,6 @@ class TestStorageTier:
         valid.update(kwargs)
         with pytest.raises(ValueError):
             StorageTier(**valid)
-
-    def test_zero_capacity_tier_is_valid_but_full(self):
-        tier = StorageTier(
-            name="t",
-            read_latency_s=0.0,
-            write_latency_s=0.0,
-            read_bandwidth=1.0 * GiB,
-            write_bandwidth=1.0 * GiB,
-            shared=False,
-            survives_node_failure=False,
-            capacity_bytes=0.0,
-        )
-        registry = TierRegistry((DEFAULT_TIERS[0], tier))
-        assert registry.free_bytes("t") == 0.0
 
     def test_default_hierarchy_ordering(self):
         # KV first; shared tiers survive node failures.
@@ -81,81 +66,35 @@ class TestTierRegistry:
         with pytest.raises(KeyError, match="nfs"):
             registry.get("bogus")
 
-    def test_allocate_and_release(self):
-        registry = TierRegistry(
-            (
-                DEFAULT_TIERS[0],
-                StorageTier(
-                    name="small",
-                    read_latency_s=0,
-                    write_latency_s=0,
-                    read_bandwidth=GiB,
-                    write_bandwidth=GiB,
-                    shared=True,
-                    survives_node_failure=True,
-                    capacity_bytes=mb(10),
-                ),
-            )
-        )
-        registry.allocate("small", mb(8))
-        with pytest.raises(StorageCapacityError):
-            registry.allocate("small", mb(4))
-        registry.release("small", mb(8))
-        registry.allocate("small", mb(4))
-
-    def test_release_never_goes_negative(self):
-        registry = TierRegistry()
-        registry.release("nfs", mb(100))
-        assert registry.used_bytes["nfs"] == 0.0
-
     def test_fastest_spill_tier_skips_kv(self):
         registry = TierRegistry()
-        tier = registry.fastest_spill_tier(mb(100))
+        tier = registry.fastest_spill_tier()
         assert tier.name != "kv"
 
     def test_fastest_spill_tier_shared_only(self):
         registry = TierRegistry()
-        tier = registry.fastest_spill_tier(mb(100), require_shared=True)
+        tier = registry.fastest_spill_tier(require_shared=True)
         assert tier.shared
-
-    def test_negative_allocation_rejected(self):
-        with pytest.raises(ValueError):
-            TierRegistry().allocate("nfs", -1.0)
-
 
 class TestKeyValueStore:
     def test_put_get_roundtrip(self):
         kv = KeyValueStore()
-        kv.put("k", {"v": 1}, size_bytes=100, now=5.0)
+        kv.put("k", {"v": 1}, size_bytes=100)
         entry = kv.get("k")
         assert entry is not None
         assert entry.value == {"v": 1}
-        assert entry.written_at == 5.0
+        assert entry.size_bytes == 100
 
     def test_per_key_limit_enforced(self):
         kv = KeyValueStore(db_limit_bytes=1 * MiB)
         with pytest.raises(StorageCapacityError):
             kv.put("big", None, size_bytes=2 * MiB)
 
-    def test_capacity_enforced(self):
-        kv = KeyValueStore(db_limit_bytes=MiB, capacity_bytes=2.5 * MiB)
-        kv.put("a", None, size_bytes=MiB)
-        kv.put("b", None, size_bytes=MiB)
-        with pytest.raises(StorageCapacityError):
-            kv.put("c", None, size_bytes=MiB)
-
     def test_overwrite_accounts_delta(self):
         kv = KeyValueStore()
         kv.put("k", None, size_bytes=100)
         kv.put("k", None, size_bytes=300)
         assert kv.used_bytes == 300
-
-    def test_versions_monotonic(self):
-        kv = KeyValueStore()
-        v1 = kv.put("a", None, size_bytes=1).version
-        v2 = kv.put("b", None, size_bytes=1).version
-        v3 = kv.put("a", None, size_bytes=1).version
-        assert v1 < v2 < v3
 
     def test_delete(self):
         kv = KeyValueStore()
@@ -165,18 +104,12 @@ class TestKeyValueStore:
         assert kv.used_bytes == 0.0
 
     def test_replicated_store_survives_node_failure(self):
-        kv = KeyValueStore(replicated=True, persistent=False)
-        kv.put("k", None, size_bytes=10, home_node="node-00")
-        assert kv.on_node_failure("node-00") == []
+        kv = KeyValueStore()
+        router = CheckpointStorageRouter(kv, TierRegistry())
+        ref, _ = router.write("k", None, size_bytes=10, node_id="node-00")
+        assert ref.inline
+        assert router.on_node_failure("node-00") == []
         assert "k" in kv
-
-    def test_unreplicated_volatile_store_loses_local_keys(self):
-        kv = KeyValueStore(replicated=False, persistent=False)
-        kv.put("local", None, size_bytes=10, home_node="node-00")
-        kv.put("other", None, size_bytes=10, home_node="node-01")
-        lost = kv.on_node_failure("node-00")
-        assert lost == ["local"]
-        assert "other" in kv
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -227,13 +160,12 @@ class TestCheckpointStorageRouter:
         assert router.read_time(small) > 0
         assert router.read_time(big) > router.read_time(small)
 
-    def test_delete_releases_spill_capacity(self):
-        router, _ = self.make()
+    def test_delete_drops_spilled_payload(self):
+        router, kv = self.make()
         ref, _ = router.write("big", None, size_bytes=200 * MiB)
-        used_before = router.tiers.used_bytes[ref.tier_name]
         router.delete(ref)
-        assert router.tiers.used_bytes[ref.tier_name] < used_before
         assert not router.is_available(ref)
+        assert "big" not in kv
 
     def test_node_failure_drops_node_local_spills(self):
         router, _ = self.make()
