@@ -8,7 +8,8 @@ For each registered state the module (Algorithm 1):
    spilled to the fastest tier with only ``{ckpt_name, ckpt_loc}`` recorded;
 3. evicts the oldest checkpoint when the function exceeds its retention
    threshold ``ckpt_thresh`` (latest-n);
-4. pushes ``{job_id, fn_id, ckpt_id, ckpt}`` to the database.
+4. shows ``{job_id, fn_id, ckpt_id, ckpt}`` in the database's
+   ``checkpoint_info`` view while it retains the checkpoint (``rows``).
 
 Restores return the newest *available* checkpoint — a checkpoint whose
 payload died with a node (non-shared tier) is skipped in favour of an older
@@ -18,11 +19,10 @@ surviving one, which is exactly the shared-storage argument of §V-D-6.
 from __future__ import annotations
 
 import collections
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.checkpoint.records import CheckpointRecord
-from repro.core.database import CanaryDatabase
 from repro.core.ids import IdGenerator
 from repro.storage.router import CheckpointStorageRouter
 from repro.trace.tracer import NULL_TRACER, NullTracer
@@ -41,7 +41,6 @@ class CheckpointingModule:
     def __init__(
         self,
         router: CheckpointStorageRouter,
-        database: CanaryDatabase,
         ids: IdGenerator,
         *,
         policy: CheckpointPolicy | None = None,
@@ -59,7 +58,6 @@ class CheckpointingModule:
         if flush_lag_s < 0:
             raise ValueError("flush_lag_s must be non-negative")
         self.router = router
-        self.database = database
         self.ids = ids
         self.policy = policy or CheckpointPolicy()
         self.flush_lag_s = flush_lag_s
@@ -82,7 +80,6 @@ class CheckpointingModule:
         self._target_n: dict[tuple[float, float, float], int] = {}
         # statistics
         self.checkpoints_taken = 0
-        self.restores_fallback = 0  # restored from an older generation
 
     # ------------------------------------------------------------------
     # Cadence
@@ -131,7 +128,6 @@ class CheckpointingModule:
         serialize_overhead_s: float,
         now: float,
         node_id: Optional[str] = None,
-        payload: Any = None,
         state_duration_s: float = 0.0,
     ) -> tuple[CheckpointRecord, float]:
         """Checkpoint one completed state; return (record, time charged).
@@ -149,7 +145,6 @@ class CheckpointingModule:
             size_bytes,
             now,
             node_id,
-            payload,
             state_duration_s,
         )
         tracer = self.tracer
@@ -196,13 +191,12 @@ class CheckpointingModule:
         serialize_overhead_s: float,
         now: float,
         node_id: Optional[str] = None,
-        payload: Any = None,
         state_duration_s: float = 0.0,
         on_done: Callable[[CheckpointRecord, float], None],
     ) -> tuple[CheckpointRecord, "FlowHandle"]:
         """Network-modeled :meth:`record_state`: the write is a fabric flow.
 
-        Bookkeeping (record, database row, retention) commits up front,
+        Bookkeeping (record, retention) commits up front,
         exactly like the legacy path; the *charge* is a flow on the fabric
         whose duration depends on link contention.  ``on_done(record,
         elapsed)`` fires when the write lands; cancelling the returned
@@ -215,7 +209,6 @@ class CheckpointingModule:
             size_bytes,
             now,
             node_id,
-            payload,
             state_duration_s,
         )
 
@@ -259,18 +252,16 @@ class CheckpointingModule:
         size_bytes: float,
         now: float,
         node_id: Optional[str],
-        payload: Any,
         state_duration_s: float,
         /,
     ) -> tuple[CheckpointRecord, float]:
-        """Shared bookkeeping of Algorithm 1 (route, retain, persist).
+        """Shared bookkeeping of Algorithm 1 (route, retain).
 
         Positional-only: it runs once per checkpointed state.
         """
         checkpoint_id = self.ids.checkpoint_id(function_id)
-        key = f"ckpt/{function_id}/{checkpoint_id}"
         ref, write_time = self.router.write(
-            key, payload, size_bytes=size_bytes, node_id=node_id
+            checkpoint_id, None, size_bytes=size_bytes, node_id=node_id
         )
         record = CheckpointRecord(
             checkpoint_id=checkpoint_id,
@@ -280,28 +271,21 @@ class CheckpointingModule:
             size_bytes=size_bytes,
             ref=ref,
             created_at=now,
-            payload=payload,
         )
         chain = self._per_function.get(function_id)
         if chain is None:
             chain = self._per_function[function_id] = collections.deque()
         chain.append(record)
-        # Keys in ``checkpoint_info.fields`` order: the insert fast path.
-        self.database.checkpoint_info.insert(
-            {
-                "checkpoint_id": checkpoint_id,
-                "job_id": job_id,
-                "function_id": function_id,
-                "state_index": state_index,
-                "size_bytes": size_bytes,
-                "location": ref.tier_name,
-                "created_at": now,
-                "available": True,
-            }
-        )
         self._evict(chain, state_duration_s)
         self.checkpoints_taken += 1
         return record, write_time
+
+    def count_unwritten(self, function_id: str, count: int) -> None:
+        """Take *count* checkpoints that nothing can read (their chain is
+        dropped next) in closed form: ids and ``checkpoints_taken``
+        advance; the store, the router and the chain are not touched."""
+        self.ids.skip_checkpoint_ids(function_id, count)
+        self.checkpoints_taken += count
 
     def _start_flush(
         self,
@@ -368,10 +352,7 @@ class CheckpointingModule:
             self._retire(oldest.checkpoint_id)
 
     def _retire(self, checkpoint_id: str) -> None:
-        """Mark a released checkpoint unavailable and stop tracking it."""
-        self.database.checkpoint_info.set_field(
-            checkpoint_id, "available", False
-        )
+        """Stop tracking the flush of a released checkpoint."""
         if self.flush_lag_s > 0:
             self._pending_flush.pop(checkpoint_id, None)
             self._lost.discard(checkpoint_id)
@@ -391,14 +372,12 @@ class CheckpointingModule:
         chain = self._per_function.get(function_id)
         if not chain:
             return None
-        for offset, record in enumerate(reversed(chain)):
+        for record in reversed(chain):
             if record.checkpoint_id in self._lost:
                 continue
             if healthy_only and self.tier_refusing(record.ref.tier_name):
                 continue
             if self.router.is_available(record.ref):
-                if offset > 0:
-                    self.restores_fallback += 1
                 return record
         return None
 
@@ -417,9 +396,11 @@ class CheckpointingModule:
 
         Two loss modes: payloads on node-local tiers die with the node
         (router), and — with a non-zero flush lag — checkpoints written
-        from the node that had not yet flushed to shared storage.
+        from the node that had not yet flushed to shared storage.  Returns
+        the ids of the lost checkpoints.
         """
-        lost_keys = set(self.router.on_node_failure(node_id))
+        # Payloads are stored under their checkpoint ids (``_commit``).
+        lost_keys = self.router.on_node_failure(node_id)
         lost_ids: list[str] = []
         if self.flush_lag_s > 0:
             for checkpoint_id, (home, durable_at) in list(
@@ -432,20 +413,8 @@ class CheckpointingModule:
                 if home == node_id:
                     self._lost.add(checkpoint_id)
                     del self._pending_flush[checkpoint_id]
-                    self.database.checkpoint_info.update(
-                        checkpoint_id, available=False
-                    )
                     lost_ids.append(checkpoint_id)
-        if not lost_keys:
-            return lost_ids
-        for chain in self._per_function.values():
-            for record in chain:
-                if record.ref.key in lost_keys:
-                    self.database.checkpoint_info.update(
-                        record.checkpoint_id, available=False
-                    )
-                    lost_ids.append(record.checkpoint_id)
-        return lost_ids
+        return lost_ids + lost_keys
 
     def drop_function(self, function_id: str) -> None:
         """Release all checkpoints of a completed function."""
@@ -458,3 +427,13 @@ class CheckpointingModule:
 
     def chain_length(self, function_id: str) -> int:
         return len(self._per_function.get(function_id, ()))
+
+    def rows(self) -> Iterator[tuple]:
+        """The ``checkpoint_info`` view: one row per retained checkpoint, in
+        the table's field order.  An evicted or dropped checkpoint has no
+        row; a row is unavailable once its payload died with a node."""
+        for chain in self._per_function.values():
+            for r in chain:
+                available = r.checkpoint_id not in self._lost and self.router.is_available(r.ref)
+                yield (r.checkpoint_id, r.job_id, r.function_id, r.state_index,
+                       r.size_bytes, r.ref.tier_name, r.created_at, available)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.storage.router import StoredObjectRef
 
@@ -19,8 +18,6 @@ class CheckpointRecord:
         size_bytes: Payload size.
         ref: Physical location (inline KV entry or spilled tier object).
         created_at: Virtual time the checkpoint finished writing.
-        payload: Actual checkpoint content in the local executor; ``None``
-            in the simulator (sizes only).
     """
 
     checkpoint_id: str
@@ -30,8 +27,3 @@ class CheckpointRecord:
     size_bytes: float
     ref: StoredObjectRef
     created_at: float
-    payload: Any = None
-
-    @property
-    def location(self) -> str:
-        return self.ref.tier_name

@@ -112,7 +112,9 @@ class CanaryPlatform:
         )
         for node in self.cluster.nodes[initial_provisioned:]:
             node.provisioned = False
-        self.database = CanaryDatabase()
+        self.database = CanaryDatabase(
+            checkpoint_rows=lambda: self.checkpointer.rows()
+        )
         self._register_workers()
         self.ids = IdGenerator()
         self.kv = KeyValueStore()
@@ -190,7 +192,6 @@ class CanaryPlatform:
         )
         self.checkpointer = CheckpointingModule(
             self.router,
-            self.database,
             self.ids,
             policy=scenario.checkpoint_policy,
             flush_lag_s=scenario.checkpoint_flush_lag_s,

@@ -4,7 +4,8 @@ The Core Module maintains five tables: ``worker_info``, ``job_info``,
 ``function_info``, ``checkpoint_info``, and ``replication_info``.  The paper
 stores them in CouchDB/MongoDB; here they are in-memory tables with the same
 schemas, insert/update/select operations, and per-table row validation so
-tests can assert cross-table consistency.
+tests can assert cross-table consistency.  ``checkpoint_info`` is a view
+of the Checkpointing Module's chains: a checkpoint has a row while retained.
 """
 
 from __future__ import annotations
@@ -12,23 +13,44 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Optional
 
 
-class Table:
-    """A minimal keyed table: insert, update, get, select."""
+class _Rows:
+    """The read side of a table or a view: get, select, where."""
 
     def __init__(self, name: str, key_field: str, fields: tuple[str, ...]) -> None:
         self.name = name
         self.key_field = key_field
         self.fields = fields
-        self._field_set = frozenset(fields)
         if key_field not in fields:
             raise ValueError(f"key {key_field!r} missing from fields of {name}")
-        self._rows: dict[Any, dict[str, Any]] = {}
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __contains__(self, key: Any) -> bool:
-        return key in self._rows
+    def get(self, key: Any) -> Optional[dict[str, Any]]:
+        row = self._rows.get(key)
+        return dict(row) if row is not None else None
+
+    def select(
+        self, predicate: Optional[Callable[[dict[str, Any]], bool]] = None
+    ) -> list[dict[str, Any]]:
+        rows: Iterable[dict[str, Any]] = self._rows.values()
+        if predicate is not None:
+            rows = (r for r in rows if predicate(r))
+        return [dict(r) for r in rows]
+
+    def where(self, **equals: Any) -> list[dict[str, Any]]:
+        return self.select(
+            lambda r: all(r.get(k) == v for k, v in equals.items())
+        )
+
+
+class Table(_Rows):
+    """A minimal keyed table: insert, update, get, select."""
+
+    def __init__(self, name: str, key_field: str, fields: tuple[str, ...]) -> None:
+        super().__init__(name, key_field, fields)
+        self._field_set = frozenset(fields)
+        self._rows = {}
 
     def insert(self, row: dict[str, Any]) -> None:
         if tuple(row) == self.fields:
@@ -76,31 +98,35 @@ class Table:
         else:
             self.insert(row)
 
-    def get(self, key: Any) -> Optional[dict[str, Any]]:
-        row = self._rows.get(key)
-        return dict(row) if row is not None else None
-
     def delete(self, key: Any) -> bool:
         return self._rows.pop(key, None) is not None
 
-    def select(
-        self, predicate: Optional[Callable[[dict[str, Any]], bool]] = None
-    ) -> list[dict[str, Any]]:
-        rows: Iterable[dict[str, Any]] = self._rows.values()
-        if predicate is not None:
-            rows = (r for r in rows if predicate(r))
-        return [dict(r) for r in rows]
 
-    def where(self, **equals: Any) -> list[dict[str, Any]]:
-        return self.select(
-            lambda r: all(r.get(k) == v for k, v in equals.items())
-        )
+class View(_Rows):
+    """A read-only table: *source* yields its rows on each read, as value
+    tuples in ``fields`` order."""
+
+    def __init__(
+        self,
+        name: str,
+        key_field: str,
+        fields: tuple[str, ...],
+        source: Callable[[], Iterable[tuple]],
+    ) -> None:
+        super().__init__(name, key_field, fields)
+        self._source = source
+
+    @property
+    def _rows(self) -> dict[Any, dict[str, Any]]:
+        rows = (dict(zip(self.fields, values)) for values in self._source())
+        return {row[self.key_field]: row for row in rows}
 
 
 class CanaryDatabase:
-    """The five tables created and maintained by the Core Module."""
+    """The five tables created and maintained by the Core Module;
+    *checkpoint_rows* builds ``checkpoint_info`` (``CheckpointingModule.rows``)."""
 
-    def __init__(self) -> None:
+    def __init__(self, checkpoint_rows: Callable[[], Iterable[tuple]] = tuple) -> None:
         self.worker_info = Table(
             "worker_info",
             key_field="worker_id",
@@ -142,7 +168,7 @@ class CanaryDatabase:
                 "current_state_index",
             ),
         )
-        self.checkpoint_info = Table(
+        self.checkpoint_info = View(
             "checkpoint_info",
             key_field="checkpoint_id",
             fields=(
@@ -155,6 +181,7 @@ class CanaryDatabase:
                 "created_at",
                 "available",
             ),
+            source=checkpoint_rows,
         )
         self.replication_info = Table(
             "replication_info",
@@ -169,18 +196,6 @@ class CanaryDatabase:
                 "created_at",
             ),
         )
-
-    def tables(self) -> dict[str, Table]:
-        return {
-            t.name: t
-            for t in (
-                self.worker_info,
-                self.job_info,
-                self.function_info,
-                self.checkpoint_info,
-                self.replication_info,
-            )
-        }
 
     # ------------------------------------------------------------------
     # Consistency checks (used by tests and the platform's self-audit)

@@ -22,6 +22,7 @@ that event fires or when something needs to see them (DESIGN.md,
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -49,17 +50,19 @@ class FoldPlan:
     """Boundary times of a folded attempt segment.
 
     Entry ``j`` is state ``first + j``: it starts at ``starts[j]``, runs
-    ``durations[j]`` and ends at ``ends[j]``; ``charges[j]`` is the charge
-    of the checkpoint after it, or None when it takes none.  The segment
-    runs to completion: the finish window starts at ``finish_start`` and
-    ends at ``finish_at``.  ``done`` counts the entries materialised so far.
+    ``durations[j]`` and ends at ``ends[j]``.  ``checkpoints`` lists, in
+    order, the entries followed by a checkpoint; each costs ``charge``.
+    The segment runs to completion: the finish window starts at
+    ``finish_start`` and ends at ``finish_at``.  ``done`` counts the
+    entries materialised so far.
     """
 
     first: int
     starts: list[float] = field(default_factory=list)
     durations: list[float] = field(default_factory=list)
     ends: list[float] = field(default_factory=list)
-    charges: list[Optional[float]] = field(default_factory=list)
+    checkpoints: list[int] = field(default_factory=list)
+    charge: float = 0.0
     finish_start: float = 0.0
     finish_at: float = 0.0
     done: int = 0
@@ -667,10 +670,9 @@ class FunctionExecution:
             t = t + duration
             plan.ends.append(t)
             if interval and should_checkpoint(index, interval):
-                plan.charges.append(charge)
+                plan.checkpoints.append(index - plan.first)
+                plan.charge = charge
                 t = t + charge
-            else:
-                plan.charges.append(None)
         plan.finish_start = t
         plan.finish_at = t + node.scale_duration(profile.finish_s)
         attempt.plan = plan
@@ -684,12 +686,17 @@ class FunctionExecution:
         )
 
     def _segment_done(self, attempt: Attempt) -> None:
-        self.materialise(attempt, self.platform.sim.now, inclusive=True)
+        # Nothing observed the states left and ``_complete`` drops the
+        # chain: untraced, their checkpoints take the closed form.
+        platform = self.platform
+        self.materialise(
+            attempt, platform.sim.now, inclusive=True, write=platform.tracer.enabled
+        )
         self._drop_plan(attempt)
         self._complete(attempt)
 
     def materialise(
-        self, attempt: Attempt, until: float, *, inclusive: bool = False
+        self, attempt: Attempt, until: float, *, inclusive: bool = False, write: bool = True
     ) -> None:
         """Apply the folded state boundaries before *until* (or at it, with
         *inclusive*) in order, each at its own time, and set the attempt's
@@ -698,27 +705,31 @@ class FunctionExecution:
         An event at exactly *until* counts as not yet fired for observers
         (``inclusive=False``): they were scheduled before the boundary, so
         the engine would have run them first.  ``run(until=T)`` fires
-        events at T, hence ``inclusive=True`` there.
+        events at T, hence ``inclusive=True`` there.  ``write=False`` takes
+        the checkpoints in closed form (``count_unwritten``).
         """
         fired = operator.le if inclusive else operator.lt
         plan = attempt.plan
-        ends = plan.ends
-        j = plan.done
-        while j < len(ends) and fired(ends[j], until):
-            if plan.charges[j] is not None:
-                profile = self.profile
-                _, charge = self.platform.checkpointer.record_state(
+        ends, checkpoints = plan.ends, plan.checkpoints
+        j = (bisect_right if inclusive else bisect_left)(ends, until, plan.done)
+        taken = checkpoints[bisect_left(checkpoints, plan.done):bisect_left(checkpoints, j)]
+        checkpointer, profile = self.platform.checkpointer, self.profile
+        if taken and not write:
+            checkpointer.count_unwritten(self.function_id, len(taken))
+        for k in taken:
+            if write:
+                checkpointer.record_state(
                     job_id=self.job.job_id,
                     function_id=self.function_id,
-                    state_index=plan.first + j,
+                    state_index=plan.first + k,
                     size_bytes=profile.checkpoint_size_bytes,
                     serialize_overhead_s=profile.serialize_overhead_s,
-                    now=ends[j],
+                    now=ends[k],
                     node_id=attempt.container.node.node_id,
                     state_duration_s=profile.state_duration_s,
                 )
-                self.platform.metrics.note_checkpoint(self.function_id, charge)
-            j += 1
+            # One addition per checkpoint, as stepwise: a product rounds differently.
+            self.platform.metrics.note_checkpoint(self.function_id, plan.charge)
         if j > plan.done:
             plan.done = j
             attempt.completed_states = plan.first + j

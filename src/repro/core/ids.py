@@ -42,6 +42,13 @@ class IdGenerator:
         seq.next = n + 1
         return f"{seq.prefix}{n:04d}"
 
+    def skip_checkpoint_ids(self, function_id: str, count: int) -> None:
+        """Advance the counter as *count* ``checkpoint_id`` calls would."""
+        seq = self._checkpoints.get(function_id)
+        if seq is None:
+            seq = self._checkpoints[function_id] = _Sequence("ckpt", function_id)
+        seq.next += count
+
     def replica_id(self) -> str:
         return f"rep-{self._next('replica'):05d}"
 

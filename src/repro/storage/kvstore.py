@@ -43,14 +43,14 @@ class KeyValueStore:
             raise ValueError("db_limit_bytes must be positive")
         self.db_limit_bytes = db_limit_bytes
         self._entries: dict[str, KVEntry] = {}
-        self._used = 0.0
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def used_bytes(self) -> float:
-        return self._used
+        """Bytes held by the live entries (an empty store holds 0)."""
+        return sum((entry.size_bytes for entry in self._entries.values()), 0.0)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -79,22 +79,12 @@ class KeyValueStore:
                 f"value for {key!r} is {size_bytes:.0f}B, exceeds per-key "
                 f"db_limit of {self.db_limit_bytes:.0f}B"
             )
-        previous = self._entries.get(key)
-        delta = size_bytes - (previous.size_bytes if previous else 0.0)
         entry = KVEntry(key=key, value=value, size_bytes=size_bytes)
         self._entries[key] = entry
-        self._used += delta
         return entry
 
     def get(self, key: str) -> Optional[KVEntry]:
         return self._entries.get(key)
 
     def delete(self, key: str) -> bool:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return False
-        self._used -= entry.size_bytes
-        # An empty store reads exactly zero (clamps float residue).
-        if not self._entries or self._used < 0.0:
-            self._used = 0.0
-        return True
+        return self._entries.pop(key, None) is not None

@@ -63,6 +63,11 @@ class CheckpointStorageRouter:
         self.tiers = tiers
         self.require_shared_spill = require_shared_spill
         self.custom_endpoint = custom_endpoint
+        if custom_endpoint == "kv":
+            raise ValueError(
+                "custom_endpoint cannot be 'kv': the KV store takes only "
+                "payloads within its per-key limit"
+            )
         if custom_endpoint is not None:
             tiers.get(custom_endpoint)  # validate eagerly
         self._spilled: dict[str, StoredObjectRef] = {}

@@ -19,16 +19,18 @@ from repro.faults.chaos import (
 )
 from repro.network.config import NETWORK_PRESETS
 from repro.storage.tiers import TierRegistry
+from repro.trace.tracer import Tracer
 from repro.workloads.profiles import get_workload
 
 
 def run_platform(seed=42, n=40, strategy="canary", error_rate=0.0,
-                 interval=1, **kwargs):
+                 interval=1, tracer=None, **kwargs):
     platform = CanaryPlatform(
         ScenarioConfig(
             num_nodes=16, strategy=strategy, error_rate=error_rate, **kwargs
         ),
         seed=seed,
+        tracer=tracer,
     )
     platform.submit_job(
         JobRequest(
@@ -233,11 +235,14 @@ class TestTierBrownouts:
                 ),
             )
         )
-        platform = run_platform(chaos=chaos)
+        # Completed functions drop their chains, so the tiers are read
+        # from the checkpoint_write spans of a traced run.
+        tracer = Tracer()
+        platform = run_platform(chaos=chaos, tracer=tracer)
         spilled = [
-            row["created_at"]
-            for row in platform.database.checkpoint_info.select()
-            if row["location"] != "kv"
+            span.start
+            for span in tracer.spans()
+            if span.kind == "checkpoint_write" and span.attrs["tier"] != "kv"
         ]
         assert spilled
         assert all(6.0 <= t < 16.0 for t in spilled)

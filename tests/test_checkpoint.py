@@ -15,10 +15,10 @@ from repro.storage.tiers import TierRegistry
 def make_module(policy=None, db_limit=64 * MiB, **router_kwargs):
     kv = KeyValueStore(db_limit_bytes=db_limit)
     router = CheckpointStorageRouter(kv, TierRegistry(), **router_kwargs)
-    db = CanaryDatabase()
+    module = CheckpointingModule(router, IdGenerator(), policy=policy)
+    db = CanaryDatabase(checkpoint_rows=module.rows)
     db.job_info.insert({"job_id": "j1"})
     db.function_info.insert({"function_id": "f1", "job_id": "j1"})
-    module = CheckpointingModule(router, db, IdGenerator(), policy=policy)
     return module, db
 
 
@@ -115,13 +115,11 @@ class TestCheckpointingModule:
         module, db = make_module()
         record_n(module, 6)
         assert module.chain_length("f1") == 3  # default retention
-        # Evicted rows flip to unavailable rather than vanishing: the
-        # three oldest states.
+        # An evicted checkpoint has no row: the view holds the three newest.
         rows = db.checkpoint_info.select()
-        assert len(rows) == 6
-        assert {r["state_index"] for r in rows if not r["available"]} == {
-            0, 1, 2,
-        }
+        assert [r["state_index"] for r in rows] == [3, 4, 5]
+        assert all(r["available"] for r in rows)
+        assert len(db.checkpoint_info) == 3
 
     def test_db_rows_match_records(self):
         module, db = make_module()
@@ -131,6 +129,12 @@ class TestCheckpointingModule:
             assert row["function_id"] == "f1"
             assert row["state_index"] == record.state_index
             assert row["location"] == record.ref.tier_name
+            assert row["created_at"] == record.created_at
+            assert row["available"] is True
+        assert db.checkpoint_info.where(state_index=1) == [
+            db.checkpoint_info.get(records[1].checkpoint_id)
+        ]
+        assert db.check_referential_integrity() == []
 
     def test_large_checkpoint_spills(self):
         module, db = make_module()
@@ -154,7 +158,7 @@ class TestCheckpointingModule:
         # The newest checkpoint spills to a node-local tier and dies with
         # its node; restore must fall back to the older inline generation.
         node = "node-00"
-        module_local, _ = make_module()
+        module_local, db = make_module()
         first, _ = module_local.record_state(
             job_id="j1", function_id="f1", state_index=0,
             size_bytes=mb(1), serialize_overhead_s=0.0, now=0.0,
@@ -171,7 +175,10 @@ class TestCheckpointingModule:
         assert second.checkpoint_id in lost
         fallback = module_local.latest("f1")
         assert fallback is first
-        assert module_local.restores_fallback == 1
+        # The lost checkpoint keeps its row, unavailable, while the chain
+        # still holds it.
+        assert db.checkpoint_info.get(second.checkpoint_id)["available"] is False
+        assert db.checkpoint_info.get(first.checkpoint_id)["available"] is True
 
     def test_drop_function_releases_everything(self):
         module, db = make_module()
@@ -179,9 +186,9 @@ class TestCheckpointingModule:
         module.drop_function("f1")
         assert module.chain_length("f1") == 0
         assert module.latest("f1") is None
-        assert all(
-            not r["available"] for r in db.checkpoint_info.select()
-        )
+        # Dropped checkpoints leave no row behind.
+        assert db.checkpoint_info.select() == []
+        assert module.router.kv.used_bytes == 0.0
 
     def test_set_interval_overrides_default(self):
         module, _ = make_module()

@@ -81,7 +81,7 @@ class TestTable:
 class TestCanaryDatabase:
     def test_five_tables_exist(self):
         db = CanaryDatabase()
-        assert set(db.tables()) == {
+        assert set(vars(db)) == {
             "worker_info",
             "job_info",
             "function_info",
@@ -101,11 +101,12 @@ class TestCanaryDatabase:
         assert any("missing job" in p for p in problems)
 
     def test_integrity_flags_orphan_checkpoint(self):
-        db = CanaryDatabase()
-        db.job_info.insert({"job_id": "j1"})
-        db.checkpoint_info.insert(
-            {"checkpoint_id": "c1", "job_id": "j1", "function_id": "ghost"}
+        db = CanaryDatabase(
+            checkpoint_rows=lambda: [
+                ("c1", "j1", "ghost", 0, 1024.0, "kv", 0.0, True)
+            ]
         )
+        db.job_info.insert({"job_id": "j1"})
         problems = db.check_referential_integrity()
         assert any("missing" in p and "function" in p for p in problems)
 

@@ -9,7 +9,9 @@ import pytest
 
 from repro.common.types import FunctionState
 
-from tests.conftest import TINY, TINY_BIG_CKPT, run_tiny_job
+from repro.core.jobs import JobRequest
+
+from tests.conftest import TINY, TINY_BIG_CKPT, build_platform, run_tiny_job
 
 
 class TestHappyPath:
@@ -136,16 +138,22 @@ class TestFailureAndRecovery:
 
 class TestCheckpointSpill:
     def test_big_checkpoints_spill_and_restore(self):
-        platform, job = run_tiny_job(
-            num_functions=5,
-            strategy="canary",
-            error_rate=0.4,
-            workload=TINY_BIG_CKPT,
-            refailure_rate=0.0,
+        # Completed functions drop their chains, so the rows are read from
+        # snapshots of the checkpoint_info view taken while the job runs.
+        platform = build_platform(
+            strategy="canary", error_rate=0.4, refailure_rate=0.0
         )
-        assert job.done
-        rows = platform.database.checkpoint_info.select()
+        job = platform.submit_job(
+            JobRequest(workload=TINY_BIG_CKPT, num_functions=5)
+        )
+        rows = []
+        until = 0.0
+        while not job.done:
+            until += 0.5
+            platform.run(until=until)
+            rows.extend(platform.database.checkpoint_info.select())
         assert rows and all(r["location"] != "kv" for r in rows)
+        assert platform.metrics.failures
         assert platform.metrics.unrecovered_failures() == []
 
 

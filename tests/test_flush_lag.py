@@ -17,14 +17,8 @@ from tests.conftest import TINY
 
 
 def make_module(flush_lag_s):
-    kv = KeyValueStore()
-    router = CheckpointStorageRouter(kv, TierRegistry())
-    db = CanaryDatabase()
-    db.job_info.insert({"job_id": "j1"})
-    db.function_info.insert({"function_id": "f1", "job_id": "j1"})
-    return CheckpointingModule(
-        router, db, IdGenerator(), flush_lag_s=flush_lag_s
-    )
+    router = CheckpointStorageRouter(KeyValueStore(), TierRegistry())
+    return CheckpointingModule(router, IdGenerator(), flush_lag_s=flush_lag_s)
 
 
 def record(module, index, now, node="node-00"):
@@ -59,7 +53,6 @@ class TestFlushLagUnit:
         assert lost == [new.checkpoint_id]
         # Restore falls back to the older, flushed generation.
         assert module.latest("f1") is old
-        assert module.restores_fallback == 1
 
     def test_flushed_checkpoints_survive(self):
         module = make_module(flush_lag_s=5.0)
@@ -75,10 +68,15 @@ class TestFlushLagUnit:
 
     def test_db_marks_lost_checkpoints_unavailable(self):
         module = make_module(flush_lag_s=5.0)
+        db = CanaryDatabase(checkpoint_rows=module.rows)
         rec = record(module, 0, now=0.0)
+        assert db.checkpoint_info.get(rec.checkpoint_id)["available"] is True
         module.on_node_failure("node-00", now=1.0)
-        row = module.database.checkpoint_info.get(rec.checkpoint_id)
+        row = db.checkpoint_info.get(rec.checkpoint_id)
         assert row["available"] is False
+        # The row lives only as long as the chain holds the checkpoint.
+        module.drop_function("f1")
+        assert db.checkpoint_info.get(rec.checkpoint_id) is None
 
     def test_evicted_checkpoint_is_not_swept_by_a_node_failure(self):
         module = make_module(flush_lag_s=5.0)
@@ -111,18 +109,19 @@ class TestFlushLagEndToEnd:
         if step_s is None:
             platform.run()
             return platform, job
-        evictions = 0
+        lost_rows = 0
         until = 0.0
         while not job.done:
             until += step_s
             platform.run(until=until)
-            evictions += self.check_tracking(platform)
-        return platform, job, evictions
+            lost_rows += self.check_tracking(platform)
+        return platform, job, lost_rows
 
     @staticmethod
     def check_tracking(platform):
-        """Assert flush tracking holds only live checkpoints; return how
-        many rows are evicted from a function that still has a chain."""
+        """Assert flush tracking and the ``checkpoint_info`` view hold only
+        live checkpoints; return how many rows are unavailable (lost with
+        the node while their chain still holds them)."""
         module = platform.checkpointer
         live = {
             record.checkpoint_id
@@ -131,13 +130,10 @@ class TestFlushLagEndToEnd:
         }
         assert set(module._pending_flush) <= live
         assert module._lost <= live
-        return sum(
-            1
-            for row in platform.database.checkpoint_info.select()
-            if not row["available"]
-            and row["checkpoint_id"] not in live
-            and module.chain_length(row["function_id"]) > 0
-        )
+        rows = platform.database.checkpoint_info.select()
+        assert {row["checkpoint_id"] for row in rows} == live
+        assert platform.database.check_referential_integrity() == []
+        return sum(not row["available"] for row in rows)
 
     def test_everything_still_completes(self):
         platform, job = self.run_platform(flush_lag_s=4.0)
@@ -145,10 +141,10 @@ class TestFlushLagEndToEnd:
         assert platform.metrics.unrecovered_failures() == []
 
     def test_flush_tracking_holds_only_live_checkpoints(self):
-        platform, job, evictions = self.run_platform(
+        platform, job, lost_rows = self.run_platform(
             flush_lag_s=4.0, step_s=0.25
         )
-        assert job.done and evictions > 0
+        assert job.done and lost_rows > 0
         self.check_tracking(platform)
 
     def test_lag_costs_extra_redo_after_node_death(self):

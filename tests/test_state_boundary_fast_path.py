@@ -153,14 +153,12 @@ class TestTableInsert:
             )
 
     def test_checkpoint_rows_take_the_fast_path_in_field_order(self):
-        db = CanaryDatabase()
-        db.job_info.insert({"job_id": "j"})
-        db.function_info.insert({"function_id": "f", "job_id": "j"})
+        """The ``checkpoint_info`` view builds its rows in field order."""
         module = CheckpointingModule(
             CheckpointStorageRouter(KeyValueStore(), TierRegistry()),
-            db,
             IdGenerator(),
         )
+        db = CanaryDatabase(checkpoint_rows=module.rows)
         record, _ = module.record_state(
             job_id="j",
             function_id="f",
@@ -187,7 +185,6 @@ class TestRetentionCache:
         kv = KeyValueStore()
         module = CheckpointingModule(
             CheckpointStorageRouter(kv, TierRegistry()),
-            CanaryDatabase(),
             IdGenerator(),
             policy=CheckpointPolicy(retention=retention),
         )

@@ -147,6 +147,14 @@ class TestCheckpointStorageRouter:
         with pytest.raises(KeyError):
             CheckpointStorageRouter(kv, TierRegistry(), custom_endpoint="bogus")
 
+    def test_kv_custom_endpoint_rejected_eagerly(self):
+        # The KV store caps each entry at db_limit: as an endpoint it would
+        # accept the route of a bigger checkpoint and fail at the write.
+        with pytest.raises(ValueError):
+            CheckpointStorageRouter(
+                KeyValueStore(), TierRegistry(), custom_endpoint="kv"
+            )
+
     def test_shared_spill_requirement(self):
         router, _ = self.make(require_shared_spill=True)
         ref, _ = router.write("k", None, size_bytes=200 * MiB)
