@@ -113,9 +113,12 @@ class CanaryPlatform:
         for node in self.cluster.nodes[initial_provisioned:]:
             node.provisioned = False
         self.database = CanaryDatabase(
-            checkpoint_rows=lambda: self.checkpointer.rows()
+            worker_rows=self._worker_rows,
+            job_rows=self._job_rows,
+            function_rows=self._function_rows,
+            checkpoint_rows=lambda: self.checkpointer.rows(),
+            replication_rows=lambda: self.runtime_manager.rows(),
         )
-        self._register_workers()
         self.ids = IdGenerator()
         self.kv = KeyValueStore()
         self.tiers = TierRegistry()
@@ -203,7 +206,7 @@ class CanaryPlatform:
         self.checkpointer.on_cadence_change = (
             lambda function_id: self.unfold(function_id=function_id)
         )
-        self.runtime_manager = RuntimeManagerModule(self.database)
+        self.runtime_manager = RuntimeManagerModule()
         self.metrics = MetricsCollector()
         # Recovery attempts re-fail at the error rate by default: the error
         # process does not pause just because a function is on its second
@@ -305,24 +308,9 @@ class CanaryPlatform:
             )
 
     # ------------------------------------------------------------------
-    # Setup helpers
+    # Folded attempts
     # ------------------------------------------------------------------
-    def _register_workers(self) -> None:
-        for node in self.cluster.nodes:
-            self.database.worker_info.insert(
-                {
-                    "worker_id": node.node_id,
-                    "role": "invoker",
-                    "cpu_model": node.profile.name,
-                    "memory_bytes": node.profile.memory_bytes,
-                    "container_slots": node.profile.container_slots,
-                    "rack": node.rack,
-                    "alive": True,
-                }
-            )
-
     def _on_node_failure(self, node, lost) -> None:
-        self.database.worker_info.update(node.node_id, alive=False)
         # The node's checkpoints must exist before they can be lost.  (The
         # controller's loss fanout has already settled the node's folded
         # attempts; this keeps the order independent of listener order.)
@@ -398,19 +386,6 @@ class CanaryPlatform:
         self._open_jobs += 1
         if on_complete is not None:
             self._job_callbacks[job.job_id] = on_complete
-        self.database.job_info.insert(
-            {
-                "job_id": job.job_id,
-                "workload": request.workload.name,
-                "num_functions": request.num_functions,
-                "runtime": request.workload.runtime.value,
-                "checkpoint_interval": request.checkpoint_interval,
-                "replication_strategy": request.replication_strategy.value,
-                "state": job.state.value,
-                "submitted_at": job.submitted_at,
-                "completed_at": None,
-            }
-        )
         for index in range(request.num_functions):
             job.executions.append(FunctionExecution(self, job, index))
         self.injector.register_job(job)
@@ -434,11 +409,6 @@ class CanaryPlatform:
             job.completed_at = self.sim.now
             job.state = JobState.COMPLETED
             self._open_jobs -= 1
-            self.database.job_info.update(
-                job.job_id,
-                state=job.state.value,
-                completed_at=job.completed_at,
-            )
             if self.replication is not None:
                 self.replication.complete_job(job)
             self.strategy.on_job_complete(job)
@@ -518,6 +488,41 @@ class CanaryPlatform:
         if self.traffic is not None and self.traffic.pending_arrivals:
             return True
         return self._open_jobs > 0
+
+    # ------------------------------------------------------------------
+    # Database views (§IV-C-1): rows built on read, none written
+    # ------------------------------------------------------------------
+    def _worker_rows(self):
+        for node in self.cluster.nodes:
+            profile = node.profile
+            yield (
+                node.node_id, "invoker", profile.name, profile.memory_bytes,
+                profile.container_slots, node.rack, node.alive,
+            )
+
+    def _job_rows(self):
+        for job in self.jobs.values():
+            request = job.request
+            yield (
+                job.job_id, request.workload.name, request.num_functions,
+                request.workload.runtime.value, request.checkpoint_interval,
+                request.replication_strategy.value, job.state.value,
+                job.submitted_at, job.completed_at,
+            )
+
+    def _function_rows(self):
+        # Folded attempts' ``completed_states`` are exact whenever ``run``
+        # returns: it materialises them.
+        for job in self.jobs.values():
+            for execution in job.executions:
+                attempts = execution.attempts
+                yield (
+                    execution.function_id, job.job_id,
+                    execution.profile.runtime.value,
+                    attempts[-1].container.node.node_id if attempts else None,
+                    execution.status.value, len(attempts),
+                    max((a.completed_states for a in attempts), default=0) - 1,
+                )
 
     # ------------------------------------------------------------------
     # Results

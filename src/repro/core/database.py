@@ -2,41 +2,58 @@
 
 The Core Module maintains five tables: ``worker_info``, ``job_info``,
 ``function_info``, ``checkpoint_info``, and ``replication_info``.  The paper
-stores them in CouchDB/MongoDB; here they are in-memory tables with the same
-schemas, insert/update/select operations, and per-table row validation so
-tests can assert cross-table consistency.  ``checkpoint_info`` is a view
-of the Checkpointing Module's chains: a checkpoint has a row while retained.
+stores them in CouchDB/MongoDB; here each is a read-only view with the
+paper's schema, built on every read from state the modules already keep
+(the cluster's nodes, the platform's jobs and their executions, the
+Checkpointing Module's chains, the Runtime Manager's replicas), so tests
+can assert cross-table consistency.  Nothing writes a row.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional
 
+RowSource = Callable[[], Iterable[tuple]]
 
-class _Rows:
-    """The read side of a table or a view: get, select, where."""
 
-    def __init__(self, name: str, key_field: str, fields: tuple[str, ...]) -> None:
+class View:
+    """A read-only keyed table: *source* yields its rows on each read, as
+    value tuples in ``fields`` order; keys must be unique."""
+
+    def __init__(
+        self, name: str, key_field: str, fields: tuple[str, ...], source: RowSource
+    ) -> None:
+        if key_field not in fields:
+            raise ValueError(f"key {key_field!r} missing from fields of {name}")
         self.name = name
         self.key_field = key_field
         self.fields = fields
-        if key_field not in fields:
-            raise ValueError(f"key {key_field!r} missing from fields of {name}")
+        self._source = source
+
+    @property
+    def _rows(self) -> dict[Any, dict[str, Any]]:
+        rows: dict[Any, dict[str, Any]] = {}
+        for values in self._source():
+            row = dict(zip(self.fields, values))
+            key = row[self.key_field]
+            if key in rows:
+                raise KeyError(f"duplicate key {key!r} in {self.name}")
+            rows[key] = row
+        return rows
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def get(self, key: Any) -> Optional[dict[str, Any]]:
-        row = self._rows.get(key)
-        return dict(row) if row is not None else None
+        return self._rows.get(key)
 
     def select(
         self, predicate: Optional[Callable[[dict[str, Any]], bool]] = None
     ) -> list[dict[str, Any]]:
-        rows: Iterable[dict[str, Any]] = self._rows.values()
-        if predicate is not None:
-            rows = (r for r in rows if predicate(r))
-        return [dict(r) for r in rows]
+        rows = self._rows.values()
+        if predicate is None:
+            return list(rows)
+        return [r for r in rows if predicate(r)]
 
     def where(self, **equals: Any) -> list[dict[str, Any]]:
         return self.select(
@@ -44,90 +61,20 @@ class _Rows:
         )
 
 
-class Table(_Rows):
-    """A minimal keyed table: insert, update, get, select."""
-
-    def __init__(self, name: str, key_field: str, fields: tuple[str, ...]) -> None:
-        super().__init__(name, key_field, fields)
-        self._field_set = frozenset(fields)
-        self._rows = {}
-
-    def insert(self, row: dict[str, Any]) -> None:
-        if tuple(row) == self.fields:
-            # Fast path: the row already carries every field, in order.
-            key = row[self.key_field]
-            if key in self._rows:
-                raise KeyError(f"duplicate key {key!r} in {self.name}")
-            self._rows[key] = dict(row)
-            return
-        if not self._field_set.issuperset(row):
-            self._raise_unknown(row)
-        if self.key_field not in row:
-            raise KeyError(f"row for {self.name} missing key {self.key_field!r}")
-        key = row[self.key_field]
-        if key in self._rows:
-            raise KeyError(f"duplicate key {key!r} in {self.name}")
-        full = {f: row.get(f) for f in self.fields}
-        self._rows[key] = full
-
-    def update(self, key: Any, **changes: Any) -> None:
-        row = self._rows.get(key)
-        if row is None:
-            raise KeyError(f"no row {key!r} in {self.name}")
-        if not self._field_set.issuperset(changes):
-            self._raise_unknown(changes)
-        row.update(changes)
-
-    def set_field(self, key: Any, field: str, value: Any) -> None:
-        """``update(key, **{field: value})`` without building a kwargs dict."""
-        row = self._rows.get(key)
-        if row is None:
-            raise KeyError(f"no row {key!r} in {self.name}")
-        if field not in self._field_set:
-            self._raise_unknown((field,))
-        row[field] = value
-
-    def _raise_unknown(self, names: Iterable[str]) -> None:
-        unknown = set(names) - self._field_set
-        raise KeyError(f"unknown fields for {self.name}: {sorted(unknown)}")
-
-    def upsert(self, row: dict[str, Any]) -> None:
-        key = row.get(self.key_field)
-        if key in self._rows:
-            self.update(key, **{k: v for k, v in row.items() if k != self.key_field})
-        else:
-            self.insert(row)
-
-    def delete(self, key: Any) -> bool:
-        return self._rows.pop(key, None) is not None
-
-
-class View(_Rows):
-    """A read-only table: *source* yields its rows on each read, as value
-    tuples in ``fields`` order."""
+class CanaryDatabase:
+    """The five tables of the Core Module, each a view over one row source
+    (every source defaults to empty)."""
 
     def __init__(
         self,
-        name: str,
-        key_field: str,
-        fields: tuple[str, ...],
-        source: Callable[[], Iterable[tuple]],
+        *,
+        worker_rows: RowSource = tuple,
+        job_rows: RowSource = tuple,
+        function_rows: RowSource = tuple,
+        checkpoint_rows: RowSource = tuple,
+        replication_rows: RowSource = tuple,
     ) -> None:
-        super().__init__(name, key_field, fields)
-        self._source = source
-
-    @property
-    def _rows(self) -> dict[Any, dict[str, Any]]:
-        rows = (dict(zip(self.fields, values)) for values in self._source())
-        return {row[self.key_field]: row for row in rows}
-
-
-class CanaryDatabase:
-    """The five tables created and maintained by the Core Module;
-    *checkpoint_rows* builds ``checkpoint_info`` (``CheckpointingModule.rows``)."""
-
-    def __init__(self, checkpoint_rows: Callable[[], Iterable[tuple]] = tuple) -> None:
-        self.worker_info = Table(
+        self.worker_info = View(
             "worker_info",
             key_field="worker_id",
             fields=(
@@ -139,8 +86,9 @@ class CanaryDatabase:
                 "rack",
                 "alive",
             ),
+            source=worker_rows,
         )
-        self.job_info = Table(
+        self.job_info = View(
             "job_info",
             key_field="job_id",
             fields=(
@@ -154,8 +102,9 @@ class CanaryDatabase:
                 "submitted_at",
                 "completed_at",
             ),
+            source=job_rows,
         )
-        self.function_info = Table(
+        self.function_info = View(
             "function_info",
             key_field="function_id",
             fields=(
@@ -167,6 +116,7 @@ class CanaryDatabase:
                 "attempts",
                 "current_state_index",
             ),
+            source=function_rows,
         )
         self.checkpoint_info = View(
             "checkpoint_info",
@@ -183,7 +133,7 @@ class CanaryDatabase:
             ),
             source=checkpoint_rows,
         )
-        self.replication_info = Table(
+        self.replication_info = View(
             "replication_info",
             key_field="replica_id",
             fields=(
@@ -195,10 +145,11 @@ class CanaryDatabase:
                 "state",
                 "created_at",
             ),
+            source=replication_rows,
         )
 
     # ------------------------------------------------------------------
-    # Consistency checks (used by tests and the platform's self-audit)
+    # Consistency checks (used by tests)
     # ------------------------------------------------------------------
     def check_referential_integrity(self) -> list[str]:
         """Return a list of violations (empty when consistent)."""

@@ -166,9 +166,9 @@ class FunctionExecution:
         on.
         """
         profile = self.profile
-        rng = self.platform.sim.rng.stream(f"statedur:{self.function_id}")
         if profile.state_jitter <= 0:
             return np.full(profile.n_states, profile.state_duration_s)
+        rng = self.platform.sim.rng.stream(f"statedur:{self.function_id}")
         draws = rng.normal(
             loc=profile.state_duration_s,
             scale=profile.state_jitter * profile.state_duration_s,
@@ -214,17 +214,6 @@ class FunctionExecution:
             function=self.function_id,
             job=self.job.job_id,
             workload=self.profile.name,
-        )
-        self.platform.database.function_info.insert(
-            {
-                "function_id": self.function_id,
-                "job_id": self.job.job_id,
-                "runtime": self.profile.runtime.value,
-                "worker_id": None,
-                "state": self.status.value,
-                "attempts": 0,
-                "current_state_index": -1,
-            }
         )
         self.status = FunctionState.SCHEDULED
         self.platform.strategy.launch_function(self)
@@ -307,12 +296,6 @@ class FunctionExecution:
         platform.metrics.note_attempt(self.function_id)
         platform.metrics.note_ready(self.function_id, platform.sim.now)
         self.status = FunctionState.RUNNING
-        self.platform.database.function_info.update(
-            self.function_id,
-            worker_id=container.node.node_id,
-            state=self.status.value,
-            attempts=len(self.attempts),
-        )
 
         attempt.span = platform.tracer.begin(
             "exec",
@@ -565,9 +548,6 @@ class FunctionExecution:
         attempt.state_started_at = None
         index = attempt.completed_states
         attempt.completed_states = index + 1
-        self.platform.database.function_info.set_field(
-            self.function_id, "current_state_index", index
-        )
         self._arm_recovery_checks()
         strategy = self.platform.strategy
         take_ckpt = (
@@ -733,9 +713,6 @@ class FunctionExecution:
         if j > plan.done:
             plan.done = j
             attempt.completed_states = plan.first + j
-            self.platform.database.function_info.set_field(
-                self.function_id, "current_state_index", plan.first + j - 1
-            )
         if j == 0:
             return  # the first state, started by the fold, is in flight
         if j < len(ends) and fired(plan.starts[j], until):
@@ -831,9 +808,6 @@ class FunctionExecution:
             self._invoke_span = None
         platform = self.platform
         platform.metrics.note_completed(self.function_id, now)
-        platform.database.function_info.update(
-            self.function_id, state=self.status.value
-        )
         platform.controller.terminate(winning.container, ContainerState.COMPLETED)
         platform.release_owner(winning.container.container_id)
         # Cancel losing siblings (request replication).
@@ -914,9 +888,6 @@ class FunctionExecution:
             self.platform.strategy.on_sibling_loss(self, attempt, event)
             return
         self.status = FunctionState.RECOVERING
-        self.platform.database.function_info.update(
-            self.function_id, state=self.status.value
-        )
         self.platform.strategy.on_failure(self, attempt, event)
 
     # ------------------------------------------------------------------

@@ -6,26 +6,29 @@ failed functions to the replicated runtimes in the event of a function
 failure" (§IV-C-3).  It remembers *where* replicas live, which the claim
 path uses to pick the best (fastest, closest) replica.  The runtimes in use
 by function containers are indexed once, by the FaaS controller
-(``FaaSController.function_hosting_nodes``).
+(``FaaSController.function_hosting_nodes``).  Every replica it ever
+registered stays listed for the database's ``replication_info`` view
+(``rows``), whose ``state`` is the container's current state.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.cluster.node import Node
-from repro.common.types import ContainerState, RuntimeKind
-from repro.core.database import CanaryDatabase
+from repro.common.types import RuntimeKind
 from repro.faas.container import Container, ContainerPurpose
 
 
 class RuntimeManagerModule:
     """Registry of warm runtime replicas, per runtime kind."""
 
-    def __init__(self, database: Optional[CanaryDatabase] = None) -> None:
-        self.database = database
+    def __init__(self) -> None:
         # kind -> {container_id: (Container, job_id, replica_id)}
         self._replicas: dict[RuntimeKind, dict[str, tuple[Container, str, str]]] = {}
+        #: Every entry ever registered, in order: the ``replication_info``
+        #: view (``rows``).
+        self._registered: list[tuple[Container, str, str]] = []
         # Incremental warm-idle tally mirroring the registry scan.  A
         # registered replica is warm-idle from registration until it is
         # claimed, unregistered, or its node dies; every one of those
@@ -49,26 +52,14 @@ class RuntimeManagerModule:
             raise ValueError(
                 f"container {container.container_id} is not a replica"
             )
-        self._replicas.setdefault(container.kind, {})[
-            container.container_id
-        ] = (container, job_id, replica_id)
+        entry = (container, job_id, replica_id)
+        self._replicas.setdefault(container.kind, {})[container.container_id] = entry
+        self._registered.append(entry)
         if container.is_warm_idle:
             self._idle_count[container.kind] = (
                 self._idle_count.get(container.kind, 0) + 1
             )
             self._counted.add(container.container_id)
-        if self.database is not None:
-            self.database.replication_info.upsert(
-                {
-                    "replica_id": replica_id,
-                    "job_id": job_id,
-                    "runtime": container.kind.value,
-                    "worker_id": container.node.node_id,
-                    "container_id": container.container_id,
-                    "state": container.state.value,
-                    "created_at": container.created_at,
-                }
-            )
         for listener in self._availability_listeners:
             listener(container.kind)
 
@@ -99,14 +90,7 @@ class RuntimeManagerModule:
 
     def unregister_replica(self, container: Container) -> None:
         self._discount(container)
-        entry = self._replicas.get(container.kind, {}).pop(
-            container.container_id, None
-        )
-        if entry is not None and self.database is not None:
-            _, _, replica_id = entry
-            self.database.replication_info.update(
-                replica_id, state=container.state.value
-            )
+        self._replicas.get(container.kind, {}).pop(container.container_id, None)
 
     def replica_count(self, kind: RuntimeKind, *, warm_only: bool = True) -> int:
         if not warm_only:
@@ -171,10 +155,6 @@ class RuntimeManagerModule:
         chosen = min(candidates, key=rank)
         entry = self._replicas[kind][chosen.container_id]
         chosen.adopt(function_id)
-        if self.database is not None:
-            self.database.replication_info.update(
-                entry[2], state=ContainerState.RUNNING.value
-            )
         # The adopted container stops being a replica and becomes the
         # function's host; drop it from the registry and announce the claim.
         self._discount(chosen)
@@ -182,3 +162,17 @@ class RuntimeManagerModule:
         for listener in self._claim_listeners:
             listener(kind, entry[1])
         return chosen
+
+    def rows(self) -> Iterator[tuple]:
+        """The ``replication_info`` view: one row per replica ever
+        registered, with its container's current state."""
+        for container, job_id, replica_id in self._registered:
+            yield (
+                replica_id,
+                job_id,
+                container.kind.value,
+                container.node.node_id,
+                container.container_id,
+                container.state.value,
+                container.created_at,
+            )

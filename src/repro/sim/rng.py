@@ -12,7 +12,6 @@ root seed with a stable hash, so:
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 
 import numpy as np
@@ -36,10 +35,6 @@ class RngRegistry:
     def __init__(self, root_seed: int = 0) -> None:
         self.root_seed = root_seed
         self._streams: dict[str, np.random.Generator] = {}
-        #: Maintained sorted at registration; ``names()`` used to re-sort
-        #: the dict on every call, which metrics/trace exporters hit per
-        #: event row.
-        self._sorted_names: list[str] = []
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the generator for *name*."""
@@ -47,15 +42,4 @@ class RngRegistry:
         if gen is None:
             gen = np.random.default_rng(derive_seed(self.root_seed, name))
             self._streams[name] = gen
-            bisect.insort(self._sorted_names, name)
         return gen
-
-    def reset(self, name: str) -> None:
-        """Reset one stream to its initial state."""
-        if self._streams.pop(name, None) is not None:
-            index = bisect.bisect_left(self._sorted_names, name)
-            del self._sorted_names[index]
-
-    def names(self) -> list[str]:
-        """Registered stream names, ascending (no per-call sort)."""
-        return list(self._sorted_names)

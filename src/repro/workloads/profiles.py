@@ -42,9 +42,10 @@ class WorkloadProfile:
         n_states: Number of states S per function (checkpoint opportunities).
         state_duration_s: Mean duration ``st`` of one state on a
             speed-factor-1.0 node.
-        state_jitter: Relative std-dev of per-state duration (lognormal);
-            per (function, state) draws are deterministic so re-executing a
-            state after a failure costs the same as the first run.
+        state_jitter: Relative std-dev of per-state duration (normal,
+            floored at 5% of the mean); per (function, state) draws are
+            deterministic so re-executing a state after a failure costs the
+            same as the first run.
         checkpoint_size_bytes: Payload size of one checkpoint.
         serialize_overhead_s: CPU cost of producing the checkpoint payload
             (on top of the storage write time).

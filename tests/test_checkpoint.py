@@ -16,9 +16,11 @@ def make_module(policy=None, db_limit=64 * MiB, **router_kwargs):
     kv = KeyValueStore(db_limit_bytes=db_limit)
     router = CheckpointStorageRouter(kv, TierRegistry(), **router_kwargs)
     module = CheckpointingModule(router, IdGenerator(), policy=policy)
-    db = CanaryDatabase(checkpoint_rows=module.rows)
-    db.job_info.insert({"job_id": "j1"})
-    db.function_info.insert({"function_id": "f1", "job_id": "j1"})
+    db = CanaryDatabase(
+        job_rows=lambda: [("j1",) + (None,) * 8],
+        function_rows=lambda: [("f1", "j1") + (None,) * 5],
+        checkpoint_rows=module.rows,
+    )
     return module, db
 
 

@@ -5,9 +5,9 @@ remaining checkpoints in closed form: the ids, ``checkpoints_taken`` and
 the per-function charges advance, but nothing is written, because the
 function completes at once and drops its chain.  The references are the
 traced run, which writes every checkpoint for its spans, and the stepwise
-path (``FunctionExecution._can_fold`` patched to refuse).  The
-``checkpoint_info`` view must read the same at every ``run(until=...)``
-step either way.
+path (``FunctionExecution._can_fold`` patched to refuse).  All five
+database views must read the same at every ``run(until=...)`` step
+either way.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def test_next_checkpoint_id_matches_stepwise(monkeypatch):
         assert folded.ids.checkpoint_id(fid) == stepwise.ids.checkpoint_id(fid)
 
 
-def _snapshots(name: str, monkeypatch, *, fold: bool) -> list[frozenset]:
+def _snapshots(name: str, monkeypatch, *, fold: bool) -> list[dict]:
     scenario, setup = SCENARIOS[name]
     with monkeypatch.context() as patch:
         if not fold:
@@ -98,10 +98,10 @@ def _snapshots(name: str, monkeypatch, *, fold: bool) -> list[frozenset]:
             platform.run(until=until)
             assert platform.database.check_referential_integrity() == []
             snapshots.append(
-                frozenset(
-                    tuple(row.items())
-                    for row in platform.database.checkpoint_info.select()
-                )
+                {
+                    table: frozenset(tuple(row.items()) for row in view.select())
+                    for table, view in vars(platform.database).items()
+                }
             )
     return snapshots
 
@@ -111,7 +111,7 @@ def test_view_snapshots_match_stepwise(name, monkeypatch):
     folded = _snapshots(name, monkeypatch, fold=True)
     stepwise = _snapshots(name, monkeypatch, fold=False)
     assert folded == stepwise
-    rows = [row for snapshot in folded for row in snapshot]
+    rows = [row for snapshot in folded for row in snapshot["checkpoint_info"]]
     assert rows
     if name == "node-failures-flush-lag":
         # Checkpoints lost with a node stay as unavailable rows while

@@ -52,6 +52,12 @@ class TestHappyPath:
         for e1, e2 in zip(job1.executions, job2.executions):
             assert list(e1._base_durations) == list(e2._base_durations)
 
+    def test_zero_jitter_draws_no_stream(self):
+        assert TINY.state_jitter == 0
+        platform, _ = run_tiny_job(num_functions=2)
+        streams = platform.sim.rng._streams
+        assert not any(name.startswith("statedur:") for name in streams)
+
     def test_all_functions_complete_without_failures(self):
         platform, job = run_tiny_job(num_functions=20, strategy="retry")
         assert job.done

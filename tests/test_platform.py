@@ -9,6 +9,7 @@ from repro.core.jobs import JobRequest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.faas.limits import PlatformLimits
+from repro.runtime_manager.manager import RuntimeManagerModule
 
 from tests.conftest import TINY, build_platform, run_tiny_job
 
@@ -158,6 +159,49 @@ class TestNodeFailures:
             return platform.metrics.total_recovery_time()
 
         assert total_recovery("canary") < total_recovery("retry")
+
+    def test_database_views_after_node_failures_with_replicas(
+        self, monkeypatch
+    ):
+        registered = []
+        register = RuntimeManagerModule.register_replica
+
+        def recording(self, container, job_id, replica_id):
+            registered.append((replica_id, container))
+            register(self, container, job_id, replica_id)
+
+        monkeypatch.setattr(RuntimeManagerModule, "register_replica", recording)
+        platform = CanaryPlatform(
+            ScenarioConfig(
+                workload="graph-bfs",
+                strategy="canary",
+                error_rate=0.2,
+                num_functions=40,
+                num_nodes=6,
+                node_failure_count=2,
+            ),
+            seed=0,
+        )
+        platform.submit_batch()
+        platform.run()
+        db = platform.database
+        assert len(platform.cluster.alive_nodes()) == 4
+        assert registered
+        assert len(db.replication_info) == len(registered)
+        for replica_id, container in registered:
+            row = db.replication_info.get(replica_id)
+            assert row["container_id"] == container.container_id
+            assert row["state"] == container.state.value
+        completed = [
+            e for job in platform.jobs.values() for e in job.executions
+            if e.completed
+        ]
+        assert len(completed) == 40
+        for execution in completed:
+            row = db.function_info.get(execution.function_id)
+            assert row["state"] == "completed"
+            assert row["current_state_index"] == execution.n_states - 1
+        assert db.check_referential_integrity() == []
 
     def test_worker_info_marks_failed_node_dead(self):
         platform = CanaryPlatform(

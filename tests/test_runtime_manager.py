@@ -26,18 +26,17 @@ def make_container(cluster, cid, *, purpose=ContainerPurpose.REPLICA,
     return container
 
 
-def make_db_with_worker_rows(cluster):
-    db = CanaryDatabase()
-    for node in cluster.nodes:
-        db.worker_info.insert(
-            {"worker_id": node.node_id, "role": "invoker",
-             "cpu_model": node.profile.name,
-             "memory_bytes": node.profile.memory_bytes,
-             "container_slots": node.profile.container_slots,
-             "rack": node.rack, "alive": True}
-        )
-    db.job_info.insert({"job_id": "j1"})
-    return db
+def make_db_with_worker_rows(cluster, manager):
+    return CanaryDatabase(
+        worker_rows=lambda: [
+            (node.node_id, "invoker", node.profile.name,
+             node.profile.memory_bytes, node.profile.container_slots,
+             node.rack, node.alive)
+            for node in cluster.nodes
+        ],
+        job_rows=lambda: [("j1",) + (None,) * 8],
+        replication_rows=manager.rows,
+    )
 
 
 class TestReplicaRegistry:
@@ -57,12 +56,14 @@ class TestReplicaRegistry:
         assert manager.replica_count(RuntimeKind.JAVA) == 0
 
     def test_database_rows_written(self, cluster):
-        db = make_db_with_worker_rows(cluster)
-        manager = RuntimeManagerModule(db)
+        manager = RuntimeManagerModule()
+        db = make_db_with_worker_rows(cluster, manager)
         manager.register_replica(make_container(cluster, "c0"), "j1", "rep-0")
         row = db.replication_info.get("rep-0")
         assert row["runtime"] == "python"
         assert row["worker_id"] == "node-00"
+        assert row["container_id"] == "c0"
+        assert row["state"] == "warm"
         assert db.check_referential_integrity() == []
 
     def test_availability_listener_fires(self, cluster):
@@ -108,14 +109,22 @@ class TestClaim:
         assert manager.claim_replica(RuntimeKind.PYTHON, "fn-1") is None
 
     def test_unregister(self, cluster):
-        db = make_db_with_worker_rows(cluster)
-        manager = RuntimeManagerModule(db)
+        manager = RuntimeManagerModule()
+        db = make_db_with_worker_rows(cluster, manager)
         replica = make_container(cluster, "c0")
         manager.register_replica(replica, "j1", "rep-0")
         replica.terminate(2.0, ContainerState.KILLED)
         manager.unregister_replica(replica)
         assert manager.replica_count(RuntimeKind.PYTHON) == 0
         assert db.replication_info.get("rep-0")["state"] == "killed"
+
+    def test_claimed_replica_keeps_its_row(self, cluster):
+        manager = RuntimeManagerModule()
+        db = make_db_with_worker_rows(cluster, manager)
+        manager.register_replica(make_container(cluster, "c0"), "j1", "rep-0")
+        manager.claim_replica(RuntimeKind.PYTHON, "fn-1")
+        assert manager.replica_count(RuntimeKind.PYTHON, warm_only=False) == 0
+        assert db.replication_info.get("rep-0")["state"] == "running"
 
     def test_replica_locations(self, cluster):
         manager = RuntimeManagerModule()

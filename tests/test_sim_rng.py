@@ -33,46 +33,8 @@ class TestRngRegistry:
         a_second = reg2.stream("a").uniform()
         assert a_first == a_second
 
-    def test_reset_restores_initial_state(self):
-        reg = RngRegistry(1)
-        first = reg.stream("x").uniform()
-        reg.stream("x").uniform()
-        reg.reset("x")
-        assert reg.stream("x").uniform() == first
-
-    def test_names_sorted(self):
-        reg = RngRegistry(0)
-        reg.stream("zeta")
-        reg.stream("alpha")
-        assert reg.names() == ["alpha", "zeta"]
-
     def test_different_roots_different_draws(self):
         a = RngRegistry(1).stream("s").uniform()
         b = RngRegistry(2).stream("s").uniform()
         assert a != b
 
-
-class TestNamesCaching:
-    def test_names_maintained_sorted_at_registration(self):
-        reg = RngRegistry(0)
-        for name in ("m", "a", "z", "k"):
-            reg.stream(name)
-        assert reg.names() == ["a", "k", "m", "z"]
-        reg.stream("b")
-        assert reg.names() == ["a", "b", "k", "m", "z"]
-
-    def test_names_returns_a_copy(self):
-        reg = RngRegistry(0)
-        reg.stream("x")
-        names = reg.names()
-        names.append("mutated")
-        assert reg.names() == ["x"]
-
-    def test_reset_removes_from_sorted_names(self):
-        reg = RngRegistry(0)
-        reg.stream("a")
-        reg.stream("b")
-        reg.reset("a")
-        assert reg.names() == ["b"]
-        reg.stream("a")
-        assert reg.names() == ["a", "b"]

@@ -1,8 +1,8 @@
 """Oracle tests for the per-state bookkeeping fast paths.
 
 Each fast path is checked against the plain code it replaced: the
-namespaced id counters, the field-by-field table insert, an uncached
-``RetentionPolicy.target_n`` and a full ``can_host`` placement scan.
+namespaced id counters, an uncached ``RetentionPolicy.target_n`` and a
+full ``can_host`` placement scan.
 """
 
 import itertools
@@ -16,7 +16,6 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import HeterogeneityModel, NodeProfile
 from repro.common.types import RuntimeKind
 from repro.common.units import KiB, MiB, gb, mb
-from repro.core.database import CanaryDatabase, Table
 from repro.core.ids import IdGenerator
 from repro.faas.container import Container
 from repro.faas.runtimes import RuntimeRegistry
@@ -65,111 +64,6 @@ class TestIdSequences:
         assert ids.attempt_id("fn-0000-0000") == "att-0000-0000-00"
         assert ids.replica_id() == "rep-00000"
         assert ids.checkpoint_id("fn-0000-0000") == "ckpt-0000-0000-0001"
-
-
-FIELDS = ("k", "a", "b", "c")
-
-
-def _table():
-    return Table("t", key_field="k", fields=FIELDS)
-
-
-def _outcome(action):
-    try:
-        action()
-    except KeyError as exc:
-        return ("KeyError", str(exc))
-    return None
-
-
-class TestTableInsert:
-    def test_fast_and_slow_paths_store_equal_rows(self):
-        rng = random.Random(7)
-        fast, slow = _table(), _table()
-        for key in range(200):
-            row = {f: rng.random() for f in FIELDS}
-            row["k"] = key
-            shuffled = dict(rng.sample(list(row.items()), len(row)))
-            if list(shuffled) == list(FIELDS):
-                shuffled = dict(reversed(list(row.items())))
-            fast.insert(row)
-            slow.insert(shuffled)
-            for table in (fast, slow):
-                stored = table.get(key)
-                assert list(stored) == list(FIELDS)
-                assert stored == row
-        assert fast.select() == slow.select()
-
-    def test_fast_path_copies_the_row(self):
-        table = _table()
-        row = {"k": 1, "a": 1, "b": 2, "c": 3}
-        table.insert(row)
-        row["a"] = "changed"
-        assert table.get(1)["a"] == 1
-
-    def test_partial_rows_fill_missing_fields_with_none(self):
-        table = _table()
-        table.insert({"b": 2, "k": 1})
-        assert table.get(1) == {"k": 1, "a": None, "b": 2, "c": None}
-        assert list(table.get(1)) == list(FIELDS)
-
-    @pytest.mark.parametrize(
-        "row",
-        [
-            {"k": 1, "a": 9, "b": 9, "c": 9},  # fast path
-            {"c": 9, "b": 9, "a": 9, "k": 1},  # slow path, all fields
-            {"k": 1, "a": 9},  # slow path, partial
-        ],
-    )
-    def test_duplicate_key_error_is_the_same(self, row):
-        table = _table()
-        table.insert({"k": 1, "a": 0, "b": 0, "c": 0})
-        assert _outcome(lambda: table.insert(row)) == (
-            "KeyError",
-            str(KeyError("duplicate key 1 in t")),
-        )
-        assert table.get(1) == {"k": 1, "a": 0, "b": 0, "c": 0}
-
-    def test_unknown_and_missing_key_errors_unchanged(self):
-        table = _table()
-        assert _outcome(lambda: table.insert({"k": 1, "zz": 0}))[1] == str(
-            KeyError("unknown fields for t: ['zz']")
-        )
-        assert _outcome(lambda: table.insert({"a": 0}))[1] == str(
-            KeyError("row for t missing key 'k'")
-        )
-        assert len(table) == 0
-
-    def test_set_field_matches_update(self):
-        by_set, by_update = _table(), _table()
-        for table in (by_set, by_update):
-            table.insert({"k": 1, "a": 0, "b": 0, "c": 0})
-        by_set.set_field(1, "b", 5)
-        by_update.update(1, b=5)
-        assert by_set.get(1) == by_update.get(1)
-        for key, field in ((2, "b"), (1, "zz"), (2, "zz")):
-            assert _outcome(lambda: by_set.set_field(key, field, 0)) == _outcome(
-                lambda: by_update.update(key, **{field: 0})
-            )
-
-    def test_checkpoint_rows_take_the_fast_path_in_field_order(self):
-        """The ``checkpoint_info`` view builds its rows in field order."""
-        module = CheckpointingModule(
-            CheckpointStorageRouter(KeyValueStore(), TierRegistry()),
-            IdGenerator(),
-        )
-        db = CanaryDatabase(checkpoint_rows=module.rows)
-        record, _ = module.record_state(
-            job_id="j",
-            function_id="f",
-            state_index=0,
-            size_bytes=mb(1),
-            serialize_overhead_s=0.0,
-            now=1.0,
-        )
-        row = db.checkpoint_info.get(record.checkpoint_id)
-        assert tuple(row) == db.checkpoint_info.fields
-        assert row["available"] is True and row["location"] == "kv"
 
 
 class TestRetentionCache:
