@@ -280,10 +280,18 @@ class CheckpointingModule:
         self.checkpoints_taken += 1
         return record, write_time
 
+    def retained_of(
+        self, count: int, size_bytes: float, state_duration_s: float
+    ) -> int:
+        """How many of *count* checkpoints recorded back to back survive the
+        evictions of their own ``record_state`` calls (the newest ones)."""
+        return min(count, self._retention_depth(size_bytes, state_duration_s or 1.0))
+
     def count_unwritten(self, function_id: str, count: int) -> None:
         """Take *count* checkpoints that nothing can read (their chain is
-        dropped next) in closed form: ids and ``checkpoints_taken``
-        advance; the store, the router and the chain are not touched."""
+        dropped next, or they are evicted before anything reads it) in
+        closed form: ids and ``checkpoints_taken`` advance; the store, the
+        router and the chain are not touched."""
         self.ids.skip_checkpoint_ids(function_id, count)
         self.checkpoints_taken += count
 
@@ -329,7 +337,8 @@ class CheckpointingModule:
     def _retention_depth(
         self, size_bytes: float, state_period_s: float
     ) -> int:
-        """``retention.target_n`` for this profile, memoised per input."""
+        """``retention.target_n`` for this profile, memoised per input: how
+        many of a function's newest checkpoints its chain keeps."""
         db_limit = self.router.kv.db_limit_bytes
         key = (size_bytes, state_period_s, db_limit)
         depth = self._target_n.get(key)

@@ -141,9 +141,10 @@ class CanaryPlatform:
         # Emergent failure detection (heartbeats feeding a phi-accrual
         # suspicion detector).  None keeps the constant-delay oracle used
         # by ``RecoveryStrategy.after_detection``.  Its constructor
-        # schedules nothing and registers no listener, and it reaches the
-        # controller only through the late-bound ``on_reinstate`` lambda,
-        # so it is built first and handed to the placement policy.
+        # schedules nothing, and its failure listener only puts a dead
+        # node's folded beats back on events; it reaches the controller
+        # only through the late-bound ``on_reinstate`` lambda, so it is
+        # built first and handed to the placement policy.
         self.detection: Optional[DetectionModule] = None
         if scenario.detection is not None:
             self.detection = DetectionModule(
@@ -323,7 +324,8 @@ class CanaryPlatform:
         self, *, node=None, function_id: Optional[str] = None
     ) -> None:
         """Put folded attempts back on one event per window: all of them,
-        or those on *node* or of *function_id*.
+        or those on *node* or of *function_id*; with *node*, its folded
+        heartbeats too.
 
         Called just before something a fold plan read changes: a node's
         speed, a tier's brownout state, a checkpoint cadence.
@@ -334,6 +336,8 @@ class CanaryPlatform:
             if function_id is not None and execution.function_id != function_id:
                 continue
             execution.unfold(attempt)
+        if node is not None and self.detection is not None:
+            self.detection.unfold(node)
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -416,6 +420,7 @@ class CanaryPlatform:
             if callback is not None:
                 callback(job)
         self._drain_pending_jobs()
+        self.check_idle()
 
     def _drain_pending_jobs(self) -> None:
         while self._pending_jobs:
@@ -475,6 +480,8 @@ class CanaryPlatform:
         # Events at the stop time have fired, so boundaries at it count.
         for attempt, execution in self.folded.items():
             execution.materialise(attempt, stopped_at, inclusive=True)
+        if self.detection is not None:
+            self.detection.materialise(stopped_at)
         if self.sim.pending == 0:
             # Run fully drained: bound any spans that never closed (e.g.
             # unrecovered failures) so exports see finite intervals.
@@ -488,6 +495,14 @@ class CanaryPlatform:
         if self.traffic is not None and self.traffic.pending_arrivals:
             return True
         return self._open_jobs > 0
+
+    def check_idle(self) -> None:
+        """Called wherever ``_has_pending_work`` can turn false (a job
+        completes, an arrival is the last one): folded heartbeats poll no
+        keep-alive, so they go back on events and the first real beat
+        stops the monitor at the time it stops stepwise."""
+        if self.detection is not None and not self._has_pending_work():
+            self.detection.unfold()
 
     # ------------------------------------------------------------------
     # Database views (§IV-C-1): rows built on read, none written

@@ -168,7 +168,8 @@ class FunctionExecution:
         profile = self.profile
         if profile.state_jitter <= 0:
             return np.full(profile.n_states, profile.state_duration_s)
-        rng = self.platform.sim.rng.stream(f"statedur:{self.function_id}")
+        # Drawn once per function: the registry need not keep the stream.
+        rng = self.platform.sim.rng.transient(f"statedur:{self.function_id}")
         draws = rng.normal(
             loc=profile.state_duration_s,
             scale=profile.state_jitter * profile.state_duration_s,
@@ -669,14 +670,12 @@ class FunctionExecution:
         # Nothing observed the states left and ``_complete`` drops the
         # chain: untraced, their checkpoints take the closed form.
         platform = self.platform
-        self.materialise(
-            attempt, platform.sim.now, inclusive=True, write=platform.tracer.enabled
-        )
+        self.materialise(attempt, platform.sim.now, inclusive=True, final=True)
         self._drop_plan(attempt)
         self._complete(attempt)
 
     def materialise(
-        self, attempt: Attempt, until: float, *, inclusive: bool = False, write: bool = True
+        self, attempt: Attempt, until: float, *, inclusive: bool = False, final: bool = False
     ) -> None:
         """Apply the folded state boundaries before *until* (or at it, with
         *inclusive*) in order, each at its own time, and set the attempt's
@@ -685,8 +684,13 @@ class FunctionExecution:
         An event at exactly *until* counts as not yet fired for observers
         (``inclusive=False``): they were scheduled before the boundary, so
         the engine would have run them first.  ``run(until=T)`` fires
-        events at T, hence ``inclusive=True`` there.  ``write=False`` takes
-        the checkpoints in closed form (``count_unwritten``).
+        events at T, hence ``inclusive=True`` there.
+
+        Untraced, only checkpoints something could read are written: none
+        with *final* (the segment completed and ``_complete`` drops the
+        chain), else those the chain retains after this call.  The others
+        take the closed form (``count_unwritten``) first, so ids keep their
+        order.  A traced run writes every checkpoint, for its spans.
         """
         fired = operator.le if inclusive else operator.lt
         plan = attempt.plan
@@ -694,10 +698,16 @@ class FunctionExecution:
         j = (bisect_right if inclusive else bisect_left)(ends, until, plan.done)
         taken = checkpoints[bisect_left(checkpoints, plan.done):bisect_left(checkpoints, j)]
         checkpointer, profile = self.platform.checkpointer, self.profile
-        if taken and not write:
-            checkpointer.count_unwritten(self.function_id, len(taken))
-        for k in taken:
-            if write:
+        written = len(taken)
+        if not self.platform.tracer.enabled:
+            written = 0 if final else checkpointer.retained_of(
+                written, profile.checkpoint_size_bytes, profile.state_duration_s
+            )
+        unwritten = len(taken) - written
+        if unwritten:
+            checkpointer.count_unwritten(self.function_id, unwritten)
+        for i, k in enumerate(taken):
+            if i >= unwritten:
                 checkpointer.record_state(
                     job_id=self.job.job_id,
                     function_id=self.function_id,

@@ -21,6 +21,11 @@ Strategies route their ``after_detection`` continuations through
 ``DETECTION_DELAY_S`` oracle: a container kill on a healthy node is noticed
 at the next status heartbeat; a node death is noticed when the detector
 declares it.
+
+A healthy node's beats change nothing anyone reads until something
+observes the node, so they are *folded*: the node keeps no engine events,
+and its beats are materialised on demand from the same float chain when
+an observer looks (DESIGN.md, "Heartbeat fold addendum").
 """
 
 from __future__ import annotations
@@ -63,6 +68,9 @@ PROCESSING_DELAY_S = 0.05
 LOAD_COLD_START_REF = 4
 #: Cap on the load-aware threshold multiplier.
 LOAD_MAX_FACTOR = 3.0
+#: Jitter draws taken from a node's stream at a time; a batched
+#: ``uniform(size=k)`` yields the same values as k scalar draws.
+PERIOD_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,20 @@ class DetectionStats:
 
 
 class DetectionModule:
-    """Heartbeat monitor replacing the fixed ``DETECTION_DELAY_S`` oracle."""
+    """Heartbeat monitor replacing the fixed ``DETECTION_DELAY_S`` oracle.
+
+    At the end of a real beat a healthy node (:meth:`_can_fold`) folds: its
+    ``hb:`` and ``suspect:`` events are cancelled and only its next beat
+    time is kept.  The suspect timer could not have fired before that beat:
+    every gap is at least ``HEARTBEAT_INTERVAL_S``, so every threshold is
+    at least ``0.5 + z * MIN_STD_S`` (about 0.612 s), while a healthy
+    period is at most 0.55 s.  :meth:`unfold` applies the beats before now
+    and puts the node back on events; it runs before a straggler, zombie or
+    partition starts on the node, at its death, for a waiter, at its
+    retirement, and for every node when the keep-alive may turn false.
+    ``CanaryPlatform.run`` applies the beats up to its stop time
+    (:meth:`materialise`).
+    """
 
     def __init__(
         self,
@@ -139,6 +160,10 @@ class DetectionModule:
         self._we_cordoned: set[str] = set()
         self._declared: set[str] = set()
         self._waiters: dict[str, list[tuple[Callable[[], None], str]]] = {}
+        #: Folded (healthy) nodes: node id -> (node, time of its next beat).
+        self._folded: dict[str, tuple["Node", float]] = {}
+        #: Per-node jitter draws not yet used, last one next.
+        self._draws: dict[str, list[float]] = {}
         self._should_continue: Optional[Callable[[], bool]] = None
         self._started = False
         self._stopped = False
@@ -154,6 +179,9 @@ class DetectionModule:
         self.detections = 0
         self.detection_latencies: list[float] = []
         self.cordoned_s = 0.0
+        # A dead node's beats go back on events: the next one finds it
+        # dead, and the armed suspect timer starts the detection.
+        cluster.on_node_failure(lambda node, lost: self.unfold(node))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -161,8 +189,11 @@ class DetectionModule:
     def ensure_running(self, should_continue: Callable[[], bool]) -> None:
         """Start (or restart after an idle stop) the heartbeat chains.
 
-        ``should_continue`` is polled at each beat; once it goes false the
-        monitor cancels everything so an idle cluster does not tick forever.
+        ``should_continue`` is polled at each real beat; once it goes false
+        the monitor cancels everything so an idle cluster does not tick
+        forever.  Folded nodes do not beat on events, so the owner must
+        call :meth:`unfold` (all nodes) wherever ``should_continue`` may
+        turn false; the first real beat after that stops the monitor.
         """
         self._should_continue = should_continue
         if self._started and not self._stopped:
@@ -174,13 +205,18 @@ class DetectionModule:
         self._started = True
         self._stopped = False
         for node in self.cluster.nodes:
-            if (
-                node.alive
-                and node.provisioned
-                and not node.zombie
-                and node.node_id not in self._beat_handles
-            ):
+            if node.provisioned and self._uncovered(node):
                 self._schedule_beat(node)
+
+    def _uncovered(self, node: "Node") -> bool:
+        """Whether *node* could beat but has no beat chain, real or folded."""
+        node_id = node.node_id
+        return (
+            node.alive
+            and not node.zombie
+            and node_id not in self._beat_handles
+            and node_id not in self._folded
+        )
 
     def watch_node(self, node: "Node") -> None:
         """Start covering a node that joined after start-up (scale-out).
@@ -191,11 +227,7 @@ class DetectionModule:
         """
         if not self._started or self._stopped:
             return
-        if (
-            node.alive
-            and not node.zombie
-            and node.node_id not in self._beat_handles
-        ):
+        if self._uncovered(node):
             self._last_beat.pop(node.node_id, None)
             self._history.pop(node.node_id, None)
             self._schedule_beat(node)
@@ -204,8 +236,13 @@ class DetectionModule:
         """Stop covering a drained node the autoscaler retired.
 
         Cancels its timers and closes any open suspicion; silence from a
-        deliberately retired node must not read as a failure.
+        deliberately retired node must not read as a failure.  Callbacks
+        waiting for its next heartbeat fire after the processing delay, as
+        a declaration would release them: that beat never comes.
         """
+        if node_id in self._folded:
+            self._materialise(node_id, self.sim.now)
+            del self._folded[node_id]
         for handles in (
             self._beat_handles,
             self._suspect_handles,
@@ -223,9 +260,14 @@ class DetectionModule:
         self._we_cordoned.discard(node_id)
         self._last_beat.pop(node_id, None)
         self._history.pop(node_id, None)
+        self._flush_waiters(node_id)
 
     def _stop_all(self) -> None:
         self._stopped = True
+        now = self.sim.now
+        for node_id in self._folded:
+            self._materialise(node_id, now)
+        self._folded.clear()
         for handles in (
             self._beat_handles,
             self._suspect_handles,
@@ -234,7 +276,6 @@ class DetectionModule:
             for handle in handles.values():
                 handle.cancel()
             handles.clear()
-        now = self.sim.now
         for node_id, since in self._suspected_at.items():
             self.cordoned_s += now - since
             span = self._suspicion_spans.pop(node_id, None)
@@ -246,9 +287,17 @@ class DetectionModule:
     # ------------------------------------------------------------------
     # Heartbeat emission
     # ------------------------------------------------------------------
+    def _jitter_draws(self, node_id: str) -> list[float]:
+        """The node's unused jitter draws, refilled in chunks; pop the next."""
+        draws = self._draws.get(node_id)
+        if not draws:
+            rng = self.sim.rng.stream(f"detection:hb:{node_id}")
+            draws = self._draws[node_id] = rng.uniform(size=PERIOD_CHUNK).tolist()
+            draws.reverse()
+        return draws
+
     def _period(self, node: "Node") -> float:
-        rng = self.sim.rng.stream(f"detection:hb:{node.node_id}")
-        u = float(rng.uniform())
+        u = self._jitter_draws(node.node_id).pop()
         period = HEARTBEAT_INTERVAL_S * (1.0 + HEARTBEAT_JITTER * u)
         # A straggling node's daemon is starved of CPU along with everything
         # else, so its beats stretch — that stretch *is* the gray-failure
@@ -305,6 +354,8 @@ class DetectionModule:
         else:
             self._on_arrival(node)
         self._schedule_beat(node)
+        if self._can_fold(node):
+            self._fold(node)
 
     def _on_arrival(self, node: "Node") -> None:
         now = self.sim.now
@@ -320,6 +371,86 @@ class DetectionModule:
             self._reinstate(node, now)
         self._flush_waiters(node_id)
         self._arm_suspect(node, now)
+
+    # ------------------------------------------------------------------
+    # Folded beats
+    # ------------------------------------------------------------------
+    def _can_fold(self, node: "Node") -> bool:
+        """Whether *node* is healthy: its beats only extend the float chain
+        and its gap history until something observes it."""
+        node_id = node.node_id
+        config = self.config
+        return (
+            not config.load_aware
+            and config.load_hb_stretch == 0.0
+            and node.alive
+            and not node.zombie
+            and node.chaos_speed_factor == 1.0
+            and node_id not in self._suspected_at
+            and node_id not in self._declared
+            and node_id not in self._waiters
+            and not (
+                self.chaos is not None and self.chaos.heartbeat_blocked(node_id)
+            )
+        )
+
+    def _fold(self, node: "Node") -> None:
+        node_id = node.node_id
+        self._suspect_handles.pop(node_id).cancel()
+        handle = self._beat_handles.pop(node_id)
+        handle.cancel()
+        self._folded[node_id] = (node, handle.time)
+
+    def _materialise(
+        self, node_id: str, until: float, inclusive: bool = False
+    ) -> None:
+        """Apply a folded node's beats before *until* (or at it, with
+        *inclusive*): each arrives, as ``_beat`` would have it."""
+        node, t = self._folded[node_id]
+        if t > until or (t == until and not inclusive):
+            return
+        last = self._last_beat[node_id]
+        history = self._history.setdefault(node_id, deque(maxlen=WINDOW))
+        draws = self._jitter_draws(node_id)
+        beats = 0
+        while t < until or (inclusive and t == until):
+            history.append(t - last)
+            last = t
+            beats += 1
+            if not draws:
+                draws = self._jitter_draws(node_id)
+            t = t + HEARTBEAT_INTERVAL_S * (1.0 + HEARTBEAT_JITTER * draws.pop())
+        self.heartbeats_sent += beats
+        self._last_beat[node_id] = last
+        self._folded[node_id] = (node, t)
+
+    def materialise(self, until: float) -> None:
+        """Apply every folded beat at or before *until* (``run(until=…)``
+        fires the events at its stop time); the nodes stay folded."""
+        for node_id in self._folded:
+            self._materialise(node_id, until, inclusive=True)
+
+    def unfold(self, node: Optional["Node"] = None) -> None:
+        """Put *node*'s folded beats (every node's, without one) back on
+        engine events: apply the beats before now, schedule the next one at
+        its planned time and arm the last arrival's suspect timer.
+
+        Called just before something the health predicate read changes,
+        and by the owner wherever the keep-alive may turn false.
+        """
+        if node is None:
+            for node_id in list(self._folded):
+                self._unfold(node_id)
+        elif node.node_id in self._folded:
+            self._unfold(node.node_id)
+
+    def _unfold(self, node_id: str) -> None:
+        self._materialise(node_id, self.sim.now)
+        node, t = self._folded.pop(node_id)
+        self._arm_suspect(node, self._last_beat[node_id])
+        self._beat_handles[node_id] = self.sim.call_at(
+            t, lambda: self._beat(node), label=f"hb:{node_id}"
+        )
 
     # ------------------------------------------------------------------
     # Suspicion machinery
@@ -473,6 +604,8 @@ class DetectionModule:
         if self._stopped or node_id in self._declared:
             self.sim.call_in(PROCESSING_DELAY_S, callback, label=label)
             return
+        if node_id in self._folded:
+            self._unfold(node_id)
         self._waiters.setdefault(node_id, []).append((callback, label))
 
     def _flush_waiters(self, node_id: str) -> None:

@@ -340,6 +340,13 @@ class ChaosInjector:
                 label="chaos-tier",
             )
 
+    def _unfold_beats(self, node: "Node") -> None:
+        """Put *node*'s folded heartbeats back on events before its beats
+        go silent (zombie) or are dropped (partition)."""
+        detection = self.platform.detection
+        if detection is not None:
+            detection.unfold(node)
+
     # ------------------------------------------------------------------
     # Stragglers
     # ------------------------------------------------------------------
@@ -379,6 +386,7 @@ class ChaosInjector:
     def _start_zombie(self, node: "Node") -> None:
         if not node.alive or node.zombie:
             return
+        self._unfold_beats(node)
         node.zombie = True
         self.zombies_started += 1
         self.gray_onset[node.node_id] = self.sim.now
@@ -417,6 +425,7 @@ class ChaosInjector:
     def _start_partition(self, node: "Node") -> None:
         if not node.alive or node.node_id in self._partitioned:
             return
+        self._unfold_beats(node)
         cfg = self.config
         node_id = node.node_id
         self._partitioned[node_id] = self.sim.now + cfg.partition_duration_s

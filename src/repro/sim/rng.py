@@ -40,6 +40,11 @@ class RngRegistry:
         """Return (creating on first use) the generator for *name*."""
         gen = self._streams.get(name)
         if gen is None:
-            gen = np.random.default_rng(derive_seed(self.root_seed, name))
-            self._streams[name] = gen
+            gen = self._streams[name] = self.transient(name)
         return gen
+
+    def transient(self, name: str) -> np.random.Generator:
+        """A fresh generator for *name* that the registry does not keep,
+        for a consumer that draws once: it starts where ``stream(name)``
+        would, and is freed once the consumer drops it."""
+        return np.random.default_rng(derive_seed(self.root_seed, name))

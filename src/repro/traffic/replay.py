@@ -109,6 +109,7 @@ class TrafficSource:
         self._cursor += 1
         self._submit(invocation)
         self._schedule_next()
+        self.platform.check_idle()
 
     def _backlog(self) -> int:
         platform = self.platform

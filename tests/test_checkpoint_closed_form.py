@@ -14,9 +14,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.types import RuntimeKind
+from repro.common.units import KiB, mb
 from repro.core.canary import CanaryPlatform
+from repro.core.jobs import JobRequest
+from repro.core.scenario import ScenarioConfig
 from repro.storage.router import CheckpointStorageRouter
 from repro.trace.tracer import Tracer
+from repro.workloads.profiles import WorkloadProfile
 
 from tests.test_state_fold_exact import BASE, SCENARIOS, _refuse_fold
 
@@ -117,3 +122,65 @@ def test_view_snapshots_match_stepwise(name, monkeypatch):
         # Checkpoints lost with a node stay as unavailable rows while
         # their chains hold them.
         assert any(not dict(row)["available"] for row in rows)
+
+
+#: Many short states with small checkpoints: the chain keeps only the
+#: newest few (the dynamic retention depth), so a kill late in the segment
+#: materialises far more checkpoints than survive.
+LONG = WorkloadProfile(
+    name="long",
+    runtime=RuntimeKind.PYTHON,
+    n_states=30,
+    state_duration_s=0.5,
+    state_jitter=0.0,
+    checkpoint_size_bytes=64 * KiB,
+    serialize_overhead_s=0.01,
+    finish_s=0.1,
+    memory_bytes=mb(256),
+)
+
+
+def _killed_mid_segment(monkeypatch, *, traced: bool) -> tuple[dict, int]:
+    """Kill a lone folded attempt mid-segment; snapshot its checkpoint
+    chain and counters right after the kill settled it."""
+    with monkeypatch.context() as patch:
+        writes = _count_writes(patch)
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=1, strategy="canary"),
+            seed=0,
+            tracer=Tracer() if traced else None,
+        )
+        job = platform.submit_job(JobRequest(workload=LONG, num_functions=1))
+        execution = job.executions[0]
+        fid = execution.function_id
+        seen: dict = {}
+
+        def kill() -> None:
+            (attempt,) = execution.live_attempts()
+            assert attempt.plan is not None
+            platform.controller.kill_container(attempt.container, "test")
+            chain = platform.checkpointer._per_function[fid]
+            seen.update(
+                chain=[(r.checkpoint_id, r.state_index) for r in chain],
+                stored=[r.checkpoint_id in platform.kv for r in chain],
+                kv_entries=len(platform.kv),
+                taken=platform.checkpointer.checkpoints_taken,
+                checkpoint_time_s=platform.metrics.trace(fid).checkpoint_time_s,
+                next_id=platform.ids.checkpoint_id(fid),
+            )
+
+        platform.sim.call_at(12.3, kill)
+        platform.run(until=12.3)
+    return seen, writes[0]
+
+
+def test_observer_writes_only_the_retained_checkpoints(monkeypatch):
+    untraced, writes = _killed_mid_segment(monkeypatch, traced=False)
+    traced, traced_writes = _killed_mid_segment(monkeypatch, traced=True)
+    assert untraced == traced
+    assert all(untraced["stored"])
+    assert untraced["kv_entries"] == len(untraced["chain"])
+    # The traced run writes every checkpoint; the untraced one only those
+    # its chain keeps.
+    assert traced_writes == traced["taken"] > len(traced["chain"])
+    assert writes == len(untraced["chain"])

@@ -175,6 +175,9 @@ class TestNotifyAfterDetection:
         cluster = Cluster(4)
         module = DetectionModule(sim, cluster, DetectionConfig())
         module.ensure_running(lambda: sim.now < 30.0)
+        # Keep-alive contract: folded beats poll nothing, so the owner
+        # unfolds them where the predicate turns false.
+        sim.call_at(30.0, module.unfold)
         doomed = cluster.nodes[0].node_id
         fired = []
         sim.call_at(5.0, lambda: cluster.fail_node(doomed, 5.0))
@@ -199,6 +202,7 @@ class TestNotifyAfterDetection:
         cluster = Cluster(4)
         module = DetectionModule(sim, cluster, DetectionConfig())
         module.ensure_running(lambda: sim.now < 10.0)
+        sim.call_at(10.0, module.unfold)
         target = cluster.nodes[1].node_id
         fired = []
         sim.call_at(
@@ -221,3 +225,42 @@ class TestNotifyAfterDetection:
         module.notify_after_detection("node-00", lambda: fired.append(sim.now))
         sim.run()
         assert fired == [pytest.approx(PROCESSING_DELAY_S)]
+
+
+class TestRetiredNodeWaiters:
+    """A node retired between a container kill and its next beat must not
+    strand the recovery waiting for that beat (the job would stay open and
+    the heartbeats tick forever)."""
+
+    @staticmethod
+    def _scenario():
+        from repro.autoscale import AutoscaleConfig
+        from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
+
+        tenant = Tenant(
+            name="t",
+            arrivals=PoissonArrivals(rate_per_s=2.0),
+            workloads=("micro-python",),
+        )
+        return ScenarioConfig(
+            workload="micro-python",
+            strategy="canary",
+            error_rate=0.3,
+            num_nodes=8,
+            traffic=TrafficConfig(tenants=(tenant,), duration_s=120.0),
+            autoscale=AutoscaleConfig(min_nodes=2, max_nodes=12),
+            detection=DetectionConfig(),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_autoscaler_drain_completes_every_job(self, seed):
+        platform = CanaryPlatform(self._scenario(), seed=seed)
+        platform.run(until=600.0)
+        summary = platform.summary()
+        assert summary.scale_ins > 0
+        assert not platform.detection._waiters
+        assert all(job.done for job in platform.jobs.values())
+        assert summary.completed + summary.unrecovered + (
+            summary.invocations_shed
+        ) == summary.invocations_offered
+        assert platform.sim.pending == 0 and platform.sim.now < 600.0

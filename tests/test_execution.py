@@ -52,6 +52,28 @@ class TestHappyPath:
         for e1, e2 in zip(job1.executions, job2.executions):
             assert list(e1._base_durations) == list(e2._base_durations)
 
+    def test_state_durations_drawn_from_an_unkept_stream(self):
+        import numpy as np
+
+        from repro.sim.rng import RngRegistry
+        from repro.workloads.profiles import get_workload
+
+        profile = get_workload("graph-bfs")
+        assert profile.state_jitter > 0
+        platform, job = run_tiny_job(num_functions=3, workload=profile, seed=4)
+        for execution in job.executions:
+            # Exactly the draws a registered ``statedur:<fn>`` stream gives.
+            rng = RngRegistry(4).stream(f"statedur:{execution.function_id}")
+            draws = rng.normal(
+                loc=profile.state_duration_s,
+                scale=profile.state_jitter * profile.state_duration_s,
+                size=profile.n_states,
+            )
+            expected = np.maximum(draws, 0.05 * profile.state_duration_s)
+            assert list(execution._base_durations) == list(expected)
+        streams = platform.sim.rng._streams
+        assert not any(name.startswith("statedur:") for name in streams)
+
     def test_zero_jitter_draws_no_stream(self):
         assert TINY.state_jitter == 0
         platform, _ = run_tiny_job(num_functions=2)
