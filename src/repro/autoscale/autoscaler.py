@@ -91,12 +91,6 @@ class NodeAutoscaler:
     def provisioned_count(self) -> int:
         return sum(1 for n in self.cluster.nodes if n.provisioned)
 
-    @property
-    def booting_count(self) -> int:
-        """Nodes mid-boot (scale-out in flight); a ramp-state signal the
-        load-aware detector reads to widen its thresholds."""
-        return len(self._booting)
-
     def utilization(self) -> float:
         """Busy container slots over provisioned-and-alive capacity."""
         capacity = busy = 0

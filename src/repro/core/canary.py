@@ -150,7 +150,6 @@ class CanaryPlatform:
             self.detection = DetectionModule(
                 self.sim,
                 self.cluster,
-                scenario.detection,
                 tracer=self.tracer,
                 on_reinstate=lambda node: self.controller.kick(),
             )
@@ -238,10 +237,6 @@ class CanaryPlatform:
             self.chaos = ChaosInjector(self, chaos)
             if self.detection is not None:
                 self.detection.chaos = self.chaos
-        if self.detection is not None and self.autoscaler is not None:
-            # Ramp-state handle for the load-aware thresholds (inert
-            # unless DetectionConfig.load_aware is set).
-            self.detection.autoscaler = self.autoscaler
         self.strategy = make_strategy(scenario.strategy, self)
         self.replication: Optional[ReplicationModule] = None
         if self.strategy.replication_enabled:

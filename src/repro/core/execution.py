@@ -31,6 +31,7 @@ import numpy as np
 from repro.checkpoint.records import CheckpointRecord
 from repro.common.types import ContainerState, FunctionState
 from repro.core.jobs import Job
+from repro.detection import backoff as backoff_schedule
 from repro.faas.container import Container, ContainerPurpose
 from repro.faas.controller import ContainerRequest
 from repro.metrics.collector import FailureEvent
@@ -364,7 +365,7 @@ class FunctionExecution:
         if policy is not None and platform.checkpointer.tier_refusing(
             record.ref.tier_name
         ):
-            if retries < policy.max_attempts:
+            if retries < backoff_schedule.MAX_ATTEMPTS:
                 u = float(platform.sim.rng.stream("chaos:backoff").uniform())
                 wait = policy.delay(retries, u)
                 platform.metrics.note_backoff(wait)

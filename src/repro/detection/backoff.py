@@ -21,6 +21,10 @@ MAX_S = 5.0
 #: Jitter fraction; the jittered delay lands in
 #: ``[delay, delay * (1 + JITTER))`` for a uniform draw ``u``.
 JITTER = 0.5
+#: Retries before the caller degrades (falls back to an older checkpoint,
+#: restarts the function from its start, gives up re-draining).  Callers
+#: read it at call time, so a test can patch the module attribute.
+MAX_ATTEMPTS = 6
 
 
 @dataclass(frozen=True)
@@ -29,17 +33,7 @@ class BackoffPolicy:
 
     A scenario with ``backoff=BackoffPolicy()`` turns backoff on; the
     schedule's constants are the module-level ``UPPER_CASE`` values above.
-
-    Args:
-        max_attempts: Retries before the caller degrades (falls back to an
-            older checkpoint, restarts from scratch, gives up re-draining).
     """
-
-    max_attempts: int = 6
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
     def delay(self, attempt_index: int, u: float = 0.0) -> float:
         """Wait before retry *attempt_index* (0-based), jittered by *u*.

@@ -63,11 +63,6 @@ CONFIRM_TIMEOUT_S = 4.0
 #: Control-plane handling delay between a verdict and the recovery
 #: callback firing.
 PROCESSING_DELAY_S = 0.05
-#: Cold-start count that adds one full period of slack to the thresholds
-#: when ``load_aware`` is on.
-LOAD_COLD_START_REF = 4
-#: Cap on the load-aware threshold multiplier.
-LOAD_MAX_FACTOR = 3.0
 #: Jitter draws taken from a node's stream at a time; a batched
 #: ``uniform(size=k)`` yields the same values as k scalar draws.
 PERIOD_CHUNK = 64
@@ -75,26 +70,9 @@ PERIOD_CHUNK = 64
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Settings for the heartbeat detector; its tuning constants are the
-    module-level ``UPPER_CASE`` values above.
-
-    Args:
-        load_aware: Scale the suspect/confirm thresholds with the node's
-            cold-start backlog and the autoscaler's ramp state, so a mass
-            scale-out (daemons starved by image pulls and container boots)
-            does not trigger a false-suspicion storm.
-        load_hb_stretch: Fractional heartbeat-period stretch per in-flight
-            cold start on the node — the *physical* load effect on the
-            daemon (0 disables; independent of ``load_aware``, which is
-            the detector-side compensation).
-    """
-
-    load_aware: bool = False
-    load_hb_stretch: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.load_hb_stretch < 0:
-            raise ValueError("load_hb_stretch must be non-negative")
+    """A scenario with ``detection=DetectionConfig()`` turns the heartbeat
+    detector on; its tuning values are the module-level ``UPPER_CASE``
+    constants above."""
 
 
 @dataclass(frozen=True)
@@ -120,8 +98,9 @@ class DetectionModule:
     at least ``0.5 + z * MIN_STD_S`` (about 0.612 s), while a healthy
     period is at most 0.55 s.  :meth:`unfold` applies the beats before now
     and puts the node back on events; it runs before a straggler, zombie or
-    partition starts on the node, at its death, for a waiter, at its
-    retirement, and for every node when the keep-alive may turn false.
+    partition starts on the node, at its death, at its retirement, and for
+    every node when the keep-alive may turn false.  A waiter does not
+    unfold a node: one ``hb:`` event at its next beat releases it.
     ``CanaryPlatform.run`` applies the beats up to its stop time
     (:meth:`materialise`).
     """
@@ -130,22 +109,17 @@ class DetectionModule:
         self,
         sim: "Simulator",
         cluster: "Cluster",
-        config: DetectionConfig,
         *,
         tracer: Any = NULL_TRACER,
         on_reinstate: Optional[Callable[["Node"], None]] = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
-        self.config = config
         self.tracer = tracer
         self.on_reinstate = on_reinstate
         #: Optional ChaosInjector; set by the platform so partitioned nodes
         #: drop their heartbeats and zombie onsets anchor latency accounting.
         self.chaos: Any = None
-        #: Optional NodeAutoscaler; set by the platform so the load-aware
-        #: thresholds can widen during a scale-out ramp (booting nodes).
-        self.autoscaler: Any = None
         # Normal quantile matching the phi threshold: a gap is suspicious
         # once its probability under the fitted gap distribution drops below
         # 10^-phi.
@@ -304,29 +278,7 @@ class DetectionModule:
         # signal the detector picks up.
         if node.chaos_speed_factor != 1.0:
             period /= node.chaos_speed_factor
-        # Mass cold starts starve the daemon too (image pulls and container
-        # boots compete for the same cores); each in-flight cold start
-        # stretches the beat.  This is the physical effect the load-aware
-        # thresholds exist to compensate.
-        if self.config.load_hb_stretch > 0.0 and node.cold_starts_in_flight:
-            period *= (
-                1.0 + self.config.load_hb_stretch * node.cold_starts_in_flight
-            )
         return period
-
-    def _load_factor(self, node: "Node") -> float:
-        """Threshold multiplier compensating for launch-storm load.
-
-        1.0 unless ``load_aware``: then slack grows with the node's own
-        cold-start backlog and adds a full period while the autoscaler has
-        nodes booting (a fleet-wide ramp starves every daemon at once).
-        """
-        if not self.config.load_aware:
-            return 1.0
-        factor = 1.0 + node.cold_starts_in_flight / LOAD_COLD_START_REF
-        if self.autoscaler is not None and self.autoscaler.booting_count:
-            factor += 1.0
-        return min(factor, LOAD_MAX_FACTOR)
 
     def _schedule_beat(self, node: "Node") -> None:
         self._beat_handles[node.node_id] = self.sim.call_in(
@@ -379,11 +331,8 @@ class DetectionModule:
         """Whether *node* is healthy: its beats only extend the float chain
         and its gap history until something observes it."""
         node_id = node.node_id
-        config = self.config
         return (
-            not config.load_aware
-            and config.load_hb_stretch == 0.0
-            and node.alive
+            node.alive
             and not node.zombie
             and node.chaos_speed_factor == 1.0
             and node_id not in self._suspected_at
@@ -445,6 +394,11 @@ class DetectionModule:
             self._unfold(node.node_id)
 
     def _unfold(self, node_id: str) -> None:
+        handle = self._beat_handles.pop(node_id, None)
+        if handle is not None:
+            # A waiter's event at the folded next beat; the stepwise beat
+            # below replaces it.
+            handle.cancel()
         self._materialise(node_id, self.sim.now)
         node, t = self._folded.pop(node_id)
         self._arm_suspect(node, self._last_beat[node_id])
@@ -474,11 +428,8 @@ class DetectionModule:
         handle = self._suspect_handles.get(node_id)
         if handle is not None:
             handle.cancel()
-        threshold = self.suspect_after(node_id)
-        if self.config.load_aware:
-            threshold *= self._load_factor(node)
         self._suspect_handles[node_id] = self.sim.call_at(
-            now + threshold,
+            now + self.suspect_after(node_id),
             lambda: self._suspect(node),
             label=f"suspect:{node_id}",
         )
@@ -493,29 +444,6 @@ class DetectionModule:
         ):
             return
         now = self.sim.now
-        if self.config.load_aware:
-            # The threshold was scaled by the load factor *at arming time*;
-            # a launch storm that began afterwards stretches the beat
-            # without having widened the timer.  Re-judge the gap against
-            # the current load before acting, and push the timer out if the
-            # node has earned more slack since.
-            last = self._last_beat.get(node_id)
-            if last is not None:
-                allowed = self.suspect_after(node_id) * self._load_factor(
-                    node
-                )
-                # Compare against the re-arm target, not the gap: a timer
-                # pushed to ``last + allowed`` must land strictly in the
-                # future, or float rounding re-arms the same instant
-                # forever.
-                fire_at = last + allowed
-                if fire_at > now:
-                    self._suspect_handles[node_id] = self.sim.call_at(
-                        fire_at,
-                        lambda: self._suspect(node),
-                        label=f"suspect:{node_id}",
-                    )
-                    return
         self.suspicions += 1
         self.node_suspicions[node_id] = (
             self.node_suspicions.get(node_id, 0) + 1
@@ -528,11 +456,8 @@ class DetectionModule:
         self._suspicion_spans[node_id] = self.tracer.begin(
             "suspicion", f"suspicion:{node_id}", node=node_id
         )
-        confirm_after = CONFIRM_TIMEOUT_S
-        if self.config.load_aware:
-            confirm_after *= self._load_factor(node)
         self._confirm_handles[node_id] = self.sim.call_in(
-            confirm_after,
+            CONFIRM_TIMEOUT_S,
             lambda: self._confirm(node),
             label=f"confirm:{node_id}",
         )
@@ -604,9 +529,20 @@ class DetectionModule:
         if self._stopped or node_id in self._declared:
             self.sim.call_in(PROCESSING_DELAY_S, callback, label=label)
             return
-        if node_id in self._folded:
-            self._unfold(node_id)
         self._waiters.setdefault(node_id, []).append((callback, label))
+        if node_id in self._folded and node_id not in self._beat_handles:
+            # The node stays folded: one event at its next beat applies
+            # that beat and releases the waiters, as the real beat would.
+            self._materialise(node_id, self.sim.now)
+            t = self._folded[node_id][1]
+            self._beat_handles[node_id] = self.sim.call_at(
+                t, lambda: self._folded_beat(node_id), label=f"hb:{node_id}"
+            )
+
+    def _folded_beat(self, node_id: str) -> None:
+        del self._beat_handles[node_id]
+        self._materialise(node_id, self.sim.now, inclusive=True)
+        self._flush_waiters(node_id)
 
     def _flush_waiters(self, node_id: str) -> None:
         waiters = self._waiters.pop(node_id, None)

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.common.types import ContainerState, RuntimeKind
+from repro.detection import backoff as backoff_schedule
 from repro.faas.container import Container, ContainerPurpose
 from repro.faas.invoker import Invoker
 from repro.faas.limits import PlatformLimits
@@ -296,7 +297,7 @@ class FaaSController:
         suspicion detector — and give chaos runs a bounded re-drive cadence.
         """
         assert self.backoff is not None
-        if retries >= self.backoff.max_attempts:
+        if retries >= backoff_schedule.MAX_ATTEMPTS:
             return
         if self._backoff_rng is None:
             self._backoff_rng = self.sim.rng.stream("chaos:place-backoff")

@@ -1,10 +1,10 @@
 """Tenants and the multi-tenant traffic configuration.
 
-A :class:`Tenant` bundles an arrival process, a workload mix, and an
-optional :class:`~repro.sla.policy.SLAPolicy`.  Each tenant draws from its
-own named RNG stream (``traffic:<name>``), so adding or removing a tenant
-never perturbs the arrival times of the others — the same stream-isolation
-contract the rest of the platform builds on.
+A :class:`Tenant` bundles an arrival process, the workloads it draws from
+uniformly, and an optional :class:`~repro.sla.policy.SLAPolicy`.  Each
+tenant draws from its own named RNG stream (``traffic:<name>``), so adding
+or removing a tenant never perturbs the arrival times of the others — the
+same stream-isolation contract the rest of the platform builds on.
 
 :func:`generate_invocations` materializes every tenant's stream and merges
 them under the total order ``(at_s, tenant_index, seq)``: equal-time
@@ -30,13 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class Tenant:
-    """One traffic source: arrivals, workload mix, and an SLO.
+    """One traffic source: arrivals, workloads, and an SLO.
 
     Attributes:
         name: Unique tenant id (also names the RNG stream).
         arrivals: Arrival process generating this tenant's timestamps.
-        workloads: Workload names each invocation draws from.
-        mix: Optional workload probabilities (defaults to uniform).
+        workloads: Workload names each invocation draws from uniformly.
         functions_per_invocation: Functions per submitted job (1 = a plain
             function invocation; >1 models a fan-out workflow trigger).
         sla: Deadline policy; latencies beyond ``sla.deadline_s`` count as
@@ -46,7 +45,6 @@ class Tenant:
     name: str
     arrivals: ArrivalProcess
     workloads: tuple[str, ...]
-    mix: Optional[tuple[float, ...]] = None
     functions_per_invocation: int = 1
     sla: Optional[SLAPolicy] = None
 
@@ -57,8 +55,6 @@ class Tenant:
             raise ValueError("tenant needs at least one workload")
         for workload in self.workloads:
             get_workload(workload)  # raises on unknown names
-        if self.mix is not None and len(self.mix) != len(self.workloads):
-            raise ValueError("mix length must match workloads")
         if self.functions_per_invocation <= 0:
             raise ValueError("functions_per_invocation must be positive")
 
@@ -109,13 +105,7 @@ def _workload_choices(
 ) -> np.ndarray:
     if len(tenant.workloads) == 1:
         return np.zeros(n, dtype=int)
-    if tenant.mix is not None:
-        probabilities = np.asarray(tenant.mix, dtype=float)
-        probabilities = probabilities / probabilities.sum()
-    else:
-        probabilities = np.full(
-            len(tenant.workloads), 1.0 / len(tenant.workloads)
-        )
+    probabilities = np.full(len(tenant.workloads), 1.0 / len(tenant.workloads))
     cumulative = np.cumsum(probabilities)
     choices = np.searchsorted(cumulative, rng.random(n), side="right")
     return np.minimum(choices, len(tenant.workloads) - 1)

@@ -11,7 +11,7 @@ from repro.cluster.cluster import Cluster
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
 from repro.core.scenario import ScenarioConfig
-from repro.detection import BackoffPolicy, DetectionConfig
+from repro.detection import BackoffPolicy, DetectionConfig, backoff
 from repro.faults.chaos import (
     ChaosConfig,
     TierBrownout,
@@ -276,7 +276,7 @@ class TestTierBrownouts:
 
 
 class TestRestoreBackoff:
-    def scenario(self, seed, duration_s=15.0, policy=None):
+    def scenario(self, seed, duration_s=15.0):
         chaos = ChaosConfig(
             tier_brownouts=(
                 TierBrownout(
@@ -292,7 +292,7 @@ class TestRestoreBackoff:
             error_rate=0.25,
             interval=5,
             chaos=chaos,
-            backoff=policy or BackoffPolicy(),
+            backoff=BackoffPolicy(),
         )
 
     def test_backoff_recovers_when_brownout_clears(self):
@@ -306,10 +306,9 @@ class TestRestoreBackoff:
         assert platform.summary().completed == 40
         assert platform.summary().degraded_s >= metrics.backoff_wait_s
 
-    def test_exhausted_backoff_falls_back(self):
-        platform = self.scenario(
-            seed=3, duration_s=30.0, policy=BackoffPolicy(max_attempts=2)
-        )
+    def test_exhausted_backoff_falls_back(self, monkeypatch):
+        monkeypatch.setattr(backoff, "MAX_ATTEMPTS", 2)
+        platform = self.scenario(seed=3, duration_s=30.0)
         metrics = platform.metrics
         # Three restores exhausted their 2 retries against the long
         # brownout; no older healthy-tier checkpoint exists, so each

@@ -14,6 +14,7 @@ from repro.cluster.cluster import Cluster
 from repro.common.types import ContainerState, RuntimeKind
 from repro.common.units import gb
 from repro.detection import BackoffPolicy
+from repro.detection.backoff import MAX_ATTEMPTS
 from repro.faas.container import ContainerPurpose
 from repro.faas.controller import ContainerRequest, FaaSController
 from repro.sim.engine import Simulator
@@ -131,7 +132,7 @@ def test_live_backoff_timer_drains_and_counts():
     sim, controller, _, waiting = _saturated_controller()
     sim.run(until=120.0)
     # Six retries against the full node, then the schedule gives up.
-    assert controller.backoff_retries == BackoffPolicy().max_attempts
+    assert controller.backoff_retries == MAX_ATTEMPTS
     assert waiting.queued and waiting.container is None
 
 

@@ -50,8 +50,6 @@ class TestBackoffPolicy:
         assert policy.delay(2, u=0.0) == pytest.approx(0.8)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BackoffPolicy(max_attempts=0)
         policy = BackoffPolicy()
         with pytest.raises(ValueError):
             policy.delay(-1)
@@ -59,15 +57,9 @@ class TestBackoffPolicy:
             policy.delay(0, u=2.0)
 
 
-class TestDetectionConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DetectionConfig(load_hb_stretch=-0.1)
-
-
 class TestSuspectAfter:
     def test_empty_history_uses_configured_period(self):
-        module = DetectionModule(Simulator(), Cluster(2), DetectionConfig())
+        module = DetectionModule(Simulator(), Cluster(2))
         expected_mu = HEARTBEAT_INTERVAL_S * (1.0 + 0.5 * HEARTBEAT_JITTER)
         threshold = module.suspect_after("node-00")
         assert threshold == pytest.approx(
@@ -77,7 +69,7 @@ class TestSuspectAfter:
         assert 5.0 < module._z < 6.0
 
     def test_threshold_tracks_observed_gaps(self):
-        module = DetectionModule(Simulator(), Cluster(2), DetectionConfig())
+        module = DetectionModule(Simulator(), Cluster(2))
         from collections import deque
 
         module._history["node-00"] = deque([0.5] * 10, maxlen=20)
@@ -173,7 +165,7 @@ class TestNotifyAfterDetection:
     def test_declared_node_flushes_waiters(self):
         sim = Simulator(seed=1)
         cluster = Cluster(4)
-        module = DetectionModule(sim, cluster, DetectionConfig())
+        module = DetectionModule(sim, cluster)
         module.ensure_running(lambda: sim.now < 30.0)
         # Keep-alive contract: folded beats poll nothing, so the owner
         # unfolds them where the predicate turns false.
@@ -200,7 +192,7 @@ class TestNotifyAfterDetection:
     def test_healthy_node_waiter_fires_on_next_heartbeat(self):
         sim = Simulator(seed=1)
         cluster = Cluster(4)
-        module = DetectionModule(sim, cluster, DetectionConfig())
+        module = DetectionModule(sim, cluster)
         module.ensure_running(lambda: sim.now < 10.0)
         sim.call_at(10.0, module.unfold)
         target = cluster.nodes[1].node_id
@@ -216,10 +208,75 @@ class TestNotifyAfterDetection:
         # Next beat is within one jittered period; plus processing delay.
         assert 2.0 < fired[0] < 2.0 + 0.55 + PROCESSING_DELAY_S
 
+    def test_waiter_keeps_healthy_node_folded(self):
+        sim = Simulator(seed=1)
+        cluster = Cluster(4)
+        module = DetectionModule(sim, cluster)
+        module.ensure_running(lambda: sim.now < 10.0)
+        sim.call_at(10.0, module.unfold)
+        target = cluster.nodes[1].node_id
+        seen = {}
+
+        def fire():
+            seen["fired"] = sim.now
+            seen["folded_at_fire"] = target in module._folded
+            seen["last_beat_at_fire"] = module._last_beat[target]
+
+        def notify():
+            module.notify_after_detection(target, fire)
+            seen["folded"] = module._folded.get(target)
+
+        sim.call_at(2.0, notify)
+        sim.run()
+        # The node stays folded for the waiter, which fires off its folded
+        # next beat (the first at or after the notify).
+        assert seen["folded"] is not None
+        next_beat = seen["folded"][1]
+        assert 2.0 <= next_beat < 2.0 + 0.55
+        assert seen["fired"] == next_beat + PROCESSING_DELAY_S
+        assert seen["folded_at_fire"]
+        assert seen["last_beat_at_fire"] == next_beat
+
+    @staticmethod
+    def _waiter_then_death(fold, monkeypatch):
+        """A waiter lands on a healthy node that dies before its next
+        beat: the unfold at the death must replace the waiter's event."""
+        with monkeypatch.context() as patch:
+            if not fold:
+                patch.setattr(
+                    DetectionModule, "_can_fold", lambda self, node: False
+                )
+            sim = Simulator(seed=1)
+            cluster = Cluster(4)
+            module = DetectionModule(sim, cluster)
+            module.ensure_running(lambda: sim.now < 20.0)
+            sim.call_at(20.0, module.unfold)
+            target = cluster.nodes[1].node_id
+            fired = []
+
+            def notify_then_die():
+                module.notify_after_detection(
+                    target, lambda: fired.append(sim.now)
+                )
+                cluster.fail_node(target, sim.now)
+
+            sim.call_at(2.0, notify_then_die)
+            sim.run()
+        return fired, module.stats(), sim.now
+
+    def test_waiter_on_a_node_that_dies_matches_stepwise(self, monkeypatch):
+        folded = self._waiter_then_death(True, monkeypatch)
+        stepwise = self._waiter_then_death(False, monkeypatch)
+        fired, stats, _ = folded
+        # Released by the declaration, not by a beat that never comes.
+        assert stats.detections == 1 and len(fired) == 1
+        assert fired[0] > 2.0 + 4.0
+        assert folded == stepwise
+
     def test_already_declared_fires_after_processing_delay(self):
         sim = Simulator(seed=1)
         cluster = Cluster(2)
-        module = DetectionModule(sim, cluster, DetectionConfig())
+        module = DetectionModule(sim, cluster)
         module._declared.add("node-00")
         fired = []
         module.notify_after_detection("node-00", lambda: fired.append(sim.now))

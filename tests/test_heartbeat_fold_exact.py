@@ -113,15 +113,6 @@ SCENARIOS: dict[str, tuple[ScenarioConfig, Optional[Callable]]] = {
         ),
         None,
     ),
-    "load-aware-stretch": (
-        BASE.with_(
-            detection=DetectionConfig(load_aware=True, load_hb_stretch=0.3),
-            traffic=_traffic(3.0, 20.0),
-            workload="micro-python",
-            autoscale=AutoscaleConfig(min_nodes=2, max_nodes=8),
-        ),
-        None,
-    ),
 }
 
 
@@ -204,12 +195,7 @@ def test_fold_matches_stepwise_exactly(name, monkeypatch):
     assert folded["summary"]["completed"] > 0
     assert folded["detection"]["heartbeats_sent"] > 0
     _assert_same(folded, stepwise)
-    if name == "load-aware-stretch":
-        # Load-aware thresholds and stretched beats read the node's load
-        # at every beat: nothing folds, so the engine sees the same pushes.
-        assert folded["pushes"] == stepwise["pushes"]
-    else:
-        assert folded["pushes"] < stepwise["pushes"]
+    assert folded["pushes"] < stepwise["pushes"]
 
 
 def test_gray_failures_exercise_the_detector(monkeypatch):
@@ -273,7 +259,7 @@ def _bare_module(fold: bool, monkeypatch) -> dict:
             _refuse_fold(patch)
         sim = Simulator(seed=1)
         cluster = Cluster(4)
-        module = DetectionModule(sim, cluster, DetectionConfig())
+        module = DetectionModule(sim, cluster)
         module.ensure_running(lambda: sim.now < 30.0)
         sim.call_at(30.0, module.unfold)
         doomed, watched = (node.node_id for node in cluster.nodes[:2])

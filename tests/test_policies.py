@@ -407,11 +407,11 @@ class TestSuspicionAware:
         assert pick is not flappy
 
     def test_live_detector_history_feeds_score(self):
-        from repro.detection import DetectionConfig, DetectionModule
+        from repro.detection import DetectionModule
 
         sim = Simulator(seed=0)
         cluster = Cluster(2)
-        module = DetectionModule(sim, cluster, DetectionConfig())
+        module = DetectionModule(sim, cluster)
         assert module.suspicion_score("node-00") == 0.0
         module.node_suspicions["node-00"] = 2
         assert module.suspicion_score("node-00") == 2.0

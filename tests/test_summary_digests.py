@@ -27,7 +27,6 @@ from repro.sla.policy import SLAPolicy
 from repro.strategies.cloning import CloningConfig
 from repro.traffic import OnOffArrivals, PoissonArrivals, Tenant, TrafficConfig
 from tests.test_adaptive import _chaotic_scenario as adaptive_chaos
-from tests.test_adaptive import _ramp_scenario as load_ramp
 from tests.test_autoscale import _ramp_scenario as autoscale_ramp
 
 BASE = ScenarioConfig(
@@ -81,10 +80,11 @@ CASES = {
     "cloning-3": BASE.with_(
         strategy="cloning", cloning=CloningConfig(clones=3)
     ),
-    # The next five cover tuning constants the cases above never reach:
-    # the SLA slack margins, the load-aware detector's threshold cap, the
-    # autoscaler's utilisation/queue thresholds, and the adaptive
-    # controller's risk, suspicion-hint, SLO-slack and pressure thresholds.
+    # The next five cover paths and tuning constants the cases above never
+    # reach: the SLA slack margins, the detector under a launch ramp (24
+    # cold starts on 3 nodes), the autoscaler's utilisation/queue
+    # thresholds, and the adaptive controller's risk, suspicion-hint,
+    # SLO-slack and pressure thresholds.
     "canary-sla-traffic": BASE.with_(
         workload="micro-python",
         strategy="canary-sla",
@@ -102,7 +102,14 @@ CASES = {
             duration_s=20.0,
         ),
     ),
-    "load-aware-ramp": load_ramp(True),
+    "launch-ramp": ScenarioConfig(
+        workload="micro-python",
+        strategy="canary",
+        error_rate=0.0,
+        num_functions=24,
+        num_nodes=3,
+        detection=DetectionConfig(),
+    ),
     "autoscale-ramp-10gbe": autoscale_ramp(duration=60.0).with_(
         network=NETWORK_PRESETS["10gbe"]
     ),
@@ -136,8 +143,8 @@ CASES = {
     # move: the wedged invoker's cold-start backlog under least-loaded
     # placement, the SLA CRITICAL margin with the replica pool exhausted,
     # the autoscaler's drain poll with scale-out blocked at max_nodes, the
-    # partition's NIC capacity factor, and the load-aware cold-start
-    # reference.
+    # partition's NIC capacity factor, and the detector under a launch
+    # storm (96 cold starts on 3 nodes).
     "least-loaded-zombie": BASE.with_(
         num_functions=60,
         num_nodes=4,
@@ -190,13 +197,13 @@ CASES = {
             partitions=3, partition_window=(3.0, 15.0), partition_duration_s=4.0
         ),
     ),
-    "load-aware-storm": ScenarioConfig(
+    "launch-storm": ScenarioConfig(
         workload="micro-python",
         strategy="canary",
         error_rate=0.0,
-        num_functions=24,
+        num_functions=96,
         num_nodes=3,
-        detection=DetectionConfig(load_hb_stretch=0.3, load_aware=True),
+        detection=DetectionConfig(),
     ),
 }
 
@@ -233,7 +240,7 @@ PINS = {
         "05a977c0fd9b2360b826d873b50d60d8"
         "8431c5c8a181c8f14dfa52c76707c1cc"
     ),
-    "load-aware-ramp": (
+    "launch-ramp": (
         "c5d915739fcfd682b5c533fda481d980"
         "04dcf4adc425bc9ac65a988044abba30"
     ),
@@ -265,9 +272,9 @@ PINS = {
         "8f9c10a9cbecfffcf10baff0f8b2f3d6"
         "e27bb41b2f51bb191f31f51cf01db447"
     ),
-    "load-aware-storm": (
-        "6d99136ff09647bf7bd05f02c7a699e3"
-        "86a782f70f6271471c6724effdbce1b6"
+    "launch-storm": (
+        "2f7a6ebaef75183145b656989c954c84"
+        "1e741a2479b02807a522129453b8e26f"
     ),
 }
 

@@ -166,11 +166,6 @@ def test_tenant_validation():
     with pytest.raises(KeyError):
         _tenant("x", PoissonArrivals(1.0), workloads=("no-such-workload",))
     with pytest.raises(ValueError):
-        _tenant(
-            "x", PoissonArrivals(1.0),
-            workloads=("micro-python",), mix=(0.5, 0.5),
-        )
-    with pytest.raises(ValueError):
         TrafficConfig(tenants=(), duration_s=10.0)
     with pytest.raises(ValueError):
         TrafficConfig(
