@@ -81,20 +81,30 @@ def fabric_compute_stats(
 def collect_link_usage(
     network: "FlowNetwork", horizon_s: float
 ) -> tuple[LinkUsage, ...]:
-    """Per-link usage table, in fabric declaration order."""
+    """Per-link usage table, in fabric declaration order.
+
+    Mid-run, in-flight progress and open busy intervals are added without
+    settling: a settle would add a float step to every later residual.
+    """
     usages = []
     for link in network.links.values():
+        bytes_total = link.bytes_total
+        busy_s = link.busy_s
+        if link.members:
+            busy_s += network.sim.now - link.busy_since
+            for flow in link.members.values():
+                bytes_total += network.moved_bytes(flow)
         capacity = link.bandwidth * horizon_s
         usages.append(
             LinkUsage(
                 name=link.name,
                 bandwidth=link.bandwidth,
-                bytes_total=link.bytes_total,
+                bytes_total=bytes_total,
                 flows_total=link.flows_total,
                 peak_concurrent_flows=link.peak_concurrent,
-                busy_s=link.busy_s,
+                busy_s=busy_s,
                 utilization=(
-                    link.bytes_total / capacity if capacity > 0 else 0.0
+                    bytes_total / capacity if capacity > 0 else 0.0
                 ),
             )
         )

@@ -38,9 +38,9 @@ against the plain loops): water-filling tracks assigned flows with a
 per-pass stamp and stops at the last share level without updating the
 per-link scratch; a component spanning the whole fabric takes its link
 order from a key cached on each link instead of walking every path; each
-flow builds its finish callback and label once; and
-``_settle`` adds each flow's progress to a link's byte counter per link,
-in the link's activation-ordered member order.
+flow builds its finish callback and label once.  ``_settle`` touches no
+link: link counters close as flows leave (:class:`Link`), which regroups
+their sums but no rate, residual or event.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class _Flow:
         "done_below",
         "end_label",
         "on_end",
-        "moved",
         "wf_stamp",
     )
 
@@ -127,8 +126,6 @@ class _Flow:
         #: The finish-event callback, built once the flow goes active and
         #: dropped when it leaves the fabric.
         self.on_end: Optional[Callable[[], None]] = None
-        #: Bytes moved by the latest ``_settle`` (scratch).
-        self.moved = 0.0
         #: Latest water-filling pass that assigned this flow a rate.
         self.wf_stamp = 0
 
@@ -225,8 +222,7 @@ class FlowNetwork:
             "svc-tx:registry", config.registry_bandwidth
         )
         self._active: dict[int, _Flow] = {}
-        #: Links that currently carry at least one active flow; lets
-        #: ``_settle`` skip the (mostly idle) full link table.
+        #: Links that currently carry at least one active flow.
         self._active_links: dict[Link, None] = {}
         self._flow_counter = 0
         self._activation_seq = 0
@@ -556,7 +552,7 @@ class FlowNetwork:
         for link in flow.links:
             if not link.members:
                 self._active_links[link] = None
-            link.attach(flow)
+            link.attach(flow, self.sim.now)
         # The join may have merged components; BFS from the new flow
         # finds exactly the merged component.
         self._recompute_for(self._component(flow))
@@ -594,11 +590,6 @@ class FlowNetwork:
                     label=flow.end_label,
                 )
             return
-        residual = flow.remaining
-        if residual > 0:
-            # Credit the unaccounted residue so link byte counters close.
-            for link in flow.links:
-                link.bytes_total += residual
         flow.remaining = 0.0
         flow.finished = True
         peers = self._depart(flow)
@@ -636,6 +627,11 @@ class FlowNetwork:
             self._recompute_for(self._depart(flow))
         self.flows_cancelled += 1
 
+    def moved_bytes(self, flow: _Flow) -> float:
+        """Bytes *flow* has moved by now, read without settling."""
+        pending = flow.rate * (self.sim.now - self._last_settle)
+        return flow.size_bytes - flow.remaining + min(pending, flow.remaining)
+
     def _depart(self, flow: _Flow) -> list[_Flow]:
         """Remove *flow* from the fabric; return the flows whose rates
         its departure can touch (its former component, in activation
@@ -647,8 +643,9 @@ class FlowNetwork:
             peers = []
         del self._active[flow.flow_id]
         flow.on_end = None
+        moved = flow.size_bytes - flow.remaining
         for link in flow.links:
-            link.detach(flow)
+            link.detach(flow, moved, self.sim.now)
             if not link.members:
                 del self._active_links[link]
         return peers
@@ -720,26 +717,12 @@ class FlowNetwork:
         self._last_settle = now
         if elapsed <= 0 or not self._active:
             return
+        # Rates are never negative; a zero rate leaves the residual as it
+        # was, and a capped move leaves ``remaining - remaining``, i.e. 0.0.
         for flow in self._active.values():
-            rate = flow.rate
-            if rate <= 0:
-                flow.moved = 0.0
-                continue
-            moved = rate * elapsed
+            moved = flow.rate * elapsed
             remaining = flow.remaining
-            if moved > remaining:
-                moved = remaining
-            flow.remaining = remaining - moved
-            flow.moved = moved
-        # Members are in activation order, so each link receives the same
-        # adds in the same order as walking every flow's path would give
-        # it (a stalled flow's 0.0 leaves a non-negative total unchanged).
-        for link in self._active_links:
-            link.busy_s += elapsed
-            total = link.bytes_total
-            for flow in link.members.values():
-                total += flow.moved
-            link.bytes_total = total
+            flow.remaining = remaining - moved if moved < remaining else 0.0
 
     def _component(self, flow: _Flow) -> list[_Flow]:
         """*flow*'s contention component, in activation order.

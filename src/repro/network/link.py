@@ -17,6 +17,9 @@ class Link:
     sees exactly the per-link flow order a global recompute would build)
     and what has moved through it.
 
+    ``bytes_total`` gains each flow's moved bytes when it departs;
+    ``busy_s`` gains ``now - busy_since`` when the last member departs.
+
     ``wf_cap`` / ``wf_count`` are water-filling scratch slots: the fabric
     resets them at the start of each fair-share pass over the links it is
     recomputing, so no per-call ``members``/``counts`` dicts are built.
@@ -36,6 +39,7 @@ class Link:
         "flows_total",
         "peak_concurrent",
         "busy_s",
+        "busy_since",
         "wf_cap",
         "wf_count",
         "order_key",
@@ -57,27 +61,30 @@ class Link:
         self.flows_total = 0
         self.peak_concurrent = 0
         self.busy_s = 0.0
+        self.busy_since = 0.0
 
     @property
     def active_flows(self) -> int:
         return len(self.members)
 
-    def attach(self, flow: "_Flow") -> None:
+    def attach(self, flow: "_Flow", now: float) -> None:
         members = self.members
         if not members:
             self.order_key = (flow.seq, flow.links.index(self))
+            self.busy_since = now
         members[flow.flow_id] = flow
         self.flows_total += 1
         if len(members) > self.peak_concurrent:
             self.peak_concurrent = len(members)
 
-    def detach(self, flow: "_Flow") -> None:
+    def detach(self, flow: "_Flow", moved: float, now: float) -> None:
+        """Remove *flow*, which moved *moved* bytes over this link."""
         members = self.members
-        if (
-            members.pop(flow.flow_id, None) is not None
-            and members
-            and self.order_key[0] == flow.seq
-        ):
+        del members[flow.flow_id]
+        self.bytes_total += moved
+        if not members:
+            self.busy_s += now - self.busy_since
+        elif self.order_key[0] == flow.seq:
             first = next(iter(members.values()))
             self.order_key = (first.seq, first.links.index(self))
 

@@ -8,11 +8,19 @@ fabric, once on the reference one (injected where the platform builds its
 fabric).  Every simulated outcome must match with *exact* float equality,
 and so must the event trace's shape (events scheduled and cancelled): a
 speed-up of the fabric may regroup Python work, never float operations.
+
+Link byte and busy counters are not part of that contract: both fabrics
+close them through the shared ``_depart``.  The reference also keeps the
+original per-settle accumulation as shadow counters (each settle adds
+every flow's progress to its links and ``elapsed`` to each active link; a
+completing flow credits its last residual), and the shipped counters
+must agree with them to 1e-9 relative.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import asdict
 from typing import Optional
 
@@ -37,6 +45,15 @@ from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
 class ReferenceFlowNetwork(FlowNetwork):
     """The fabric with its original, unoptimised inner loops."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Per-settle link counters, as the fabric kept them before link
+        #: counters closed at departure.
+        self.shadow_bytes: dict[str, float] = defaultdict(float)
+        self.shadow_busy: dict[str, float] = defaultdict(float)
+        #: flow_id -> residual after the flow's latest settle.
+        self._residual: dict[int, float] = {}
+
     def _settle(self) -> None:
         """Advance every active flow's residual to the current time."""
         now = self.sim.now
@@ -52,10 +69,19 @@ class ReferenceFlowNetwork(FlowNetwork):
             if moved > flow.remaining:
                 moved = flow.remaining
             flow.remaining -= moved
+            self._residual[flow.flow_id] = flow.remaining
             for link in flow.links:
-                link.bytes_total += moved
+                self.shadow_bytes[link.name] += moved
         for link in self._active_links:
-            link.busy_s += elapsed
+            self.shadow_busy[link.name] += elapsed
+
+    def _depart(self, flow: _Flow) -> list[_Flow]:
+        residual = self._residual.pop(flow.flow_id, flow.size_bytes)
+        if flow.remaining == 0.0 and residual > 0:
+            # A completed flow: credit the residue its last settle left.
+            for link in flow.links:
+                self.shadow_bytes[link.name] += residual
+        return super()._depart(flow)
 
     def _waterfill(
         self, flows: list[_Flow], links: list[Link]
@@ -177,11 +203,15 @@ SCENARIOS = {
 }
 
 
-def _outcome(scenario: ScenarioConfig, fabric: type, monkeypatch) -> tuple:
+def _run(scenario: ScenarioConfig, fabric: type, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(canary_module, "FlowNetwork", fabric)
         platform = _run_platform(scenario, seed=0)
     assert type(platform.network) is fabric
+    return platform
+
+
+def _outcome(platform) -> tuple:
     engine = collect_engine_stats(platform.sim)
     return (
         asdict(platform.summary()),
@@ -195,8 +225,9 @@ def _outcome(scenario: ScenarioConfig, fabric: type, monkeypatch) -> tuple:
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_fast_fabric_matches_reference_exactly(name, monkeypatch):
     scenario = SCENARIOS[name]()
-    fast = _outcome(scenario, FlowNetwork, monkeypatch)
-    reference = _outcome(scenario, ReferenceFlowNetwork, monkeypatch)
+    fast = _outcome(_run(scenario, FlowNetwork, monkeypatch))
+    reference_platform = _run(scenario, ReferenceFlowNetwork, monkeypatch)
+    reference = _outcome(reference_platform)
     summary, links, pushes, cancelled, flows = fast
     # The scenario really drove the fabric.
     assert flows > 50
@@ -205,4 +236,13 @@ def test_fast_fabric_matches_reference_exactly(name, monkeypatch):
     assert links == reference[1]
     assert (pushes, cancelled) == (reference[2], reference[3])
     assert flows == reference[4]
-
+    # The departure-closed counters agree with the per-settle ones.
+    network = reference_platform.network
+    assert network.active_flow_count == 0
+    for usage in links:
+        assert usage.bytes_total == pytest.approx(
+            network.shadow_bytes[usage.name], rel=1e-9, abs=1e-6
+        )
+        assert usage.busy_s == pytest.approx(
+            network.shadow_busy[usage.name], rel=1e-9, abs=1e-9
+        )

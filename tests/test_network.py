@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import Topology
+from repro.core.canary import CanaryPlatform
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import run_scenario
@@ -296,6 +297,43 @@ class TestMetrics:
         assert nic.busy_s == pytest.approx(sim.now)
         # Fully busy the whole run at capacity.
         assert nic.utilization == pytest.approx(1.0)
+
+    def test_mid_transfer_read_counts_progress_since_last_settle(self):
+        # Five hops of 0.5 s: the flow reaches the fabric at 2.5 s, alone.
+        sim, net = make_fabric(hop_latency_s=0.5)
+        net.transfer("node-00", "node-01", 1000.0, on_complete=lambda: None)
+        sim.run(until=6.0)
+        assert net.active_flow_count == 1
+        usage = {u.name: u for u in collect_link_usage(net, sim.now)}
+        for name in ("nic-tx:node-00", "core", "nic-rx:node-01"):
+            assert usage[name].bytes_total == 100.0 * (6.0 - 2.5)
+            assert usage[name].busy_s == 6.0 - 2.5
+        sim.run()
+        usage = {u.name: u for u in collect_link_usage(net, sim.now)}
+        assert usage["core"].bytes_total == 1000.0
+        assert usage["core"].busy_s == pytest.approx(10.0, rel=1e-12)
+
+    def test_stepped_reads_do_not_perturb_the_run(self):
+        scenario = ScenarioConfig(
+            workload="graph-bfs", strategy="canary", error_rate=0.15,
+            num_functions=20, num_nodes=8, node_failure_count=1,
+            network=get_network_preset("10gbe"),
+        )
+        straight = run_scenario(scenario, seed=0)
+        platform = CanaryPlatform(scenario, seed=0)
+        platform.submit_batch()
+        seen: dict[str, float] = {}
+        reads_in_flight = 0
+        until = 0.0
+        while platform.sim.pending:
+            until += 0.7
+            platform.run(until=until)
+            reads_in_flight += platform.network.active_flow_count > 0
+            for usage in collect_link_usage(platform.network, platform.sim.now):
+                assert usage.bytes_total >= seen.get(usage.name, 0.0)
+                seen[usage.name] = usage.bytes_total
+        assert reads_in_flight > 10
+        assert platform.summary() == straight
 
     def test_stats_and_timeline(self):
         sim, net = make_fabric()

@@ -217,8 +217,8 @@ PINS = {
         "b393391e4c4284950d289ef646c6a43e"
     ),
     "10gbe-node-failure": (
-        "50933b8a37cad80749235322fbd2aa7c"
-        "cabb109ad56680f47d21e2d1887b1824"
+        "41729de6dce4b0076ed8efae0d9a4108"
+        "50dacdcb16371c22e16114aa9b18eca8"
     ),
     "chaos-detection-backoff": (
         "ac6000183929c7cf9396363f8942527e"
@@ -229,8 +229,8 @@ PINS = {
         "f710ed63dee7ccfb85cc1d1081dff332"
     ),
     "contention-adaptive": (
-        "392ba7e9d8cdee433651198e5c1bdcdb"
-        "33445861d30543b6aed78cd4e4478c81"
+        "261f1f1377d0378a9e8bbc4deace7f55"
+        "b57b2e948055eee9c8d4669ea31325e2"
     ),
     "cloning-3": (
         "5b2f7a3fa81cf5b222c6b074b49356d8"
@@ -245,16 +245,16 @@ PINS = {
         "04dcf4adc425bc9ac65a988044abba30"
     ),
     "autoscale-ramp-10gbe": (
-        "13a78efa26758f05235c11197b735992"
-        "89a2c1c526bacb058c0a1e6e6566ade2"
+        "e868c3bc7837a5966703b4d28f1e0276"
+        "70652eb8aba974891f12510cf8e6a174"
     ),
     "adaptive-chaos": (
-        "9901ddaa658e2bfa6b75621dc5992adc"
-        "f1a6ec82d7f27906375ff27be1377edb"
+        "69bef8db4276ca4f17a267046391b1ed"
+        "e81c4cc67f2bfc3918bb7e9594f95205"
     ),
     "adaptive-sla-edge": (
-        "ce2ad1b53e23f8bcfd7d005fbc339781"
-        "38d730f1f42dd57d411ae6a8a82e8406"
+        "b2cb0a7cec849d9aa191296039056821"
+        "50df8aabca2113f48d6f040ae43788c2"
     ),
     "least-loaded-zombie": (
         "cc66f87ae16e5ade5388bcb85de66095"
@@ -269,8 +269,8 @@ PINS = {
         "ce627ad32e6ca92086c0f6b5e2a51fbd"
     ),
     "partition-10gbe": (
-        "8f9c10a9cbecfffcf10baff0f8b2f3d6"
-        "e27bb41b2f51bb191f31f51cf01db447"
+        "c57f4d78d59941f273c2f89082199dd7"
+        "63b77876a7ae5c5c3e161bccd0a34cd3"
     ),
     "launch-storm": (
         "2f7a6ebaef75183145b656989c954c84"
