@@ -1,34 +1,38 @@
-"""Fabric-scaling microbenchmark: scoped max-min recompute under churn.
+"""Fabric-scaling microbenchmark: share-level max-min under churn.
 
 Sustains N concurrent flows over a seeded churn loop (every completion
 starts a replacement) and measures how many fabric events (flow starts +
 completions) per wall-clock second the :class:`FlowNetwork` processes at
-100 / 1 000 / 5 000 concurrent flows, together with how much of the
-water-filling work the per-component recompute actually performed.  The
-numbers land in ``BENCH_fabric.json`` at the repo root.
+100 / 1 000 / 5 000 concurrent flows, together with how much per-flow
+water-filling work it actually performed.  The numbers land in
+``BENCH_fabric.json`` at the repo root.
 
 Two traffic patterns bound the design space:
 
 * ``rack-local`` — node-to-node transfers inside a rack (replication
   state copies between rack neighbours).  Contention components stay
-  rack-sized, so the scoped recompute touches a small fraction of the
+  rack-sized, so even a full water-fill touches a small fraction of the
   active flows.
 * ``cross-rack`` — every flow traverses the shared core, welding all
-  flows into one giant contention component.  Scoped == global here by
-  construction (``scoped_fraction`` ≈ 1.0), so this row records the
-  per-event cost when scoping cannot help.  The 5 000-flow level is
-  skipped for this pattern — merely *ramping up* a single 5 000-flow
-  component costs a quadratic number of rate assignments.
+  flows into one giant contention component.  Here only share levels
+  save work: an event whose flows keep their bottlenecks re-shares the
+  component's levels without touching its flows.  The 5 000-flow level
+  is skipped for this pattern: ramping up one 5 000-flow component was
+  quadratic under per-flow water-filling, and the rows stay comparable
+  across commits.
 
-``scoped_fraction`` is the share of flow-rate assignments the scoped
-passes performed vs. a global pass per event: the machine-independent
-record of what scoping saves.  The global recompute itself lives only in
-the tests, as the exactness oracle (``tests/test_network_incremental.py``).
+``scoped_fraction`` is the number of flows the fabric moved between
+share levels vs. the flow assignments of a global water-fill per event,
+and ``level_fraction`` the share of events that kept every level: the
+machine-independent record of what scoping and levels save.  The global recompute
+itself lives only in the tests, as the oracle
+(``tests/test_network_incremental.py``).
 
 Smoke mode (``BENCH_SMOKE=1``, used by CI) shrinks levels and event
 counts and asserts a machine-independent regression guard: the scoped
-fraction must stay low for rack-local traffic and near 1 for cross-rack
-traffic, plus a conservative events/sec floor.
+fraction must stay low for rack-local traffic and cross-rack churn must
+take the level path on at least 90% of events, plus a conservative
+events/sec floor.
 """
 
 from __future__ import annotations
@@ -110,6 +114,10 @@ def churn_window(
         "wf_full_0": 0,
         "wf_flows_1": 0,
         "wf_full_1": 0,
+        "reshares_0": 0,
+        "passes_0": 0,
+        "reshares_1": 0,
+        "passes_1": 0,
     }
 
     def pick_pair() -> tuple[str, str]:
@@ -150,6 +158,8 @@ def churn_window(
                 state["draining"] = True
                 state["wf_flows_1"] = net.waterfill_flows
                 state["wf_full_1"] = net.waterfill_flows_full
+                state["reshares_1"] = net.level_reshares
+                state["passes_1"] = net.waterfill_passes
                 return
         # Closed loop: every completion starts a replacement, keeping
         # exactly n_flows in flight through ramp and window.
@@ -163,6 +173,8 @@ def churn_window(
         state["completed"] = 0
         state["wf_flows_0"] = net.waterfill_flows
         state["wf_full_0"] = net.waterfill_flows_full
+        state["reshares_0"] = net.level_reshares
+        state["passes_0"] = net.waterfill_passes
         state["t0"] = time.perf_counter()
 
     sim.call_at(1.0, begin_window)
@@ -174,12 +186,18 @@ def churn_window(
     wall = state["t1"] - state["t0"]
     window_flows = state["wf_flows_1"] - state["wf_flows_0"]
     window_full = state["wf_full_1"] - state["wf_full_0"]
+    window_reshares = state["reshares_1"] - state["reshares_0"]
+    window_passes = state["passes_1"] - state["passes_0"]
     return {
         "churn_events": state["window_events"],
         "wall_s": round(wall, 4),
         "events_per_sec": round(state["window_events"] / wall),
         "scoped_fraction": round(
             window_flows / window_full if window_full else 0.0, 4
+        ),
+        "level_fraction": round(
+            window_reshares / (window_reshares + window_passes)
+            if window_reshares + window_passes else 0.0, 4
         ),
         "peak_active_flows": stats.peak_active_flows,
     }
@@ -207,19 +225,19 @@ def test_bench_fabric_scaling():
     print()
     print(json.dumps(record, indent=2))
 
-    # The scoped recompute must actually be scoped for decomposable
-    # traffic, and degenerate to the global pass for core-coupled
-    # traffic.  Both are structural properties of the event trace, so
-    # they hold on any machine at any load.
+    # Water-fills must stay scoped to components for decomposable
+    # traffic, and core-coupled churn must mostly keep its bottlenecks and
+    # take the level path.  Both are structural properties of the event
+    # trace, so they hold on any machine at any load.
     rack_rows = patterns["rack-local"]
     for row in rack_rows:
         if row["flows"] >= 1000:
             assert row["scoped_fraction"] < 0.5, row
     for row in patterns["cross-rack"]:
-        assert row["scoped_fraction"] > 0.9, row
+        assert row["level_fraction"] >= 0.9, row
 
     # Conservative wall-clock floor (the CI smoke guard): generous
-    # headroom for slow shared runners — the machine-independent guard
-    # above is what catches a revert to global recomputation.
+    # headroom for slow shared runners — the machine-independent guards
+    # above are what catch a revert to global recomputation.
     row_1k = next(r for r in rack_rows if r["flows"] == 1000)
     assert row_1k["events_per_sec"] >= 250, row_1k

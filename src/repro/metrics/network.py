@@ -38,26 +38,30 @@ class NetworkStats:
     bytes_total: float
     contention_delay_s: float
     peak_link_utilization: float
-    busiest_link: str
 
 
 @dataclass(frozen=True)
 class FabricComputeStats:
     """How much rate-recompute work a run's fabric actually performed.
 
-    ``flows_recomputed`` counts flow-rate assignments done by the scoped
-    (per-component) water-filling passes; ``flows_full_equivalent`` is
-    what the same churn would have cost with a global recompute on every
-    event.  ``scoped_fraction`` is their ratio — 1.0 means every pass was
-    effectively global (a single contention component), small values mean
-    the incremental fabric is skipping most of the work.
+    Every fabric event (a flow joining or leaving a component, or a
+    capacity change) re-shares the component's share levels.  A *level
+    re-share* keeps every level whole and does no per-flow work;
+    ``waterfill_passes`` counts the other events, in which flows changed
+    bottleneck and were water-filled one by one into new levels
+    (``flows_recomputed`` of them in all).  ``level_fraction`` is the
+    share of events that were level re-shares.  ``flows_full_equivalent``
+    is what a global water-fill on every event would have assigned, and
+    ``scoped_fraction`` is ``flows_recomputed`` over it.
     """
 
+    level_reshares: int
     waterfill_passes: int
     flows_recomputed: int
     flows_full_equivalent: int
     peak_active_flows: int
     scoped_fraction: float
+    level_fraction: float
 
 
 def fabric_compute_stats(
@@ -67,13 +71,18 @@ def fabric_compute_stats(
     if network is None:
         return None
     full = network.waterfill_flows_full
+    events = network.level_reshares + network.waterfill_passes
     return FabricComputeStats(
+        level_reshares=network.level_reshares,
         waterfill_passes=network.waterfill_passes,
         flows_recomputed=network.waterfill_flows,
         flows_full_equivalent=full,
         peak_active_flows=network.peak_active_flows,
         scoped_fraction=(
             network.waterfill_flows / full if full > 0 else 0.0
+        ),
+        level_fraction=(
+            network.level_reshares / events if events > 0 else 0.0
         ),
     )
 
@@ -83,8 +92,8 @@ def collect_link_usage(
 ) -> tuple[LinkUsage, ...]:
     """Per-link usage table, in fabric declaration order.
 
-    Mid-run, in-flight progress and open busy intervals are added without
-    settling: a settle would add a float step to every later residual.
+    Mid-run, in-flight progress (read off each flow's share-level clock)
+    and open busy intervals are added; the read changes no fabric state.
     """
     usages = []
     for link in network.links.values():
@@ -117,12 +126,10 @@ def collect_network_stats(
     """Aggregate a fabric into the scalars carried by ``RunSummary``."""
     if network is None:
         return None
-    peak = 0.0
-    busiest = ""
-    for usage in collect_link_usage(network, horizon_s):
-        if usage.utilization > peak:
-            peak = usage.utilization
-            busiest = usage.name
+    peak = max(
+        (usage.utilization for usage in collect_link_usage(network, horizon_s)),
+        default=0.0,
+    )
     return NetworkStats(
         flows_started=network.flows_started,
         flows_completed=network.flows_completed,
@@ -130,5 +137,4 @@ def collect_network_stats(
         bytes_total=network.bytes_completed,
         contention_delay_s=network.contention_delay_s,
         peak_link_utilization=peak,
-        busiest_link=busiest,
     )

@@ -33,11 +33,6 @@ class NetworkModelConfig:
         hop_latency_s: Fixed latency added per traversed link.
         registry_bandwidth: Egress capacity of the container image
             registry service (cold-start image pulls).
-        reschedule_tolerance: Relative completion-time improvement below
-            which an in-flight flow keeps its already-scheduled finish
-            event.  Bounds event churn under heavy sharing to
-            ``O(log)`` reschedules per flow; 0 gives exact max-min
-            finish times.  Deterministic either way.
         edge_racks: Racks sitting behind a WAN instead of the datacenter
             ToR uplink (cloud-core + edge split).  Empty (default) keeps
             the single-site fabric byte-identical.
@@ -55,7 +50,6 @@ class NetworkModelConfig:
     core_bandwidth: float = 8.0 * _10GBE
     hop_latency_s: float = 50e-6
     registry_bandwidth: float = 2.0 * _10GBE
-    reschedule_tolerance: float = 0.01
     edge_racks: tuple[str, ...] = ()
     wan_uplink_bandwidth: Optional[float] = None
     wan_latency_s: float = 0.0
@@ -71,8 +65,6 @@ class NetworkModelConfig:
                 raise ValueError(f"{field_name} must be positive")
         if self.hop_latency_s < 0:
             raise ValueError("hop_latency_s must be non-negative")
-        if self.reschedule_tolerance < 0:
-            raise ValueError("reschedule_tolerance must be non-negative")
         if self.wan_latency_s < 0:
             raise ValueError("wan_latency_s must be non-negative")
         if self.wan_uplink_bandwidth is not None and (

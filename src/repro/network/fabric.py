@@ -16,36 +16,36 @@ itself), while concurrent transfers now compete for every shared hop.
 
 Bandwidth allocation is classic max-min (water-filling): repeatedly find
 the most constrained link, give each of its flows an equal share, remove
-them, and continue.  Rates are recomputed on every flow start/finish and
-the per-flow completion events are rescheduled on the sim engine.  All
-iteration is insertion-ordered, so a seed pins the whole trace.
+them, and continue.  All iteration is insertion-ordered, so a seed pins
+the whole trace.
 
-Recomputation is *incremental*: flows partition into link-connected
-contention components (two flows are connected when they share a link,
-transitively), and a flow start/finish/cancel re-runs water-filling only
-over the component touched by the changed flow.  Untouched components
-keep their cached rates and their already-scheduled finish events.  This
-is exact, not approximate — water-filling never moves capacity across a
-component boundary, so the scoped pass performs bit-for-bit the same
-float operations the global pass would perform on those flows (the
-per-link member order and the link scan order are both preserved), and
-the resulting rates are identical.  The global recompute survives only
-in the tests, as the oracle the scoped passes are checked against.
+Flows are kept in *share levels*: the flows one water-filling step
+assigns, so one bottleneck link and one rate.  A level keeps a virtual
+clock ``V`` (bytes served per member, advanced as ``share × elapsed``
+when the share changes), a heap of its members keyed by the clock value
+``V_end`` at which each finishes, per-link member counts, and one engine
+timer (label family ``flow-end``) for its earliest finish.  A member's
+residual is ``V_end − V(now)``: nothing is settled per flow, and finish
+times are exact max-min.
 
-The inner loops are tuned for the interpreter without changing a single
-float operation or its order (``tests/test_fabric_exact.py`` pins that
-against the plain loops): water-filling tracks assigned flows with a
-per-pass stamp and stops at the last share level without updating the
-per-link scratch; a component spanning the whole fabric takes its link
-order from a key cached on each link instead of walking every path; each
-flow builds its finish callback and label once.  ``_settle`` touches no
-link: link counters close as flows leave (:class:`Link`), which regroups
-their sums but no rate, residual or event.
+The levels of one link-connected contention component form a *group*
+(a join that couples groups merges them).  A flow start, finish or
+cancel, or a link's capacity change, re-shares only its group:
+water-filling is replayed over the group's links, and each step whose
+least-share link carries exactly a level's members (the max-min
+certificate; a joining flow takes the first level whose bottleneck it
+crosses, or a level of its own) keeps that level whole, with its per-link
+member counts standing in for its members.  Only a step whose flows
+changed bottleneck moves them, one by one, into a new level whose clock
+starts at 0.  Levels whose share or members changed re-arm their timer;
+untouched groups keep their levels and timers.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -59,10 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.router import StoredObjectRef
     from repro.storage.tiers import TierRegistry
 
-#: A flow is complete once its residual drops below this many bytes.
-_EPS_BYTES = 1e-6
-
-_order_key = attrgetter("order_key")
+_seq = attrgetter("seq")
 
 
 class _Flow:
@@ -74,9 +71,7 @@ class _Flow:
         "links",
         "size_bytes",
         "remaining",
-        "rate",
         "on_complete",
-        "handle",
         "latency_handle",
         "endpoints",
         "started_at",
@@ -84,10 +79,9 @@ class _Flow:
         "finished",
         "span",
         "seq",
-        "done_below",
         "end_label",
-        "on_end",
-        "wf_stamp",
+        "level",
+        "v_end",
     )
 
     def __init__(
@@ -106,28 +100,84 @@ class _Flow:
         self.label = label
         self.links = links
         self.size_bytes = size_bytes
+        #: Bytes left when the flow left the fabric; in flight, read
+        #: :meth:`FlowNetwork.moved_bytes` instead.
         self.remaining = size_bytes
-        self.rate = 0.0
         self.on_complete: Optional[Callable[[], None]] = on_complete
-        self.handle: Optional[EventHandle] = None
         self.latency_handle: Optional[EventHandle] = None
         self.endpoints = endpoints
         self.started_at = started_at
         self.min_duration_s = min_duration_s
         self.finished = False
         self.span: Optional[Span] = None
-        #: Activation sequence number; orders component flows exactly the
-        #: way the activation-ordered ``_active`` dict would.
+        #: Activation sequence number: orders flows that tie.
         self.seq = 0
-        #: Residual at or below which the finish event completes the flow.
-        self.done_below = max(_EPS_BYTES, 1e-9 * size_bytes)
-        #: Label of every finish event this flow arms.
+        #: Label of the level timer while this flow is its earliest finish.
         self.end_label = end_label
-        #: The finish-event callback, built once the flow goes active and
-        #: dropped when it leaves the fabric.
-        self.on_end: Optional[Callable[[], None]] = None
-        #: Latest water-filling pass that assigned this flow a rate.
-        self.wf_stamp = 0
+        #: The share level serving this flow while it is on the fabric.
+        self.level: Optional[_Level] = None
+        #: The level's virtual clock value at which this flow finishes.
+        self.v_end = 0.0
+
+    @property
+    def rate(self) -> float:
+        """Current max-min rate (0 off the fabric)."""
+        level = self.level
+        return level.share if level is not None else 0.0
+
+
+class _Level:
+    """The flows one water-filling step assigns: one bottleneck, one rate.
+
+    Every member gets ``share`` bytes/s, so one virtual clock ``v`` (bytes
+    served per member, valid at time ``t`` and advanced lazily when the
+    share changes) stands in for every member's residual: a member's
+    residual is ``v_end - V(now)``.  ``heap`` orders members by
+    ``(v_end, seq)``; cancelled members stay in it until they surface.
+    ``counts`` is the number of members on each link, which is all a
+    re-share needs to know about them.
+    """
+
+    __slots__ = (
+        "bottleneck",
+        "share",
+        "v",
+        "t",
+        "heap",
+        "size",
+        "counts",
+        "group",
+        "timer",
+        "stamp",
+    )
+
+    def __init__(self, bottleneck: Link, share: float, now: float) -> None:
+        self.bottleneck = bottleneck
+        self.share = share
+        self.v = 0.0
+        self.t = now
+        self.heap: list[tuple[float, int, _Flow]] = []
+        self.size = 0
+        self.counts: dict[Link, int] = {}
+        self.group: Optional[_Group] = None
+        self.timer: Optional[EventHandle] = None
+        #: Latest re-share that assigned this level its share.
+        self.stamp = 0
+
+
+class _Group:
+    """The levels of one contention component, in water-filling order.
+
+    ``links`` holds every link that carries a member.  Groups merge when a
+    joining flow couples them and never split: after departures a group
+    may hold several components, which share independently.
+    """
+
+    __slots__ = ("levels", "links")
+
+    def __init__(self) -> None:
+        self.levels: list[_Level] = []
+        self.links: dict[Link, None] = {}
 
 
 class FlowHandle:
@@ -222,12 +272,9 @@ class FlowNetwork:
             "svc-tx:registry", config.registry_bandwidth
         )
         self._active: dict[int, _Flow] = {}
-        #: Links that currently carry at least one active flow.
-        self._active_links: dict[Link, None] = {}
         self._flow_counter = 0
         self._activation_seq = 0
-        self._wf_stamp = 0
-        self._last_settle = 0.0
+        self._stamp = 0
         # aggregate statistics
         self.flows_started = 0
         self.flows_completed = 0
@@ -235,8 +282,10 @@ class FlowNetwork:
         self.bytes_completed = 0.0
         self.contention_delay_s = 0.0
         self.peak_active_flows = 0
-        # recompute accounting: how many flow-rate assignments the scoped
-        # passes actually performed vs. what global passes would have.
+        # recompute accounting: re-shares that kept every level, those
+        # that moved flows between levels, the flows moved, and what a
+        # global water-fill per fabric event would have assigned.
+        self.level_reshares = 0
         self.waterfill_passes = 0
         self.waterfill_flows = 0
         self.waterfill_flows_full = 0
@@ -542,20 +591,30 @@ class FlowNetwork:
         if flow.finished:
             return
         flow.latency_handle = None
-        self._settle()
         self._activation_seq += 1
         flow.seq = self._activation_seq
-        self._active[flow.flow_id] = flow
-        if len(self._active) > self.peak_active_flows:
-            self.peak_active_flows = len(self._active)
-        flow.on_end = lambda: self._complete_event(flow)
+        active = self._active
+        active[flow.flow_id] = flow
+        if len(active) > self.peak_active_flows:
+            self.peak_active_flows = len(active)
+        self.waterfill_flows_full += len(active)
+        now = self.sim.now
+        group: Optional[_Group] = None
         for link in flow.links:
-            if not link.members:
-                self._active_links[link] = None
-            link.attach(flow, self.sim.now)
-        # The join may have merged components; BFS from the new flow
-        # finds exactly the merged component.
-        self._recompute_for(self._component(flow))
+            if link.members:
+                other = link.group
+                if group is None:
+                    group = other
+                elif other is not group:
+                    self._merge(group, other)
+            link.attach(flow, now)
+        if group is None:
+            group = _Group()
+        for link in flow.links:
+            if link.group is not group:
+                link.group = group
+                group.links[link] = None
+        self._reshare(group, flow, None)
 
     def _finish(self, flow: _Flow) -> None:
         """Completion of a fabric-bypass (latency-only) flow."""
@@ -572,27 +631,14 @@ class FlowNetwork:
         if callback is not None:
             callback()
 
-    def _complete_event(self, flow: _Flow) -> None:
-        """Scheduled finish event of an active (bandwidth-phase) flow."""
-        if flow.finished or flow.flow_id not in self._active:
-            return
-        self._settle()
-        if flow.remaining > flow.done_below:
-            # Fired early: the flow's share shrank since this event was
-            # scheduled (new sharers joined).  Re-arm from live state.
-            rate = flow.rate
-            if rate > 0:
-                now = self.sim.now
-                eta = now + flow.remaining / rate
-                flow.handle = self.sim.call_at(
-                    eta if eta > now else now,
-                    flow.on_end,
-                    label=flow.end_label,
-                )
-            return
+    def _level_fire(self, level: _Level) -> None:
+        """A level's timer: its earliest-finishing member completes."""
+        level.timer = None
+        # Every change to the level re-arms the timer, so its top is live.
+        flow = heapq.heappop(level.heap)[2]
         flow.remaining = 0.0
         flow.finished = True
-        peers = self._depart(flow)
+        self._leave(flow)
         self.flows_completed += 1
         self.bytes_completed += flow.size_bytes
         contention = max(
@@ -603,7 +649,6 @@ class FlowNetwork:
             self.tracer.finish(
                 flow.span, outcome="completed", contention_s=contention
             )
-        self._recompute_for(peers)
         callback = flow.on_complete
         flow.on_complete = None
         if callback is not None:
@@ -619,45 +664,52 @@ class FlowNetwork:
         if flow.latency_handle is not None:
             flow.latency_handle.cancel()
             flow.latency_handle = None
-        if flow.handle is not None:
-            flow.handle.cancel()
-            flow.handle = None
-        if flow.flow_id in self._active:
-            self._settle()
-            self._recompute_for(self._depart(flow))
+        if flow.level is not None:
+            flow.remaining = flow.size_bytes - self.moved_bytes(flow)
+            self._leave(flow)
         self.flows_cancelled += 1
 
     def moved_bytes(self, flow: _Flow) -> float:
-        """Bytes *flow* has moved by now, read without settling."""
-        pending = flow.rate * (self.sim.now - self._last_settle)
-        return flow.size_bytes - flow.remaining + min(pending, flow.remaining)
+        """Bytes *flow* has moved by now, read from its level's clock."""
+        level = flow.level
+        if level is None:
+            return flow.size_bytes - flow.remaining
+        clock = level.v + level.share * (self.sim.now - level.t)
+        left = flow.v_end - clock
+        if left <= 0.0:
+            return flow.size_bytes
+        return flow.size_bytes - left if left < flow.size_bytes else 0.0
 
-    def _depart(self, flow: _Flow) -> list[_Flow]:
-        """Remove *flow* from the fabric; return the flows whose rates
-        its departure can touch (its former component, in activation
-        order — the departed flow excluded)."""
-        if len(self._active) > 1:
-            peers = self._component(flow)
-            peers.remove(flow)
-        else:
-            peers = []
-        del self._active[flow.flow_id]
-        flow.on_end = None
+    def _leave(self, flow: _Flow) -> None:
+        """Take *flow* off the fabric and re-share what it left behind."""
+        level = flow.level
+        assert level is not None
+        group = level.group
+        assert group is not None
+        now = self.sim.now
+        self._take(level, flow, now)
+        flow.level = None
         moved = flow.size_bytes - flow.remaining
         for link in flow.links:
-            link.detach(flow, moved, self.sim.now)
+            link.detach(flow, moved, now)
             if not link.members:
-                del self._active_links[link]
-        return peers
+                link.group = None
+                del group.links[link]
+        del self._active[flow.flow_id]
+        touched: Optional[_Level] = level
+        if not level.size:
+            self._retire(level)
+            group.levels.remove(level)
+            touched = None
+        if group.levels:
+            self.waterfill_flows_full += len(self._active)
+            self._reshare(group, None, touched)
 
     def set_link_capacity(self, name: str, bandwidth: float) -> float:
         """Change link *name*'s capacity mid-run; return the previous value.
 
-        Used by the chaos layer for partitions and link brownouts.  Flows
-        on the link are re-water-filled immediately: a flow whose finish
-        moved later keeps its event (it fires early, observes a positive
-        residual, and re-arms), so a capacity *cut* needs no event surgery;
-        a restore replaces improved finish events right away.
+        Used by the chaos layer for partitions and link brownouts.  The
+        link's group is re-shared at once.
         """
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
@@ -668,11 +720,10 @@ class FlowNetwork:
         previous = link.bandwidth
         if bandwidth == previous:
             return previous
-        self._settle()
         link.bandwidth = bandwidth
-        if link.members:
-            member = next(iter(link.members.values()))
-            self._recompute_for(self._component(member))
+        if link.group is not None:
+            self.waterfill_flows_full += len(self._active)
+            self._reshare(link.group, None, None)
         return previous
 
     def fail_endpoint(self, node_id: str) -> int:
@@ -680,9 +731,8 @@ class FlowNetwork:
 
         Victims are found through the node's NIC member sets (every
         active flow with a node endpoint traverses that node's NIC), so
-        a failure costs O(node's flows) plus per-component recomputes —
-        flows in unrelated components keep their rates and their
-        scheduled finish events.
+        a failure costs O(node's flows) plus per-component re-shares —
+        flows in unrelated components keep their levels and timers.
         """
         nic_links = [
             link
@@ -702,7 +752,7 @@ class FlowNetwork:
                 for flow in link.members.values():
                     if node_id in flow.endpoints:
                         seen[flow.flow_id] = flow
-            victims = sorted(seen.values(), key=lambda f: f.seq)
+            victims = sorted(seen.values(), key=_seq)
         for flow in victims:
             self._cancel(flow)
         return len(victims)
@@ -710,160 +760,195 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # Max-min fair share
     # ------------------------------------------------------------------
-    def _settle(self) -> None:
-        """Advance every active flow's residual to the current time."""
-        now = self.sim.now
-        elapsed = now - self._last_settle
-        self._last_settle = now
-        if elapsed <= 0 or not self._active:
+    @staticmethod
+    def _merge(group: _Group, other: _Group) -> None:
+        """Fold *other* into *group* (a joining flow couples them)."""
+        for level in other.levels:
+            level.group = group
+        group.levels.extend(other.levels)
+        for link in other.links:
+            link.group = group
+            group.links[link] = None
+
+    @staticmethod
+    def _retire(level: _Level) -> None:
+        if level.timer is not None:
+            level.timer.cancel()
+            level.timer = None
+        level.bottleneck.bottleneck_of = None
+        level.group = None
+
+    def _arm(self, level: _Level, now: float) -> None:
+        """(Re-)arm *level*'s timer for its earliest member's finish.
+
+        The level's clock must be current (``level.t == now``).
+        """
+        if level.timer is not None:
+            level.timer.cancel()
+            level.timer = None
+        heap = level.heap
+        while heap[0][2].level is not level:
+            heapq.heappop(heap)
+        v_end, _, top = heap[0]
+        share = level.share
+        if share <= 0.0:  # pragma: no cover - defensive
             return
-        # Rates are never negative; a zero rate leaves the residual as it
-        # was, and a capped move leaves ``remaining - remaining``, i.e. 0.0.
-        for flow in self._active.values():
-            moved = flow.rate * elapsed
-            remaining = flow.remaining
-            flow.remaining = remaining - moved if moved < remaining else 0.0
+        due = now + (v_end - level.v) / share
+        level.timer = self.sim.call_at(
+            due if due > now else now,
+            partial(self._level_fire, level),
+            label=top.end_label,
+        )
 
-    def _component(self, flow: _Flow) -> list[_Flow]:
-        """*flow*'s contention component, in activation order.
+    def _reshare(
+        self,
+        group: _Group,
+        joiner: Optional[_Flow],
+        touched: Optional[_Level],
+    ) -> None:
+        """Water-fill *group* again, keeping every level that still holds.
 
-        BFS over the live per-link member sets: a flow belongs to the
-        component when it shares a link (transitively) with *flow*.  Costs
-        O(component), independent of the total active-flow count.
+        Each step takes the link with the least fair share among the
+        flows not yet assigned, and assigns it those flows.  When they are
+        exactly a pending level's members (plus *joiner*, who joins the
+        first level whose bottleneck it crosses), the level is kept whole:
+        its per-link member counts stand in for its members, so the step
+        does no per-flow work.  Otherwise the flows changed bottleneck, and
+        the step moves them into a new level, reading each residual off its
+        old level's clock (the new clock starts at 0).  Either way every
+        step is a water-filling step, so the shares are max-min rates.
+        Levels whose share or members changed re-arm their timer;
+        *touched* lost a member before the call.
         """
-        total = len(self._active)
-        for link in flow.links:
-            if len(link.members) == total:
-                # A hub link (e.g. the core) carries every active flow:
-                # the whole fabric is one component, no BFS needed.
-                return list(self._active.values())
-        found = {flow.flow_id: flow}
-        stack = [flow]
-        seen_links: set[Link] = set()
-        while stack and len(found) < total:
-            for link in stack.pop().links:
-                if link in seen_links:
-                    continue
-                seen_links.add(link)
-                if len(link.members) == 1:
-                    continue
-                for other in link.members.values():
-                    if other.flow_id not in found:
-                        found[other.flow_id] = other
-                        stack.append(other)
-        if len(found) == total:
-            # Single giant component (e.g. everything couples through the
-            # core): the activation-ordered active dict *is* the order.
-            return list(self._active.values())
-        if len(found) == 1:
-            return [flow]
-        return sorted(found.values(), key=lambda f: f.seq)
-
-    def _waterfill(self, flows: list[_Flow], links: list[Link]) -> None:
-        """Water-filling over *flows*/*links*: set each flow's max-min rate.
-
-        *flows* must be in activation order and *links* in
-        first-encounter order over those flows — exactly the orders a
-        global pass over the activation-ordered ``_active`` dict would
-        visit, which makes a scoped pass bit-identical to the global one
-        (capacity never moves across a component boundary).  Per-link
-        flow order comes from the maintained ``Link.members`` dicts, so
-        no members/counts scratch dicts are rebuilt per call.
-        """
-        self.waterfill_passes += 1
-        self.waterfill_flows += len(flows)
-        self.waterfill_flows_full += len(self._active)
-        for link in links:
-            link.wf_cap = link.bandwidth
-            link.wf_count = len(link.members)
-        # A flow is assigned in this pass once it carries this pass's
-        # stamp; older stamps mean unassigned, so no per-pass reset.
-        self._wf_stamp = stamp = self._wf_stamp + 1
-        left = len(flows)
-        while True:
-            bottleneck: Optional[Link] = None
+        now = self.sim.now
+        links = group.links
+        pending = group.levels
+        self._stamp = stamp = self._stamp + 1
+        changed: dict[_Level, None] = {}
+        if touched is not None:
+            changed[touched] = None
+        if pending:
+            bottleneck = pending[0].bottleneck
+            share = bottleneck.bandwidth / len(bottleneck.members)
+        else:
             share = math.inf
+        # The first scan also resets the scratch.  Every group link
+        # carries a member, so no count is zero yet.
+        for link in links:
+            cap = link.wf_cap = link.bandwidth
+            count = link.wf_count = len(link.members)
+            candidate = cap / count
+            if candidate < share:
+                share = candidate
+                bottleneck = link
+        steps: list[tuple[_Level, float]] = []
+        homeless = joiner
+        joined: Optional[_Level] = None
+        moved = 0
+        while True:
+            carries = homeless is not None and bottleneck in homeless.links
+            level = bottleneck.bottleneck_of
+            if level is not None and (
+                bottleneck.wf_count == level.size + carries
+            ):
+                pending.remove(level)
+                for link, count in level.counts.items():
+                    link.wf_cap -= count * share
+                    link.wf_count -= count
+                if carries:
+                    joined = level
+                    homeless = None
+                    changed[level] = None
+                    for link in joiner.links:
+                        link.wf_cap -= share
+                        link.wf_count -= 1
+            else:
+                level = _Level(bottleneck, share, now)
+                counts = level.counts
+                heap = level.heap
+                for flow in bottleneck.members.values():
+                    old = flow.level
+                    if old is None:  # the joiner
+                        if homeless is None:
+                            continue  # already in a kept level
+                        homeless = None
+                        flow.v_end = flow.size_bytes
+                    elif old.stamp == stamp:
+                        continue
+                    else:
+                        moved += 1
+                        self._take(old, flow, now)
+                        changed[old] = None
+                        if not old.size:
+                            self._retire(old)
+                            pending.remove(old)
+                    flow.level = level
+                    heap.append((flow.v_end, flow.seq, flow))
+                    for link in flow.links:
+                        link.wf_cap -= share
+                        link.wf_count -= 1
+                        counts[link] = counts.get(link, 0) + 1
+                level.size = len(heap)
+                heapq.heapify(heap)
+                level.group = group
+                bottleneck.bottleneck_of = level
+                changed[level] = None
+            level.stamp = stamp
+            steps.append((level, share))
+            if not pending and homeless is None:
+                break
+            if pending:
+                bottleneck = pending[0].bottleneck
+                cap = bottleneck.wf_cap
+                share = (cap if cap > 0.0 else 0.0) / bottleneck.wf_count
+            else:
+                share = math.inf
             for link in links:
                 count = link.wf_count
                 if count <= 0:
                     continue
                 cap = link.wf_cap
-                candidate = (0.0 if 0.0 > cap else cap) / count
+                candidate = (cap if cap > 0.0 else 0.0) / count
                 if candidate < share:
                     share = candidate
                     bottleneck = link
-            if bottleneck is None:  # pragma: no cover - defensive
-                for flow in flows:
-                    if flow.wf_stamp != stamp:
-                        flow.rate = math.inf
-                return
-            if bottleneck.wf_count == left:
-                # Last level: the unassigned flows all cross the
-                # bottleneck; their shares end the pass, so the per-link
-                # scratch needs no more updates.
-                for flow in bottleneck.members.values():
-                    if flow.wf_stamp != stamp:
-                        flow.rate = share
-                return
-            for flow in bottleneck.members.values():
-                if flow.wf_stamp == stamp:
-                    continue
-                flow.wf_stamp = stamp
-                flow.rate = share
-                left -= 1
-                for link in flow.links:
-                    link.wf_cap -= share
-                    link.wf_count -= 1
-            bottleneck.wf_cap = 0.0
+        for level, share in steps:
+            if share != level.share or level in changed:
+                level.v += level.share * (now - level.t)
+                level.t = now
+                level.share = share
+                if level is joined:
+                    self._join(level, joiner)
+                self._arm(level, now)
+        group.levels = [level for level, _ in steps]
+        if moved:
+            self.waterfill_passes += 1
+            self.waterfill_flows += moved
+        else:
+            self.level_reshares += 1
 
     @staticmethod
-    def _ordered_links(flows: list[_Flow]) -> list[Link]:
-        """The links of *flows*, deduplicated in first-encounter order."""
-        seen: dict[Link, None] = {}
-        for flow in flows:
-            for link in flow.links:
-                seen[link] = None
-        return list(seen)
+    def _take(level: _Level, flow: _Flow, now: float) -> None:
+        """Take *flow* out of *level*; its residual becomes its ``v_end``
+        on a clock that starts at 0."""
+        left = flow.v_end - (level.v + level.share * (now - level.t))
+        flow.v_end = left if left > 0.0 else 0.0
+        level.size -= 1
+        counts = level.counts
+        for link in flow.links:
+            count = counts[link] - 1
+            if count:
+                counts[link] = count
+            else:
+                del counts[link]
 
-    def _recompute_for(self, flows: list[_Flow]) -> None:
-        """Re-apply fair-share rates to *flows*; move events that improved.
-
-        A flow whose completion moved *later* keeps its event — it will
-        fire early, observe a positive residual, and re-arm.  A flow whose
-        completion improved by more than the configured tolerance gets its
-        event replaced now.  Both paths are deterministic.  Flows outside
-        *flows* (other contention components) are untouched: cached rates,
-        scheduled finish events and all.
-        """
-        if not flows:
-            return
-        if len(flows) == len(self._active):
-            # The whole fabric: first-encounter order is the order of
-            # (first member's activation, position on its path), which
-            # each link caches as it gains or loses its first member.
-            links = sorted(self._active_links, key=_order_key)
-        else:
-            links = self._ordered_links(flows)
-        self._waterfill(flows, links)
-        now = self.sim.now
-        tolerance = self.config.reschedule_tolerance
-        call_at = self.sim.call_at
-        for flow in flows:
-            rate = flow.rate
-            if rate <= 0:  # pragma: no cover - defensive
-                continue
-            eta = now + flow.remaining / rate
-            handle = flow.handle
-            # ``handle.active``: fired and cancelled events drop their
-            # callback.
-            if handle is not None and handle.callback is not None:
-                due = handle.time
-                slack = tolerance * (due - now)
-                if eta >= due - (1e-12 if 1e-12 > slack else slack):
-                    continue
-                handle.cancel()
-            flow.handle = call_at(
-                eta if eta > now else now,
-                flow.on_end,
-                label=flow.end_label,
-            )
+    @staticmethod
+    def _join(level: _Level, flow: _Flow) -> None:
+        """Add *flow* to *level* with its whole size still to move."""
+        flow.level = level
+        flow.v_end = level.v + flow.size_bytes
+        heapq.heappush(level.heap, (flow.v_end, flow.seq, flow))
+        level.size += 1
+        counts = level.counts
+        for link in flow.links:
+            counts[link] = counts.get(link, 0) + 1

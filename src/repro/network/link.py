@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.fabric import _Flow
+    from repro.network.fabric import _Flow, _Group, _Level
 
 
 class Link:
@@ -13,9 +13,8 @@ class Link:
 
     Capacity is shared max-min fairly between the flows traversing the
     link; the fabric owns the allocation — the link tracks *which* flows
-    are on it (``members``, in activation order, so scoped water-filling
-    sees exactly the per-link flow order a global recompute would build)
-    and what has moved through it.
+    are on it (``members``, in activation order) and what has moved
+    through it.
 
     ``bytes_total`` gains each flow's moved bytes when it departs;
     ``busy_s`` gains ``now - busy_since`` when the last member departs.
@@ -24,11 +23,9 @@ class Link:
     resets them at the start of each fair-share pass over the links it is
     recomputing, so no per-call ``members``/``counts`` dicts are built.
 
-    ``order_key`` is ``(seq of the first member, index of this link on that
-    member's path)``: sorting the active links by it gives their
-    first-encounter order over the activation-ordered flows, which is the
-    link order of a whole-fabric water-filling pass.  It is refreshed only
-    when the first member attaches or departs.
+    ``group`` is the fabric's share group whose flows use the link (None
+    while it is idle) and ``bottleneck_of`` the share level it bounds, if
+    any.
     """
 
     __slots__ = (
@@ -42,7 +39,8 @@ class Link:
         "busy_since",
         "wf_cap",
         "wf_count",
-        "order_key",
+        "group",
+        "bottleneck_of",
     )
 
     def __init__(self, name: str, bandwidth: float) -> None:
@@ -52,10 +50,11 @@ class Link:
         self.bandwidth = bandwidth
         #: Active flows on this link, flow_id -> flow, in activation order.
         self.members: dict[int, "_Flow"] = {}
-        # water-filling scratch (owned by FlowNetwork._waterfill)
+        # water-filling scratch (owned by FlowNetwork)
         self.wf_cap = 0.0
         self.wf_count = 0
-        self.order_key = (0, 0)
+        self.group: Optional["_Group"] = None
+        self.bottleneck_of: Optional["_Level"] = None
         # usage statistics
         self.bytes_total = 0.0
         self.flows_total = 0
@@ -70,7 +69,6 @@ class Link:
     def attach(self, flow: "_Flow", now: float) -> None:
         members = self.members
         if not members:
-            self.order_key = (flow.seq, flow.links.index(self))
             self.busy_since = now
         members[flow.flow_id] = flow
         self.flows_total += 1
@@ -84,9 +82,6 @@ class Link:
         self.bytes_total += moved
         if not members:
             self.busy_s += now - self.busy_since
-        elif self.order_key[0] == flow.seq:
-            first = next(iter(members.values()))
-            self.order_key = (first.seq, first.links.index(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

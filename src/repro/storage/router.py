@@ -63,22 +63,31 @@ class CheckpointStorageRouter:
         self.tiers = tiers
         self.require_shared_spill = require_shared_spill
         self.custom_endpoint = custom_endpoint
-        if custom_endpoint == "kv":
+        self._spilled: dict[str, StoredObjectRef] = {}
+
+    @property
+    def custom_endpoint(self) -> Optional[str]:
+        return self._custom_endpoint
+
+    @custom_endpoint.setter
+    def custom_endpoint(self, name: Optional[str]) -> None:
+        """Validated on every assignment, not only at construction."""
+        if name == "kv":
             raise ValueError(
                 "custom_endpoint cannot be 'kv': the KV store takes only "
                 "payloads within its per-key limit"
             )
-        if custom_endpoint is not None:
-            tiers.get(custom_endpoint)  # validate eagerly
-        self._spilled: dict[str, StoredObjectRef] = {}
+        if name is not None:
+            self.tiers.get(name)  # KeyError for an unknown tier
+        self._custom_endpoint = name
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
     def choose_tier(self, size_bytes: float) -> StorageTier:
         """Tier that a payload of *size_bytes* would land on."""
-        if self.custom_endpoint is not None:
-            return self.tiers.get(self.custom_endpoint)
+        if self._custom_endpoint is not None:
+            return self.tiers.get(self._custom_endpoint)
         if self.kv.fits(size_bytes) and not self.tiers.is_refusing("kv"):
             return self.tiers.get("kv")
         return self.tiers.fastest_spill_tier(

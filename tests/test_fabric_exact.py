@@ -1,20 +1,19 @@
-"""Exactness guard for the fabric hot path.
+"""Differential guard for the share-level fabric.
 
-:class:`ReferenceFlowNetwork` keeps the straightforward inner loops of the
-flow fabric — ``_settle``, ``_waterfill``, ``_ordered_links`` and
-``_recompute_for`` exactly as they read before the hot path was tuned —
-and each full-platform scenario below runs twice: once on the shipped
-fabric, once on the reference one (injected where the platform builds its
-fabric).  Every simulated outcome must match with *exact* float equality,
-and so must the event trace's shape (events scheduled and cancelled): a
-speed-up of the fabric may regroup Python work, never float operations.
+:class:`ReferenceFlowNetwork` is the per-flow max-min fabric written
+plainly: every join, leave or capacity change settles every active flow's
+residual, water-fills the changed flow's whole component with a textbook
+pass, and re-arms each of its flows' finish events at the exact max-min
+finish time.  Each full-platform scenario below runs twice: once on the
+shipped fabric (share levels, virtual clocks, one timer per level), once
+on the reference (injected where the platform builds its fabric).  Every
+simulated outcome — each ``RunSummary`` field and the link usage table —
+must agree within 1e-9 relative; counts must be equal.  The event trace's
+shape is not compared: the two fabrics arm different events.
 
-Link byte and busy counters are not part of that contract: both fabrics
-close them through the shared ``_depart``.  The reference also keeps the
-original per-settle accumulation as shadow counters (each settle adds
-every flow's progress to its links and ``elapsed`` to each active link; a
-completing flow credits its last residual), and the shipped counters
-must agree with them to 1e-9 relative.
+The reference keeps its own link counters, accumulated on every settle
+(each flow's progress on each of its links, ``elapsed`` on each busy
+link), and the shipped departure-closed counters must agree with them.
 """
 
 from __future__ import annotations
@@ -22,134 +21,186 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import asdict
-from typing import Optional
 
 import pytest
 
 import repro.core.canary as canary_module
 from repro.adaptive import AdaptiveConfig
+from repro.core.execution import Attempt
 from repro.detection import BackoffPolicy, DetectionConfig
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import _run_platform
 from repro.faults.chaos import ChaosConfig
-from repro.metrics.engine import collect_engine_stats
 from repro.metrics.network import collect_link_usage
 from repro.network.config import get_network_preset
 from repro.network.fabric import FlowNetwork, _Flow
-from repro.network.link import Link
+from repro.sim.engine import EventHandle
 from repro.sla.policy import SLAPolicy
 from repro.strategies.cloning import CloningConfig
 from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
 
+REL = 1e-9
+
 
 class ReferenceFlowNetwork(FlowNetwork):
-    """The fabric with its original, unoptimised inner loops."""
+    """The per-flow max-min fabric with exact finish events."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: Per-settle link counters, as the fabric kept them before link
-        #: counters closed at departure.
+        self.rates: dict[int, float] = {}
+        self.left: dict[int, float] = {}
+        self.events: dict[int, EventHandle] = {}
+        self.last_settle = 0.0
+        #: Link counters accumulated on every settle.
         self.shadow_bytes: dict[str, float] = defaultdict(float)
         self.shadow_busy: dict[str, float] = defaultdict(float)
-        #: flow_id -> residual after the flow's latest settle.
-        self._residual: dict[int, float] = {}
 
     def _settle(self) -> None:
-        """Advance every active flow's residual to the current time."""
         now = self.sim.now
-        elapsed = now - self._last_settle
-        self._last_settle = now
-        if elapsed <= 0 or not self._active:
+        elapsed = now - self.last_settle
+        self.last_settle = now
+        if elapsed <= 0:
             return
+        busy: dict[str, None] = {}
         for flow in self._active.values():
-            rate = flow.rate
-            if rate <= 0:
-                continue
-            moved = rate * elapsed
-            if moved > flow.remaining:
-                moved = flow.remaining
-            flow.remaining -= moved
-            self._residual[flow.flow_id] = flow.remaining
+            moved = min(self.rates[flow.flow_id] * elapsed,
+                        self.left[flow.flow_id])
+            self.left[flow.flow_id] -= moved
             for link in flow.links:
                 self.shadow_bytes[link.name] += moved
-        for link in self._active_links:
-            self.shadow_busy[link.name] += elapsed
+                busy[link.name] = None
+        for name in busy:
+            self.shadow_busy[name] += elapsed
 
-    def _depart(self, flow: _Flow) -> list[_Flow]:
-        residual = self._residual.pop(flow.flow_id, flow.size_bytes)
-        if flow.remaining == 0.0 and residual > 0:
-            # A completed flow: credit the residue its last settle left.
-            for link in flow.links:
-                self.shadow_bytes[link.name] += residual
-        return super()._depart(flow)
-
-    def _waterfill(
-        self, flows: list[_Flow], links: list[Link]
-    ) -> dict[int, float]:
-        for link in links:
-            link.wf_cap = link.bandwidth
-            link.wf_count = len(link.members)
-        unassigned = dict.fromkeys(flow.flow_id for flow in flows)
-        rates: dict[int, float] = {}
-        self.waterfill_passes += 1
-        self.waterfill_flows += len(flows)
-        self.waterfill_flows_full += len(self._active)
-        while unassigned:
-            bottleneck: Optional[Link] = None
-            share = math.inf
-            for link in links:
-                if link.wf_count <= 0:
-                    continue
-                candidate = max(link.wf_cap, 0.0) / link.wf_count
-                if candidate < share:
-                    share = candidate
-                    bottleneck = link
-            if bottleneck is None:  # pragma: no cover - defensive
-                for flow_id in unassigned:
-                    rates[flow_id] = math.inf
-                break
-            for flow in bottleneck.members.values():
-                if flow.flow_id not in unassigned:
-                    continue
-                rates[flow.flow_id] = share
-                del unassigned[flow.flow_id]
-                for link in flow.links:
-                    link.wf_cap -= share
-                    link.wf_count -= 1
-            bottleneck.wf_cap = 0.0
-        return rates
+    def _component(self, flow: _Flow) -> list[_Flow]:
+        found = {flow.flow_id: flow}
+        stack = [flow]
+        while stack:
+            for link in stack.pop().links:
+                for other in link.members.values():
+                    if other.flow_id not in found:
+                        found[other.flow_id] = other
+                        stack.append(other)
+        return sorted(found.values(), key=lambda f: f.seq)
 
     @staticmethod
-    def _ordered_links(flows: list[_Flow]) -> list[Link]:
-        seen: dict[Link, None] = {}
+    def _waterfill(flows: list[_Flow]) -> dict[int, float]:
+        members: dict = {}
         for flow in flows:
             for link in flow.links:
-                seen[link] = None
-        return list(seen)
+                members.setdefault(link, []).append(flow)
+        cap = {link: link.bandwidth for link in members}
+        count = {link: len(on) for link, on in members.items()}
+        rates: dict[int, float] = {}
+        while len(rates) < len(flows):
+            share, bottleneck = math.inf, None
+            for link in members:
+                if count[link] > 0 and max(cap[link], 0.0) / count[link] < share:
+                    share = max(cap[link], 0.0) / count[link]
+                    bottleneck = link
+            for flow in members[bottleneck]:
+                if flow.flow_id in rates:
+                    continue
+                rates[flow.flow_id] = share
+                for link in flow.links:
+                    cap[link] -= share
+                    count[link] -= 1
+        return rates
 
-    def _recompute_for(self, flows: list[_Flow]) -> None:
+    def _recompute(self, flows: list[_Flow]) -> None:
         if not flows:
             return
-        rates = self._waterfill(flows, self._ordered_links(flows))
+        rates = self._waterfill(flows)
         now = self.sim.now
-        tolerance = self.config.reschedule_tolerance
         for flow in flows:
-            rate = rates[flow.flow_id]
-            flow.rate = rate
-            if rate <= 0:  # pragma: no cover - defensive
-                continue
-            eta = now + flow.remaining / rate
-            handle = flow.handle
-            if handle is not None and handle.active:
-                slack = tolerance * (handle.time - now)
-                if eta >= handle.time - max(slack, 1e-12):
-                    continue
-                handle.cancel()
-            flow.handle = self.sim.call_at(
-                max(now, eta),
-                lambda f=flow: self._complete_event(f),
-                label=f"flow-end:{flow.label}",
+            rate = self.rates[flow.flow_id] = rates[flow.flow_id]
+            old = self.events.pop(flow.flow_id, None)
+            if old is not None:
+                old.cancel()
+            self.events[flow.flow_id] = self.sim.call_at(
+                now + self.left[flow.flow_id] / rate,
+                lambda f=flow: self._complete(f),
+                label=flow.end_label,
             )
+
+    def _activate(self, flow: _Flow) -> None:
+        if flow.finished:
+            return
+        flow.latency_handle = None
+        self._settle()
+        self._activation_seq += 1
+        flow.seq = self._activation_seq
+        self._active[flow.flow_id] = flow
+        self.peak_active_flows = max(self.peak_active_flows,
+                                     len(self._active))
+        self.left[flow.flow_id] = flow.size_bytes
+        for link in flow.links:
+            link.attach(flow, self.sim.now)
+        self._recompute(self._component(flow))
+
+    def _depart(self, flow: _Flow) -> list[_Flow]:
+        peers = [f for f in self._component(flow) if f is not flow]
+        del self._active[flow.flow_id]
+        del self.rates[flow.flow_id]
+        flow.remaining = self.left.pop(flow.flow_id)
+        for link in flow.links:
+            link.detach(flow, flow.size_bytes - flow.remaining, self.sim.now)
+        return peers
+
+    def _complete(self, flow: _Flow) -> None:
+        self._settle()
+        del self.events[flow.flow_id]
+        # A completed flow credits the residue its last settle left.
+        for link in flow.links:
+            self.shadow_bytes[link.name] += self.left[flow.flow_id]
+        self.left[flow.flow_id] = 0.0
+        flow.finished = True
+        peers = self._depart(flow)
+        self.flows_completed += 1
+        self.bytes_completed += flow.size_bytes
+        contention = max(
+            0.0, (self.sim.now - flow.started_at) - flow.min_duration_s
+        )
+        self.contention_delay_s += contention
+        if flow.span is not None:
+            self.tracer.finish(
+                flow.span, outcome="completed", contention_s=contention
+            )
+        self._recompute(peers)
+        callback, flow.on_complete = flow.on_complete, None
+        if callback is not None:
+            callback()
+
+    def _cancel(self, flow: _Flow) -> None:
+        if flow.finished:
+            return
+        flow.finished = True
+        flow.on_complete = None
+        if flow.span is not None:
+            self.tracer.finish(flow.span, outcome="cancelled")
+        if flow.latency_handle is not None:
+            flow.latency_handle.cancel()
+            flow.latency_handle = None
+        if flow.flow_id in self._active:
+            self._settle()
+            self.events.pop(flow.flow_id).cancel()
+            self._recompute(self._depart(flow))
+        self.flows_cancelled += 1
+
+    def moved_bytes(self, flow: _Flow) -> float:
+        if flow.flow_id not in self._active:
+            return flow.size_bytes - flow.remaining
+        left = self.left[flow.flow_id]
+        pending = self.rates[flow.flow_id] * (self.sim.now - self.last_settle)
+        return flow.size_bytes - left + min(pending, left)
+
+    def set_link_capacity(self, name: str, bandwidth: float) -> float:
+        link = self._links[name]
+        previous, link.bandwidth = link.bandwidth, bandwidth
+        self._settle()
+        if link.members:
+            self._recompute(self._component(next(iter(link.members.values()))))
+        return previous
 
 
 def _fabric_crash() -> ScenarioConfig:
@@ -204,22 +255,48 @@ SCENARIOS = {
 
 
 def _run(scenario: ScenarioConfig, fabric: type, monkeypatch):
+    progress = Attempt.continuous_progress
     with monkeypatch.context() as patch:
         patch.setattr(canary_module, "FlowNetwork", fabric)
+        # A failure counts as recovered when a live attempt's progress
+        # reaches the progress at the kill; the check scheduled at the
+        # computed crossing can miss it by one ulp and resolve a state
+        # later.  Which side of that ulp a run lands on is not a fabric
+        # outcome, so both runs read progress rounded to 1e-9 states.
+        patch.setattr(
+            Attempt, "continuous_progress",
+            lambda self, now: round(progress(self, now), 9),
+        )
         platform = _run_platform(scenario, seed=0)
     assert type(platform.network) is fabric
     return platform
 
 
 def _outcome(platform) -> tuple:
-    engine = collect_engine_stats(platform.sim)
     return (
         asdict(platform.summary()),
         collect_link_usage(platform.network, platform.sim.now),
-        engine.pushes,
-        engine.cancelled_total,
         platform.network.flows_started,
     )
+
+
+def _assert_close(fast, reference) -> None:
+    """Equal counts and strings; floats within ``REL`` relative."""
+    assert type(fast) is type(reference)
+    if isinstance(fast, float):
+        assert fast == pytest.approx(reference, rel=REL, abs=1e-9)
+    elif isinstance(fast, dict):
+        assert fast.keys() == reference.keys()
+        for key in fast:
+            _assert_close(fast[key], reference[key])
+    elif isinstance(fast, (tuple, list)):
+        assert len(fast) == len(reference)
+        for a, b in zip(fast, reference):
+            _assert_close(a, b)
+    elif hasattr(fast, "__dataclass_fields__"):
+        _assert_close(asdict(fast), asdict(reference))
+    else:
+        assert fast == reference
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
@@ -228,21 +305,18 @@ def test_fast_fabric_matches_reference_exactly(name, monkeypatch):
     fast = _outcome(_run(scenario, FlowNetwork, monkeypatch))
     reference_platform = _run(scenario, ReferenceFlowNetwork, monkeypatch)
     reference = _outcome(reference_platform)
-    summary, links, pushes, cancelled, flows = fast
+    summary, links, flows = fast
     # The scenario really drove the fabric.
     assert flows > 50
     assert any(usage.bytes_total > 0 for usage in links)
-    assert summary == reference[0]
-    assert links == reference[1]
-    assert (pushes, cancelled) == (reference[2], reference[3])
-    assert flows == reference[4]
+    _assert_close(fast, reference)
     # The departure-closed counters agree with the per-settle ones.
     network = reference_platform.network
     assert network.active_flow_count == 0
     for usage in links:
         assert usage.bytes_total == pytest.approx(
-            network.shadow_bytes[usage.name], rel=1e-9, abs=1e-6
+            network.shadow_bytes[usage.name], rel=REL, abs=1e-6
         )
         assert usage.busy_s == pytest.approx(
-            network.shadow_busy[usage.name], rel=1e-9, abs=1e-9
+            network.shadow_busy[usage.name], rel=REL, abs=1e-9
         )

@@ -1,7 +1,7 @@
 """Tests for the contention-aware flow-level network model."""
 
 import random
-from operator import attrgetter
+from collections import Counter
 
 import pytest
 
@@ -29,14 +29,13 @@ from repro.storage.tiers import TierRegistry
 
 
 def make_fabric(num_nodes=4, num_racks=4, **overrides):
-    """A small fabric with exact rescheduling and simple capacities."""
+    """A small fabric with simple capacities."""
     defaults = dict(
         nic_bandwidth=100.0,
         uplink_bandwidth=1000.0,
         core_bandwidth=10000.0,
         registry_bandwidth=1000.0,
         hop_latency_s=0.0,
-        reschedule_tolerance=0.0,
     )
     defaults.update(overrides)
     sim = Simulator(seed=0)
@@ -68,7 +67,7 @@ class TestConfig:
             {"core_bandwidth": 0.0},
             {"registry_bandwidth": 0.0},
             {"hop_latency_s": -1e-6},
-            {"reschedule_tolerance": -0.1},
+            {"wan_latency_s": -0.1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -345,20 +344,6 @@ class TestMetrics:
         assert stats.peak_link_utilization == pytest.approx(1.0)
         assert collect_network_stats(None, sim.now) is None
 
-    def test_reschedule_tolerance_bounds_error(self):
-        # With the default 1% tolerance the completion time may lag the
-        # exact max-min finish, but never by more than the tolerance.
-        exact_done, lazy_done = [], []
-        for tolerance, sink in ((0.0, exact_done), (0.01, lazy_done)):
-            sim, net = make_fabric(reschedule_tolerance=tolerance)
-            for dst in ("node-01", "node-02", "node-03"):
-                net.transfer("node-00", dst, 100.0,
-                             on_complete=lambda s=sim: sink.append(s.now))
-            sim.run()
-        for exact, lazy in zip(exact_done, lazy_done):
-            assert lazy == pytest.approx(exact, rel=0.02)
-
-
 class TestScenarioIntegration:
     SCENARIO = ScenarioConfig(
         workload="graph-bfs",
@@ -408,9 +393,11 @@ class TestScenarioIntegration:
         assert summary.failures > 0
 
 
-def test_cached_link_order_under_churn():
-    """Randomized churn on a live fabric: after every step the cached
-    link order key sorts the active links into first-encounter order."""
+def test_share_levels_stay_consistent_under_churn():
+    """Randomized churn on a live fabric: after every step each active
+    flow sits in one live level of its links' group, each level's size and
+    per-link counts match its members, no flow crosses the bottleneck of
+    an earlier level of its group, and every level has a live timer."""
     sim = Simulator(seed=0)
     cluster = Cluster(12, topology=Topology(num_racks=3))
     net = FlowNetwork(
@@ -444,11 +431,25 @@ def test_cached_link_order_under_churn():
             handles.pop(rng.randrange(len(handles))).cancel()
         else:
             sim.run(until=sim.now + rng.uniform(0.0, 0.3))
-        active = list(net._active.values())
-        assert sorted(net._active_links, key=attrgetter("order_key")) == (
-            FlowNetwork._ordered_links(active)
-        )
-        busiest = max(busiest, len(active))
+        members: dict = {}
+        for flow in net._active.values():
+            level = flow.level
+            assert level.group is not None and level in level.group.levels
+            assert level.bottleneck in flow.links
+            assert all(link.group is level.group for link in flow.links)
+            members.setdefault(level, []).append(flow)
+        for level, flows in members.items():
+            assert level.size == len(flows)
+            assert level.counts == Counter(
+                link for flow in flows for link in flow.links
+            )
+            assert level.bottleneck.bottleneck_of is level
+            assert level.timer is not None and level.timer.active
+            later = level.group.levels[level.group.levels.index(level) + 1:]
+            assert all(level.bottleneck not in other.counts for other in later)
+        for link in net.links.values():
+            assert (link.group is None) == (not link.members)
+        busiest = max(busiest, len(net._active))
     assert busiest > 10
     sim.run()
     assert net.active_flow_count == 0

@@ -314,7 +314,6 @@ class TestContentionAware:
                 core_bandwidth=10000.0,
                 registry_bandwidth=1000.0,
                 hop_latency_s=0.0,
-                reschedule_tolerance=0.0,
             ),
         )
         return sim, cluster, network

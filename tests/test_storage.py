@@ -155,6 +155,17 @@ class TestCheckpointStorageRouter:
                 KeyValueStore(), TierRegistry(), custom_endpoint="kv"
             )
 
+    def test_custom_endpoint_validated_on_assignment(self):
+        router, _ = self.make()
+        with pytest.raises(ValueError):
+            router.custom_endpoint = "kv"
+        with pytest.raises(KeyError):
+            router.custom_endpoint = "bogus"
+        assert router.custom_endpoint is None
+        router.custom_endpoint = "s3"
+        ref, _ = router.write("k", None, size_bytes=1 * KiB)
+        assert ref.tier_name == "s3"
+
     def test_shared_spill_requirement(self):
         router, _ = self.make(require_shared_spill=True)
         ref, _ = router.write("k", None, size_bytes=200 * MiB)

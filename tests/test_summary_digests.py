@@ -217,8 +217,8 @@ PINS = {
         "b393391e4c4284950d289ef646c6a43e"
     ),
     "10gbe-node-failure": (
-        "41729de6dce4b0076ed8efae0d9a4108"
-        "50dacdcb16371c22e16114aa9b18eca8"
+        "c93d01a94d1bfe71052d17047a74f855"
+        "52cd4dc3d82516e956538351629afa2c"
     ),
     "chaos-detection-backoff": (
         "ac6000183929c7cf9396363f8942527e"
@@ -229,8 +229,8 @@ PINS = {
         "f710ed63dee7ccfb85cc1d1081dff332"
     ),
     "contention-adaptive": (
-        "261f1f1377d0378a9e8bbc4deace7f55"
-        "b57b2e948055eee9c8d4669ea31325e2"
+        "19cc9ac04680cd045daf783be2683e6d"
+        "301dbc3a9e34e23186e0c9d5c7b235f1"
     ),
     "cloning-3": (
         "5b2f7a3fa81cf5b222c6b074b49356d8"
@@ -245,16 +245,16 @@ PINS = {
         "04dcf4adc425bc9ac65a988044abba30"
     ),
     "autoscale-ramp-10gbe": (
-        "e868c3bc7837a5966703b4d28f1e0276"
-        "70652eb8aba974891f12510cf8e6a174"
+        "5645f988d444353f3ca06992b64e2cb8"
+        "8f2ba6bfc92b740964953e4436c2f84c"
     ),
     "adaptive-chaos": (
-        "69bef8db4276ca4f17a267046391b1ed"
-        "e81c4cc67f2bfc3918bb7e9594f95205"
+        "8be6e006c40a6da2b8c6a72bd8c1b239"
+        "6512d2993c8ef9630fca0a88b26e4dcd"
     ),
     "adaptive-sla-edge": (
-        "b2cb0a7cec849d9aa191296039056821"
-        "50df8aabca2113f48d6f040ae43788c2"
+        "1fed4225325f1c5268195c0d860e3ee3"
+        "750b204c32dc2a36cf7498a9c6a35cfd"
     ),
     "least-loaded-zombie": (
         "cc66f87ae16e5ade5388bcb85de66095"
@@ -269,8 +269,8 @@ PINS = {
         "ce627ad32e6ca92086c0f6b5e2a51fbd"
     ),
     "partition-10gbe": (
-        "c57f4d78d59941f273c2f89082199dd7"
-        "63b77876a7ae5c5c3e161bccd0a34cd3"
+        "75521d09afcb889299ebf44fdf8363d5"
+        "aa6731d8855f1e6fcf1cd2abc3d90076"
     ),
     "launch-storm": (
         "2f7a6ebaef75183145b656989c954c84"

@@ -193,7 +193,7 @@ class TestTracedOutputPins:
     PINS = {
         "trace-smoke": (
             small_scenario(),
-            "123aecc2f4fe71479e8ab35d78c8344819042bb8001cb3f0730fa51add4fea33",
+            "196f39ebe5b10e660fff23ae59d8b6c997d781f24569ce097c0e9acf6ee65e74",
         ),
         "flush-lag": (
             small_scenario(network=None, checkpoint_flush_lag_s=2.0),
