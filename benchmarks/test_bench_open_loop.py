@@ -53,7 +53,7 @@ def run_open_loop(strategy: str, seed: int):
     )
     platform.run()
     summary = platform.summary()
-    return summary, availability(platform.metrics)
+    return summary, availability(platform)
 
 
 def run_bench():

@@ -19,10 +19,10 @@ ERROR_RATE = 0.4
 NUM_FUNCTIONS = 50
 
 
-def hit_rate(platform) -> float:
+def hit_rate(job) -> float:
     hits = 0
-    for trace in platform.metrics.traces.values():
-        if trace.latency is not None and trace.latency <= DEADLINE_S:
+    for execution in job.executions:
+        if execution.latency is not None and execution.latency <= DEADLINE_S:
             hits += 1
     return hits / NUM_FUNCTIONS
 
@@ -37,7 +37,7 @@ def run_one(strategy: str, seed: int):
         ),
         seed=seed,
     )
-    platform.submit_job(
+    job = platform.submit_job(
         JobRequest(
             workload=WORKLOAD,
             num_functions=NUM_FUNCTIONS,
@@ -45,7 +45,7 @@ def run_one(strategy: str, seed: int):
         )
     )
     platform.run()
-    return hit_rate(platform), platform.summary()
+    return hit_rate(job), platform.summary()
 
 
 def run_bench():

@@ -604,14 +604,16 @@ class CanaryPlatform:
             mean_recovery_s=metrics.mean_recovery_time(),
             failures=len(metrics.failures),
             unrecovered=len(metrics.unrecovered_failures()),
-            completed=metrics.completed_count(),
+            completed=sum(job.completed_count for job in jobs),
             cost_total=cost.total,
             cost_function=cost.function_cost,
             cost_replica=cost.replica_cost,
             cost_standby=cost.standby_cost,
             checkpoints_taken=self.checkpointer.checkpoints_taken,
             checkpoint_time_s=sum(
-                t.checkpoint_time_s for t in metrics.traces.values()
+                execution.checkpoint_time_s
+                for job in jobs
+                for execution in job.executions
             ),
             replicas_launched=(
                 self.replication.replicas_launched

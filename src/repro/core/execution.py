@@ -148,6 +148,9 @@ class FunctionExecution:
         self.status = FunctionState.QUEUED
         self.completed = False
         self.completed_at: Optional[float] = None
+        #: Checkpoint charges, one addition per checkpoint in the order
+        #: taken (the summary sums these in submission order).
+        self.checkpoint_time_s = 0.0
         self.attempts: list[Attempt] = []
         self._live: dict[str, Attempt] = {}  # container_id -> attempt
         self._pending_requests: list[ContainerRequest] = []
@@ -186,6 +189,13 @@ class FunctionExecution:
     def n_states(self) -> int:
         return self.profile.n_states
 
+    @property
+    def latency(self) -> Optional[float]:
+        """Admission-to-completion time; None while running."""
+        if self.completed_at is None:
+            return None
+        return self.completed_at - self.job.submitted_at
+
     def best_progress(self, now: Optional[float] = None) -> float:
         """Highest continuous progress across attempts (live or dead)."""
         if not self.attempts:
@@ -207,9 +217,6 @@ class FunctionExecution:
     # ------------------------------------------------------------------
     def submit(self) -> None:
         """Called once by the platform after admission."""
-        self.platform.metrics.start_function(
-            self.function_id, self.job.job_id, self.profile.name, self.platform.sim.now
-        )
         self._invoke_span = self.platform.tracer.begin(
             "invoke",
             self.function_id,
@@ -295,8 +302,6 @@ class FunctionExecution:
         self._live[container.container_id] = attempt
         container.current_function = self.function_id
         platform.register_owner(container.container_id, self)
-        platform.metrics.note_attempt(self.function_id)
-        platform.metrics.note_ready(self.function_id, platform.sim.now)
         self.status = FunctionState.RUNNING
 
         attempt.span = platform.tracer.begin(
@@ -368,7 +373,7 @@ class FunctionExecution:
             if retries < backoff_schedule.MAX_ATTEMPTS:
                 u = float(platform.sim.rng.stream("chaos:backoff").uniform())
                 wait = policy.delay(retries, u)
-                platform.metrics.note_backoff(wait)
+                platform.metrics.backoff_wait_s += wait
                 platform.tracer.instant(
                     "backoff",
                     f"backoff:restore:{attempt.attempt_id}",
@@ -385,7 +390,6 @@ class FunctionExecution:
                     label=f"backoff:{attempt.attempt_id}",
                 )
                 return
-            platform.metrics.restore_fallbacks += 1
             fallback = platform.checkpointer.latest(
                 self.function_id, healthy_only=True
             )
@@ -563,7 +567,7 @@ class FunctionExecution:
             def _ckpt_done(record, elapsed: float) -> None:
                 if attempt.done or self.completed:
                     return
-                self.platform.metrics.note_checkpoint(self.function_id, elapsed)
+                self.checkpoint_time_s += elapsed
                 self._schedule_next_state(attempt)
 
             _, attempt.state_handle = self.platform.checkpointer.record_state_async(
@@ -589,7 +593,7 @@ class FunctionExecution:
                 node_id=attempt.container.node.node_id,
                 state_duration_s=self.profile.state_duration_s,
             )
-            self.platform.metrics.note_checkpoint(self.function_id, duration)
+            self.checkpoint_time_s += duration
             attempt.state_handle = self.platform.sim.call_in(
                 duration,
                 lambda: self._schedule_next_state(attempt),
@@ -720,7 +724,7 @@ class FunctionExecution:
                     state_duration_s=profile.state_duration_s,
                 )
             # One addition per checkpoint, as stepwise: a product rounds differently.
-            self.platform.metrics.note_checkpoint(self.function_id, plan.charge)
+            self.checkpoint_time_s += plan.charge
         if j > plan.done:
             plan.done = j
             attempt.completed_states = plan.first + j
@@ -818,7 +822,6 @@ class FunctionExecution:
             )
             self._invoke_span = None
         platform = self.platform
-        platform.metrics.note_completed(self.function_id, now)
         platform.controller.terminate(winning.container, ContainerState.COMPLETED)
         platform.release_owner(winning.container.container_id)
         # Cancel losing siblings (request replication).

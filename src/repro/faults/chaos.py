@@ -204,14 +204,6 @@ class ChaosInjector:
         self._zombie_kill_handles: dict[str, "EventHandle"] = {}
         self._scheduled = False
         self.cluster.on_node_failure(self._on_node_death)
-        # Statistics.
-        self.stragglers_applied = 0
-        self.straggler_skips = 0
-        self.zombies_started = 0
-        self.zombie_hard_kills = 0
-        self.wan_flaps_applied = 0
-        self.wan_flap_skips = 0
-        self.tier_brownouts_applied = 0
         #: Seconds of scheduled degradation windows (zombie time is added
         #: separately in :meth:`degraded_seconds`, measured onset-to-death).
         self.degraded_window_s = 0.0
@@ -315,7 +307,6 @@ class ChaosInjector:
         if not wan_links:
             # No network model, or a single-site fabric with no WAN
             # uplinks: nothing to flap.
-            self.wan_flap_skips += self.config.wan_flaps
             return
         names = sorted(link.name for link in wan_links)
         rng = self.sim.rng.stream("chaos:wan")
@@ -352,12 +343,10 @@ class ChaosInjector:
     # ------------------------------------------------------------------
     def _start_straggle(self, node: "Node") -> None:
         if not node.alive or node.zombie:
-            self.straggler_skips += 1
             return
         cfg = self.config
         self.platform.unfold(node=node)
         node.chaos_speed_factor *= cfg.straggler_slowdown
-        self.stragglers_applied += 1
         self.degraded_window_s += cfg.straggler_duration_s
         self.tracer.instant(
             "chaos",
@@ -388,7 +377,6 @@ class ChaosInjector:
             return
         self._unfold_beats(node)
         node.zombie = True
-        self.zombies_started += 1
         self.gray_onset[node.node_id] = self.sim.now
         self.tracer.instant("chaos", f"zombie:{node.node_id}", node=node.node_id)
         # Freeze in-flight work: attempts stop transitioning states but the
@@ -409,7 +397,6 @@ class ChaosInjector:
     def _zombie_hard_kill(self, node: "Node") -> None:
         self._zombie_kill_handles.pop(node.node_id, None)
         if node.alive:
-            self.zombie_hard_kills += 1
             self.cluster.fail_node(node.node_id, self.sim.now)
 
     def _on_node_death(self, node: "Node", lost: Any) -> None:
@@ -490,7 +477,6 @@ class ChaosInjector:
         previous = self.network.set_link_capacity(
             name, link.bandwidth * cfg.wan_flap_factor
         )
-        self.wan_flaps_applied += 1
         self.degraded_window_s += cfg.wan_flap_duration_s
         self.tracer.instant(
             "chaos",
@@ -511,7 +497,6 @@ class ChaosInjector:
             refuse=(spec.mode == "refuse"),
             latency_multiplier=spec.latency_multiplier,
         )
-        self.tier_brownouts_applied += 1
         self.degraded_window_s += spec.duration_s
         self.tracer.instant(
             "chaos",

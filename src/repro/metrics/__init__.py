@@ -1,11 +1,7 @@
-"""Metrics: per-function traces, failure/recovery records, summaries."""
+"""Metrics: the failure/recovery log, availability, engine stats, summaries."""
 
 from repro.metrics.availability import availability, total_function_time
-from repro.metrics.collector import (
-    FailureEvent,
-    FunctionTrace,
-    MetricsCollector,
-)
+from repro.metrics.collector import FailureEvent, MetricsCollector
 from repro.metrics.engine import (
     EngineStats,
     collect_engine_stats,
@@ -16,7 +12,6 @@ from repro.metrics.summary import RunSummary
 __all__ = [
     "EngineStats",
     "FailureEvent",
-    "FunctionTrace",
     "MetricsCollector",
     "RunSummary",
     "availability",

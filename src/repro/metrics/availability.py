@@ -13,20 +13,26 @@ loses a large slice of its wall-time to repeated restarts.
 
 from __future__ import annotations
 
-from repro.metrics.collector import MetricsCollector
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.canary import CanaryPlatform
 
 
-def total_function_time(metrics: MetricsCollector) -> float:
-    """Σ of per-function latencies (submission → completion)."""
+def total_function_time(platform: CanaryPlatform) -> float:
+    """Σ of per-function latencies (admission → completion)."""
     return sum(
-        t.latency for t in metrics.traces.values() if t.latency is not None
+        execution.latency
+        for job in platform.jobs.values()
+        for execution in job.executions
+        if execution.latency is not None
     )
 
 
-def availability(metrics: MetricsCollector) -> float:
+def availability(platform: CanaryPlatform) -> float:
     """Forward-progress fraction in [0, 1] (1.0 when failure-free)."""
-    busy = total_function_time(metrics)
+    busy = total_function_time(platform)
     if busy <= 0:
         return 1.0
-    lost = metrics.total_recovery_time()
+    lost = platform.metrics.total_recovery_time()
     return max(0.0, min(1.0, 1.0 - lost / busy))

@@ -1,4 +1,4 @@
-"""Trace collection.
+"""Failure log.
 
 The central performance metric is the paper's *recovery time*: for each
 injected failure, the time from the kill until the function regains the
@@ -10,7 +10,7 @@ re-execution of the states since the last checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -40,90 +40,26 @@ class FailureEvent:
         return self.recovered_at - self.kill_time
 
 
-@dataclass
-class FunctionTrace:
-    """Lifecycle trace of one logical function invocation."""
-
-    function_id: str
-    job_id: str
-    workload: str
-    submitted_at: float
-    first_ready_at: Optional[float] = None
-    completed_at: Optional[float] = None
-    attempts: int = 0
-    checkpoints: int = 0
-    checkpoint_time_s: float = 0.0
-    failures: list[FailureEvent] = field(default_factory=list)
-
-    @property
-    def latency(self) -> Optional[float]:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.submitted_at
-
-    @property
-    def failed(self) -> bool:
-        return bool(self.failures)
-
-
 class MetricsCollector:
-    """Accumulates traces for one simulated run."""
+    """The failure log of one simulated run.
+
+    Per-function results (completion, latency, attempts, checkpoint time)
+    are read from the executions themselves; this keeps only what no
+    execution holds: every failure event, in order, and the time restores
+    spent backing off from browned-out tiers.
+    """
 
     def __init__(self) -> None:
-        self.traces: dict[str, FunctionTrace] = {}
         self.failures: list[FailureEvent] = []
-        # Graceful-degradation accounting (chaos/backoff layer); all stay
+        # Graceful-degradation accounting (chaos/backoff layer); stays
         # zero when no backoff policy is configured.
-        self.backoff_waits = 0
         self.backoff_wait_s = 0.0
-        self.restore_fallbacks = 0
-
-    def note_backoff(self, wait_s: float) -> None:
-        self.backoff_waits += 1
-        self.backoff_wait_s += wait_s
-
-    # ------------------------------------------------------------------
-    # Trace lifecycle
-    # ------------------------------------------------------------------
-    def start_function(
-        self, function_id: str, job_id: str, workload: str, now: float
-    ) -> FunctionTrace:
-        if function_id in self.traces:
-            raise KeyError(f"duplicate trace for {function_id}")
-        trace = FunctionTrace(
-            function_id=function_id,
-            job_id=job_id,
-            workload=workload,
-            submitted_at=now,
-        )
-        self.traces[function_id] = trace
-        return trace
-
-    def trace(self, function_id: str) -> FunctionTrace:
-        return self.traces[function_id]
-
-    def note_attempt(self, function_id: str) -> None:
-        self.traces[function_id].attempts += 1
-
-    def note_ready(self, function_id: str, now: float) -> None:
-        trace = self.traces[function_id]
-        if trace.first_ready_at is None:
-            trace.first_ready_at = now
-
-    def note_checkpoint(self, function_id: str, duration_s: float) -> None:
-        trace = self.traces[function_id]
-        trace.checkpoints += 1
-        trace.checkpoint_time_s += duration_s
-
-    def note_completed(self, function_id: str, now: float) -> None:
-        self.traces[function_id].completed_at = now
 
     # ------------------------------------------------------------------
     # Failures
     # ------------------------------------------------------------------
     def record_failure(self, event: FailureEvent) -> None:
         self.failures.append(event)
-        self.traces[event.function_id].failures.append(event)
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -141,6 +77,3 @@ class MetricsCollector:
 
     def unrecovered_failures(self) -> list[FailureEvent]:
         return [e for e in self.failures if e.recovered_at is None]
-
-    def completed_count(self) -> int:
-        return sum(1 for t in self.traces.values() if t.completed_at is not None)

@@ -55,11 +55,10 @@ class SlaAwareCanaryStrategy(CanaryStrategy):
             return SlackClass.NONE
         resume_state = self._resume_state(record)
         runtime = self.platform.controller.runtimes.get(execution.profile.runtime)
-        trace = self.platform.metrics.trace(execution.function_id)
         return classify_slack(
             policy,
             now=self.platform.sim.now,
-            submitted_at=trace.submitted_at,
+            submitted_at=execution.job.submitted_at,
             estimated_remaining_s=execution.estimated_remaining_work_s(
                 resume_state
             ),
@@ -111,8 +110,7 @@ class SlaAwareCanaryStrategy(CanaryStrategy):
         policy = self._policy_for(execution)
         if policy is None or policy.deadline_s is None:
             return
-        latency = self.platform.metrics.trace(execution.function_id).latency
-        if latency is not None and latency <= policy.deadline_s:
+        if execution.latency <= policy.deadline_s:
             self.deadline_hits += 1
         else:
             self.deadline_misses += 1

@@ -144,14 +144,11 @@ class TrafficSource:
         tenant = self._tenants[tenant_name]
         stats = self.stats[tenant_name]
         deadline = tenant.sla.deadline_s if tenant.sla is not None else None
-        traces = self.platform.metrics.traces
         for execution in job.executions:
-            trace = traces.get(execution.function_id)
-            if trace is None or trace.latency is None:
-                continue
+            latency = execution.latency
             stats.completed += 1
-            stats.sketch.add(trace.latency)
-            if deadline is not None and trace.latency > deadline:
+            stats.sketch.add(latency)
+            if deadline is not None and latency > deadline:
                 stats.slo_violations += 1
 
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import _run_platform, run_scenario
 from repro.faults.chaos import ChaosConfig, default_chaos_preset
 from repro.network.config import NETWORK_PRESETS
+from repro.trace.tracer import Tracer
 
 
 def _chaotic_scenario(**overrides):
@@ -93,6 +94,14 @@ def test_edge_wan_preset_creates_wan_links():
     ]
 
 
+def _wan_flaps(tracer) -> int:
+    """WAN flaps a traced run applied: each emits one ``chaos`` instant."""
+    return sum(
+        span.kind == "chaos" and span.name.startswith("wan-flap:")
+        for span in tracer.spans()
+    )
+
+
 def test_wan_flap_applies_and_restores():
     scenario = ScenarioConfig(
         workload="micro-python",
@@ -104,9 +113,9 @@ def test_wan_flap_applies_and_restores():
         detection=DetectionConfig(),
         backoff=BackoffPolicy(),
     )
-    platform = _run_platform(scenario, seed=1)
-    assert platform.chaos.wan_flaps_applied == 2
-    assert platform.chaos.wan_flap_skips == 0
+    tracer = Tracer()
+    platform = _run_platform(scenario, seed=1, tracer=tracer)
+    assert _wan_flaps(tracer) == 2
     # Capacity restored once the flap windows closed.
     expected = NETWORK_PRESETS["edge-wan"].wan_uplink_bandwidth
     for link in platform.network.wan_links:
@@ -125,9 +134,9 @@ def test_wan_flap_skips_without_wan_links():
         detection=DetectionConfig(),
         backoff=BackoffPolicy(),
     )
-    platform = _run_platform(scenario, seed=0)
-    assert platform.chaos.wan_flaps_applied == 0
-    assert platform.chaos.wan_flap_skips == 3
+    tracer = Tracer()
+    _run_platform(scenario, seed=0, tracer=tracer)
+    assert _wan_flaps(tracer) == 0
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,16 @@ def run_platform(seed=42, n=40, strategy="canary", error_rate=0.0,
     return platform
 
 
+def chaos_instants(tracer, prefix):
+    """Names of the ``chaos`` instants a traced run emitted for *prefix*
+    (each applied fault emits one; a skipped fault emits none)."""
+    return [
+        span.name
+        for span in tracer.spans()
+        if span.kind == "chaos" and span.name.startswith(prefix)
+    ]
+
+
 class TestChaosConfig:
     def test_disabled_by_default(self):
         assert not ChaosConfig().enabled
@@ -109,6 +119,23 @@ class TestEnabledDeterminism:
         assert first.completed == 40
 
 
+def test_tracing_does_not_perturb_chaos():
+    """The tests below count applied faults and backoffs in traced runs;
+    tracing must leave the run itself unchanged for those counts to hold."""
+    kwargs = dict(
+        error_rate=0.25,
+        interval=5,
+        chaos=default_chaos_preset(),
+        detection=DetectionConfig(),
+        backoff=BackoffPolicy(),
+    )
+    untraced = run_platform(**kwargs)
+    traced = run_platform(tracer=Tracer(), **kwargs)
+    assert traced.summary() == untraced.summary()
+    assert traced.chaos.degraded_window_s == untraced.chaos.degraded_window_s
+    assert traced.metrics.failures == untraced.metrics.failures
+
+
 class TestStragglers:
     def test_scale_duration_composes_speed_factors(self):
         cluster = Cluster(2)
@@ -127,8 +154,9 @@ class TestStragglers:
             straggler_duration_s=5.0,
             straggler_slowdown=0.3,
         )
-        platform = run_platform(chaos=chaos)
-        assert platform.chaos.stragglers_applied == 1
+        tracer = Tracer()
+        platform = run_platform(chaos=chaos, tracer=tracer)
+        assert len(chaos_instants(tracer, "straggler:")) == 1
         # Window ended during the run: factors snapped back to exactly 1.0.
         assert all(
             node.chaos_speed_factor == 1.0 for node in platform.cluster.nodes
@@ -137,15 +165,21 @@ class TestStragglers:
 
     def test_dead_node_straggle_is_skipped(self):
         chaos = ChaosConfig(stragglers=1, straggler_window=(5.0, 6.0))
+        tracer = Tracer()
         platform = CanaryPlatform(
             ScenarioConfig(num_nodes=2, chaos=chaos),
             seed=0,
+            tracer=tracer,
         )
         for node in platform.cluster.nodes:
             platform.cluster.fail_node(node.node_id, 0.0)
         platform.run()
-        assert platform.chaos.straggler_skips == 1
-        assert platform.chaos.stragglers_applied == 0
+        # The straggle window fired on a dead node and applied nothing.
+        assert platform.sim.now >= 5.0
+        assert chaos_instants(tracer, "straggler:") == []
+        assert all(
+            node.chaos_speed_factor == 1.0 for node in platform.cluster.nodes
+        )
 
 
 class TestZombies:
@@ -153,14 +187,24 @@ class TestZombies:
         zombies=1, zombie_window=(8.0, 9.0), zombie_kill_after_s=60.0
     )
 
+    @staticmethod
+    def zombie(platform):
+        """The node that turned zombie, and its gray-fault onset."""
+        ((node_id, onset),) = platform.chaos.gray_onset.items()
+        return platform.cluster.node(node_id), onset
+
     def test_detection_fences_the_zombie(self):
-        platform = run_platform(chaos=self.CHAOS, detection=DetectionConfig())
+        tracer = Tracer()
+        platform = run_platform(
+            chaos=self.CHAOS, detection=DetectionConfig(), tracer=tracer
+        )
         stats = platform.detection.stats()
         # Heartbeat silence declares the zombie dead; the hard-kill backstop
         # is cancelled by the cluster failure listener.
         assert stats.detections == 1
-        assert platform.chaos.zombies_started == 1
-        assert platform.chaos.zombie_hard_kills == 0
+        assert len(chaos_instants(tracer, "zombie:")) == 1
+        node, onset = self.zombie(platform)
+        assert node.failed_at < onset + self.CHAOS.zombie_kill_after_s
         summary = platform.summary()
         assert summary.completed == 40
         assert summary.degraded_s > 0.0
@@ -188,7 +232,9 @@ class TestZombies:
             chaos=self.CHAOS, detection=DetectionConfig()
         ).summary()
         without = run_platform(chaos=self.CHAOS)
-        assert without.chaos.zombie_hard_kills == 1
+        # Nothing fenced the zombie: the backstop killed it on schedule.
+        node, onset = self.zombie(without)
+        assert node.failed_at == onset + self.CHAOS.zombie_kill_after_s
         summary = without.summary()
         assert summary.completed == 40
         # Without heartbeats the work wedges until the 60 s hard kill (or
@@ -246,7 +292,7 @@ class TestTierBrownouts:
         ]
         assert spilled
         assert all(6.0 <= t < 16.0 for t in spilled)
-        assert platform.chaos.tier_brownouts_applied == 1
+        assert chaos_instants(tracer, "tier-brownout:") == ["tier-brownout:kv"]
         assert platform.summary().completed == 40
         # Brownout cleared: the registry accepts kv again.
         assert not platform.tiers.is_refusing("kv")
@@ -276,7 +322,11 @@ class TestTierBrownouts:
 
 
 class TestRestoreBackoff:
-    def scenario(self, seed, duration_s=15.0):
+    """Restore backoff, read from a traced run: one ``backoff`` instant per
+    wait, and a restore that gave up on its checkpoint resumes elsewhere
+    than its ``restore`` span says (``abandoned`` when from scratch)."""
+
+    def scenario(self, seed, duration_s=15.0, backoff_policy=BackoffPolicy()):
         chaos = ChaosConfig(
             tier_brownouts=(
                 TierBrownout(
@@ -287,50 +337,64 @@ class TestRestoreBackoff:
                 ),
             )
         )
-        return run_platform(
+        tracer = Tracer()
+        platform = run_platform(
             seed=seed,
             error_rate=0.25,
             interval=5,
             chaos=chaos,
-            backoff=BackoffPolicy(),
+            backoff=backoff_policy,
+            tracer=tracer,
         )
+        return platform, tracer
+
+    @staticmethod
+    def outcomes(platform, tracer):
+        """(backoff waits, restores that fell back, abandoned restores)."""
+        spans = tracer.spans()
+        attempts = {
+            attempt.attempt_id: attempt
+            for job in platform.jobs.values()
+            for execution in job.executions
+            for attempt in execution.attempts
+        }
+        restores = [span for span in spans if span.kind == "restore"]
+        fell_back = sum(
+            attempts[span.name.removeprefix("restore:")].from_state
+            != span.attrs["from_state"]
+            for span in restores
+        )
+        abandoned = sum(
+            span.attrs.get("outcome") == "abandoned" for span in restores
+        )
+        waits = sum(span.kind == "backoff" for span in spans)
+        return waits, fell_back, abandoned
 
     def test_backoff_recovers_when_brownout_clears(self):
-        platform = self.scenario(seed=1)
+        platform, tracer = self.scenario(seed=1)
         metrics = platform.metrics
         # One victim's restore hit the refused kv tier: the full 6-retry
         # schedule ran, the brownout cleared, and the restore succeeded.
-        assert metrics.backoff_waits == 6
+        assert self.outcomes(platform, tracer) == (6, 0, 0)
         assert metrics.backoff_wait_s == pytest.approx(12.36, abs=0.1)
-        assert metrics.restore_fallbacks == 0
         assert platform.summary().completed == 40
         assert platform.summary().degraded_s >= metrics.backoff_wait_s
 
     def test_exhausted_backoff_falls_back(self, monkeypatch):
         monkeypatch.setattr(backoff, "MAX_ATTEMPTS", 2)
-        platform = self.scenario(seed=3, duration_s=30.0)
-        metrics = platform.metrics
+        platform, tracer = self.scenario(seed=3, duration_s=30.0)
         # Three restores exhausted their 2 retries against the long
         # brownout; no older healthy-tier checkpoint exists, so each
         # degraded to a from-scratch restart — and the job still finished.
-        assert metrics.backoff_waits == 6
-        assert metrics.restore_fallbacks == 3
+        assert self.outcomes(platform, tracer) == (6, 3, 3)
         assert platform.summary().completed == 40
 
     def test_no_backoff_without_policy(self):
-        chaos = ChaosConfig(
-            tier_brownouts=(
-                TierBrownout(
-                    tier="kv", start_s=15.0, duration_s=15.0, mode="refuse"
-                ),
-            )
-        )
-        platform = run_platform(
-            seed=1, error_rate=0.25, interval=5, chaos=chaos
-        )
+        platform, tracer = self.scenario(seed=1, backoff_policy=None)
         # Legacy path: restores proceed immediately (the latency hit is
         # modeled in the tier), nothing waits.
-        assert platform.metrics.backoff_waits == 0
+        assert self.outcomes(platform, tracer)[0] == 0
+        assert platform.metrics.backoff_wait_s == 0.0
         assert platform.summary().completed == 40
 
 

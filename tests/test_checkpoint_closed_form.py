@@ -52,10 +52,22 @@ def _run(scenario, monkeypatch, *, fold=True, traced=False):
     return platform, writes[0]
 
 
+def _executions(platform: CanaryPlatform) -> list:
+    return [
+        execution
+        for job in platform.jobs.values()
+        for execution in job.executions
+    ]
+
+
 def _checkpoint_times(platform: CanaryPlatform) -> dict[str, tuple]:
+    """Per function: checkpoint time, and the next checkpoint id, which
+    stands in for the count taken."""
     return {
-        fid: (trace.checkpoints, trace.checkpoint_time_s)
-        for fid, trace in platform.metrics.traces.items()
+        e.function_id: (
+            e.checkpoint_time_s, platform.ids.checkpoint_id(e.function_id)
+        )
+        for e in _executions(platform)
     }
 
 
@@ -82,7 +94,8 @@ def test_next_checkpoint_id_matches_stepwise(monkeypatch):
     taken = folded.checkpointer.checkpoints_taken
     assert 0 < writes < taken == stepwise_writes
     assert stepwise.checkpointer.checkpoints_taken == taken
-    for fid in folded.metrics.traces:
+    for execution in _executions(folded):
+        fid = execution.function_id
         assert folded.ids.checkpoint_id(fid) == stepwise.ids.checkpoint_id(fid)
 
 
@@ -165,7 +178,7 @@ def _killed_mid_segment(monkeypatch, *, traced: bool) -> tuple[dict, int]:
                 stored=[r.checkpoint_id in platform.kv for r in chain],
                 kv_entries=len(platform.kv),
                 taken=platform.checkpointer.checkpoints_taken,
-                checkpoint_time_s=platform.metrics.trace(fid).checkpoint_time_s,
+                checkpoint_time_s=execution.checkpoint_time_s,
                 next_id=platform.ids.checkpoint_id(fid),
             )
 

@@ -39,10 +39,10 @@ class TestHappyPath:
         assert execution.completed_at == pytest.approx(expected, rel=0.01)
 
     def test_canary_charges_checkpoint_time(self):
-        ideal, _ = run_tiny_job(num_functions=1, strategy="ideal")
+        _, ideal_job = run_tiny_job(num_functions=1, strategy="ideal")
         canary, job = run_tiny_job(num_functions=1, strategy="canary")
-        t_ideal = ideal.metrics.trace("fn-0000-0000").latency
-        t_canary = canary.metrics.trace("fn-0000-0000").latency
+        t_ideal = ideal_job.executions[0].latency
+        t_canary = job.executions[0].latency
         assert t_canary > t_ideal
         assert canary.checkpointer.checkpoints_taken == TINY.n_states
 
@@ -83,8 +83,42 @@ class TestHappyPath:
     def test_all_functions_complete_without_failures(self):
         platform, job = run_tiny_job(num_functions=20, strategy="retry")
         assert job.done
-        assert platform.metrics.completed_count() == 20
+        assert platform.summary().completed == 20
         assert platform.metrics.failures == []
+
+
+class TestResultsFromState:
+    """Latency, completion and checkpoint time are read from executions."""
+
+    def test_latency_counts_from_admission_and_waits_for_completion(self):
+        platform = build_platform()
+        jobs = []
+        platform.sim.call_at(
+            2.0,
+            lambda: jobs.append(
+                platform.submit_job(JobRequest(workload=TINY, num_functions=3))
+            ),
+        )
+        platform.run(until=4.0)
+        (job,) = jobs
+        assert job.submitted_at == 2.0
+        assert all(e.latency is None for e in job.executions)
+        assert platform.summary().completed == 0
+        platform.run()
+        assert platform.summary().completed == 3
+        for execution in job.executions:
+            assert execution.latency == execution.completed_at - 2.0
+
+    def test_summary_sums_checkpoint_time_in_submission_order(self):
+        platform, job = run_tiny_job(
+            num_functions=6, error_rate=0.3, seed=3, refailure_rate=0.0
+        )
+        assert platform.metrics.failures
+        total = 0.0
+        for execution in job.executions:
+            assert execution.checkpoint_time_s > 0.0
+            total += execution.checkpoint_time_s
+        assert platform.summary().checkpoint_time_s == total
 
 
 class TestFailureAndRecovery:
@@ -139,8 +173,9 @@ class TestFailureAndRecovery:
             num_functions=10, strategy="retry", error_rate=0.3,
             refailure_rate=0.0,
         )
-        failed = [t for t in platform.metrics.traces.values() if t.failed]
-        assert all(t.attempts == 2 for t in failed)
+        killed = {event.function_id for event in platform.metrics.failures}
+        failed = [e for e in job.executions if e.function_id in killed]
+        assert all(len(e.attempts) == 2 for e in failed)
 
     def test_progress_target_includes_partial_state(self):
         platform, job = run_tiny_job(

@@ -315,7 +315,7 @@ def test_function_hosting_nodes_matches_scan_after_every_event():
     check()
     while platform.sim.step():
         check()
-    assert platform.metrics.completed_count() == 30
+    assert platform.summary().completed == 30
     assert platform.injector.scheduled_node_failures
     assert platform.metrics.failures
     assert controller.warm_starts > 0

@@ -73,30 +73,8 @@ class TestComputeCost:
 
 
 class TestMetricsCollector:
-    def test_trace_lifecycle(self):
-        collector = MetricsCollector()
-        collector.start_function("f1", "j1", "tiny", now=0.0)
-        collector.note_attempt("f1")
-        collector.note_ready("f1", 2.0)
-        collector.note_ready("f1", 9.0)  # second attempt doesn't overwrite
-        collector.note_checkpoint("f1", 0.5)
-        collector.note_completed("f1", 10.0)
-        trace = collector.trace("f1")
-        assert trace.first_ready_at == 2.0
-        assert trace.latency == 10.0
-        assert trace.checkpoints == 1
-        assert trace.checkpoint_time_s == 0.5
-        assert not trace.failed
-
-    def test_duplicate_trace_rejected(self):
-        collector = MetricsCollector()
-        collector.start_function("f1", "j1", "tiny", now=0.0)
-        with pytest.raises(KeyError):
-            collector.start_function("f1", "j1", "tiny", now=1.0)
-
     def test_failure_event_metrics(self):
         collector = MetricsCollector()
-        collector.start_function("f1", "j1", "tiny", now=0.0)
         event = FailureEvent(
             function_id="f1",
             job_id="j1",
@@ -113,11 +91,3 @@ class TestMetricsCollector:
         assert collector.total_recovery_time() == 4.0
         assert collector.mean_recovery_time() == 4.0
         assert collector.unrecovered_failures() == []
-        assert collector.trace("f1").failed
-
-    def test_completed_count(self):
-        collector = MetricsCollector()
-        collector.start_function("f1", "j1", "tiny", now=0.0)
-        collector.start_function("f2", "j1", "tiny", now=0.0)
-        collector.note_completed("f1", 3.0)
-        assert collector.completed_count() == 1

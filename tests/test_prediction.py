@@ -139,6 +139,6 @@ class TestProactiveMitigation:
 
     def test_all_functions_still_complete_exactly_once(self):
         platform, job = run_node_failure_job(enable_prediction=True)
-        assert platform.metrics.completed_count() == 40
+        assert platform.summary().completed == 40
         assert platform.metrics.unrecovered_failures() == []
         assert platform.database.check_referential_integrity() == []

@@ -56,7 +56,7 @@ def test_workflow_stage_ordering_invariant(stage_sizes, error_rate, seed):
         assert current.submitted_at >= previous.completed_at
     assert run.stage_boundaries == sorted(run.stage_boundaries)
     # Every function completed exactly once.
-    assert platform.metrics.completed_count() == sum(stage_sizes)
+    assert platform.summary().completed == sum(stage_sizes)
     assert platform.metrics.unrecovered_failures() == []
 
 

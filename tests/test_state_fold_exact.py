@@ -6,7 +6,8 @@ later with their own timestamps (DESIGN.md, "State-boundary fold
 addendum").  The reference is the stepwise path, one event per state and
 per checkpoint, which runs when the fold predicate is patched to refuse.
 Every scenario below runs both ways and must agree exactly: the summary,
-every function's trace, the failure events, the database rows (as sets,
+every execution's completion, latency, checkpoint time, attempts and
+checkpoint count, the failure events, the database rows (as sets,
 since rows land in materialisation order) and, for the traced run, the
 spans (as a multiset, parents named rather than numbered).
 """
@@ -188,6 +189,27 @@ def _spans(tracer: Tracer) -> Counter:
     )
 
 
+def _executions(platform: CanaryPlatform) -> dict[str, tuple]:
+    """What the summary and the latency readers take from each execution.
+
+    The next checkpoint id stands in for the function's checkpoint count.
+    """
+    return {
+        execution.function_id: (
+            execution.completed_at,
+            execution.checkpoint_time_s,
+            execution.latency,
+            [
+                (a.via, a.from_state, a.completed_states, a.container.ready_at)
+                for a in execution.attempts
+            ],
+            platform.ids.checkpoint_id(execution.function_id),
+        )
+        for job in platform.jobs.values()
+        for execution in job.executions
+    }
+
+
 def _outcome(
     name: str,
     *,
@@ -216,9 +238,7 @@ def _outcome(
     assert not platform.folded
     return {
         "summary": asdict(platform.summary()),
-        "traces": {
-            fid: asdict(trace) for fid, trace in platform.metrics.traces.items()
-        },
+        "executions": _executions(platform),
         "failures": [asdict(event) for event in platform.metrics.failures],
         "rows": _rows(platform),
         "spans": _spans(tracer) if traced else None,
@@ -227,7 +247,7 @@ def _outcome(
 
 
 def _assert_same(folded: dict, stepwise: dict) -> None:
-    for key in ("summary", "traces", "failures", "rows", "spans"):
+    for key in ("summary", "executions", "failures", "rows", "spans"):
         assert folded[key] == stepwise[key], key
 
 
@@ -324,8 +344,8 @@ class TestAnalyticOracle:
         charge = TINY.serialize_overhead_s + platform.tiers.write_seconds(
             platform.tiers.get("kv"), size
         )
-        trace = platform.metrics.trace(execution.function_id)
-        t = trace.first_ready_at + node.scale_duration(TINY.input_fetch_s)
+        ready_at = execution.attempts[0].container.ready_at
+        t = ready_at + node.scale_duration(TINY.input_fetch_s)
         ends, checkpoint_time = [], 0.0
         for k in range(TINY.n_states):
             t += node.scale_duration(float(execution._base_durations[k]))
@@ -347,12 +367,10 @@ class TestAnalyticOracle:
         done_at, count, checkpoint_time, _, _ = self._expected(
             platform, execution, interval or 1
         )
-        trace = platform.metrics.trace(execution.function_id)
         assert execution.completed_at == done_at
         assert platform.summary().makespan_s == done_at
-        assert trace.checkpoints == count
         assert platform.checkpointer.checkpoints_taken == count
-        assert trace.checkpoint_time_s == checkpoint_time
+        assert execution.checkpoint_time_s == checkpoint_time
 
     @pytest.mark.parametrize("fold", [True, False])
     def test_run_until_a_boundary_counts_it(self, monkeypatch, fold):

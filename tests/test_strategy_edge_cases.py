@@ -59,7 +59,7 @@ class TestRequestReplicationDegrees:
         platform.run()
         # 1 primary + 2 siblings per function.
         assert len(platform.controller.containers) == 15
-        assert platform.metrics.completed_count() == 5
+        assert platform.summary().completed == 5
 
     def test_higher_degree_costs_more(self, monkeypatch):
         def cost(degree):

@@ -111,7 +111,7 @@ class TestWorkflowExecution:
         for job in run.jobs:
             assert all(e.completed for e in job.executions)
             assert (
-                platform.metrics.completed_count()
+                platform.summary().completed
                 == sum(j.num_functions for j in run.jobs)
             )
 
