@@ -1,9 +1,8 @@
 """Shared benchmark configuration.
 
-Each benchmark regenerates one paper figure at reduced scale (3 seeds
-instead of the paper's 10, a 3-point error sweep) so the whole suite runs
-in minutes; the experiment modules accept full-scale parameters for the
-EXPERIMENTS.md numbers.  Run with ``-s`` to see the regenerated tables.
+Benchmarks run at reduced scale (3 seeds instead of the paper's 10) so the
+whole suite runs in minutes.  Run with ``-s`` to see the regenerated
+tables.
 
 Sweeps fan out over worker processes: pass ``--jobs N`` (or set
 ``REPRO_JOBS``) to pick the worker count; ``--jobs 1`` forces the serial
@@ -15,8 +14,6 @@ from __future__ import annotations
 
 import pytest
 
-#: Reduced sweep: low / paper-default / worst-case error rates.
-FAST_ERROR_RATES = (0.05, 0.15, 0.50)
 FAST_SEEDS = tuple(range(3))
 
 
@@ -25,14 +22,14 @@ def pytest_addoption(parser):
         "--jobs",
         type=int,
         default=None,
-        help="worker processes per figure sweep (default: one per core; "
+        help="worker processes per sweep (default: one per core; "
         "1 = serial)",
     )
 
 
 @pytest.fixture
 def jobs(request):
-    """Worker count for figure sweeps, from --jobs / REPRO_JOBS / cores."""
+    """Worker count for sweeps, from --jobs / REPRO_JOBS / cores."""
     return request.config.getoption("--jobs")
 
 

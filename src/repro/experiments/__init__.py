@@ -1,8 +1,9 @@
 """Experiment harness: one runner per paper figure (Fig. 4–12).
 
 Each ``figXX`` module exposes ``run(...) -> FigureResult`` which regenerates
-the series of the corresponding paper figure, and the benchmarks under
-``benchmarks/`` print them.  ``EXPERIMENTS.md`` records paper-vs-measured.
+the series of the corresponding paper figure.  ``repro.experiments.claims``
+checks the paper's claims against those results; ``EXPERIMENTS.md``
+records paper-vs-measured.
 """
 
 from repro.experiments import (
@@ -22,7 +23,6 @@ from repro.experiments.runner import (
     run_repeated,
     run_scenario,
 )
-from repro.experiments.validation import scorecard, validate_all
 
 #: Figure name (as typed on the command line) -> module exposing ``run``.
 FIGURES = {
@@ -49,7 +49,5 @@ __all__ = [
     "run_repeated",
     "run_scenario",
     "run_sweep",
-    "scorecard",
     "series_chart",
-    "validate_all",
 ]

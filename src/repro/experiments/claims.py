@@ -1,0 +1,427 @@
+"""The paper's claims as one table, checked at two scales.
+
+Each :class:`Claim` row states one claim of a figure, the paper's number
+and a bound on one value measured from that figure's
+:class:`FigureResult`.  A row reads its axes (error rates, workloads,
+invocation or node counts) from the result, so the same row checks any
+scale: ``TIER1`` holds the reduced run arguments ``tests/test_validation.py``
+uses, ``BENCH`` those of ``benchmarks/test_claims.py``.
+"""
+
+from __future__ import annotations
+
+import operator
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Optional, Sequence
+
+from repro.experiments import FIGURES, fig04_runtimes
+from repro.experiments.report import FigureResult
+
+#: Figure runners by the name their FigureResult carries.
+RUNNERS = {**FIGURES, "fig4-runtimes": fig04_runtimes}
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim: ``measure(result) <op> bound`` on its figure's result."""
+
+    id: str
+    text: str
+    paper: str
+    measure: Callable[[FigureResult], float]
+    op: str
+    bound: float
+
+    @property
+    def figure(self) -> str:
+        return self.id.split(".")[0]
+
+    def check(self, result: FigureResult) -> "Verdict":
+        return Verdict(self, self.measure(result))
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A claim and the value measured for it."""
+
+    claim: Claim
+    measured: float
+
+    @property
+    def passed(self) -> bool:
+        return _OPS[self.claim.op](self.measured, self.claim.bound)
+
+
+def _rates(result: FigureResult) -> list[float]:
+    """The swept error rates (ideal's 0.0 row is not a sweep point)."""
+    return sorted({row["error_rate"] for row in result.rows
+                   if row.get("strategy") != "ideal"})
+
+
+def _ratios(result: FigureResult, column: str, num: dict, den: dict,
+            *axes: str) -> list[float]:
+    """``num / den`` of *column* at every point of *axes* that *num* has;
+    *den*'s keys override the point's (``error_rate=0.0`` for ideal)."""
+    points = {tuple(row[a] for a in axes) for row in result.series(**num)}
+    ratios = []
+    for point in sorted(points):
+        at = dict(zip(axes, point))
+        ratios.append(result.value(column, **{**at, **num})
+                      / result.value(column, **{**at, **den}))
+    return ratios
+
+
+def _at_rate(result: FigureResult, column: str, num: dict, den: dict,
+             index: int = -1) -> float:
+    """``num / den`` of *column* at one swept error rate (default: worst)."""
+    at = {"error_rate": _rates(result)[index]}
+    return (result.value(column, **{**at, **num})
+            / result.value(column, **{**at, **den}))
+
+
+def _series(result: FigureResult, column: str, axis: str,
+            **match: Any) -> list[list[float]]:
+    """*column* in order of *axis*, one series per workload if the result
+    has a workload axis."""
+    groups = ([match] if "workload" not in result.columns else
+              [{**match, "workload": w}
+               for w in sorted({row["workload"] for row in result.rows})])
+    return [[row[column] for row in sorted(result.series(**group),
+                                           key=lambda row: row[axis])]
+            for group in groups]
+
+
+def _steps(result: FigureResult, column: str, axis: str,
+           **match: Any) -> list[float]:
+    """Every step of *column* up *axis*."""
+    return [b - a for values in _series(result, column, axis, **match)
+            for a, b in zip(values, values[1:])]
+
+
+def _spreads(result: FigureResult, column: str, axis: str,
+             **match: Any) -> list[float]:
+    """max/min of *column* along *axis*, per series."""
+    return [max(values) / min(values)
+            for values in _series(result, column, axis, **match)]
+
+
+def _growth(result: FigureResult, column: str, axis: str,
+            **match: Any) -> float:
+    """*column* at the last point of *axis* over the first."""
+    (values,) = _series(result, column, axis, **match)
+    return values[-1] / values[0]
+
+
+def _column(result: FigureResult, column: str, **match: Any) -> list[float]:
+    return [row[column] for row in result.series(**match)]
+
+
+def _fig4_runtimes_order(result: FigureResult) -> float:
+    java, python, nodejs = (
+        result.value("mean_recovery_s", runtime=runtime, strategy="retry")
+        for runtime in ("java", "python", "nodejs"))
+    return min(java - python, python - nodejs)
+
+
+def _fig8_gap_growth(result: FigureResult) -> float:
+    def gap(rate):
+        return (result.value("cost_usd", strategy="retry", error_rate=rate)
+                - result.value("cost_usd", strategy="canary", error_rate=rate))
+    rates = _rates(result)
+    return gap(rates[-1]) - gap(rates[0])
+
+
+def _fig12_speedup(result: FigureResult) -> float:
+    return min(1 / _growth(result, "makespan_s", "nodes", strategy=s)
+               for s in ("ideal", "retry", "canary"))
+
+
+_CANARY = {"strategy": "canary"}
+_RETRY = {"strategy": "retry"}
+_IDEAL = {"strategy": "ideal", "error_rate": 0.0}
+_AR = {"replication": "aggressive"}
+_DR = {"replication": "dynamic"}
+_LR = {"replication": "lenient"}
+_CKPT = {"strategy": "canary-checkpoint-only"}
+_RR = {"strategy": "request-replication"}
+_AS = {"strategy": "active-standby"}
+
+#: Every claim checked, one row each.  Ratios are "max" (or "min") over the
+#: axes the text names, so a bound holds at every point of the sweep.
+CLAIMS: tuple[Claim, ...] = (
+    Claim("fig4.canary-below-retry",
+          "Canary/retry mean recovery, max over workloads and rates",
+          "0.19-0.24 (76-81% cut avg)",
+          lambda r: max(_ratios(r, "mean_recovery_s", _CANARY, _RETRY,
+                                "workload", "error_rate")), "<", 0.4),
+    Claim("fig4.retry-total-grows",
+          "retry total recovery, min step up the error rate (s)",
+          "grows ~linearly",
+          lambda r: min(_steps(r, "total_recovery_s", "error_rate", **_RETRY)),
+          ">=", 0),
+    Claim("fig4.canary-flat",
+          "Canary mean recovery max/min over rates, worst workload",
+          "nearly flat",
+          lambda r: max(_spreads(r, "mean_recovery_s", "error_rate",
+                                 **_CANARY)), "<", 3),
+    Claim("fig4-runtimes.retry-cold-start-order",
+          "retry recovery min(java-python, python-nodejs) (s)",
+          "java > python > nodejs",
+          _fig4_runtimes_order, ">", 0),
+    Claim("fig4-runtimes.canary-below-retry",
+          "Canary/retry mean recovery, max over runtimes",
+          "0.19-0.24 (76-81% cut avg)",
+          lambda r: max(_ratios(r, "mean_recovery_s", _CANARY, _RETRY,
+                                "runtime")), "<", 0.5),
+    Claim("fig4-runtimes.canary-flattens-runtimes",
+          "Canary/retry of max/min recovery over runtimes",
+          "replicas erase cold starts",
+          lambda r: (_spreads(r, "mean_recovery_s", "runtime", **_CANARY)[0]
+                     / _spreads(r, "mean_recovery_s", "runtime", **_RETRY)[0]),
+          "<", 1),
+    Claim("fig5.canary-below-retry",
+          "Canary/retry mean recovery, max over workloads and scales",
+          "0.18 (up to 82% cut)",
+          lambda r: max(_ratios(r, "mean_recovery_s", _CANARY, _RETRY,
+                                "workload", "invocations")), "<", 0.5),
+    Claim("fig5.canary-flat",
+          "Canary mean recovery max/min over scales, worst workload",
+          "close to ideal",
+          lambda r: max(_spreads(r, "mean_recovery_s", "invocations",
+                                 **_CANARY)), "<", 3),
+    Claim("fig5.ideal-no-recovery",
+          "ideal total recovery, max over workloads and scales (s)",
+          "0 (no failures)",
+          lambda r: max(_column(r, "total_recovery_s", strategy="ideal")),
+          "==", 0),
+    Claim("fig6.checkpoint-only-below-retry",
+          "checkpoint-only/retry mean recovery, max over workloads and rates",
+          "0.17-0.21 (79-83% cut)",
+          lambda r: max(_ratios(r, "mean_recovery_s", _CKPT, _RETRY,
+                                "workload", "error_rate")), "<", 1),
+    Claim("fig6.replicas-below-checkpoint-only",
+          "Canary/checkpoint-only mean recovery, max over workloads and rates",
+          "replicas skip cold start",
+          lambda r: max(_ratios(r, "mean_recovery_s", _CANARY, _CKPT,
+                                "workload", "error_rate")), "<", 1),
+    Claim("fig6.canary-checkpoints",
+          "Canary checkpoints taken, min over workloads and rates",
+          "checkpoints taken",
+          lambda r: min(_column(r, "checkpoints", **_CANARY)), ">", 0),
+    Claim("fig6.retry-no-checkpoints",
+          "retry checkpoints taken, max over workloads and rates",
+          "0",
+          lambda r: max(_column(r, "checkpoints", **_RETRY)), "==", 0),
+    # Fig. 7's "Canary tracks ideal" keeps two bounds until the fidelity
+    # decision of ROADMAP item E: every rate under 1.25x ideal (fails at
+    # 50% errors at both scales, as recovery attempts re-fail at the error
+    # rate) and the worst rate under 1.35x (fails at bench scale).
+    Claim("fig7.canary-every-rate",
+          "Canary/ideal makespan, max over rates",
+          "1.14 (average)",
+          lambda r: max(_ratios(r, "makespan_s", _CANARY, _IDEAL,
+                                "error_rate")), "<", 1.25),
+    Claim("fig7.canary-worst",
+          "Canary/ideal makespan at the worst rate",
+          "1.14 (average)",
+          lambda r: _at_rate(r, "makespan_s", _CANARY, _IDEAL), "<", 1.35),
+    Claim("fig7.canary-not-below-ideal",
+          "Canary/ideal makespan, min over rates",
+          "1.14 (average)",
+          lambda r: min(_ratios(r, "makespan_s", _CANARY, _IDEAL,
+                                "error_rate")), ">=", 1),
+    Claim("fig7.retry-diverges",
+          "retry/ideal makespan at the worst rate",
+          "diverges",
+          lambda r: _at_rate(r, "makespan_s", _RETRY, _IDEAL), ">", 2),
+    Claim("fig7.retry-grows",
+          "retry makespan, worst/lowest rate",
+          "diverges",
+          lambda r: _growth(r, "makespan_s", "error_rate", **_RETRY),
+          ">", 1),
+    Claim("fig7.canary-below-retry",
+          "Canary/retry makespan at the worst rate",
+          "0.17 (83% lower at 50%)",
+          lambda r: _at_rate(r, "makespan_s", _CANARY, _RETRY), "<", 0.5),
+    Claim("fig7.spread",
+          "ideal and Canary makespan spread over seeds, max",
+          "< 0.05",
+          lambda r: max(_column(r, "rel_spread", **_IDEAL)
+                        + _column(r, "rel_spread", **_CANARY)), "<", 0.15),
+    Claim("fig7.retry-spread",
+          "retry makespan spread over seeds, max",
+          "< 0.05",
+          lambda r: max(_column(r, "rel_spread", **_RETRY)), "<", 0.25),
+    Claim("fig8.retry-cost-grows",
+          "retry cost, min step up the error rate (USD)",
+          "grows with the rate",
+          lambda r: min(_steps(r, "cost_usd", "error_rate", **_RETRY)),
+          ">=", 0),
+    Claim("fig8.canary-cheaper",
+          "Canary/retry cost at the worst rate",
+          "0.88 (up to 12% lower)",
+          lambda r: _at_rate(r, "cost_usd", _CANARY, _RETRY), "<", 1),
+    Claim("fig8.gap-widens",
+          "retry-Canary cost gap, worst minus lowest rate (USD)",
+          "gap grows with the rate",
+          _fig8_gap_growth, ">", 0),
+    Claim("fig8.canary-near-ideal",
+          "Canary/ideal cost, max over rates",
+          "1.08 (average)",
+          lambda r: max(_ratios(r, "cost_usd", _CANARY, _IDEAL,
+                                "error_rate")), "<", 1.25),
+    Claim("fig8.canary-faster",
+          "Canary/retry makespan at the worst rate",
+          "0.57 (43% lower avg)",
+          lambda r: _at_rate(r, "makespan_s", _CANARY, _RETRY), "<", 0.6),
+    Claim("fig9.ar-costs-more",
+          "AR/DR cost, min over rates",
+          "1.33 (DR 25% cheaper)",
+          lambda r: min(_ratios(r, "cost_usd", _AR, _DR, "error_rate")),
+          ">", 1.1),
+    Claim("fig9.dr-near-lr",
+          "|DR-LR|/LR cost, max over rates",
+          "0.02",
+          lambda r: max(abs(x - 1) for x in _ratios(
+              r, "cost_usd", _DR, _LR, "error_rate")), "<", 0.10),
+    Claim("fig9.ar-idle-replicas",
+          "AR/DR replica cost at the lowest rate",
+          "AR keeps the largest pools",
+          lambda r: _at_rate(r, "cost_replica_usd", _AR, _DR, 0), ">", 3),
+    Claim("fig9.ar-fastest",
+          "AR/DR makespan at the worst rate",
+          "AR lowest time",
+          lambda r: _at_rate(r, "makespan_s", _AR, _DR), "<=", 1.05),
+    Claim("fig10.baselines-cost-more",
+          "RR and AS cost / Canary's, min over rates",
+          "up to 2.7 (RR), 2.8 (AS)",
+          lambda r: min(_ratios(r, "cost_usd", _RR, _CANARY, "error_rate")
+                        + _ratios(r, "cost_usd", _AS, _CANARY, "error_rate")),
+          ">", 1.5),
+    Claim("fig10.baselines-cost-bounded",
+          "RR and AS cost / Canary's, max over rates",
+          "up to 2.7 (RR), 2.8 (AS)",
+          lambda r: max(_ratios(r, "cost_usd", _RR, _CANARY, "error_rate")
+                        + _ratios(r, "cost_usd", _AS, _CANARY, "error_rate")),
+          "<", 3.5),
+    Claim("fig10.as-slower",
+          "AS/Canary makespan, min over rates",
+          "up to 1.34",
+          lambda r: min(_ratios(r, "makespan_s", _AS, _CANARY, "error_rate")),
+          ">", 1),
+    Claim("fig10.rr-time-grows",
+          "RR makespan, worst/lowest rate",
+          "degrades with the rate",
+          lambda r: _growth(r, "makespan_s", "error_rate", **_RR),
+          ">", 1),
+    Claim("fig11.canary-below-retry",
+          "Canary/retry mean recovery, max over scales",
+          "0.20 (up to 80% cut)",
+          lambda r: max(_ratios(r, "mean_recovery_s", _CANARY, _RETRY,
+                                "invocations")), "<", 0.5),
+    Claim("fig11.retry-failures",
+          "retry failures, min over scales",
+          "node failures hit retry",
+          lambda r: min(_column(r, "failures", **_RETRY)), ">", 0),
+    Claim("fig11.canary-flat",
+          "Canary mean recovery max/min over scales",
+          "nearly flat, slight rise",
+          lambda r: _spreads(r, "mean_recovery_s", "invocations",
+                             **_CANARY)[0], "<", 6),
+    Claim("fig11.ideal-no-recovery",
+          "ideal total recovery, max over scales (s)",
+          "0 (no failures)",
+          lambda r: max(_column(r, "total_recovery_s", strategy="ideal")),
+          "==", 0),
+    Claim("fig12.speedup",
+          "makespan fewest/most nodes, min over strategies",
+          "1.10-1.2",
+          _fig12_speedup, ">", 1),
+    Claim("fig12.canary-near-ideal",
+          "Canary/ideal makespan, max over node counts",
+          "1.0275",
+          lambda r: max(_ratios(r, "makespan_s", _CANARY,
+                                {"strategy": "ideal"}, "nodes")), "<", 1.25),
+    Claim("fig12.ideal-not-above-canary",
+          "ideal/Canary makespan, max over node counts",
+          "0.97",
+          lambda r: max(_ratios(r, "makespan_s", {"strategy": "ideal"},
+                                _CANARY, "nodes")), "<=", 1.01),
+    Claim("fig12.canary-below-retry",
+          "Canary/retry makespan, max over node counts",
+          "0.83 (up to 17% lower)",
+          lambda r: max(_ratios(r, "makespan_s", _CANARY, _RETRY, "nodes")),
+          "<", 1),
+)
+
+_T1_SEEDS = (0, 1)
+_T1_RATES = (0.05, 0.5)
+_BENCH_SEEDS = (0, 1, 2)
+_BENCH_RATES = (0.05, 0.15, 0.5)
+
+#: Run arguments per figure at tier-1 scale (2 seeds, 2 error rates).
+TIER1: Mapping[str, dict] = {
+    "fig4": dict(seeds=_T1_SEEDS, error_rates=_T1_RATES,
+                 workloads=("graph-bfs",)),
+    "fig4-runtimes": dict(seeds=_T1_SEEDS),
+    "fig5": dict(seeds=_T1_SEEDS, invocations=(100, 400),
+                 workloads=("graph-bfs",)),
+    "fig6": dict(seeds=_T1_SEEDS, error_rates=_T1_RATES,
+                 workloads=("dl-training",)),
+    "fig7": dict(seeds=_T1_SEEDS, error_rates=_T1_RATES),
+    "fig8": dict(seeds=_T1_SEEDS, error_rates=_T1_RATES),
+    "fig9": dict(seeds=_T1_SEEDS, error_rates=_T1_RATES),
+    "fig10": dict(seeds=_T1_SEEDS, error_rates=_T1_RATES),
+    "fig11": dict(seeds=_T1_SEEDS, invocations=(200, 400)),
+    "fig12": dict(seeds=(0,), node_counts=(1, 8), num_functions=1000,
+                  batch_jobs=2),
+}
+
+#: Run arguments per figure at bench scale (3 seeds, 3 error rates).
+BENCH: Mapping[str, dict] = {
+    "fig4": dict(seeds=_BENCH_SEEDS, error_rates=_BENCH_RATES),
+    "fig4-runtimes": dict(seeds=_BENCH_SEEDS),
+    "fig5": dict(seeds=_BENCH_SEEDS, invocations=(100, 200, 400),
+                 workloads=("graph-bfs", "web-service", "dl-training")),
+    "fig6": dict(seeds=_BENCH_SEEDS, error_rates=_BENCH_RATES,
+                 workloads=("dl-training", "compression", "graph-bfs")),
+    "fig7": dict(seeds=_BENCH_SEEDS, error_rates=_BENCH_RATES),
+    "fig8": dict(seeds=_BENCH_SEEDS, error_rates=_BENCH_RATES),
+    "fig9": dict(seeds=_BENCH_SEEDS, error_rates=_BENCH_RATES),
+    "fig10": dict(seeds=_BENCH_SEEDS, error_rates=_BENCH_RATES),
+    "fig11": dict(seeds=_BENCH_SEEDS, invocations=(200, 400, 800)),
+    "fig12": dict(seeds=(0, 1), node_counts=(1, 4, 16), num_functions=2000,
+                  batch_jobs=4),
+}
+
+
+def run_figure(figure: str, scale: Mapping[str, dict], *,
+               jobs: Optional[int] = None) -> FigureResult:
+    """Run *figure* with its arguments at *scale* (``TIER1`` or ``BENCH``)."""
+    return RUNNERS[figure].run(**scale[figure], jobs=jobs)
+
+
+def check_claims(scale: Mapping[str, dict]) -> list[Verdict]:
+    """Run every figure once at *scale* and check every claim row."""
+    results = {figure: run_figure(figure, scale)
+               for figure in dict.fromkeys(c.figure for c in CLAIMS)}
+    return [claim.check(results[claim.figure]) for claim in CLAIMS]
+
+
+def scorecard(verdicts: Sequence[Verdict]) -> str:
+    """Paper value, measured value and bound side by side, one claim a line,
+    then what was measured."""
+    table = [("claim", "status", "paper", "measured", "bound", "measure")] + [
+        (v.claim.id, "PASS" if v.passed else "FAIL", v.claim.paper,
+         f"{v.measured:.4g}", f"{v.claim.op} {v.claim.bound:g}", v.claim.text)
+        for v in verdicts
+    ]
+    widths = [max(len(row[i]) for row in table) for i in range(6)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in table]
+    passed = sum(v.passed for v in verdicts)
+    lines.append(f"-- {passed}/{len(verdicts)} claims reproduced --")
+    return "\n".join(lines)
