@@ -11,20 +11,21 @@ recovered the moment any live attempt of the function has again completed
 as many states as the function had completed when the kill happened — that
 difference in timestamps is the paper's per-failure recovery time.
 
-Without a fabric, an attempt that is the function's only live one and has
-no failure to recover *folds* its states: one engine event at the end of
-the segment instead of one per state and per checkpoint.  The states in
-between are materialised, in order and with their own timestamps, when
-that event fires or when something needs to see them (DESIGN.md,
-"State-boundary fold addendum").
+An attempt of a function with no failure to recover *folds* its states
+(on a fabric, only if it writes no checkpoints): one engine event at the
+end of the segment instead of one per state and per checkpoint.  The
+states in between are materialised, in order and with their own
+timestamps, when that event fires or when something needs to see them
+(DESIGN.md, "State-boundary fold addendum").
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -96,6 +97,7 @@ class Attempt:
         self.state_handle: Optional[EventHandle] = None
         self.kill_handle: Optional[EventHandle] = None
         self.timeout_handle: Optional[EventHandle] = None
+        self.timeout_at = math.inf  # the invocation time limit's deadline
         # In-flight state window, for continuous progress accounting.
         self.state_started_at: Optional[float] = None
         self.state_duration: float = 0.0
@@ -286,10 +288,6 @@ class FunctionExecution:
             platform.controller.terminate(container, ContainerState.KILLED)
             platform.release_owner(container.container_id)
             return None
-        # A folded attempt must be the function's only live one.
-        for live in list(self._live.values()):
-            if live.plan is not None:
-                self.unfold(live)
         attempt = Attempt(
             attempt_id=platform.ids.attempt_id(self.function_id),
             index=len(self.attempts),
@@ -315,7 +313,10 @@ class FunctionExecution:
             via=via,
             from_state=from_state,
         )
-        self._arm_timeout(attempt)
+        timeout = self.job.request.timeout_s
+        if timeout is None:
+            timeout = platform.controller.limits.max_function_timeout_s
+        attempt.timeout_at = platform.sim.now + timeout
         delay = 0.0
         if adoption:
             delay += ADOPTION_OVERHEAD_S
@@ -339,10 +340,9 @@ class FunctionExecution:
 
     def _schedule_setup(self, attempt: Attempt, delay: float) -> None:
         if delay > 0:
-            attempt.state_handle = self.platform.sim.call_in(
-                delay,
-                lambda: self._begin_states(attempt),
-                label=f"setup:{attempt.attempt_id}",
+            self._step(
+                attempt, self.platform.sim.now + delay, self._begin_states,
+                f"setup:{attempt.attempt_id}",
             )
         else:
             self._begin_states(attempt)
@@ -382,12 +382,10 @@ class FunctionExecution:
                     tier=record.ref.tier_name,
                     retry=retries,
                 )
-                attempt.state_handle = platform.sim.call_in(
-                    wait,
-                    lambda: self._begin_restore(
-                        attempt, record, extra_delay, retries + 1
-                    ),
-                    label=f"backoff:{attempt.attempt_id}",
+                self._step(
+                    attempt, platform.sim.now + wait,
+                    lambda a: self._begin_restore(a, record, extra_delay, retries + 1),
+                    f"backoff:{attempt.attempt_id}",
                 )
                 return
             fallback = platform.checkpointer.latest(
@@ -418,6 +416,7 @@ class FunctionExecution:
             # The checkpoint fetch (part of t_res, Eq. 2) is a flow on
             # the fabric: it competes with every other transfer, which
             # is what makes mass recovery contend (fig. 11 at scale).
+            self._arm_timeout(attempt)
             attempt.state_handle = platform.network.fetch_checkpoint(
                 record.ref,
                 dest_node=attempt.container.node.node_id,
@@ -430,26 +429,40 @@ class FunctionExecution:
             attempt, extra_delay + platform.checkpointer.restore_time(record)
         )
 
-    def _arm_timeout(self, attempt: Attempt) -> None:
+    def _step(
+        self, attempt: Attempt, at: float, resume: Callable[[Attempt], None],
+        label: str, seq: Optional[int] = None,
+    ) -> None:
+        """Schedule the attempt's next timeline event: *resume(attempt)* at
+        *at* (*seq*: see ``EventQueue.push``), after its timeout if that
+        may come first."""
+        self._arm_timeout(attempt, at)
+        attempt.state_handle = self.platform.sim.call_at(
+            at, lambda: resume(attempt), label=label, seq=seq
+        )
+
+    def _arm_timeout(self, attempt: Attempt, ends_by: float = math.inf) -> None:
         """Enforce the per-invocation execution time limit (§II-A).
 
         An attempt running longer than the function's timeout is killed by
         the platform exactly like any other container failure — the
         recovery strategy then decides what survives (for Canary, the
         checkpoints do, so a timed-out function does not restart from
-        scratch).
+        scratch).  It is pushed only before a timeline event ending at or
+        after the deadline (*ends_by*), a flow or a freeze: each event that
+        ends first pushes the next, so a segment that finishes in time
+        pushes none, and the timeout wins a tie with the event it precedes.
         """
-        timeout = self.job.request.timeout_s
-        if timeout is None:
-            timeout = self.platform.controller.limits.max_function_timeout_s
+        if attempt.timeout_handle is not None or ends_by < attempt.timeout_at:
+            return
 
         def _timeout() -> None:
             if attempt.done or self.completed:
                 return
             self.platform.controller.kill_container(attempt.container, "timeout")
 
-        attempt.timeout_handle = self.platform.sim.call_in(
-            timeout, _timeout, label=f"timeout:{attempt.attempt_id}",
+        attempt.timeout_handle = self.platform.sim.call_at(
+            attempt.timeout_at, _timeout, label=f"timeout:{attempt.attempt_id}",
         )
 
     # ------------------------------------------------------------------
@@ -522,15 +535,15 @@ class FunctionExecution:
             # Zombie node: the runtime accepted the work but is wedged.
             # No further transitions happen; the invocation timeout or the
             # node's eventual death recovers the attempt.
+            self._arm_timeout(attempt)
             return
         index = attempt.completed_states
         if index >= self.n_states:
             attempt.state_started_at = None
             finish = attempt.container.node.scale_duration(self.profile.finish_s)
-            attempt.state_handle = self.platform.sim.call_in(
-                finish,
-                lambda: self._complete(attempt),
-                label=f"finish:{attempt.attempt_id}",
+            self._step(
+                attempt, self.platform.sim.now + finish, self._complete,
+                f"finish:{attempt.attempt_id}",
             )
             return
         if self._can_fold(attempt):
@@ -539,12 +552,11 @@ class FunctionExecution:
         duration = attempt.container.node.scale_duration(
             float(self._base_durations[index])
         )
-        attempt.state_started_at = self.platform.sim.now
+        now = attempt.state_started_at = self.platform.sim.now
         attempt.state_duration = duration
-        attempt.state_handle = self.platform.sim.call_in(
-            duration,
-            lambda: self._state_done(attempt),
-            label=f"state:{attempt.attempt_id}:{index}",
+        self._step(
+            attempt, now + duration, self._state_done,
+            f"state:{attempt.attempt_id}:{index}",
         )
         self._arm_recovery_checks()
 
@@ -570,6 +582,7 @@ class FunctionExecution:
                 self.checkpoint_time_s += elapsed
                 self._schedule_next_state(attempt)
 
+            self._arm_timeout(attempt)
             _, attempt.state_handle = self.platform.checkpointer.record_state_async(
                 network=self.platform.network,
                 job_id=self.job.job_id,
@@ -594,10 +607,9 @@ class FunctionExecution:
                 state_duration_s=self.profile.state_duration_s,
             )
             self.checkpoint_time_s += duration
-            attempt.state_handle = self.platform.sim.call_in(
-                duration,
-                lambda: self._schedule_next_state(attempt),
-                label=f"ckpt:{attempt.attempt_id}:{index}",
+            self._step(
+                attempt, self.platform.sim.now + duration,
+                self._schedule_next_state, f"ckpt:{attempt.attempt_id}:{index}",
             )
         else:
             self._schedule_next_state(attempt)
@@ -608,18 +620,17 @@ class FunctionExecution:
     def _can_fold(self, attempt: Attempt) -> bool:
         """Whether the states ahead of *attempt* may run as one segment.
 
-        Recovery checks read an attempt's progress at arbitrary times, so
-        a function folds only while it has exactly one live attempt and no
-        failure waiting to be recovered.  A container request in flight
-        would start a second attempt and unfold this one, so that waits
-        too.  The fabric path already costs one flow per checkpoint write
-        and stays stepwise.
+        Recovery checks read every live attempt's progress at arbitrary
+        times, so a function folds only while no failure waits to be
+        recovered; a loss unfolds the live siblings first.  On a
+        fabric each checkpoint write is a flow, so an attempt that writes
+        checkpoints stays stepwise there; one that writes none never
+        touches the fabric between its states.
         """
-        return (
+        return not self._pending_events and (
             self.platform.network is None
-            and len(self._live) == 1
-            and not self._pending_events
-            and not self._pending_requests
+            or not self.platform.strategy.checkpoints_enabled
+            or attempt.secondary
         )
 
     def _fold(self, attempt: Attempt) -> None:
@@ -630,8 +641,7 @@ class FunctionExecution:
         store or tier fills up, so a checkpoint's tier and charge depend
         only on its size and the tier brownout state.  Nothing the plan
         reads can change without :meth:`unfold` running first: node speed
-        (stragglers), the tier brownout state, the checkpoint cadence and
-        the function's attempt count.
+        (stragglers), the tier brownout state and the checkpoint cadence.
         """
         platform = self.platform
         profile = self.profile
@@ -665,18 +675,18 @@ class FunctionExecution:
         platform.folded[attempt] = self
         attempt.state_started_at = plan.starts[0]
         attempt.state_duration = plan.durations[0]
-        attempt.state_handle = platform.sim.call_at(
-            plan.finish_at,
-            lambda: self._segment_done(attempt),
-            label=f"finish:{attempt.attempt_id}",
+        self._step(
+            attempt, plan.finish_at, self._segment_done,
+            f"finish:{attempt.attempt_id}",
         )
 
     def _segment_done(self, attempt: Attempt) -> None:
         # Nothing observed the states left and ``_complete`` drops the
-        # chain: untraced, their checkpoints take the closed form.
-        platform = self.platform
-        self.materialise(attempt, platform.sim.now, inclusive=True, final=True)
-        self._drop_plan(attempt)
+        # chain: untraced, their checkpoints take the closed form.  (No
+        # plan: the attempt was unfolded in its finish window.)
+        if attempt.plan is not None:
+            self.materialise(attempt, self.platform.sim.now, inclusive=True, final=True)
+            self._drop_plan(attempt)
         self._complete(attempt)
 
     def materialise(
@@ -739,12 +749,17 @@ class FunctionExecution:
 
     def unfold(self, attempt: Attempt) -> None:
         """Materialise the folded boundaries before now and put the attempt
-        back on one event per window, from the window in flight."""
+        back on one event per window, from the window in flight.
+
+        The window's event takes the segment event's place among events
+        at its time: stepwise, the attempt's chain keeps the place its
+        first event took, so clones and other attempts on identical
+        timelines fire in the same order.
+        """
         now = self.platform.sim.now
         self.materialise(attempt, now)
         plan = attempt.plan
         self._drop_plan(attempt)
-        attempt.state_handle.cancel()
         j = plan.done
         name = attempt.attempt_id
         if j < len(plan.ends) and attempt.state_started_at is not None:
@@ -757,11 +772,12 @@ class FunctionExecution:
             resume = self._schedule_next_state
             label = f"ckpt:{name}:{plan.first + j - 1}"
         else:
-            at, resume = plan.finish_at, self._complete
-            label = f"finish:{name}"
-        attempt.state_handle = self.platform.sim.call_at(
-            at, lambda: resume(attempt), label=label
-        )
+            return  # the finish is in flight: the segment event completes it
+        handle = attempt.state_handle
+        handle.cancel()
+        # A timeout pushed for the same time must precede the window.
+        seq = handle.seq if at < handle.time and at != attempt.timeout_at else None
+        self._step(attempt, at, resume, label, seq)
 
     def _settle(self, attempt: Attempt) -> None:
         """Materialise a folded attempt that stops now (its timers are
@@ -828,6 +844,7 @@ class FunctionExecution:
         for attempt in list(self._live.values()):
             if attempt is winning or attempt.done:
                 continue
+            self._settle(attempt)
             attempt.done = True
             attempt.cancel_timers()
             self._finish_attempt_spans(attempt, "cancelled")
@@ -869,6 +886,10 @@ class FunctionExecution:
             attempt.done = True
             attempt.cancel_timers()
             self._finish_attempt_spans(attempt, reason)
+        # Progress is read below and recovery checks follow: unfold siblings.
+        for sibling in self.live_attempts():
+            if sibling.plan is not None:
+                self.unfold(sibling)
         event = FailureEvent(
             function_id=self.function_id,
             job_id=self.job.job_id,
@@ -921,6 +942,7 @@ class FunctionExecution:
             return False
         self._settle(attempt)
         attempt.final_progress = attempt.continuous_progress(self.platform.sim.now)
+        self._arm_timeout(attempt)
         if attempt.state_handle is not None:
             attempt.state_handle.cancel()
             attempt.state_handle = None

@@ -65,14 +65,16 @@ class Simulator:
         callback: Callable[[], Any],
         *,
         label: str = "",
+        seq: Optional[int] = None,
     ) -> EventHandle:
-        """Schedule *callback* at absolute virtual *time*."""
+        """Schedule *callback* at absolute virtual *time* (*seq*: see
+        :meth:`EventQueue.push`)."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event {label!r} at t={time} "
                 f"(current time is {self._now})"
             )
-        return self._queue.push(time, callback, label=label)
+        return self._queue.push(time, callback, label=label, seq=seq)
 
     def call_in(
         self,

@@ -172,8 +172,14 @@ class EventQueue:
         callback: Callable[[], Any],
         *,
         label: str = "",
+        seq: Optional[int] = None,
     ) -> Event:
-        event = Event(time, next(self._counter), callback, label, self)
+        """Schedule *callback* at *time*, after every event already pushed
+        for that time, or at the place *seq* (a cancelled event's, at a
+        later time) held among them."""
+        if seq is None:
+            seq = next(self._counter)
+        event = Event(time, seq, callback, label, self)
         heap = self._heap
         heapq.heappush(heap, (event.key, event))
         self._live += 1

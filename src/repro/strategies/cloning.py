@@ -6,10 +6,11 @@ Cloud Server Systems using Processor Sharing": every invocation runs as
 placement policy (each launch feeds the nodes already holding a copy into
 ``avoid_nodes``, so the spread rides the policy's ranking instead of a
 bespoke scatter rule).  The first copy to finish wins;
-``FunctionExecution._complete`` cancels the losers through the fabric —
-their timers (including in-flight flow handles) are cancelled, their
-containers terminated, and their KV ownership released, so a lost race
-leaks nothing.
+``FunctionExecution._complete`` cancels the losers: a loser folded into
+one segment event (copies write no checkpoints, so they fold even on a
+fabric) is first settled, its states up to now materialised; then its
+timers (including in-flight flow handles) are cancelled, its container
+terminated, and its KV ownership released, so a lost race leaks nothing.
 
 Unlike request replication (a fixed *extra* degree on top of a primary),
 cloning is degree-exact: it keeps the copy count at ``clones`` by replacing

@@ -7,6 +7,7 @@ different nodes, losing copies are torn down (not leaked) the instant a
 winner finishes, and the whole thing stays a pure function of the seed.
 """
 
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import _run_platform, run_scenario
 from repro.network.config import NETWORK_PRESETS
+from repro.sim.events import EventQueue
 from repro.strategies.cloning import CloningConfig
 
 from tests.conftest import run_tiny_job
@@ -133,3 +135,32 @@ def test_cloning_repeat_run_byte_identical():
     first = run_scenario(scenario, seed=5)
     second = run_scenario(scenario, seed=5)
     assert asdict(first) == asdict(second)
+
+
+# ----------------------------------------------------------------------
+# Engine cost
+# ----------------------------------------------------------------------
+def test_failure_free_clones_on_a_fabric_fold_every_state(monkeypatch):
+    """Clones write no checkpoints, so on a fabric each copy still runs
+    its states as one folded segment: no per-state engine event."""
+    labels = Counter()
+    push = EventQueue.push
+
+    def counting(self, time, callback, *, label="", **kwargs):
+        labels[label.split(":")[0]] += 1
+        return push(self, time, callback, label=label, **kwargs)
+
+    monkeypatch.setattr(EventQueue, "push", counting)
+    scenario = ScenarioConfig(
+        workload="graph-bfs",
+        strategy="cloning",
+        cloning=CloningConfig(clones=2),
+        error_rate=0.0,
+        num_functions=40,
+        num_nodes=8,
+        network=NETWORK_PRESETS["10gbe"],
+    )
+    summary = run_scenario(scenario, seed=0)
+    assert summary.completed == 40
+    assert labels["finish"] >= 40
+    assert labels["state"] == 0

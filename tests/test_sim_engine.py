@@ -23,6 +23,15 @@ class TestEventQueue:
         popped = [q.pop().label for _ in range(10)]
         assert popped == [str(i) for i in range(10)]
 
+    def test_rescheduled_event_keeps_its_place_among_ties(self):
+        q = EventQueue()
+        moved = q.push(9.0, lambda: None, label="moved")
+        q.push(5.0, lambda: None, label="later")
+        q.cancel(moved)
+        q.push(5.0, lambda: None, label="moved", seq=moved.seq)
+        q.push(5.0, lambda: None, label="latest")
+        assert [q.pop().label for _ in range(3)] == ["moved", "later", "latest"]
+
     def test_cancelled_events_are_skipped(self):
         q = EventQueue()
         q.push(1.0, lambda: None, label="keep")

@@ -1,6 +1,7 @@
 """Exactness guard for folded state boundaries.
 
-Without a fabric an attempt runs its states as one folded segment: one
+An attempt of a function with no failure to recover runs its states as
+one folded segment (on a fabric, only if it writes no checkpoints): one
 engine event at the segment end, the states in between materialised
 later with their own timestamps (DESIGN.md, "State-boundary fold
 addendum").  The reference is the stepwise path, one event per state and
@@ -14,6 +15,7 @@ spans (as a multiset, parents named rather than numbered).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import asdict
 from typing import Callable, Optional
@@ -30,6 +32,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.faas.limits import PlatformLimits
 from repro.faults.chaos import ChaosConfig, TierBrownout, default_chaos_preset
 from repro.metrics.engine import collect_engine_stats
+from repro.network.config import get_network_preset
 from repro.strategies.cloning import CloningConfig
 from repro.trace.tracer import Tracer
 from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
@@ -43,6 +46,8 @@ BASE = ScenarioConfig(
     num_functions=40,
     num_nodes=6,
 )
+#: Sibling and no-checkpoint strategies on a contended fabric.
+FABRIC = BASE.with_(network=get_network_preset("10gbe"))
 
 
 def _local_spill_crash(platform: CanaryPlatform) -> None:
@@ -150,6 +155,61 @@ SCENARIOS: dict[str, tuple[ScenarioConfig, Optional[Callable]]] = {
     "cloning": (
         BASE.with_(strategy="cloning", cloning=CloningConfig(clones=2)), None,
     ),
+    # Stragglers unfold clones whose timelines tie to the last bit.
+    "cloning-chaos": (
+        BASE.with_(
+            strategy="cloning",
+            cloning=CloningConfig(clones=2),
+            error_rate=0.1,
+            node_failure_count=1,
+            chaos=ChaosConfig(
+                stragglers=3, straggler_window=(3.0, 20.0),
+                straggler_duration_s=6.0, zombies=1,
+                zombie_window=(6.0, 12.0), zombie_kill_after_s=15.0,
+            ),
+            detection=DetectionConfig(),
+            backoff=BackoffPolicy(),
+        ),
+        None,
+    ),
+    "cloning-10gbe": (
+        FABRIC.with_(strategy="cloning", cloning=CloningConfig(clones=2)),
+        None,
+    ),
+    # Lost, frozen and slowed clones beside folded siblings.
+    "cloning-10gbe-chaos": (
+        FABRIC.with_(
+            strategy="cloning",
+            cloning=CloningConfig(clones=2),
+            node_failure_count=1,
+            chaos=ChaosConfig(
+                stragglers=3, straggler_window=(3.0, 20.0),
+                straggler_duration_s=6.0, zombies=1,
+                zombie_window=(6.0, 12.0), zombie_kill_after_s=15.0,
+            ),
+            detection=DetectionConfig(),
+            backoff=BackoffPolicy(),
+        ),
+        None,
+    ),
+    "request-replication-10gbe": (
+        FABRIC.with_(strategy="request-replication"), None,
+    ),
+    "retry-10gbe": (FABRIC.with_(strategy="retry"), None),
+    "active-standby-10gbe": (FABRIC.with_(strategy="active-standby"), None),
+    # A zombie freezes folded attempts; their timeout recovers them
+    # long before the hard kill.
+    "zombie-timeout": (
+        BASE.with_(
+            error_rate=0.0,
+            chaos=ChaosConfig(
+                zombies=1, zombie_window=(6.0, 12.0),
+                zombie_kill_after_s=120.0,
+            ),
+            limits=PlatformLimits(max_function_timeout_s=40.0),
+        ),
+        None,
+    ),
     "custom-endpoint-s3": (BASE, _s3_endpoint),
     # A concurrency limit of one job runs the four jobs in waves, so
     # later waves start on the parked containers of earlier ones.
@@ -217,13 +277,14 @@ def _outcome(
     monkeypatch,
     step_s: Optional[float] = None,
     traced: bool = False,
+    seed: int = 3,
 ) -> dict:
     scenario, setup = SCENARIOS[name]
     tracer = Tracer() if traced else None
     with monkeypatch.context() as patch:
         if not fold:
             _refuse_fold(patch)
-        platform = CanaryPlatform(scenario, seed=3, tracer=tracer)
+        platform = CanaryPlatform(scenario, seed=seed, tracer=tracer)
         if setup is not None:
             setup(platform)
         elif scenario.traffic is None:
@@ -253,16 +314,45 @@ def _assert_same(folded: dict, stepwise: dict) -> None:
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_fold_matches_stepwise_exactly(name, monkeypatch):
-    folded = _outcome(name, fold=True, monkeypatch=monkeypatch)
-    stepwise = _outcome(name, fold=False, monkeypatch=monkeypatch)
+    # Fabric rows also compare spans: their folded attempts emit
+    # backdated ones beside live flows.
+    traced = SCENARIOS[name][0].network is not None
+    folded = _outcome(name, fold=True, monkeypatch=monkeypatch, traced=traced)
+    stepwise = _outcome(
+        name, fold=False, monkeypatch=monkeypatch, traced=traced
+    )
     assert folded["summary"]["completed"] > 0
     _assert_same(folded, stepwise)
-    # The fold really ran: it saves engine events wherever a function
-    # runs one attempt at a time (cloning and replication run two).
-    if name in ("cloning", "request-replication"):
-        assert folded["pushes"] <= stepwise["pushes"]
-    else:
-        assert folded["pushes"] < stepwise["pushes"]
+    # The fold really ran: it saves engine events in every scenario.
+    assert folded["pushes"] < stepwise["pushes"]
+
+
+def test_frozen_attempts_keep_their_timeout(monkeypatch):
+    """A folded segment that would finish before its deadline pushes no
+    timeout; freezing it must push one."""
+    failures = _outcome(
+        "zombie-timeout", fold=True, monkeypatch=monkeypatch
+    )["failures"]
+    assert failures
+    assert {event["reason"] for event in failures} == {"timeout"}
+
+
+def test_unfolded_clones_keep_their_tie_order(monkeypatch):
+    """Clones on identical timelines finish at the same instant, and the
+    one whose events were scheduled first wins.  Stragglers unfold the
+    copies at different times; the winner must not change."""
+    folded, stepwise = (
+        _outcome(
+            "cloning-chaos", fold=fold, monkeypatch=monkeypatch, traced=True,
+            seed=0,
+        )
+        for fold in (True, False)
+    )
+    _assert_same(folded, stepwise)
+    ends = Counter(
+        (span[4], span[3]) for span in folded["spans"] if span[0] == "exec"
+    )
+    assert max(ends.values()) >= 2  # some copies did tie
 
 
 @pytest.mark.parametrize("name", ["errors", "stragglers-zombie-partition"])
@@ -323,7 +413,10 @@ class TestAnalyticOracle:
     plus the tier write), taken after every ``interval``-th state.
     """
 
-    def _run(self, monkeypatch, *, fold: bool, interval=None, until=None):
+    def _run(
+        self, monkeypatch, *, fold: bool, interval=None, until=None,
+        timeout_s=None,
+    ):
         with monkeypatch.context() as patch:
             if not fold:
                 _refuse_fold(patch)
@@ -333,7 +426,7 @@ class TestAnalyticOracle:
             if interval is not None:
                 platform.checkpointer.global_interval = interval
             job = platform.submit_job(
-                JobRequest(workload=TINY, num_functions=1)
+                JobRequest(workload=TINY, num_functions=1, timeout_s=timeout_s)
             )
             platform.run(until=until)
         return platform, job.executions[0]
@@ -387,3 +480,33 @@ class TestAnalyticOracle:
         assert attempt.state_started_at == ends[1] + charge
         platform.run()
         assert execution.completed
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_timeout_at_the_finish_fires_first(self, monkeypatch, fold):
+        """A deadline equal to the completion time kills the attempt (its
+        timeout is pushed before the event that reaches it); one a tick
+        later does not, and no timeout event is needed then."""
+        platform, execution = self._run(monkeypatch, fold=True)
+        done_at, *_ = self._expected(platform, execution, 1)
+        ready_at = execution.attempts[0].container.ready_at
+        timeout = done_at - ready_at
+        while ready_at + timeout < done_at:
+            timeout = math.nextafter(timeout, math.inf)
+        while ready_at + timeout > done_at:
+            timeout = math.nextafter(timeout, 0.0)
+        assert ready_at + timeout == done_at
+        platform, execution = self._run(
+            monkeypatch, fold=fold, timeout_s=timeout
+        )
+        (failure,) = platform.metrics.failures[:1]
+        assert (failure.reason, failure.kill_time) == ("timeout", done_at)
+        assert execution.attempts[0].completed_states == TINY.n_states
+        late = timeout
+        while ready_at + late == done_at:
+            late = math.nextafter(late, math.inf)
+        platform, execution = self._run(monkeypatch, fold=fold, timeout_s=late)
+        assert platform.metrics.failures == []
+        assert execution.completed_at == done_at
+        pushes = collect_engine_stats(platform.sim).pushes
+        platform, _ = self._run(monkeypatch, fold=fold)
+        assert collect_engine_stats(platform.sim).pushes == pushes

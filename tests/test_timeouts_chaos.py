@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from repro.core.canary import CanaryPlatform
 from repro.core.jobs import JobRequest
 from repro.core.scenario import ScenarioConfig
+from repro.network.config import get_network_preset
 from repro.sla.policy import SLAPolicy
+from repro.trace.tracer import Tracer
 
 from tests.conftest import TINY
 
@@ -58,6 +60,52 @@ class TestFunctionTimeouts:
         assert all(
             e.reason == "timeout" for e in platform.metrics.failures
         )
+
+    def test_attempt_wedged_on_a_zombie_times_out(self):
+        # The node accepts work but never advances it: the timeout, armed
+        # when the attempt finds the node wedged, is the only way out.
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=1, strategy="canary"), seed=0
+        )
+        platform.cluster.nodes[0].zombie = True
+        job = platform.submit_job(
+            JobRequest(workload=TINY, num_functions=1, timeout_s=30.0)
+        )
+        platform.run(until=100.0)
+        first = job.executions[0].attempts[0]
+        failure = platform.metrics.failures[0]
+        assert failure.reason == "timeout"
+        assert failure.kill_time == first.container.ready_at + 30.0
+
+    def test_deadline_inside_a_checkpoint_flow(self):
+        # The attempt's own events all end before the deadline until the
+        # checkpoint write, a flow of unknown length, starts.
+        def run(timeout_s=None):
+            tracer = Tracer()
+            platform = CanaryPlatform(
+                ScenarioConfig(
+                    num_nodes=1, strategy="canary",
+                    network=get_network_preset("10gbe"),
+                ),
+                seed=0,
+                tracer=tracer,
+            )
+            job = platform.submit_job(
+                JobRequest(workload=TINY, num_functions=1, timeout_s=timeout_s)
+            )
+            platform.run(until=100.0)
+            return platform, tracer, job.executions[0].attempts[0]
+
+        _, tracer, first = run()
+        write = next(
+            span for span in tracer.spans() if span.kind == "checkpoint_write"
+        )
+        timeout = (write.start + write.end) / 2 - first.container.ready_at
+        platform, _, first = run(timeout)
+        failure = platform.metrics.failures[0]
+        assert failure.reason == "timeout"
+        assert failure.kill_time == first.container.ready_at + timeout
+        assert write.start < failure.kill_time < write.end
 
     def test_canary_with_hopeless_timeout_still_finishes(self):
         # Canary banks progress between attempts: each attempt commits a
