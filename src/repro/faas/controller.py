@@ -132,15 +132,9 @@ class FaaSController:
         # S39 placement policy: ranks the filtered candidates at both
         # decision points (cold starts here, replicas at the placer).
         self.policy = policy if policy is not None else LocalityPolicy()
+        #: Every container ever created (cost accounting reads it once at
+        #: the end); the per-submission queries read counters instead.
         self.containers: dict[str, Container] = {}
-        #: Non-terminal containers only.  ``containers`` keeps every
-        #: container ever created (cost accounting reads it once at the
-        #: end); the introspection queries used on every submission —
-        #: ``active_function_count`` — must not rescan that
-        #: ever-growing history, or sustained 10^5-invocation traffic runs
-        #: go quadratic.  Entries are purged lazily: any terminal container
-        #: encountered during iteration is dropped.
-        self._live: dict[str, Container] = {}
         self._queue: collections.deque[ContainerRequest] = collections.deque()
         self._id_counter = itertools.count()
         self.start_rate_limit = start_rate_limit
@@ -176,35 +170,6 @@ class FaaSController:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _live_containers(self) -> list[Container]:
-        """Non-terminal containers; lazily purges any that terminated.
-
-        Termination happens at several sites (voluntary teardown, reclaim
-        timers, node-failure fanout), so rather than hook every one, the
-        live index is self-cleaning: terminal entries found during a scan
-        are dropped.  Each container is purged at most once, so the
-        amortized cost stays O(live), independent of run length.
-        """
-        dead: list[str] = []
-        out: list[Container] = []
-        for container_id, container in self._live.items():
-            if container.terminal:
-                dead.append(container_id)
-            else:
-                out.append(container)
-        for container_id in dead:
-            del self._live[container_id]
-        return out
-
-    def active_containers(
-        self, purpose: Optional[ContainerPurpose] = None
-    ) -> list[Container]:
-        return [
-            c
-            for c in self._live_containers()
-            if purpose is None or c.purpose == purpose
-        ]
-
     def active_function_count(self) -> int:
         """Concurrent *invocations*: running function containers, excluding
         warm parked ones awaiting reuse.  Maintained incrementally."""
@@ -213,7 +178,7 @@ class FaaSController:
     def function_hosting_nodes(self, kind: RuntimeKind) -> list[Node]:
         """Nodes holding at least one non-terminal FUNCTION container of
         *kind* (replica co-location input; membership-equal to scanning
-        ``active_containers(FUNCTION)`` but O(nodes), not O(containers))."""
+        ``all_containers()`` but O(nodes), not O(containers))."""
         return [
             self.cluster.node(node_id)
             for node_id in self._fn_node_count.get(kind, ())
@@ -239,15 +204,6 @@ class FaaSController:
         )
         if not parked:
             self._active_fn_count -= 1
-
-    def warm_replicas(self, kind: Optional[RuntimeKind] = None) -> list[Container]:
-        return [
-            c
-            for c in self._live_containers()
-            if c.purpose == ContainerPurpose.REPLICA
-            and c.is_warm_idle
-            and (kind is None or c.kind == kind)
-        ]
 
     def queue_depth(self) -> int:
         return len(self._queue)
@@ -439,7 +395,6 @@ class FaaSController:
         )
         node.attach(container)
         self.containers[container.container_id] = container
-        self._live[container.container_id] = container
         if container.purpose == ContainerPurpose.FUNCTION:
             self._active_fn_count += 1
             self._fn_node_count[container.kind][node.node_id] += 1

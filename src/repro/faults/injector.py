@@ -88,7 +88,6 @@ class FailureInjector:
         self.node_failure_precursors = node_failure_precursors
         self._plans: dict[str, FailurePlan] = {}
         self._rng = sim.rng.stream("faults")
-        self.node_kills_injected = 0
         #: Times a node failure had to re-pick its victim because the one
         #: drawn up front was already dead when the failure fired.
         self.victim_repicks = 0
@@ -214,7 +213,6 @@ class FailureInjector:
                         return
                     self.victim_repicks += 1
                     target["node"] = node
-                self.node_kills_injected += 1
                 self.scheduled_node_failures.append((at, node.node_id))
                 cluster.fail_node(node.node_id, at)
 

@@ -734,25 +734,12 @@ class FlowNetwork:
         a failure costs O(node's flows) plus per-component re-shares —
         flows in unrelated components keep their levels and timers.
         """
-        nic_links = [
-            link
-            for name in (f"nic-tx:{node_id}", f"nic-rx:{node_id}")
-            if (link := self._links.get(name)) is not None
-        ]
-        if not nic_links:
-            # Not a node (e.g. a service endpoint name): legacy scan.
-            victims = [
-                flow
-                for flow in list(self._active.values())
-                if node_id in flow.endpoints
-            ]
-        else:
-            seen: dict[int, _Flow] = {}
-            for link in nic_links:
-                for flow in link.members.values():
-                    if node_id in flow.endpoints:
-                        seen[flow.flow_id] = flow
-            victims = sorted(seen.values(), key=_seq)
+        seen: dict[int, _Flow] = {}
+        for name in (f"nic-tx:{node_id}", f"nic-rx:{node_id}"):
+            for flow in self._links[name].members.values():
+                if node_id in flow.endpoints:
+                    seen[flow.flow_id] = flow
+        victims = sorted(seen.values(), key=_seq)
         for flow in victims:
             self._cancel(flow)
         return len(victims)

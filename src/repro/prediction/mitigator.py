@@ -74,17 +74,12 @@ class ProactiveMitigator:
             TICK_INTERVAL_S, self._tick, label="mitigator-tick"
         )
 
-    def _has_active_work(self) -> bool:
-        if any(not job.done for job in self.platform.jobs.values()):
-            return True
-        return bool(self.platform._pending_jobs)
-
     def _tick(self) -> None:
-        if not self._has_active_work():
+        platform = self.platform
+        if not (platform._open_jobs > 0 or platform._pending_jobs):
             self._running = False
             return
-        now = self.platform.sim.now
-        for node in self.predictor.predict_failing(now):
+        for node in self.predictor.predict_failing(platform.sim.now):
             self._drain(node)
         self._schedule_tick()
 

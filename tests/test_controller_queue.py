@@ -76,7 +76,9 @@ def test_queued_flag_mirrors_queue_under_churn(seed):
                 cancelled_while_queued += victim.queued
                 victim.cancel()
         elif op == "terminate":
-            active = controller.active_containers()
+            active = [
+                c for c in controller.all_containers() if not c.terminal
+            ]
             if active:
                 container = active[int(rng.integers(len(active)))]
                 controller.terminate(container, ContainerState.COMPLETED)

@@ -220,7 +220,7 @@ class TestController:
             request_container(controller)
         queued, ready = request_container(controller)
         queued.cancel()
-        first = controller.active_containers()[0]
+        first = next(iter(controller.all_containers()))
         controller.terminate(first, ContainerState.COMPLETED)
         sim.run()
         assert ready == []
@@ -271,10 +271,9 @@ class TestController:
         request, _ = request_container(
             controller, purpose=ContainerPurpose.REPLICA, warm=True
         )
-        assert controller.warm_replicas() == []  # not ready yet
+        assert not request.container.is_warm_idle  # not ready yet
         sim.run()
-        assert controller.warm_replicas() == [request.container]
-        assert controller.warm_replicas(RuntimeKind.JAVA) == []
+        assert request.container.is_warm_idle
 
 
 def test_function_hosting_nodes_matches_scan_after_every_event():
@@ -299,10 +298,12 @@ def test_function_hosting_nodes_matches_scan_after_every_event():
     def check():
         nonlocal seen_nonempty
         scan: dict[RuntimeKind, set[str]] = {kind: set() for kind in kinds}
-        for container in controller.active_containers(
-            ContainerPurpose.FUNCTION
-        ):
-            scan[container.kind].add(container.node.node_id)
+        for container in controller.all_containers():
+            if (
+                container.purpose == ContainerPurpose.FUNCTION
+                and not container.terminal
+            ):
+                scan[container.kind].add(container.node.node_id)
         for kind in kinds:
             nodes = controller.function_hosting_nodes(kind)
             ids = [node.node_id for node in nodes]

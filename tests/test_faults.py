@@ -189,7 +189,7 @@ class TestNodeFailures:
         assert len(times) == 2
         assert all(1.0 <= t <= 10.0 for t in times)
         sim.run()
-        assert injector.node_kills_injected == 2
+        assert len(injector.scheduled_node_failures) == 2
         assert len(cluster.alive_nodes()) == 6
 
     def test_empty_window_rejected(self):
@@ -240,7 +240,7 @@ class TestNodeFailures:
         cluster.fail_node(cluster.nodes[1].node_id, 0.5)
         sim.run()
         assert injector.victim_repicks == 1
-        assert injector.node_kills_injected == 1
+        assert len(injector.scheduled_node_failures) == 1
         assert [n for _, n in injector.scheduled_node_failures] == ["node-02"]
         assert len(cluster.alive_nodes()) == 0
 
@@ -269,4 +269,4 @@ class TestNodeFailures:
         # No containers on the bare cluster: precursors fired but found
         # nothing to kill; the machinery must not crash either way.
         assert controller.kills == []
-        assert injector.node_kills_injected == 1
+        assert len(injector.scheduled_node_failures) == 1

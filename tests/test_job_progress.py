@@ -94,7 +94,7 @@ def test_counter_with_errors_and_node_failures(oracle):
         node_failure_count=2,
     )
     platform = run_checked(scenario, oracle)
-    assert platform.injector.node_kills_injected == 2
+    assert len(platform.injector.scheduled_node_failures) == 2
     assert platform.summary().failures > 0
     # Replication asks for job progress on every completion.
     assert oracle.calls["remaining"] >= 40

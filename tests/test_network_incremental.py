@@ -348,25 +348,6 @@ class TestChaos:
         assert done["b1"] == done2["b1"]
         assert done["b2"] == done2["b2"]
 
-    def test_fail_endpoint_service_fallback_scan(self):
-        """Service endpoints have no NIC links; the failure path falls
-        back to scanning active flows by endpoint name."""
-        sim, net, nodes = make_fabric()
-        cancelled = []
-        handle = net.write_checkpoint(
-            tier_name="kv",
-            node_id=nodes[0],
-            size_bytes=5000.0,
-            on_complete=lambda: cancelled.append("completed"),
-        )
-        sim.run(until=0.01)  # past the write latency: flow is active
-        assert net.active_flow_count == 1
-        assert net.fail_endpoint("svc:kv") == 1
-        assert not handle.active
-        sim.run()
-        assert cancelled == []  # never completed
-        assert net.flows_cancelled == 1
-
     def test_cross_rack_hub_welds_one_component(self):
         """Every cross-rack flow shares the core: the fabric must see one
         giant component, one group holding every flow."""
