@@ -14,6 +14,7 @@ from repro.core.scenario import ScenarioConfig
 from repro.detection import BackoffPolicy, DetectionConfig, backoff
 from repro.faults.chaos import (
     ChaosConfig,
+    ChaosInjector,
     TierBrownout,
     default_chaos_preset,
 )
@@ -269,6 +270,90 @@ class TestPartitions:
             if name.startswith("nic-")
         ]
         assert len({link.bandwidth for link in nic}) == 1
+        assert platform.summary().completed == 40
+
+
+class TestLinkCuts:
+    """Partitioned NICs, link brownouts and WAN flaps share one cut path:
+    cuts overlapping on one link compose multiplicatively from its
+    configured capacity, and the last one to end gives all of it back."""
+
+    @pytest.mark.parametrize(
+        "first, second, nested",
+        [
+            (("link-brownout", 0.1), ("link-brownout", 0.5), False),
+            (("link-brownout", 0.1), ("wan-flap", 0.2), False),
+            (("wan-flap", 0.2), ("wan-flap", 0.05), False),
+            (("wan-flap", 0.2), ("link-brownout", 0.3), True),
+        ],
+        ids=["brownouts", "brownout-flap", "flaps", "nested"],
+    )
+    def test_overlapping_cuts_compose_and_restore(
+        self, first, second, nested
+    ):
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=16, network=NETWORK_PRESETS["edge-wan"]),
+            seed=0,
+        )
+        chaos = ChaosInjector(platform, ChaosConfig())
+        sim = platform.sim
+        name = platform.network.wan_links[0].name
+        link = platform.network.links[name]
+        base = link.bandwidth
+        (kind1, f1), (kind2, f2) = first, second
+        # The first cut spans [1, 5); the second [3, 7), or [2, 4) nested.
+        start2, duration2 = (2.0, 2.0) if nested else (3.0, 4.0)
+        sim.call_at(
+            1.0, lambda: chaos._link_window(kind1, f1, 4.0, "end", name)
+        )
+        sim.call_at(
+            start2,
+            lambda: chaos._link_window(kind2, f2, duration2, "end", name),
+        )
+        sim.run(until=1.5)
+        assert link.bandwidth == base * f1
+        sim.run(until=3.5)
+        assert link.bandwidth == base * f1 * f2
+        # One cut ended: the other's factor alone remains.
+        sim.run(until=4.5 if nested else 6.0)
+        assert link.bandwidth == (base * f1 if nested else base * f2)
+        sim.run()
+        assert link.bandwidth == base
+        assert chaos.degraded_window_s == 4.0 + duration2
+
+    def test_overlapping_flaps_end_at_configured_bandwidth(self):
+        kwargs = dict(
+            network=NETWORK_PRESETS["edge-wan"],
+            chaos=ChaosConfig(
+                wan_flaps=6,
+                wan_flap_window=(5.0, 25.0),
+                wan_flap_duration_s=10.0,
+                wan_flap_factor=0.2,
+            ),
+            detection=DetectionConfig(),
+            backoff=BackoffPolicy(),
+        )
+        # At seed 1 a flap on up-rx:rack-3 ends while a later one on it is
+        # still active; restoring the capacity seen at each start used to
+        # leave that link at a fifth of its capacity for good.
+        tracer = Tracer()
+        platform = run_platform(seed=1, tracer=tracer, **kwargs)
+        windows = sorted(
+            (span.start, span.end, span.attrs["link"])
+            for span in tracer.spans()
+            if span.kind == "chaos"
+        )
+        # Some flap ends while a later one on its link is still active.
+        assert any(
+            a[2] == b[2] and b[0] < a[1] < b[1]
+            for i, a in enumerate(windows)
+            for b in windows[i + 1:]
+        )
+        configured = CanaryPlatform(
+            ScenarioConfig(num_nodes=16, **kwargs), seed=1
+        ).network.links
+        for name, link in platform.network.links.items():
+            assert link.bandwidth == configured[name].bandwidth, name
         assert platform.summary().completed == 40
 
 
