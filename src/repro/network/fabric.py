@@ -38,7 +38,9 @@ crosses, or a level of its own) keeps that level whole, with its per-link
 member counts standing in for its members.  Only a step whose flows
 changed bottleneck moves them, one by one, into a new level whose clock
 starts at 0.  Levels whose share or members changed re-arm their timer;
-untouched groups keep their levels and timers.
+untouched groups keep their levels and timers.  A group of one level is
+certified in place when no link's cached fair share undercuts its
+bottleneck's: the replay would keep that level after one step.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.tiers import TierRegistry
 
 _seq = attrgetter("seq")
+_fair = attrgetter("fair")
 
 
 class _Flow:
@@ -721,6 +724,8 @@ class FlowNetwork:
         if bandwidth == previous:
             return previous
         link.bandwidth = bandwidth
+        if link.members:
+            link.fair = bandwidth / len(link.members)
         if link.group is not None:
             self.waterfill_flows_full += len(self._active)
             self._reshare(link.group, None, None)
@@ -788,6 +793,43 @@ class FlowNetwork:
         )
 
     def _reshare(
+        self,
+        group: _Group,
+        joiner: Optional[_Flow],
+        touched: Optional[_Level],
+    ) -> None:
+        """Re-share *group* after a join, a leave or a capacity change.
+
+        A group of one level is one processor-sharing server.  When no
+        link of the group has a smaller fair share than the level's
+        bottleneck (a tie keeps the bottleneck, as the replay's strict
+        ``<`` scan does) and *joiner*, if any, crosses the bottleneck, the
+        replay would keep the level whole and stop after one step: the
+        level is certified in place with the replay's floats.  Any other
+        group is replayed (:meth:`_replay`).
+        """
+        levels = group.levels
+        if len(levels) == 1:
+            level = levels[0]
+            bottleneck = level.bottleneck
+            share = bottleneck.fair
+            if (joiner is None or bottleneck in joiner.links) and not (
+                min(map(_fair, group.links)) < share
+            ):
+                if (share != level.share or level is touched
+                        or joiner is not None):
+                    now = self.sim.now
+                    level.v += level.share * (now - level.t)
+                    level.t = now
+                    level.share = share
+                    if joiner is not None:
+                        self._join(level, joiner)
+                    self._arm(level, now)
+                self.level_reshares += 1
+                return
+        self._replay(group, joiner, touched)
+
+    def _replay(
         self,
         group: _Group,
         joiner: Optional[_Flow],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -19,9 +20,13 @@ class Link:
     ``bytes_total`` gains each flow's moved bytes when it departs;
     ``busy_s`` gains ``now - busy_since`` when the last member departs.
 
-    ``wf_cap`` / ``wf_count`` are water-filling scratch slots: the fabric
-    resets them at the start of each fair-share pass over the links it is
-    recomputing, so no per-call ``members``/``counts`` dicts are built.
+    ``fair`` is the link's own fair share ``bandwidth / len(members)`` (inf
+    while idle), kept current by :meth:`attach`, :meth:`detach` and the
+    fabric's ``set_link_capacity``: a re-share of a one-level group reads
+    it to certify the level in place.  ``wf_cap`` / ``wf_count`` are
+    water-filling scratch slots: the fabric resets them at the start of
+    each replay over a group's links, so no per-call ``members``/``counts``
+    dicts are built.
 
     ``group`` is the fabric's share group whose flows use the link (None
     while it is idle) and ``bottleneck_of`` the share level it bounds, if
@@ -37,6 +42,7 @@ class Link:
         "peak_concurrent",
         "busy_s",
         "busy_since",
+        "fair",
         "wf_cap",
         "wf_count",
         "group",
@@ -50,6 +56,7 @@ class Link:
         self.bandwidth = bandwidth
         #: Active flows on this link, flow_id -> flow, in activation order.
         self.members: dict[int, "_Flow"] = {}
+        self.fair = math.inf
         # water-filling scratch (owned by FlowNetwork)
         self.wf_cap = 0.0
         self.wf_count = 0
@@ -71,16 +78,21 @@ class Link:
         if not members:
             self.busy_since = now
         members[flow.flow_id] = flow
+        count = len(members)
+        self.fair = self.bandwidth / count
         self.flows_total += 1
-        if len(members) > self.peak_concurrent:
-            self.peak_concurrent = len(members)
+        if count > self.peak_concurrent:
+            self.peak_concurrent = count
 
     def detach(self, flow: "_Flow", moved: float, now: float) -> None:
         """Remove *flow*, which moved *moved* bytes over this link."""
         members = self.members
         del members[flow.flow_id]
         self.bytes_total += moved
-        if not members:
+        if members:
+            self.fair = self.bandwidth / len(members)
+        else:
+            self.fair = math.inf
             self.busy_s += now - self.busy_since
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

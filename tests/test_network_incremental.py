@@ -15,7 +15,10 @@ hold it to max-min three ways:
 * chaos tests fail a node mid-transfer while multiple contention
   components are active and assert the teardown never touches the
   levels, rates or timers of unaffected components — plus a
-  fabric-heavy parallel-vs-serial ``run_cells`` byte-identity check.
+  fabric-heavy parallel-vs-serial ``run_cells`` byte-identity check;
+* the one-level certificate, which re-shares a one-level group without
+  a replay, is held bit for bit to a fabric that always replays, under
+  seeded joins, leaves and capacity cuts, and pinned on a tie.
 """
 
 import math
@@ -393,3 +396,208 @@ class TestChaos:
         assert fanned == serial
         for row_serial, row_fanned in zip(serial, fanned):
             assert pickle.dumps(row_fanned) == pickle.dumps(row_serial)
+
+
+class ReplayOnlyFlowNetwork(FlowNetwork):
+    """The fabric with the one-level certificate turned off: every
+    re-share replays water-filling."""
+
+    def _reshare(self, group, joiner, touched):
+        self._replay(group, joiner, touched)
+
+
+class CountingFlowNetwork(FlowNetwork):
+    """The shipped fabric, counting the re-shares that replayed."""
+
+    replays = 0
+
+    def _replay(self, group, joiner, touched):
+        self.replays += 1
+        super()._replay(group, joiner, touched)
+
+
+def _certified(net):
+    """Re-shares the one-level certificate settled without a replay."""
+    return net.level_reshares + net.waterfill_passes - net.replays
+
+
+def _levels(net):
+    """Every live level in flow order: its place in its group, bottleneck,
+    share, clock, timer and members with their ``v_end``."""
+    levels = {}
+    for flow in sorted(net._active.values(), key=lambda f: f.seq):
+        level = flow.level
+        if level not in levels:
+            timer = level.timer
+            levels[level] = [
+                level.group.levels.index(level),
+                level.bottleneck.name,
+                level.share,
+                level.v,
+                level.t,
+                None if timer is None else (timer.time, timer.label),
+                [],
+            ]
+        levels[level][-1].append((flow.flow_id, flow.v_end))
+    return list(levels.values())
+
+
+#: layout -> (fabric overrides, KV service link capacity, share of starts
+#: that are image pulls, link -> capacities a cut draws from).
+#: ``star``: KV writes from every node meet on one service link; NIC
+#: capacities that tie or undercut its fair share come and go.
+#: ``two-level``: KV writes (service-bound) and image pulls
+#: (registry-bound) meet only on the core, which cuts can make a
+#: bottleneck too.
+LAYOUTS = {
+    "star": (
+        {"nic_bandwidth": 1000.0},
+        300.0,
+        0.0,
+        {
+            "svc-rx:kv": (150.0, 300.0, 600.0),
+            "nic-tx:node-00": (50.0, 100.0, 150.0, 1000.0),
+            "nic-tx:node-03": (75.0, 100.0, 300.0, 1000.0),
+        },
+    ),
+    "two-level": (
+        {"registry_bandwidth": 150.0},
+        60.0,
+        0.3,
+        {
+            "svc-rx:kv": (60.0, 120.0, 300.0),
+            "svc-tx:registry": (75.0, 150.0),
+            "core": (90.0, 180.0, 10000.0),
+        },
+    ),
+}
+
+
+def _drive(fabric, layout, seed, steps=240):
+    """Seeded joins, leaves, capacity cuts and time advances; the level
+    view after every step and every completion with its time."""
+    overrides, kv_capacity, pulls, cuts = LAYOUTS[layout]
+    sim, net, nodes = make_fabric(
+        num_nodes=8, num_racks=2, fabric=fabric, **overrides
+    )
+    net.set_link_capacity("svc-rx:kv", kv_capacity)
+    rng = random.Random(seed)
+    handles = []
+    done = []
+    views = []
+
+    def finish(key):
+        return lambda: done.append((key, sim.now))
+
+    for step in range(steps):
+        op = rng.random()
+        if op < 0.5 and rng.random() >= pulls:
+            handles.append(net.write_checkpoint(
+                tier_name="kv",
+                node_id=rng.choice(nodes),
+                size_bytes=rng.choice((100.0, 250.0, 600.0, 1500.0)),
+                on_complete=finish(step),
+            ))
+        elif op < 0.5:
+            handles.append(net.image_pull(
+                dest_node=rng.choice(nodes),
+                size_bytes=rng.choice((150.0, 300.0, 900.0)),
+                on_complete=finish(step),
+            ))
+        elif op < 0.62 and handles:
+            handles.pop(rng.randrange(len(handles))).cancel()
+        elif op < 0.78:
+            name = rng.choice(sorted(cuts))
+            net.set_link_capacity(name, rng.choice(cuts[name]))
+        else:
+            sim.run(until=sim.now + rng.uniform(0.05, 2.0))
+        views.append(_levels(net))
+    sim.run()
+    return views, done, net
+
+
+class TestSingleLevelCertificate:
+    """A group of one level is re-shared in place when no link undercuts
+    its bottleneck's fair share; it must leave exactly what the replay
+    leaves: the same levels, shares, clocks, timers and finish times."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_certificate_matches_replay_bit_for_bit(self, layout, seed):
+        views, done, net = _drive(CountingFlowNetwork, layout, seed)
+        replay_views, replay_done, replay_net = _drive(
+            ReplayOnlyFlowNetwork, layout, seed
+        )
+        for step, (view, replay_view) in enumerate(zip(views, replay_views)):
+            assert view == replay_view, step
+        assert done == replay_done
+        assert len(done) > 40
+        assert fabric_compute_stats(net) == fabric_compute_stats(replay_net)
+        # Both kinds of re-share ran: certified in place and replayed.
+        assert _certified(net) > 20
+        assert net.replays > 20
+
+    def test_joins_on_one_service_link_are_certified_in_place(self):
+        # Six writers from distinct nodes share the 50 B/s service link,
+        # which every NIC and uplink out-serves: after the first opens the
+        # group, every join and leave is certified without a replay.
+        sim, net, nodes = make_fabric(
+            num_nodes=6, num_racks=1, fabric=CountingFlowNetwork
+        )
+        net.set_link_capacity("svc-rx:kv", 50.0)
+        done = {}
+        for index, node in enumerate(nodes):
+            net.write_checkpoint(
+                tier_name="kv", node_id=node, size_bytes=100.0 * (index + 1),
+                on_complete=lambda n=node: done.__setitem__(n, sim.now),
+            )
+        sim.run()
+        assert len(done) == 6
+        assert net.replays == 1
+        assert _certified(net) == 5 + 5  # five joins, five leaves
+        assert net.waterfill_passes == 0
+
+    def test_a_tie_keeps_the_bottleneck(self):
+        # Three writers share a 300 B/s service link at 100 B/s.  Cutting
+        # the first writer's NIC to 100 B/s ties it with the service link
+        # and, being the first link of the group, it is the first minimal
+        # one.  The replay's strict scan keeps the service link, so the
+        # certificate must keep it too, without a replay; a cut below the
+        # tie moves that writer to its NIC.
+        sim, net, nodes = make_fabric(
+            num_nodes=3, num_racks=1, fabric=CountingFlowNetwork,
+            nic_bandwidth=1000.0,
+        )
+        net.set_link_capacity("svc-rx:kv", 300.0)
+        writers = [
+            net.write_checkpoint(
+                tier_name="kv", node_id=node, size_bytes=1000.0,
+                on_complete=lambda: None,
+            )
+            for node in nodes
+        ]
+        seen = {}
+
+        def cut(capacity):
+            replays = net.replays
+            net.set_link_capacity("nic-tx:node-00", capacity)
+            flow = writers[0]._flow
+            group = flow.level.group
+            seen[capacity] = (
+                net.replays - replays,
+                min(group.links, key=lambda link: link.fair).name,
+                [(w._flow.level.bottleneck.name, w._flow.rate)
+                 for w in writers],
+            )
+
+        sim.call_at(1.0, lambda: cut(100.0))
+        sim.call_at(2.0, lambda: cut(60.0))
+        sim.run()
+        assert seen[100.0] == (
+            0, "nic-tx:node-00", [("svc-rx:kv", 100.0)] * 3,
+        )
+        assert seen[60.0] == (
+            1, "nic-tx:node-00",
+            [("nic-tx:node-00", 60.0), ("svc-rx:kv", 120.0),
+             ("svc-rx:kv", 120.0)],
+        )
