@@ -110,13 +110,16 @@ class Node:
     # ------------------------------------------------------------------
     # Timing helpers
     # ------------------------------------------------------------------
+    @property
+    def speed(self) -> float:
+        """Effective speed: what :meth:`scale_duration` divides by."""
+        if self.chaos_speed_factor != 1.0:
+            return self.profile.speed_factor * self.chaos_speed_factor
+        return self.profile.speed_factor
+
     def scale_duration(self, seconds: float) -> float:
         """Scale a baseline duration by this node's effective speed."""
-        if self.chaos_speed_factor != 1.0:
-            return seconds / (
-                self.profile.speed_factor * self.chaos_speed_factor
-            )
-        return seconds / self.profile.speed_factor
+        return seconds / self.speed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

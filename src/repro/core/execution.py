@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -47,27 +45,55 @@ if TYPE_CHECKING:  # pragma: no cover
 ADOPTION_OVERHEAD_S = 0.5
 
 
-@dataclass(slots=True, eq=False)
 class FoldPlan:
-    """Boundary times of a folded attempt segment.
+    """A folded attempt segment: the float chain of its boundaries.
 
-    Entry ``j`` is state ``first + j``: it starts at ``starts[j]``, runs
-    ``durations[j]`` and ends at ``ends[j]``.  ``checkpoints`` lists, in
-    order, the entries followed by a checkpoint; each costs ``charge``.
-    The segment runs to completion: the finish window starts at
-    ``finish_start`` and ends at ``finish_at``.  ``done`` counts the
-    entries materialised so far.
+    Entry ``j`` is state ``first + j``: it runs ``bases[j] / divisor``
+    seconds (``divisor`` is what :meth:`~repro.cluster.node.Node.
+    scale_duration` divides by) from the end of the entry before it,
+    plus ``charge`` when a checkpoint followed that entry; a checkpoint
+    follows state ``k`` when ``(k + 1) % interval == 0`` (never when
+    ``interval`` is 0).  The segment runs to completion: ``count``
+    checkpoints, then the finish window, which ends at ``finish_at``.
+
+    No per-state lists are kept.  Readers walk the chain forward from a
+    cursor with the same float additions: ``done`` entries are
+    materialised, ``taken`` of the checkpoints, and the next entry (or,
+    after the last, the finish window) starts at ``at``.
     """
 
-    first: int
-    starts: list[float] = field(default_factory=list)
-    durations: list[float] = field(default_factory=list)
-    ends: list[float] = field(default_factory=list)
-    checkpoints: list[int] = field(default_factory=list)
-    charge: float = 0.0
-    finish_start: float = 0.0
-    finish_at: float = 0.0
-    done: int = 0
+    __slots__ = (
+        "first", "bases", "divisor", "interval", "charge", "count",
+        "finish_at", "done", "taken", "at",
+    )
+
+    def __init__(
+        self, first: int, start: float, bases: list[float], divisor: float,
+        interval: int, charge: float, finish_s: float,
+    ) -> None:
+        self.first = first
+        self.bases = bases
+        self.divisor = divisor
+        self.interval = interval
+        self.charge = charge
+        # The chain adds as the stepwise path's ``call_in`` calls do:
+        # ``t + d_k``, then ``+ charge``.
+        t = start
+        count = 0
+        if interval:
+            for index, base in enumerate(bases, first + 1):
+                t = t + base / divisor
+                if index % interval == 0:
+                    t = t + charge
+                    count += 1
+        else:
+            for base in bases:
+                t = t + base / divisor
+        self.count = count
+        self.finish_at = t + finish_s / divisor
+        self.done = 0
+        self.taken = 0
+        self.at = start
 
 
 class Attempt:
@@ -647,50 +673,52 @@ class FunctionExecution:
         profile = self.profile
         node = attempt.container.node
         interval = 0  # 0: the attempt takes no checkpoints
+        charge = 0.0
         if platform.strategy.checkpoints_enabled and not attempt.secondary:
-            checkpointer = platform.checkpointer
-            should_checkpoint = checkpointer.policy.should_checkpoint
-            interval = checkpointer.effective_interval(self.function_id)
+            interval = platform.checkpointer.effective_interval(self.function_id)
             size = profile.checkpoint_size_bytes
             charge = profile.serialize_overhead_s + platform.tiers.write_seconds(
                 platform.router.choose_tier(size), size
             )
-        plan = FoldPlan(attempt.completed_states)
-        t = platform.sim.now
-        for index, base in enumerate(
-            self._base_durations[plan.first:].tolist(), plan.first
-        ):
-            duration = node.scale_duration(base)
-            plan.starts.append(t)
-            plan.durations.append(duration)
-            t = t + duration
-            plan.ends.append(t)
-            if interval and should_checkpoint(index, interval):
-                plan.checkpoints.append(index - plan.first)
-                plan.charge = charge
-                t = t + charge
-        plan.finish_start = t
-        plan.finish_at = t + node.scale_duration(profile.finish_s)
+        first = attempt.completed_states
+        plan = FoldPlan(
+            first, platform.sim.now, self._base_durations[first:].tolist(),
+            node.speed, interval, charge, profile.finish_s,
+        )
         attempt.plan = plan
         platform.folded[attempt] = self
-        attempt.state_started_at = plan.starts[0]
-        attempt.state_duration = plan.durations[0]
+        attempt.state_started_at = plan.at
+        attempt.state_duration = plan.bases[0] / plan.divisor
         self._step(
             attempt, plan.finish_at, self._segment_done,
             f"finish:{attempt.attempt_id}",
         )
 
     def _segment_done(self, attempt: Attempt) -> None:
-        # Nothing observed the states left and ``_complete`` drops the
-        # chain: untraced, their checkpoints take the closed form.  (No
-        # plan: the attempt was unfolded in its finish window.)
-        if attempt.plan is not None:
-            self.materialise(attempt, self.platform.sim.now, inclusive=True, final=True)
+        # (No plan: the attempt was unfolded in its finish window.)
+        plan = attempt.plan
+        if plan is not None:
+            if self.platform.tracer.enabled:
+                self.materialise(attempt, self.platform.sim.now, inclusive=True)
+            else:
+                # Nothing can read the checkpoints left, since
+                # ``_complete`` drops the chain: they take the closed form.
+                left = plan.count - plan.taken
+                if left:
+                    self.platform.checkpointer.count_unwritten(
+                        self.function_id, left
+                    )
+                    for _ in range(left):
+                        # One addition per checkpoint, as stepwise.
+                        self.checkpoint_time_s += plan.charge
+                attempt.completed_states = plan.first + len(plan.bases)
+                attempt.state_started_at = None
+                attempt.state_duration = plan.bases[-1] / plan.divisor
             self._drop_plan(attempt)
         self._complete(attempt)
 
     def materialise(
-        self, attempt: Attempt, until: float, *, inclusive: bool = False, final: bool = False
+        self, attempt: Attempt, until: float, *, inclusive: bool = False
     ) -> None:
         """Apply the folded state boundaries before *until* (or at it, with
         *inclusive*) in order, each at its own time, and set the attempt's
@@ -701,51 +729,59 @@ class FunctionExecution:
         the engine would have run them first.  ``run(until=T)`` fires
         events at T, hence ``inclusive=True`` there.
 
-        Untraced, only checkpoints something could read are written: none
-        with *final* (the segment completed and ``_complete`` drops the
-        chain), else those the chain retains after this call.  The others
-        take the closed form (``count_unwritten``) first, so ids keep their
-        order.  A traced run writes every checkpoint, for its spans.
+        Untraced, only the checkpoints the chain retains after this call
+        are written; the others take the closed form (``count_unwritten``)
+        first, so ids keep their order.  A traced run writes every
+        checkpoint, for its spans.
         """
         fired = operator.le if inclusive else operator.lt
         plan = attempt.plan
-        ends, checkpoints = plan.ends, plan.checkpoints
-        j = (bisect_right if inclusive else bisect_left)(ends, until, plan.done)
-        taken = checkpoints[bisect_left(checkpoints, plan.done):bisect_left(checkpoints, j)]
+        bases, divisor, interval = plan.bases, plan.divisor, plan.interval
+        j, t = plan.done, plan.at
+        taken: list[tuple[int, float]] = []  # (state, end) per checkpoint
+        while j < len(bases):
+            end = t + bases[j] / divisor
+            if not fired(end, until):
+                break
+            t = end
+            j += 1
+            if interval and (plan.first + j) % interval == 0:
+                taken.append((plan.first + j - 1, end))
+                t = t + plan.charge
         checkpointer, profile = self.platform.checkpointer, self.profile
         written = len(taken)
         if not self.platform.tracer.enabled:
-            written = 0 if final else checkpointer.retained_of(
+            written = checkpointer.retained_of(
                 written, profile.checkpoint_size_bytes, profile.state_duration_s
             )
         unwritten = len(taken) - written
         if unwritten:
             checkpointer.count_unwritten(self.function_id, unwritten)
-        for i, k in enumerate(taken):
+        for i, (index, end) in enumerate(taken):
             if i >= unwritten:
                 checkpointer.record_state(
                     job_id=self.job.job_id,
                     function_id=self.function_id,
-                    state_index=plan.first + k,
+                    state_index=index,
                     size_bytes=profile.checkpoint_size_bytes,
                     serialize_overhead_s=profile.serialize_overhead_s,
-                    now=ends[k],
+                    now=end,
                     node_id=attempt.container.node.node_id,
                     state_duration_s=profile.state_duration_s,
                 )
             # One addition per checkpoint, as stepwise: a product rounds differently.
             self.checkpoint_time_s += plan.charge
-        if j > plan.done:
-            plan.done = j
-            attempt.completed_states = plan.first + j
+        plan.taken += len(taken)
+        plan.done, plan.at = j, t
+        attempt.completed_states = plan.first + j
         if j == 0:
             return  # the first state, started by the fold, is in flight
-        if j < len(ends) and fired(plan.starts[j], until):
-            attempt.state_started_at = plan.starts[j]
-            attempt.state_duration = plan.durations[j]
+        if j < len(bases) and fired(t, until):
+            attempt.state_started_at = t
+            attempt.state_duration = bases[j] / divisor
         else:  # a checkpoint or the finish is in flight
             attempt.state_started_at = None
-            attempt.state_duration = plan.durations[j - 1]
+            attempt.state_duration = bases[j - 1] / divisor
 
     def unfold(self, attempt: Attempt) -> None:
         """Materialise the folded boundaries before now and put the attempt
@@ -762,14 +798,15 @@ class FunctionExecution:
         self._drop_plan(attempt)
         j = plan.done
         name = attempt.attempt_id
-        if j < len(plan.ends) and attempt.state_started_at is not None:
-            at, resume = plan.ends[j], self._state_done
+        if j < len(plan.bases) and attempt.state_started_at is not None:
+            at = plan.at + plan.bases[j] / plan.divisor
+            resume = self._state_done
             label = f"state:{name}:{plan.first + j}"
-        elif j < len(plan.ends) or plan.finish_start >= now:
-            # A checkpoint is in flight; the next window (the finish after
-            # the last state) starts, and is scaled, when it lands.
-            at = plan.starts[j] if j < len(plan.ends) else plan.finish_start
-            resume = self._schedule_next_state
+        elif j < len(plan.bases) or plan.at >= now:
+            # A checkpoint is in flight; the next window (after the last
+            # state, the finish, whose start is ``plan.at``) starts, and
+            # is scaled, when it lands.
+            at, resume = plan.at, self._schedule_next_state
             label = f"ckpt:{name}:{plan.first + j - 1}"
         else:
             return  # the finish is in flight: the segment event completes it

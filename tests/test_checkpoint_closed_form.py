@@ -23,7 +23,9 @@ from repro.storage.router import CheckpointStorageRouter
 from repro.trace.tracer import Tracer
 from repro.workloads.profiles import WorkloadProfile
 
-from tests.test_state_fold_exact import BASE, SCENARIOS, _refuse_fold
+from tests.test_state_fold_exact import (
+    BASE, SCENARIOS, _count_walks, _refuse_fold,
+)
 
 
 def _count_writes(patch) -> list[int]:
@@ -84,6 +86,28 @@ def test_untraced_failure_free_run_writes_nothing(monkeypatch):
     assert _checkpoint_times(untraced) == _checkpoint_times(traced)
     assert untraced.summary() == traced.summary()
     assert untraced.kv.used_bytes == 0.0
+
+
+@pytest.mark.parametrize("error_rate", [0.0, 0.2])
+def test_only_read_segments_walk_their_chain(monkeypatch, error_rate):
+    """A segment nothing reads before its end completes in closed form,
+    without a walk over its states; a traced run walks every segment, for
+    its spans."""
+    scenario = BASE.with_(error_rate=error_rate)
+    counts = {}
+    for traced in (False, True):
+        with monkeypatch.context() as patch:
+            walks = _count_walks(patch)
+            _run(scenario, monkeypatch, traced=traced)
+        counts[traced] = walks
+    (plans, walked), (traced_plans, traced_walked) = counts[False], counts[True]
+    assert plans == traced_plans > 0
+    assert traced_walked == traced_plans
+    if error_rate:
+        # Kills settle the segments they stop, and unfold live siblings.
+        assert 0 < walked < plans
+    else:
+        assert walked == 0
 
 
 def test_next_checkpoint_id_matches_stepwise(monkeypatch):

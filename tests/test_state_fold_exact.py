@@ -23,9 +23,11 @@ from typing import Callable, Optional
 import pytest
 
 from repro.adaptive import AdaptiveConfig
+from repro.common.types import RuntimeKind
+from repro.common.units import KiB, mb
 from repro.autoscale import AdmissionConfig, AutoscaleConfig
 from repro.core.canary import CanaryPlatform
-from repro.core.execution import FunctionExecution
+from repro.core.execution import FoldPlan, FunctionExecution
 from repro.core.jobs import JobRequest
 from repro.detection import BackoffPolicy, DetectionConfig
 from repro.experiments.config import ScenarioConfig
@@ -36,6 +38,7 @@ from repro.network.config import get_network_preset
 from repro.strategies.cloning import CloningConfig
 from repro.trace.tracer import Tracer
 from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
+from repro.workloads.profiles import WorkloadProfile
 
 from tests.conftest import TINY, TINY_BIG_CKPT
 
@@ -510,3 +513,145 @@ class TestAnalyticOracle:
         pushes = collect_engine_stats(platform.sim).pushes
         platform, _ = self._run(monkeypatch, fold=fold)
         assert collect_engine_stats(platform.sim).pushes == pushes
+
+
+#: Jittered states, so a boundary read off the wrong entry shows.
+JITTERED = WorkloadProfile(
+    name="jittered",
+    runtime=RuntimeKind.PYTHON,
+    n_states=9,
+    state_duration_s=1.5,
+    state_jitter=0.3,
+    checkpoint_size_bytes=64 * KiB,
+    serialize_overhead_s=0.01,
+    finish_s=0.1,
+    memory_bytes=mb(256),
+)
+
+
+def _count_walks(patch) -> list[int]:
+    """Count fold plans, and the plans some reader walked
+    (``FunctionExecution.materialise``), into the returned cells."""
+    counts = [0, 0]
+    walked: set = set()
+    init, materialise = FoldPlan.__init__, FunctionExecution.materialise
+
+    def counted_init(self, *args) -> None:
+        counts[0] += 1
+        init(self, *args)
+
+    def counted_materialise(self, attempt, *args, **kwargs) -> None:
+        if attempt.plan not in walked:
+            walked.add(attempt.plan)
+            counts[1] += 1
+        materialise(self, attempt, *args, **kwargs)
+
+    patch.setattr(FoldPlan, "__init__", counted_init)
+    patch.setattr(FunctionExecution, "materialise", counted_materialise)
+    return counts
+
+
+def _straggle(platform, attempt) -> None:
+    """What a straggler window's start does to the attempt's node."""
+    node = attempt.container.node
+    platform.unfold(node=node)
+    node.chaos_speed_factor *= 0.5
+
+
+#: reader name -> what it does to the lone live attempt at the read time
+#: (None: ``run(until=T)`` stops there).
+READERS: dict[str, Optional[Callable]] = {
+    "kill": lambda platform, attempt: platform.controller.kill_container(
+        attempt.container, "test"
+    ),
+    "run-until": None,
+    "straggler": _straggle,
+    "cadence": lambda platform, attempt: setattr(
+        platform.checkpointer, "global_interval", 4
+    ),
+}
+
+
+class TestMidSegmentReaders:
+    """Something reads a lone folded attempt mid-segment, in a state or
+    in a checkpoint.  Only then is its plan's chain walked, and the
+    boundaries, progress and checkpoint charges read exactly as stepwise,
+    at the read and to the end of the run."""
+
+    def _platform(self):
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=1, strategy="canary"), seed=0
+        )
+        platform.checkpointer.global_interval = 2
+        job = platform.submit_job(JobRequest(workload=JITTERED, num_functions=1))
+        return platform, job.executions[0]
+
+    def _read_time(self, where: str) -> float:
+        """Mid-window of state 4, or of the checkpoint after state 3."""
+        platform, execution = self._platform()
+        platform.run()
+        node = platform.cluster.nodes[0]
+        charge = JITTERED.serialize_overhead_s + platform.tiers.write_seconds(
+            platform.tiers.get("kv"), JITTERED.checkpoint_size_bytes
+        )
+        t = execution.attempts[0].container.ready_at
+        for k in range(4):
+            t += node.scale_duration(float(execution._base_durations[k]))
+            if (k + 1) % 2 == 0:
+                t += charge
+        if where == "checkpoint":
+            return t - charge / 2
+        return t + node.scale_duration(float(execution._base_durations[4])) / 2
+
+    def _outcome(self, monkeypatch, reader: str, at: float, *, fold: bool):
+        with monkeypatch.context() as patch:
+            if not fold:
+                _refuse_fold(patch)
+            walks = _count_walks(patch)
+            platform, execution = self._platform()
+            seen: dict = {}
+
+            def read() -> None:
+                (attempt,) = execution.live_attempts()
+                if READERS[reader] is not None:
+                    seen["walked before"] = walks[1]
+                    READERS[reader](platform, attempt)
+                seen["view"] = (
+                    attempt.completed_states,
+                    attempt.state_started_at,
+                    attempt.state_duration,
+                    attempt.continuous_progress(at),
+                    execution.checkpoint_time_s,
+                    platform.checkpointer.checkpoints_taken,
+                )
+                seen["walked at read"] = walks[1]
+
+            if READERS[reader] is None:
+                platform.run(until=at)
+                read()
+            else:
+                platform.sim.call_at(at, read)
+            platform.run()
+        seen["end"] = (
+            execution.completed_at,
+            execution.checkpoint_time_s,
+            [(a.via, a.from_state, a.completed_states) for a in execution.attempts],
+            platform.checkpointer.checkpoints_taken,
+            [asdict(event) for event in platform.metrics.failures],
+        )
+        seen["plans"], seen["walked"] = walks
+        return seen
+
+    @pytest.mark.parametrize("where", ["state", "checkpoint"])
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_reader_sees_stepwise_boundaries(self, monkeypatch, reader, where):
+        at = self._read_time(where)
+        folded = self._outcome(monkeypatch, reader, at, fold=True)
+        stepwise = self._outcome(monkeypatch, reader, at, fold=False)
+        assert folded["view"] == stepwise["view"]
+        assert folded["end"] == stepwise["end"]
+        assert folded["view"][0] == 4  # the read fell after state 3
+        # Only the read walked a plan; any refolded rest completed unread.
+        assert folded.get("walked before", 0) == 0
+        assert folded["walked at read"] == folded["walked"] == 1
+        assert stepwise["plans"] == 0
