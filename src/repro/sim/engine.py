@@ -35,17 +35,14 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds.  Only the run loop, :meth:`step`
+        #: and ``run(until=...)`` write it.
+        self.now = 0.0
         self._queue = EventQueue()
         self._running = False
         self.rng = RngRegistry(seed)
         self.seed = seed
         self._event_count = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -69,10 +66,10 @@ class Simulator:
     ) -> EventHandle:
         """Schedule *callback* at absolute virtual *time* (*seq*: see
         :meth:`EventQueue.push`)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
                 f"cannot schedule event {label!r} at t={time} "
-                f"(current time is {self._now})"
+                f"(current time is {self.now})"
             )
         return self._queue.push(time, callback, label=label, seq=seq)
 
@@ -88,7 +85,7 @@ class Simulator:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
         # Push directly (delay >= 0 implies the time is not in the past);
         # the extra hop through call_at was measurable at engine rates.
-        return self._queue.push(self._now + delay, callback, label=label)
+        return self._queue.push(self.now + delay, callback, label=label)
 
     # ------------------------------------------------------------------
     # Running
@@ -99,7 +96,7 @@ class Simulator:
             event = self._queue.pop()
         except IndexError:
             return False
-        self._now = event.time
+        self.now = event.time
         callback = event.callback
         event.callback = None
         self._event_count += 1
@@ -137,7 +134,7 @@ class Simulator:
                 key, event = heap[0]
                 time = key[0]
                 if has_until and time > until:
-                    self._now = until
+                    self.now = until
                     break
                 if has_cap and fired >= max_events:
                     break
@@ -149,7 +146,7 @@ class Simulator:
                 queue._live -= 1
                 if heap and heap[0][1].cancelled:
                     queue._prune_top()
-                self._now = time
+                self.now = time
                 callback = event.callback
                 event.callback = None
                 self._event_count += 1
@@ -158,4 +155,4 @@ class Simulator:
                 fired += 1
         finally:
             self._running = False
-        return self._now
+        return self.now
