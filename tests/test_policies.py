@@ -8,10 +8,12 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.topology import Topology
 from repro.common.types import RuntimeKind
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import run_scenario
+from repro.detection import BackoffPolicy, DetectionConfig
+from repro.experiments.runner import run_scenario, run_traffic
 from repro.faas.container import Container, ContainerPurpose
 from repro.faas.controller import FaaSController
 from repro.faas.runtimes import RuntimeRegistry
+from repro.faults.chaos import ChaosConfig
 from repro.network.config import NetworkModelConfig, get_network_preset
 from repro.network.fabric import FlowNetwork
 from repro.policies import (
@@ -28,6 +30,7 @@ from repro.policies import (
 from repro.replication.placement import ReplicaPlacer
 from repro.sim.engine import Simulator
 from repro.storage.tiers import TierRegistry
+from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
 
 GB = 2**30
 NON_DEFAULT = [n for n in PLACEMENT_POLICIES if n != DEFAULT_PLACEMENT]
@@ -183,14 +186,6 @@ class TestLocalityEquivalence:
         )
         assert actual is expected
         assert actual.node_id not in ("node-03", "node-06")
-
-    def test_default_scenario_identical_to_explicit_locality(self):
-        base = ScenarioConfig(
-            workload="graph-bfs", strategy="canary", error_rate=0.15
-        )
-        default = run_scenario(base, seed=42)
-        explicit = run_scenario(base.with_(placement="locality"), seed=42)
-        assert asdict(default) == asdict(explicit)
 
     def test_choose_node_none_when_cluster_full(self):
         cluster = Cluster(2)
@@ -464,12 +459,35 @@ def _policy_scenario(placement):
     )
 
 
+def _zombie_traffic_scenario(placement):
+    """Open-loop traffic past a zombie, with the detector on."""
+    tenant = Tenant(
+        name="load",
+        arrivals=PoissonArrivals(rate_per_s=3.0),
+        workloads=("micro-python",),
+    )
+    return _policy_scenario(placement).with_(
+        workload="micro-python",
+        error_rate=0.05,
+        chaos=ChaosConfig(
+            zombies=1, zombie_window=(6.0, 7.0), zombie_kill_after_s=25.0
+        ),
+        detection=DetectionConfig(),
+        backoff=BackoffPolicy(),
+        traffic=TrafficConfig(tenants=(tenant,), duration_s=20.0),
+    )
+
+
 @pytest.mark.parametrize("placement", NON_DEFAULT)
 def test_policy_repeat_run_byte_identical(placement):
     scenario = _policy_scenario(placement)
     first = run_scenario(scenario, seed=7)
     second = run_scenario(scenario, seed=7)
     assert asdict(first) == asdict(second)
+    traffic = _zombie_traffic_scenario(placement)
+    first, second = (run_traffic(traffic, seed=7) for _ in range(2))
+    assert asdict(first.summary) == asdict(second.summary)
+    assert first.tenants == second.tenants
 
 
 def test_policies_actually_differ():

@@ -4,7 +4,11 @@ The golden pins in ``test_golden_regression.py`` tolerate calibration
 noise with ``pytest.approx``; these pin the whole ``RunSummary`` byte for
 byte.  Each case is the sha256 of ``json.dumps(asdict(summary),
 sort_keys=True)`` at a fixed seed, so a deletion or refactor that claims
-"outputs unchanged" is checked exactly, not within a band.
+"outputs unchanged" is checked exactly, not within a band.  Each case also
+runs twice in one process and must repeat itself exactly, per-tenant rows
+and autoscaler events included: this is the repeat-run check for every
+feature the cases switch on.  ``baseline-canary`` sets no feature, so its
+pin holds the off-by-default property.
 
 If a change is meant to move a number, recompute the pin and say why in
 CHANGES.md.
@@ -20,7 +24,7 @@ from repro.adaptive import AdaptiveConfig
 from repro.autoscale import AdmissionConfig, AutoscaleConfig
 from repro.detection import BackoffPolicy, DetectionConfig
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import run_scenario, run_traffic
 from repro.faults.chaos import ChaosConfig, default_chaos_preset
 from repro.network.config import NETWORK_PRESETS
 from repro.sla.policy import SLAPolicy
@@ -279,12 +283,32 @@ PINS = {
 }
 
 
-def summary_digest(scenario: ScenarioConfig, seed: int = 0) -> str:
-    summary = run_scenario(scenario, seed=seed)
+def run_case(scenario: ScenarioConfig, seed: int = 0) -> tuple:
+    """The summary, plus per-tenant rows and autoscaler events of a traffic
+    run."""
+    if scenario.traffic is None:
+        return run_scenario(scenario, seed=seed), None, None
+    result = run_traffic(scenario, seed=seed)
+    return result.summary, result.tenants, result.scale_events
+
+
+def summary_digest(summary) -> str:
     blob = json.dumps(asdict(summary), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_summary_digest_pinned(name):
-    assert summary_digest(CASES[name]) == PINS[name]
+    summary, *rest = run_case(CASES[name])
+    assert summary_digest(summary) == PINS[name]
+    again, *rest_again = run_case(CASES[name])
+    assert asdict(again) == asdict(summary)
+    assert rest_again == rest
+
+
+def test_baseline_case_leaves_features_off():
+    base = CASES["baseline-canary"]
+    assert base.placement == "locality"
+    assert base.adaptive is None and base.cloning is None
+    assert base.traffic is None and base.autoscale is None
+    assert base.chaos is None and base.network is None
