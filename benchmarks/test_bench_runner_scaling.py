@@ -8,9 +8,11 @@ repo root on every run:
   delays are drawn vectorized up front (one numpy call), so the number
   measures the *engine* — pop, dispatch, bookkeeping — not numpy's
   ~1.3µs-per-call scalar sampling.  Full runs assert the
-  ``MIN_EVENTS_PER_SEC`` floor.  A cancellation-heavy pass exercises heap
-  compaction (timeouts and standby teardowns cancel roughly as many
-  events as they fire).
+  ``MIN_EVENTS_PER_SEC`` floor.  A cancellation-heavy pass parks about
+  one dead event per fired event 50-99 s ahead (timeouts and standby
+  teardowns cancel roughly as many events as they fire), so it exercises
+  the engine's rebuild of a heap whose dead entries outnumber its live
+  ones.
 * ``sweep`` — wall-clock of a reduced fig06-style grid executed serially
   vs fanned out over worker processes, and the resulting speedup.  The
   serial baseline is recorded in the same run so the two numbers are
@@ -86,8 +88,9 @@ def drain_prescheduled(n_events: int) -> float:
 
 
 def drain_events_with_cancellation(n_events: int) -> float:
-    """Like :func:`drain_prescheduled` but half the scheduled work gets cancelled,
-    the pattern that used to bloat the heap with dead entries."""
+    """Like :func:`drain_prescheduled` but half the scheduled work gets
+    cancelled 50-99 s ahead of the clock: dead entries pile up faster than
+    they surface, and the engine's rebuild keeps the heap bounded."""
     sim = Simulator(seed=1)
     rng = sim.rng.stream("bench-cancel")
     doomed: list = []

@@ -460,7 +460,7 @@ class FunctionExecution:
         label: str, seq: Optional[int] = None,
     ) -> None:
         """Schedule the attempt's next timeline event: *resume(attempt)* at
-        *at* (*seq*: see ``EventQueue.push``), after its timeout if that
+        *at* (*seq*: see ``Simulator.call_at``), after its timeout if that
         may come first."""
         self._arm_timeout(attempt, at)
         attempt.state_handle = self.platform.sim.call_at(

@@ -1,9 +1,8 @@
 """Engine metrics: event-queue health.
 
-Companion to :mod:`repro.sim` — turns the engine's internal counters into
-flat, regression-friendly numbers.  The queue counters (live/cancelled
-entries, compactions, peak heap size) make cancellation-garbage pressure
-visible.
+Companion to :mod:`repro.sim` — turns the engine's counters into flat,
+regression-friendly numbers.  The counters (fired, scheduled, cancelled,
+peak heap size) make cancellation pressure visible.
 
 These live in a *separate* diagnostics channel rather than in
 :class:`~repro.metrics.summary.RunSummary` on purpose: the summary is the
@@ -24,12 +23,8 @@ class EngineStats:
 
     events_processed: int
     pending: int
-    heap_size: int
-    cancelled_pending: int
     pushes: int
     peak_heap_size: int
-    compactions: int
-    compaction_threshold: int
 
     @property
     def cancelled_total(self) -> int:
@@ -39,16 +34,11 @@ class EngineStats:
 
 def collect_engine_stats(sim: Simulator) -> EngineStats:
     """Snapshot the queue-health counters of *sim*."""
-    queue = sim._queue
     return EngineStats(
         events_processed=sim.events_processed,
-        pending=len(queue),
-        heap_size=queue.heap_size,
-        cancelled_pending=queue.cancelled_pending,
-        pushes=queue.pushes,
-        peak_heap_size=queue.peak_heap_size,
-        compactions=queue.compactions,
-        compaction_threshold=queue.compaction_threshold,
+        pending=sim.pending,
+        pushes=sim.pushes,
+        peak_heap_size=sim.peak_heap_size,
     )
 
 
@@ -56,8 +46,7 @@ def format_engine_stats(stats: EngineStats) -> str:
     """Fixed-width queue-health block (printed next to the trace stats)."""
     return (
         f"{'event queue':18s} {'fired':>9s} {'sched':>9s} {'cancel':>7s} "
-        f"{'peak':>7s} {'compact':>7s}\n"
+        f"{'peak':>7s}\n"
         f"{'':18s} {stats.events_processed:9d} {stats.pushes:9d} "
-        f"{stats.cancelled_total:7d} {stats.peak_heap_size:7d} "
-        f"{stats.compactions:7d}"
+        f"{stats.cancelled_total:7d} {stats.peak_heap_size:7d}"
     )

@@ -2,16 +2,29 @@
 
 The simulator advances a virtual clock from event to event.  Components
 schedule callbacks with :meth:`Simulator.call_at` / :meth:`Simulator.call_in`
-and may cancel them through the returned :class:`EventHandle`.  The run loop
-is single-threaded and deterministic.
+and may cancel them through the returned :class:`Event`.  The run loop is
+single-threaded and deterministic.
+
+Events fire in ``(time, seq)`` order: the sequence number makes the order
+total, so two events scheduled for the same instant fire in scheduling
+order, independent of heap internals.  The heap holds ``(time, seq, event)``
+entries and belongs to the :class:`Simulator` alone.
+
+Cancellation is lazy: a cancelled event stays in the heap until it
+surfaces, and the drain loops skip it.  One fixed rule bounds the garbage:
+when a cancel leaves dead entries outnumbering live ones, the heap is
+rebuilt in place without them.  Each rebuild costs at most twice the dead
+entries it drops, each of which one cancel made, so cancelling stays
+amortised O(1).  The rebuild keeps the heap list's identity, so the drain
+loop may bind it to a local once.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable, Optional
 
-from repro.sim.events import Event, EventQueue
 from repro.sim.rng import RngRegistry
 
 
@@ -19,10 +32,62 @@ class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests (e.g. scheduling in the past)."""
 
 
-#: Cancellable handle for a scheduled callback.  The :class:`Event` is its
-#: own handle (``.cancel()`` / ``.active`` / ``.time`` / ``.label``) — the
-#: former wrapper class allocated one extra object per scheduled event,
-#: which was the single largest cost on the scheduling hot path.
+class Event:
+    """A scheduled callback, and its own cancellable handle.
+
+    Slotted because the simulator allocates one per scheduled callback.
+
+    Attributes:
+        time: Absolute virtual time at which the event fires.
+        seq: Tie-breaker among events at the same time.
+        callback: Zero-argument callable; None once fired or cancelled.
+        cancelled: True once :meth:`cancel` took effect.
+        label: Optional human-readable tag used in traces and error messages.
+        sim: The simulator whose heap holds the event.
+    """
+
+    __slots__ = ("time", "seq", "callback", "cancelled", "label", "sim")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[[], Any],
+        label: str,
+        sim: "Simulator",
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+        self.label = label
+        self.sim = sim
+
+    @property
+    def active(self) -> bool:
+        """True while the callback has neither fired nor been cancelled."""
+        return self.callback is not None
+
+    def cancel(self) -> None:
+        """Cancel the scheduled callback (no-op once fired or cancelled)."""
+        if self.callback is None:
+            return
+        self.callback = None  # break reference cycles early
+        self.cancelled = True
+        sim = self.sim
+        sim._live -= 1
+        heap = sim._heap
+        if len(heap) > 2 * sim._live:  # dead entries outnumber live ones
+            heap[:] = [entry for entry in heap if entry[2].callback is not None]
+            heapq.heapify(heap)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "cancelled" if self.cancelled else "live"
+        return (f"Event(t={self.time}, seq={self.seq}, {state}, "
+                f"label={self.label!r})")
+
+
+#: The type of the handle :meth:`Simulator.call_at` returns.
 EventHandle = Event
 
 
@@ -38,20 +103,22 @@ class Simulator:
         #: Current virtual time in seconds.  Only the run loop, :meth:`step`
         #: and ``run(until=...)`` write it.
         self.now = 0.0
-        self._queue = EventQueue()
+        self._heap: list[tuple[float, int, Event]] = []
+        self._seq = itertools.count()
+        #: Heap entries whose event is neither fired nor cancelled.
+        self._live = 0
+        #: Events ever scheduled, fired, and the most heap entries held.
+        self.pushes = 0
+        self.events_processed = 0
+        self.peak_heap_size = 0
         self._running = False
         self.rng = RngRegistry(seed)
         self.seed = seed
-        self._event_count = 0
-
-    @property
-    def events_processed(self) -> int:
-        return self._event_count
 
     @property
     def pending(self) -> int:
         """Number of live (not cancelled, not fired) events."""
-        return len(self._queue)
+        return self._live
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -63,15 +130,16 @@ class Simulator:
         *,
         label: str = "",
         seq: Optional[int] = None,
-    ) -> EventHandle:
-        """Schedule *callback* at absolute virtual *time* (*seq*: see
-        :meth:`EventQueue.push`)."""
+    ) -> Event:
+        """Schedule *callback* at absolute virtual *time*, after every event
+        already scheduled for that time, or at the place *seq* (a cancelled
+        event's, at a later time) held among them."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event {label!r} at t={time} "
                 f"(current time is {self.now})"
             )
-        return self._queue.push(time, callback, label=label, seq=seq)
+        return self._push(time, callback, label, seq)
 
     def call_in(
         self,
@@ -79,30 +147,48 @@ class Simulator:
         callback: Callable[[], Any],
         *,
         label: str = "",
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule *callback* after *delay* seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay} for event {label!r}")
-        # Push directly (delay >= 0 implies the time is not in the past);
-        # the extra hop through call_at was measurable at engine rates.
-        return self._queue.push(self.now + delay, callback, label=label)
+        return self._push(self.now + delay, callback, label, None)
+
+    def _push(
+        self,
+        time: float,
+        callback: Callable[[], Any],
+        label: str,
+        seq: Optional[int],
+    ) -> Event:
+        if seq is None:
+            seq = next(self._seq)
+        event = Event(time, seq, callback, label, self)
+        heap = self._heap
+        heapq.heappush(heap, (time, seq, event))
+        self._live += 1
+        self.pushes += 1
+        if len(heap) > self.peak_heap_size:
+            self.peak_heap_size = len(heap)
+        return event
 
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Fire the next event.  Returns False when the queue is empty."""
-        try:
-            event = self._queue.pop()
-        except IndexError:
-            return False
-        self.now = event.time
-        callback = event.callback
-        event.callback = None
-        self._event_count += 1
-        if callback is not None:
+        """Fire the next event.  Returns False when none is pending."""
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
+            callback = event.callback
+            if callback is None:
+                continue
+            self._live -= 1
+            self.now = time
+            event.callback = None
+            self.events_processed += 1
             callback()
-        return True
+            return True
+        return False
 
     def run(
         self,
@@ -110,48 +196,41 @@ class Simulator:
         *,
         max_events: Optional[int] = None,
     ) -> float:
-        """Run until the queue drains, *until* is reached, or *max_events*.
+        """Run until no event is pending, *until* is reached, or
+        *max_events* have fired.
 
-        Returns the virtual time at which the run stopped.
+        Returns the virtual time at which the run stopped: *until* if a
+        live event lies beyond it, else the time of the last event fired.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         fired = 0
-        queue = self._queue
-        # Fully inlined drain: this loop dominates every simulated run.
-        # The heap list's identity is stable (compaction rebuilds it in
-        # place), so it is bound to a local once, ``heappop`` is a local,
-        # and the per-event cost is one heap pop plus the bookkeeping
-        # stores callbacks can observe (``now``, ``events_processed``) —
-        # no per-event method dispatch at all.
-        heap = queue._heap
+        # This loop dominates every simulated run: the heap and ``heappop``
+        # are locals, and the per-event cost is one heap pop plus the
+        # stores callbacks can observe (``now``, ``events_processed``).
+        heap = self._heap
         heappop = heapq.heappop
         has_until = until is not None
         has_cap = max_events is not None
         try:
             while heap:
-                key, event = heap[0]
-                time = key[0]
+                time, _, event = heap[0]
+                callback = event.callback
+                if callback is None:  # cancelled: drop it before the tests
+                    heappop(heap)
+                    continue
                 if has_until and time > until:
                     self.now = until
                     break
                 if has_cap and fired >= max_events:
                     break
                 heappop(heap)
-                if event.cancelled:
-                    queue._cancelled -= 1
-                    continue
-                event.in_heap = False
-                queue._live -= 1
-                if heap and heap[0][1].cancelled:
-                    queue._prune_top()
+                self._live -= 1
                 self.now = time
-                callback = event.callback
                 event.callback = None
-                self._event_count += 1
-                if callback is not None:
-                    callback()
+                self.events_processed += 1
+                callback()
                 fired += 1
         finally:
             self._running = False

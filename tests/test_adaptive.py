@@ -7,12 +7,10 @@ Three concerns live here:
   calm run (hysteresis means no thrash).
 * The edge-WAN preset builds WAN links, and the wan_flap archetype cuts
   and restores them (or is skipped when there are none).
-* Everything stays a pure function of the seed: repeat runs are
-  byte-identical, and ``adaptive=None`` keeps the summary's adaptive
-  counters at zero.
+* ``adaptive=None`` keeps the summary's adaptive counters at zero.
+  Repeat-run identity is the ``adaptive-chaos`` case of
+  ``tests/test_summary_digests.py``.
 """
-
-from dataclasses import asdict
 
 from repro.adaptive import AdaptiveConfig
 from repro.detection import BackoffPolicy, DetectionConfig
@@ -137,13 +135,3 @@ def test_wan_flap_skips_without_wan_links():
     tracer = Tracer()
     _run_platform(scenario, seed=0, tracer=tracer)
     assert _wan_flaps(tracer) == 0
-
-
-# ----------------------------------------------------------------------
-# Determinism
-# ----------------------------------------------------------------------
-def test_adaptive_repeat_run_byte_identical():
-    scenario = _chaotic_scenario()
-    first = run_scenario(scenario, seed=7)
-    second = run_scenario(scenario, seed=7)
-    assert asdict(first) == asdict(second)

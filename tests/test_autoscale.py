@@ -1,6 +1,8 @@
-"""Autoscaler properties: bounds, cooldowns, drains, determinism."""
+"""Autoscaler properties: bounds, cooldowns, drains.
 
-from dataclasses import asdict
+Repeat-run identity is the ``autoscale-ramp-10gbe`` case of
+``tests/test_summary_digests.py``.
+"""
 
 import pytest
 
@@ -43,14 +45,10 @@ def _ramp_scenario(autoscale=RAMP_AUTOSCALE, duration=90.0):
     )
 
 
-def _ramp_result():
-    # One shared run: the property tests below all read the same record.
-    return run_traffic(_ramp_scenario(), seed=0)
-
-
 @pytest.fixture(scope="module")
 def ramp():
-    return _ramp_result()
+    # One shared run: the property tests below all read the same record.
+    return run_traffic(_ramp_scenario(), seed=0)
 
 
 def _provisioned_timeline(result, config, initial):
@@ -117,13 +115,6 @@ def test_drain_completed_before_retirement():
     # The provisioned count settled inside the configured band.
     provisioned = sum(1 for n in platform.cluster.nodes if n.provisioned)
     assert RAMP_AUTOSCALE.min_nodes <= provisioned <= RAMP_AUTOSCALE.max_nodes
-
-
-def test_autoscale_repeat_run_deterministic(ramp):
-    again = _ramp_result()
-    assert asdict(again.summary) == asdict(ramp.summary)
-    assert again.scale_events == ramp.scale_events
-    assert again.tenants == ramp.tenants
 
 
 def test_steady_light_load_never_scales():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from repro.replication import estimator as estimator_module
 from repro.replication.estimator import FailureRateEstimator
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
 
 
 class TestEngineProperties:
@@ -65,15 +64,15 @@ class TestEngineProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_queue_length_tracks_pushes_and_pops(self, times):
-        q = EventQueue()
+        sim = Simulator()
         for t in times:
-            q.push(t, lambda: None)
-        assert len(q) == len(times)
-        popped = 0
-        while q:
-            q.pop()
-            popped += 1
-        assert popped == len(times)
+            sim.call_at(t, lambda: None)
+        assert sim.pending == sim.pushes == len(times)
+        fired = 0
+        while sim.step():
+            fired += 1
+        assert fired == sim.events_processed == len(times)
+        assert sim.pending == 0
 
 
 class TestEstimatorProperties:

@@ -3,184 +3,149 @@
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import EventQueue
+
+
+def _drain(sim):
+    """Step *sim* until no event is pending."""
+    while sim.step():
+        pass
 
 
 class TestEventQueue:
+    """The simulator's event heap: order, ties and cancellation."""
+
     def test_pop_in_time_order(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.push(3.0, lambda: fired.append(3))
-        q.push(1.0, lambda: fired.append(1))
-        q.push(2.0, lambda: fired.append(2))
-        times = [q.pop().time for _ in range(3)]
-        assert times == [1.0, 2.0, 3.0]
+        for t in (3.0, 1.0, 2.0):
+            sim.call_at(t, lambda: fired.append(sim.now))
+        _drain(sim)
+        assert fired == [1.0, 2.0, 3.0]
 
     def test_same_time_fires_in_scheduling_order(self):
-        q = EventQueue()
+        sim = Simulator()
+        fired = []
         for i in range(10):
-            q.push(5.0, lambda: None, label=str(i))
-        popped = [q.pop().label for _ in range(10)]
-        assert popped == [str(i) for i in range(10)]
+            sim.call_at(5.0, lambda i=i: fired.append(i))
+        _drain(sim)
+        assert fired == list(range(10))
 
     def test_rescheduled_event_keeps_its_place_among_ties(self):
-        q = EventQueue()
-        moved = q.push(9.0, lambda: None, label="moved")
-        q.push(5.0, lambda: None, label="later")
-        q.cancel(moved)
-        q.push(5.0, lambda: None, label="moved", seq=moved.seq)
-        q.push(5.0, lambda: None, label="latest")
-        assert [q.pop().label for _ in range(3)] == ["moved", "later", "latest"]
+        sim = Simulator()
+        fired = []
+        moved = sim.call_at(9.0, lambda: fired.append("stale"))
+        sim.call_at(5.0, lambda: fired.append("later"))
+        moved.cancel()
+        sim.call_at(5.0, lambda: fired.append("moved"), seq=moved.seq)
+        sim.call_at(5.0, lambda: fired.append("latest"))
+        _drain(sim)
+        assert fired == ["moved", "later", "latest"]
 
     def test_cancelled_events_are_skipped(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None, label="keep")
-        drop = q.push(0.5, lambda: None, label="drop")
-        q.cancel(drop)
-        assert len(q) == 1
-        assert q.pop().label == "keep"
+        sim = Simulator()
+        fired = []
+        sim.call_at(1.0, lambda: fired.append("keep"))
+        drop = sim.call_at(0.5, lambda: fired.append("drop"))
+        drop.cancel()
+        assert sim.pending == 1
+        assert sim.step()
+        assert not sim.step()
+        assert fired == ["keep"]
 
     def test_cancel_is_idempotent(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.cancel(event)
-        q.cancel(event)
-        assert len(q) == 0
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        first = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        q.cancel(first)
-        assert q.peek_time() == 2.0
-
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
+        sim = Simulator()
+        event = sim.call_at(1.0, lambda: None)
+        event.cancel()
+        event.cancel()
+        assert event.cancelled and not event.active
+        assert sim.pending == 0
+        assert sim.pushes == 1
 
     def test_cancel_of_popped_event_skips_heap_bookkeeping(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, label="a")
-        popped = queue.pop()
-        assert not popped.in_heap
-        live_before = len(queue)
-        popped.cancel()  # already out of the heap
-        assert popped.cancelled and not popped.active
-        assert len(queue) == live_before  # counters untouched
-        assert queue.cancelled_pending == 0
+        sim = Simulator()
+        seen = []
+
+        def fire():
+            event.cancel()  # popped and firing: no heap slot to account for
+            seen.append(sim.pending)
+
+        event = sim.call_at(1.0, fire)
+        sim.call_at(2.0, lambda: None)
+        assert sim.step()
+        assert seen == [1]
+        assert not event.cancelled and not event.active
+        assert sim.pending == 1
 
 
 class TestEventQueueCompaction:
-    def test_peek_time_does_not_mutate_the_heap(self):
-        q = EventQueue(compaction_threshold=1000)
-        events = [q.push(float(i), lambda: None) for i in range(10)]
-        for event in events[1:5]:  # cancel mid-heap entries, keep the top
-            q.cancel(event)
-        size_before = q.heap_size
-        for _ in range(3):
-            assert q.peek_time() == 0.0
-        assert q.heap_size == size_before
-
-    def test_cancelling_the_top_restores_a_live_top(self):
-        q = EventQueue(compaction_threshold=1000)
-        first = q.push(1.0, lambda: None)
-        second = q.push(2.0, lambda: None)
-        q.push(3.0, lambda: None)
-        q.cancel(first)
-        q.cancel(second)
-        # peek is pure, so the invariant must hold eagerly after cancel.
-        assert q.peek_time() == 3.0
-        assert q.cancelled_pending == 0
+    """One fixed rule: a cancel that leaves dead entries outnumbering live
+    ones rebuilds the heap without them."""
 
     def test_auto_compaction_when_cancelled_majority(self):
-        q = EventQueue(compaction_threshold=64)
+        sim = Simulator()
         # Interleave so cancelled events sit throughout the heap, not on top.
-        keep = [q.push(float(2 * i), lambda: None) for i in range(60)]
-        drop = [q.push(float(2 * i + 1), lambda: None) for i in range(140)]
-        for event in drop:
-            q.cancel(event)
-        assert q.compactions >= 1
-        # Garbage stays bounded: dead entries never exceed half the heap.
-        assert q.cancelled_pending * 2 <= q.heap_size
-        assert q.heap_size < 200
-        assert len(q) == 60
-        assert [q.pop().time for _ in range(60)] == [e.time for e in keep]
+        keep = [sim.call_at(float(2 * i), lambda: None) for i in range(60)]
+        drop = [sim.call_at(float(2 * i + 1), lambda: None)
+                for i in range(140)]
+        for event in reversed(drop):
+            event.cancel()
+            dead = len(sim._heap) - sim.pending
+            assert dead <= sim.pending
+        assert len(sim._heap) <= 120
+        assert sim.pending == 60
+        fired = []
+        while sim.step():
+            fired.append(sim.now)
+        assert fired == [event.time for event in keep]
 
-    def test_no_auto_compaction_below_threshold(self):
-        q = EventQueue(compaction_threshold=64)
-        drop = [q.push(float(i), lambda: None) for i in range(10)]
-        live = q.push(99.0, lambda: None)
-        for event in drop[1:]:  # keep the top live event's predecessor dead
-            q.cancel(event)
-        assert q.compactions == 0
-        assert q.pop() is drop[0]
-        assert q.pop() is live
-
-    def test_explicit_compact_reports_freed_entries(self):
-        q = EventQueue(compaction_threshold=10_000)
-        events = [q.push(float(i), lambda: None) for i in range(50)]
-        for event in events[10:40]:
-            q.cancel(event)
-        pending = q.cancelled_pending
-        assert pending > 0
-        freed = q.compact()
-        assert freed == pending
-        assert q.cancelled_pending == 0
-        assert q.compact() == 0  # idempotent when nothing is cancelled
-        remaining = [q.pop().time for _ in range(len(q))]
-        assert remaining == sorted(remaining)
-        assert len(remaining) == 20
+    def test_cancelling_the_top_restores_a_live_top(self):
+        sim = Simulator()
+        first = sim.call_at(1.0, lambda: None)
+        second = sim.call_at(2.0, lambda: None)
+        for t in (3.0, 4.0, 5.0):
+            sim.call_at(t, lambda: None)
+        first.cancel()
+        second.cancel()
+        assert len(sim._heap) == 5  # two dead of five: no rebuild yet
+        # The drain drops dead tops before its ``until`` test.
+        assert sim.run(until=2.5) == 2.5
+        assert len(sim._heap) == 3
+        assert sim._heap[0][2].active
+        assert sim.events_processed == 0
 
     def test_compaction_preserves_time_and_fifo_order(self):
-        q = EventQueue(compaction_threshold=10_000)
-        q.push(2.0, lambda: None, label="late")
-        q.push(1.0, lambda: None, label="early-a")
-        q.push(1.0, lambda: None, label="early-b")
-        doomed = [q.push(0.5, lambda: None) for _ in range(5)]
+        sim = Simulator()
+        fired = []
+        sim.call_at(2.0, lambda: fired.append("late"))
+        sim.call_at(1.0, lambda: fired.append("early-a"))
+        sim.call_at(1.0, lambda: fired.append("early-b"))
+        doomed = [sim.call_at(0.5, lambda: fired.append("doomed"))
+                  for _ in range(5)]
         for event in doomed:
-            q.cancel(event)
-        q.compact()
-        assert [q.pop().label for _ in range(3)] == [
-            "early-a", "early-b", "late"
-        ]
+            event.cancel()
+        assert len(sim._heap) == 3  # the fifth cancel rebuilt the heap
+        _drain(sim)
+        assert fired == ["early-a", "early-b", "late"]
 
     def test_event_key_precomputed_and_slots(self):
-        q = EventQueue()
-        event = q.push(2.5, lambda: None)
-        assert event.key == (2.5, event.seq)
+        sim = Simulator()
+        event = sim.call_at(2.5, lambda: None)
+        assert sim._heap[0][:2] == (2.5, event.seq)
+        assert sim._heap[0][2] is event
         assert not hasattr(event, "__dict__")
 
-    def test_adaptive_threshold_grows_and_decays(self):
-        queue = EventQueue(compaction_threshold=8)
-        events = [queue.push(float(i), lambda: None) for i in range(64)]
-        # Cancel from the back: cancelling the heap top would be pruned
-        # eagerly and never build up compaction pressure.
-        for event in events[24:]:
-            queue.cancel(event)
-        assert queue.compactions >= 1
-        grown = queue.compaction_threshold
-        assert grown >= 8
-        # Drain almost everything; cancelling in a now-small heap decays
-        # the threshold back toward the floor.
-        while queue:
-            queue.pop()
-        survivor = queue.push(100.0, lambda: None)
-        queue.push(101.0, lambda: None)
-        queue.cancel(survivor)
-        assert queue.compaction_threshold <= grown
-
     def test_queue_health_counters(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        later = queue.push(2.0, lambda: None)
-        queue.cancel(later)  # not the top: stays as heap garbage
-        assert queue.pushes == 2
-        assert queue.peak_heap_size == 2
-        assert queue.cancelled_pending == 1
-        assert len(queue) == 1
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        later = sim.call_at(2.0, lambda: None)
+        later.cancel()  # one dead of two: stays as heap garbage
+        assert sim.pushes == 2
+        assert sim.peak_heap_size == 2
+        assert len(sim._heap) == 2
+        assert sim.pending == 1
+        sim.run()
+        assert sim.events_processed == 1
+        assert sim.pending == 0
 
 
 class TestSimulator:
@@ -227,6 +192,13 @@ class TestSimulator:
         assert sim.now == 5.0
         sim.run()
         assert fired == [1, 10]
+
+    def test_run_until_past_only_cancelled_events_keeps_last_fired_time(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        sim.call_at(10.0, lambda: None).cancel()
+        assert sim.run(until=5.0) == 1.0
+        assert sim.now == 1.0
 
     def test_handle_cancel_prevents_callback(self):
         sim = Simulator()
