@@ -14,6 +14,7 @@ Installed as ``canary-sim`` (also runnable via ``python -m repro``):
     canary-sim trace --workload graph-bfs --error-rate 0.25 \
                --out trace.json                # span trace for chrome://tracing
     canary-sim figure fig7 --fast              # regenerate a paper figure
+    canary-sim figure all --fast               # every figure, claim scale
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.autoscale import AdmissionConfig, AutoscaleConfig
 from repro.common.types import RecoveryStrategyName, ReplicationStrategyName
 from repro.experiments import FIGURES
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.report import format_table
+from repro.experiments.report import FigureResult, format_table
 from repro.experiments.runner import run_scenario, run_traced
 from repro.network.config import NETWORK_PRESETS
 from repro.policies import PLACEMENT_POLICIES
@@ -348,36 +349,41 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _figure_command(args: argparse.Namespace) -> int:
-    """Regenerate one paper figure (same engine as examples/paper_figures)."""
-    module = FIGURES[args.name]
-    kwargs = {}
-    if args.fast:
-        kwargs["seeds"] = range(3)
-    if args.jobs is not None:
-        kwargs["jobs"] = args.jobs
-    if args.placement is not None:
-        kwargs["placement"] = args.placement
-    result = module.run(**kwargs)
-    print(format_table(result))
-    if args.chart:
-        from repro.experiments.charts import series_chart
+    """Regenerate one paper figure, or ``all`` of them in registry order."""
+    # Only this command needs the claim table; the rest of the CLI and
+    # ``repro.experiments`` stay free of it.
+    from repro.experiments.claims import BENCH
 
-        series_col = result.columns[0]
-        x_col = result.columns[1] if len(result.columns) > 1 else series_col
-        numeric = [
-            c for c in result.columns
-            if c not in (series_col, x_col)
-            and result.rows
-            and isinstance(result.rows[0].get(c), float)
-        ]
-        if numeric:
+    names = list(FIGURES) if args.name == "all" else [args.name]
+    for position, name in enumerate(names):
+        kwargs = dict(BENCH[name]) if args.fast else {}
+        if args.jobs is not None:
+            kwargs["jobs"] = args.jobs
+        if args.placement is not None:
+            kwargs["placement"] = args.placement
+        if position:
             print()
-            print(
-                series_chart(
-                    result, x=x_col, y=numeric[0], series=series_col
-                )
-            )
+        _print_figure(FIGURES[name].run(**kwargs), chart=args.chart)
     return 0
+
+
+def _print_figure(result: FigureResult, *, chart: bool) -> None:
+    print(format_table(result))
+    if not chart:
+        return
+    from repro.experiments.charts import series_chart
+
+    series_col = result.columns[0]
+    x_col = result.columns[1] if len(result.columns) > 1 else series_col
+    numeric = [
+        c for c in result.columns
+        if c not in (series_col, x_col)
+        and result.rows
+        and isinstance(result.rows[0].get(c), float)
+    ]
+    if numeric:
+        print()
+        print(series_chart(result, x=x_col, y=numeric[0], series=series_col))
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -508,8 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(func=_cmd_trace)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
-    figure.add_argument("name", choices=list(FIGURES))
-    figure.add_argument("--fast", action="store_true")
+    figure.add_argument("name", choices=[*FIGURES, "all"],
+                        help="figure to regenerate, or all of them")
+    figure.add_argument("--fast", action="store_true",
+                        help="run at the reduced scale the paper's claims "
+                        "are checked on (claims.BENCH)")
     figure.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the sweep (default: one "
                         "per core; 1 forces serial in-process execution)")

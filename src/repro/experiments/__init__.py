@@ -7,7 +7,8 @@ records paper-vs-measured.
 """
 
 from repro.experiments import (
-    fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11, fig12,
+    fig04, fig04_runtimes, fig05, fig06, fig07, fig08, fig09, fig10, fig11,
+    fig12,
 )
 
 from repro.experiments.charts import series_chart
@@ -27,6 +28,7 @@ from repro.experiments.runner import (
 #: Figure name (as typed on the command line) -> module exposing ``run``.
 FIGURES = {
     "fig4": fig04,
+    "fig4-runtimes": fig04_runtimes,
     "fig5": fig05,
     "fig6": fig06,
     "fig7": fig07,

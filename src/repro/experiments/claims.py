@@ -5,7 +5,8 @@ and a bound on one value measured from that figure's
 :class:`FigureResult`.  A row reads its axes (error rates, workloads,
 invocation or node counts) from the result, so the same row checks any
 scale: ``TIER1`` holds the reduced run arguments ``tests/test_validation.py``
-uses, ``BENCH`` those of ``benchmarks/test_claims.py``.
+uses, ``BENCH`` those of ``benchmarks/test_claims.py`` and of
+``canary-sim figure --fast``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,8 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro.experiments import FIGURES, fig04_runtimes
+from repro.experiments import FIGURES
 from repro.experiments.report import FigureResult
-
-#: Figure runners by the name their FigureResult carries.
-RUNNERS = {**FIGURES, "fig4-runtimes": fig04_runtimes}
 
 _OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
         ">=": operator.ge, "==": operator.eq}
@@ -401,7 +399,7 @@ BENCH: Mapping[str, dict] = {
 def run_figure(figure: str, scale: Mapping[str, dict], *,
                jobs: Optional[int] = None) -> FigureResult:
     """Run *figure* with its arguments at *scale* (``TIER1`` or ``BENCH``)."""
-    return RUNNERS[figure].run(**scale[figure], jobs=jobs)
+    return FIGURES[figure].run(**scale[figure], jobs=jobs)
 
 
 def check_claims(scale: Mapping[str, dict]) -> list[Verdict]:

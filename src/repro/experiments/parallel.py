@@ -2,9 +2,9 @@
 
 Every figure sweep is a grid of (workload × strategy × error-rate × seed)
 cells, and each cell is one independent, deterministic, single-threaded
-simulation.  This module runs a flat list of such cells over a
-``ProcessPoolExecutor`` and returns the summaries **in cell order**, so the
-parallel path is byte-for-byte interchangeable with the serial one:
+simulation.  This module runs a flat list of such cells with
+``ProcessPoolExecutor.map`` and returns the summaries **in cell order**, so
+the parallel path is byte-for-byte interchangeable with the serial one:
 
 >>> cells = [(scenario_a, 0), (scenario_a, 1), (scenario_b, 0)]
 >>> summaries = run_cells(cells, jobs=4)   # == [run_scenario(s, x) ...]
@@ -16,13 +16,13 @@ Design points:
   child via :func:`repro.experiments.runner.run_scenario`; nothing depends
   on fork-inherited state, so the pool works identically under the
   ``spawn`` start method (macOS / Windows default).
-* **Chunked submission.**  Cells are submitted in contiguous chunks (a few
-  chunks per worker) so each round-trip amortizes pickle/IPC overhead while
-  still load-balancing uneven cell durations; workers are reused across
-  chunks.
-* **Deterministic collection.**  Each chunk carries its base cell index and
-  results are written back into a slot table, so the output order equals the
-  input order regardless of completion order.
+* **Chunked, ordered map.**  ``map`` ships cells in chunks of about
+  ``cells / (jobs × 4)``, so each round-trip amortizes pickle/IPC overhead
+  while stragglers still load-balance, and yields results in input order
+  whatever order the chunks finish in.
+* **One error contract.**  A cell that raises surfaces as
+  :class:`CellExecutionError` naming the cell, in-process or in a worker;
+  a worker that dies surfaces as ``BrokenProcessPool``.
 * **Graceful fallback.**  ``jobs=1``, a single cell, or an unavailable pool
   (restricted environments without working process spawning) all fall back
   to plain in-process execution with identical results.
@@ -30,9 +30,10 @@ Design points:
 
 from __future__ import annotations
 
-import multiprocessing
+import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.experiments.config import ScenarioConfig
@@ -43,7 +44,7 @@ from repro.metrics.summary import RunSummary
 #: One experiment cell: a fully specified scenario plus the seed to run it at.
 Cell = tuple[ScenarioConfig, int]
 
-#: Chunks submitted per worker; >1 keeps stragglers from idling the pool.
+#: Chunks per worker; >1 keeps stragglers from idling the pool.
 _CHUNKS_PER_JOB = 4
 
 #: Hard cap on workers; figure grids rarely benefit beyond this.
@@ -87,47 +88,16 @@ def default_jobs() -> int:
     return max(1, min(cores, _MAX_JOBS))
 
 
-def chunked(n_items: int, n_chunks: int) -> list[range]:
-    """Split ``range(n_items)`` into ≤ ``n_chunks`` contiguous near-even runs.
-
-    The first ``n_items % n_chunks`` chunks get one extra item, every range
-    is non-empty, and concatenating them reproduces ``range(n_items)``.
-    """
-    if n_items <= 0:
-        return []
-    n_chunks = max(1, min(n_chunks, n_items))
-    base, extra = divmod(n_items, n_chunks)
-    out: list[range] = []
-    start = 0
-    for i in range(n_chunks):
-        size = base + (1 if i < extra else 0)
-        out.append(range(start, start + size))
-        start += size
-    return out
-
-
-def _run_chunk(
-    base_index: int,
-    cells: Sequence[Cell],
+def _run_cell(
+    index: int,
+    cell: Cell,
     runner: Callable[[ScenarioConfig, int], RunSummary],
-) -> list[RunSummary]:
-    """Worker body: run a contiguous chunk of cells, serially, in order."""
-    out: list[RunSummary] = []
-    for offset, (scenario, seed) in enumerate(cells):
-        try:
-            out.append(runner(scenario, seed))
-        except Exception as exc:
-            raise CellExecutionError(
-                base_index + offset, (scenario, seed), exc
-            ) from exc
-    return out
-
-
-def _run_serial(
-    cells: Sequence[Cell],
-    runner: Callable[[ScenarioConfig, int], RunSummary],
-) -> list[RunSummary]:
-    return _run_chunk(0, cells, runner)
+) -> RunSummary:
+    """Run one cell, naming it in any error it raises."""
+    try:
+        return runner(*cell)
+    except Exception as exc:
+        raise CellExecutionError(index, cell, exc) from exc
 
 
 def run_cells(
@@ -135,7 +105,6 @@ def run_cells(
     *,
     jobs: Optional[int] = None,
     runner: Callable[[ScenarioConfig, int], RunSummary] = run_scenario,
-    start_method: Optional[str] = None,
 ) -> list[RunSummary]:
     """Run every ``(scenario, seed)`` cell and return summaries in order.
 
@@ -145,54 +114,31 @@ def run_cells(
             (overridable via ``REPRO_JOBS``); ``1`` runs in-process.
         runner: Cell executor, overridable for tests.  Must be a picklable
             module-level callable when ``jobs > 1``.
-        start_method: Multiprocessing start method (``"spawn"``, ``"fork"``,
-            ...).  ``None`` keeps the platform default; workers carry no
-            fork-inherited state so every method yields identical results.
 
     Raises:
-        CellExecutionError: A cell raised in a worker (the original
-            exception is chained as ``__cause__``).
-        RuntimeError: A worker process died without reporting a result
-            (e.g. killed by the OS).
+        CellExecutionError: A cell raised (the original exception is
+            chained as ``__cause__``).
+        BrokenProcessPool: A worker process died (e.g. killed by the OS).
     """
     cells = list(cells)
-    if not cells:
-        return []
+    args = (range(len(cells)), cells, repeat(runner))
     n_jobs = default_jobs() if jobs is None else max(1, int(jobs))
     n_jobs = min(n_jobs, len(cells), _MAX_JOBS)
-    if n_jobs == 1:
-        return _run_serial(cells, runner)
-
-    chunks = chunked(len(cells), n_jobs * _CHUNKS_PER_JOB)
-    results: list[Optional[RunSummary]] = [None] * len(cells)
+    if n_jobs > 1:
+        try:
+            executor = ProcessPoolExecutor(max_workers=n_jobs)
+        except (OSError, ValueError, PermissionError):
+            # No process pool in this environment (sandboxed /dev/shm,
+            # rlimits): degrade to in-process execution rather than
+            # failing the sweep.
+            n_jobs = 1
+    if n_jobs <= 1:
+        return list(map(_run_cell, *args))
+    chunksize = math.ceil(len(cells) / (n_jobs * _CHUNKS_PER_JOB))
     try:
-        context = (
-            multiprocessing.get_context(start_method) if start_method else None
-        )
-        executor = ProcessPoolExecutor(max_workers=n_jobs, mp_context=context)
-    except (OSError, ValueError, PermissionError):
-        # No process pool in this environment (sandboxed /dev/shm, rlimits):
-        # degrade to in-process execution rather than failing the sweep.
-        return _run_serial(cells, runner)
-    try:
-        future_to_chunk = {
-            executor.submit(_run_chunk, chunk.start, cells[chunk.start:chunk.stop], runner): chunk
-            for chunk in chunks
-        }
-        pending = set(future_to_chunk)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                chunk = future_to_chunk[future]
-                summaries = future.result()  # re-raises CellExecutionError
-                for offset, summary in enumerate(summaries):
-                    results[chunk.start + offset] = summary
+        return list(executor.map(_run_cell, *args, chunksize=chunksize))
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:  # pragma: no cover - defensive: executor guarantees results
-        raise RuntimeError(f"no result for cells {missing[:5]}...")
-    return results  # type: ignore[return-value]
 
 
 def run_sweep(

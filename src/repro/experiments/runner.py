@@ -108,36 +108,30 @@ def run_repeated(
     """Run a scenario once per seed (paper: averages of 10 executions).
 
     ``jobs`` fans the per-seed runs out over worker processes via
-    :func:`repro.experiments.parallel.run_cells`; the default of 1 keeps
-    the historical in-process behaviour.  Results are seed-ordered either
-    way.
+    :func:`repro.experiments.parallel.run_cells`; the default of 1 runs
+    them in-process.  Results are seed-ordered either way, and a seed that
+    raises surfaces as ``CellExecutionError`` for every ``jobs``.
     """
-    if jobs == 1:
-        return [run_scenario(scenario, seed) for seed in seeds]
     from repro.experiments.parallel import run_cells  # avoid import cycle
 
     return run_cells([(scenario, seed) for seed in seeds], jobs=jobs)
 
 
+#: Summary fields :func:`mean_of` averages over the seeds, counts included.
 _MEAN_FIELDS = (
-    "makespan_s",
-    "total_recovery_s",
-    "mean_recovery_s",
-    "cost_total",
-    "cost_function",
-    "cost_replica",
-    "cost_standby",
-    "checkpoint_time_s",
+    "makespan_s", "total_recovery_s", "mean_recovery_s", "cost_total",
+    "cost_function", "cost_replica", "cost_standby", "checkpoint_time_s",
+    "failures", "unrecovered", "completed", "checkpoints_taken",
+    "replicas_launched",
 )
-_SUM_FIELDS = ("failures", "unrecovered", "completed", "checkpoints_taken",
-               "replicas_launched")
 
 
 def mean_of(summaries: Iterable[RunSummary]) -> dict:
     """Average the per-seed summaries into one row dict.
 
-    Time/cost fields are averaged; count fields are averaged too (so the row
-    reads "per run"), and the relative spread of the makespan is attached as
+    Time, cost and count fields are all averaged, so counts read "per
+    run" (failures per run, not failures summed over seeds), and the
+    relative spread of the makespan is attached as
     ``makespan_rel_spread`` (the paper reports <5% variance across runs).
     """
     rows = list(summaries)
@@ -151,7 +145,7 @@ def mean_of(summaries: Iterable[RunSummary]) -> dict:
         "num_nodes": rows[0].num_nodes,
         "runs": len(rows),
     }
-    for name in _MEAN_FIELDS + _SUM_FIELDS:
+    for name in _MEAN_FIELDS:
         values = [getattr(r, name) for r in rows]
         out[name] = sum(values) / len(values)
     makespans = [r.makespan_s for r in rows]

@@ -15,7 +15,8 @@ from repro.trace.tracer import Span
 
 
 def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted non-empty list."""
+    """Percentile of an ascending-sorted non-empty list, interpolated
+    linearly between the two closest ranks (numpy's default method)."""
     if len(ordered) == 1:
         return ordered[0]
     position = q * (len(ordered) - 1)

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import FIGURES
+from repro.experiments.claims import BENCH
+from repro.experiments.report import FigureResult
 
 
 class TestParser:
@@ -289,3 +292,37 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fig7" in out
         assert "canary" in out
+
+
+@pytest.fixture
+def figure_calls(monkeypatch):
+    """Replace every figure runner with one that records its arguments."""
+    calls = []
+    for name, module in FIGURES.items():
+        def run(*, _name=name, **kwargs):
+            calls.append((_name, kwargs))
+            return FigureResult(_name, "stub", ("x",), [{"x": 1}])
+
+        monkeypatch.setattr(module, "run", run)
+    return calls
+
+
+class TestFigureCommand:
+    def test_fast_runs_at_claim_bench_scale(self, figure_calls):
+        assert main(["figure", "fig9", "--fast", "--jobs", "1"]) == 0
+        assert figure_calls == [("fig9", {**BENCH["fig9"], "jobs": 1})]
+
+    def test_full_scale_passes_only_given_flags(self, figure_calls):
+        assert main(["figure", "fig7"]) == 0
+        assert figure_calls == [("fig7", {})]
+
+    def test_all_runs_every_figure_once_in_order(self, figure_calls, capsys):
+        assert main(["figure", "all", "--fast"]) == 0
+        assert [name for name, _ in figure_calls] == list(FIGURES)
+        assert all(kwargs == BENCH[name] for name, kwargs in figure_calls)
+        assert capsys.readouterr().out.count("stub") == len(FIGURES)
+
+    def test_fig4_runtimes_is_a_figure(self):
+        args = build_parser().parse_args(["figure", "fig4-runtimes"])
+        assert args.name == "fig4-runtimes"
+        assert "fig4-runtimes" in FIGURES

@@ -2,8 +2,8 @@
 
 The load-bearing property is determinism: fanning a sweep out over worker
 processes must return *byte-identical* summaries, in the same order, as
-running the same cells serially.  Everything else (chunking, error
-propagation, fallbacks) supports that guarantee.
+running the same cells serially.  Everything else (error propagation,
+fallbacks) supports that guarantee.
 """
 
 from __future__ import annotations
@@ -11,7 +11,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,6 @@ from repro.experiments import parallel
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import (
     CellExecutionError,
-    chunked,
     default_jobs,
     run_cells,
     run_sweep,
@@ -53,13 +56,34 @@ class TestDeterminism:
             assert row_fanned == row_serial
             assert pickle.dumps(row_fanned) == pickle.dumps(row_serial)
 
-    def test_spawn_start_method_matches_serial(self):
+    def test_spawn_workers_match_serial(self):
+        # Workers carry no fork-inherited state, so a fresh interpreter
+        # whose default start method is spawn fans out to the same rows.
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn start method unavailable")
-        cells = _fig06_style_cells(seeds=(0,))[:4]
-        serial = run_cells(cells, jobs=1)
-        spawned = run_cells(cells, jobs=2, start_method="spawn")
-        assert spawned == serial
+        script = textwrap.dedent("""
+            import multiprocessing
+
+            from repro.experiments.config import ScenarioConfig
+            from repro.experiments.parallel import run_cells
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn")
+                cells = [
+                    (ScenarioConfig(workload=workload, strategy=strategy,
+                                    error_rate=0.05, num_functions=10), 0)
+                    for workload in ("dl-training", "compression")
+                    for strategy in ("retry", "canary")
+                ]
+                assert run_cells(cells, jobs=2) == run_cells(cells, jobs=1)
+                print("spawn ok")
+        """)
+        src = str(Path(parallel.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "spawn ok"
 
     def test_results_are_cell_ordered(self):
         scenario = ScenarioConfig(workload="dl-training", num_functions=10)
@@ -94,31 +118,6 @@ class TestRunSweep:
     def test_empty_sweep(self):
         assert run_sweep([], seeds=(0, 1)) == []
         assert run_cells([]) == []
-
-
-class TestChunking:
-    def test_concatenation_reproduces_range(self):
-        for n_items in (1, 2, 7, 16, 100):
-            for n_chunks in (1, 3, 8, 200):
-                chunks = chunked(n_items, n_chunks)
-                flat = [i for c in chunks for i in c]
-                assert flat == list(range(n_items)), (n_items, n_chunks)
-
-    def test_chunk_count_capped_by_items(self):
-        assert len(chunked(3, 10)) == 3
-        assert len(chunked(10, 3)) == 3
-
-    def test_near_even_sizes(self):
-        sizes = [len(c) for c in chunked(10, 3)]
-        assert sizes == [4, 3, 3]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_no_empty_chunks(self):
-        for n_items in range(1, 20):
-            assert all(len(c) > 0 for c in chunked(n_items, 6))
-
-    def test_zero_items(self):
-        assert chunked(0, 4) == []
 
 
 def _failing_runner(scenario: ScenarioConfig, seed: int):
@@ -159,6 +158,12 @@ class TestErrorPropagation:
         bad = ScenarioConfig(workload="no-such-workload", num_functions=10)
         with pytest.raises(CellExecutionError):
             run_cells([(bad, 0), (bad, 1)], jobs=2)
+
+    def test_run_repeated_raises_cell_error_in_process(self):
+        bad = ScenarioConfig(workload="no-such-workload")
+        with pytest.raises(CellExecutionError) as excinfo:
+            run_repeated(bad, (0,))
+        assert excinfo.value.index == 0
 
 
 class TestFallbacks:
