@@ -19,7 +19,8 @@ surviving one, which is exactly the shared-storage argument of §V-D-6.
 from __future__ import annotations
 
 import collections
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+import itertools
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.checkpoint.records import CheckpointRecord
@@ -132,53 +133,85 @@ class CheckpointingModule:
     ) -> tuple[CheckpointRecord, float]:
         """Checkpoint one completed state; return (record, time charged).
 
-        The returned duration is ``ckp_i`` of Eq. 2: serialization plus the
-        storage write (the asynchronous flush to shared storage is off the
-        critical path and not charged).  *now* is the state's end, which
-        is earlier than the clock when a folded state boundary is
-        materialised; the spans count as recorded at *now*.
+        The returned duration is :meth:`write_charge`.  *now* is the
+        state's end, which is earlier than the clock when a folded state
+        boundary is materialised; the spans count as recorded at *now*.
         """
-        record, write_time = self._commit(
-            job_id,
-            function_id,
-            state_index,
-            size_bytes,
-            now,
-            node_id,
+        record = self._commit(
+            job_id, function_id, state_index, size_bytes, now, node_id,
             state_duration_s,
         )
-        tracer = self.tracer
         if self.flush_lag_s > 0 and node_id is not None:
-            self._pending_flush[record.checkpoint_id] = (
-                node_id,
-                now + self.flush_lag_s,
-            )
-            if tracer.enabled:
-                tracer.instant(
-                    "flush",
-                    f"flush:{record.checkpoint_id}",
-                    t=now,
-                    duration=self.flush_lag_s,
-                    recorded_at=now,
-                    node=node_id,
-                    checkpoint=record.checkpoint_id,
-                    bytes=size_bytes,
-                )
-        charge = serialize_overhead_s + write_time
-        if tracer.enabled:
-            tracer.instant(
-                "checkpoint_write",
-                f"ckpt:{function_id}:{state_index}",
-                t=now,
-                duration=charge,
-                recorded_at=now,
-                function=function_id,
-                state_index=state_index,
-                tier=record.ref.tier_name,
-                bytes=size_bytes,
-                **({"node": node_id} if node_id is not None else {}),
-            )
+            self._pending_flush[record.checkpoint_id] = (node_id, now + self.flush_lag_s)
+        charge = self.write_charge(size_bytes, serialize_overhead_s)
+        if self.tracer.enabled:
+            self._trace(record.checkpoint_id, function_id, state_index,
+                        record.ref.tier_name, size_bytes, charge, now, node_id)
         return record, charge
+
+    def record_run(
+        self, count: int, run: Iterable[tuple[int, float]], *,
+        chain_outlives: bool, job_id: str, function_id: str,
+        size_bytes: float, serialize_overhead_s: float,
+        node_id: Optional[str], state_duration_s: float,
+    ) -> None:
+        """Checkpoint *count* states that ended back to back, as *count*
+        :meth:`record_state` calls would; *run* yields their
+        ``(state_index, end)`` entries in order.
+
+        Only what retention keeps is written: the newest retention-depth
+        checkpoints, or none when the function's chain is dropped next
+        (*chain_outlives* false).  Nothing reads the others before their
+        eviction, so they only advance the ids and ``checkpoints_taken``
+        and, traced, record the spans :meth:`record_state` records.
+        *run* is read no further than those spans and writes need.
+        """
+        depth = self._retention_depth(size_bytes, state_duration_s or 1.0) if chain_outlives else 0
+        kept = min(count, depth)
+        skipped = count - kept
+        self.checkpoints_taken += skipped
+        entries = iter(run)
+        if self.tracer.enabled:
+            tier = self.router.choose_tier(size_bytes).name
+            charge = self.write_charge(size_bytes, serialize_overhead_s)
+            for state_index, end in itertools.islice(entries, skipped):
+                self._trace(self.ids.checkpoint_id(function_id), function_id,
+                            state_index, tier, size_bytes, charge, end, node_id)
+        else:
+            self.ids.skip_checkpoint_ids(function_id, skipped)
+            entries = itertools.islice(entries, skipped, None)
+        for state_index, end in itertools.islice(entries, kept):
+            self.record_state(
+                job_id=job_id, function_id=function_id, state_index=state_index,
+                size_bytes=size_bytes, serialize_overhead_s=serialize_overhead_s,
+                now=end, node_id=node_id, state_duration_s=state_duration_s,
+            )
+
+    def write_charge(self, size_bytes: float, serialize_overhead_s: float) -> float:
+        """``ckp_i`` of Eq. 2 for a checkpoint written now: serialization
+        plus the storage write (the asynchronous flush to shared storage
+        is off the critical path and not charged)."""
+        tier = self.router.choose_tier(size_bytes)
+        return serialize_overhead_s + self.router.tiers.write_seconds(tier, size_bytes)
+
+    def _trace(
+        self, checkpoint_id: str, function_id: str, state_index: int,
+        tier_name: str, size_bytes: float, charge: float, now: float,
+        node_id: Optional[str], /,
+    ) -> None:
+        """The spans of a checkpoint taken at *now* off the fabric."""
+        if self.flush_lag_s > 0 and node_id is not None:
+            self.tracer.instant(
+                "flush", f"flush:{checkpoint_id}", t=now,
+                duration=self.flush_lag_s, recorded_at=now, node=node_id,
+                checkpoint=checkpoint_id, bytes=size_bytes,
+            )
+        self.tracer.instant(
+            "checkpoint_write", f"ckpt:{function_id}:{state_index}", t=now,
+            duration=charge, recorded_at=now, function=function_id,
+            state_index=state_index, tier=tier_name, bytes=size_bytes,
+            **({"node": node_id} if node_id is not None else {}),
+        )
 
     def record_state_async(
         self,
@@ -202,13 +235,8 @@ class CheckpointingModule:
         elapsed)`` fires when the write lands; cancelling the returned
         handle (attempt death) abandons the charge, not the record.
         """
-        record, _ = self._commit(
-            job_id,
-            function_id,
-            state_index,
-            size_bytes,
-            now,
-            node_id,
+        record = self._commit(
+            job_id, function_id, state_index, size_bytes, now, node_id,
             state_duration_s,
         )
 
@@ -254,13 +282,13 @@ class CheckpointingModule:
         node_id: Optional[str],
         state_duration_s: float,
         /,
-    ) -> tuple[CheckpointRecord, float]:
+    ) -> CheckpointRecord:
         """Shared bookkeeping of Algorithm 1 (route, retain).
 
         Positional-only: it runs once per checkpointed state.
         """
         checkpoint_id = self.ids.checkpoint_id(function_id)
-        ref, write_time = self.router.write(
+        ref, _ = self.router.write(
             checkpoint_id, None, size_bytes=size_bytes, node_id=node_id
         )
         record = CheckpointRecord(
@@ -278,22 +306,7 @@ class CheckpointingModule:
         chain.append(record)
         self._evict(chain, state_duration_s)
         self.checkpoints_taken += 1
-        return record, write_time
-
-    def retained_of(
-        self, count: int, size_bytes: float, state_duration_s: float
-    ) -> int:
-        """How many of *count* checkpoints recorded back to back survive the
-        evictions of their own ``record_state`` calls (the newest ones)."""
-        return min(count, self._retention_depth(size_bytes, state_duration_s or 1.0))
-
-    def count_unwritten(self, function_id: str, count: int) -> None:
-        """Take *count* checkpoints that nothing can read (their chain is
-        dropped next, or they are evicted before anything reads it) in
-        closed form: ids and ``checkpoints_taken`` advance; the store, the
-        router and the chain are not touched."""
-        self.ids.skip_checkpoint_ids(function_id, count)
-        self.checkpoints_taken += count
+        return record
 
     def _start_flush(
         self,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -94,6 +94,23 @@ class FoldPlan:
         self.done = 0
         self.taken = 0
         self.at = start
+
+    def walk(self, until: float, fired: Callable) -> Iterator[tuple[int, float]]:
+        """Move the cursor over the entries that *fired* by *until*,
+        yielding ``(state, end)`` per checkpoint passed.  The cursor moves
+        once the walk is exhausted; ``taken`` is the caller's to advance."""
+        bases, divisor, interval = self.bases, self.divisor, self.interval
+        j, t = self.done, self.at
+        while j < len(bases):
+            end = t + bases[j] / divisor
+            if not fired(end, until):
+                break
+            t = end
+            j += 1
+            if interval and (self.first + j) % interval == 0:
+                t = t + self.charge
+                yield self.first + j - 1, end
+        self.done, self.at = j, t
 
 
 class Attempt:
@@ -610,27 +627,14 @@ class FunctionExecution:
 
             self._arm_timeout(attempt)
             _, attempt.state_handle = self.platform.checkpointer.record_state_async(
-                network=self.platform.network,
-                job_id=self.job.job_id,
-                function_id=self.function_id,
-                state_index=index,
-                size_bytes=self.profile.checkpoint_size_bytes,
-                serialize_overhead_s=self.profile.serialize_overhead_s,
-                now=self.platform.sim.now,
-                node_id=attempt.container.node.node_id,
-                state_duration_s=self.profile.state_duration_s,
-                on_done=_ckpt_done,
+                network=self.platform.network, state_index=index,
+                now=self.platform.sim.now, on_done=_ckpt_done,
+                **self._checkpoint_args(attempt),
             )
         elif take_ckpt:
             _, duration = self.platform.checkpointer.record_state(
-                job_id=self.job.job_id,
-                function_id=self.function_id,
-                state_index=index,
-                size_bytes=self.profile.checkpoint_size_bytes,
-                serialize_overhead_s=self.profile.serialize_overhead_s,
-                now=self.platform.sim.now,
-                node_id=attempt.container.node.node_id,
-                state_duration_s=self.profile.state_duration_s,
+                state_index=index, now=self.platform.sim.now,
+                **self._checkpoint_args(attempt),
             )
             self.checkpoint_time_s += duration
             self._step(
@@ -676,9 +680,8 @@ class FunctionExecution:
         charge = 0.0
         if platform.strategy.checkpoints_enabled and not attempt.secondary:
             interval = platform.checkpointer.effective_interval(self.function_id)
-            size = profile.checkpoint_size_bytes
-            charge = profile.serialize_overhead_s + platform.tiers.write_seconds(
-                platform.router.choose_tier(size), size
+            charge = platform.checkpointer.write_charge(
+                profile.checkpoint_size_bytes, profile.serialize_overhead_s
             )
         first = attempt.completed_states
         plan = FoldPlan(
@@ -698,22 +701,14 @@ class FunctionExecution:
         # (No plan: the attempt was unfolded in its finish window.)
         plan = attempt.plan
         if plan is not None:
-            if self.platform.tracer.enabled:
-                self.materialise(attempt, self.platform.sim.now, inclusive=True)
-            else:
-                # Nothing can read the checkpoints left, since
-                # ``_complete`` drops the chain: they take the closed form.
-                left = plan.count - plan.taken
-                if left:
-                    self.platform.checkpointer.count_unwritten(
-                        self.function_id, left
-                    )
-                    for _ in range(left):
-                        # One addition per checkpoint, as stepwise.
-                        self.checkpoint_time_s += plan.charge
-                attempt.completed_states = plan.first + len(plan.bases)
-                attempt.state_started_at = None
-                attempt.state_duration = plan.bases[-1] / plan.divisor
+            # ``_complete`` drops the chain next, so nothing is written.
+            self._record_run(
+                attempt, plan.count - plan.taken,
+                plan.walk(math.inf, operator.le), chain_outlives=False,
+            )
+            attempt.completed_states = plan.first + len(plan.bases)
+            attempt.state_started_at = None
+            attempt.state_duration = plan.bases[-1] / plan.divisor
             self._drop_plan(attempt)
         self._complete(attempt)
 
@@ -728,60 +723,50 @@ class FunctionExecution:
         (``inclusive=False``): they were scheduled before the boundary, so
         the engine would have run them first.  ``run(until=T)`` fires
         events at T, hence ``inclusive=True`` there.
-
-        Untraced, only the checkpoints the chain retains after this call
-        are written; the others take the closed form (``count_unwritten``)
-        first, so ids keep their order.  A traced run writes every
-        checkpoint, for its spans.
         """
         fired = operator.le if inclusive else operator.lt
         plan = attempt.plan
-        bases, divisor, interval = plan.bases, plan.divisor, plan.interval
-        j, t = plan.done, plan.at
-        taken: list[tuple[int, float]] = []  # (state, end) per checkpoint
-        while j < len(bases):
-            end = t + bases[j] / divisor
-            if not fired(end, until):
-                break
-            t = end
-            j += 1
-            if interval and (plan.first + j) % interval == 0:
-                taken.append((plan.first + j - 1, end))
-                t = t + plan.charge
-        checkpointer, profile = self.platform.checkpointer, self.profile
-        written = len(taken)
-        if not self.platform.tracer.enabled:
-            written = checkpointer.retained_of(
-                written, profile.checkpoint_size_bytes, profile.state_duration_s
-            )
-        unwritten = len(taken) - written
-        if unwritten:
-            checkpointer.count_unwritten(self.function_id, unwritten)
-        for i, (index, end) in enumerate(taken):
-            if i >= unwritten:
-                checkpointer.record_state(
-                    job_id=self.job.job_id,
-                    function_id=self.function_id,
-                    state_index=index,
-                    size_bytes=profile.checkpoint_size_bytes,
-                    serialize_overhead_s=profile.serialize_overhead_s,
-                    now=end,
-                    node_id=attempt.container.node.node_id,
-                    state_duration_s=profile.state_duration_s,
-                )
-            # One addition per checkpoint, as stepwise: a product rounds differently.
-            self.checkpoint_time_s += plan.charge
-        plan.taken += len(taken)
-        plan.done, plan.at = j, t
+        run = list(plan.walk(until, fired))
+        self._record_run(attempt, len(run), run, chain_outlives=True)
+        plan.taken += len(run)
+        j, bases, divisor = plan.done, plan.bases, plan.divisor
         attempt.completed_states = plan.first + j
         if j == 0:
             return  # the first state, started by the fold, is in flight
-        if j < len(bases) and fired(t, until):
-            attempt.state_started_at = t
+        if j < len(bases) and fired(plan.at, until):
+            attempt.state_started_at = plan.at
             attempt.state_duration = bases[j] / divisor
         else:  # a checkpoint or the finish is in flight
             attempt.state_started_at = None
             attempt.state_duration = bases[j - 1] / divisor
+
+    def _record_run(
+        self, attempt: Attempt, count: int, run: Iterable[tuple[int, float]],
+        *, chain_outlives: bool,
+    ) -> None:
+        """Take *count* folded checkpoints (``CheckpointingModule.
+        record_run``) and add their charges."""
+        if not count:
+            return
+        self.platform.checkpointer.record_run(
+            count, run, chain_outlives=chain_outlives,
+            **self._checkpoint_args(attempt),
+        )
+        for _ in range(count):
+            # One addition per checkpoint, as stepwise: a product rounds differently.
+            self.checkpoint_time_s += attempt.plan.charge
+
+    def _checkpoint_args(self, attempt: Attempt) -> dict:
+        """What every checkpoint of *attempt* tells the checkpointer."""
+        profile = self.profile
+        return {
+            "job_id": self.job.job_id,
+            "function_id": self.function_id,
+            "size_bytes": profile.checkpoint_size_bytes,
+            "serialize_overhead_s": profile.serialize_overhead_s,
+            "node_id": attempt.container.node.node_id,
+            "state_duration_s": profile.state_duration_s,
+        }
 
     def unfold(self, attempt: Attempt) -> None:
         """Materialise the folded boundaries before now and put the attempt

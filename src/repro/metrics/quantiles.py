@@ -45,9 +45,9 @@ class LatencySketch:
 
     Bucket ``i`` (``i >= 1``) covers ``(bounds[i-1], bounds[i]]``; bucket 0
     is the underflow bucket ``[0, bounds[0]]`` and the last bucket collects
-    overflow.  Quantiles report the geometric midpoint of the hit bucket,
-    clamped to the exact observed min/max (so single-value streams read
-    back exactly).
+    overflow.  Quantiles report the arithmetic midpoint ``(lower + upper)
+    / 2`` of the hit bucket (the observed max for overflow), clamped to
+    the exact observed min/max (so single-value streams read back exactly).
     """
 
     def __init__(

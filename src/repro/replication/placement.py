@@ -8,8 +8,8 @@ and take into account the location of worker nodes in the data center."
 Since the S39 policy layer, the locality/anti-affinity decision itself
 lives in :class:`~repro.policies.builtin.LocalityPolicy` (the default,
 byte-identical to the rules that used to be inlined here); the placer owns
-the candidate filtering and the spread diagnostic, and delegates the
-ranking to whichever policy the platform selected.
+the candidate filtering and delegates the ranking to whichever policy the
+platform selected.
 """
 
 from __future__ import annotations

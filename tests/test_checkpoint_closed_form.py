@@ -1,13 +1,14 @@
-"""Closed-form checkpoints of completed folded segments.
+"""Closed-form checkpoints of folded segments.
 
 A folded segment that runs to its end with no observer takes its
 remaining checkpoints in closed form: the ids, ``checkpoints_taken`` and
 the per-function charges advance, but nothing is written, because the
-function completes at once and drops its chain.  The references are the
-traced run, which writes every checkpoint for its spans, and the stepwise
-path (``FunctionExecution._can_fold`` patched to refuse).  All five
-database views must read the same at every ``run(until=...)`` step
-either way.
+function completes at once and drops its chain.  An observer writes only
+the checkpoints the chain retains.  A tracer only observes: a traced run
+writes what the untraced one writes.  The reference is the stepwise path
+(``FunctionExecution._can_fold`` patched to refuse), which writes every
+checkpoint.  All five database views must read the same at every
+``run(until=...)`` step either way.
 """
 
 from __future__ import annotations
@@ -28,22 +29,23 @@ from tests.test_state_fold_exact import (
 )
 
 
-def _count_writes(patch) -> list[int]:
-    """Count ``CheckpointStorageRouter.write`` calls into the returned cell."""
-    calls = [0]
+def _record_writes(patch) -> list[str]:
+    """Record the key of each ``CheckpointStorageRouter.write`` call, in
+    order, into the returned list."""
+    keys: list[str] = []
     write = CheckpointStorageRouter.write
 
-    def counted(self, *args, **kwargs):
-        calls[0] += 1
-        return write(self, *args, **kwargs)
+    def recorded(self, key, *args, **kwargs):
+        keys.append(key)
+        return write(self, key, *args, **kwargs)
 
-    patch.setattr(CheckpointStorageRouter, "write", counted)
-    return calls
+    patch.setattr(CheckpointStorageRouter, "write", recorded)
+    return keys
 
 
 def _run(scenario, monkeypatch, *, fold=True, traced=False):
     with monkeypatch.context() as patch:
-        writes = _count_writes(patch)
+        writes = _record_writes(patch)
         if not fold:
             _refuse_fold(patch)
         platform = CanaryPlatform(
@@ -51,7 +53,7 @@ def _run(scenario, monkeypatch, *, fold=True, traced=False):
         )
         platform.submit_batch()
         platform.run()
-    return platform, writes[0]
+    return platform, len(writes)
 
 
 def _executions(platform: CanaryPlatform) -> list:
@@ -75,31 +77,36 @@ def _checkpoint_times(platform: CanaryPlatform) -> dict[str, tuple]:
 
 def test_untraced_failure_free_run_writes_nothing(monkeypatch):
     scenario = BASE.with_(error_rate=0.0)
-    untraced, writes = _run(scenario, monkeypatch)
-    traced, traced_writes = _run(scenario, monkeypatch, traced=True)
-    assert untraced.metrics.failures == []
+    folded, writes = _run(scenario, monkeypatch)
+    stepwise, stepwise_writes = _run(scenario, monkeypatch, fold=False)
+    assert folded.metrics.failures == []
     assert writes == 0
-    taken = untraced.checkpointer.checkpoints_taken
-    assert taken > 0 and traced_writes == taken
-    assert traced.checkpointer.checkpoints_taken == taken
+    taken = folded.checkpointer.checkpoints_taken
+    assert taken > 0 and stepwise_writes == taken
+    assert stepwise.checkpointer.checkpoints_taken == taken
     # Bit for bit: each checkpoint is its own float addition either way.
-    assert _checkpoint_times(untraced) == _checkpoint_times(traced)
-    assert untraced.summary() == traced.summary()
-    assert untraced.kv.used_bytes == 0.0
+    assert _checkpoint_times(folded) == _checkpoint_times(stepwise)
+    assert folded.summary() == stepwise.summary()
+    assert folded.kv.used_bytes == 0.0
 
 
-@pytest.mark.parametrize("error_rate", [0.0, 0.2])
-def test_only_read_segments_walk_their_chain(monkeypatch, error_rate):
-    """A segment nothing reads before its end completes in closed form,
-    without a walk over its states; a traced run walks every segment, for
-    its spans."""
-    scenario = BASE.with_(error_rate=error_rate)
+def _walks(scenario, monkeypatch) -> dict[bool, list[int]]:
+    """Plans made and plans walked, untraced and traced."""
     counts = {}
     for traced in (False, True):
         with monkeypatch.context() as patch:
             walks = _count_walks(patch)
             _run(scenario, monkeypatch, traced=traced)
         counts[traced] = walks
+    return counts
+
+
+@pytest.mark.parametrize("error_rate", [0.0, 0.2])
+def test_only_read_segments_walk_their_chain(monkeypatch, error_rate):
+    """A segment nothing reads before its end completes in closed form,
+    without a walk over its states; a traced run also walks those with
+    checkpoints left, for their spans (here every segment has some)."""
+    counts = _walks(BASE.with_(error_rate=error_rate), monkeypatch)
     (plans, walked), (traced_plans, traced_walked) = counts[False], counts[True]
     assert plans == traced_plans > 0
     assert traced_walked == traced_plans
@@ -108,6 +115,15 @@ def test_only_read_segments_walk_their_chain(monkeypatch, error_rate):
         assert 0 < walked < plans
     else:
         assert walked == 0
+
+
+def test_traced_clones_walk_only_what_readers_walk(monkeypatch):
+    """Clones take no checkpoints, so tracing walks no plan of theirs:
+    only the losers settled at completion and the killed ones are."""
+    counts = _walks(SCENARIOS["cloning"][0], monkeypatch)
+    (plans, walked), (traced_plans, traced_walked) = counts[False], counts[True]
+    assert plans == traced_plans > 0
+    assert 0 < traced_walked == walked < plans
 
 
 def test_next_checkpoint_id_matches_stepwise(monkeypatch):
@@ -177,11 +193,15 @@ LONG = WorkloadProfile(
 )
 
 
-def _killed_mid_segment(monkeypatch, *, traced: bool) -> tuple[dict, int]:
-    """Kill a lone folded attempt mid-segment; snapshot its checkpoint
-    chain and counters right after the kill settled it."""
+def _killed_mid_segment(
+    monkeypatch, *, traced: bool = False, fold: bool = True
+) -> tuple[dict, int]:
+    """Kill a lone attempt mid-segment; snapshot its checkpoint chain and
+    counters right after the kill settled it."""
     with monkeypatch.context() as patch:
-        writes = _count_writes(patch)
+        writes = _record_writes(patch)
+        if not fold:
+            _refuse_fold(patch)
         platform = CanaryPlatform(
             ScenarioConfig(num_nodes=1, strategy="canary"),
             seed=0,
@@ -194,7 +214,7 @@ def _killed_mid_segment(monkeypatch, *, traced: bool) -> tuple[dict, int]:
 
         def kill() -> None:
             (attempt,) = execution.live_attempts()
-            assert attempt.plan is not None
+            assert (attempt.plan is not None) == fold
             platform.controller.kill_container(attempt.container, "test")
             chain = platform.checkpointer._per_function[fid]
             seen.update(
@@ -208,16 +228,78 @@ def _killed_mid_segment(monkeypatch, *, traced: bool) -> tuple[dict, int]:
 
         platform.sim.call_at(12.3, kill)
         platform.run(until=12.3)
-    return seen, writes[0]
+    return seen, len(writes)
 
 
 def test_observer_writes_only_the_retained_checkpoints(monkeypatch):
-    untraced, writes = _killed_mid_segment(monkeypatch, traced=False)
+    untraced, writes = _killed_mid_segment(monkeypatch)
     traced, traced_writes = _killed_mid_segment(monkeypatch, traced=True)
-    assert untraced == traced
+    stepwise, stepwise_writes = _killed_mid_segment(monkeypatch, fold=False)
+    assert untraced == traced == stepwise
     assert all(untraced["stored"])
     assert untraced["kv_entries"] == len(untraced["chain"])
-    # The traced run writes every checkpoint; the untraced one only those
-    # its chain keeps.
-    assert traced_writes == traced["taken"] > len(traced["chain"])
-    assert writes == len(untraced["chain"])
+    # The stepwise run writes every checkpoint; the folded one, traced or
+    # not, only those its chain keeps.
+    assert stepwise_writes == stepwise["taken"] > len(stepwise["chain"])
+    assert writes == traced_writes == len(untraced["chain"])
+
+
+#: Runs without a fold-plan reader, with kills, and with node failures
+#: and a flush lag (``flush`` spans, lost checkpoints).
+OBSERVED = {
+    "failure-free": BASE.with_(error_rate=0.0),
+    "errors": BASE,
+    "node-failures-flush-lag": SCENARIOS["node-failures-flush-lag"][0],
+}
+
+
+def _observed(name: str, monkeypatch, *, fold=True, traced=False) -> dict:
+    """Scenario *name* run twice, once straight to its end and once
+    stepped through ``run(until=...)``: the ``router.write`` keys of each
+    run, after each ``run`` call the retained chains, KV entries,
+    checkpoints taken and charges, and at the end each function's charges
+    and next checkpoint id."""
+    seen: dict = {"writes": [], "steps": []}
+    for step_s in (None, 0.7):
+        with monkeypatch.context() as patch:
+            writes = _record_writes(patch)
+            if not fold:
+                _refuse_fold(patch)
+            platform = CanaryPlatform(
+                OBSERVED[name], seed=3, tracer=Tracer() if traced else None
+            )
+            platform.submit_batch()
+            until = 0.0
+            while platform.sim.pending:
+                if step_s is None:
+                    platform.run()
+                else:
+                    until += step_s
+                    platform.run(until=until)
+                chains = platform.checkpointer._per_function
+                seen["steps"].append((
+                    {fid: [(r.checkpoint_id, r.state_index, r.ref, r.created_at)
+                           for r in chain] for fid, chain in chains.items()},
+                    len(platform.kv),
+                    platform.checkpointer.checkpoints_taken,
+                    [e.checkpoint_time_s for e in _executions(platform)],
+                ))
+        seen["writes"].append(writes)
+    seen["ids"] = _checkpoint_times(platform)
+    return seen
+
+
+@pytest.mark.parametrize("name", list(OBSERVED))
+def test_traced_run_writes_what_untraced_writes(name, monkeypatch):
+    """A tracer only observes: it changes no write, chain, KV entry, id,
+    count or charge.  Both runs keep the stepwise run's chains."""
+    untraced = _observed(name, monkeypatch)
+    traced = _observed(name, monkeypatch, traced=True)
+    stepwise = _observed(name, monkeypatch, fold=False)
+    assert traced == untraced
+    assert untraced["steps"] == stepwise["steps"]
+    assert untraced["ids"] == stepwise["ids"]
+    # The stepwise run writes every checkpoint, the folded ones a subset.
+    for folded_keys, stepwise_keys in zip(untraced["writes"], stepwise["writes"]):
+        assert set(folded_keys) < set(stepwise_keys)
+    assert any(chains for chains, *_ in untraced["steps"])

@@ -1,6 +1,4 @@
-"""S39 placement-policy layer: equivalence, properties, purity."""
-
-from dataclasses import asdict
+"""S39 placement-policy layer: equivalence and properties."""
 
 import pytest
 
@@ -8,13 +6,11 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.topology import Topology
 from repro.common.types import RuntimeKind
 from repro.experiments.config import ScenarioConfig
-from repro.detection import BackoffPolicy, DetectionConfig
-from repro.experiments.runner import run_scenario, run_traffic
+from repro.experiments.runner import run_scenario
 from repro.faas.container import Container, ContainerPurpose
 from repro.faas.controller import FaaSController
 from repro.faas.runtimes import RuntimeRegistry
-from repro.faults.chaos import ChaosConfig
-from repro.network.config import NetworkModelConfig, get_network_preset
+from repro.network.config import NetworkModelConfig
 from repro.network.fabric import FlowNetwork
 from repro.policies import (
     DEFAULT_PLACEMENT,
@@ -30,10 +26,8 @@ from repro.policies import (
 from repro.replication.placement import ReplicaPlacer
 from repro.sim.engine import Simulator
 from repro.storage.tiers import TierRegistry
-from repro.traffic import PoissonArrivals, Tenant, TrafficConfig
 
 GB = 2**30
-NON_DEFAULT = [n for n in PLACEMENT_POLICIES if n != DEFAULT_PLACEMENT]
 
 
 def _attach(node, memory=GB, count=1):
@@ -442,59 +436,20 @@ class TestDefaultReplicaRule:
 
 
 # ----------------------------------------------------------------------
-# Purity: non-default policies are pure functions of the seed
+# End to end (the summary digests pin each policy's runs and repeats)
 # ----------------------------------------------------------------------
-def _policy_scenario(placement):
-    network = (
-        get_network_preset("10gbe") if placement == "contention" else None
-    )
-    return ScenarioConfig(
+def test_policies_actually_differ():
+    """The zoo is not six spellings of the same ranking."""
+    scenario = ScenarioConfig(
         workload="graph-bfs",
         strategy="canary",
         error_rate=0.15,
         num_functions=40,
         num_nodes=8,
-        network=network,
-        placement=placement,
     )
-
-
-def _zombie_traffic_scenario(placement):
-    """Open-loop traffic past a zombie, with the detector on."""
-    tenant = Tenant(
-        name="load",
-        arrivals=PoissonArrivals(rate_per_s=3.0),
-        workloads=("micro-python",),
-    )
-    return _policy_scenario(placement).with_(
-        workload="micro-python",
-        error_rate=0.05,
-        chaos=ChaosConfig(
-            zombies=1, zombie_window=(6.0, 7.0), zombie_kill_after_s=25.0
-        ),
-        detection=DetectionConfig(),
-        backoff=BackoffPolicy(),
-        traffic=TrafficConfig(tenants=(tenant,), duration_s=20.0),
-    )
-
-
-@pytest.mark.parametrize("placement", NON_DEFAULT)
-def test_policy_repeat_run_byte_identical(placement):
-    scenario = _policy_scenario(placement)
-    first = run_scenario(scenario, seed=7)
-    second = run_scenario(scenario, seed=7)
-    assert asdict(first) == asdict(second)
-    traffic = _zombie_traffic_scenario(placement)
-    first, second = (run_traffic(traffic, seed=7) for _ in range(2))
-    assert asdict(first.summary) == asdict(second.summary)
-    assert first.tenants == second.tenants
-
-
-def test_policies_actually_differ():
-    """The zoo is not six spellings of the same ranking."""
     makespans = {
         placement: run_scenario(
-            _policy_scenario(placement).with_(network=None), seed=11
+            scenario.with_(placement=placement), seed=11
         ).makespan_s
         for placement in PLACEMENT_POLICIES
     }

@@ -530,24 +530,24 @@ JITTERED = WorkloadProfile(
 
 
 def _count_walks(patch) -> list[int]:
-    """Count fold plans, and the plans some reader walked
-    (``FunctionExecution.materialise``), into the returned cells."""
+    """Count fold plans, and the plans walked (a ``FoldPlan.walk`` that
+    ran, not one only created), into the returned cells."""
     counts = [0, 0]
     walked: set = set()
-    init, materialise = FoldPlan.__init__, FunctionExecution.materialise
+    init, walk = FoldPlan.__init__, FoldPlan.walk
 
     def counted_init(self, *args) -> None:
         counts[0] += 1
         init(self, *args)
 
-    def counted_materialise(self, attempt, *args, **kwargs) -> None:
-        if attempt.plan not in walked:
-            walked.add(attempt.plan)
+    def counted_walk(self, *args):
+        if self not in walked:
+            walked.add(self)
             counts[1] += 1
-        materialise(self, attempt, *args, **kwargs)
+        yield from walk(self, *args)
 
     patch.setattr(FoldPlan, "__init__", counted_init)
-    patch.setattr(FunctionExecution, "materialise", counted_materialise)
+    patch.setattr(FoldPlan, "walk", counted_walk)
     return counts
 
 

@@ -211,6 +211,36 @@ CASES = {
     ),
 }
 
+#: Each non-default placement policy on a batch and on open-loop traffic
+#: past a zombie with the detector on (per-tenant rows compared too).
+#: ``contention-adaptive`` and ``least-loaded-zombie`` are the batch
+#: cases of the other two.  The contention cells run on 10gbe.
+POLICY_BATCH = BASE.with_(num_functions=40)
+ZOMBIE_TRAFFIC = POLICY_BATCH.with_(
+    workload="micro-python",
+    error_rate=0.05,
+    chaos=ChaosConfig(zombies=1, zombie_window=(6.0, 7.0), zombie_kill_after_s=25.0),
+    detection=DetectionConfig(),
+    backoff=BackoffPolicy(),
+    traffic=TrafficConfig(
+        tenants=(
+            Tenant(
+                name="load",
+                arrivals=PoissonArrivals(rate_per_s=3.0),
+                workloads=("micro-python",),
+            ),
+        ),
+        duration_s=20.0,
+    ),
+)
+for _placement in ("round-robin", "cost", "suspicion"):
+    CASES[f"{_placement}-batch"] = POLICY_BATCH.with_(placement=_placement)
+for _placement in ("round-robin", "least-loaded", "cost", "suspicion"):
+    CASES[f"{_placement}-zombie-traffic"] = ZOMBIE_TRAFFIC.with_(placement=_placement)
+CASES["contention-zombie-traffic"] = ZOMBIE_TRAFFIC.with_(
+    placement="contention", network=NETWORK_PRESETS["10gbe"]
+)
+
 PINS = {
     "baseline-canary": (
         "aad399d79cc5adaa404da904ded0164e"
@@ -279,6 +309,38 @@ PINS = {
     "launch-storm": (
         "2f7a6ebaef75183145b656989c954c84"
         "1e741a2479b02807a522129453b8e26f"
+    ),
+    "round-robin-batch": (
+        "0b05de33e7a0fa4b72338668b126af52"
+        "75075fe3c3156f7a400c74f6e24557fd"
+    ),
+    "cost-batch": (
+        "db094cb625bfb41bbc6fdc3b45c8ef54"
+        "762683c0c260758505087771863af2c9"
+    ),
+    "suspicion-batch": (
+        "c5b21c2f241d9ce48a7c804954be12ec"
+        "ce3be583167f379bda14e1f31ad91d5c"
+    ),
+    "round-robin-zombie-traffic": (
+        "c01d926a8c6d5ed30bceffb2b7e2ef7c"
+        "0f8817a12ca3a37610af99bfb0f0d6ed"
+    ),
+    "least-loaded-zombie-traffic": (
+        "64998b4d65f7af1a47cbf1cf5d6efb10"
+        "8b7b2e0e204599aef20621e0b0662ff6"
+    ),
+    "cost-zombie-traffic": (
+        "028bb3065e858f58071a9f27b79f606f"
+        "50fef3a018df18927808f06ada177a93"
+    ),
+    "suspicion-zombie-traffic": (
+        "006dede005353db6af474435e1c62c3e"
+        "c5ab984aba1038b3a50f7a654cfd965a"
+    ),
+    "contention-zombie-traffic": (
+        "b05ad5c0d90d0132f02e43545a35d399"
+        "fbe3a4aa27a5eca5551079ef65f8dbff"
     ),
 }
 
