@@ -180,7 +180,6 @@ def test_bench_runner_scaling(jobs):
         },
         "sweep": sweep,
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print()
     print(json.dumps(record, indent=2))
 
@@ -192,3 +191,5 @@ def test_bench_runner_scaling(jobs):
     if not SMOKE and cores >= 4:
         # The acceptance bar: a 4-core sweep must at least halve wall-clock.
         assert speedup >= 2.0, record["sweep"]
+    # Written only after the gates: a failing run records nothing.
+    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")

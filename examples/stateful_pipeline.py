@@ -63,9 +63,14 @@ def main() -> None:
         )
         assert ok, f"{fid}: recovery changed the result!"
 
+    restores = sum(
+        state is not None
+        for result in faulty.values()
+        for state in result.restored_states
+    )
     print(f"\nkills fired: {plan.kills_fired}; "
-          f"checkpoints saved: {executor.store.saves}; "
-          f"restores served: {executor.store.restores}")
+          f"checkpoints saved: {executor.checkpointer.checkpoints_taken}; "
+          f"restores served: {restores}")
     print("all results identical to the failure-free run ✔")
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import collections
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from repro.checkpoint.policy import CheckpointPolicy
 from repro.checkpoint.records import CheckpointRecord
@@ -130,16 +130,19 @@ class CheckpointingModule:
         now: float,
         node_id: Optional[str] = None,
         state_duration_s: float = 0.0,
+        payload: Any = None,
     ) -> tuple[CheckpointRecord, float]:
         """Checkpoint one completed state; return (record, time charged).
 
         The returned duration is :meth:`write_charge`.  *now* is the
         state's end, which is earlier than the clock when a folded state
         boundary is materialised; the spans count as recorded at *now*.
+        *payload* is what the router stores: the real executor's pickled
+        bytes, None in the simulator, which models sizes only.
         """
         record = self._commit(
             job_id, function_id, state_index, size_bytes, now, node_id,
-            state_duration_s,
+            state_duration_s, payload,
         )
         if self.flush_lag_s > 0 and node_id is not None:
             self._pending_flush[record.checkpoint_id] = (node_id, now + self.flush_lag_s)
@@ -237,7 +240,7 @@ class CheckpointingModule:
         """
         record = self._commit(
             job_id, function_id, state_index, size_bytes, now, node_id,
-            state_duration_s,
+            state_duration_s, None,
         )
 
         def _written() -> None:
@@ -281,6 +284,7 @@ class CheckpointingModule:
         now: float,
         node_id: Optional[str],
         state_duration_s: float,
+        payload: Any,
         /,
     ) -> CheckpointRecord:
         """Shared bookkeeping of Algorithm 1 (route, retain).
@@ -289,7 +293,7 @@ class CheckpointingModule:
         """
         checkpoint_id = self.ids.checkpoint_id(function_id)
         ref, _ = self.router.write(
-            checkpoint_id, None, size_bytes=size_bytes, node_id=node_id
+            checkpoint_id, payload, size_bytes=size_bytes, node_id=node_id
         )
         record = CheckpointRecord(
             checkpoint_id=checkpoint_id,

@@ -1,7 +1,7 @@
 """The local executor: real functions, real kills, real recovery.
 
 ``LocalExecutor.run_function`` drives one stateful function through as many
-attempts as it takes, applying either the retry semantics (discard
+attempts as it takes, applying either the retry semantics (take no
 checkpoints, restart from scratch) or the Canary semantics (keep
 checkpoints; the next attempt restores and resumes).  ``run_job`` fans a
 batch of functions across a thread pool — functions are independent, like
@@ -17,14 +17,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.checkpoint.module import CheckpointingModule
 from repro.common.errors import ReproError
-from repro.common.units import MiB
+from repro.core.ids import IdGenerator
 from repro.executor.context import CheckpointContext, FunctionKilled
-from repro.executor.store import RealCheckpointStore
+from repro.storage.kvstore import KeyValueStore
+from repro.storage.router import CheckpointStorageRouter
+from repro.storage.tiers import TierRegistry
 from repro.trace.tracer import NULL_TRACER, NullTracer
 
 #: A stateful function: receives the checkpoint context, returns its result.
 StatefulFunction = Callable[[CheckpointContext], Any]
+
+#: Safety bound on one function's recovery loop.
+MAX_ATTEMPTS = 50
 
 
 class FaultPlan:
@@ -107,13 +113,13 @@ class FunctionResult:
 class LocalExecutor:
     """Runs stateful functions with fault injection and recovery.
 
+    Checkpoints go through one :class:`CheckpointingModule`, built as the
+    simulated platform builds its own, behind one lock.
+
     Args:
         strategy: ``"canary"`` (checkpoint restore) or ``"retry"``
             (restart from scratch).
         fault_plan: Kill schedule; default none.
-        retention: Latest-n checkpoints kept per function.
-        db_limit_bytes: Per-key limit of the backing KV store.
-        max_attempts: Safety bound on recovery loops.
         max_workers: Thread-pool width for ``run_job``.
         tracer: Span tracer; pass :func:`repro.trace.wallclock_tracer` to
             record real invoke/exec spans (thread-safe).  Default: off.
@@ -124,9 +130,6 @@ class LocalExecutor:
         *,
         strategy: str = "canary",
         fault_plan: Optional[FaultPlan] = None,
-        retention: int = 3,
-        db_limit_bytes: float = 8 * MiB,
-        max_attempts: int = 50,
         max_workers: int = 4,
         tracer: Optional[NullTracer] = None,
     ) -> None:
@@ -134,14 +137,13 @@ class LocalExecutor:
             raise ValueError(
                 f"strategy must be 'canary' or 'retry', got {strategy!r}"
             )
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         self.strategy = strategy
         self.fault_plan = fault_plan or FaultPlan()
-        self.store = RealCheckpointStore(
-            retention=retention, db_limit_bytes=db_limit_bytes
+        self.checkpointer = CheckpointingModule(
+            CheckpointStorageRouter(KeyValueStore(), TierRegistry()),
+            IdGenerator(),
         )
-        self.max_attempts = max_attempts
+        self._lock = threading.Lock()
         self.max_workers = max_workers
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.set_clock(time.perf_counter)
@@ -165,19 +167,21 @@ class LocalExecutor:
         )
         while True:
             attempts += 1
-            if attempts > self.max_attempts:
+            if attempts > MAX_ATTEMPTS:
                 tracer.finish(
                     invoke_span, outcome="exhausted",
                     attempts=attempts - 1, kills=kills,
                 )
                 raise RuntimeError(
                     f"function {function_id} exceeded "
-                    f"{self.max_attempts} attempts"
+                    f"{MAX_ATTEMPTS} attempts"
                 )
             ctx = CheckpointContext(
                 function_id,
-                self.store,
+                self.checkpointer,
+                self._lock,
                 kill_hook=self.fault_plan.should_kill,
+                # Retry semantics: nothing survives the container.
                 checkpoints_enabled=self.strategy == "canary",
             )
             exec_span = tracer.begin(
@@ -197,9 +201,6 @@ class LocalExecutor:
                     state=exc.state_index,
                     restored_from=ctx.restored_from,
                 )
-                if self.strategy == "retry":
-                    # Retry semantics: nothing survives the container.
-                    self.store.drop(function_id)
                 continue
             except BaseException:
                 tracer.finish(exec_span, outcome="error")
@@ -213,7 +214,8 @@ class LocalExecutor:
                 exec_span, outcome="completed",
                 restored_from=ctx.restored_from,
             )
-            self.store.drop(function_id)  # function done; free checkpoints
+            with self._lock:  # function done; free checkpoints
+                self.checkpointer.drop_function(function_id)
             tracer.finish(
                 invoke_span, outcome="completed",
                 attempts=attempts, kills=kills,

@@ -6,9 +6,11 @@ Algorithm 1) in *replicated caching mode* with native persistence, so
 every entry is available cluster-wide and no node failure loses one.  The
 store never fills: only the per-key limit sends a payload elsewhere.
 
-Values may be arbitrary Python payloads (real checkpoint bytes in the local
-executor) or pure metadata with a declared ``size_bytes`` (the simulator
-never materializes 98 MB of ResNet weights).
+Values may be real payloads (the local executor's pickled checkpoint bytes)
+or pure metadata with a declared ``size_bytes`` (the simulator never
+materializes 98 MB of ResNet weights).  Both backends reach the store
+through the same Checkpointing Module and router, with the same default
+per-key limit.
 """
 
 from __future__ import annotations

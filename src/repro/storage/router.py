@@ -5,8 +5,11 @@ KV per-key limit go to the KV store; larger payloads go to the fastest spill
 tier that is not browned out (``ckpt_data -> disk``) and only a *reference*
 is recorded.  No store or tier fills up, so where a payload lands depends
 only on its size, the brownout state and the router's settings.  The
-router also answers "how long does writing/reading this checkpoint take",
-which the simulator charges as ``ckp_i`` and part of ``t_res``.
+router holds a spilled payload beside its ref, in place of the tier, and
+``read`` returns an inline or a spilled payload (the real executor's
+bytes; None in the simulator, which stores sizes only).  The router also
+answers "how long does writing/reading this checkpoint take", which the
+simulator charges as ``ckp_i`` and part of ``t_res``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ class CheckpointStorageRouter:
         self.tiers = tiers
         self.require_shared_spill = require_shared_spill
         self.custom_endpoint = custom_endpoint
-        self._spilled: dict[str, StoredObjectRef] = {}
+        # key -> (ref, payload) of each spilled checkpoint still held.
+        self._spilled: dict[str, tuple[StoredObjectRef, Any]] = {}
 
     @property
     def custom_endpoint(self) -> Optional[str]:
@@ -109,7 +113,7 @@ class CheckpointStorageRouter:
             ref = StoredObjectRef(key, "kv", size_bytes, node_id)
             return ref, self.tiers.write_seconds(tier, size_bytes)
         ref = StoredObjectRef(key, tier.name, size_bytes, node_id)
-        self._spilled[key] = ref
+        self._spilled[key] = (ref, payload)
         # Only the (name, location) pair goes to the KV store/database.
         self.kv.put(
             key,
@@ -126,6 +130,15 @@ class CheckpointStorageRouter:
         return self.tiers.read_seconds(
             self.tiers.get(ref.tier_name), ref.size_bytes
         )
+
+    def read(self, ref: StoredObjectRef) -> Any:
+        """The payload stored behind *ref*; KeyError once it is gone."""
+        if ref.inline:
+            entry = self.kv.get(ref.key)
+            if entry is None:
+                raise KeyError(ref.key)
+            return entry.value
+        return self._spilled[ref.key][1]
 
     def delete(self, ref: StoredObjectRef) -> None:
         """Drop a stored payload (checkpoint retention eviction)."""
@@ -144,7 +157,7 @@ class CheckpointStorageRouter:
         back to an older surviving checkpoint or a full restart).
         """
         lost: list[str] = []
-        for key, ref in list(self._spilled.items()):
+        for key, (ref, _) in list(self._spilled.items()):
             tier = self.tiers.get(ref.tier_name)
             if not tier.survives_node_failure and ref.node_id == node_id:
                 del self._spilled[key]

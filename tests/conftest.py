@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.checkpoint.module import CheckpointingModule
 from repro.common.types import RuntimeKind
 from repro.common.units import KiB, mb
 from repro.core.canary import CanaryPlatform
+from repro.core.ids import IdGenerator
 from repro.core.jobs import JobRequest
 from repro.core.scenario import ScenarioConfig
+from repro.storage.kvstore import KeyValueStore
+from repro.storage.router import CheckpointStorageRouter
+from repro.storage.tiers import TierRegistry
 from repro.workloads.profiles import WorkloadProfile
 
 #: A tiny deterministic workload: 4 states x 2 s, no jitter, small ckpts.
@@ -53,6 +58,15 @@ def build_platform(*, seed: int = 0, **kwargs) -> CanaryPlatform:
     :class:`ScenarioConfig` fields."""
     kwargs.setdefault("num_nodes", 4)
     return CanaryPlatform(ScenarioConfig(**kwargs), seed=seed)
+
+
+def build_checkpointer(**kv_kwargs) -> CheckpointingModule:
+    """A Checkpointing Module built as the local executor builds its own;
+    *kv_kwargs* go to its :class:`KeyValueStore` (``db_limit_bytes``)."""
+    return CheckpointingModule(
+        CheckpointStorageRouter(KeyValueStore(**kv_kwargs), TierRegistry()),
+        IdGenerator(),
+    )
 
 
 def run_tiny_job(

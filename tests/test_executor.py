@@ -1,11 +1,28 @@
-"""Tests for the real local executor: store, context, recovery semantics."""
+"""Tests for the real local executor: checkpoint context, recovery semantics
+and the Checkpointing Module's Algorithm 1 measured on the real workloads."""
+
+import collections
+import pickle
+import threading
 
 import pytest
 
+from repro.checkpoint.module import CheckpointingModule
 from repro.common.units import KiB
 from repro.executor.context import CheckpointContext
 from repro.executor.local import FaultPlan, JobExecutionError, LocalExecutor
-from repro.executor.store import RealCheckpointStore
+from repro.workloads.compression import make_compression
+from repro.workloads.dl import make_dl_training
+from repro.workloads.graph_bfs import make_bfs
+from repro.workloads.spark_mining import make_diversity_job
+from repro.workloads.webservice import make_web_service
+from tests.conftest import build_checkpointer
+
+
+def make_context(function_id="f1", **kv_kwargs):
+    module = build_checkpointer(**kv_kwargs)
+    lock = threading.Lock()
+    return CheckpointContext(function_id, module, lock), module, lock
 
 
 def counting_function(n_states=5, log=None):
@@ -30,47 +47,57 @@ def counting_function(n_states=5, log=None):
 
 
 class TestRealCheckpointStore:
+    """The executor's checkpoint store: a context over the module."""
+
     def test_save_restore_roundtrip(self):
-        store = RealCheckpointStore()
-        store.save("f1", 0, {"x": [1, 2, 3]})
-        state, payload = store.restore("f1")
+        ctx, _, _ = make_context()
+        ctx.save(0, {"x": [1, 2, 3]})
+        state, payload = ctx.restore()
         assert state == 0
         assert payload == {"x": [1, 2, 3]}
+        assert ctx.restored_from == 0
 
     def test_restore_returns_latest(self):
-        store = RealCheckpointStore()
+        ctx, _, _ = make_context()
         for i in range(4):
-            store.save("f1", i, i * 10)
-        state, payload = store.restore("f1")
+            ctx.save(i, i * 10)
+        state, payload = ctx.restore()
         assert (state, payload) == (3, 30)
 
     def test_retention_evicts_oldest(self):
-        store = RealCheckpointStore(retention=2)
+        ctx, module, _ = make_context()
         for i in range(5):
-            store.save("f1", i, i)
-        assert store.chain_length("f1") == 2
+            ctx.save(i, i)
+        assert module.chain_length("f1") == 3
+        assert [r.state_index for r in module._per_function["f1"]] == [2, 3, 4]
 
     def test_restore_unknown_function(self):
-        assert RealCheckpointStore().restore("ghost") is None
+        ctx, _, _ = make_context("ghost")
+        assert ctx.restore() is None
+        assert ctx.restored_from is None
 
     def test_drop(self):
-        store = RealCheckpointStore()
-        store.save("f1", 0, "x")
-        store.drop("f1")
-        assert store.restore("f1") is None
-        assert store.kv.used_bytes == 0.0
+        ctx, module, lock = make_context(db_limit_bytes=1 * KiB)
+        ctx.save(0, "x")
+        ctx.save(1, list(range(10_000)))
+        assert module.router._spilled
+        with lock:
+            module.drop_function("f1")
+        assert ctx.restore() is None
+        assert module.router.kv.used_bytes == 0.0
+        assert not module.router._spilled
 
     def test_large_payload_spills(self):
-        store = RealCheckpointStore(db_limit_bytes=1 * KiB)
+        ctx, module, _ = make_context(db_limit_bytes=1 * KiB)
         blob = list(range(10_000))
-        store.save("f1", 0, blob)
-        assert store.spilled == 1
-        state, payload = store.restore("f1")
-        assert payload == blob
-
-    def test_invalid_retention(self):
-        with pytest.raises(ValueError):
-            RealCheckpointStore(retention=0)
+        ctx.save(0, blob)
+        record = module.latest("f1")
+        assert not record.ref.inline
+        assert module.router.read(record.ref) == pickle.dumps(
+            blob, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        state, payload = ctx.restore()
+        assert (state, payload) == (0, blob)
 
 
 class TestFaultPlan:
@@ -151,7 +178,9 @@ class TestLocalExecutorCanary:
     def test_checkpoints_dropped_after_completion(self):
         executor = LocalExecutor(strategy="canary")
         executor.run_function("f1", counting_function())
-        assert executor.store.restore("f1") is None
+        assert executor.checkpointer.checkpoints_taken == 5
+        assert executor.checkpointer.latest("f1") is None
+        assert executor.checkpointer.router.kv.used_bytes == 0.0
 
 
 class TestLocalExecutorRetry:
@@ -183,7 +212,7 @@ class TestLocalExecutorMisc:
         with pytest.raises(ValueError):
             LocalExecutor(strategy="bogus")
 
-    def test_max_attempts_guard(self):
+    def test_max_attempts_guard(self, monkeypatch):
         def always_dies(ctx):
             ctx.guard(0)
             return "unreachable"
@@ -194,9 +223,10 @@ class TestLocalExecutorMisc:
             def should_kill(self, function_id, state_index):
                 return True
 
-        executor = LocalExecutor(strategy="canary", max_attempts=3)
+        monkeypatch.setattr("repro.executor.local.MAX_ATTEMPTS", 3)
+        executor = LocalExecutor(strategy="canary")
         executor.fault_plan = KillForever()
-        with pytest.raises(RuntimeError, match="exceeded"):
+        with pytest.raises(RuntimeError, match="exceeded 3 attempts"):
             executor.run_function("f1", always_dies)
 
     def test_run_job_threads(self):
@@ -286,3 +316,108 @@ class TestRunJobPartialFailure:
         error = excinfo.value
         assert set(error.failures) == {"a", "c"}
         assert set(error.results) == {"b"}
+
+
+#: The five real workloads at seven checkpointed states each.  On a 1 KiB
+#: KV limit, compression and webservice payloads stay inline, dl spills
+#: from its first epoch, and graph_bfs and spark_mining cross mid-run.
+ALGORITHM1_WORKLOADS = {
+    "compression": lambda: make_compression(num_files=7, file_size_bytes=4096),
+    "dl": lambda: make_dl_training(epochs=7, dim=160, samples=32),
+    "graph_bfs": lambda: make_bfs(num_vertices=1 << 10, checkpoint_every=128),
+    "spark_mining": lambda: make_diversity_job(num_counties=280, partitions=7),
+    "webservice": lambda: make_web_service(requests=7, queries_per_request=5),
+}
+
+#: (workload, strategy, kill at, restored state, states run again,
+#:  checkpoints taken, chain length at the kill, newest payload spilled)
+ALGORITHM1_ROWS = [
+    ("compression", "canary", 1, 0, [1], 7, 1, False),
+    ("compression", "canary", 3, 2, [3], 7, 3, False),
+    ("compression", "canary", 5, 4, [5], 7, 3, False),
+    ("dl", "canary", 1, 0, [1], 7, 1, True),
+    ("dl", "canary", 3, 2, [3], 7, 2, True),
+    ("dl", "canary", 5, 4, [5], 7, 2, True),
+    ("graph_bfs", "canary", 1, 0, [1], 7, 1, False),
+    ("graph_bfs", "canary", 3, 2, [3], 7, 2, True),
+    ("graph_bfs", "canary", 5, 4, [5], 7, 2, True),
+    ("spark_mining", "canary", 1, 0, [1], 7, 1, False),
+    ("spark_mining", "canary", 3, 2, [3], 7, 2, True),
+    ("spark_mining", "canary", 5, 4, [5], 7, 2, True),
+    ("webservice", "canary", 1, 0, [1], 7, 1, False),
+    ("webservice", "canary", 3, 2, [3], 7, 3, False),
+    ("webservice", "canary", 5, 4, [5], 7, 3, False),
+] + [
+    (workload, "retry", kill, None, list(range(kill + 1)), 0, 0, False)
+    for workload in ALGORITHM1_WORKLOADS
+    for kill in (1, 3, 5)
+]
+
+
+class KillRecorder(FaultPlan):
+    """One kill of function ``f``; logs every consulted state boundary and,
+    at the kill, what the Checkpointing Module holds."""
+
+    def __init__(self, kill_at: int, checkpointer: CheckpointingModule):
+        super().__init__({"f": [kill_at]})
+        self.checkpointer = checkpointer
+        self.visits: collections.Counter[int] = collections.Counter()
+        self.taken = self.chain = self.spilled = None
+
+    def should_kill(self, function_id, state_index):
+        self.visits[state_index] += 1
+        killed = super().should_kill(function_id, state_index)
+        if killed:
+            self.taken = self.checkpointer.checkpoints_taken
+            self.chain = self.checkpointer.chain_length(function_id)
+            newest = self.checkpointer.latest(function_id)
+            self.spilled = newest is not None and not newest.ref.inline
+        return killed
+
+
+def run_killed_once(workload, strategy, kill_at, *, interval=None):
+    executor = LocalExecutor(strategy=strategy)
+    executor.checkpointer = module = build_checkpointer(db_limit_bytes=1 * KiB)
+    if interval is not None:
+        module.set_interval("f", interval)
+    plan = executor.fault_plan = KillRecorder(kill_at, module)
+    result = executor.run_function("f", ALGORITHM1_WORKLOADS[workload]())
+    run_again = sorted(s for s, n in plan.visits.items() if n > 1)
+    return result, run_again, plan
+
+
+class TestAlgorithm1OnRealWorkloads:
+    """Cadence, latest-n depth and spill routing of the one Checkpointing
+    Module, measured as integers on the real workload code: the depth is 3
+    for an inline payload and 2 for a spilled one (the executor passes no
+    state period, so the module's 1 s default holds)."""
+
+    @pytest.mark.parametrize(
+        "workload,strategy,kill_at,restored,run_again,taken,chain,spilled",
+        ALGORITHM1_ROWS,
+        ids=[f"{row[0]}-{row[1]}-kill{row[2]}" for row in ALGORITHM1_ROWS],
+    )
+    def test_kill_once(
+        self, workload, strategy, kill_at, restored, run_again, taken,
+        chain, spilled,
+    ):
+        result, measured_again, plan = run_killed_once(
+            workload, strategy, kill_at
+        )
+        assert result.kills == 1
+        assert result.restored_states == [None, restored]
+        assert measured_again == run_again
+        assert plan.checkpointer.checkpoints_taken == taken
+        assert (plan.chain, plan.spilled) == (chain, spilled)
+        # Latest-n at the kill: min(saves so far, depth of the newest).
+        assert plan.chain == min(plan.taken, 2 if plan.spilled else 3)
+
+    def test_interval_two(self):
+        # Checkpoints after epochs 1 and 3 before the kill at 5, then 5.
+        result, run_again, plan = run_killed_once(
+            "dl", "canary", 5, interval=2
+        )
+        assert result.restored_states == [None, 3]
+        assert run_again == [4, 5]
+        assert plan.checkpointer.checkpoints_taken == 3
+        assert (plan.taken, plan.chain, plan.spilled) == (2, 2, True)

@@ -72,7 +72,7 @@ class TestWordcount:
 
         executor = LocalExecutor(strategy="canary")
         executor.run_function("m", make_mapper(docs, chunk_size=2))
-        assert executor.store.saves == 4  # 8 docs / 2 per chunk
+        assert executor.checkpointer.checkpoints_taken == 4  # 8 docs / 2 per chunk
 
     def test_reducer_resumes_mid_fold(self):
         intermediate = [{"a": 1}, {"a": 2, "b": 1}, {"b": 3}]

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.errors import StorageCapacityError
+from repro.checkpoint.module import CheckpointingModule
 from repro.common.units import GiB, KiB, MiB, mb
+from repro.core.ids import IdGenerator
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.router import CheckpointStorageRouter
 from repro.storage.tiers import DEFAULT_TIERS, StorageTier, TierRegistry
@@ -197,6 +199,43 @@ class TestCheckpointStorageRouter:
         lost = router.on_node_failure("node-00")
         assert "big" in lost
         assert not router.is_available(ref)
+
+    def test_read_returns_inline_and_spilled_payloads(self):
+        router, _ = self.make()
+        small, _ = router.write("s", b"inline", size_bytes=1 * MiB)
+        big, _ = router.write("b", b"spilled", size_bytes=200 * MiB)
+        assert small.inline and not big.inline
+        assert router.read(small) == b"inline"
+        assert router.read(big) == b"spilled"
+
+    def test_read_after_retention_eviction_fails(self):
+        router, _ = self.make()
+        module = CheckpointingModule(router, IdGenerator())
+        refs = [
+            module.record_state(
+                job_id="j", function_id="f", state_index=i,
+                size_bytes=size, serialize_overhead_s=0.0, now=float(i),
+                payload=i,
+            )[0].ref
+            for i, size in enumerate([1 * MiB] * 4 + [200 * MiB] * 3)
+        ]
+        # Inline depth 3, spilled depth 2: only the last two survive.
+        for ref in refs[:5]:
+            with pytest.raises(KeyError):
+                router.read(ref)
+        assert [router.read(ref) for ref in refs[5:]] == [5, 6]
+        assert len(router._spilled) == 2
+
+    def test_read_after_node_loss_fails(self):
+        router, _ = self.make()
+        ref, _ = router.write(
+            "big", b"payload", size_bytes=200 * MiB, node_id="node-00"
+        )
+        assert not router.tiers.get(ref.tier_name).survives_node_failure
+        assert router.read(ref) == b"payload"
+        router.on_node_failure("node-00")
+        with pytest.raises(KeyError):
+            router.read(ref)
 
     def test_node_failure_preserves_shared_spills(self):
         router, _ = self.make(require_shared_spill=True)

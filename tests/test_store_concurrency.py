@@ -1,38 +1,50 @@
-"""Concurrency stress tests: RealCheckpointStore hammered from many threads.
+"""Concurrency stress tests: the executor's checkpoint path hammered from
+many threads.
 
 The simulated platform is single-threaded, but the real executor is not:
-``run_job`` drives save/restore/drop from a thread pool while the fault
-plan injects kills at state boundaries.  These tests exist to catch lock
-regressions (lost updates, broken chains, leaked KV bytes) that the
-single-threaded tests can never see.
+``run_job`` drives save/restore/drop through one Checkpointing Module and
+its lock from a thread pool while the fault plan injects kills at state
+boundaries.  These tests exist to catch lock regressions (lost updates,
+broken chains, leaked KV bytes) that the single-threaded tests can never
+see.
 """
 
+import sys
 import threading
 
 from repro.common.units import KiB
 from repro.executor.context import CheckpointContext
 from repro.executor.local import FaultPlan, LocalExecutor
-from repro.executor.store import RealCheckpointStore
+from tests.conftest import build_checkpointer
 
 N_THREADS = 8
 N_ROUNDS = 60
+#: The module's latest-n depth at the executor's 1 s state period: 3 for
+#: an inline payload, 2 for a spilled one.
+INLINE_DEPTH = 3
+SPILLED_DEPTH = 2
 
 
 class TestStoreThreadHammer:
     def test_save_restore_drop_hammer(self):
         """Many threads share few function ids; invariants must hold."""
-        store = RealCheckpointStore(retention=2, db_limit_bytes=4 * KiB)
+        module = build_checkpointer(db_limit_bytes=4 * KiB)
+        lock = threading.Lock()
         barrier = threading.Barrier(N_THREADS)
         errors: list[BaseException] = []
 
         def worker(tid: int) -> None:
             fid = f"fn-{tid % 4}"  # deliberate cross-thread sharing
+            ctx = CheckpointContext(fid, module, lock)
             try:
                 barrier.wait()
                 for i in range(N_ROUNDS):
-                    payload = [tid] * (8 + (i % 50) * 16)
-                    store.save(fid, i, payload)
-                    restored = store.restore(fid)
+                    # 1.6 KB to 7.9 KB pickled: both sides of the 4 KiB limit.
+                    payload = [tid] * (800 + (i % 50) * 64)
+                    ctx.save(i, payload)
+                    with lock:
+                        assert module.chain_length(fid) <= INLINE_DEPTH
+                    restored = ctx.restore()
                     # Another thread may drop between save and restore;
                     # what we must never see is a torn record.
                     if restored is not None:
@@ -40,7 +52,8 @@ class TestStoreThreadHammer:
                         assert isinstance(state, int)
                         assert isinstance(value, list) and len(set(value)) == 1
                     if i % 15 == 14:
-                        store.drop(fid)
+                        with lock:
+                            module.drop_function(fid)
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -48,31 +61,45 @@ class TestStoreThreadHammer:
             threading.Thread(target=worker, args=(tid,))
             for tid in range(N_THREADS)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        # Switch threads as often as the interpreter allows, so a missing
+        # lock around a check-then-act shows up as a lost update.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
+        assert module.checkpoints_taken == N_THREADS * N_ROUNDS
         for tid in range(4):
-            assert store.chain_length(f"fn-{tid}") <= store.retention
+            assert module.chain_length(f"fn-{tid}") <= INLINE_DEPTH
         # Dropping everything must return the KV store to empty: a leak
         # here means save/drop raced and orphaned an entry.
         for tid in range(4):
-            store.drop(f"fn-{tid}")
-        assert store.kv.used_bytes == 0.0
-        assert not store._spill
+            module.drop_function(f"fn-{tid}")
+        assert module.router.kv.used_bytes == 0.0
+        assert not module.router._spilled
 
     def test_spill_path_under_contention(self):
         """Oversized payloads spill; concurrent restores must see them."""
-        store = RealCheckpointStore(retention=1, db_limit_bytes=1 * KiB)
+        module = build_checkpointer(db_limit_bytes=1 * KiB)
+        lock = threading.Lock()
         errors: list[BaseException] = []
 
         def worker(tid: int) -> None:
             fid = f"big-{tid}"
+            ctx = CheckpointContext(fid, module, lock)
             try:
                 for i in range(20):
-                    store.save(fid, i, list(range(2_000)))
-                    state, payload = store.restore(fid)
+                    ctx.save(i, list(range(2_000)))
+                    with lock:
+                        assert not module.latest(fid).ref.inline
+                    state, payload = ctx.restore()
+                    assert state == i
                     assert payload == list(range(2_000))
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
@@ -85,7 +112,10 @@ class TestStoreThreadHammer:
         for thread in threads:
             thread.join()
         assert not errors, errors
-        assert store.spilled >= 6 * 20
+        assert module.checkpoints_taken == 6 * 20
+        for tid in range(6):
+            assert module.chain_length(f"big-{tid}") == SPILLED_DEPTH
+        assert len(module.router._spilled) == 6 * SPILLED_DEPTH
 
 
 class TestExecutorChaos:
@@ -122,4 +152,5 @@ class TestExecutorChaos:
         assert plan.pending_kills() == {}
         assert plan.kills_fired == sum(len(v) for v in kills.values())
         # Completed functions dropped their chains.
-        assert executor.store.kv.used_bytes == 0.0
+        assert executor.checkpointer.router.kv.used_bytes == 0.0
+        assert not executor.checkpointer.router._spilled

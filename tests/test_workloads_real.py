@@ -84,7 +84,7 @@ class TestCompression:
         executor = LocalExecutor(strategy="canary")
         executor.run_function("f", make_compression(num_files=4))
         # One checkpoint per file, dropped at completion.
-        assert executor.store.saves == 4
+        assert executor.checkpointer.checkpoints_taken == 4
 
 
 class TestGraphBFS:
@@ -147,7 +147,7 @@ class TestSparkMining:
     def test_partition_checkpoint_cadence(self):
         executor = LocalExecutor(strategy="canary")
         executor.run_function("f", make_diversity_job(partitions=6))
-        assert executor.store.saves == 6
+        assert executor.checkpointer.checkpoints_taken == 6
 
 
 class TestWebService:
