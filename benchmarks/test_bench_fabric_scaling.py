@@ -9,8 +9,8 @@ water-filling work it actually performed.  The numbers land in
 
 Two traffic patterns bound the design space:
 
-* ``rack-local`` — node-to-node transfers inside a rack (replication
-  state copies between rack neighbours).  Contention components stay
+* ``rack-local`` — node-to-node transfers between rack neighbours
+  (``FlowNetwork.transfer``).  Contention components stay
   rack-sized, so even a full water-fill touches a small fraction of the
   active flows.
 * ``cross-rack`` — every flow traverses the shared core, welding all

@@ -35,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the job or the S40 adaptive controller sets an interval.
 DEFAULT_INTERVAL = 1
 
+#: Most retention depths memoised at once: the real executor passes each
+#: payload's pickled length, so its memo starts over when full.
+DEPTH_MEMO_ENTRIES = 64
+
 
 class CheckpointingModule:
     """Stores, retains, and restores function checkpoints."""
@@ -360,6 +364,8 @@ class CheckpointingModule:
         key = (size_bytes, state_period_s, db_limit)
         depth = self._target_n.get(key)
         if depth is None:
+            if len(self._target_n) >= DEPTH_MEMO_ENTRIES:
+                self._target_n.clear()
             depth = self._target_n[key] = self.policy.retention.target_n(
                 checkpoint_size_bytes=size_bytes,
                 state_period_s=state_period_s,

@@ -37,7 +37,8 @@ class Node:
         self.cordoned = False
         #: gray-failure state (chaos layer): a zombie node accepts
         #: placements but never completes them; ``chaos_speed_factor``
-        #: multiplies the effective speed during a straggler window.
+        #: multiplies the effective speed: the product of the slowdowns of
+        #: its active straggler windows, exactly 1.0 outside them.
         self.zombie = False
         self.chaos_speed_factor = 1.0
         self.containers: dict[str, "Container"] = {}

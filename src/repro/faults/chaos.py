@@ -32,10 +32,15 @@ Archetypes:
 * **Tier brownout** — a storage tier inflates latency or refuses I/O for a
   window; writes spill to the next healthy tier and restores back off.
 
-Partitioned NICs, link brownouts and WAN flaps cut links through one path.
-Cuts of one link may overlap and compose as straggler windows do: the link
-runs at its configured capacity times the factors of its active cuts, and
-gets exactly its configured capacity back when the last one ends.
+Every archetype but the zombie opens timed windows through one start/end
+path and one table.  A window degrades targets: node speed (straggler),
+link capacity (partitioned NICs, link brownouts, WAN flaps), tier latency
+and refusal (tier brownouts) and a node's heartbeats (partition).  Windows
+on one target may overlap: it runs at its configured value times the
+factors of its active windows, multiplied in start order, and gets exactly
+its configured value back when the last one ends.  A tier refuses while
+any refuse window is active, and a node's beats are dropped while any of
+its partitions is.
 """
 
 from __future__ import annotations
@@ -185,12 +190,13 @@ class ChaosInjector:
         #: node_id -> onset time of a gray fault (zombie), consumed by the
         #: detection module for latency accounting.
         self.gray_onset: dict[str, float] = {}
-        self._partitioned: dict[str, float] = {}
-        #: link name -> (configured capacity, {cut key: factor} of its
-        #: active cuts in start order); a link leaves once no cut is active.
-        #: Only cuts change link capacity, so a link's first cut reads its
-        #: configured value.
-        self._cuts: dict[str, tuple[float, dict[object, float]]] = {}
+        #: (kind, name) -> (configured value, {window: factor} of its
+        #: active windows in start order); a target leaves once no window
+        #: is active.  Kinds: ``speed`` (node), ``link``, ``tier`` (latency
+        #: multiplier), ``refuse`` (tier) and ``heartbeat`` (node).
+        self._windows: dict[
+            tuple[str, str], tuple[float, dict[object, float]]
+        ] = {}
         self._zombie_kill_handles: dict[str, "EventHandle"] = {}
         self._scheduled = False
         self.cluster.on_node_failure(self._on_node_death)
@@ -269,37 +275,6 @@ class ChaosInjector:
             detection.unfold(node)
 
     # ------------------------------------------------------------------
-    # Stragglers
-    # ------------------------------------------------------------------
-    def _start_straggle(self, node: "Node") -> None:
-        if not node.alive or node.zombie:
-            return
-        cfg = self.config
-        self.platform.unfold(node=node)
-        node.chaos_speed_factor *= cfg.straggler_slowdown
-        self.degraded_window_s += cfg.straggler_duration_s
-        self.tracer.instant(
-            "chaos",
-            f"straggler:{node.node_id}",
-            duration=cfg.straggler_duration_s,
-            node=node.node_id,
-            slowdown=cfg.straggler_slowdown,
-        )
-        self.sim.call_in(
-            cfg.straggler_duration_s,
-            lambda: self._end_straggle(node),
-            label="chaos-straggler-end",
-        )
-
-    def _end_straggle(self, node: "Node") -> None:
-        self.platform.unfold(node=node)
-        node.chaos_speed_factor /= self.config.straggler_slowdown
-        # Overlapping windows compose multiplicatively; snap the residue so
-        # a fully-recovered node scales durations exactly as before.
-        if abs(node.chaos_speed_factor - 1.0) < 1e-12:
-            node.chaos_speed_factor = 1.0
-
-    # ------------------------------------------------------------------
     # Zombies
     # ------------------------------------------------------------------
     def _start_zombie(self, node: "Node") -> None:
@@ -337,101 +312,129 @@ class ChaosInjector:
             handle.cancel()
 
     # ------------------------------------------------------------------
-    # Partitions
+    # The window table
     # ------------------------------------------------------------------
-    def _start_partition(self, node: "Node") -> None:
-        if not node.alive or node.node_id in self._partitioned:
+    def _window(self, targets: tuple, duration: float, end_label: str) -> None:
+        """Open one window over *targets* (``(kind, name, factor)``) and
+        close it *duration* seconds later."""
+        window = object()
+        self._toggle(window, targets, True)
+        self.degraded_window_s += duration
+        self.sim.call_in(
+            duration, lambda: self._toggle(window, targets, False),
+            label=end_label,
+        )
+
+    def _toggle(self, window: object, targets: tuple, opening: bool) -> None:
+        """Add *window* to (or drop it from) each target's active windows,
+        then set every target to its configured value times the factors
+        of its active windows, multiplied in start order."""
+        values = []
+        for kind, name, factor in targets:
+            key = (kind, name)
+            if opening:
+                if key not in self._windows:
+                    self._windows[key] = (self._configured(kind, name), {})
+                value, active = self._windows[key]
+                active[window] = factor
+            else:
+                value, active = self._windows[key]
+                del active[window]
+                if not active:
+                    # The last window ended: exactly the configured value.
+                    del self._windows[key]
+            for active_factor in active.values():
+                value *= active_factor
+            values.append(value)
+        for (kind, name, _), value in zip(targets, values):
+            self._apply(kind, name, value)
+
+    def _configured(self, kind: str, name: str) -> float:
+        """A target's value while no window is active (read at its first)."""
+        if kind == "link":
+            return self.network.links[name].bandwidth
+        if kind == "speed":
+            return self.cluster.node(name).chaos_speed_factor
+        return 1.0
+
+    def _apply(self, kind: str, name: str, value: float) -> None:
+        """Set a target, first unfolding what a fold plan read of it (a
+        blocked node never folds); ``heartbeat`` and ``refuse`` are read
+        from the table itself."""
+        if kind == "speed":
+            node = self.cluster.node(name)
+            self.platform.unfold(node=node)
+            node.chaos_speed_factor = value
+        elif kind == "link":
+            self.network.set_link_capacity(name, value)
+        elif kind == "tier":
+            self.platform.unfold()
+            self.tiers.set_brownout(
+                name,
+                refuse=("refuse", name) in self._windows,
+                latency_multiplier=value,
+            )
+        elif kind == "heartbeat":
+            self._unfold_beats(self.cluster.node(name))
+
+    def heartbeat_blocked(self, node_id: str) -> bool:
+        """True while *node_id* has an active partition window."""
+        return ("heartbeat", node_id) in self._windows
+
+    # ------------------------------------------------------------------
+    # Windows: stragglers, partitions, link brownouts, WAN flaps, tiers
+    # ------------------------------------------------------------------
+    def _start_straggle(self, node: "Node") -> None:
+        if not node.alive or node.zombie:
             return
-        self._unfold_beats(node)
+        cfg = self.config
+        self._window(
+            (("speed", node.node_id, cfg.straggler_slowdown),),
+            cfg.straggler_duration_s, "chaos-straggler-end",
+        )
+        self.tracer.instant(
+            "chaos",
+            f"straggler:{node.node_id}",
+            duration=cfg.straggler_duration_s,
+            node=node.node_id,
+            slowdown=cfg.straggler_slowdown,
+        )
+
+    def _start_partition(self, node: "Node") -> None:
+        if not node.alive:
+            return
         cfg = self.config
         node_id = node.node_id
-        self._partitioned[node_id] = self.sim.now + cfg.partition_duration_s
-        self.degraded_window_s += cfg.partition_duration_s
+        # The beats first: they are unfolded before the NICs are cut.
+        targets = (("heartbeat", node_id, 1.0),) + tuple(
+            ("link", name, PARTITION_CAPACITY_FACTOR)
+            for name in (f"nic-tx:{node_id}", f"nic-rx:{node_id}")
+            if self.network is not None and name in self.network.links
+        )
+        self._window(targets, cfg.partition_duration_s, "chaos-partition-end")
         self.tracer.instant(
             "chaos",
             f"partition:{node_id}",
             duration=cfg.partition_duration_s,
             node=node_id,
         )
-        cuts = [
-            (name, self._cut(name, PARTITION_CAPACITY_FACTOR))
-            for name in (f"nic-tx:{node_id}", f"nic-rx:{node_id}")
-            if self.network is not None and name in self.network.links
-        ]
-        self.sim.call_in(
-            cfg.partition_duration_s,
-            lambda: self._end_partition(node_id, cuts),
-            label="chaos-partition-end",
-        )
-
-    def _end_partition(
-        self, node_id: str, cuts: list[tuple[str, object]]
-    ) -> None:
-        self._partitioned.pop(node_id, None)
-        for name, cut in cuts:
-            self._end_cut(name, cut)
-
-    def heartbeat_blocked(self, node_id: str) -> bool:
-        """True while *node_id*'s heartbeats are partitioned away."""
-        end = self._partitioned.get(node_id)
-        return end is not None and self.sim.now < end
-
-    # ------------------------------------------------------------------
-    # Link cuts (partitioned NICs, link brownouts, WAN flaps)
-    # ------------------------------------------------------------------
-    def _cut(self, name: str, factor: float) -> object:
-        """Cut link *name* by *factor*; return the key :meth:`_end_cut`
-        takes.  The link runs at its configured capacity times the
-        factors of its active cuts, multiplied in start order."""
-        base, active = self._cuts.setdefault(
-            name, (self.network.links[name].bandwidth, {})
-        )
-        cut = object()
-        active[cut] = factor
-        self._set_cut_capacity(name, base, active)
-        return cut
-
-    def _end_cut(self, name: str, cut: object) -> None:
-        base, active = self._cuts[name]
-        del active[cut]
-        if not active:
-            # The last cut ended: exactly the configured capacity again.
-            del self._cuts[name]
-        self._set_cut_capacity(name, base, active)
-
-    def _set_cut_capacity(
-        self, name: str, base: float, active: dict[object, float]
-    ) -> None:
-        capacity = base
-        for factor in active.values():
-            capacity *= factor
-        self.network.set_link_capacity(name, capacity)
 
     def _link_window(
         self, kind: str, factor: float, duration: float, end_label: str,
         name: str,
     ) -> None:
         """A link brownout or WAN flap: cut *name* for *duration*."""
-        cut = self._cut(name, factor)
-        self.degraded_window_s += duration
+        self._window((("link", name, factor),), duration, end_label)
         self.tracer.instant(
             "chaos", f"{kind}:{name}", duration=duration, link=name
         )
-        self.sim.call_in(
-            duration, lambda: self._end_cut(name, cut), label=end_label
-        )
 
-    # ------------------------------------------------------------------
-    # Tier brownouts
-    # ------------------------------------------------------------------
     def _start_tier_brownout(self, spec: TierBrownout) -> None:
-        self.platform.unfold()
-        self.tiers.set_brownout(
-            spec.tier,
-            refuse=(spec.mode == "refuse"),
-            latency_multiplier=spec.latency_multiplier,
-        )
-        self.degraded_window_s += spec.duration_s
+        # A refuse window keeps its latency factor too.
+        targets = (("tier", spec.tier, spec.latency_multiplier),)
+        if spec.mode == "refuse":
+            targets = (("refuse", spec.tier, 1.0),) + targets
+        self._window(targets, spec.duration_s, "chaos-tier-end")
         self.tracer.instant(
             "chaos",
             f"tier-brownout:{spec.tier}",
@@ -439,15 +442,6 @@ class ChaosInjector:
             tier=spec.tier,
             mode=spec.mode,
         )
-        self.sim.call_in(
-            spec.duration_s,
-            lambda: self._end_tier_brownout(spec),
-            label="chaos-tier-end",
-        )
-
-    def _end_tier_brownout(self, spec: TierBrownout) -> None:
-        self.platform.unfold()
-        self.tiers.clear_brownout(spec.tier)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -511,7 +511,7 @@ class FlowNetwork:
         extra_latency_s: float = 0.0,
         label: str = "",
     ) -> FlowHandle:
-        """Generic node-to-node transfer (replication state copies)."""
+        """A node-to-node flow (no platform path starts one; tests do)."""
         return self._start_flow(
             links=self._node_path(src_node, dst_node),
             size_bytes=size_bytes,

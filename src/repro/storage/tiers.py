@@ -164,7 +164,8 @@ class TierRegistry:
         refuse: bool = False,
         latency_multiplier: float = 1.0,
     ) -> None:
-        """Degrade tier *name*: refuse new I/O and/or inflate latency."""
+        """Set tier *name*'s brownout state: whether it refuses new I/O
+        and its latency multiplier (the defaults are healthy)."""
         self.get(name)
         if latency_multiplier < 1.0:
             raise ValueError("latency_multiplier must be >= 1")
@@ -176,11 +177,6 @@ class TierRegistry:
             self._latency_multiplier[name] = latency_multiplier
         else:
             self._latency_multiplier.pop(name, None)
-
-    def clear_brownout(self, name: str) -> None:
-        self.get(name)
-        self._refusing.discard(name)
-        self._latency_multiplier.pop(name, None)
 
     def is_refusing(self, name: str) -> bool:
         return name in self._refusing

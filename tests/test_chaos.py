@@ -13,6 +13,7 @@ from repro.core.jobs import JobRequest
 from repro.core.scenario import ScenarioConfig
 from repro.detection import BackoffPolicy, DetectionConfig, backoff
 from repro.faults.chaos import (
+    PARTITION_CAPACITY_FACTOR,
     ChaosConfig,
     ChaosInjector,
     TierBrownout,
@@ -357,6 +358,233 @@ class TestLinkCuts:
         assert platform.summary().completed == 40
 
 
+class TestOverlappingWindows:
+    """Every chaos degradation has the link-cut rule: a target runs at its
+    configured value times the factors of its active windows, multiplied
+    in start order, and gets exactly its configured value back when its
+    last window ends.  Targets: node speed (stragglers), link capacity
+    (partitioned NICs, link brownouts, WAN flaps), tier latency and
+    refusal (tier brownouts) and a node's heartbeats (partitions)."""
+
+    @staticmethod
+    def injector(chaos, network=None):
+        platform = CanaryPlatform(
+            ScenarioConfig(num_nodes=4, network=network), seed=0
+        )
+        return platform, ChaosInjector(platform, chaos)
+
+    def test_refuse_and_slow_tier_windows_compose(self):
+        platform, chaos = self.injector(
+            ChaosConfig(
+                tier_brownouts=(
+                    TierBrownout(
+                        tier="kv", start_s=10.0, duration_s=8.0,
+                        mode="refuse",
+                    ),
+                    TierBrownout(
+                        tier="kv", start_s=12.0, duration_s=18.0,
+                        latency_multiplier=4.0,
+                    ),
+                )
+            )
+        )
+        tiers = platform.tiers
+        kv = tiers.get("kv")
+        base = kv.write_time(2**20)
+        chaos.schedule()
+        # The refuse window keeps its own x4; both together read x16.
+        for until, refusing, multiplier in (
+            (11.0, True, 4.0),
+            (13.0, True, 16.0),
+            (19.0, False, 4.0),
+        ):
+            platform.sim.run(until=until)
+            assert tiers.is_refusing("kv") is refusing, until
+            assert tiers.write_seconds(kv, 2**20) == base * multiplier
+        platform.sim.run()
+        assert not tiers.is_refusing("kv")
+        assert tiers.write_seconds(kv, 2**20) == base
+        assert chaos.degraded_window_s == 26.0
+
+    def test_second_partition_of_a_partitioned_node(self):
+        platform, chaos = self.injector(
+            ChaosConfig(partition_duration_s=4.0),
+            network=NETWORK_PRESETS["10gbe"],
+        )
+        sim = platform.sim
+        node = platform.cluster.nodes[0]
+        nics = [
+            platform.network.links[f"nic-{way}:{node.node_id}"]
+            for way in ("tx", "rx")
+        ]
+        base = [link.bandwidth for link in nics]
+        # Partitions over [1, 5) and [3, 7).
+        sim.call_at(1.0, lambda: chaos._start_partition(node))
+        sim.call_at(3.0, lambda: chaos._start_partition(node))
+        f = PARTITION_CAPACITY_FACTOR
+        for until, cuts in ((2.0, 1), (4.0, 2), (6.0, 1)):
+            sim.run(until=until)
+            assert chaos.heartbeat_blocked(node.node_id), until
+            # Configured capacity times the cut factors, left to right.
+            expected = base
+            for _ in range(cuts):
+                expected = [b * f for b in expected]
+            assert [link.bandwidth for link in nics] == expected
+        sim.run()
+        assert not chaos.heartbeat_blocked(node.node_id)
+        assert [link.bandwidth for link in nics] == base
+        assert chaos.degraded_window_s == 8.0
+
+    def test_window_is_active_until_its_end_event(self):
+        platform, chaos = self.injector(ChaosConfig(partition_duration_s=4.0))
+        sim = platform.sim
+        node = platform.cluster.nodes[0]
+        seen = []
+
+        def probe():
+            seen.append(chaos.heartbeat_blocked(node.node_id))
+
+        # A beat due at the end time, scheduled before the window opened,
+        # fires before the end event; one scheduled after it, after.
+        sim.call_at(5.0, probe)
+        sim.call_at(1.0, lambda: chaos._start_partition(node))
+        sim.call_at(2.0, lambda: sim.call_at(5.0, probe))
+        sim.run()
+        assert seen == [True, False]
+
+    def test_overlapping_stragglers_restore_exactly(self):
+        platform, chaos = self.injector(
+            ChaosConfig(straggler_slowdown=0.2, straggler_duration_s=4.0)
+        )
+        sim = platform.sim
+        node = platform.cluster.nodes[0]
+        # Stragglers over [1, 5) and [3, 7).
+        sim.call_at(1.0, lambda: chaos._start_straggle(node))
+        sim.call_at(3.0, lambda: chaos._start_straggle(node))
+        for until, factor in ((2.0, 0.2), (4.0, 0.2 * 0.2), (6.0, 0.2)):
+            sim.run(until=until)
+            assert node.chaos_speed_factor == factor, until
+        sim.run()
+        assert node.chaos_speed_factor == 1.0
+
+    def test_combined_run_composes_every_target(self):
+        """Every archetype drawn to overlap on a 4-node edge-wan cluster:
+        stepped through the run, each target reads the composition of
+        the windows its traced ``chaos`` instants say are active, and
+        all of them end at their configured values."""
+        tier_specs = (
+            TierBrownout(tier="kv", start_s=6.0, duration_s=8.0,
+                         mode="refuse"),
+            TierBrownout(tier="kv", start_s=7.0, duration_s=10.0,
+                         latency_multiplier=3.0),
+        )
+        cfg = ChaosConfig(
+            stragglers=4, straggler_window=(5.0, 8.0),
+            straggler_duration_s=6.0, straggler_slowdown=0.3,
+            zombies=1, zombie_window=(5.0, 8.0),
+            partitions=4, partition_window=(5.0, 8.0),
+            partition_duration_s=4.0,
+            link_brownouts=4, link_brownout_window=(5.0, 8.0),
+            link_brownout_duration_s=5.0,
+            wan_flaps=4, wan_flap_window=(5.0, 8.0),
+            wan_flap_duration_s=5.0,
+            tier_brownouts=tier_specs,
+        )
+        tracer = Tracer()
+        platform = CanaryPlatform(
+            ScenarioConfig(
+                num_nodes=4, network=NETWORK_PRESETS["edge-wan"], chaos=cfg,
+                detection=DetectionConfig(), backoff=BackoffPolicy(),
+            ),
+            seed=1,
+            tracer=tracer,
+        )
+        platform.submit_job(
+            JobRequest(workload=get_workload("graph-bfs"), num_functions=12)
+        )
+        links = platform.network.links
+        configured = {name: link.bandwidth for name, link in links.items()}
+        nodes = [node.node_id for node in platform.cluster.nodes]
+        kv = platform.tiers.get("kv")
+        base = kv.write_time(2**20)
+        factors = {
+            "link-brownout": cfg.link_brownout_factor,
+            "wan-flap": cfg.wan_flap_factor,
+        }
+
+        def check(now):
+            # Instants are recorded at window starts, in start order.
+            windows = [
+                span for span in tracer.spans()
+                if span.kind == "chaos" and span.start <= now < span.end
+            ]
+            speed = dict.fromkeys(nodes, 1.0)
+            blocked = set()
+            capacity = dict(configured)
+            refusing, multiplier = False, 1.0
+            for span in windows:
+                kind = span.name.split(":")[0]
+                if kind == "straggler":
+                    speed[span.attrs["node"]] *= cfg.straggler_slowdown
+                elif kind == "partition":
+                    blocked.add(span.attrs["node"])
+                    for way in ("tx", "rx"):
+                        capacity[f"nic-{way}:{span.attrs['node']}"] *= (
+                            PARTITION_CAPACITY_FACTOR
+                        )
+                elif kind in factors:
+                    capacity[span.attrs["link"]] *= factors[kind]
+                elif kind == "tier-brownout":
+                    (spec,) = [s for s in tier_specs if s.start_s == span.start]
+                    refusing |= spec.mode == "refuse"
+                    multiplier *= spec.latency_multiplier
+            assert {
+                node.node_id: node.chaos_speed_factor
+                for node in platform.cluster.nodes
+            } == speed, now
+            assert {
+                n for n in nodes if platform.chaos.heartbeat_blocked(n)
+            } == blocked, now
+            assert {
+                name: link.bandwidth for name, link in links.items()
+            } == capacity, now
+            assert platform.tiers.is_refusing("kv") is refusing, now
+            assert platform.tiers.write_seconds(kv, 2**20) == (
+                base * multiplier if multiplier != 1.0 else base
+            ), now
+
+        for step in range(80):
+            now = 0.25 + 0.5 * step
+            platform.run(until=now)
+            check(now)
+        platform.run()
+        check(platform.sim.now)
+        assert platform.summary().completed == 12
+        # Windows overlapped on one target of every kind.
+        spans = [s for s in tracer.spans() if s.kind == "chaos"]
+        for kind, attr in (
+            ("straggler", "node"), ("partition", "node"),
+            ("link-brownout", "link"), ("wan-flap", "link"),
+            ("tier-brownout", "tier"),
+        ):
+            same = [s for s in spans if s.name.startswith(kind + ":")]
+            assert any(
+                a.attrs[attr] == b.attrs[attr] and b.start < a.end
+                for i, a in enumerate(same)
+                for b in same[i + 1:]
+            ), kind
+        for node in platform.cluster.nodes:
+            assert node.chaos_speed_factor == 1.0
+            assert not platform.chaos.heartbeat_blocked(node.node_id)
+        for name, link in links.items():
+            assert link.bandwidth == configured[name], name
+        for tier in platform.tiers.tiers:
+            assert not platform.tiers.is_refusing(tier.name)
+            assert platform.tiers.read_seconds(tier, 2**20) == (
+                tier.read_time(2**20)
+            )
+
+
 class TestTierBrownouts:
     def test_refusing_tier_spills_writes(self):
         chaos = ChaosConfig(
@@ -392,7 +620,7 @@ class TestTierBrownouts:
         assert tiers.write_seconds(tier, 2**20) == pytest.approx(
             4 * base_write
         )
-        tiers.clear_brownout("pmem")
+        tiers.set_brownout("pmem")
         # Exact (not approx): the healthy path must return the original
         # float expression for byte-identity.
         assert tiers.read_seconds(tier, 2**20) == base_read
@@ -402,7 +630,7 @@ class TestTierBrownouts:
         healthy = tiers.fastest_spill_tier()
         tiers.set_brownout(healthy.name, refuse=True)
         assert tiers.fastest_spill_tier().name != healthy.name
-        tiers.clear_brownout(healthy.name)
+        tiers.set_brownout(healthy.name)
         assert tiers.fastest_spill_tier().name == healthy.name
 
 

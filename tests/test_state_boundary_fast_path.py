@@ -7,16 +7,18 @@ full ``can_host`` placement scan.
 
 import itertools
 import random
+import threading
 
 import pytest
 
-from repro.checkpoint.module import CheckpointingModule
+from repro.checkpoint.module import DEPTH_MEMO_ENTRIES, CheckpointingModule
 from repro.checkpoint.policy import CheckpointPolicy, RetentionPolicy
 from repro.cluster.cluster import Cluster
 from repro.cluster.heterogeneity import HeterogeneityModel, NodeProfile
 from repro.common.types import RuntimeKind
 from repro.common.units import KiB, MiB, gb, mb
 from repro.core.ids import IdGenerator
+from repro.executor.context import CheckpointContext
 from repro.faas.container import Container
 from repro.faas.runtimes import RuntimeRegistry
 from repro.storage.kvstore import KeyValueStore
@@ -97,6 +99,19 @@ class TestRetentionCache:
                             state_period_s=period,
                             db_limit_bytes=limit,
                         )
+
+
+    def test_memo_stays_bounded_under_distinct_sizes(self):
+        # The real executor passes each payload's pickled length.
+        module = CheckpointingModule(
+            CheckpointStorageRouter(KeyValueStore(), TierRegistry()),
+            IdGenerator(),
+        )
+        ctx = CheckpointContext("fn-0", module, threading.Lock())
+        for i in range(1_000):
+            ctx.save(i, b"x" * i)
+        assert module.checkpoints_taken == 1_000
+        assert 0 < len(module._target_n) <= DEPTH_MEMO_ENTRIES
 
 
 class TestPlacementBound:

@@ -11,6 +11,7 @@ see.
 
 import sys
 import threading
+import time
 
 from repro.common.units import KiB
 from repro.executor.context import CheckpointContext
@@ -83,6 +84,50 @@ class TestStoreThreadHammer:
             module.drop_function(f"fn-{tid}")
         assert module.router.kv.used_bytes == 0.0
         assert not module.router._spilled
+
+    def test_record_state_runs_under_the_lock(self):
+        """A detector wrapped around ``record_state`` lingers inside it:
+        with ``save`` holding the lock, no second thread ever arrives."""
+        module = build_checkpointer()
+        record_state = module.record_state
+        lock = threading.Lock()
+        guard = threading.Lock()
+        inside = [0, 0]  # threads in record_state now, and at most
+        barrier = threading.Barrier(4)
+        errors: list[BaseException] = []
+
+        def detecting(**kwargs):
+            with guard:
+                inside[0] += 1
+                inside[1] = max(inside[1], inside[0])
+            try:
+                time.sleep(0.002)
+                return record_state(**kwargs)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        module.record_state = detecting
+
+        def worker(tid: int) -> None:
+            ctx = CheckpointContext(f"fn-{tid}", module, lock)
+            try:
+                barrier.wait()
+                for i in range(10):
+                    ctx.save(i, [tid, i])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(tid,)) for tid in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors, errors
+        assert module.checkpoints_taken == 40
+        assert inside == [0, 1]
 
     def test_spill_path_under_contention(self):
         """Oversized payloads spill; concurrent restores must see them."""
