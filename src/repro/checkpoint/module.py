@@ -296,7 +296,7 @@ class CheckpointingModule:
         Positional-only: it runs once per checkpointed state.
         """
         checkpoint_id = self.ids.checkpoint_id(function_id)
-        ref, _ = self.router.write(
+        ref = self.router.write(
             checkpoint_id, payload, size_bytes=size_bytes, node_id=node_id
         )
         record = CheckpointRecord(
@@ -419,7 +419,8 @@ class CheckpointingModule:
 
     def restore_time(self, record: CheckpointRecord) -> float:
         """Seconds to fetch the checkpoint payload (part of ``t_res``)."""
-        return self.router.read_time(record.ref)
+        tiers = self.router.tiers
+        return tiers.read_seconds(tiers.get(record.ref.tier_name), record.size_bytes)
 
     def on_node_failure(
         self, node_id: str, now: Optional[float] = None

@@ -553,22 +553,18 @@ class FunctionExecution:
 
     def planned_remaining_duration(self, attempt: Attempt) -> float:
         """Projected wall time for the rest of the attempt's execution."""
-        node = attempt.container.node
-        remaining = float(
-            np.sum(self._base_durations[attempt.completed_states :])
+        total = attempt.container.node.scale_duration(
+            self.estimated_remaining_work_s(attempt.completed_states)
         )
-        total = node.scale_duration(remaining + self.profile.finish_s)
         if self.platform.strategy.checkpoints_enabled:
+            checkpointer = self.platform.checkpointer
             n_ckpts = max(0, self.n_states - attempt.completed_states)
-            interval = self.platform.checkpointer.effective_interval(
-                self.function_id
+            n_ckpts //= max(1, checkpointer.effective_interval(self.function_id))
+            # Priced as ``_fold`` prices it, tier brownouts included.
+            total += n_ckpts * checkpointer.write_charge(
+                self.profile.checkpoint_size_bytes,
+                self.profile.serialize_overhead_s,
             )
-            n_ckpts = n_ckpts // max(1, interval)
-            size = self.profile.checkpoint_size_bytes
-            per_ckpt = self.profile.serialize_overhead_s + (
-                self.platform.checkpointer.router.choose_tier(size).write_time(size)
-            )
-            total += n_ckpts * per_ckpt
         return total
 
     def _schedule_next_state(self, attempt: Attempt) -> None:

@@ -127,6 +127,10 @@ class ScenarioConfig:
                     f"cloning applies only to strategy 'cloning', "
                     f"not {strategy.value!r}"
                 )
+        if self.network is None and self.chaos is not None:
+            for kind in ("link_brownouts", "wan_flaps"):  # fabric links only
+                if getattr(self.chaos, kind) > 0:
+                    raise ValueError(f"chaos {kind} need a network model")
         if self.placement not in PLACEMENT_POLICIES:
             known = ", ".join(sorted(PLACEMENT_POLICIES))
             raise ValueError(

@@ -62,8 +62,9 @@ PARTITION_CAPACITY_FACTOR = 0.05
 class TierBrownout:
     """One storage-tier degradation window.
 
-    ``mode="slow"`` multiplies the tier's read/write latency by
-    ``latency_multiplier``; ``mode="refuse"`` rejects new I/O outright
+    ``mode="slow"`` multiplies by ``latency_multiplier`` the tier's whole
+    read/write time without a fabric, and its fixed latency on one (flows
+    stream at full bandwidth); ``mode="refuse"`` also rejects new I/O
     (writes spill to the next healthy tier, restores back off).
     """
 
@@ -112,8 +113,8 @@ class ChaosConfig:
 
     #: WAN flaps: an edge rack's WAN uplink (edge-wan preset) loses most
     #: of its capacity for a window — the cloud-edge failure-injection
-    #: archetype.  No-ops (counted as skips) when the network model has
-    #: no WAN links.
+    #: archetype.  No-ops on a fabric with no WAN links; without a
+    #: fabric ``ScenarioConfig`` rejects them, as it does link brownouts.
     wan_flaps: int = 0
     wan_flap_window: tuple[float, float] = (5.0, 25.0)
     wan_flap_duration_s: float = 4.0

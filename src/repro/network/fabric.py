@@ -10,9 +10,10 @@ from :class:`~repro.cluster.topology.Topology` rack distance:
 Shared storage tiers (the replicated KV store, NFS, S3) and the container
 image registry are modeled as service endpoints in a dedicated storage
 rack: their per-direction service links are sized from the tier's
-read/write bandwidth, so an *uncontended* transfer costs what the legacy
-``latency + size/bandwidth`` model charged (the slowest hop is the tier
-itself), while concurrent transfers now compete for every shared hop.
+read/write bandwidth, so an *uncontended* transfer costs the tier
+registry's ``latency + size/bandwidth`` (the slowest hop is the tier
+itself), while concurrent transfers compete for every shared hop.  A
+checkpoint flow's fixed latency is the registry's, brownouts included.
 
 Bandwidth allocation is classic max-min (water-filling): repeatedly find
 the most constrained link, give each of its flows an equal share, remove
@@ -258,8 +259,7 @@ class FlowNetwork:
         self._add_link("core", config.core_bandwidth)
         # Shared tiers live in a dedicated storage rack reached through
         # the core; the per-direction service links carry the tier's own
-        # streaming bandwidth so the uncontended cost matches the legacy
-        # model.
+        # streaming bandwidth so the uncontended cost is the registry's.
         self._service_rx: dict[str, Link] = {}
         self._service_tx: dict[str, Link] = {}
         for tier in tiers.tiers:
@@ -388,8 +388,9 @@ class FlowNetwork:
     ) -> FlowHandle:
         """Checkpoint write from *node_id* onto *tier_name*.
 
-        Shared tiers are a flow to the tier's service endpoint; local
-        tiers (and node-less writes) cost the legacy local write time.
+        Shared tiers are a flow to the tier's service endpoint, paying the
+        registry's zero-byte write as fixed latency; local tiers (and
+        node-less writes) take the registry's whole write time.
         """
         tier = self.tiers.get(tier_name)
         if node_id is not None and self.serves_tier(tier_name):
@@ -397,7 +398,7 @@ class FlowNetwork:
                 links=self._to_service(node_id, self._service_rx[tier_name]),
                 size_bytes=size_bytes,
                 on_complete=on_complete,
-                latency_s=extra_latency_s + tier.write_latency_s,
+                latency_s=extra_latency_s + self.tiers.write_seconds(tier, 0.0),
                 label=label,
                 endpoints=(node_id, f"svc:{tier_name}"),
             )
@@ -405,7 +406,7 @@ class FlowNetwork:
             links=(),
             size_bytes=size_bytes,
             on_complete=on_complete,
-            latency_s=extra_latency_s + tier.write_time(size_bytes),
+            latency_s=extra_latency_s + self.tiers.write_seconds(tier, size_bytes),
             label=label,
             endpoints=(node_id,) if node_id is not None else (),
         )
@@ -419,7 +420,8 @@ class FlowNetwork:
         extra_latency_s: float = 0.0,
         label: str = "",
     ) -> FlowHandle:
-        """Restore fetch of *ref*'s payload onto *dest_node* (``t_res``)."""
+        """Restore fetch of *ref*'s payload onto *dest_node* (``t_res``); a
+        flow over links pays the registry's zero-byte read as latency."""
         tier = self.tiers.get(ref.tier_name)
         if self.serves_tier(ref.tier_name):
             return self._start_flow(
@@ -428,7 +430,7 @@ class FlowNetwork:
                 ),
                 size_bytes=ref.size_bytes,
                 on_complete=on_complete,
-                latency_s=extra_latency_s + tier.read_latency_s,
+                latency_s=extra_latency_s + self.tiers.read_seconds(tier, 0.0),
                 label=label,
                 endpoints=(f"svc:{ref.tier_name}", dest_node),
             )
@@ -438,16 +440,16 @@ class FlowNetwork:
                 links=self._node_path(ref.node_id, dest_node),
                 size_bytes=ref.size_bytes,
                 on_complete=on_complete,
-                latency_s=extra_latency_s + tier.read_latency_s,
+                latency_s=extra_latency_s + self.tiers.read_seconds(tier, 0.0),
                 label=label,
                 endpoints=(ref.node_id, dest_node),
             )
-        # Same node (or unplaced payload): legacy local read time.
+        # Same node (or unplaced payload): the registry's whole read time.
         return self._start_flow(
             links=(),
             size_bytes=ref.size_bytes,
             on_complete=on_complete,
-            latency_s=extra_latency_s + tier.read_time(ref.size_bytes),
+            latency_s=extra_latency_s + self.tiers.read_seconds(tier, ref.size_bytes),
             label=label,
             endpoints=(dest_node,),
         )

@@ -7,9 +7,8 @@ is recorded.  No store or tier fills up, so where a payload lands depends
 only on its size, the brownout state and the router's settings.  The
 router holds a spilled payload beside its ref, in place of the tier, and
 ``read`` returns an inline or a spilled payload (the real executor's
-bytes; None in the simulator, which stores sizes only).  The router also
-answers "how long does writing/reading this checkpoint take", which the
-simulator charges as ``ckp_i`` and part of ``t_res``.
+bytes; None in the simulator, which stores sizes only).  The router only
+routes: the tier registry prices writes and reads (``ckp_i``, ``t_res``).
 """
 
 from __future__ import annotations
@@ -105,13 +104,12 @@ class CheckpointStorageRouter:
         *,
         size_bytes: float,
         node_id: Optional[str] = None,
-    ) -> tuple[StoredObjectRef, float]:
-        """Store a checkpoint payload; return its ref and the write time."""
+    ) -> StoredObjectRef:
+        """Store a checkpoint payload; return its ref."""
         tier = self.choose_tier(size_bytes)
         if tier.name == "kv":
             self.kv.put(key, payload, size_bytes=size_bytes)
-            ref = StoredObjectRef(key, "kv", size_bytes, node_id)
-            return ref, self.tiers.write_seconds(tier, size_bytes)
+            return StoredObjectRef(key, "kv", size_bytes, node_id)
         ref = StoredObjectRef(key, tier.name, size_bytes, node_id)
         self._spilled[key] = (ref, payload)
         # Only the (name, location) pair goes to the KV store/database.
@@ -120,17 +118,11 @@ class CheckpointStorageRouter:
             {"ckpt_name": key, "ckpt_loc": tier.name},
             size_bytes=256.0,
         )
-        return ref, self.tiers.write_seconds(tier, size_bytes)
+        return ref
 
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def read_time(self, ref: StoredObjectRef) -> float:
-        """Seconds to fetch the payload behind *ref*."""
-        return self.tiers.read_seconds(
-            self.tiers.get(ref.tier_name), ref.size_bytes
-        )
-
     def read(self, ref: StoredObjectRef) -> Any:
         """The payload stored behind *ref*; KeyError once it is gone."""
         if ref.inline:

@@ -126,7 +126,7 @@ DEFAULT_TIERS: tuple[StorageTier, ...] = _default_tiers()
 
 
 class TierRegistry:
-    """Orders tiers and tracks their brownout state.
+    """Orders tiers, tracks their brownout state and prices their I/O.
 
     The registry is the "storage hierarchy determined at the deployment
     phase" (§IV-C-4); a custom endpoint can be appended or substituted.

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.core.canary import CanaryPlatform
+from repro.core.execution import FunctionExecution
 from repro.core.jobs import JobRequest
 from repro.core.scenario import ScenarioConfig
 from repro.detection import BackoffPolicy, DetectionConfig, backoff
@@ -87,6 +88,15 @@ class TestChaosConfig:
         )
         with pytest.raises(Exception):
             CanaryPlatform(ScenarioConfig(num_nodes=4, chaos=chaos), seed=0)
+
+    @pytest.mark.parametrize("kind", ["link_brownouts", "wan_flaps"])
+    def test_link_archetypes_need_a_fabric(self, kind):
+        # Without a fabric they have no link to cut.
+        chaos = ChaosConfig(**{kind: 1})
+        with pytest.raises(ValueError, match=kind):
+            ScenarioConfig(num_nodes=4, chaos=chaos)
+        ScenarioConfig(num_nodes=4, chaos=chaos,
+                       network=NETWORK_PRESETS["10gbe"])
 
 
 class TestDisabledByteIdentity:
@@ -624,6 +634,34 @@ class TestTierBrownouts:
         # Exact (not approx): the healthy path must return the original
         # float expression for byte-identity.
         assert tiers.read_seconds(tier, 2**20) == base_read
+
+    def test_kill_window_is_priced_like_the_fold_plan(self, monkeypatch):
+        """Under a slow ``kv`` window a first attempt's planned kill
+        window is the segment its fold plan runs: checkpoints priced by
+        ``write_charge``, brownout included."""
+        seen = []
+        fold = FunctionExecution._fold
+
+        def recording_fold(execution, attempt):
+            fold(execution, attempt)
+            if attempt.index == 0 and attempt.kill_handle is not None:
+                plan = attempt.plan
+                seen.append((
+                    execution.planned_remaining_duration(attempt),
+                    plan.finish_at - plan.at,
+                    plan.count,
+                ))
+
+        monkeypatch.setattr(FunctionExecution, "_fold", recording_fold)
+        chaos = ChaosConfig(tier_brownouts=(TierBrownout(
+            tier="kv", start_s=0.0, duration_s=1e6, mode="slow",
+            latency_multiplier=50.0,
+        ),))
+        run_platform(seed=0, error_rate=0.15, chaos=chaos)
+        assert seen
+        for planned, segment, count in seen:
+            assert count > 0
+            assert planned == pytest.approx(segment, rel=1e-9)
 
     def test_spill_skips_refusing_tier(self):
         tiers = TierRegistry()

@@ -11,6 +11,7 @@ from repro.core.canary import CanaryPlatform
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import run_scenario
+from repro.faults.chaos import ChaosConfig, TierBrownout
 from repro.network.config import (
     NETWORK_PRESETS,
     NetworkModelConfig,
@@ -239,6 +240,72 @@ class TestStorageAndRegistryEndpoints:
         sim.run()
         # Four pulls share the 100 B/s registry egress.
         assert done == [pytest.approx(4.0)] * 4
+
+
+class TestTierBrownoutOnTheFabric:
+    """A tier "slow" window reaches fabric flows through the tier
+    registry: it multiplies a flow's fixed latency (the service links
+    keep their bandwidth) and a link-less flow's whole time."""
+
+    K = 50.0
+
+    def _finish(self, start):
+        sim, net = make_fabric(nic_bandwidth=1.25e9, uplink_bandwidth=2.5e9,
+                               core_bandwidth=10e9)
+        net.tiers.set_brownout("nfs", latency_multiplier=self.K)
+        net.tiers.set_brownout("pmem", latency_multiplier=self.K)
+        done = []
+        start(net, lambda: done.append(sim.now))
+        sim.run()
+        return net, done
+
+    def test_shared_write_pays_k_times_the_fixed_latency(self):
+        size = 512e6
+        net, done = self._finish(lambda net, cb: net.write_checkpoint(
+            tier_name="nfs", node_id="node-00", size_bytes=size,
+            on_complete=cb,
+        ))
+        tier = net.tiers.get("nfs")
+        expected = self.K * tier.write_latency_s + size / tier.write_bandwidth
+        assert done == [pytest.approx(expected, rel=1e-9)]
+
+    def test_shared_fetch_pays_k_times_the_fixed_latency(self):
+        ref = StoredObjectRef("k", "nfs", 256e6, "node-02")
+        net, done = self._finish(lambda net, cb: net.fetch_checkpoint(
+            ref, dest_node="node-00", on_complete=cb,
+        ))
+        tier = net.tiers.get("nfs")
+        expected = (
+            self.K * tier.read_latency_s + ref.size_bytes / tier.read_bandwidth
+        )
+        assert done == [pytest.approx(expected, rel=1e-9)]
+
+    def test_local_linkless_write_pays_k_times_its_whole_time(self):
+        size = 1e9
+        net, done = self._finish(lambda net, cb: net.write_checkpoint(
+            tier_name="pmem", node_id="node-00", size_bytes=size,
+            on_complete=cb,
+        ))
+        tier = net.tiers.get("pmem")
+        assert done == [pytest.approx(self.K * tier.write_time(size), rel=1e-9)]
+        assert all(link.flows_total == 0 for link in net.links.values())
+
+    def test_slow_kv_window_raises_checkpoint_time_on_10gbe(self):
+        """The scenario that read the same checkpoint time with and
+        without a whole-run ×50 ``kv`` slow window on ``10gbe``."""
+        scenario = ScenarioConfig(
+            workload="graph-bfs", strategy="canary", error_rate=0.15,
+            num_functions=40, network=NETWORK_PRESETS["10gbe"],
+        )
+        slow = ChaosConfig(tier_brownouts=(TierBrownout(
+            tier="kv", start_s=0.0, duration_s=1e6, mode="slow",
+            latency_multiplier=self.K,
+        ),))
+        healthy = run_scenario(scenario, seed=0).checkpoint_time_s
+        browned = run_scenario(
+            scenario.with_(chaos=slow), seed=0
+        ).checkpoint_time_s
+        assert browned > healthy
 
 
 class TestCancellation:

@@ -65,8 +65,9 @@ class TestKVStoreInvariants:
         router = CheckpointStorageRouter(kv, TierRegistry())
         refs = []
         for i, size in enumerate(sizes_list):
-            ref, write_time = router.write(f"k{i}", None, size_bytes=size)
-            assert write_time > 0
+            ref = router.write(f"k{i}", None, size_bytes=size)
+            tier = router.tiers.get(ref.tier_name)
+            assert router.tiers.write_seconds(tier, size) > 0
             assert router.is_available(ref)
             if size <= kv.db_limit_bytes:
                 assert ref.inline
@@ -85,6 +86,11 @@ class TestKVStoreInvariants:
     def test_write_then_read_time_positive_monotone(self, size):
         kv = KeyValueStore(db_limit_bytes=64 * MiB)
         router = CheckpointStorageRouter(kv, TierRegistry())
-        ref, _ = router.write("k", None, size_bytes=size)
-        small_ref, _ = router.write("s", None, size_bytes=1.0)
-        assert router.read_time(ref) >= router.read_time(small_ref) > 0
+        tiers = router.tiers
+        ref = router.write("k", None, size_bytes=size)
+        small_ref = router.write("s", None, size_bytes=1.0)
+
+        def read_time(ref):
+            return tiers.read_seconds(tiers.get(ref.tier_name), ref.size_bytes)
+
+        assert read_time(ref) >= read_time(small_ref) > 0

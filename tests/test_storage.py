@@ -108,7 +108,7 @@ class TestKeyValueStore:
     def test_replicated_store_survives_node_failure(self):
         kv = KeyValueStore()
         router = CheckpointStorageRouter(kv, TierRegistry())
-        ref, _ = router.write("k", None, size_bytes=10, node_id="node-00")
+        ref = router.write("k", None, size_bytes=10, node_id="node-00")
         assert ref.inline
         assert router.on_node_failure("node-00") == []
         assert "k" in kv
@@ -125,14 +125,14 @@ class TestCheckpointStorageRouter:
 
     def test_small_payload_goes_inline(self):
         router, kv = self.make()
-        ref, write_time = router.write("k", b"x", size_bytes=1 * MiB)
+        ref = router.write("k", b"x", size_bytes=1 * MiB)
         assert ref.inline
-        assert write_time > 0
+        assert router.tiers.write_seconds(router.tiers.get("kv"), ref.size_bytes) > 0
         assert "k" in kv
 
     def test_large_payload_spills_with_location_record(self):
         router, kv = self.make()
-        ref, _ = router.write("big", None, size_bytes=200 * MiB)
+        ref = router.write("big", None, size_bytes=200 * MiB)
         assert not ref.inline
         # The KV store holds only the {name, location} record.
         entry = kv.get("big")
@@ -141,7 +141,7 @@ class TestCheckpointStorageRouter:
 
     def test_custom_endpoint_overrides_hierarchy(self):
         router, _ = self.make(custom_endpoint="s3")
-        ref, _ = router.write("k", None, size_bytes=1 * KiB)
+        ref = router.write("k", None, size_bytes=1 * KiB)
         assert ref.tier_name == "s3"
 
     def test_invalid_custom_endpoint_rejected_eagerly(self):
@@ -165,32 +165,39 @@ class TestCheckpointStorageRouter:
             router.custom_endpoint = "bogus"
         assert router.custom_endpoint is None
         router.custom_endpoint = "s3"
-        ref, _ = router.write("k", None, size_bytes=1 * KiB)
+        ref = router.write("k", None, size_bytes=1 * KiB)
         assert ref.tier_name == "s3"
 
     def test_shared_spill_requirement(self):
         router, _ = self.make(require_shared_spill=True)
-        ref, _ = router.write("k", None, size_bytes=200 * MiB)
+        ref = router.write("k", None, size_bytes=200 * MiB)
         tier = router.tiers.get(ref.tier_name)
         assert tier.shared
 
     def test_read_time_positive_and_tier_dependent(self):
         router, _ = self.make()
-        small, _ = router.write("s", None, size_bytes=1 * MiB)
-        big, _ = router.write("b", None, size_bytes=200 * MiB)
-        assert router.read_time(small) > 0
-        assert router.read_time(big) > router.read_time(small)
+        module = CheckpointingModule(router, IdGenerator())
+        small, big = (
+            module.record_state(
+                job_id="j", function_id=f"f{i}", state_index=0,
+                size_bytes=size, serialize_overhead_s=0.0, now=0.0,
+            )[0]
+            for i, size in enumerate((1 * MiB, 200 * MiB))
+        )
+        assert small.ref.inline and not big.ref.inline
+        assert module.restore_time(small) > 0
+        assert module.restore_time(big) > module.restore_time(small)
 
     def test_delete_drops_spilled_payload(self):
         router, kv = self.make()
-        ref, _ = router.write("big", None, size_bytes=200 * MiB)
+        ref = router.write("big", None, size_bytes=200 * MiB)
         router.delete(ref)
         assert not router.is_available(ref)
         assert "big" not in kv
 
     def test_node_failure_drops_node_local_spills(self):
         router, _ = self.make()
-        ref, _ = router.write(
+        ref = router.write(
             "big", None, size_bytes=200 * MiB, node_id="node-00"
         )
         tier = router.tiers.get(ref.tier_name)
@@ -202,8 +209,8 @@ class TestCheckpointStorageRouter:
 
     def test_read_returns_inline_and_spilled_payloads(self):
         router, _ = self.make()
-        small, _ = router.write("s", b"inline", size_bytes=1 * MiB)
-        big, _ = router.write("b", b"spilled", size_bytes=200 * MiB)
+        small = router.write("s", b"inline", size_bytes=1 * MiB)
+        big = router.write("b", b"spilled", size_bytes=200 * MiB)
         assert small.inline and not big.inline
         assert router.read(small) == b"inline"
         assert router.read(big) == b"spilled"
@@ -228,7 +235,7 @@ class TestCheckpointStorageRouter:
 
     def test_read_after_node_loss_fails(self):
         router, _ = self.make()
-        ref, _ = router.write(
+        ref = router.write(
             "big", b"payload", size_bytes=200 * MiB, node_id="node-00"
         )
         assert not router.tiers.get(ref.tier_name).survives_node_failure
@@ -239,7 +246,7 @@ class TestCheckpointStorageRouter:
 
     def test_node_failure_preserves_shared_spills(self):
         router, _ = self.make(require_shared_spill=True)
-        ref, _ = router.write(
+        ref = router.write(
             "big", None, size_bytes=200 * MiB, node_id="node-00"
         )
         assert router.on_node_failure("node-00") == []
