@@ -194,11 +194,17 @@ class CheckpointingModule:
                 now=end, node_id=node_id, state_duration_s=state_duration_s,
             )
 
-    def write_charge(self, size_bytes: float, serialize_overhead_s: float) -> float:
+    def write_charge(
+        self, size_bytes: float, serialize_overhead_s: float, *,
+        network: Optional["FlowNetwork"] = None, node_id: Optional[str] = None,
+    ) -> float:
         """``ckp_i`` of Eq. 2 for a checkpoint written now: serialization
         plus the storage write (the asynchronous flush to shared storage
-        is off the critical path and not charged)."""
+        is off the critical path and not charged); on a fabric *network*,
+        the uncontended write flow from *node_id*."""
         tier = self.router.choose_tier(size_bytes)
+        if network is not None:
+            return serialize_overhead_s + network.write_seconds(tier.name, node_id, size_bytes)
         return serialize_overhead_s + self.router.tiers.write_seconds(tier, size_bytes)
 
     def _trace(

@@ -560,10 +560,13 @@ class FunctionExecution:
             checkpointer = self.platform.checkpointer
             n_ckpts = max(0, self.n_states - attempt.completed_states)
             n_ckpts //= max(1, checkpointer.effective_interval(self.function_id))
-            # Priced as ``_fold`` prices it, tier brownouts included.
+            # Priced as ``_fold`` (off a fabric) or an uncontended write
+            # flow (on one) pays it, tier brownouts included.
             total += n_ckpts * checkpointer.write_charge(
                 self.profile.checkpoint_size_bytes,
                 self.profile.serialize_overhead_s,
+                network=self.platform.network,
+                node_id=attempt.container.node.node_id,
             )
         return total
 

@@ -10,10 +10,12 @@ from :class:`~repro.cluster.topology.Topology` rack distance:
 Shared storage tiers (the replicated KV store, NFS, S3) and the container
 image registry are modeled as service endpoints in a dedicated storage
 rack: their per-direction service links are sized from the tier's
-read/write bandwidth, so an *uncontended* transfer costs the tier
-registry's ``latency + size/bandwidth`` (the slowest hop is the tier
-itself), while concurrent transfers compete for every shared hop.  A
-checkpoint flow's fixed latency is the registry's, brownouts included.
+read/write bandwidth, so a healthy tier's *uncontended* transfer costs
+its ``latency + size/bandwidth`` (the slowest hop is the tier itself),
+while concurrent transfers compete for every shared hop.  A checkpoint
+flow's fixed latency is the tier registry's, so a "slow" brownout
+multiplies that latency alone; ``FlowNetwork.write_seconds`` quotes the
+uncontended write for the kill planner.
 
 Bandwidth allocation is classic max-min (water-filling): repeatedly find
 the most constrained link, give each of its flows an equal share, remove
@@ -410,6 +412,17 @@ class FlowNetwork:
             label=label,
             endpoints=(node_id,) if node_id is not None else (),
         )
+
+    def write_seconds(self, tier_name: str, node_id: Optional[str], size_bytes: float) -> float:
+        """Uncontended seconds of the :meth:`write_checkpoint` flow at the
+        tier's hop: the registry's zero-byte write plus the bytes at the
+        service link, or the registry's whole write time for a link-less
+        write.  Contention, the per-hop latency and a slower hop (an edge
+        rack's WAN uplink) lengthen the real flow."""
+        tier = self.tiers.get(tier_name)
+        if node_id is None or not self.serves_tier(tier_name):
+            return self.tiers.write_seconds(tier, size_bytes)
+        return self.tiers.write_seconds(tier, 0.0) + size_bytes / self._service_rx[tier_name].bandwidth
 
     def fetch_checkpoint(
         self,

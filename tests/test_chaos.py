@@ -663,6 +663,46 @@ class TestTierBrownouts:
             assert count > 0
             assert planned == pytest.approx(segment, rel=1e-9)
 
+    def test_kill_window_is_priced_like_the_fabric_flows(self, monkeypatch):
+        """On ``10gbe`` a slow ``kv`` window lengthens a lone function's
+        planned kill window by exactly what it adds to the function's
+        run: its checkpoints are uncontended flows whose fixed latency
+        alone the window multiplies.  The plan stays no longer than the
+        run, so a planned kill lands before the attempt ends."""
+        seen = []
+        plan_kill = FunctionExecution._plan_injected_kill
+
+        def recording_plan(execution, attempt):
+            seen.append((
+                execution, execution.platform.sim.now,
+                execution.planned_remaining_duration(attempt),
+            ))
+            plan_kill(execution, attempt)
+
+        monkeypatch.setattr(
+            FunctionExecution, "_plan_injected_kill", recording_plan
+        )
+        slow = ChaosConfig(tier_brownouts=(TierBrownout(
+            tier="kv", start_s=0.0, duration_s=1e6, mode="slow",
+            latency_multiplier=50.0,
+        ),))
+        gaps = []
+        for chaos in (None, slow):
+            seen.clear()
+            platform = run_platform(
+                seed=0, n=1, chaos=chaos, network=NETWORK_PRESETS["10gbe"],
+            )
+            [(execution, resumed_at, planned)] = seen
+            assert execution.completed
+            assert platform.checkpointer.checkpoints_taken > 0
+            ran = execution.completed_at - resumed_at
+            # The plan prices the tier's hop only: the fabric's per-hop
+            # latencies make the run slightly longer.
+            assert 0.0 <= ran - planned < 1e-2
+            gaps.append(ran - planned)
+        healthy, browned = gaps
+        assert browned == pytest.approx(healthy, abs=1e-9)
+
     def test_spill_skips_refusing_tier(self):
         tiers = TierRegistry()
         healthy = tiers.fastest_spill_tier()
